@@ -11,11 +11,12 @@ matching split exists at any depth.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
-from .poset import FOUND, Poset, PosetError
-from .ring import RingElement, is_trim_for, supertrim_split
+from .poset import FOUND, Poset, PosetError, bits
+from .ring import RingElement, is_trim_for, supertrim_split, trim_split
 from .skeleton import BuildError, SkeletonTree
 
 
@@ -78,9 +79,6 @@ class PartialIso:
     def part(self, pair: Pair, side: str) -> RingElement:
         return pair.left if side == "left" else pair.right
 
-    def gen(self, pair: Pair, side: str) -> str:
-        return pair.gen_left if side == "left" else pair.gen_right
-
     def union(self, side: str) -> RingElement:
         out = RingElement.empty(self.tree(side))
         for pair in self.pairs:
@@ -94,33 +92,28 @@ class PartialIso:
             top = max((self.part(p, side).level for p in self.pairs),
                       default=1)
             acc = 0
-            bits = 0
+            count = 0
             for pair in self.pairs:
                 m = self.part(pair, side).mask_at(top)
-                bits += bin(m).count("1")
+                count += bin(m).count("1")
                 acc |= m
-            if bits != bin(acc).count("1"):
+            if count != bin(acc).count("1"):
                 problems.append(f"{side} parts overlap")
         for k, pair in enumerate(self.pairs):
             if self.theta.image("left", pair.gen_left) != pair.gen_right:
                 problems.append(f"pair {k}: generators not matched by the "
                                 f"order bijection")
-            if not is_trim_for(pair.left, pair.gen_left):
-                problems.append(f"pair {k}: left part is not trim for "
-                                f"{pair.gen_left!r}")
-            if not is_trim_for(pair.right, pair.gen_right):
-                problems.append(f"pair {k}: right part is not trim for "
-                                f"{pair.gen_right!r}")
-            if pair.gen_left in self.iso_left:
-                c = pair.left.type_counts().get(pair.gen_left, 0)
-                if c != 1:
-                    problems.append(f"pair {k}: left isolated generator "
-                                    f"count {c}")
-            if pair.gen_right in self.iso_right:
-                c = pair.right.type_counts().get(pair.gen_right, 0)
-                if c != 1:
-                    problems.append(f"pair {k}: right isolated generator "
-                                    f"count {c}")
+            for side in ("left", "right"):
+                part = self.part(pair, side)
+                gen = pair.gen_left if side == "left" else pair.gen_right
+                if not is_trim_for(part, gen):
+                    problems.append(f"pair {k}: {side} part is not trim for "
+                                    f"{gen!r}")
+                if gen in self.iso_ids(side):
+                    c = part.type_counts().get(gen, 0)
+                    if c != 1:
+                        problems.append(f"pair {k}: {side} isolated "
+                                        f"generator count {c}")
         return problems
 
 
@@ -192,9 +185,9 @@ def init_iso(left: SkeletonTree, right: SkeletonTree, q: Iterable[str],
         if res.status != FOUND:
             raise IsoError(f"{side} region has no confirmed finite foundation")
         n0 = max(tree.poset.index(p) for p in res.foundation)
+        _grow(tree, n0)
         whole = RingElement(tree, n0, tree.level(n0).full_mask)
-        parts = [(g, part) for g, part in
-                 _trim_parts(whole) if g in qs]
+        parts = [(g, part) for g, part in trim_split(whole) if g in qs]
         if side == "left":
             left_parts = parts
         else:
@@ -210,16 +203,24 @@ def init_iso(left: SkeletonTree, right: SkeletonTree, q: Iterable[str],
     return state
 
 
-def _trim_parts(x: RingElement) -> list[tuple[str, RingElement]]:
-    from .ring import trim_split
-    return trim_split(x)
+def _grow(tree: SkeletonTree, level: int) -> None:
+    try:
+        tree.extend_to(level)
+    except BuildError as e:
+        raise DepthBudget(str(e))
 
 
-def _exact_atoms(tree: SkeletonTree, level: int, mask: int,
-                 type_ix: int) -> list[int]:
-    lvl = tree.level(level)
-    return [i for i in range(len(lvl))
-            if mask >> i & 1 and lvl.types[i] == type_ix]
+def _counterpart_ix(tree: SkeletonTree, side: str, h: str, needed: int,
+                    max_depth: int) -> int:
+    """Enumeration index of a needed type, enumerating up to the reach of
+    the level budget before declaring it absent."""
+    if h not in tree.poset:
+        tree.poset.prefix(tree._cap(max_depth))
+    if h not in tree.poset:
+        raise MismatchFound(MismatchWitness(
+            side, h, needed, 0,
+            "needed type does not occur in the counterpart poset"))
+    return tree.poset.index(h)
 
 
 def _match_split(state: PartialIso, dst_side: str, dst_part: RingElement,
@@ -237,37 +238,25 @@ def _match_split(state: PartialIso, dst_side: str, dst_part: RingElement,
     iso = state.iso_ids(dst_side)
     poset = tree.poset
     gens = [h for h, _ in needs]
-    want: dict[str, int] = {}
-    for h in gens:
-        want[h] = want.get(h, 0) + 1
-    for h in want:
-        if h not in poset:
-            poset.prefix(tree._cap(max_depth))
-        if h not in poset:
-            raise MismatchFound(MismatchWitness(
-                dst_side, h, want[h], 0,
-                "needed type does not occur in the counterpart poset"))
+    want = Counter(gens)
+    h_ix = {h: _counterpart_ix(tree, dst_side, h, n, max_depth)
+            for h, n in want.items()}
     level = dst_part.level
     while True:
         if level > tree.depth:
             if level > max_depth:
                 raise DepthBudget(f"{dst_side} side needs level {level}")
-            try:
-                tree.extend_to(level)
-            except BuildError as e:
-                raise DepthBudget(str(e))
+            _grow(tree, level)
         mask = dst_part.mask_at(level)
-        avail = {h: _exact_atoms(tree, level, mask, poset.index(h))
-                 for h in want}
+        masks = tree.level(level).type_masks()
+        avail = {h: list(bits(mask & masks.get(h_ix[h], 0))) for h in want}
         short = [h for h, n in want.items() if len(avail[h]) < n]
         if not short:
             break
+        realized = [t for t, atoms in masks.items() if atoms & mask]
         for h in short:
-            lvl = tree.level(level)
-            h_ix = poset.index(h)
-            growable = any(mask >> i & 1 and lvl.types[i] != h_ix
-                           and poset.leq_ix(lvl.types[i], h_ix)
-                           for i in range(len(lvl)))
+            growable = any(t != h_ix[h] and poset.leq_ix(t, h_ix[h])
+                           for t in realized)
             if h in iso and not growable:
                 raise MismatchFound(MismatchWitness(
                     dst_side, h, want[h], len(avail[h]),
@@ -279,28 +268,25 @@ def _match_split(state: PartialIso, dst_side: str, dst_part: RingElement,
                     "needed type is not realized in the counterpart part"))
         level += 1
 
-    taken: dict[str, int] = {h: 0 for h in want}
-    piece_masks = []
-    for h in gens:
-        i = avail[h][taken[h]]
-        taken[h] += 1
-        piece_masks.append(1 << i)
-    claimed = 0
-    for m in piece_masks:
-        claimed |= m
+    taken = {h: iter(avail[h]) for h in want}
+    piece_masks = [1 << next(taken[h]) for h in gens]
+    claimed = sum(piece_masks)
     # spread the unclaimed atoms round-robin so no piece starves a later
-    # split into chasing atoms ever deeper
-    fills: dict[str, int] = {}
-    m = mask & ~claimed
-    while m:
-        i = (m & -m).bit_length() - 1
-        m &= m - 1
-        s_ix = tree.level(level).types[i]
-        s = poset.id_at(s_ix)
-        eligible = [k for k, h in enumerate(gens)
-                    if poset.leq(h, s) and not (h == s and h in iso)]
+    # split into chasing atoms ever deeper; which pieces take an atom
+    # depends only on its type
+    gen_ix = [h_ix[h] for h in gens]
+    eligible_of: dict[int, list[int]] = {}
+    fills: dict[int, int] = {}
+    types = tree.level(level).types
+    for i in bits(mask & ~claimed):
+        s = types[i]
+        eligible = eligible_of.get(s)
+        if eligible is None:
+            eligible = eligible_of[s] = [
+                k for k, g in enumerate(gen_ix)
+                if poset.leq_ix(g, s) and not (g == s and gens[k] in iso)]
         if not eligible:
-            raise IsoError(f"atom of type {s!r} fits no piece; "
+            raise IsoError(f"atom of type {poset.id_at(s)!r} fits no piece; "
                            f"pairing invariant broken")
         turn = fills.get(s, 0)
         k = eligible[turn % len(eligible)]
@@ -313,24 +299,13 @@ def _fresh_counterpart(state: PartialIso, dst_side: str, h: str,
                        busy: RingElement, max_depth: int) -> RingElement:
     """First unclaimed atom of exactly the needed type, lowest level first."""
     tree = state.tree(dst_side)
-    if h not in tree.poset:
-        tree.poset.prefix(tree._cap(max_depth))
-    if h not in tree.poset:
-        raise MismatchFound(MismatchWitness(
-            dst_side, h, 1, 0,
-            "needed type does not occur in the counterpart poset"))
-    h_ix = tree.poset.index(h)
+    h_ix = _counterpart_ix(tree, dst_side, h, 1, max_depth)
     for level in range(busy.level, max_depth + 1):
         if level > tree.depth:
-            try:
-                tree.extend_to(level)
-            except BuildError as e:
-                raise DepthBudget(str(e))
-        u = busy.mask_at(level)
-        lvl = tree.level(level)
-        for i in range(len(lvl)):
-            if lvl.types[i] == h_ix and not u >> i & 1:
-                return RingElement.atom(tree, level, i)
+            _grow(tree, level)
+        free = tree.level(level).type_mask(h_ix) & ~busy.mask_at(level)
+        if free:
+            return RingElement.atom(tree, level, next(bits(free)))
     raise DepthBudget(f"no unclaimed {h!r} atom on the {dst_side} side "
                       f"within depth {max_depth}")
 
@@ -382,14 +357,15 @@ def extend_iso(state: PartialIso, side: str, element: RingElement,
     remainder = element.difference(state.union(side))
     if remainder:
         pieces = supertrim_split(remainder, iso_src)
+        busy = state.union(dst_side)
         for g, piece in pieces:
             h = theta.image(side, g)
             if h is None:
                 raise MismatchFound(MismatchWitness(
                     dst_side, g, 1, 0,
                     "type has no counterpart in the other alphabet"))
-            busy = state.union(dst_side)
             mate = _fresh_counterpart(state, dst_side, h, busy, max_depth)
+            busy = busy.union(mate)
             if side == "left":
                 state.pairs.append(Pair(piece, mate, g, h))
             else:
@@ -479,8 +455,8 @@ def run_backforth(left: SkeletonTree, right: SkeletonTree,
     run = IsoRun(status="iso")
     try:
         state = init_iso(left, right, q, theta)
-    except IsoError:
-        raise
+    except DepthBudget as d:
+        return IsoRun(status="depth-exhausted", note=str(d))
     run.transcript.append({"action": "init", "pairs": len(state.pairs)})
 
     rng = random.Random(seed)

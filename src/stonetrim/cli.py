@@ -1,7 +1,8 @@
 """Command-line reports over the library.
 
 Exit codes: 0 success, 2 unreadable input, 3 configuration rejected,
-4 mismatch verdict, 5 depth exhausted.
+4 mismatch verdict, 5 resource limit hit (the depth or the level-size
+budget).
 """
 from __future__ import annotations
 
@@ -36,6 +37,8 @@ def _emit(payload, as_json: bool = True) -> None:
 def _load_poset(args) -> Poset:
     if getattr(args, "family", None):
         return family(args.family)
+    if not args.poset:
+        raise PosetError("no poset given")
     with open(args.poset, "r", encoding="utf-8") as fh:
         return Poset.from_json(json.load(fh))
 
@@ -109,12 +112,9 @@ def cmd_build_verify(args) -> int:
         poset = _load_poset(args)
     except (OSError, ValueError) as e:
         return _fail(2, f"cannot load poset: {e}")
+    if args.depth < 2:
+        return _fail(3, "--depth must be at least 2")
     config = _build_config(poset, args)
-    problems = config.validate(args.depth)
-    if problems:
-        for p in problems:
-            print(p, file=sys.stderr)
-        return 3
     try:
         tree = build_levels(config, args.depth)
     except ConfigError as e:
@@ -137,6 +137,8 @@ def cmd_build_verify(args) -> int:
 
 
 def cmd_iso(args) -> int:
+    if args.depth < 3:
+        return _fail(3, "--depth must be at least 3")
     sides = {}
     for side in ("left", "right"):
         tag = getattr(args, f"{side}_family")
@@ -152,11 +154,6 @@ def cmd_iso(args) -> int:
         except (OSError, ValueError) as e:
             return _fail(2, f"cannot load {side} poset: {e}")
         config = _build_config(poset, args, prefix=f"{side}_")
-        problems = config.validate(args.depth)
-        if problems:
-            for p in problems:
-                print(f"{side}: {p}", file=sys.stderr)
-            return 3
         try:
             sides[side] = build_levels(config, args.depth)
         except ConfigError as e:
@@ -269,6 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list] = None) -> int:
     args = build_parser().parse_args(argv)
+    if args.horizon < 1:
+        return _fail(3, "--horizon must be at least 1")
     return args.run(args)
 
 

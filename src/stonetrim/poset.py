@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 HOLDS = "holds"
 REFUTED = "refuted"
@@ -24,6 +24,23 @@ DEFAULT_CHAIN_BOUND = 8
 
 class PosetError(ValueError):
     """Bad element id, malformed source data, or an order-axiom violation."""
+
+
+def runs(mask: int) -> Iterator[tuple[int, int]]:
+    """Maximal runs of set bits of a nonnegative int as (start, end) pairs,
+    ascending; bits start..end-1 are set."""
+    digits = bin(mask)[:1:-1] + "0"
+    start = digits.find("1")
+    while start >= 0:
+        end = digits.find("0", start)
+        yield start, end
+        start = digits.find("1", end)
+
+
+def bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of a nonnegative int, ascending."""
+    for start, end in runs(mask):
+        yield from range(start, end)
 
 
 @dataclass(frozen=True)
@@ -102,10 +119,12 @@ class Analytics:
 class Poset:
     """A partial order over string element ids.
 
-    Finite posets store the full up-set table.  Generated posets grow an
-    enumeration prefix on demand; the order oracle is memoized.  Enumeration
-    indices are 1-based, so ``prefix(n)`` is the set P_n of the first n
-    elements.
+    The order lives in one up-set table over enumeration indices:
+    ``up_mask(i)`` has bit j set iff element i <= element j.  Finite posets
+    fill it at construction; generated posets grow an enumeration prefix on
+    demand and add one row (and one bit to each older row) per new element.
+    Enumeration indices are 1-based, so ``prefix(n)`` is the set P_n of the
+    first n elements.
     """
 
     def __init__(self, name: str, *, ids: Optional[list[str]] = None,
@@ -123,10 +142,11 @@ class Poset:
         self._leq_fn = leq_fn
         self._gen = gen
         self._ids: list[str] = list(ids) if ids is not None else []
-        self._pos: dict[str, int] = {p: i for i, p in enumerate(self._ids)}
+        self._pos: dict[str, int] = {p: i for i, p in enumerate(self._ids, 1)}
         if len(self._pos) != len(self._ids):
             raise PosetError("duplicate element ids")
-        self._memo: dict[tuple[str, str], bool] = {}
+        self._up: list[int] = [0]
+        self._fill_table()
         self.finite = gen is None
         if self.finite:
             self._check_axioms(self._ids)
@@ -145,29 +165,26 @@ class Poset:
         pos = {p: i for i, p in enumerate(ids)}
         if len(pos) != len(ids):
             raise PosetError("duplicate element ids")
-        above: dict[str, set[str]] = {p: {p} for p in ids}
-        edges: dict[str, set[str]] = {p: set() for p in ids}
-        for a, b in covers:
+        pairs = list(covers)
+        for a, b in pairs:
             if a not in pos or b not in pos:
                 raise PosetError(f"cover ({a!r}, {b!r}) mentions an unknown element")
             if a == b:
                 raise PosetError(f"cover ({a!r}, {b!r}) is reflexive")
-            edges[a].add(b)
+        up = {p: 1 << i for p, i in pos.items()}
         changed = True
         while changed:
             changed = False
-            for a in ids:
-                for b in list(above[a]):
-                    for c in edges[b]:
-                        if c not in above[a]:
-                            above[a].add(c)
-                            changed = True
+            for a, b in pairs:
+                if up[b] & ~up[a]:
+                    up[a] |= up[b]
+                    changed = True
         for a in ids:
-            for b in above[a]:
-                if b != a and a in above[b]:
-                    raise PosetError(f"covers contain a cycle through {a!r} and {b!r}")
-        table = {p: frozenset(s) for p, s in above.items()}
-        return cls(name, ids=ids, leq_fn=lambda x, y: y in table[x])
+            for j in bits(up[a] & ~(1 << pos[a])):
+                if up[ids[j]] >> pos[a] & 1:
+                    raise PosetError(f"covers contain a cycle through {a!r} "
+                                     f"and {ids[j]!r}")
+        return cls(name, ids=ids, leq_fn=lambda x, y: up[x] >> pos[y] & 1)
 
     @classmethod
     def finite_from_order(cls, name: str, elements: Iterable[str],
@@ -223,8 +240,24 @@ class Poset:
             nxt = self._gen(len(self._ids) + 1)
             if nxt in self._pos:
                 raise PosetError(f"generator repeated id {nxt!r}")
-            self._pos[nxt] = len(self._ids)
             self._ids.append(nxt)
+            self._pos[nxt] = len(self._ids)
+            self._fill_table()
+
+    def _fill_table(self) -> None:
+        """Add the up-set rows of newly enumerated elements, and their bits
+        to the rows of the older ones."""
+        ids, up, fn = self._ids, self._up, self._leq_fn
+        for k in range(len(up), len(ids) + 1):
+            p = ids[k - 1]
+            row = 1 << k
+            for j in range(1, k):
+                q = ids[j - 1]
+                if fn(p, q):
+                    row |= 1 << j
+                if fn(q, p):
+                    up[j] |= 1 << k
+            up.append(row)
 
     def prefix(self, n: int) -> list[str]:
         """The first n enumerated elements (all of them, for finite posets)."""
@@ -243,7 +276,7 @@ class Poset:
     def index(self, p: str) -> int:
         """1-based enumeration index of an already-enumerated element."""
         try:
-            return self._pos[p] + 1
+            return self._pos[p]
         except KeyError:
             raise PosetError(f"unknown element id {p!r}") from None
 
@@ -257,18 +290,20 @@ class Poset:
     # ------------------------------------------------------------------
     # order
 
+    def up_mask(self, i: int) -> int:
+        """Up-set of index i on the enumerated prefix: bit j is set iff
+        element i <= element j."""
+        self.ensure(i)
+        if i < 1 or i > len(self._ids):
+            raise PosetError(f"enumeration index {i} out of range")
+        return self._up[i]
+
     def leq(self, p: str, q: str) -> bool:
-        if p not in self._pos or q not in self._pos:
-            missing = p if p not in self._pos else q
+        i, j = self._pos.get(p), self._pos.get(q)
+        if i is None or j is None:
+            missing = p if i is None else q
             raise PosetError(f"unknown element id {missing!r}")
-        if p == q:
-            return True
-        key = (p, q)
-        hit = self._memo.get(key)
-        if hit is None:
-            hit = bool(self._leq_fn(p, q))
-            self._memo[key] = hit
-        return hit
+        return bool(self._up[i] >> j & 1)
 
     def lt(self, p: str, q: str) -> bool:
         return p != q and self.leq(p, q)
@@ -278,7 +313,8 @@ class Poset:
 
     def leq_ix(self, i: int, j: int) -> bool:
         """Order on 1-based enumeration indices."""
-        return self.leq(self.id_at(i), self.id_at(j))
+        self.up_mask(j)  # enumerates j, or rejects it as out of range
+        return bool(self.up_mask(i) >> j & 1)
 
     def up_set(self, p: str, horizon: int) -> frozenset:
         return frozenset(q for q in self.prefix(horizon) if self.leq(p, q))
@@ -318,24 +354,20 @@ class Poset:
 
     def is_lower(self, members: Iterable[str], horizon: int) -> bool:
         ms = set(members)
-        return all(q in ms
-                   for p in ms for q in self.prefix(horizon) if self.leq(q, p))
+        return self.down_closure(ms, horizon) <= ms
 
     def is_upper(self, members: Iterable[str], horizon: int) -> bool:
         ms = set(members)
-        return all(q in ms
-                   for p in ms for q in self.prefix(horizon) if self.leq(p, q))
+        return self.up_closure(ms, horizon) <= ms
 
     # ------------------------------------------------------------------
     # axioms and serialization
 
     def check_order_axioms(self, horizon: int) -> list[str]:
-        """Exhaustive reflexivity/antisymmetry/transitivity check on a prefix."""
+        """Exhaustive antisymmetry/transitivity check on a prefix; the table
+        makes every element reflexive."""
         pre = self.prefix(horizon)
         problems = []
-        for p in pre:
-            if not self.leq(p, p):
-                problems.append(f"not reflexive at {p!r}")
         for p in pre:
             for q in pre:
                 if p != q and self.leq(p, q) and self.leq(q, p):
@@ -424,15 +456,10 @@ class Poset:
         for p in q:
             self.index(p)
         if self.finite:
+            # a finite order is well founded: the minimal elements of the
+            # down-closure lie below q and cover all of it
             down = self.down_closure(q, len(self._ids))
-            found = self.minimal_of(down)
-            for r in down:
-                if not any(self.leq(f, r) for f in found):
-                    return FoundationResult(REFUTED, note="minimal cover fails")
-            for f in found:
-                if not any(self.leq(f, x) for x in q):
-                    return FoundationResult(REFUTED, note="witness not below the subset")
-            return FoundationResult(FOUND, found)
+            return FoundationResult(FOUND, self.minimal_of(down))
         if self.analytics.foundation is not None:
             return self.analytics.foundation(self, q, horizon)
         down = self.down_closure(q, horizon)

@@ -9,8 +9,10 @@ so unattached nodes of deeper levels never enter a lifted element.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from typing import Iterable, Optional
 
+from .poset import bits, runs
 from .skeleton import SkeletonTree
 from .typeset import TypeSet
 
@@ -20,29 +22,23 @@ class RingError(ValueError):
 
 
 def _lower(tree: SkeletonTree, level: int, mask: int) -> tuple[int, int]:
+    """Drop the mask a level while it is a union of whole sibling blocks
+    free of unattached atoms.  Blocks of consecutive parents are adjacent,
+    so a run of set bits is such a union iff it starts where its first
+    parent's block starts and ends where its last parent's block ends."""
     if not mask:
         return 1, 0
     while level > 1:
         lvl = tree.level(level)
         if mask & lvl.u_mask:
             break
-        parents = set()
-        m = mask
-        while m:
-            i = (m & -m).bit_length() - 1
-            parents.add(lvl.parent[i])
-            m &= m - 1
+        above = tree.level(level - 1)
         parent_mask = 0
-        whole = True
-        for p in parents:
-            s, e = tree.children_span(level - 1, p)
-            span = ((1 << (e - s)) - 1) << s
-            if mask & span != span:
-                whole = False
-                break
-            parent_mask |= 1 << p
-        if not whole:
-            break
+        for a, b in runs(mask):
+            p, q = lvl.parent[a], lvl.parent[b - 1]
+            if above.child_start[p] != a or above.child_end[q] != b:
+                return level, mask
+            parent_mask |= (1 << q + 1) - (1 << p)
         level, mask = level - 1, parent_mask
     return level, mask
 
@@ -93,12 +89,7 @@ class RingElement:
         return bin(self.mask).count("1")
 
     def atom_indices(self) -> list[int]:
-        out = []
-        m = self.mask
-        while m:
-            out.append((m & -m).bit_length() - 1)
-            m &= m - 1
-        return out
+        return list(bits(self.mask))
 
     def mask_at(self, level: int) -> int:
         """The element's atom set expressed on a deeper level."""
@@ -160,17 +151,11 @@ class RingElement:
         return [poset.id_at(lvl.types[i]) for i in self.atom_indices()]
 
     def type_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for t in self.atom_type_ids():
-            counts[t] = counts.get(t, 0) + 1
-        return counts
+        return dict(Counter(self.atom_type_ids()))
 
     def type_of(self) -> TypeSet:
         """Upper set of element types realized inside this clopen set."""
-        poset = self.tree.poset
-        if not self.mask:
-            return TypeSet.empty(poset)
-        return TypeSet.of(poset, self.atom_type_ids())
+        return _types_in(self.tree, self.level, self.mask)
 
     def trim_generator(self) -> Optional[str]:
         return self.type_of().trim_generator()
@@ -178,6 +163,15 @@ class RingElement:
 
 def type_of(x: RingElement) -> TypeSet:
     return x.type_of()
+
+
+def _types_in(tree: SkeletonTree, level: int, mask: int) -> TypeSet:
+    """Upper set of the types of the level's atoms set in mask."""
+    realized = 0
+    for t, atoms in tree.level(level).type_masks().items():
+        if atoms & mask:
+            realized |= 1 << t
+    return TypeSet.from_mask(tree.poset, realized)
 
 
 # ----------------------------------------------------------------------
@@ -193,37 +187,29 @@ def trim_split(x: RingElement) -> list[tuple[str, RingElement]]:
     if not x:
         return []
     poset = x.tree.poset
-    gens = x.type_of().min_antichain
-    gen_ix = [poset.index(g) for g in gens]
-    lvl = x.tree.level(x.level)
-    masks = [0] * len(gens)
-    for i in x.atom_indices():
-        t = lvl.types[i]
-        for k, g in enumerate(gen_ix):
-            if poset.leq_ix(g, t):
-                masks[k] |= 1 << i
-                break
-    return [(g, RingElement(x.tree, x.level, m))
-            for g, m in zip(gens, masks)]
+    masks = x.tree.level(x.level).type_masks()
+    rest = x.mask
+    out = []
+    for g in x.type_of().min_antichain:
+        up = poset.up_mask(poset.index(g))
+        part = 0
+        for t, atoms in masks.items():
+            if up >> t & 1:
+                part |= atoms & rest
+        rest &= ~part
+        out.append((g, RingElement(x.tree, x.level, part)))
+    return out
 
 
 def split_by_scarce_atoms(x: RingElement, gen: str) -> list[RingElement]:
     """Split a trim part so each piece holds exactly one atom of its
     generator type; atoms of other types all stay with the first piece."""
-    poset = x.tree.poset
-    g_ix = poset.index(gen)
-    lvl = x.tree.level(x.level)
-    own = [i for i in x.atom_indices() if lvl.types[i] == g_ix]
-    if len(own) <= 1:
+    own = x.mask & x.tree.level(x.level).type_mask(x.tree.poset.index(gen))
+    extra = own & (own - 1)
+    if not extra:
         return [x]
-    rest = x.mask
-    pieces = []
-    for i in own[1:]:
-        rest &= ~(1 << i)
-    pieces.append(RingElement(x.tree, x.level, rest))
-    for i in own[1:]:
-        pieces.append(RingElement(x.tree, x.level, 1 << i))
-    return pieces
+    return [RingElement(x.tree, x.level, x.mask & ~extra)] + [
+        RingElement.atom(x.tree, x.level, i) for i in bits(extra)]
 
 
 def supertrim_split(x: RingElement,
@@ -341,19 +327,13 @@ def verify_type_axioms(tree: SkeletonTree, level_bound: int,
     checked = bad = 0
     witness = ""
 
-    def raw_typeset(level: int, mask: int) -> TypeSet:
-        lvl = tree.level(level)
-        ids = [poset.id_at(lvl.types[i]) for i in range(len(lvl))
-               if mask >> i & 1]
-        return TypeSet.of(poset, ids) if ids else TypeSet.empty(poset)
-
     for _ in range(min(draws, 2000)):
         n = rng.randint(1, level_bound)
         m = _random_mask(rng, len(tree.level(n)))
         if not m:
             continue
-        lifted = raw_typeset(n + 1, tree.theta_image(n, m))
-        for p in raw_typeset(n, m).min_antichain:
+        lifted = _types_in(tree, n + 1, tree.theta_image(n, m))
+        for p in _types_in(tree, n, m).min_antichain:
             checked += 1
             if not lifted.contains(p):
                 bad += 1

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .poset import Poset, PosetError, FOUND
+from .poset import FOUND, Poset, PosetError, bits, runs
 
 MAX_LEVEL_SIZE = 1 << 16
 
@@ -147,15 +147,20 @@ class Level:
     def __len__(self) -> int:
         return len(self.types)
 
+    def type_masks(self) -> dict[int, int]:
+        """Atom mask of every type on the level, filled in one pass."""
+        if not self._masks:
+            rows: dict[int, bytearray] = {}
+            for i, t in enumerate(reversed(self.types)):
+                row = rows.get(t)
+                if row is None:
+                    row = rows[t] = bytearray(b"0" * len(self.types))
+                row[i] = ord("1")
+            self._masks.update((t, int(row, 2)) for t, row in rows.items())
+        return self._masks
+
     def type_mask(self, type_ix: int) -> int:
-        m = self._masks.get(type_ix)
-        if m is None:
-            m = 0
-            for i, t in enumerate(self.types):
-                if t == type_ix:
-                    m |= 1 << i
-            self._masks[type_ix] = m
-        return m
+        return self.type_masks().get(type_ix, 0)
 
     def present_types(self) -> list[int]:
         return sorted(set(self.types))
@@ -223,6 +228,9 @@ class SkeletonTree:
         return self
 
     def _build_next(self) -> None:
+        """Append level n+1.  A node's child block depends only on its type,
+        so one block is made per distinct type; the size bound is checked
+        before anything is written."""
         n = self.depth + 1
         self._type_ix_sets(n)
         cap = self._cap(n)
@@ -230,37 +238,37 @@ class SkeletonTree:
             self.levels.append(Level(1, [1], [None], u_start=1))
             return
         prev = self.levels[-1]
+        below_cap = (1 << cap + 1) - 2
+        blocks: dict[int, list[int]] = {}
+        reach = 0
+        for t in set(prev.types):
+            up = self.poset.up_mask(t)
+            reach |= up
+            blocks[t] = ([t] * (1 if t in self._iso_ix else 2)
+                         + list(bits(up & below_cap & ~(1 << t))))
+        unattached = []
+        if cap >= n and (self._bucket_ix.get(n) == "unbounded"
+                         or not reach >> n & 1):
+            unattached.append(n)
+        unattached += [q for q in range(1, self._cap(n - 1) + 1)
+                       if self._bucket_ix.get(q) == "noncompact"]
+        u_start = sum(len(blocks[t]) for t in prev.types)
+        size = u_start + len(unattached)
+        if size > self.config.max_level_size:
+            raise BuildError(
+                f"level {n} would hold {size} nodes, over the bound "
+                f"{self.config.max_level_size}")
         types: list[int] = []
         parents: list[Optional[int]] = []
-        prev.child_start = []
-        prev.child_end = []
+        starts, ends = [], []
         for i, t in enumerate(prev.types):
-            prev.child_start.append(len(types))
-            copies = 1 if t in self._iso_ix else 2
-            for _ in range(copies):
-                types.append(t)
-                parents.append(i)
-            for q in range(1, cap + 1):
-                if q != t and self.poset.leq_ix(t, q):
-                    types.append(q)
-                    parents.append(i)
-            prev.child_end.append(len(types))
-        u_start = len(types)
-        prev_types = set(prev.types)
-        if cap >= n:
-            fresh = n
-            covered = any(self.poset.leq_ix(t, fresh) for t in prev_types)
-            if self._bucket_ix.get(fresh) == "unbounded" or not covered:
-                types.append(fresh)
-                parents.append(None)
-        for q in range(1, self._cap(n - 1) + 1):
-            if self._bucket_ix.get(q) == "noncompact":
-                types.append(q)
-                parents.append(None)
-        if len(types) > self.config.max_level_size:
-            raise BuildError(
-                f"level {n} would hold {len(types)} nodes, over the bound "
-                f"{self.config.max_level_size}")
+            starts.append(len(types))
+            types += blocks[t]
+            parents += [i] * len(blocks[t])
+            ends.append(len(types))
+        types += unattached
+        parents += [None] * len(unattached)
+        prev.child_start, prev.child_end = starts, ends
         self.levels.append(Level(n, types, parents, u_start=u_start))
 
     # ------------------------------------------------------------------
@@ -296,14 +304,12 @@ class SkeletonTree:
         Unattached nodes of level n+1 never appear: the embedding of the
         level-n ring misses everything they generate.
         """
-        lvl = self.level(n)
         out = 0
-        m = mask
-        while m:
-            i = (m & -m).bit_length() - 1
-            s, e = self.children_span(n, i)
-            out |= ((1 << (e - s)) - 1) << s
-            m &= m - 1
+        for a, b in runs(mask):
+            # the child blocks of consecutive nodes are adjacent
+            s, _ = self.children_span(n, a)
+            _, e = self.children_span(n, b - 1)
+            out |= (1 << e) - (1 << s)
         return out
 
     def isolated_ix(self) -> frozenset:

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .poset import Poset
+from .poset import Poset, bits
 
 
 @dataclass(frozen=True)
@@ -22,11 +22,19 @@ class TypeSet:
     @classmethod
     def of(cls, poset: Poset, members: Iterable[str]) -> "TypeSet":
         """Normalize an arbitrary generating set to its minimal antichain."""
-        ms = set(members)
-        for p in ms:
-            poset.index(p)
-        mins = [p for p in ms if not any(poset.lt(q, p) for q in ms)]
-        mins.sort(key=poset.index)
+        mask = 0
+        for p in set(members):
+            mask |= 1 << poset.index(p)
+        return cls.from_mask(poset, mask)
+
+    @classmethod
+    def from_mask(cls, poset: Poset, mask: int) -> "TypeSet":
+        """Upper set generated by the enumeration indices set in mask: its
+        minimal elements are the members above no other member."""
+        above = 0
+        for q in bits(mask):
+            above |= poset.up_mask(q) & ~(1 << q)
+        mins = [poset.id_at(i) for i in bits(mask & ~above)]
         return cls(poset, tuple(mins))
 
     @classmethod

@@ -135,6 +135,19 @@ class TestRegionHandling:
             run_backforth(build(chain_ab_poset), build(chain_ab_poset),
                           q={"b"})
 
+    def test_covering_level_is_built_before_it_is_read(self):
+        # the foundation of rn(4,2)'s region ends at index 6, past depth 5
+        run = run_backforth(build(lambda: family("rn(4,2)"), depth=5),
+                            build(lambda: family("rn(4,2)"), depth=5))
+        assert (run.status, run.pairs, run.coverage) == ("iso", 8, True)
+
+    def test_covering_level_over_the_size_bound_exhausts(self):
+        left = build(lambda: family("rn(4,2)"), depth=5, max_level_size=40)
+        right = build(lambda: family("rn(4,2)"), depth=5, max_level_size=40)
+        run = run_backforth(left, right)
+        assert run.status == "depth-exhausted"
+        assert "level 6 would hold 86 nodes" in run.note
+
     def test_empty_default_region_is_an_error(self):
         left = build_levels(BuildConfig(family("rn-infinity"), horizon=8), 6)
         right = build_levels(BuildConfig(family("rn-infinity"), horizon=8), 6)

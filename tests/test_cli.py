@@ -1,17 +1,24 @@
 """End-to-end CLI runs through a subprocess."""
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import stonetrim
 from conftest import diamond_poset
 from stonetrim import FOUND
 
+# the child imports the same stonetrim as this process, installed or not
+SRC = os.path.dirname(os.path.dirname(stonetrim.__file__))
+
 
 def run_cli(*argv):
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "stonetrim.cli", *argv],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
 
 
 class TestAnalyze:
@@ -130,6 +137,37 @@ class TestIso:
         argv = ("iso", "--left-family", "rn(2,2)",
                 "--right-family", "rn(2,2)", "--depth", "6", "--seed", "5")
         assert run_cli(*argv).stdout == run_cli(*argv).stdout
+
+
+class TestExitContract:
+    def test_analyze_without_poset(self):
+        proc = run_cli("analyze")
+        assert proc.returncode == 2
+        assert "no poset given" in proc.stderr
+
+    @pytest.mark.parametrize("depth", ["1", "0"])
+    def test_build_verify_depth_below_two(self, depth):
+        proc = run_cli("build-verify", "--family", "rn(2,0)",
+                       "--depth", depth)
+        assert proc.returncode == 3
+        assert "--depth must be at least 2" in proc.stderr
+
+    def test_iso_depth_zero(self):
+        proc = run_cli("iso", "--left-family", "rn(2,0)",
+                       "--right-family", "rn(2,0)", "--depth", "0")
+        assert proc.returncode == 3
+
+    def test_horizon_below_one(self):
+        proc = run_cli("analyze", "--family", "dyadic", "--horizon", "0")
+        assert proc.returncode == 3
+        assert "--horizon must be at least 1" in proc.stderr
+
+    def test_iso_builds_the_covering_level(self):
+        proc = run_cli("iso", "--left-family", "rn(4,2)",
+                       "--right-family", "rn(4,2)", "--depth", "5")
+        assert proc.returncode == 0
+        doc = json.loads(proc.stdout)
+        assert doc["status"] == "iso" and doc["pairs"] == 8
 
 
 class TestClosure:

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from stonetrim import (DEFAULT_CHAIN_BOUND, FOUND, HOLDS, HOLDS_ON_PREFIX,
                        INCONCLUSIVE, REFUTED, Poset, PosetError, SubsetSpec,
                        family)
+from stonetrim.poset import bits, runs
 
 from conftest import random_poset
 
@@ -361,3 +362,32 @@ def test_up_sets_are_upper_sets(seed, data):
     ids = p.prefix(p.size)
     x = data.draw(st.sampled_from(ids))
     assert p.is_upper(p.up_set(x, p.size), p.size)
+
+
+def divides(a: str, b: str) -> bool:
+    return int(b) % int(a) == 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(1, 60), min_size=1, max_size=12, unique=True))
+def test_up_set_table_matches_the_order_function(values):
+    names = [str(v) for v in values]
+    finite = Poset.finite_from_order("div", names, divides)
+    grown = Poset.generated("div", lambda i: names[i - 1], divides)
+    for n in range(1, len(names) + 1):
+        grown.ensure(n)
+        for i in range(1, n + 1):
+            want = [j for j in range(1, n + 1)
+                    if divides(names[i - 1], names[j - 1])]
+            assert list(bits(grown.up_mask(i))) == want
+            if n == len(names):
+                assert list(bits(finite.up_mask(i))) == want
+
+
+@given(st.integers(0, 2 ** 130))
+def test_bits_and_runs_read_the_binary_expansion(mask):
+    want = [i for i in range(mask.bit_length()) if mask >> i & 1]
+    assert list(bits(mask)) == want
+    spans = list(runs(mask))
+    assert [i for a, b in spans for i in range(a, b)] == want
+    assert all(b < c for (_, b), (c, _) in zip(spans, spans[1:]))

@@ -2,11 +2,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import chain_ab_poset, diamond_poset
-from stonetrim import (BuildConfig, RingElement, RingError, build_levels,
-                       is_trim_for, split_by_scarce_atoms, supertrim_split,
-                       trim_split, verify_type_axioms)
+from conftest import chain_ab_poset, diamond_poset, random_poset
+from stonetrim import (BuildConfig, RingElement, RingError, TypeSet,
+                       build_levels, is_trim_for, split_by_scarce_atoms,
+                       supertrim_split, trim_split, verify_type_axioms)
 
 
 @pytest.fixture(scope="module")
@@ -235,3 +237,52 @@ class TestAxioms:
         assert report["axioms"]["types-realized"]["status"] == "fail"
         assert "absent at level 3" in report["axioms"]["types-realized"]["witness"]
         assert report["axioms"]["types-persist"]["status"] == "fail"
+
+
+
+def bit_set(mask):
+    return {i for i in range(mask.bit_length()) if mask >> i & 1}
+
+
+def leaf_set(tree, level, mask, depth):
+    """Leaves at depth whose ancestor on the given level is in mask, found
+    by walking parent pointers."""
+    out = set()
+    for j in range(len(tree.level(depth))):
+        n, i = depth, j
+        while n > level and i is not None:
+            n, i = n - 1, tree.level(n).parent[i]
+        if i is not None and mask >> i & 1:
+            out.add(j)
+    return out
+
+
+@given(seed=st.integers(0, 10 ** 6), isolate=st.booleans(),
+       depth=st.integers(4, 5))
+@settings(max_examples=40, deadline=None)
+def test_ring_agrees_with_leaf_sets(seed, isolate, depth):
+    rng = random.Random(seed)
+    poset = random_poset(rng)
+    ids = poset.prefix(poset.size)
+    isolated = {rng.choice(ids)} if isolate else set()
+    tree = build_levels(BuildConfig(poset, isolated=isolated), depth)
+    leaves = tree.level(depth)
+
+    def draw():
+        n = rng.randint(1, depth)
+        mask = rng.getrandbits(len(tree.level(n)))
+        x = RingElement(tree, n, mask)
+        want = leaf_set(tree, n, mask, depth)
+        assert bit_set(x.mask_at(depth)) == want
+        return x, want
+
+    for _ in range(8):
+        (x, a), (y, b) = draw(), draw()
+        for got, want in ((x.union(y), a | b), (x.intersect(y), a & b),
+                          (x.difference(y), a - b)):
+            assert bit_set(got.mask_at(depth)) == want
+            assert got == RingElement(tree, depth, sum(1 << j for j in want))
+            types = {poset.id_at(leaves.types[j]) for j in want}
+            assert got.type_of() == TypeSet.of(poset, types)
+            assert got.type_of().members(len(ids)) == {
+                q for q in ids if any(poset.leq(t, q) for t in types)}

@@ -129,6 +129,17 @@ class TestChainBuild:
         with pytest.raises(BuildError, match="over the bound 10"):
             build_levels(BuildConfig(chain_ab, max_level_size=10), 4)
 
+    def test_failed_build_leaves_the_tree_as_it_was(self, chain_ab):
+        tree = build_levels(BuildConfig(chain_ab, max_level_size=10), 3)
+        for _ in range(2):
+            with pytest.raises(BuildError, match="level 4 would hold"):
+                tree.extend_to(4)
+            assert tree.depth == 3
+            with pytest.raises(BuildError, match="level 4 not built"):
+                tree.children_span(tree.depth, 0)
+            with pytest.raises(BuildError, match="level 4 not built"):
+                tree.theta_image(3, 1)
+
     def test_extend_matches_fresh_build(self):
         grown = chain_tree(3).extend_to(6)
         fresh = chain_tree(6)

@@ -86,6 +86,8 @@ def test_members_union_inclusion_agree_with_sets(seed):
     a = {x for x in ids if rng.random() < 0.5}
     b = {x for x in ids if rng.random() < 0.5}
     ta, tb = TypeSet.of(p, a), TypeSet.of(p, b)
+    assert ta.min_antichain == tuple(
+        x for x in ids if x in a and not any(p.lt(y, x) for y in a))
     brute = {x for x in ids if any(p.leq(g, x) for g in a)}
     assert ta.members(h) == brute
     assert ta.union(tb).members(h) == ta.members(h) | tb.members(h)

@@ -166,7 +166,7 @@ def init_iso(left: SkeletonTree, right: SkeletonTree, q: Iterable[str],
     be a callable, evaluated over the shared span, or a prepared map.
     """
     if not isinstance(theta, _ThetaMap):
-        span = min(left._cap(left.depth), right._cap(right.depth))
+        span = min(left.type_cap(left.depth), right.type_cap(right.depth))
         theta = _ThetaMap(left.poset, right.poset,
                           {p: theta(p) for p in left.poset.prefix(span)})
     state = PartialIso(left, right, theta)
@@ -178,7 +178,7 @@ def init_iso(left: SkeletonTree, right: SkeletonTree, q: Iterable[str],
                        f"under the bijection")
     q_right = frozenset(images.values())
     for side, tree, qs in (("left", left, q_left), ("right", right, q_right)):
-        cap = tree._cap(tree.depth)
+        cap = tree.type_cap(tree.depth)
         if not tree.poset.is_lower(qs, cap):
             raise IsoError(f"{side} region is not a lower set on the prefix")
         res = tree.poset.finite_foundation(qs, cap)
@@ -215,7 +215,7 @@ def _counterpart_ix(tree: SkeletonTree, side: str, h: str, needed: int,
     """Enumeration index of a needed type, enumerating up to the reach of
     the level budget before declaring it absent."""
     if h not in tree.poset:
-        tree.poset.prefix(tree._cap(max_depth))
+        tree.poset.prefix(tree.type_cap(max_depth))
     if h not in tree.poset:
         raise MismatchFound(MismatchWitness(
             side, h, needed, 0,
@@ -440,7 +440,7 @@ def run_backforth(left: SkeletonTree, right: SkeletonTree,
     if depth < 3:
         raise IsoError("need depth at least 3")
     max_depth = max_depth or depth + 8
-    span = min(left._cap(depth), right._cap(depth))
+    span = min(left.type_cap(depth), right.type_cap(depth))
     if theta is None:
         theta = _identity_theta(left, right, span)
     else:

@@ -19,7 +19,8 @@ from .completion import complete_finite, complete_over
 from .families import family, family_tags
 from .poset import DEFAULT_CHAIN_BOUND, Poset, PosetError
 from .ring import verify_type_axioms
-from .skeleton import BuildConfig, ConfigError, build_levels, verify_structure
+from .skeleton import (BuildConfig, BuildError, ConfigError, build_levels,
+                       verify_structure)
 
 
 def _fail(code: int, message: str) -> int:
@@ -78,7 +79,10 @@ def cmd_analyze(args) -> int:
     if args.subset:
         checks = []
         for members in args.subset:
-            res = poset.finite_foundation(frozenset(members), horizon)
+            try:
+                res = poset.finite_foundation(frozenset(members), horizon)
+            except PosetError as e:
+                return _fail(2, f"bad --subset: {e}")
             checks.append({"subset": sorted(members),
                            "status": res.status,
                            "foundation": sorted(res.foundation or ()),
@@ -158,6 +162,8 @@ def cmd_iso(args) -> int:
             sides[side] = build_levels(config, args.depth)
         except ConfigError as e:
             return _fail(3, f"{side}: {e}")
+        except BuildError as e:
+            return _fail(5, f"{side}: {e}")
     try:
         run = run_backforth(sides["left"], sides["right"],
                             q=frozenset(args.q) if args.q else None,

@@ -125,6 +125,9 @@ class Poset:
     demand and add one row (and one bit to each older row) per new element.
     Enumeration indices are 1-based, so ``prefix(n)`` is the set P_n of the
     first n elements.
+
+    ``typesets`` maps a generator mask over enumeration indices to its
+    interned ``TypeSet`` (filled by ``TypeSet.from_mask``).
     """
 
     def __init__(self, name: str, *, ids: Optional[list[str]] = None,
@@ -146,6 +149,7 @@ class Poset:
         if len(self._pos) != len(self._ids):
             raise PosetError("duplicate element ids")
         self._up: list[int] = [0]
+        self.typesets: dict[int, object] = {}
         self._fill_table()
         self.finite = gen is None
         if self.finite:

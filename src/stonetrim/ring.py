@@ -168,9 +168,9 @@ def type_of(x: RingElement) -> TypeSet:
 def _types_in(tree: SkeletonTree, level: int, mask: int) -> TypeSet:
     """Upper set of the types of the level's atoms set in mask."""
     realized = 0
-    for t, atoms in tree.level(level).type_masks().items():
+    for bit, atoms in tree.level(level).type_bits():
         if atoms & mask:
-            realized |= 1 << t
+            realized |= bit
     return TypeSet.from_mask(tree.poset, realized)
 
 
@@ -187,14 +187,15 @@ def trim_split(x: RingElement) -> list[tuple[str, RingElement]]:
     if not x:
         return []
     poset = x.tree.poset
-    masks = x.tree.level(x.level).type_masks()
+    type_bits = x.tree.level(x.level).type_bits()
     rest = x.mask
     out = []
-    for g in x.type_of().min_antichain:
-        up = poset.up_mask(poset.index(g))
+    gens = x.type_of()
+    for g, g_ix in zip(gens.min_antichain, bits(gens.mask)):
+        up = poset.up_mask(g_ix)
         part = 0
-        for t, atoms in masks.items():
-            if up >> t & 1:
+        for bit, atoms in type_bits:
+            if up & bit:
                 part |= atoms & rest
         rest &= ~part
         out.append((g, RingElement(x.tree, x.level, part)))
@@ -295,7 +296,7 @@ def verify_type_axioms(tree: SkeletonTree, level_bound: int,
     # realization: type with index m has an atom on every level from m on
     checked = bad = 0
     witness = ""
-    cap = tree._cap(level_bound)
+    cap = tree.type_cap(level_bound)
     for m in range(1, cap + 1):
         for n in range(m, level_bound + 1):
             checked += 1
@@ -344,7 +345,7 @@ def verify_type_axioms(tree: SkeletonTree, level_bound: int,
     # upward closure: every computed type set is an upper set of the prefix
     checked = bad = 0
     witness = ""
-    horizon = tree._cap(level_bound)
+    horizon = tree.type_cap(level_bound)
     prefix = poset.prefix(horizon)
     for _ in range(min(draws, 1000)):
         n = rng.randint(1, level_bound)

@@ -10,6 +10,7 @@ when it is marked unbounded, and one per already-enumerated noncompact type.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional
 
 from .poset import FOUND, Poset, PosetError, bits, runs
@@ -143,6 +144,8 @@ class Level:
     child_start: list[int] = field(default_factory=list)
     child_end: list[int] = field(default_factory=list)
     _masks: dict[int, int] = field(default_factory=dict, repr=False)
+    _type_bits: list[tuple[int, int]] = field(default_factory=list,
+                                              repr=False)
 
     def __len__(self) -> int:
         return len(self.types)
@@ -157,7 +160,16 @@ class Level:
                     row = rows[t] = bytearray(b"0" * len(self.types))
                 row[i] = ord("1")
             self._masks.update((t, int(row, 2)) for t, row in rows.items())
+            self._type_bits = [(1 << t, atoms)
+                               for t, atoms in self._masks.items()]
         return self._masks
+
+    def type_bits(self) -> list[tuple[int, int]]:
+        """(1 << type, atom mask) for every type on the level; refilled
+        with ``type_masks`` whenever ``_masks`` is emptied."""
+        if not self._masks:
+            self.type_masks()
+        return self._type_bits
 
     def type_mask(self, type_ix: int) -> int:
         return self.type_masks().get(type_ix, 0)
@@ -165,11 +177,11 @@ class Level:
     def present_types(self) -> list[int]:
         return sorted(set(self.types))
 
-    @property
+    @cached_property
     def full_mask(self) -> int:
         return (1 << len(self.types)) - 1
 
-    @property
+    @cached_property
     def u_mask(self) -> int:
         return self.full_mask & ~((1 << self.u_start) - 1)
 
@@ -205,15 +217,17 @@ class SkeletonTree:
     def depth(self) -> int:
         return len(self.levels)
 
-    def _cap(self, n: int) -> int:
-        """Number of enumerated types available at level n."""
+    def type_cap(self, n: int) -> int:
+        """Number of types available at level n: the enumeration indices
+        1..type_cap(n) are the types that may occur on levels 1..n (n, or
+        fewer once a finite poset runs out of elements)."""
         if self.poset.finite:
             return min(n, self.poset.size)
         return n
 
     def _type_ix_sets(self, n: int) -> None:
         """Refresh id-based config sets as index sets up to the cap."""
-        cap = self._cap(n)
+        cap = self.type_cap(n)
         self.poset.ensure(cap)
         for ix in range(1, cap + 1):
             if ix not in self._bucket_ix:
@@ -233,7 +247,7 @@ class SkeletonTree:
         before anything is written."""
         n = self.depth + 1
         self._type_ix_sets(n)
-        cap = self._cap(n)
+        cap = self.type_cap(n)
         if n == 1:
             self.levels.append(Level(1, [1], [None], u_start=1))
             return
@@ -250,7 +264,7 @@ class SkeletonTree:
         if cap >= n and (self._bucket_ix.get(n) == "unbounded"
                          or not reach >> n & 1):
             unattached.append(n)
-        unattached += [q for q in range(1, self._cap(n - 1) + 1)
+        unattached += [q for q in range(1, self.type_cap(n - 1) + 1)
                        if self._bucket_ix.get(q) == "noncompact"]
         u_start = sum(len(blocks[t]) for t in prev.types)
         size = u_start + len(unattached)
@@ -274,9 +288,9 @@ class SkeletonTree:
     # ------------------------------------------------------------------
 
     def level(self, n: int) -> Level:
-        if not 1 <= n <= self.depth:
-            raise BuildError(f"level {n} not built (depth {self.depth})")
-        return self.levels[n - 1]
+        if 0 < n <= len(self.levels):
+            return self.levels[n - 1]
+        raise BuildError(f"level {n} not built (depth {self.depth})")
 
     def node(self, n: int, i: int) -> SkeletonNode:
         lvl = self.level(n)
@@ -304,12 +318,14 @@ class SkeletonTree:
         Unattached nodes of level n+1 never appear: the embedding of the
         level-n ring misses everything they generate.
         """
+        lvl = self.level(n)
+        starts, ends = lvl.child_start, lvl.child_end
+        if mask and not starts:
+            raise BuildError(f"level {n + 1} not built")
         out = 0
         for a, b in runs(mask):
             # the child blocks of consecutive nodes are adjacent
-            s, _ = self.children_span(n, a)
-            _, e = self.children_span(n, b - 1)
-            out |= (1 << e) - (1 << s)
+            out |= (1 << ends[b - 1]) - (1 << starts[a])
         return out
 
     def isolated_ix(self) -> frozenset:
@@ -406,13 +422,13 @@ def verify_structure(tree: SkeletonTree,
 
     for n in range(1, depth + 1):
         lvl = tree.level(n)
-        want = set(range(1, tree._cap(n) + 1))
+        want = set(range(1, tree.type_cap(n) + 1))
         have = set(lvl.types)
         rep.add(f"types-present@{n}", want <= have,
                 f"missing {sorted(want - have)}" if not want <= have else "")
 
     iso = tree.isolated_ix()
-    minimal, _ = poset.confirmed_minimal(tree._cap(depth))
+    minimal, _ = poset.confirmed_minimal(tree.type_cap(depth))
     min_ix = {poset.index(p) for p in minimal}
     for t in iso:
         if t in min_ix:
@@ -441,7 +457,8 @@ def verify_structure(tree: SkeletonTree,
                 break
         rep.add(f"continuation-children@{n}", ok, bad)
 
-    buckets = {ix: tree.bucket_ix(ix) for ix in range(1, tree._cap(depth) + 1)}
+    buckets = {ix: tree.bucket_ix(ix)
+               for ix in range(1, tree.type_cap(depth) + 1)}
     for t, b in sorted(buckets.items()):
         if b == "noncompact":
             ok = True
@@ -462,7 +479,7 @@ def verify_structure(tree: SkeletonTree,
 
     if q_lower is not None:
         qset = frozenset(q_lower)
-        res = poset.finite_foundation(qset, tree._cap(depth))
+        res = poset.finite_foundation(qset, tree.type_cap(depth))
         if res.status != FOUND:
             rep.add("cover-foundation", False,
                     f"foundation search returned {res.status}")

@@ -2,11 +2,13 @@
 
 A TypeSet denotes the upward closure of its antichain.  Normalization keeps
 the minimal elements only, sorted by enumeration index, so equal upper sets
-compare equal structurally.
+compare equal structurally.  Alongside the ids a TypeSet carries the same
+antichain as a mask over enumeration indices, and ``from_mask`` interns one
+TypeSet per generator mask in the poset's ``typesets`` table.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from .poset import Poset, bits
@@ -14,48 +16,77 @@ from .poset import Poset, bits
 
 @dataclass(frozen=True)
 class TypeSet:
-    """An upper set represented by its sorted minimal antichain."""
+    """An upper set represented by its sorted minimal antichain; ``mask``
+    has bit i set iff the element with enumeration index i is one of its
+    minimal elements (derived from the ids when not given)."""
 
     poset: Poset
     min_antichain: tuple[str, ...]
+    mask: int = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.mask is None:
+            mask = 0
+            for p in self.min_antichain:
+                mask |= 1 << self.poset.index(p)
+            object.__setattr__(self, "mask", mask)
 
     @classmethod
     def of(cls, poset: Poset, members: Iterable[str]) -> "TypeSet":
         """Normalize an arbitrary generating set to its minimal antichain."""
         mask = 0
-        for p in set(members):
+        for p in members:
             mask |= 1 << poset.index(p)
         return cls.from_mask(poset, mask)
 
     @classmethod
     def from_mask(cls, poset: Poset, mask: int) -> "TypeSet":
         """Upper set generated by the enumeration indices set in mask: its
-        minimal elements are the members above no other member."""
+        minimal elements are the members above no other member.
+
+        The answer reads only up-set bits between elements already
+        enumerated, which a growing prefix never changes, so it is computed
+        once per mask and poset."""
+        hit = poset.typesets.get(mask)
+        if hit is not None:
+            return hit
         above = 0
         for q in bits(mask):
             above |= poset.up_mask(q) & ~(1 << q)
-        mins = [poset.id_at(i) for i in bits(mask & ~above)]
-        return cls(poset, tuple(mins))
+        mins = mask & ~above
+        hit = poset.typesets.get(mins)
+        if hit is None:
+            hit = cls(poset, tuple(poset.id_at(i) for i in bits(mins)), mins)
+            poset.typesets[mins] = hit
+        poset.typesets[mask] = hit
+        return hit
 
     @classmethod
     def empty(cls, poset: Poset) -> "TypeSet":
-        return cls(poset, ())
+        return cls.from_mask(poset, 0)
 
     def __bool__(self) -> bool:
-        return bool(self.min_antichain)
+        return bool(self.mask)
 
     def is_empty(self) -> bool:
-        return not self.min_antichain
+        return not self.mask
+
+    def _upper(self) -> int:
+        """The denoted upper set on the enumerated prefix, as a mask."""
+        out = 0
+        for g in bits(self.mask):
+            out |= self.poset.up_mask(g)
+        return out
 
     def contains(self, p: str) -> bool:
         """Is p in the denoted upper set?"""
-        self.poset.index(p)
-        return any(self.poset.leq(g, p) for g in self.min_antichain)
+        j = self.poset.index(p)
+        return bool(self._upper() >> j & 1)
 
     def union(self, other: "TypeSet") -> "TypeSet":
         if other.poset is not self.poset:
             raise ValueError("type sets over different posets")
-        return TypeSet.of(self.poset, self.min_antichain + other.min_antichain)
+        return TypeSet.from_mask(self.poset, self.mask | other.mask)
 
     def trim_generator(self) -> str | None:
         """The single generator if this is a principal upper set, else None."""
@@ -72,7 +103,7 @@ class TypeSet:
 
     def __le__(self, other: "TypeSet") -> bool:
         """Denoted-set inclusion."""
-        return all(other.contains(g) for g in self.min_antichain)
+        return not self.mask & ~other._upper()
 
     def __repr__(self) -> str:
         return f"TypeSet({', '.join(self.min_antichain) or '∅'})"

@@ -71,7 +71,7 @@ def test_criterion_2_upper_set_law(suite):
         violations += rec["axioms"]["axioms"]["upward-closed"]["violations"]
         tree = rec["tree"]
         poset = tree.poset
-        h = tree._cap(DEPTH)
+        h = tree.type_cap(DEPTH)
         pre = poset.prefix(h)
         for n in (1, 2, 3):
             for i in range(len(tree.level(n))):
@@ -92,7 +92,7 @@ def test_criterion_3_isolation_counts(suite):
         tree = rec["tree"]
         poset = tree.poset
         iso_ix = tree.isolated_ix()
-        minimal, _ = poset.confirmed_minimal(tree._cap(DEPTH))
+        minimal, _ = poset.confirmed_minimal(tree.type_cap(DEPTH))
         for g in rec["iso"]:
             g_ix = poset.index(g)
             if g not in minimal:

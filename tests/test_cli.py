@@ -162,6 +162,21 @@ class TestExitContract:
         assert proc.returncode == 3
         assert "--horizon must be at least 1" in proc.stderr
 
+    def test_iso_level_size_budget(self):
+        proc = run_cli("iso", "--left-family", "omega-chain",
+                       "--right-family", "omega-chain", "--depth", "9")
+        assert proc.returncode == 5
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            "left: level 9 would hold 103049 nodes, over the bound 65536"]
+
+    def test_analyze_unknown_subset_member(self):
+        proc = run_cli("analyze", "--family", "rn(2,0)", "--subset", "zz")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            "bad --subset: unknown element id 'zz'"]
+
     def test_iso_builds_the_covering_level(self):
         proc = run_cli("iso", "--left-family", "rn(4,2)",
                        "--right-family", "rn(4,2)", "--depth", "5")

@@ -92,3 +92,93 @@ def test_members_union_inclusion_agree_with_sets(seed):
     assert ta.members(h) == brute
     assert ta.union(tb).members(h) == ta.members(h) | tb.members(h)
     assert (ta <= tb) == (ta.members(h) <= tb.members(h))
+
+
+# ----------------------------------------------------------------------
+# interned, mask-backed type sets against a model of plain id sets
+
+def model_min(p, gens):
+    """Minimal members of gens, in enumeration order."""
+    return tuple(sorted((x for x in gens
+                         if not any(p.lt(y, x) for y in gens)),
+                        key=p.index))
+
+
+def model_upper(p, gens, ids):
+    return {x for x in ids if any(p.leq(g, x) for g in gens)}
+
+
+def id_mask(p, members):
+    return sum(1 << p.index(x) for x in set(members))
+
+
+@given(seed=st.integers(0, 10 ** 6))
+@settings(max_examples=80, deadline=None)
+def test_interned_operations_agree_with_id_sets(seed):
+    rng = random.Random(seed)
+    p = random_poset(rng, max_size=7)
+    ids = p.prefix(p.size)
+    a = {x for x in ids if rng.random() < 0.5}
+    b = {x for x in ids if rng.random() < 0.5}
+    ta = TypeSet.from_mask(p, id_mask(p, a))
+    tb = TypeSet.of(p, b)
+    assert ta.min_antichain == model_min(p, a)
+    assert tb.min_antichain == model_min(p, b)
+    assert ta.mask == id_mask(p, ta.min_antichain)
+    assert TypeSet.of(p, a) is ta
+    assert TypeSet.of(p, ta.min_antichain) is ta
+    u = ta.union(tb)
+    assert u.min_antichain == model_min(p, a | b)
+    assert u is TypeSet.of(p, a | b)
+    up_a, up_b = model_upper(p, a, ids), model_upper(p, b, ids)
+    for x in ids:
+        assert ta.contains(x) == (x in up_a)
+        assert u.contains(x) == (x in up_a | up_b)
+    assert (ta <= tb) == (up_a <= up_b)
+    assert (tb <= ta) == (up_b <= up_a)
+    assert bool(ta) == bool(a) and ta.is_empty() == (not a)
+
+
+@given(seed=st.integers(0, 10 ** 6))
+@settings(max_examples=60, deadline=None)
+def test_direct_construction_carries_the_interned_mask(seed):
+    rng = random.Random(seed)
+    p = random_poset(rng, max_size=7)
+    ids = p.prefix(p.size)
+    a = {x for x in ids if rng.random() < 0.5}
+    interned = TypeSet.of(p, a)
+    direct = TypeSet(p, interned.min_antichain)
+    assert direct is not interned
+    assert direct == interned and hash(direct) == hash(interned)
+    assert direct.mask == interned.mask
+    assert repr(direct) == repr(interned)
+    assert direct.serialize() == interned.serialize()
+    assert TypeSet(p, ()).mask == TypeSet.empty(p).mask == 0
+
+
+@given(seed=st.integers(0, 10 ** 6))
+@settings(max_examples=60, deadline=None)
+def test_cached_entries_stay_valid_as_the_prefix_grows(seed):
+    """Query a lazily enumerated poset between growth steps; each cached
+    answer must still match the model once the whole order is seen."""
+    rng = random.Random(seed)
+    order = random_poset(rng, max_size=8)
+    ids = order.prefix(order.size)
+    grown = Poset.generated("grown", lambda i: ids[i - 1], order.leq)
+    asked = []
+    for k in range(1, len(ids) + 1):
+        grown.ensure(k)
+        seen = ids[:k]
+        gens = {x for x in seen if rng.random() < 0.5}
+        t = TypeSet.of(grown, gens)
+        assert t.min_antichain == model_min(order, gens)
+        asked.append((gens, t))
+        for old_gens, old in asked:
+            assert TypeSet.of(grown, old_gens) is old
+            up = model_upper(order, old_gens, seen)
+            for x in seen:
+                assert old.contains(x) == (x in up)
+    for (ga, ta), (gb, tb) in zip(asked, asked[1:]):
+        assert ta.union(tb).min_antichain == model_min(order, ga | gb)
+        assert (ta <= tb) == (model_upper(order, ga, ids)
+                              <= model_upper(order, gb, ids))

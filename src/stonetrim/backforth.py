@@ -69,6 +69,7 @@ class PartialIso:
         self.iso_left = frozenset(left.config.isolated)
         self.iso_right = frozenset(right.config.isolated)
         self.pairs: list[Pair] = []
+        self._union: dict[str, RingElement] = {}
 
     def tree(self, side: str) -> SkeletonTree:
         return self.left if side == "left" else self.right
@@ -85,6 +86,22 @@ class PartialIso:
             out = out.union(self.part(pair, side))
         return out
 
+    def running_union(self, side: str) -> RingElement:
+        """The union of the side's parts, seeded from ``union`` on first use
+        and kept by ``add_fresh``: a split partitions its part, so only a
+        fresh pair changes it."""
+        hit = self._union.get(side)
+        if hit is None:
+            hit = self._union[side] = self.union(side)
+        return hit
+
+    def add_fresh(self, pair: Pair) -> None:
+        """Append a pair over atoms no part holds yet."""
+        grown = {side: self.running_union(side).union(self.part(pair, side))
+                 for side in ("left", "right")}
+        self.pairs.append(pair)
+        self._union.update(grown)
+
     def verify(self) -> list[str]:
         """Recheck every pairing invariant from scratch."""
         problems = []
@@ -95,9 +112,9 @@ class PartialIso:
             count = 0
             for pair in self.pairs:
                 m = self.part(pair, side).mask_at(top)
-                count += bin(m).count("1")
+                count += m.bit_count()
                 acc |= m
-            if count != bin(acc).count("1"):
+            if count != acc.bit_count():
                 problems.append(f"{side} parts overlap")
         for k, pair in enumerate(self.pairs):
             if self.theta.image("left", pair.gen_left) != pair.gen_right:
@@ -313,20 +330,35 @@ def _fresh_counterpart(state: PartialIso, dst_side: str, h: str,
 def extend_iso(state: PartialIso, side: str, element: RingElement,
                max_depth: int,
                transcript: Optional[list] = None) -> None:
-    """Refine the pairing so the given element becomes a union of parts."""
+    """Refine the pairing so the given element becomes a union of parts.
+
+    Each part is compared with the element as masks at the deeper of their
+    two levels; ring elements are built only for a part the element splits
+    and for what no part holds yet."""
     if not element:
         return
     dst_side = _other(side)
     theta = state.theta
     iso_src = state.iso_ids(side)
+    tree = state.tree(side)
+    lifted = {element.level: element.mask}
+
+    def element_at(level: int) -> int:
+        for k in range(max(lifted), level):
+            lifted[k + 1] = tree.theta_image(k, lifted[k])
+        return lifted[level]
+
     new_pairs: list[Pair] = []
     for pair in state.pairs:
         src = state.part(pair, side)
-        inter = element.intersect(src)
-        if not inter or inter == src:
+        n = max(element.level, src.level)
+        s = src.mask_at(n)
+        inter = element_at(n) & s
+        if not inter or inter == s:
             new_pairs.append(pair)
             continue
-        halves = [inter, src.difference(inter)]
+        halves = [RingElement(tree, n, inter),
+                  RingElement(tree, n, s & ~inter)]
         src_pieces: list[tuple[str, RingElement]] = []
         for half in halves:
             src_pieces.extend(supertrim_split(half, iso_src))
@@ -354,22 +386,24 @@ def extend_iso(state: PartialIso, side: str, element: RingElement,
                                "generator": pair.gen_left})
     state.pairs = new_pairs
 
-    remainder = element.difference(state.union(side))
-    if remainder:
-        pieces = supertrim_split(remainder, iso_src)
-        busy = state.union(dst_side)
+    held = state.running_union(side)
+    n = max(element.level, held.level)
+    rest = element_at(n) & ~held.mask_at(n)
+    if rest:
+        pieces = supertrim_split(RingElement(tree, n, rest), iso_src)
         for g, piece in pieces:
             h = theta.image(side, g)
             if h is None:
                 raise MismatchFound(MismatchWitness(
                     dst_side, g, 1, 0,
                     "type has no counterpart in the other alphabet"))
-            mate = _fresh_counterpart(state, dst_side, h, busy, max_depth)
-            busy = busy.union(mate)
+            mate = _fresh_counterpart(state, dst_side, h,
+                                      state.running_union(dst_side),
+                                      max_depth)
             if side == "left":
-                state.pairs.append(Pair(piece, mate, g, h))
+                state.add_fresh(Pair(piece, mate, g, h))
             else:
-                state.pairs.append(Pair(mate, piece, h, g))
+                state.add_fresh(Pair(mate, piece, h, g))
         if transcript is not None:
             transcript.append({"action": "fresh", "side": side,
                                "pieces": len(pieces)})
@@ -423,6 +457,49 @@ def _check_theta(left: SkeletonTree, right: SkeletonTree,
     return _ThetaMap(left.poset, right.poset, dict(zip(a, image)))
 
 
+def _schedule(left: SkeletonTree, right: SkeletonTree, depth: int,
+              seed: int) -> list[tuple[str, int, int]]:
+    """Every atom of levels 1 .. depth-2 on both sides as (side, level,
+    index), in a seeded shuffle."""
+    schedule = [(side, n, i)
+                for side in ("left", "right")
+                for n in range(1, max(2, depth - 1))
+                for i in range(len((left if side == "left"
+                                    else right).level(n)))]
+    random.Random(seed).shuffle(schedule)
+    return schedule
+
+
+def _covered(state: PartialIso, schedule: list[tuple[str, int, int]]) -> bool:
+    """Is every scheduled atom a union of parts?
+
+    Each side's parts are lifted once to a level no part or scheduled atom
+    lies below; there an atom is covered iff the parts inside it fill it.
+    Lifting keeps inclusion both ways, since every node has children."""
+    for side in ("left", "right"):
+        tree = state.tree(side)
+        parts = [state.part(pair, side) for pair in state.pairs]
+        atoms = [(n, i) for s, n, i in schedule if s == side]
+        top = max([p.level for p in parts] + [n for n, _ in atoms],
+                  default=1)
+        lifted = [p.mask_at(top) for p in parts]
+        for n, i in atoms:
+            # the child blocks of consecutive nodes are adjacent, so an
+            # atom lifts to one run of bits
+            a, b = i, i + 1
+            for k in range(n, top):
+                lvl = tree.level(k)
+                a, b = lvl.child_start[a], lvl.child_end[b - 1]
+            atom = (1 << b) - (1 << a)
+            inside = 0
+            for m in lifted:
+                if not m & ~atom:
+                    inside |= m
+            if inside != atom:
+                return False
+    return True
+
+
 def run_backforth(left: SkeletonTree, right: SkeletonTree,
                   q: Optional[Iterable[str]] = None,
                   theta: Optional[Callable[[str], str]] = None,
@@ -459,13 +536,7 @@ def run_backforth(left: SkeletonTree, right: SkeletonTree,
         return IsoRun(status="depth-exhausted", note=str(d))
     run.transcript.append({"action": "init", "pairs": len(state.pairs)})
 
-    rng = random.Random(seed)
-    schedule = [(side, n, i)
-                for side in ("left", "right")
-                for n in range(1, max(2, depth - 1))
-                for i in range(len((left if side == "left"
-                                    else right).level(n)))]
-    rng.shuffle(schedule)
+    schedule = _schedule(left, right, depth, seed)
     try:
         for side, n, i in schedule:
             tree = state.tree(side)
@@ -482,18 +553,7 @@ def run_backforth(left: SkeletonTree, right: SkeletonTree,
     run.depth_used = max((max(p.left.level, p.right.level)
                           for p in state.pairs), default=1)
     if run.status == "iso":
-        covered = True
-        for side, n, i in schedule:
-            tree = state.tree(side)
-            atom = RingElement.atom(tree, n, i)
-            inside = RingElement.empty(tree)
-            for pair in state.pairs:
-                part = state.part(pair, side)
-                if atom.contains(part):
-                    inside = inside.union(part)
-            if inside != atom:
-                covered = False
-                break
+        covered = _covered(state, schedule)
         run.coverage = covered
         run.invariant_failures = state.verify()
         if not covered or run.invariant_failures:

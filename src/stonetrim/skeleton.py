@@ -435,7 +435,7 @@ def verify_structure(tree: SkeletonTree,
             ok = True
             bad = ""
             for n in range(t, depth + 1):
-                c = bin(tree.level(n).type_mask(t)).count("1")
+                c = tree.level(n).type_mask(t).bit_count()
                 if c != 1:
                     ok, bad = False, f"level {n} holds {c} nodes of type ix {t}"
                     break

@@ -5,6 +5,7 @@ from conftest import chain_ab_poset, diamond_poset, vee_poset
 from stonetrim import (BuildConfig, IsoError, Poset, RingElement,
                        build_levels, family, init_iso, extend_iso,
                        lift_poset_automorphism, run_backforth)
+from stonetrim.backforth import Pair, _covered, _schedule
 
 
 def build(poset_maker, depth=6, **kw):
@@ -47,6 +48,60 @@ class TestInit:
         assert state.union("left").contains(atom)
 
 
+def coverage_oracle(state, schedule):
+    """Coverage on ring elements: every scheduled atom equals the union of
+    the parts it contains."""
+    for side, n, i in schedule:
+        tree = state.tree(side)
+        atom = RingElement.atom(tree, n, i)
+        inside = RingElement.empty(tree)
+        for pair in state.pairs:
+            part = state.part(pair, side)
+            if atom.contains(part):
+                inside = inside.union(part)
+        if inside != atom:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("isolated", [set(), {"a"}])
+@pytest.mark.parametrize("maker", [chain_ab_poset, vee_poset, diamond_poset])
+def test_mask_matcher_agrees_with_ring_operations(maker, isolated):
+    left = build(maker, isolated=isolated)
+    right = build(maker, isolated=isolated)
+    state = init_iso(left, right, {"a"}, lambda p: p)
+    schedule = _schedule(left, right, 6, seed=1)
+    for k, (side, n, i) in enumerate(schedule, 1):
+        extend_iso(state, side, RingElement.atom(state.tree(side), n, i), 14)
+        for s in ("left", "right"):
+            assert state.running_union(s) == state.union(s)
+        assert state.verify() == []
+        if k % 16 == 0:
+            # the atoms extended so far are unions of parts, the rest
+            # not yet in general
+            assert _covered(state, schedule[:k]) is True
+            assert coverage_oracle(state, schedule[:k]) is True
+            assert (_covered(state, schedule)
+                    == coverage_oracle(state, schedule))
+    assert _covered(state, schedule) is coverage_oracle(state, schedule) \
+        is True
+    run = run_backforth(build(maker, isolated=isolated),
+                        build(maker, isolated=isolated), seed=1)
+    assert run.coverage is True
+    for k in (0, len(state.pairs) // 2, len(state.pairs) - 1):
+        pair = state.pairs.pop(k)
+        assert _covered(state, schedule) is coverage_oracle(state, schedule) \
+            is False
+        state.pairs.insert(k, pair)
+    # a part over the whole space overlaps every other part (which verify
+    # reports) and lies inside no smaller atom, so coverage still holds
+    state.pairs.append(Pair(RingElement.whole(left), RingElement.whole(right),
+                            "a", "a"))
+    assert _covered(state, schedule) is coverage_oracle(state, schedule) \
+        is True
+    assert "left parts overlap" in state.verify()
+
+
 class TestRuns:
     def test_identical_chains_certify(self):
         for seed in range(5):
@@ -63,6 +118,20 @@ class TestRuns:
         assert run_v.status == "iso" and run_v.pairs == 52
         run_d = run_backforth(build(diamond_poset), build(diamond_poset))
         assert run_d.status == "iso" and run_d.pairs == 74
+
+    @pytest.mark.parametrize("maker, seed, pairs, depth_used, steps", [
+        (diamond_poset, 1, 64, 11, 62),
+        (diamond_poset, 2, 63, 8, 60),
+        (vee_poset, 1, 60, 11, 58),
+        (vee_poset, 2, 47, 9, 47),
+    ])
+    def test_self_matching_is_pinned(self, maker, seed, pairs, depth_used,
+                                     steps):
+        run = run_backforth(build(maker), build(maker), seed=seed)
+        assert run.serialize() == {
+            "status": "iso", "pairs": pairs, "depth_used": depth_used,
+            "witness": None, "note": "", "coverage": True,
+            "invariant_failures": [], "steps": steps}
 
     def test_isolation_difference_is_a_mismatch(self):
         run = run_backforth(build(chain_ab_poset, isolated={"a"}),

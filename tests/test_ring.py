@@ -238,6 +238,68 @@ class TestAxioms:
         assert "absent at level 3" in report["axioms"]["types-realized"]["witness"]
         assert report["axioms"]["types-persist"]["status"] == "fail"
 
+    @staticmethod
+    def record_members(mp, drop=None):
+        """Patch TypeSet.members to log every set it returns, after
+        passing it through drop when given."""
+        seen = []
+        members = TypeSet.members
+
+        def logged(self, horizon):
+            out = members(self, horizon)
+            if drop is not None:
+                out = drop(out)
+            seen.append(out)
+            return out
+        mp.setattr(TypeSet, "members", logged)
+        return seen
+
+    @staticmethod
+    def brute_upward_closed(poset, horizon, seen):
+        """(checked, violations): one check per member q and prefix r with
+        q <= r, a violation when r is not a member."""
+        prefix = poset.prefix(horizon)
+        pairs = [(q, r) for ms in seen for q in ms for r in prefix
+                 if poset.leq(q, r)]
+        return len(pairs), sum(r not in ms for ms in seen
+                               for q in ms for r in prefix
+                               if poset.leq(q, r))
+
+    @given(seed=st.integers(0, 10 ** 6), isolate=st.booleans())
+    @settings(max_examples=25, deadline=None)
+    def test_upward_closed_counts_match_brute_force(self, seed, isolate):
+        rng = random.Random(seed)
+        poset = random_poset(rng)
+        ids = poset.prefix(poset.size)
+        isolated = {rng.choice(ids)} if isolate else set()
+        tree = build_levels(BuildConfig(poset, isolated=isolated), 5)
+        with pytest.MonkeyPatch.context() as mp:
+            seen = self.record_members(mp)
+            report = verify_type_axioms(tree, 4, draws=200, seed=seed)
+        law = report["axioms"]["upward-closed"]
+        assert len(seen) == 200
+        assert (law["checked"], law["violations"]) == \
+            self.brute_upward_closed(poset, tree.type_cap(4), seen)
+        assert law["violations"] == 0 and law["witness"] == ""
+
+    def test_upward_closed_witness_is_lowest_index(self):
+        tree = build_levels(BuildConfig(diamond_poset()), 5)
+
+        def drop_top(ms):
+            return ms - {"d"} if "a" in ms else ms
+        with pytest.MonkeyPatch.context() as mp:
+            seen = self.record_members(mp, drop_top)
+            report = verify_type_axioms(tree, 4, draws=300, seed=0)
+        law = report["axioms"]["upward-closed"]
+        cut = sum(ms == {"a", "b", "c"} for ms in seen)
+        assert cut > 0
+        # a, b and c each miss d; the witness names the lowest of them
+        assert law["violations"] == 3 * cut
+        assert (law["checked"], law["violations"]) == \
+            self.brute_upward_closed(tree.poset, 4, seen)
+        assert law["status"] == "fail"
+        assert law["witness"] == "d missing above a"
+
 
 
 def bit_set(mask):

@@ -566,7 +566,9 @@ class Poset:
                        note="not refutable from a prefix: visible chains contain their maxima")
 
     def _maximal_chains(self, members: list[str]) -> list[tuple[str, ...]]:
-        """All maximal chains inside a finite subset."""
+        """All maximal chains inside a finite subset, depth first in the
+        subset's order: a chain grows only by the members that cover its
+        top, the minimal ones among the members above it."""
         out = []
 
         def extend(chain: list[str], rest: list[str]) -> None:
@@ -575,7 +577,8 @@ class Poset:
                 out.append(tuple(chain))
                 return
             for y in ups:
-                extend(chain + [y], ups)
+                if not any(self.lt(z, y) for z in ups):
+                    extend(chain + [y], ups)
 
         starts = [x for x in members
                   if not any(self.lt(y, x) for y in members)]

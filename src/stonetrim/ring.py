@@ -28,11 +28,12 @@ def _lower(tree: SkeletonTree, level: int, mask: int) -> tuple[int, int]:
     parent's block starts and ends where its last parent's block ends."""
     if not mask:
         return 1, 0
+    levels = tree.levels
     while level > 1:
-        lvl = tree.level(level)
+        lvl = levels[level - 1]
         if mask & lvl.u_mask:
             break
-        above = tree.level(level - 1)
+        above = levels[level - 2]
         parent_mask = 0
         for a, b in runs(mask):
             p, q = lvl.parent[a], lvl.parent[b - 1]
@@ -49,9 +50,10 @@ class RingElement:
     __slots__ = ("tree", "level", "mask")
 
     def __init__(self, tree: SkeletonTree, level: int, mask: int):
-        if level < 1 or level > tree.depth:
-            raise RingError(f"level {level} outside built depth {tree.depth}")
-        if mask < 0 or mask > tree.level(level).full_mask:
+        levels = tree.levels
+        if level < 1 or level > len(levels):
+            raise RingError(f"level {level} outside built depth {len(levels)}")
+        if mask < 0 or mask > levels[level - 1].full_mask:
             raise RingError("mask has bits outside the level")
         level, mask = _lower(tree, level, mask)
         self.tree = tree
@@ -95,11 +97,12 @@ class RingElement:
         """The element's atom set expressed on a deeper level."""
         if level < self.level:
             raise RingError("cannot express an element above its level")
-        if level > self.tree.depth:
+        tree = self.tree
+        if level > len(tree.levels):
             raise RingError(f"level {level} not built")
         m = self.mask
         for n in range(self.level, level):
-            m = self.tree.theta_image(n, m)
+            m = tree.theta_image(n, m)
         return m
 
     def at(self, level: int) -> "RingElement":
@@ -166,9 +169,9 @@ def type_of(x: RingElement) -> TypeSet:
 
 
 def _types_in(tree: SkeletonTree, level: int, mask: int) -> TypeSet:
-    """Upper set of the types of the level's atoms set in mask."""
+    """Upper set of the types of the atoms set in mask on a built level."""
     realized = 0
-    for bit, atoms in tree.level(level).type_bits():
+    for bit, atoms in tree.levels[level - 1].type_bits():
         if atoms & mask:
             realized |= bit
     return TypeSet.from_mask(tree.poset, realized)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate, chain, repeat
 from typing import Iterable, Optional
 
 from .poset import FOUND, Poset, PosetError, bits, runs
@@ -151,15 +152,16 @@ class Level:
         return len(self.types)
 
     def type_masks(self) -> dict[int, int]:
-        """Atom mask of every type on the level, filled in one pass."""
+        """Atom mask of every type on the level, keyed in the order the types
+        first occur from the last node down.  A mask is the level spelled
+        backwards, one character per type, translated to "1" at the type's
+        own character and "0" elsewhere, then read in base 2."""
         if not self._masks:
-            rows: dict[int, bytearray] = {}
-            for i, t in enumerate(reversed(self.types)):
-                row = rows.get(t)
-                if row is None:
-                    row = rows[t] = bytearray(b"0" * len(self.types))
-                row[i] = ord("1")
-            self._masks.update((t, int(row, 2)) for t, row in rows.items())
+            spelled = "".join(map(chr, reversed(self.types)))
+            top = max(self.types)
+            for t in dict.fromkeys(reversed(self.types)):
+                table = "0" * t + "1" + "0" * (top - t)    # indexed by chr
+                self._masks[t] = int(spelled.translate(table), 2)
             self._type_bits = [(1 << t, atoms)
                                for t, atoms in self._masks.items()]
         return self._masks
@@ -243,8 +245,8 @@ class SkeletonTree:
 
     def _build_next(self) -> None:
         """Append level n+1.  A node's child block depends only on its type,
-        so one block is made per distinct type; the size bound is checked
-        before anything is written."""
+        so one block is made per distinct type and laid out by type; the
+        size bound is checked before anything is written."""
         n = self.depth + 1
         self._type_ix_sets(n)
         cap = self.type_cap(n)
@@ -266,23 +268,21 @@ class SkeletonTree:
             unattached.append(n)
         unattached += [q for q in range(1, self.type_cap(n - 1) + 1)
                        if self._bucket_ix.get(q) == "noncompact"]
-        u_start = sum(len(blocks[t]) for t in prev.types)
+        sizes = list(map(len, map(blocks.__getitem__, prev.types)))
+        u_start = sum(sizes)
         size = u_start + len(unattached)
         if size > self.config.max_level_size:
             raise BuildError(
                 f"level {n} would hold {size} nodes, over the bound "
                 f"{self.config.max_level_size}")
-        types: list[int] = []
-        parents: list[Optional[int]] = []
-        starts, ends = [], []
-        for i, t in enumerate(prev.types):
-            starts.append(len(types))
-            types += blocks[t]
-            parents += [i] * len(blocks[t])
-            ends.append(len(types))
+        types = list(chain.from_iterable(map(blocks.__getitem__,
+                                             prev.types)))
         types += unattached
+        parents: list[Optional[int]] = list(chain.from_iterable(
+            map(repeat, range(len(prev)), sizes)))
         parents += [None] * len(unattached)
-        prev.child_start, prev.child_end = starts, ends
+        ends = list(accumulate(sizes))
+        prev.child_start, prev.child_end = [0] + ends[:-1], ends
         self.levels.append(Level(n, types, parents, u_start=u_start))
 
     # ------------------------------------------------------------------
@@ -318,7 +318,8 @@ class SkeletonTree:
         Unattached nodes of level n+1 never appear: the embedding of the
         level-n ring misses everything they generate.
         """
-        lvl = self.level(n)
+        levels = self.levels
+        lvl = levels[n - 1] if 0 < n <= len(levels) else self.level(n)
         starts, ends = lvl.child_start, lvl.child_end
         if mask and not starts:
             raise BuildError(f"level {n + 1} not built")
@@ -435,7 +436,7 @@ def verify_structure(tree: SkeletonTree,
             ok = True
             bad = ""
             for n in range(t, depth + 1):
-                c = tree.level(n).type_mask(t).bit_count()
+                c = tree.level(n).types.count(t)
                 if c != 1:
                     ok, bad = False, f"level {n} holds {c} nodes of type ix {t}"
                     break
@@ -443,18 +444,17 @@ def verify_structure(tree: SkeletonTree,
 
     for n in range(1, depth):
         lvl = tree.level(n)
-        nxt = tree.level(n + 1)
-        ok = True
+        kids = tree.level(n + 1).types
+        want_of = {t: 1 if t in iso else 2 for t in set(lvl.types)}
+        same = list(map(list.count, map(kids.__getitem__, map(
+            slice, lvl.child_start, lvl.child_end)), lvl.types))
+        want = list(map(want_of.__getitem__, lvl.types))
+        ok = same == want
         bad = ""
-        for i, t in enumerate(lvl.types):
-            s, e = tree.children_span(n, i)
-            same = sum(1 for j in range(s, e) if nxt.types[j] == t)
-            want = 1 if t in iso else 2
-            if same != want:
-                ok = False
-                bad = (f"node {n}.{i} of type {poset.id_at(t)} has {same} "
-                       f"continuation children, wanted {want}")
-                break
+        if not ok:
+            i = next(i for i, (c, w) in enumerate(zip(same, want)) if c != w)
+            bad = (f"node {n}.{i} of type {poset.id_at(lvl.types[i])} has "
+                   f"{same[i]} continuation children, wanted {want[i]}")
         rep.add(f"continuation-children@{n}", ok, bad)
 
     buckets = {ix: tree.bucket_ix(ix)
@@ -465,17 +465,15 @@ def verify_structure(tree: SkeletonTree,
             bad = ""
             for n in range(max(2, t + 1), depth + 1):
                 lvl = tree.level(n)
-                c = sum(1 for i in range(lvl.u_start, len(lvl))
-                        if lvl.types[i] == t)
-                if c < 1:
+                if t not in lvl.types[lvl.u_start:]:
                     ok, bad = False, f"level {n} has no unattached node of type ix {t}"
                     break
             rep.add(f"noncompact-supply:{poset.id_at(t)}", ok, bad)
         elif b == "unbounded" and 2 <= t <= depth:
             lvl = tree.level(t)
-            c = sum(1 for i in range(lvl.u_start, len(lvl)) if lvl.types[i] == t)
-            rep.add(f"unbounded-entry:{poset.id_at(t)}", c >= 1,
-                    "" if c >= 1 else f"no unattached entry node at level {t}")
+            ok = t in lvl.types[lvl.u_start:]
+            rep.add(f"unbounded-entry:{poset.id_at(t)}", ok,
+                    "" if ok else f"no unattached entry node at level {t}")
 
     if q_lower is not None:
         qset = frozenset(q_lower)
@@ -488,14 +486,16 @@ def verify_structure(tree: SkeletonTree,
             n0 = max(poset.index(p) for p in res.foundation)
             ok = True
             bad = ""
+            # nodes descending from level n0 fill a prefix of each level
             for n in range(n0, depth + 1):
                 lvl = tree.level(n)
-                for i, t in enumerate(lvl.types):
-                    if t in q_ix and not tree.descends_to(n, i, n0):
-                        ok = False
-                        bad = f"node {n}.{i} of covered type escapes level {n0}"
-                        break
-                if not ok:
+                reach = (len(lvl) if n == n0
+                         else tree.level(n - 1).child_end[reach - 1])
+                rest = lvl.types[reach:]
+                escaped = q_ix.intersection(rest)
+                if escaped:
+                    i = reach + min(map(rest.index, escaped))
+                    ok, bad = False, f"node {n}.{i} of covered type escapes level {n0}"
                     break
             rep.add("covered-types-descend", ok, bad)
     return rep

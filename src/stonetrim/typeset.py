@@ -96,7 +96,9 @@ class TypeSet:
 
     def members(self, horizon: int) -> frozenset:
         """The denoted upper set restricted to the enumeration prefix."""
-        return self.poset.up_closure(self.min_antichain, horizon)
+        pre = self.poset.prefix(horizon)
+        inside = self._upper() & (1 << len(pre) + 1) - 2
+        return frozenset(pre[i - 1] for i in bits(inside))
 
     def serialize(self) -> list[str]:
         return list(self.min_antichain)

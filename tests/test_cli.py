@@ -14,10 +14,10 @@ from stonetrim import FOUND
 SRC = os.path.dirname(os.path.dirname(stonetrim.__file__))
 
 
-def run_cli(*argv):
+def run_cli(*argv, timeout=None):
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "stonetrim.cli", *argv],
-                          capture_output=True, text=True,
+                          capture_output=True, text=True, timeout=timeout,
                           env={**os.environ, "PYTHONPATH": path})
 
 
@@ -61,6 +61,15 @@ class TestAnalyze:
     def test_unknown_family(self):
         proc = run_cli("analyze", "--family", "nope")
         assert proc.returncode == 2
+
+    def test_long_chain_horizon_finishes(self):
+        proc = run_cli("analyze", "--family", "omega-chain", "--horizon",
+                       "22", timeout=60)
+        assert proc.returncode == 0
+        doc = json.loads(proc.stdout)
+        assert doc["completion"] == {
+            "elements": 23,
+            "tokens": ["lim(" + ",".join(f"p{k}" for k in range(1, 23)) + ")"]}
 
 
 class TestBuildVerify:

@@ -9,7 +9,7 @@ from stonetrim import (DEFAULT_CHAIN_BOUND, FOUND, HOLDS, HOLDS_ON_PREFIX,
                        family)
 from stonetrim.poset import bits, runs
 
-from conftest import random_poset
+from conftest import all_chains, random_poset
 
 
 class TestConstruction:
@@ -391,3 +391,41 @@ def test_bits_and_runs_read_the_binary_expansion(mask):
     spans = list(runs(mask))
     assert [i for a, b in spans for i in range(a, b)] == want
     assert all(b < c for (_, b), (c, _) in zip(spans, spans[1:]))
+
+
+def increasing_paths(poset, members):
+    """Every strictly increasing path from a minimal to a maximal member,
+    depth first in the members' order; the maximal chains are among them."""
+    out = []
+
+    def extend(chain, rest):
+        ups = [y for y in rest if poset.lt(chain[-1], y)]
+        if not ups:
+            out.append(tuple(chain))
+        for y in ups:
+            extend(chain + [y], ups)
+
+    for x in members:
+        if not any(poset.lt(y, x) for y in members):
+            extend([x], members)
+    return out
+
+
+@given(seed=st.integers(0, 10 ** 6))
+@settings(max_examples=80, deadline=None)
+def test_maximal_chains_against_brute_force(seed):
+    rng = random.Random(seed)
+    p = random_poset(rng, max_size=7)
+    members = [x for x in p.prefix(p.size) if rng.random() < 0.7]
+    inside = [c for c in all_chains(p) if set(c) <= set(members)]
+    brute = {c for c in inside
+             if not any(set(c) < set(d) for d in inside)}
+    got = p._maximal_chains(members)
+    assert set(got) == brute and len(got) == len(brute)
+    assert got == [c for c in increasing_paths(p, members) if c in brute]
+
+
+def test_maximal_chains_of_a_long_chain_are_one():
+    p = family("omega-chain")
+    pre = p.prefix(22)
+    assert p._maximal_chains(pre) == [tuple(pre)]

@@ -1,8 +1,14 @@
 """Skeleton builds: level recurrences, buckets, and structure checks."""
-import pytest
+import random
 
-from stonetrim import (BuildConfig, BuildError, ConfigError, build_levels,
-                       family, verify_structure)
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import random_poset
+from stonetrim import (FOUND, BuildConfig, BuildError, ConfigError,
+                       build_levels, family, verify_structure)
+from stonetrim.poset import bits
+from stonetrim.skeleton import SkeletonTree, StructureReport
 
 
 def chain_tree(depth=4, **kw):
@@ -289,3 +295,229 @@ class TestStructureChecks:
         assert doc["passed"] is True
         assert all(set(c) == {"name", "passed", "detail"}
                    for c in doc["checks"])
+
+
+# ----------------------------------------------------------------------
+# whole-level passes against the per-node loops they replaced
+
+def next_level_oracle(tree):
+    """Level depth+1 laid out node by node: (types, parents, u_start) of the
+    new level and (child_start, child_end) of the current last one."""
+    n = tree.depth + 1
+    tree._type_ix_sets(n)
+    cap = tree.type_cap(n)
+    prev = tree.levels[-1]
+    below_cap = (1 << cap + 1) - 2
+    blocks, reach = {}, 0
+    for t in set(prev.types):
+        up = tree.poset.up_mask(t)
+        reach |= up
+        blocks[t] = ([t] * (1 if t in tree.isolated_ix() else 2)
+                     + list(bits(up & below_cap & ~(1 << t))))
+    unattached = []
+    if cap >= n and (tree.bucket_ix(n) == "unbounded"
+                     or not reach >> n & 1):
+        unattached.append(n)
+    unattached += [q for q in range(1, tree.type_cap(n - 1) + 1)
+                   if tree.bucket_ix(q) == "noncompact"]
+    types, parents, starts, ends = [], [], [], []
+    for i, t in enumerate(prev.types):
+        starts.append(len(types))
+        types += blocks[t]
+        parents += [i] * len(blocks[t])
+        ends.append(len(types))
+    u_start = len(types)
+    return (types + unattached, parents + [None] * len(unattached), u_start,
+            starts, ends)
+
+
+def type_masks_oracle(types):
+    """(type, atom mask) pairs, one node at a time over the reversed level."""
+    rows = {}
+    for i, t in enumerate(reversed(types)):
+        row = rows.get(t)
+        if row is None:
+            row = rows[t] = bytearray(b"0" * len(types))
+        row[i] = ord("1")
+    return [(t, int(row, 2)) for t, row in rows.items()]
+
+
+def structure_oracle(tree, q_lower=None):
+    """verify_structure checking node by node, through children_span and
+    parent pointers."""
+    rep = StructureReport()
+    poset = tree.poset
+    depth = tree.depth
+    for n in range(1, depth + 1):
+        want = set(range(1, tree.type_cap(n) + 1))
+        have = set(tree.level(n).types)
+        rep.add(f"types-present@{n}", want <= have,
+                f"missing {sorted(want - have)}" if not want <= have else "")
+    iso = tree.isolated_ix()
+    minimal, _ = poset.confirmed_minimal(tree.type_cap(depth))
+    min_ix = {poset.index(p) for p in minimal}
+    for t in iso:
+        if t in min_ix:
+            ok, bad = True, ""
+            for n in range(t, depth + 1):
+                c = sum(1 for u in tree.level(n).types if u == t)
+                if c != 1:
+                    ok, bad = False, f"level {n} holds {c} nodes of type ix {t}"
+                    break
+            rep.add(f"isolated-single-line:{poset.id_at(t)}", ok, bad)
+    for n in range(1, depth):
+        lvl, nxt = tree.level(n), tree.level(n + 1)
+        ok, bad = True, ""
+        for i, t in enumerate(lvl.types):
+            s, e = tree.children_span(n, i)
+            same = sum(1 for j in range(s, e) if nxt.types[j] == t)
+            want = 1 if t in iso else 2
+            if same != want:
+                ok = False
+                bad = (f"node {n}.{i} of type {poset.id_at(t)} has {same} "
+                       f"continuation children, wanted {want}")
+                break
+        rep.add(f"continuation-children@{n}", ok, bad)
+    for t in range(1, tree.type_cap(depth) + 1):
+        b = tree.bucket_ix(t)
+        if b == "noncompact":
+            ok, bad = True, ""
+            for n in range(max(2, t + 1), depth + 1):
+                lvl = tree.level(n)
+                c = sum(1 for i in range(lvl.u_start, len(lvl))
+                        if lvl.types[i] == t)
+                if c < 1:
+                    ok, bad = False, f"level {n} has no unattached node of type ix {t}"
+                    break
+            rep.add(f"noncompact-supply:{poset.id_at(t)}", ok, bad)
+        elif b == "unbounded" and 2 <= t <= depth:
+            lvl = tree.level(t)
+            c = sum(1 for i in range(lvl.u_start, len(lvl))
+                    if lvl.types[i] == t)
+            rep.add(f"unbounded-entry:{poset.id_at(t)}", c >= 1,
+                    "" if c >= 1 else f"no unattached entry node at level {t}")
+    if q_lower is not None:
+        res = poset.finite_foundation(frozenset(q_lower), tree.type_cap(depth))
+        if res.status != FOUND:
+            rep.add("cover-foundation", False,
+                    f"foundation search returned {res.status}")
+        else:
+            q_ix = {poset.index(p) for p in q_lower}
+            n0 = max(poset.index(p) for p in res.foundation)
+            ok, bad = True, ""
+            for n in range(n0, depth + 1):
+                for i, t in enumerate(tree.level(n).types):
+                    if t in q_ix and not tree.descends_to(n, i, n0):
+                        ok = False
+                        bad = f"node {n}.{i} of covered type escapes level {n0}"
+                        break
+                if not ok:
+                    break
+            rep.add("covered-types-descend", ok, bad)
+    return rep
+
+
+def assert_matches_oracles(config, depth, q_lower=None):
+    """Grow a tree level by level, comparing each level with the per-node
+    layout, then its type masks and structure report."""
+    tree = SkeletonTree(config, 1)
+    while tree.depth < depth:
+        types, parents, u_start, starts, ends = next_level_oracle(tree)
+        tree.extend_to(tree.depth + 1)
+        prev, lvl = tree.levels[-2], tree.levels[-1]
+        assert (lvl.types, lvl.parent, lvl.u_start) == (types, parents,
+                                                        u_start)
+        assert (prev.child_start, prev.child_end) == (starts, ends)
+    for lvl in tree.levels:
+        assert list(lvl.type_masks().items()) == type_masks_oracle(lvl.types)
+        assert lvl.type_bits() == [(1 << t, m)
+                                   for t, m in type_masks_oracle(lvl.types)]
+    assert_same_report(tree, q_lower)
+    return tree
+
+
+def assert_same_report(tree, q_lower=None):
+    got = verify_structure(tree, q_lower=q_lower).to_json()
+    assert got == structure_oracle(tree, q_lower).to_json()
+    return got
+
+
+ORACLE_FAMILIES = ["omega-chain", "omega-antichain", "rn-infinity",
+                   "rn-infinity-bot", "rn(2,0)", "rn(2,2)", "rn(4,2)",
+                   "dyadic", "ziegler-fan"]
+
+
+class TestWholeLevelPasses:
+    @pytest.mark.parametrize("tag", ORACLE_FAMILIES)
+    def test_builtin_families_match_the_node_loops(self, tag):
+        poset = family(tag)
+        tree = assert_matches_oracles(BuildConfig(poset), 7)
+        assert_same_report(tree, q_lower=[poset.id_at(1)])
+
+    @given(seed=st.integers(0, 10 ** 6), isolate=st.booleans(),
+           bucket=st.sampled_from(["auto", "noncompact", "unbounded"]))
+    @settings(max_examples=40, deadline=None)
+    def test_random_posets_match_the_node_loops(self, seed, isolate, bucket):
+        rng = random.Random(seed)
+        poset = random_poset(rng)
+        ids = poset.prefix(poset.size)
+        isolated = {rng.choice(ids)} if isolate else set()
+        config = BuildConfig(poset, isolated=isolated, default_bucket=bucket)
+        lower = poset.down_set(rng.choice(ids), poset.size)
+        assert_matches_oracles(config, 5, q_lower=lower)
+
+    @staticmethod
+    def tamper(tree, n, i, block_ix, new_type):
+        """Retype child block_ix of node n.i; n + 1 is the last level, so no
+        other check sees the change."""
+        lvl = tree.level(n + 1)
+        lvl.types[lvl.parent.index(i) + block_ix] = new_type
+        lvl._masks.clear()
+
+    def test_one_and_three_continuation_children(self):
+        tree = chain_tree(4)
+        # node 3.6 has type b and children [b, b]; node 3.3 type a and
+        # children [a, a, b]; the witness is the lower of the two
+        self.tamper(tree, 3, 6, 1, 1)
+        self.tamper(tree, 3, 3, 2, 1)
+        doc = assert_same_report(tree)
+        fails = {c["name"]: c["detail"] for c in doc["checks"]
+                 if not c["passed"]}
+        assert fails == {"continuation-children@3":
+                         "node 3.3 of type a has 3 continuation children, "
+                         "wanted 2"}
+        self.tamper(tree, 3, 3, 2, 2)
+        doc = assert_same_report(tree)
+        assert [c["detail"] for c in doc["checks"] if not c["passed"]] == [
+            "node 3.6 of type b has 1 continuation children, wanted 2"]
+
+    def test_isolated_node_with_a_second_continuation(self):
+        tree = chain_tree(3, isolated=frozenset({"a"}))
+        self.tamper(tree, 2, 0, 1, 1)
+        doc = assert_same_report(tree)
+        assert [c["name"] for c in doc["checks"] if not c["passed"]] == [
+            "isolated-single-line:a", "continuation-children@2"]
+
+    def test_noncompact_type_losing_its_unattached_node(self, chain_ab):
+        tree = build_levels(BuildConfig(chain_ab, bounded={"a"},
+                                        noncompact={"b"}), 4)
+        lvl = tree.level(4)
+        lvl.types[lvl.u_start] = 1
+        lvl._masks.clear()
+        doc = assert_same_report(tree, q_lower=["a"])
+        assert [(c["name"], c["detail"]) for c in doc["checks"]
+                if not c["passed"]] == [
+            ("noncompact-supply:b",
+             "level 4 has no unattached node of type ix 2"),
+            ("covered-types-descend", "node 4.22 of covered type escapes "
+                                      "level 1")]
+
+    def test_unbounded_type_losing_its_entry_node(self, chain_ab):
+        tree = build_levels(BuildConfig(chain_ab, bounded={"a"},
+                                        unbounded={"b"}), 2)
+        lvl = tree.level(2)
+        lvl.types[lvl.u_start] = 1
+        lvl._masks.clear()
+        doc = assert_same_report(tree)
+        assert [c["name"] for c in doc["checks"] if not c["passed"]] == [
+            "unbounded-entry:b"]

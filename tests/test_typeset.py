@@ -182,3 +182,28 @@ def test_cached_entries_stay_valid_as_the_prefix_grows(seed):
         assert ta.union(tb).min_antichain == model_min(order, ga | gb)
         assert (ta <= tb) == (model_upper(order, ga, ids)
                               <= model_upper(order, gb, ids))
+
+
+@given(seed=st.integers(0, 10 ** 6))
+@settings(max_examples=60, deadline=None)
+def test_members_is_the_up_closure_of_the_antichain(seed):
+    """members(h) reads the up-set masks; Poset.up_closure asks the order
+    pair by pair.  Checked on a finite poset and on the same order grown
+    one element at a time, at every horizon up to the one enumerated."""
+    rng = random.Random(seed)
+    order = random_poset(rng, max_size=8)
+    ids = order.prefix(order.size)
+    gens = {x for x in ids if rng.random() < 0.5}
+    t = TypeSet.of(order, gens)
+    for h in range(order.size + 2):
+        assert t.members(h) == order.up_closure(t.min_antichain, h)
+    grown = Poset.generated("grown", lambda i: ids[i - 1], order.leq)
+    made = []
+    for k in range(1, len(ids) + 1):
+        grown.ensure(k)
+        made.append(TypeSet.of(grown, {x for x in ids[:k]
+                                       if rng.random() < 0.5}))
+        for old in made:
+            for h in range(k + 1):
+                assert old.members(h) == grown.up_closure(old.min_antichain,
+                                                          h)

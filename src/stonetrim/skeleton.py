@@ -147,6 +147,7 @@ class Level:
     _masks: dict[int, int] = field(default_factory=dict, repr=False)
     _type_bits: list[tuple[int, int]] = field(default_factory=list,
                                               repr=False)
+    _blocks: tuple = field(default=(), repr=False)
 
     def __len__(self) -> int:
         return len(self.types)
@@ -175,6 +176,23 @@ class Level:
 
     def type_mask(self, type_ix: int) -> int:
         return self.type_masks().get(type_ix, 0)
+
+    def block_masks(self) -> tuple[int, int]:
+        """(starts, ends) over the atoms of level number+1: bit i of starts
+        is set iff a child block begins at atom i, bit i of ends iff one
+        ends there.  Built on first use, and again once ``child_start`` or
+        ``child_end`` is replaced."""
+        got = self._blocks
+        if (not got or got[0] is not self.child_start
+                or got[1] is not self.child_end):
+            size = self.child_end[-1] if self.child_end else 0
+            starts, ends = bytearray(b"0" * size), bytearray(b"0" * size)
+            for a, b in zip(self.child_start, self.child_end):
+                starts[a] = ends[b - 1] = 49                # ord("1")
+            got = self._blocks = (self.child_start, self.child_end,
+                                  int(b"0" + starts[::-1], 2),
+                                  int(b"0" + ends[::-1], 2))
+        return got[2], got[3]
 
     def present_types(self) -> list[int]:
         return sorted(set(self.types))
@@ -227,16 +245,20 @@ class SkeletonTree:
             return min(n, self.poset.size)
         return n
 
-    def _type_ix_sets(self, n: int) -> None:
-        """Refresh id-based config sets as index sets up to the cap."""
+    def _type_ix_sets(self, n: int) -> tuple[set[int], dict[int, str]]:
+        """The id-based config sets as index sets up to the cap of level n:
+        new copies of the isolated set and the bucket table, so that a
+        build that fails leaves the tree's own as they were."""
         cap = self.type_cap(n)
         self.poset.ensure(cap)
+        iso, buckets = set(self._iso_ix), dict(self._bucket_ix)
         for ix in range(1, cap + 1):
-            if ix not in self._bucket_ix:
+            if ix not in buckets:
                 p = self.poset.id_at(ix)
                 if p in self.config.isolated:
-                    self._iso_ix.add(ix)
-                self._bucket_ix[ix] = self.config.bucket_of(p, n)
+                    iso.add(ix)
+                buckets[ix] = self.config.bucket_of(p, n)
+        return iso, buckets
 
     def extend_to(self, depth: int) -> "SkeletonTree":
         while self.depth < depth:
@@ -248,9 +270,10 @@ class SkeletonTree:
         so one block is made per distinct type and laid out by type; the
         size bound is checked before anything is written."""
         n = self.depth + 1
-        self._type_ix_sets(n)
+        iso, buckets = self._type_ix_sets(n)
         cap = self.type_cap(n)
         if n == 1:
+            self._iso_ix, self._bucket_ix = iso, buckets
             self.levels.append(Level(1, [1], [None], u_start=1))
             return
         prev = self.levels[-1]
@@ -260,14 +283,14 @@ class SkeletonTree:
         for t in set(prev.types):
             up = self.poset.up_mask(t)
             reach |= up
-            blocks[t] = ([t] * (1 if t in self._iso_ix else 2)
+            blocks[t] = ([t] * (1 if t in iso else 2)
                          + list(bits(up & below_cap & ~(1 << t))))
         unattached = []
-        if cap >= n and (self._bucket_ix.get(n) == "unbounded"
+        if cap >= n and (buckets.get(n) == "unbounded"
                          or not reach >> n & 1):
             unattached.append(n)
         unattached += [q for q in range(1, self.type_cap(n - 1) + 1)
-                       if self._bucket_ix.get(q) == "noncompact"]
+                       if buckets.get(q) == "noncompact"]
         sizes = list(map(len, map(blocks.__getitem__, prev.types)))
         u_start = sum(sizes)
         size = u_start + len(unattached)
@@ -275,6 +298,7 @@ class SkeletonTree:
             raise BuildError(
                 f"level {n} would hold {size} nodes, over the bound "
                 f"{self.config.max_level_size}")
+        self._iso_ix, self._bucket_ix = iso, buckets
         types = list(chain.from_iterable(map(blocks.__getitem__,
                                              prev.types)))
         types += unattached
@@ -298,19 +322,12 @@ class SkeletonTree:
         return SkeletonNode(n, i, self.poset.id_at(t), t, lvl.parent[i],
                             i >= lvl.u_start)
 
-    def nodes(self, n: int) -> list[SkeletonNode]:
-        return [self.node(n, i) for i in range(len(self.level(n)))]
-
     def children_span(self, n: int, i: int) -> tuple[int, int]:
         """Child index range of node (n, i) within level n+1."""
         lvl = self.level(n)
         if not lvl.child_start:
             raise BuildError(f"level {n + 1} not built")
         return lvl.child_start[i], lvl.child_end[i]
-
-    def children(self, n: int, i: int) -> list[SkeletonNode]:
-        s, e = self.children_span(n, i)
-        return [self.node(n + 1, j) for j in range(s, e)]
 
     def theta_image(self, n: int, mask: int) -> int:
         """Image of a level-n atom mask inside level n+1.

@@ -74,3 +74,9 @@ def two_chains_poset() -> Poset:
         return a[0] == b[0] and int(a[1:]) <= int(b[1:])
 
     return Poset.generated("two-chains", gen, leq)
+
+
+def children(tree, n: int, i: int) -> list:
+    """Node views of the children of node (n, i), in index order."""
+    start, end = tree.children_span(n, i)
+    return [tree.node(n + 1, j) for j in range(start, end)]

@@ -1,7 +1,8 @@
 """Descending atom paths and their convergence labels."""
 import pytest
 
-from conftest import chain_ab_poset, diamond_poset, two_chains_poset
+from conftest import (chain_ab_poset, children, diamond_poset,
+                      two_chains_poset)
 from stonetrim import (BuildConfig, PathPrefix, PointError, ancestry,
                        build_levels, family, label_prefix, realize_chain)
 from stonetrim.poset import PosetError
@@ -28,7 +29,7 @@ def two_chains_tree():
 
 
 def child_of_type(tree, node, type_id):
-    for kid in tree.children(*node):
+    for kid in children(tree, *node):
         if kid.type_id == type_id:
             return (kid.level, kid.index)
     raise AssertionError(f"no {type_id} child under {node}")

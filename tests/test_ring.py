@@ -9,6 +9,11 @@ from conftest import chain_ab_poset, diamond_poset, random_poset
 from stonetrim import (BuildConfig, RingElement, RingError, TypeSet,
                        build_levels, is_trim_for, split_by_scarce_atoms,
                        supertrim_split, trim_split, verify_type_axioms)
+from stonetrim import ring
+from stonetrim.poset import bits, runs
+from stonetrim.ring import _lower, _types_in
+from stonetrim.skeleton import SkeletonTree
+from test_acceptance import CONFIGS as CRITERION_1
 
 
 @pytest.fixture(scope="module")
@@ -139,7 +144,8 @@ class TestTypes:
         assert RingElement.empty(chain_tree).trim_generator() is None
 
     def test_whole_realizes_everything(self, diamond_tree):
-        t = RingElement.whole(diamond_tree).at(4).type_of()
+        whole = RingElement.whole(diamond_tree)
+        t = RingElement(diamond_tree, 4, whole.mask_at(4)).type_of()
         assert t.min_antichain == ("a",)
 
 
@@ -348,3 +354,262 @@ def test_ring_agrees_with_leaf_sets(seed, isolate, depth):
             assert got.type_of() == TypeSet.of(poset, types)
             assert got.type_of().members(len(ids)) == {
                 q for q in ids if any(poset.leq(t, q) for t in types)}
+
+
+# ----------------------------------------------------------------------
+# the mask-level laws against the element-by-element check they replaced
+
+def random_mask(rng, size):
+    return rng.getrandbits(size) if size else 0
+
+
+def verify_type_axioms_oracle(tree, level_bound, draws=10_000, seed=0):
+    """The type function laws checked element by element: every draw
+    builds canonical RingElements, types them and compares TypeSets."""
+    if level_bound < 1 or level_bound + 1 > tree.depth:
+        raise RingError("need depth at least level_bound + 1")
+    rng = random.Random(seed)
+    poset = tree.poset
+    axioms = {}
+
+    def record(name, checked, violations, witness=""):
+        axioms[name] = {
+            "status": "pass" if violations == 0 else "fail",
+            "checked": checked, "violations": violations,
+            "witness": witness,
+        }
+
+    # union additivity: T(x | y) == T(x) | T(y)
+    checked = bad = 0
+    witness = ""
+    for n in range(1, level_bound + 1):
+        lvl = tree.level(n)
+        if len(lvl) <= 12:
+            for i in range(len(lvl)):
+                for j in range(len(lvl)):
+                    a = RingElement.atom(tree, n, i)
+                    b = RingElement.atom(tree, n, j)
+                    checked += 1
+                    if a.union(b).type_of() != a.type_of().union(b.type_of()):
+                        bad += 1
+                        witness = witness or f"atoms {n}.{i} and {n}.{j}"
+    per_level = max(1, draws // (2 * level_bound))
+    for n in range(1, level_bound + 1):
+        size = len(tree.level(n))
+        for _ in range(per_level):
+            a = RingElement(tree, n, random_mask(rng, size))
+            b = RingElement(tree, n, random_mask(rng, size))
+            checked += 1
+            if a.union(b).type_of() != a.type_of().union(b.type_of()):
+                bad += 1
+                witness = witness or f"masks at level {n}"
+    record("union-additive", checked, bad, witness)
+
+    # realization: type with index m has an atom on every level from m on
+    checked = bad = 0
+    witness = ""
+    cap = tree.type_cap(level_bound)
+    for m in range(1, cap + 1):
+        for n in range(m, level_bound + 1):
+            checked += 1
+            if tree.level(n).type_mask(m) == 0:
+                bad += 1
+                witness = witness or f"type {poset.id_at(m)} absent at level {n}"
+    record("types-realized", checked, bad, witness)
+
+    # emptiness: T(x) empty exactly when x is
+    checked = bad = 0
+    witness = ""
+    if RingElement.empty(tree).type_of():
+        bad += 1
+        witness = "empty element got a nonempty type set"
+    checked += 1
+    for _ in range(min(draws, 500)):
+        n = rng.randint(1, level_bound)
+        m = random_mask(rng, len(tree.level(n)))
+        if not m:
+            continue
+        checked += 1
+        if not RingElement(tree, n, m).type_of():
+            bad += 1
+            witness = witness or f"nonempty mask at level {n} typed empty"
+    record("empty-detection", checked, bad, witness)
+
+    # persistence: realized types survive one refinement, recomputed from
+    # the raw child atoms so a tampered level cannot hide behind lowering
+    checked = bad = 0
+    witness = ""
+
+    for _ in range(min(draws, 2000)):
+        n = rng.randint(1, level_bound)
+        m = random_mask(rng, len(tree.level(n)))
+        if not m:
+            continue
+        lifted = _types_in(tree, n + 1, tree.theta_image(n, m))
+        for p in _types_in(tree, n, m).min_antichain:
+            checked += 1
+            if not lifted.contains(p):
+                bad += 1
+                witness = witness or (f"type {p} lost lifting level {n} "
+                                      f"to {n + 1}")
+    record("types-persist", checked, bad, witness)
+
+    # upward closure: every computed type set is an upper set of the prefix
+    checked = bad = 0
+    witness = ""
+    # one check per (q, r) with q a member and q <= r on the prefix; the
+    # witness names the lowest-index q and r
+    horizon = tree.type_cap(level_bound)
+    prefix_mask = (1 << horizon + 1) - 2
+    for _ in range(min(draws, 1000)):
+        n = rng.randint(1, level_bound)
+        m = random_mask(rng, len(tree.level(n)))
+        members = RingElement(tree, n, m).type_of().members(horizon)
+        member_mask = 0
+        for q in members:
+            member_mask |= 1 << poset.index(q)
+        for q in bits(member_mask):
+            above = poset.up_mask(q) & prefix_mask
+            checked += above.bit_count()
+            missing = above & ~member_mask
+            if missing:
+                bad += missing.bit_count()
+                if not witness:
+                    r = next(bits(missing))
+                    witness = (f"{poset.id_at(r)} missing above "
+                               f"{poset.id_at(q)}")
+    record("upward-closed", checked, bad, witness)
+
+    return {"passed": all(a["status"] == "pass" for a in axioms.values()),
+            "axioms": axioms}
+
+
+def lower_oracle(tree, level, mask):
+    """Canonical lowering by walking every run of the mask."""
+    if not mask:
+        return 1, 0
+    while level > 1:
+        lvl, above = tree.level(level), tree.level(level - 1)
+        if mask & lvl.u_mask:
+            break
+        parent_mask = 0
+        for a, b in runs(mask):
+            p, q = lvl.parent[a], lvl.parent[b - 1]
+            if above.child_start[p] != a or above.child_end[q] != b:
+                return level, mask
+            parent_mask |= (1 << q + 1) - (1 << p)
+        level, mask = level - 1, parent_mask
+    return level, mask
+
+
+def assert_same_laws(tree, level_bound, draws, seed):
+    got = verify_type_axioms(tree, level_bound, draws=draws, seed=seed)
+    assert got == verify_type_axioms_oracle(tree, level_bound, draws=draws,
+                                            seed=seed)
+    return got
+
+
+def tampered_chain_tree():
+    """The chain tree of test_tampered_skeleton_is_caught."""
+    tree = build_levels(BuildConfig(chain_ab_poset()), 4)
+    lvl3 = tree.level(3)
+    lvl3.types = [2 if t == 1 else t for t in lvl3.types]
+    lvl3._masks.clear()
+    return tree
+
+
+class TestLawsMatchTheElementOracle:
+    @given(seed=st.integers(0, 10 ** 6), isolate=st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_random_posets(self, seed, isolate):
+        rng = random.Random(seed)
+        poset = random_poset(rng)
+        ids = poset.prefix(poset.size)
+        isolated = {rng.choice(ids)} if isolate else set()
+        tree = build_levels(BuildConfig(poset, isolated=isolated), 5)
+        assert_same_laws(tree, 4, draws=400, seed=seed)
+
+    @pytest.mark.parametrize("name,maker,kw,single", CRITERION_1)
+    def test_criterion_1_posets(self, name, maker, kw, single):
+        for iso in (frozenset(), frozenset({single})):
+            tree = build_levels(BuildConfig(maker(), isolated=iso, **kw), 6)
+            assert assert_same_laws(tree, 5, draws=1500, seed=3)["passed"]
+
+    def test_tampered_chain_tree(self):
+        report = assert_same_laws(tampered_chain_tree(), 3, draws=500, seed=0)
+        assert report["axioms"]["types-persist"]["status"] == "fail"
+
+    def test_tree_with_persistence_violations(self):
+        # every b of level 4 retyped d: b is lost whenever it generates
+        tree = build_levels(BuildConfig(diamond_poset()), 5)
+        lvl4 = tree.level(4)
+        lvl4.types = [4 if t == 2 else t for t in lvl4.types]
+        lvl4._masks.clear()
+        report = assert_same_laws(tree, 4, draws=2000, seed=5)
+        law = report["axioms"]["types-persist"]
+        assert law["violations"] > 1
+        assert law["witness"] == "type b lost lifting level 3 to 4"
+
+    @given(seed=st.integers(0, 10 ** 6), isolate=st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_lowering_matches_the_run_walk(self, seed, isolate):
+        rng = random.Random(seed)
+        poset = random_poset(rng)
+        ids = poset.prefix(poset.size)
+        isolated = {rng.choice(ids)} if isolate else set()
+        tree = build_levels(BuildConfig(poset, isolated=isolated), 5)
+        for n in range(1, 6):
+            size = len(tree.level(n))
+            masks = [random_mask(rng, size) for _ in range(40)]
+            # unions of whole child blocks of random level n-1 masks
+            if n > 1:
+                masks += [tree.theta_image(n - 1, random_mask(
+                    rng, len(tree.level(n - 1)))) for _ in range(40)]
+            for m in masks:
+                assert _lower(tree, n, m) == lower_oracle(tree, n, m)
+
+
+def drop_last_lowered_parent(lower):
+    def mutated(tree, level, mask):
+        got_level, got = lower(tree, level, mask)
+        if got_level < level and got:
+            got &= ~(1 << got.bit_length() - 1)
+        return got_level, got
+    return mutated
+
+
+def drop_last_child_block(theta_image):
+    def mutated(self, n, mask):
+        out = theta_image(self, n, mask)
+        if mask:
+            lvl, i = self.level(n), mask.bit_length() - 1
+            out &= ~((1 << lvl.child_end[i]) - (1 << lvl.child_start[i]))
+        return out
+    return mutated
+
+
+def skip_last_type(types_in):
+    def mutated(tree, level, mask):
+        realized = 0
+        for bit, atoms in tree.level(level).type_bits()[:-1]:
+            if atoms & mask:
+                realized |= bit
+        return TypeSet.from_mask(tree.poset, realized)
+    return mutated
+
+
+@pytest.mark.parametrize("owner,name,mutate,law", [
+    (ring, "_lower", drop_last_lowered_parent, "union-additive"),
+    (SkeletonTree, "theta_image", drop_last_child_block, "types-persist"),
+    (SkeletonTree, "theta_image", drop_last_child_block, "union-additive"),
+    (ring, "_types_in", skip_last_type, "empty-detection"),
+    (ring, "_types_in", skip_last_type, "union-additive"),
+])
+def test_laws_catch_a_mutated_ring(owner, name, mutate, law):
+    tree = build_levels(BuildConfig(diamond_poset()), 5)
+    assert verify_type_axioms(tree, 4, draws=1000, seed=0)["passed"]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(owner, name, mutate(getattr(owner, name)))
+        report = verify_type_axioms(tree, 4, draws=1000, seed=0)
+    assert report["passed"] is False
+    assert report["axioms"][law]["status"] == "fail"

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_poset
+from conftest import children, random_poset
 from stonetrim import (FOUND, BuildConfig, BuildError, ConfigError,
                        build_levels, family, verify_structure)
 from stonetrim.poset import bits
@@ -112,7 +112,7 @@ class TestChainBuild:
         root = tree.node(1, 0)
         assert (root.level, root.index, root.type_id, root.type_ix,
                 root.parent, root.u_flag) == (1, 0, "a", 1, None, False)
-        kids = tree.children(1, 0)
+        kids = children(tree, 1, 0)
         assert [k.type_id for k in kids] == ["a", "a", "b"]
 
     def test_level_out_of_range(self):
@@ -145,6 +145,19 @@ class TestChainBuild:
                 tree.children_span(tree.depth, 0)
             with pytest.raises(BuildError, match="level 4 not built"):
                 tree.theta_image(3, 1)
+
+    def test_failed_build_leaves_the_index_sets_as_they_were(self):
+        cfg = BuildConfig(family("omega-chain"), isolated={"p4"},
+                          max_level_size=20, horizon=6)
+        tree = build_levels(cfg, 3)
+        for _ in range(2):
+            with pytest.raises(BuildError, match="level 4 would hold"):
+                tree.extend_to(4)
+            assert tree.depth == 3
+            assert tree.isolated_ix() == frozenset()
+            with pytest.raises(KeyError):
+                tree.bucket_ix(4)
+        assert tree.bucket_ix(3) == "bounded"
 
     def test_extend_matches_fresh_build(self):
         grown = chain_tree(3).extend_to(6)
@@ -226,6 +239,12 @@ class TestMasks:
         assert tree.theta_image(2, 0b100) == 0b11000000
         assert tree.theta_image(2, 0b101) == 0b11000111
 
+    def test_block_masks_follow_the_child_spans(self):
+        lvl = chain_tree(3).level(2)        # child blocks 0-2, 3-5, 6-7
+        assert lvl.block_masks() == (0b01001001, 0b10100100)
+        lvl.child_start, lvl.child_end = [0, 2, 6], [2, 6, 8]
+        assert lvl.block_masks() == (0b01000101, 0b10100010)
+
 
 class TestSerialization:
     def test_to_json(self):
@@ -304,7 +323,7 @@ def next_level_oracle(tree):
     """Level depth+1 laid out node by node: (types, parents, u_start) of the
     new level and (child_start, child_end) of the current last one."""
     n = tree.depth + 1
-    tree._type_ix_sets(n)
+    iso, buckets = tree._type_ix_sets(n)
     cap = tree.type_cap(n)
     prev = tree.levels[-1]
     below_cap = (1 << cap + 1) - 2
@@ -312,14 +331,13 @@ def next_level_oracle(tree):
     for t in set(prev.types):
         up = tree.poset.up_mask(t)
         reach |= up
-        blocks[t] = ([t] * (1 if t in tree.isolated_ix() else 2)
+        blocks[t] = ([t] * (1 if t in iso else 2)
                      + list(bits(up & below_cap & ~(1 << t))))
     unattached = []
-    if cap >= n and (tree.bucket_ix(n) == "unbounded"
-                     or not reach >> n & 1):
+    if cap >= n and (buckets[n] == "unbounded" or not reach >> n & 1):
         unattached.append(n)
     unattached += [q for q in range(1, tree.type_cap(n - 1) + 1)
-                   if tree.bucket_ix(q) == "noncompact"]
+                   if buckets[q] == "noncompact"]
     types, parents, starts, ends = [], [], [], []
     for i, t in enumerate(prev.types):
         starts.append(len(types))

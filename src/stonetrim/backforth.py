@@ -513,10 +513,13 @@ def run_backforth(left: SkeletonTree, right: SkeletonTree,
     contradiction reports a mismatch with its witness; running out of the
     level budget reports exhaustion instead.
     """
-    depth = depth or min(left.depth, right.depth)
+    if depth is None:
+        depth = min(left.depth, right.depth)
     if depth < 3:
         raise IsoError("need depth at least 3")
-    max_depth = max_depth or depth + 8
+    max_depth = depth + 8 if max_depth is None else max_depth
+    if max_depth < depth:
+        raise IsoError("max_depth must be at least depth")
     span = min(left.type_cap(depth), right.type_cap(depth))
     if theta is None:
         theta = _identity_theta(left, right, span)

@@ -126,7 +126,10 @@ def cmd_build_verify(args) -> int:
     if args.format == "dot":
         print(tree.to_dot())
         return 0
-    structure = verify_structure(tree, q_lower=args.q or None)
+    try:
+        structure = verify_structure(tree, q_lower=args.q or None)
+    except PosetError as e:
+        return _fail(2, f"bad --q: {e}")
     tree.extend_to(args.depth + 1)
     axioms = verify_type_axioms(tree, args.depth - 1, seed=args.seed)
     report = {
@@ -143,6 +146,8 @@ def cmd_build_verify(args) -> int:
 def cmd_iso(args) -> int:
     if args.depth < 3:
         return _fail(3, "--depth must be at least 3")
+    if args.max_depth is not None and args.max_depth < args.depth:
+        return _fail(3, "--max-depth must be at least --depth")
     sides = {}
     for side in ("left", "right"):
         tag = getattr(args, f"{side}_family")
@@ -181,6 +186,8 @@ def cmd_iso(args) -> int:
 
 
 def cmd_closure(args) -> int:
+    if args.max_n < 0:
+        return _fail(3, "--max-n must be at least 0")
     try:
         poset = family(args.family)
     except (PosetError, ValueError) as e:

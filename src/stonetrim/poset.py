@@ -127,7 +127,8 @@ class Poset:
     first n elements.
 
     ``typesets`` maps a generator mask over enumeration indices to its
-    interned ``TypeSet`` (filled by ``TypeSet.from_mask``).
+    interned ``TypeSet`` (filled by ``TypeSet.from_mask``).  ``upper_of``
+    memoises up-closures of masks until the prefix grows.
     """
 
     def __init__(self, name: str, *, ids: Optional[list[str]] = None,
@@ -149,6 +150,7 @@ class Poset:
         if len(self._pos) != len(self._ids):
             raise PosetError("duplicate element ids")
         self._up: list[int] = [0]
+        self._uppers: dict[int, int] = {}
         self.typesets: dict[int, object] = {}
         self._fill_table()
         self.finite = gen is None
@@ -250,8 +252,10 @@ class Poset:
 
     def _fill_table(self) -> None:
         """Add the up-set rows of newly enumerated elements, and their bits
-        to the rows of the older ones."""
+        to the rows of the older ones; the memoised up-closures go stale."""
         ids, up, fn = self._ids, self._up, self._leq_fn
+        if len(up) <= len(ids):
+            self._uppers.clear()
         for k in range(len(up), len(ids) + 1):
             p = ids[k - 1]
             row = 1 << k
@@ -301,6 +305,21 @@ class Poset:
         if i < 1 or i > len(self._ids):
             raise PosetError(f"enumeration index {i} out of range")
         return self._up[i]
+
+    def upper_of(self, mask: int) -> int:
+        """Up-closure of the indices set in mask on the enumerated prefix:
+        the OR of their ``up_mask`` rows, memoised per mask until the prefix
+        grows."""
+        hit = self._uppers.get(mask)
+        if hit is None:
+            if mask:
+                # enumerate the highest index before any row is read
+                self.up_mask(mask.bit_length() - 1)
+            hit = 0
+            for i in bits(mask):
+                hit |= self.up_mask(i)
+            self._uppers[mask] = hit
+        return hit
 
     def leq(self, p: str, q: str) -> bool:
         i, j = self._pos.get(p), self._pos.get(q)

@@ -21,23 +21,29 @@ class RingError(ValueError):
     """Operation on incompatible or malformed ring elements."""
 
 
+def _turned_away(mask: int, lvl, above) -> bool:
+    """Does a mask on level ``lvl`` fail ``_lower``'s quick tests for
+    dropping to ``above``: it holds an unattached atom, or one of its runs
+    starts or ends inside a child block (one test against the block masks
+    of ``above``, built only when the first test passes)?"""
+    if mask & lvl.u_mask:
+        return True
+    starts, ends = above.block_masks()
+    return bool(mask & ~(mask << 1) & ~starts or mask & ~(mask >> 1) & ~ends)
+
+
 def _lower(tree: SkeletonTree, level: int, mask: int) -> tuple[int, int]:
     """Drop the mask a level while it is a union of whole sibling blocks
     free of unattached atoms.  Blocks of consecutive parents are adjacent,
     so a run of set bits is such a union iff it starts where its first
     parent's block starts and ends where its last parent's block ends.  A
-    mask with a run that starts or ends inside a block is turned away by
-    one test against the level's block masks before its runs are walked."""
+    mask that ``_turned_away`` flags stays put before its runs are walked."""
     if not mask:
         return 1, 0
     levels = tree.levels
     while level > 1:
-        lvl = levels[level - 1]
-        if mask & lvl.u_mask:
-            break
-        above = levels[level - 2]
-        starts, ends = above.block_masks()
-        if mask & ~(mask << 1) & ~starts or mask & ~(mask >> 1) & ~ends:
+        lvl, above = levels[level - 1], levels[level - 2]
+        if _turned_away(mask, lvl, above):
             break
         parent_mask = 0
         for a, b in runs(mask):
@@ -245,8 +251,25 @@ def is_trim_for(x: RingElement, gen: str) -> bool:
 # ----------------------------------------------------------------------
 # axiom verification
 
-def _random_mask(rng: random.Random, size: int) -> int:
-    return rng.getrandbits(size) if size else 0
+def _persist_rows(tree: SkeletonTree, n: int) -> list[tuple[int, int, int]]:
+    """(own type bit, types realized in the child block, node mask) for
+    each distinct pair of the two on level n.  A node's child block is its
+    lift ``theta_image(n, 1 << i)``, typed through level n+1's
+    ``type_bits``.  Child blocks of consecutive nodes tile level n+1, so
+    the lift of a mask is the union of its nodes' blocks, and ORing the
+    rows a mask meets gives both the types of the mask and those of its
+    lift."""
+    kid_bits = tree.levels[n].type_bits()
+    rows: dict[tuple[int, int], int] = {}
+    for bit, atoms in tree.levels[n - 1].type_bits():
+        for i in bits(atoms):
+            block = tree.theta_image(n, 1 << i)
+            kids = 0
+            for kid, kid_atoms in kid_bits:
+                if kid_atoms & block:
+                    kids |= kid
+            rows[bit, kids] = rows.get((bit, kids), 0) | 1 << i
+    return [(own, kids, nodes) for (own, kids), nodes in rows.items()]
 
 
 def verify_type_axioms(tree: SkeletonTree, level_bound: int,
@@ -258,18 +281,25 @@ def verify_type_axioms(tree: SkeletonTree, level_bound: int,
     types one level down, and upward closure of every computed type set.
 
     The laws run on raw level masks, typed through each level's
-    ``type_bits`` table, and compare interned ``TypeSet`` masks.  Two
-    still lower to canonical form: union additivity, when an operand or
-    the union drops a level (such a draw takes the ``RingElement`` path
-    across levels, so canonical forms are tested), and upward closure,
-    which types the canonical element.  The persistence law recomputes
-    types from the raw child atoms, so a tampered skeleton shows up here.
+    ``type_bits`` table, and compare interned ``TypeSet`` masks:
+
+    - union additivity: while both operands and their union stay on their
+      level, both sides OR rows of one type table and agree on any table,
+      so such a draw counts as checked; a draw where something drops a
+      level takes the ``RingElement`` path across levels, so canonical
+      forms are tested;
+    - persistence reads a per-level table built once per call from each
+      node's lifted child block (``_persist_rows``), so a tampered level
+      or a wrong lift shows up here;
+    - upward closure types the canonical element and reads its members.
+
     The report has the same format, counts and witnesses as the
     element-by-element check it replaced.
     """
     if level_bound < 1 or level_bound + 1 > tree.depth:
         raise RingError("need depth at least level_bound + 1")
     rng = random.Random(seed)
+    getrandbits = rng.getrandbits
     poset = tree.poset
     levels = tree.levels
     from_mask = TypeSet.from_mask
@@ -282,21 +312,19 @@ def verify_type_axioms(tree: SkeletonTree, level_bound: int,
             "witness": witness,
         }
 
-    def additive(n: int, ma: int, mb: int, type_bits) -> bool:
+    def additive(n: int, ma: int, mb: int) -> bool:
         """T(a | b) == T(a) | T(b) for the level-n masks a and b."""
-        mu = ma | mb
+        if ma and mb:
+            if n == 1:
+                return True
+            lvl, above = levels[n - 1], levels[n - 2]
+            if (_turned_away(ma, lvl, above) and _turned_away(mb, lvl, above)
+                    and _turned_away(ma | mb, lvl, above)):
+                return True
         la, xa = _lower(tree, n, ma)
         lb, xb = _lower(tree, n, mb)
-        if la == lb == n == _lower(tree, n, mu)[0]:
-            ra = rb = ru = 0
-            for bit, atoms in type_bits:
-                if atoms & mu:
-                    ru |= bit
-                    if atoms & ma:
-                        ra |= bit
-                    if atoms & mb:
-                        rb |= bit
-            return from_mask(poset, ru) is from_mask(poset, ra | rb)
+        if la == lb == n == _lower(tree, n, ma | mb)[0]:
+            return True
         a, b = RingElement(tree, la, xa), RingElement(tree, lb, xb)
         return a.union(b).type_of() == a.type_of().union(b.type_of())
 
@@ -306,22 +334,20 @@ def verify_type_axioms(tree: SkeletonTree, level_bound: int,
     for n in range(1, level_bound + 1):
         size = len(levels[n - 1])
         if size <= 12:
-            type_bits = levels[n - 1].type_bits()
             for i in range(size):
                 for j in range(size):
                     checked += 1
-                    if not additive(n, 1 << i, 1 << j, type_bits):
+                    if not additive(n, 1 << i, 1 << j):
                         bad += 1
                         witness = witness or f"atoms {n}.{i} and {n}.{j}"
     per_level = max(1, draws // (2 * level_bound))
     for n in range(1, level_bound + 1):
         size = len(levels[n - 1])
-        type_bits = levels[n - 1].type_bits()
         for _ in range(per_level):
-            ma = _random_mask(rng, size)
-            mb = _random_mask(rng, size)
+            ma = getrandbits(size)
+            mb = getrandbits(size)
             checked += 1
-            if not additive(n, ma, mb, type_bits):
+            if not additive(n, ma, mb):
                 bad += 1
                 witness = witness or f"masks at level {n}"
     record("union-additive", checked, bad, witness)
@@ -347,7 +373,7 @@ def verify_type_axioms(tree: SkeletonTree, level_bound: int,
     checked += 1
     for _ in range(min(draws, 500)):
         n = rng.randint(1, level_bound)
-        m = _random_mask(rng, len(levels[n - 1]))
+        m = getrandbits(len(levels[n - 1]))
         if not m:
             continue
         checked += 1
@@ -356,18 +382,23 @@ def verify_type_axioms(tree: SkeletonTree, level_bound: int,
             witness = witness or f"nonempty mask at level {n} typed empty"
     record("empty-detection", checked, bad, witness)
 
-    # persistence: realized types survive one refinement, recomputed from
-    # the raw child atoms so a tampered level cannot hide behind lowering;
-    # one check per minimal realized type, the witness the lowest lost one
+    # persistence: realized types survive one refinement; one check per
+    # minimal realized type, the witness the lowest lost one
     checked = bad = 0
     witness = ""
+    rows_of = [_persist_rows(tree, n) for n in range(1, level_bound + 1)]
     for _ in range(min(draws, 2000)):
         n = rng.randint(1, level_bound)
-        m = _random_mask(rng, len(levels[n - 1]))
+        m = getrandbits(len(levels[n - 1]))
         if not m:
             continue
-        kept = _types_in(tree, n + 1, tree.theta_image(n, m))._upper()
-        gens = _types_in(tree, n, m).mask
+        own = kids = 0
+        for own_bit, kid_bits, nodes in rows_of[n - 1]:
+            if nodes & m:
+                own |= own_bit
+                kids |= kid_bits
+        kept = from_mask(poset, kids)._upper()
+        gens = from_mask(poset, own).mask
         checked += gens.bit_count()
         lost = gens & ~kept
         if lost:
@@ -385,15 +416,17 @@ def verify_type_axioms(tree: SkeletonTree, level_bound: int,
     horizon = tree.type_cap(level_bound)
     prefix_mask = (1 << horizon + 1) - 2
     index_of = {p: i for i, p in enumerate(poset.prefix(horizon), 1)}
+    above_of = [0] + [poset.up_mask(q) & prefix_mask
+                      for q in range(1, horizon + 1)]
     for _ in range(min(draws, 1000)):
         n = rng.randint(1, level_bound)
-        m = _random_mask(rng, len(levels[n - 1]))
+        m = getrandbits(len(levels[n - 1]))
         members = _types_in(tree, *_lower(tree, n, m)).members(horizon)
         member_mask = 0
         for q in map(index_of.__getitem__, members):
             member_mask |= 1 << q
         for q in bits(member_mask):
-            above = poset.up_mask(q) & prefix_mask
+            above = above_of[q]
             checked += above.bit_count()
             missing = above & ~member_mask
             if missing:

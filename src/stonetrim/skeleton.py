@@ -24,7 +24,17 @@ class ConfigError(ValueError):
 
 
 class BuildError(RuntimeError):
-    """Level growth exceeded the configured bound."""
+    """Level growth exceeded the configured bound, or a level is missing.
+
+    A level-size failure carries the level it would have built, the nodes
+    that level would hold and the bound as ``level``, ``would_hold`` and
+    ``bound``; other build errors leave them None."""
+
+    def __init__(self, message: str, *, level: Optional[int] = None,
+                 would_hold: Optional[int] = None,
+                 bound: Optional[int] = None):
+        super().__init__(message)
+        self.level, self.would_hold, self.bound = level, would_hold, bound
 
 
 BUCKETS = ("bounded", "unbounded", "noncompact")
@@ -294,10 +304,11 @@ class SkeletonTree:
         sizes = list(map(len, map(blocks.__getitem__, prev.types)))
         u_start = sum(sizes)
         size = u_start + len(unattached)
-        if size > self.config.max_level_size:
+        bound = self.config.max_level_size
+        if size > bound:
             raise BuildError(
-                f"level {n} would hold {size} nodes, over the bound "
-                f"{self.config.max_level_size}")
+                f"level {n} would hold {size} nodes, over the bound {bound}",
+                level=n, would_hold=size, bound=bound)
         self._iso_ix, self._bucket_ix = iso, buckets
         types = list(chain.from_iterable(map(blocks.__getitem__,
                                              prev.types)))

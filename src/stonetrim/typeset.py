@@ -73,10 +73,7 @@ class TypeSet:
 
     def _upper(self) -> int:
         """The denoted upper set on the enumerated prefix, as a mask."""
-        out = 0
-        for g in bits(self.mask):
-            out |= self.poset.up_mask(g)
-        return out
+        return self.poset.upper_of(self.mask)
 
     def contains(self, p: str) -> bool:
         """Is p in the denoted upper set?"""

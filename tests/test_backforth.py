@@ -157,6 +157,17 @@ class TestRuns:
         full = run_backforth(build(chain_ab_poset), build(chain_ab_poset))
         assert full.status == "iso"
 
+    @pytest.mark.parametrize("max_depth", [0, 5])
+    def test_max_depth_below_depth_is_rejected(self, max_depth):
+        with pytest.raises(IsoError, match="max_depth must be at least"):
+            run_backforth(build(chain_ab_poset), build(chain_ab_poset),
+                          max_depth=max_depth)
+
+    def test_depth_zero_is_rejected(self):
+        with pytest.raises(IsoError, match="need depth at least 3"):
+            run_backforth(build(chain_ab_poset), build(chain_ab_poset),
+                          depth=0)
+
     def test_same_seed_same_run(self):
         docs = []
         for _ in range(2):

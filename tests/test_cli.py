@@ -186,6 +186,30 @@ class TestExitContract:
         assert proc.stderr.splitlines() == [
             "bad --subset: unknown element id 'zz'"]
 
+    def test_build_verify_unknown_q_member(self):
+        proc = run_cli("build-verify", "--family", "rn(2,0)", "--depth", "3",
+                       "--q", "zz")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            "bad --q: unknown element id 'zz'"]
+
+    @pytest.mark.parametrize("max_depth", ["0", "-1", "4"])
+    def test_iso_max_depth_below_depth(self, max_depth):
+        proc = run_cli("iso", "--left-family", "rn(2,0)",
+                       "--right-family", "rn(2,0)", "--depth", "5",
+                       "--max-depth", max_depth)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            "--max-depth must be at least --depth"]
+
+    def test_closure_negative_max_n(self):
+        proc = run_cli("closure", "--family", "rn(2,0)", "--max-n", "-1")
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == ["--max-n must be at least 0"]
+
     def test_iso_builds_the_covering_level(self):
         proc = run_cli("iso", "--left-family", "rn(4,2)",
                        "--right-family", "rn(4,2)", "--depth", "5")

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from stonetrim import (DEFAULT_CHAIN_BOUND, FOUND, HOLDS, HOLDS_ON_PREFIX,
                        INCONCLUSIVE, REFUTED, Poset, PosetError, SubsetSpec,
-                       family)
+                       TypeSet, family)
 from stonetrim.poset import bits, runs
 
 from conftest import all_chains, random_poset
@@ -382,6 +382,28 @@ def test_up_set_table_matches_the_order_function(values):
             assert list(bits(grown.up_mask(i))) == want
             if n == len(names):
                 assert list(bits(finite.up_mask(i))) == want
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(2, 60), max_size=11, unique=True), st.data())
+def test_up_closure_memo_follows_a_growing_prefix(values, data):
+    # "1" comes first and divides everything, so its up-closure grows with
+    # every new element and a memo kept across growth goes stale
+    names = ["1"] + [str(v) for v in values]
+    grown = Poset.generated("div", lambda i: names[i - 1], divides)
+    one = TypeSet.from_mask(grown, 0b10)
+    for n in range(1, len(names) + 1):
+        grown.ensure(n)
+        masks = [1 << i for i in range(1, n + 1)]
+        masks += [data.draw(st.integers(0, (1 << n) - 1)) << 1
+                  for _ in range(3)]
+        for mask in masks:
+            want = 0
+            for i in bits(mask):
+                want |= grown.up_mask(i)
+            assert grown.upper_of(mask) == want
+        assert one.members(n) == frozenset(names[:n])
+        assert one.contains(names[n - 1])
 
 
 @given(st.integers(0, 2 ** 130))

@@ -11,7 +11,7 @@ from stonetrim import (BuildConfig, RingElement, RingError, TypeSet,
                        supertrim_split, trim_split, verify_type_axioms)
 from stonetrim import ring
 from stonetrim.poset import bits, runs
-from stonetrim.ring import _lower, _types_in
+from stonetrim.ring import _lower, _turned_away, _types_in
 from stonetrim.skeleton import SkeletonTree
 from test_acceptance import CONFIGS as CRITERION_1
 
@@ -567,6 +567,38 @@ class TestLawsMatchTheElementOracle:
                     rng, len(tree.level(n - 1)))) for _ in range(40)]
             for m in masks:
                 assert _lower(tree, n, m) == lower_oracle(tree, n, m)
+
+
+@given(seed=st.integers(0, 10 ** 6), isolate=st.booleans())
+@settings(max_examples=30, deadline=None)
+def test_unions_that_stay_on_their_level_realize_the_or(seed, isolate):
+    """The ground for counting same-level union draws without typing them:
+    where _lower keeps a, b and a | b on level n, the types the atoms of
+    a | b carry are those of a ORed with those of b.  A mask that
+    _turned_away keeps is one that _lower keeps."""
+    rng = random.Random(seed)
+    poset = random_poset(rng)
+    ids = poset.prefix(poset.size)
+    isolated = {rng.choice(ids)} if isolate else set()
+    tree = build_levels(BuildConfig(poset, isolated=isolated), 5)
+    for n in range(1, 6):
+        lvl = tree.level(n)
+
+        def realized(mask):
+            return sum({1 << lvl.types[i] for i in bits(mask)})
+
+        masks = [random_mask(rng, len(lvl)) for _ in range(30)]
+        if n > 1:
+            # unions of whole child blocks, which drop a level
+            masks += [tree.theta_image(n - 1, random_mask(
+                rng, len(tree.level(n - 1)))) for _ in range(10)]
+            for m in masks:
+                if m and _turned_away(m, lvl, tree.level(n - 1)):
+                    assert _lower(tree, n, m) == (n, m)
+        rng.shuffle(masks)
+        for ma, mb in zip(masks[::2], masks[1::2]):
+            if all(_lower(tree, n, m)[0] == n for m in (ma, mb, ma | mb)):
+                assert realized(ma | mb) == realized(ma) | realized(mb)
 
 
 def drop_last_lowered_parent(lower):

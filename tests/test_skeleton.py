@@ -128,12 +128,16 @@ class TestChainBuild:
             tree.children_span(3, 0)
 
     def test_depth_must_be_positive(self, chain_ab):
-        with pytest.raises(BuildError, match="at least 1"):
+        with pytest.raises(BuildError, match="at least 1") as info:
             build_levels(BuildConfig(chain_ab), 0)
+        assert info.value.level is None and info.value.bound is None
 
     def test_level_size_bound(self, chain_ab):
-        with pytest.raises(BuildError, match="over the bound 10"):
+        with pytest.raises(BuildError) as info:
             build_levels(BuildConfig(chain_ab, max_level_size=10), 4)
+        err = info.value
+        assert str(err) == "level 4 would hold 20 nodes, over the bound 10"
+        assert (err.level, err.would_hold, err.bound) == (4, 20, 10)
 
     def test_failed_build_leaves_the_tree_as_it_was(self, chain_ab):
         tree = build_levels(BuildConfig(chain_ab, max_level_size=10), 3)

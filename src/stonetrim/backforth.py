@@ -489,7 +489,7 @@ def _covered(state: PartialIso, schedule: list[tuple[str, int, int]]) -> bool:
             a, b = i, i + 1
             for k in range(n, top):
                 lvl = tree.level(k)
-                a, b = lvl.child_start[a], lvl.child_end[b - 1]
+                a, b = lvl.child_start(a), lvl.child_end[b - 1]
             atom = (1 << b) - (1 << a)
             inside = 0
             for m in lifted:

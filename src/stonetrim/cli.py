@@ -7,6 +7,7 @@ budget).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional
@@ -170,6 +171,11 @@ def cmd_iso(args) -> int:
         except BuildError as e:
             return _fail(5, f"{side}: {e}")
     try:
+        for p in args.q or ():
+            sides["left"].poset.index(p)
+    except PosetError as e:
+        return _fail(2, f"bad --q: {e}")
+    try:
         run = run_backforth(sides["left"], sides["right"],
                             q=frozenset(args.q) if args.q else None,
                             depth=args.depth,
@@ -277,8 +283,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves no state on it."""
+    return build_parser()
+
+
 def main(argv: Optional[list] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     if args.horizon < 1:
         return _fail(3, "--horizon must be at least 1")
     return args.run(args)

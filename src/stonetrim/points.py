@@ -67,7 +67,7 @@ def ancestry(tree: SkeletonTree, level: int, index: int) -> PathPrefix:
     chain = [(level, index)]
     lvl, ix = level, index
     while lvl > 1:
-        p = tree.level(lvl).parent[ix]
+        p = tree.level(lvl).parent_of(ix)
         if p is None:
             break
         lvl, ix = lvl - 1, p

@@ -9,6 +9,7 @@ so unattached nodes of deeper levels never enter a lifted element.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from collections import Counter
 from typing import Iterable, Optional
 
@@ -36,8 +37,10 @@ def _lower(tree: SkeletonTree, level: int, mask: int) -> tuple[int, int]:
     """Drop the mask a level while it is a union of whole sibling blocks
     free of unattached atoms.  Blocks of consecutive parents are adjacent,
     so a run of set bits is such a union iff it starts where its first
-    parent's block starts and ends where its last parent's block ends.  A
-    mask that ``_turned_away`` flags stays put before its runs are walked."""
+    parent's block starts and ends where its last parent's block ends,
+    which is what ``_turned_away`` tests; a mask that passes drops to the
+    parents of its runs' ends, found in the child ends of the level
+    above."""
     if not mask:
         return 1, 0
     levels = tree.levels
@@ -45,11 +48,10 @@ def _lower(tree: SkeletonTree, level: int, mask: int) -> tuple[int, int]:
         lvl, above = levels[level - 1], levels[level - 2]
         if _turned_away(mask, lvl, above):
             break
+        ends = above.child_end
         parent_mask = 0
         for a, b in runs(mask):
-            p, q = lvl.parent[a], lvl.parent[b - 1]
-            if above.child_start[p] != a or above.child_end[q] != b:
-                return level, mask
+            p, q = bisect_right(ends, a), bisect_right(ends, b - 1)
             parent_mask |= (1 << q + 1) - (1 << p)
         level, mask = level - 1, parent_mask
     return level, mask

@@ -9,9 +9,14 @@ when it is marked unbounded, and one per already-enumerated noncompact type.
 """
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_right
+from collections import deque
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, compress, count, repeat
+from operator import ne, sub
 from typing import Iterable, Optional
 
 from .poset import FOUND, Poset, PosetError, bits, runs
@@ -146,14 +151,16 @@ class BuildConfig:
 
 @dataclass
 class Level:
-    """One level of the skeleton, stored column-wise."""
+    """One level of the skeleton, stored column-wise in typed arrays: each
+    node's type and, once level number+1 is built, where each node's child
+    block ends there.  Child starts and parents are derived from the child
+    ends, never stored."""
 
     number: int
-    types: list[int]                       # 1-based poset enumeration index
-    parent: list[Optional[int]]
+    types: array                      # 'I': 1-based poset enumeration index
     u_start: int                           # nodes from here on are unattached
-    child_start: list[int] = field(default_factory=list)
-    child_end: list[int] = field(default_factory=list)
+    above: Optional["Level"] = field(default=None, repr=False, compare=False)
+    child_end: array = field(default_factory=lambda: array("I"))
     _masks: dict[int, int] = field(default_factory=dict, repr=False)
     _type_bits: list[tuple[int, int]] = field(default_factory=list,
                                               repr=False)
@@ -161,6 +168,23 @@ class Level:
 
     def __len__(self) -> int:
         return len(self.types)
+
+    def child_start(self, i: int) -> int:
+        """Where node i's child block begins on level number+1: the child
+        blocks of consecutive nodes are adjacent."""
+        return self.child_end[i - 1] if i else 0
+
+    def parent_of(self, i: int) -> Optional[int]:
+        """Parent of node i on the level above, the node whose child block
+        holds i; None for an unattached node and for the root."""
+        if i >= self.u_start or self.above is None:
+            return None
+        return bisect_right(self.above.child_end, i)
+
+    @property
+    def parent(self) -> "Parents":
+        """Every node's parent, read as a list."""
+        return Parents(self)
 
     def type_masks(self) -> dict[int, int]:
         """Atom mask of every type on the level, keyed in the order the types
@@ -190,19 +214,18 @@ class Level:
     def block_masks(self) -> tuple[int, int]:
         """(starts, ends) over the atoms of level number+1: bit i of starts
         is set iff a child block begins at atom i, bit i of ends iff one
-        ends there.  Built on first use, and again once ``child_start`` or
-        ``child_end`` is replaced."""
+        ends there.  Built on first use, and again once ``child_end`` is
+        replaced."""
         got = self._blocks
-        if (not got or got[0] is not self.child_start
-                or got[1] is not self.child_end):
-            size = self.child_end[-1] if self.child_end else 0
+        if not got or got[0] is not self.child_end:
+            child_end = self.child_end
+            size = child_end[-1] if child_end else 0
             starts, ends = bytearray(b"0" * size), bytearray(b"0" * size)
-            for a, b in zip(self.child_start, self.child_end):
+            for a, b in zip(chain((0,), child_end), child_end):
                 starts[a] = ends[b - 1] = 49                # ord("1")
-            got = self._blocks = (self.child_start, self.child_end,
-                                  int(b"0" + starts[::-1], 2),
+            got = self._blocks = (child_end, int(b"0" + starts[::-1], 2),
                                   int(b"0" + ends[::-1], 2))
-        return got[2], got[3]
+        return got[1], got[2]
 
     def present_types(self) -> list[int]:
         return sorted(set(self.types))
@@ -214,6 +237,46 @@ class Level:
     @cached_property
     def u_mask(self) -> int:
         return self.full_mask & ~((1 << self.u_start) - 1)
+
+
+class Parents(Sequence):
+    """The parents of a level's nodes, None from ``u_start`` on and at the
+    root, derived from the child ends of the level above.  Indexing looks
+    one node up; a slice is a list of that span only, so reading the
+    parents chunk by chunk never holds a list of the whole level."""
+
+    __slots__ = ("_level",)
+
+    def __init__(self, level: Level):
+        self._level = level
+
+    def __len__(self) -> int:
+        return len(self._level.types)
+
+    def __getitem__(self, i):
+        span = range(len(self))[i]
+        if not isinstance(i, slice):
+            return self._level.parent_of(span)
+        if span.step != 1:
+            return list(map(self._level.parent_of, span))
+        return list(self._span(span.start, span.stop))
+
+    def __iter__(self) -> Iterator[Optional[int]]:
+        return self._span(0, len(self))
+
+    def _span(self, lo: int, hi: int) -> Iterator[Optional[int]]:
+        """Parents of nodes lo..hi-1: each attached parent repeated over
+        the part of its child block inside the span, then None."""
+        lvl = self._level
+        top = lo if lvl.above is None else min(hi, lvl.u_start)
+        attached: Iterable[int] = ()
+        if lo < top:
+            ends = lvl.above.child_end
+            p, q = bisect_right(ends, lo), bisect_right(ends, top - 1)
+            cuts = [lo, *ends[p:q], top]
+            attached = chain.from_iterable(map(
+                repeat, range(p, q + 1), map(sub, cuts[1:], cuts)))
+        return chain(attached, repeat(None, hi - max(lo, top)))
 
 
 @dataclass(frozen=True)
@@ -278,31 +341,32 @@ class SkeletonTree:
     def _build_next(self) -> None:
         """Append level n+1.  A node's child block depends only on its type,
         so one block is made per distinct type and laid out by type; the
-        size bound is checked before anything is written."""
+        size bound is checked before anything is written to the tree."""
         n = self.depth + 1
         iso, buckets = self._type_ix_sets(n)
         cap = self.type_cap(n)
         if n == 1:
             self._iso_ix, self._bucket_ix = iso, buckets
-            self.levels.append(Level(1, [1], [None], u_start=1))
+            self.levels.append(Level(1, array("I", [1]), u_start=1))
             return
         prev = self.levels[-1]
         below_cap = (1 << cap + 1) - 2
-        blocks: dict[int, list[int]] = {}
+        blocks: dict[int, array] = {}
         reach = 0
         for t in set(prev.types):
             up = self.poset.up_mask(t)
             reach |= up
-            blocks[t] = ([t] * (1 if t in iso else 2)
-                         + list(bits(up & below_cap & ~(1 << t))))
+            blocks[t] = block = array("I", [t] * (1 if t in iso else 2))
+            block.extend(bits(up & below_cap & ~(1 << t)))
         unattached = []
         if cap >= n and (buckets.get(n) == "unbounded"
                          or not reach >> n & 1):
             unattached.append(n)
         unattached += [q for q in range(1, self.type_cap(n - 1) + 1)
                        if buckets.get(q) == "noncompact"]
-        sizes = list(map(len, map(blocks.__getitem__, prev.types)))
-        u_start = sum(sizes)
+        block_of = blocks.__getitem__
+        ends = array("I", accumulate(map(len, map(block_of, prev.types))))
+        u_start = ends[-1]
         size = u_start + len(unattached)
         bound = self.config.max_level_size
         if size > bound:
@@ -310,15 +374,13 @@ class SkeletonTree:
                 f"level {n} would hold {size} nodes, over the bound {bound}",
                 level=n, would_hold=size, bound=bound)
         self._iso_ix, self._bucket_ix = iso, buckets
-        types = list(chain.from_iterable(map(blocks.__getitem__,
-                                             prev.types)))
-        types += unattached
-        parents: list[Optional[int]] = list(chain.from_iterable(
-            map(repeat, range(len(prev)), sizes)))
-        parents += [None] * len(unattached)
-        ends = list(accumulate(sizes))
-        prev.child_start, prev.child_end = [0] + ends[:-1], ends
-        self.levels.append(Level(n, types, parents, u_start=u_start))
+        types = array("I")
+        # appended block by block: a join over all blocks would hold a
+        # buffer per node at once
+        deque(map(types.extend, map(block_of, prev.types)), 0)
+        types.extend(unattached)
+        prev.child_end = ends
+        self.levels.append(Level(n, types, u_start, above=prev))
 
     # ------------------------------------------------------------------
 
@@ -330,15 +392,15 @@ class SkeletonTree:
     def node(self, n: int, i: int) -> SkeletonNode:
         lvl = self.level(n)
         t = lvl.types[i]
-        return SkeletonNode(n, i, self.poset.id_at(t), t, lvl.parent[i],
+        return SkeletonNode(n, i, self.poset.id_at(t), t, lvl.parent_of(i),
                             i >= lvl.u_start)
 
     def children_span(self, n: int, i: int) -> tuple[int, int]:
         """Child index range of node (n, i) within level n+1."""
         lvl = self.level(n)
-        if not lvl.child_start:
+        if not lvl.child_end:
             raise BuildError(f"level {n + 1} not built")
-        return lvl.child_start[i], lvl.child_end[i]
+        return lvl.child_start(i), lvl.child_end[i]
 
     def theta_image(self, n: int, mask: int) -> int:
         """Image of a level-n atom mask inside level n+1.
@@ -348,13 +410,14 @@ class SkeletonTree:
         """
         levels = self.levels
         lvl = levels[n - 1] if 0 < n <= len(levels) else self.level(n)
-        starts, ends = lvl.child_start, lvl.child_end
-        if mask and not starts:
+        ends = lvl.child_end
+        if mask and not ends:
             raise BuildError(f"level {n + 1} not built")
         out = 0
         for a, b in runs(mask):
-            # the child blocks of consecutive nodes are adjacent
-            out |= (1 << ends[b - 1]) - (1 << starts[a])
+            # the child blocks of consecutive nodes are adjacent, and a
+            # block starts where the one before it ends
+            out |= (1 << ends[b - 1]) - (1 << (ends[a - 1] if a else 0))
         return out
 
     def isolated_ix(self) -> frozenset:
@@ -369,7 +432,7 @@ class SkeletonTree:
         """Can (n, i) be traced back to a node at the target level?"""
         lvl, ix = n, i
         while lvl > target_level:
-            p = self.level(lvl).parent[ix]
+            p = self.level(lvl).parent_of(ix)
             if p is None:
                 return False
             lvl, ix = lvl - 1, p
@@ -380,9 +443,9 @@ class SkeletonTree:
             "poset": self.poset.name,
             "depth": self.depth,
             "levels": [
-                [{"t": self.poset.id_at(t), "parent": lvl.parent[i],
+                [{"t": self.poset.id_at(t), "parent": p,
                   "u": i >= lvl.u_start}
-                 for i, t in enumerate(lvl.types)]
+                 for i, (t, p) in enumerate(zip(lvl.types, lvl.parent))]
                 for lvl in self.levels
             ],
         }
@@ -392,13 +455,13 @@ class SkeletonTree:
         lines = ["digraph skeleton {", "  rankdir=TB;"]
         for n in range(1, top + 1):
             lvl = self.level(n)
-            for i, t in enumerate(lvl.types):
+            for i, (t, p) in enumerate(zip(lvl.types, lvl.parent)):
                 name = f'"{n}.{i}"'
                 label = f"{n}.{i}:{self.poset.id_at(t)}"
                 style = ', style=dashed' if i >= lvl.u_start else ""
                 lines.append(f'  {name} [label="{label}"{style}];')
-                if lvl.parent[i] is not None:
-                    lines.append(f'  "{n - 1}.{lvl.parent[i]}" -> {name};')
+                if p is not None:
+                    lines.append(f'  "{n - 1}.{p}" -> {name};')
         lines.append("}")
         return "\n".join(lines)
 
@@ -432,6 +495,32 @@ class StructureReport:
         return {"passed": self.passed,
                 "checks": [{"name": n, "passed": ok, "detail": d}
                            for n, ok, d in self.checks]}
+
+
+def _first_bad_continuation(lvl: Level, kids: array,
+                            want_of: dict[int, int]) -> Optional[int]:
+    """The first node of the level whose child block in ``kids`` holds its
+    own type other than ``want_of[type]`` times, or None.  When every child
+    block equals the first one of its type, as the builder lays them out,
+    one block per type is counted; the check lays those blocks out again
+    by type and compares the result with the child level and its block
+    ends.  Otherwise every block is counted."""
+    types, ends = lvl.types, lvl.child_end
+    first = dict(zip(reversed(types), range(len(types) - 1, -1, -1)))
+    blocks = {t: kids[lvl.child_start(i):ends[i]] for t, i in first.items()}
+    block_of = blocks.__getitem__
+    laid = array("I")
+    deque(map(laid.extend, map(block_of, types)), 0)
+    if (laid == kids[:len(laid)] and array(
+            "I", accumulate(map(len, map(block_of, types)))) == ends):
+        return min((i for t, i in first.items()
+                    if blocks[t].count(t) != want_of[t]), default=None)
+    # list.count is faster than array.count, which boxes every item
+    listed = kids.tolist()
+    same = map(list.count, map(listed.__getitem__, map(
+        slice, chain((0,), ends), ends)), types)
+    return next(compress(count(), map(ne, same, map(want_of.__getitem__,
+                                                    types))), None)
 
 
 def verify_structure(tree: SkeletonTree,
@@ -474,16 +563,14 @@ def verify_structure(tree: SkeletonTree,
         lvl = tree.level(n)
         kids = tree.level(n + 1).types
         want_of = {t: 1 if t in iso else 2 for t in set(lvl.types)}
-        same = list(map(list.count, map(kids.__getitem__, map(
-            slice, lvl.child_start, lvl.child_end)), lvl.types))
-        want = list(map(want_of.__getitem__, lvl.types))
-        ok = same == want
+        i = _first_bad_continuation(lvl, kids, want_of)
         bad = ""
-        if not ok:
-            i = next(i for i, (c, w) in enumerate(zip(same, want)) if c != w)
-            bad = (f"node {n}.{i} of type {poset.id_at(lvl.types[i])} has "
-                   f"{same[i]} continuation children, wanted {want[i]}")
-        rep.add(f"continuation-children@{n}", ok, bad)
+        if i is not None:
+            t = lvl.types[i]
+            c = kids[lvl.child_start(i):lvl.child_end[i]].count(t)
+            bad = (f"node {n}.{i} of type {poset.id_at(t)} has {c} "
+                   f"continuation children, wanted {want_of[t]}")
+        rep.add(f"continuation-children@{n}", i is None, bad)
 
     buckets = {ix: tree.bucket_ix(ix)
                for ix in range(1, tree.type_cap(depth) + 1)}

@@ -8,7 +8,7 @@ import pytest
 
 import stonetrim
 from conftest import diamond_poset
-from stonetrim import FOUND
+from stonetrim import FOUND, cli
 
 # the child imports the same stonetrim as this process, installed or not
 SRC = os.path.dirname(os.path.dirname(stonetrim.__file__))
@@ -142,6 +142,30 @@ class TestIso:
         assert proc.returncode == 2
         assert "no left poset given" in proc.stderr
 
+    def test_unknown_q_member(self):
+        proc = run_cli("iso", "--left-family", "dyadic",
+                       "--right-family", "dyadic", "--depth", "4",
+                       "--q", "zz")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            "bad --q: unknown element id 'zz'"]
+
+    def test_q_member_without_counterpart(self, tmp_path):
+        # the left build enumerates dyadic up to 7/8; the right side has
+        # only the first four elements
+        right = tmp_path / "right.json"
+        right.write_text(json.dumps({
+            "name": "dyadic-4", "elements": ["0", "1", "1/2", "3/4"],
+            "covers": [["0", "1/2"], ["1/2", "3/4"], ["3/4", "1"]]}))
+        proc = run_cli("iso", "--left-family", "dyadic",
+                       "--right", str(right), "--depth", "4", "--q", "7/8")
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            "region elements ['7/8'] have no counterpart under the "
+            "bijection"]
+
     def test_byte_identical_reruns(self):
         argv = ("iso", "--left-family", "rn(2,2)",
                 "--right-family", "rn(2,2)", "--depth", "6", "--seed", "5")
@@ -256,3 +280,19 @@ class TestClosure:
     def test_unknown_family(self):
         proc = run_cli("closure", "--family", "nope")
         assert proc.returncode == 2
+
+
+class TestParserReuse:
+    def test_a_reused_parser_carries_no_state(self, capsys):
+        assert cli._parser() is cli._parser()
+        runs = [(["--subset", "p1", "p2", "--subset", "p0"],
+                 [["p1", "p2"], ["p0"]]),
+                ([], None),
+                (["--subset", "p2"], [["p2"]])]
+        for extra, subsets in runs:
+            argv = ["analyze", "--family", "rn(2,0)", *extra]
+            assert cli._parser().parse_args(argv).subset == subsets
+            assert cli.main(argv) == 0
+            doc = json.loads(capsys.readouterr().out)
+            got = [f["subset"] for f in doc.get("foundations", [])]
+            assert got == [sorted(m) for m in subsets or []]

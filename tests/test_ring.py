@@ -1,5 +1,6 @@
 """Clopen-set ring: canonical form, set algebra, trim splits, axioms."""
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -236,7 +237,7 @@ class TestAxioms:
     def test_tampered_skeleton_is_caught(self):
         tree = build_levels(BuildConfig(chain_ab_poset()), 4)
         lvl3 = tree.level(3)
-        lvl3.types = [2 if t == 1 else t for t in lvl3.types]
+        lvl3.types = array("I", [2 if t == 1 else t for t in lvl3.types])
         lvl3._masks.clear()
         report = verify_type_axioms(tree, 3, draws=500, seed=0)
         assert report["passed"] is False
@@ -319,7 +320,7 @@ def leaf_set(tree, level, mask, depth):
     for j in range(len(tree.level(depth))):
         n, i = depth, j
         while n > level and i is not None:
-            n, i = n - 1, tree.level(n).parent[i]
+            n, i = n - 1, tree.level(n).parent_of(i)
         if i is not None and mask >> i & 1:
             out.add(j)
     return out
@@ -494,8 +495,8 @@ def lower_oracle(tree, level, mask):
             break
         parent_mask = 0
         for a, b in runs(mask):
-            p, q = lvl.parent[a], lvl.parent[b - 1]
-            if above.child_start[p] != a or above.child_end[q] != b:
+            p, q = lvl.parent_of(a), lvl.parent_of(b - 1)
+            if above.child_start(p) != a or above.child_end[q] != b:
                 return level, mask
             parent_mask |= (1 << q + 1) - (1 << p)
         level, mask = level - 1, parent_mask
@@ -513,7 +514,7 @@ def tampered_chain_tree():
     """The chain tree of test_tampered_skeleton_is_caught."""
     tree = build_levels(BuildConfig(chain_ab_poset()), 4)
     lvl3 = tree.level(3)
-    lvl3.types = [2 if t == 1 else t for t in lvl3.types]
+    lvl3.types = array("I", [2 if t == 1 else t for t in lvl3.types])
     lvl3._masks.clear()
     return tree
 
@@ -543,7 +544,7 @@ class TestLawsMatchTheElementOracle:
         # every b of level 4 retyped d: b is lost whenever it generates
         tree = build_levels(BuildConfig(diamond_poset()), 5)
         lvl4 = tree.level(4)
-        lvl4.types = [4 if t == 2 else t for t in lvl4.types]
+        lvl4.types = array("I", [4 if t == 2 else t for t in lvl4.types])
         lvl4._masks.clear()
         report = assert_same_laws(tree, 4, draws=2000, seed=5)
         law = report["axioms"]["types-persist"]
@@ -615,7 +616,7 @@ def drop_last_child_block(theta_image):
         out = theta_image(self, n, mask)
         if mask:
             lvl, i = self.level(n), mask.bit_length() - 1
-            out &= ~((1 << lvl.child_end[i]) - (1 << lvl.child_start[i]))
+            out &= ~((1 << lvl.child_end[i]) - (1 << lvl.child_start(i)))
         return out
     return mutated
 

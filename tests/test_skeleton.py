@@ -1,5 +1,7 @@
 """Skeleton builds: level recurrences, buckets, and structure checks."""
 import random
+import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -86,25 +88,25 @@ class TestChainBuild:
 
     def test_type_vectors(self):
         tree = chain_tree(4)
-        assert tree.level(1).types == [1]
-        assert tree.level(2).types == [1, 1, 2]
-        assert tree.level(3).types == [1, 1, 2, 1, 1, 2, 2, 2]
-        assert tree.level(4).types == [1, 1, 2, 1, 1, 2, 2, 2,
-                                       1, 1, 2, 1, 1, 2, 2, 2,
-                                       2, 2, 2, 2]
+        assert list(tree.level(1).types) == [1]
+        assert list(tree.level(2).types) == [1, 1, 2]
+        assert list(tree.level(3).types) == [1, 1, 2, 1, 1, 2, 2, 2]
+        assert list(tree.level(4).types) == [1, 1, 2, 1, 1, 2, 2, 2,
+                                             1, 1, 2, 1, 1, 2, 2, 2,
+                                             2, 2, 2, 2]
 
     def test_parents(self):
         tree = chain_tree(3)
-        assert tree.level(2).parent == [0, 0, 0]
-        assert tree.level(3).parent == [0, 0, 0, 1, 1, 1, 2, 2]
+        assert list(tree.level(2).parent) == [0, 0, 0]
+        assert list(tree.level(3).parent) == [0, 0, 0, 1, 1, 1, 2, 2]
         assert tree.level(2).u_start == 3
 
     def test_isolated_bottom_stays_single(self):
         tree = chain_tree(6, isolated=frozenset({"a"}))
         assert [len(tree.level(n)) for n in range(1, 7)] == [1, 2, 4, 8,
                                                              16, 32]
-        assert tree.level(2).types == [1, 2]
-        assert tree.level(3).types == [1, 2, 2, 2]
+        assert list(tree.level(2).types) == [1, 2]
+        assert list(tree.level(3).types) == [1, 2, 2, 2]
         assert tree.isolated_ix() == {1}
 
     def test_node_views(self):
@@ -141,10 +143,12 @@ class TestChainBuild:
 
     def test_failed_build_leaves_the_tree_as_it_was(self, chain_ab):
         tree = build_levels(BuildConfig(chain_ab, max_level_size=10), 3)
+        ends = [list(lvl.child_end) for lvl in tree.levels]
         for _ in range(2):
             with pytest.raises(BuildError, match="level 4 would hold"):
                 tree.extend_to(4)
             assert tree.depth == 3
+            assert [list(lvl.child_end) for lvl in tree.levels] == ends
             with pytest.raises(BuildError, match="level 4 not built"):
                 tree.children_span(tree.depth, 0)
             with pytest.raises(BuildError, match="level 4 not built"):
@@ -168,7 +172,20 @@ class TestChainBuild:
         fresh = chain_tree(6)
         for n in range(1, 7):
             assert grown.level(n).types == fresh.level(n).types
-            assert grown.level(n).parent == fresh.level(n).parent
+            assert list(grown.level(n).parent) == list(fresh.level(n).parent)
+
+
+class TestStorage:
+    def test_levels_hold_few_bytes_per_node(self):
+        # a node's type is one 4-byte array item, and so is each child end
+        # on the level above; parents and child starts are derived
+        tracemalloc.start()
+        try:
+            tree = build_levels(BuildConfig(family("omega-antichain")), 14)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held <= 12 * sum(map(len, tree.levels))
 
 
 class TestUnattachedNodes:
@@ -179,7 +196,7 @@ class TestUnattachedNodes:
                                                              55, 127]
         assert tree.level(2).u_start == 3          # none yet at level 2
         lvl3 = tree.level(3)
-        assert lvl3.types == [1, 1, 2, 1, 1, 2, 2, 2, 2]
+        assert list(lvl3.types) == [1, 1, 2, 1, 1, 2, 2, 2, 2]
         assert lvl3.u_start == 8
         assert lvl3.parent[8] is None
         for n in range(3, 7):
@@ -192,7 +209,7 @@ class TestUnattachedNodes:
         cfg = BuildConfig(chain_ab, bounded={"a"}, unbounded={"b"})
         tree = build_levels(cfg, 4)
         assert [len(tree.level(n)) for n in range(1, 5)] == [1, 4, 10, 24]
-        assert tree.level(2).types == [1, 1, 2, 2]
+        assert list(tree.level(2).types) == [1, 1, 2, 2]
         assert tree.level(2).u_start == 3
         assert tree.level(3).u_start == len(tree.level(3))
 
@@ -201,16 +218,16 @@ class TestUnattachedNodes:
         tree = build_levels(cfg, 6)
         assert [len(tree.level(n)) for n in range(1, 7)] == [1, 4, 11, 27,
                                                              64, 150]
-        assert tree.level(2).types == [1, 1, 2, 1]
+        assert list(tree.level(2).types) == [1, 1, 2, 1]
         assert tree.level(2).u_start == 2
 
     def test_fan_u_section_order(self):
         cfg = BuildConfig(family("ziegler-fan"), horizon=8)
         tree = build_levels(cfg, 6)
-        assert tree.level(2).types == [1, 1, 2, 1]
+        assert list(tree.level(2).types) == [1, 1, 2, 1]
         assert tree.level(2).u_start == 2
         lvl3 = tree.level(3)
-        assert lvl3.types == [1, 1, 1, 1, 2, 2, 1, 1, 1, 3, 1]
+        assert list(lvl3.types) == [1, 1, 1, 1, 2, 2, 1, 1, 1, 3, 1]
         assert lvl3.u_start == 9
         assert [len(tree.level(n)) for n in range(1, 7)] == [1, 4, 11, 27,
                                                              63, 143]
@@ -246,7 +263,7 @@ class TestMasks:
     def test_block_masks_follow_the_child_spans(self):
         lvl = chain_tree(3).level(2)        # child blocks 0-2, 3-5, 6-7
         assert lvl.block_masks() == (0b01001001, 0b10100100)
-        lvl.child_start, lvl.child_end = [0, 2, 6], [2, 6, 8]
+        lvl.child_end = array("I", [2, 6, 8])
         assert lvl.block_masks() == (0b01000101, 0b10100010)
 
 
@@ -324,7 +341,8 @@ class TestStructureChecks:
 # whole-level passes against the per-node loops they replaced
 
 def next_level_oracle(tree):
-    """Level depth+1 laid out node by node: (types, parents, u_start) of the
+    """Level depth+1 laid out node by node, as the builder stored it before
+    parents and child starts were derived: (types, parents, u_start) of the
     new level and (child_start, child_end) of the current last one."""
     n = tree.depth + 1
     iso, buckets = tree._type_ix_sets(n)
@@ -447,9 +465,15 @@ def assert_matches_oracles(config, depth, q_lower=None):
         types, parents, u_start, starts, ends = next_level_oracle(tree)
         tree.extend_to(tree.depth + 1)
         prev, lvl = tree.levels[-2], tree.levels[-1]
-        assert (lvl.types, lvl.parent, lvl.u_start) == (types, parents,
-                                                        u_start)
-        assert (prev.child_start, prev.child_end) == (starts, ends)
+        assert (list(lvl.types), lvl.u_start) == (types, u_start)
+        assert list(prev.child_end) == ends
+        assert [prev.child_start(i) for i in range(len(prev))] == starts
+        assert list(lvl.parent) == parents
+        assert [lvl.parent_of(i) for i in range(len(lvl))] == parents
+        for lo in range(0, len(lvl), 5):
+            assert lvl.parent[lo:lo + 7] == parents[lo:lo + 7]
+        assert lvl.parent[::-3] == parents[::-3]
+        assert lvl.parent[-1] == parents[-1]
     for lvl in tree.levels:
         assert list(lvl.type_masks().items()) == type_masks_oracle(lvl.types)
         assert lvl.type_bits() == [(1 << t, m)
@@ -493,7 +517,7 @@ class TestWholeLevelPasses:
         """Retype child block_ix of node n.i; n + 1 is the last level, so no
         other check sees the change."""
         lvl = tree.level(n + 1)
-        lvl.types[lvl.parent.index(i) + block_ix] = new_type
+        lvl.types[tree.level(n).child_start(i) + block_ix] = new_type
         lvl._masks.clear()
 
     def test_one_and_three_continuation_children(self):
@@ -512,6 +536,17 @@ class TestWholeLevelPasses:
         doc = assert_same_report(tree)
         assert [c["detail"] for c in doc["checks"] if not c["passed"]] == [
             "node 3.6 of type b has 1 continuation children, wanted 2"]
+
+    def test_every_block_of_a_type_retyped(self):
+        # every b node of level 3 gets children [b, a], so level 4 is still
+        # laid out by type and one block per type is counted
+        tree = chain_tree(4)
+        for i, t in enumerate(tree.level(3).types):
+            if t == 2:
+                self.tamper(tree, 3, i, 1, 1)
+        doc = assert_same_report(tree)
+        assert [c["detail"] for c in doc["checks"] if not c["passed"]] == [
+            "node 3.2 of type b has 1 continuation children, wanted 2"]
 
     def test_isolated_node_with_a_second_continuation(self):
         tree = chain_tree(3, isolated=frozenset({"a"}))

@@ -225,7 +225,9 @@ def cmd_closure(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves no state on it."""
     parser = argparse.ArgumentParser(
         prog="stonetrim",
         description="Trim partitions of Stone spaces over countable posets")
@@ -283,14 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built once per process: parsing leaves no state on it."""
-    return build_parser()
-
-
 def main(argv: Optional[list] = None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     if args.horizon < 1:
         return _fail(3, "--horizon must be at least 1")
     return args.run(args)

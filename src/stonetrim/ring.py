@@ -9,7 +9,6 @@ so unattached nodes of deeper levels never enter a lifted element.
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
 from collections import Counter
 from typing import Iterable, Optional
 
@@ -39,8 +38,7 @@ def _lower(tree: SkeletonTree, level: int, mask: int) -> tuple[int, int]:
     so a run of set bits is such a union iff it starts where its first
     parent's block starts and ends where its last parent's block ends,
     which is what ``_turned_away`` tests; a mask that passes drops to the
-    parents of its runs' ends, found in the child ends of the level
-    above."""
+    parents of its runs' ends."""
     if not mask:
         return 1, 0
     levels = tree.levels
@@ -48,10 +46,9 @@ def _lower(tree: SkeletonTree, level: int, mask: int) -> tuple[int, int]:
         lvl, above = levels[level - 1], levels[level - 2]
         if _turned_away(mask, lvl, above):
             break
-        ends = above.child_end
         parent_mask = 0
         for a, b in runs(mask):
-            p, q = bisect_right(ends, a), bisect_right(ends, b - 1)
+            p, q = lvl.parent_of(a), lvl.parent_of(b - 1)
             parent_mask |= (1 << q + 1) - (1 << p)
         level, mask = level - 1, parent_mask
     return level, mask

@@ -15,8 +15,8 @@ from collections import deque
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, chain, compress, count, repeat
-from operator import ne, sub
+from itertools import accumulate, chain, repeat
+from operator import sub
 from typing import Iterable, Optional
 
 from .poset import FOUND, Poset, PosetError, bits, runs
@@ -265,17 +265,20 @@ class Parents(Sequence):
         return self._span(0, len(self))
 
     def _span(self, lo: int, hi: int) -> Iterator[Optional[int]]:
-        """Parents of nodes lo..hi-1: each attached parent repeated over
-        the part of its child block inside the span, then None."""
+        """Parents of nodes lo..hi-1: the first attached node's parent, one
+        more after every child block that ends inside the span, then
+        None."""
         lvl = self._level
         top = lo if lvl.above is None else min(hi, lvl.u_start)
         attached: Iterable[int] = ()
         if lo < top:
             ends = lvl.above.child_end
             p, q = bisect_right(ends, lo), bisect_right(ends, top - 1)
-            cuts = [lo, *ends[p:q], top]
-            attached = chain.from_iterable(map(
-                repeat, range(p, q + 1), map(sub, cuts[1:], cuts)))
+            # flag k is set iff a child block ends just before node lo+1+k
+            flags = bytearray(top - lo - 1)
+            for e in ends[p:q]:
+                flags[e - lo - 1] = 1
+            attached = accumulate(flags, initial=p)
         return chain(attached, repeat(None, hi - max(lo, top)))
 
 
@@ -497,32 +500,6 @@ class StructureReport:
                            for n, ok, d in self.checks]}
 
 
-def _first_bad_continuation(lvl: Level, kids: array,
-                            want_of: dict[int, int]) -> Optional[int]:
-    """The first node of the level whose child block in ``kids`` holds its
-    own type other than ``want_of[type]`` times, or None.  When every child
-    block equals the first one of its type, as the builder lays them out,
-    one block per type is counted; the check lays those blocks out again
-    by type and compares the result with the child level and its block
-    ends.  Otherwise every block is counted."""
-    types, ends = lvl.types, lvl.child_end
-    first = dict(zip(reversed(types), range(len(types) - 1, -1, -1)))
-    blocks = {t: kids[lvl.child_start(i):ends[i]] for t, i in first.items()}
-    block_of = blocks.__getitem__
-    laid = array("I")
-    deque(map(laid.extend, map(block_of, types)), 0)
-    if (laid == kids[:len(laid)] and array(
-            "I", accumulate(map(len, map(block_of, types)))) == ends):
-        return min((i for t, i in first.items()
-                    if blocks[t].count(t) != want_of[t]), default=None)
-    # list.count is faster than array.count, which boxes every item
-    listed = kids.tolist()
-    same = map(list.count, map(listed.__getitem__, map(
-        slice, chain((0,), ends), ends)), types)
-    return next(compress(count(), map(ne, same, map(want_of.__getitem__,
-                                                    types))), None)
-
-
 def verify_structure(tree: SkeletonTree,
                      q_lower: Optional[Iterable[str]] = None) -> StructureReport:
     """Check the counting consequences of the build rules.
@@ -563,14 +540,18 @@ def verify_structure(tree: SkeletonTree,
         lvl = tree.level(n)
         kids = tree.level(n + 1).types
         want_of = {t: 1 if t in iso else 2 for t in set(lvl.types)}
-        i = _first_bad_continuation(lvl, kids, want_of)
+        ends = lvl.child_end
+        # list.count is faster than array.count, which boxes every item
+        same = list(map(list.count, map(kids.tolist().__getitem__, map(
+            slice, chain((0,), ends), ends)), lvl.types))
+        want = list(map(want_of.__getitem__, lvl.types))
+        ok = same == want
         bad = ""
-        if i is not None:
-            t = lvl.types[i]
-            c = kids[lvl.child_start(i):lvl.child_end[i]].count(t)
-            bad = (f"node {n}.{i} of type {poset.id_at(t)} has {c} "
-                   f"continuation children, wanted {want_of[t]}")
-        rep.add(f"continuation-children@{n}", i is None, bad)
+        if not ok:
+            i = next(i for i, (c, w) in enumerate(zip(same, want)) if c != w)
+            bad = (f"node {n}.{i} of type {poset.id_at(lvl.types[i])} has "
+                   f"{same[i]} continuation children, wanted {want[i]}")
+        rep.add(f"continuation-children@{n}", ok, bad)
 
     buckets = {ix: tree.bucket_ix(ix)
                for ix in range(1, tree.type_cap(depth) + 1)}

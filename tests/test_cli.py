@@ -284,14 +284,14 @@ class TestClosure:
 
 class TestParserReuse:
     def test_a_reused_parser_carries_no_state(self, capsys):
-        assert cli._parser() is cli._parser()
+        assert cli.build_parser() is cli.build_parser()
         runs = [(["--subset", "p1", "p2", "--subset", "p0"],
                  [["p1", "p2"], ["p0"]]),
                 ([], None),
                 (["--subset", "p2"], [["p2"]])]
         for extra, subsets in runs:
             argv = ["analyze", "--family", "rn(2,0)", *extra]
-            assert cli._parser().parse_args(argv).subset == subsets
+            assert cli.build_parser().parse_args(argv).subset == subsets
             assert cli.main(argv) == 0
             doc = json.loads(capsys.readouterr().out)
             got = [f["subset"] for f in doc.get("foundations", [])]

@@ -539,7 +539,7 @@ class TestWholeLevelPasses:
 
     def test_every_block_of_a_type_retyped(self):
         # every b node of level 3 gets children [b, a], so level 4 is still
-        # laid out by type and one block per type is counted
+        # laid out by type, and every b node is reported through the first
         tree = chain_tree(4)
         for i, t in enumerate(tree.level(3).types):
             if t == 2:

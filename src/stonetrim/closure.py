@@ -1,10 +1,15 @@
 """Closure algebras generated by one open set, computed symbolically.
 
-Elements are finite or cofinite index sets over a ladder poset (p_j above
-p_k exactly when k >= j+2, optionally with a bottom point) or over any
-finite poset.  Closure is down-closure of the index set; both shapes close
-exactly, so the recursion peeling the space into atoms runs without any
-approximation.
+Elements are finite or cofinite id sets over any finite poset or a ladder
+family (rn-infinity, rn-infinity-bot); every order fact comes from the
+poset.  Closure is down-closure; both shapes close exactly, so the
+recursion peeling the space into atoms runs without any approximation.
+
+A ladder space sees an enumeration prefix and assumes two things of the
+rest: an element's order is settled one index past it (everything later
+lies below it), and the bottom, a unique confirmed-minimal element if
+there is one, lies below everything.  Ids must be enumerated: a ladder
+space enumerates horizon + 1 elements, each down-set one element further.
 """
 from __future__ import annotations
 
@@ -14,47 +19,38 @@ from typing import Optional
 from .poset import Poset
 
 LADDER_FAMILIES = ("rn-infinity", "rn-infinity-bot")
-BOT = "bot"
 
 
 class ClosureError(ValueError):
     """Bad symbolic-space input."""
 
 
-def _ladder_k(p: str) -> int:
-    if not p.startswith("p") or not p[1:].isdigit():
-        raise ClosureError(f"not a ladder element: {p!r}")
-    return int(p[1:])
-
-
 class SymbolicSpace:
     """Index poset plus exact finite/cofinite set arithmetic over it."""
 
     def __init__(self, poset: Poset, horizon: int = 12):
-        self.poset = poset
-        self.horizon = horizon
-        if poset.finite:
-            self.ladder = False
-            self.all_ids = frozenset(poset.prefix(poset.size))
-            self.has_bot = False
-        elif poset.family in LADDER_FAMILIES:
-            self.ladder = True
-            self.all_ids = None
-            self.has_bot = poset.family == "rn-infinity-bot"
-            poset.ensure(horizon)
-        else:
+        self.finite, self.ladder = poset.finite, not poset.finite
+        if self.ladder and poset.family not in LADDER_FAMILIES:
             raise ClosureError(
                 "symbolic spaces need a finite poset or a ladder family")
-
-    @property
-    def finite(self) -> bool:
-        return not self.ladder
+        self.poset, self.horizon = poset, horizon
+        self._shown = poset.prefix(horizon + 1 if self.ladder else poset.size)
+        self.all_ids = None if self.ladder else frozenset(self._shown)
+        mins, confirmed = poset.confirmed_minimal(len(self._shown))
+        self.bottom = next(iter(mins)) if confirmed and len(mins) == 1 else None
 
     def fin(self, ids) -> "ClosureElement":
-        return ClosureElement(self, False, frozenset(ids))
+        return ClosureElement(self, False, self._known(ids))
 
     def cof(self, ids) -> "ClosureElement":
-        return ClosureElement(self, True, frozenset(ids))
+        return ClosureElement(self, True, self._known(ids))
+
+    def _known(self, ids) -> frozenset:
+        ids = frozenset(ids)
+        unknown = [p for p in ids if p not in self.poset]
+        if unknown:
+            raise ClosureError(f"unknown element id {min(unknown)!r}")
+        return ids
 
     def empty(self) -> "ClosureElement":
         return self.fin(())
@@ -62,22 +58,27 @@ class SymbolicSpace:
     def whole(self) -> "ClosureElement":
         return self.fin(self.all_ids) if self.finite else self.cof(())
 
+    def rungs(self) -> list[str]:
+        """The non-bottom elements in enumeration order: all of a finite
+        space's, the first horizon of a ladder's."""
+        rungs = [p for p in self._shown if p != self.bottom]
+        return rungs[:self.horizon] if self.ladder else rungs
+
+    def _reach(self, p: str) -> int:
+        # a prefix that settles p's order
+        return self.poset.index(p) + 1 if self.ladder else self.poset.size
+
     def down_of(self, p: str) -> "ClosureElement":
-        if self.finite:
-            return self.fin(self.poset.down_set(p, self.poset.size))
-        if p == BOT:
-            return self.fin({BOT})
-        k = _ladder_k(p)
-        out = frozenset(f"p{j}" for j in range(k + 2) if j != k)
-        return self.cof(out)
+        reach = self._reach(p)
+        below = self.poset.down_set(p, reach)
+        if p == self.bottom:
+            return self.fin(below)
+        return self.cof(frozenset(self.poset.prefix(reach)) - below)
 
     def up_of(self, p: str) -> "ClosureElement":
-        if self.finite:
-            return self.fin(self.poset.up_set(p, self.poset.size))
-        if p == BOT:
+        if p == self.bottom:
             return self.whole()
-        k = _ladder_k(p)
-        return self.fin({f"p{j}" for j in range(max(0, k - 1))} | {p})
+        return self.fin(self.poset.up_set(p, self._reach(p)))
 
     def closure_of(self, x: "ClosureElement") -> "ClosureElement":
         """Down-closure; exact on both set shapes."""
@@ -102,7 +103,8 @@ class SymbolicSpace:
 
 @dataclass(frozen=True)
 class ClosureElement:
-    """Finite set of ids, or the complement of one."""
+    """Finite set of ids, or the complement of one.  Set operations build
+    their results directly: ids from the space's own elements are known."""
 
     space: SymbolicSpace = field(compare=False)
     cofinite: bool
@@ -126,22 +128,22 @@ class ClosureElement:
     def union(self, other: "ClosureElement") -> "ClosureElement":
         a, b = self, other
         if not a.cofinite and not b.cofinite:
-            return self.space.fin(a.ids | b.ids)
+            return ClosureElement(self.space, False, a.ids | b.ids)
         if a.cofinite and b.cofinite:
-            return self.space.cof(a.ids & b.ids)
+            return ClosureElement(self.space, True, a.ids & b.ids)
         if a.cofinite:
             a, b = b, a
-        return self.space.cof(b.ids - a.ids)
+        return ClosureElement(self.space, True, b.ids - a.ids)
 
     def intersect(self, other: "ClosureElement") -> "ClosureElement":
         a, b = self, other
         if not a.cofinite and not b.cofinite:
-            return self.space.fin(a.ids & b.ids)
+            return ClosureElement(self.space, False, a.ids & b.ids)
         if a.cofinite and b.cofinite:
-            return self.space.cof(a.ids | b.ids)
+            return ClosureElement(self.space, True, a.ids | b.ids)
         if a.cofinite:
             a, b = b, a
-        return self.space.fin(a.ids - b.ids)
+        return ClosureElement(self.space, False, a.ids - b.ids)
 
     def complement(self) -> "ClosureElement":
         return ClosureElement(self.space, not self.cofinite, self.ids)
@@ -158,7 +160,9 @@ class ClosureElement:
         return None
 
     def render(self) -> str:
-        names = sorted(self.ids, key=lambda p: (p == BOT, len(p), p))
+        bottom = {self.space.bottom}
+        names = (sorted(self.ids - bottom, key=self.space.poset.index)
+                 + sorted(self.ids & bottom))
         body = "{" + ",".join(names) + "}"
         return f"W-{body}" if self.cofinite else body
 
@@ -174,9 +178,9 @@ def check_closure_axioms(space: SymbolicSpace, sample_ids=None) -> list[str]:
         if space.finite:
             sample_ids = sorted(space.all_ids)
         else:
-            sample_ids = [f"p{j}" for j in range(min(5, space.horizon))]
-            if space.has_bot:
-                sample_ids.append(BOT)
+            sample_ids = space.rungs()[:5]
+            if space.bottom is not None:
+                sample_ids.append(space.bottom)
     pool = list(sample_ids)
     subsets = []
     for r in range(len(pool) + 1):
@@ -271,15 +275,15 @@ def _settle_a_inf(t: RNTrace) -> None:
         t.a_inf = rest
         t.a_inf_exact = True
         return
+    sp = t.space
     tail = [x.sole_id() for x in t.b[-3:]]
-    marching = (len(tail) == 3 and None not in tail
-                and all(x != BOT for x in tail)
-                and [_ladder_k(tail[0]) + 1, _ladder_k(tail[0]) + 2]
-                == [_ladder_k(tail[1]), _ladder_k(tail[2])])
-    if marching and t.space.ladder:
-        keep = frozenset(p for p in (({BOT} if t.space.has_bot else set()))
-                         if rest.contains_id(p))
-        t.a_inf = t.space.fin(keep)
+    marching = (sp.ladder and len(tail) == 3 and None not in tail
+                and sp.bottom not in tail
+                and [sp.poset.index(p) - sp.poset.index(tail[0])
+                     for p in tail] == [0, 1, 2])
+    if marching:
+        t.a_inf = sp.fin(p for p in [sp.bottom]
+                         if p is not None and rest.contains_id(p))
         t.a_inf_exact = False
         t.note = (f"singleton layers march up the ladder; tail projected "
                   f"from step {t.n_ran}")
@@ -373,31 +377,23 @@ def classify_algebra(trace: RNTrace) -> Classification:
 def e_of_p(poset: Poset, horizon: int = 12) -> dict:
     """Certify that consecutive singletons fall out of order arithmetic.
 
-    For every k with both p_k and p_{k+1} present, the space minus the
-    up-set of p_k, minus its down-set, minus the previously generated
-    points, must be exactly {p_{k+1}}.
+    For consecutive rungs p, q (``SymbolicSpace.rungs``), p the k-th, the
+    space minus the up-set of p, minus its down-set, minus the k rungs
+    before p, must be exactly {q}.
     """
     space = SymbolicSpace(poset, horizon)
-    if space.finite:
-        ks = sorted(_ladder_k(p) for p in space.all_ids if p != BOT)
-    else:
-        ks = list(range(horizon))
-    have = set(ks)
+    rungs = space.rungs()
     failures = []
-    checked = 0
-    for k in ks:
-        if k + 1 not in have:
-            continue
-        checked += 1
+    for k, (p, q) in enumerate(zip(rungs, rungs[1:])):
         got = (space.whole()
-               .minus(space.up_of(f"p{k}"))
-               .minus(space.down_of(f"p{k}"))
-               .minus(space.fin({f"p{j}" for j in range(k)})))
-        want = space.fin({f"p{k + 1}"})
-        if got != want:
+               .minus(space.up_of(p))
+               .minus(space.down_of(p))
+               .minus(space.fin(rungs[:k])))
+        if got != space.fin({q}):
             failures.append({"k": k, "got": got.serialize()})
     return {"family": poset.family or poset.name, "horizon": horizon,
-            "checked": checked, "holds": not failures, "failures": failures}
+            "checked": max(len(rungs) - 1, 0), "holds": not failures,
+            "failures": failures}
 
 
 # ----------------------------------------------------------------------
@@ -418,18 +414,21 @@ def render_trace_text(trace: RNTrace, cls: Classification) -> str:
 
 
 def render_trace_dot(trace: RNTrace) -> str:
-    """The layer ladder: each singleton layer hangs on the two above it."""
-    ks = []
-    for n in range(trace.n_ran + 1):
-        sole = trace.b[n].sole_id()
-        if sole is not None and sole != BOT:
-            ks.append(_ladder_k(sole))
+    """The layer ladder: each singleton layer hangs on the singleton
+    layers that cover it in the order restricted to them."""
+    poset = trace.space.poset
+    layers = [(n, x.sole_id()) for n, x in enumerate(trace.b)]
+    layers = [(n, p) for n, p in layers if p is not None]
+    bit = {p: 1 << poset.index(p) for _, p in layers}
+    up = {p: poset.up_mask(poset.index(p)) for p in bit}
     lines = ["digraph ladder {", "  rankdir=TB;"]
-    for k in ks:
-        lines.append(f'  "p{k}" [label="B{k}: p{k}"];')
-    for k in ks:
-        for step in (2, 3):
-            if k + step in ks:
-                lines.append(f'  "p{k}" -> "p{k + step}";')
+    for n, p in layers:
+        lines.append(f'  "{p}" [label="B{n}: {p}"];')
+    for a in bit:
+        below = sum(bit[c] for c in bit if c != a and up[c] & bit[a])
+        for b in bit:
+            # b is covered by a: nothing strictly between them
+            if below & bit[b] and up[b] & below == bit[b]:
+                lines.append(f'  "{a}" -> "{b}";')
     lines.append("}")
     return "\n".join(lines)

@@ -18,6 +18,11 @@ from .poset import (Analytics, FoundationResult, Poset, PosetError,
 _RN_RE = re.compile(r"rn\((\d+),([02])\)$")
 
 
+def _ix(p: str) -> int:
+    # the k of a "p<k>" id
+    return int(p[1:])
+
+
 def family_tags() -> list[str]:
     return ["omega-chain", "omega-antichain", "rn-infinity", "rn-infinity-bot",
             "rn(m,0)", "rn(m,2)", "dyadic", "ziegler-fan"]
@@ -46,10 +51,6 @@ def family(tag: str) -> Poset:
 # ----------------------------------------------------------------------
 # ascending chain p1 < p2 < ...
 
-def _chain_ix(p: str) -> int:
-    return int(p[1:])
-
-
 def _omega_chain() -> Poset:
     def foundation(poset: Poset, q: frozenset, horizon: int) -> FoundationResult:
         return FoundationResult(FOUND, frozenset({"p1"}),
@@ -66,7 +67,7 @@ def _omega_chain() -> Poset:
     )
     return Poset.generated(
         "omega-chain", lambda i: f"p{i}",
-        lambda a, b: _chain_ix(a) <= _chain_ix(b),
+        lambda a, b: _ix(a) <= _ix(b),
         family="omega-chain", analytics=analytics)
 
 
@@ -92,13 +93,9 @@ def _omega_antichain() -> Poset:
 # ----------------------------------------------------------------------
 # the ladder posets
 
-def _rn_ix(p: str) -> int:
-    return int(p[1:])
-
-
 def _rn_leq(a: str, b: str) -> bool:
     # a <= b iff a == b or b dominates: p_j > p_k iff k >= j + 2
-    return a == b or _rn_ix(a) >= _rn_ix(b) + 2
+    return a == b or _ix(a) >= _ix(b) + 2
 
 
 def _rn_infinity() -> Poset:

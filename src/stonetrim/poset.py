@@ -340,10 +340,12 @@ class Poset:
         return bool(self.up_mask(i) >> j & 1)
 
     def up_set(self, p: str, horizon: int) -> frozenset:
-        return frozenset(q for q in self.prefix(horizon) if self.leq(p, q))
+        pre, row = self.prefix(horizon), self._up[self.index(p)]
+        return frozenset(q for j, q in enumerate(pre, 1) if row >> j & 1)
 
     def down_set(self, p: str, horizon: int) -> frozenset:
-        return frozenset(q for q in self.prefix(horizon) if self.leq(q, p))
+        pre, i = self.prefix(horizon), self.index(p)
+        return frozenset(q for j, q in enumerate(pre, 1) if self._up[j] >> i & 1)
 
     def down_closure(self, members: Iterable[str], horizon: int) -> frozenset:
         """Everything in the prefix below some member."""

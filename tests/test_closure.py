@@ -1,12 +1,35 @@
 """Symbolic closure algebras and the layer-peeling recursion."""
+import contextlib
+import hashlib
+import io
+import json
+import os
 from itertools import combinations
 
 import pytest
 
-from stonetrim import (ClosureError, SymbolicSpace, check_closure_axioms,
-                       check_identities, classify_algebra, e_of_p, family,
+from stonetrim import (ClosureError, Poset, SymbolicSpace,
+                       check_closure_axioms, check_identities,
+                       classify_algebra, cli, e_of_p, family,
                        render_trace_dot, render_trace_text,
                        rieger_nishimura_run)
+
+LADDER_IDS = {"rn-infinity": lambda i: f"p{i - 1}",
+              "rn-infinity-bot": lambda i: "bot" if i == 1 else f"p{i - 2}"}
+
+
+def tampered_ladder(tag: str, gap: int) -> Poset:
+    """A ladder family's ids, tag and analytics with the rung gap changed:
+    p_j > p_k iff k >= j + gap, the bottom still below everything."""
+    def leq(a: str, b: str) -> bool:
+        if a == "bot":
+            return True
+        if b == "bot":
+            return a == b
+        return a == b or int(a[1:]) >= int(b[1:]) + gap
+
+    return Poset.generated(tag, LADDER_IDS[tag], leq, family=tag,
+                           analytics=family(tag).analytics)
 
 
 @pytest.fixture(scope="module")
@@ -56,6 +79,45 @@ class TestSpaces:
     def test_finite_down_and_up(self, rn20):
         assert rn20.down_of("p0").render() == "{p0,p2}"
         assert rn20.up_of("p2").render() == "{p0,p2}"
+
+    def test_bottoms(self, rn20, rn22, ladder, ladder_bot):
+        assert (rn20.bottom, rn22.bottom) == (None, "p4")
+        assert (ladder.bottom, ladder_bot.bottom) == (None, "bot")
+        assert rn22.down_of("p4").render() == "{p4}"
+        assert rn22.up_of("p4") == rn22.whole()
+
+    def test_rungs(self, rn22):
+        assert rn22.rungs() == ["p0", "p1", "p2"]
+        assert SymbolicSpace(family("rn-infinity"), 3).rungs() == [
+            "p0", "p1", "p2"]
+        assert SymbolicSpace(family("rn-infinity-bot"), 3).rungs() == [
+            "p0", "p1", "p2"]
+
+
+class TestUnknownIds:
+    @pytest.mark.parametrize("tag", ["rn(2,0)", "rn(2,2)", "rn-infinity",
+                                     "rn-infinity-bot"])
+    def test_fin_and_cof_reject_unknown_ids(self, tag):
+        space = SymbolicSpace(family(tag))
+        for make in (space.fin, space.cof):
+            with pytest.raises(ClosureError, match="unknown element id 'zz'"):
+                make({"p0", "zz"})
+
+    def test_ladder_ids_must_be_enumerated(self):
+        space = SymbolicSpace(family("rn-infinity"), horizon=12)
+        assert space.fin({"p12"}).render() == "{p12}"
+        with pytest.raises(ClosureError, match="'p13'"):
+            space.fin({"p13"})
+        with pytest.raises(ClosureError, match="'p50'"):
+            space.cof({"p50", "p0"})
+        # a down-set enumerates one element past its own
+        space.down_of("p12")
+        assert space.fin({"p13"}).render() == "{p13}"
+
+    def test_horizon_one_shows_the_first_rung(self):
+        space = SymbolicSpace(family("rn-infinity-bot"), horizon=1)
+        assert space.fin({"p0"}).render() == "{p0}"
+        assert space.rungs() == ["p0"]
 
 
 class TestClosure:
@@ -229,6 +291,28 @@ class TestGenerationCertificate:
             e_of_p(family("omega-chain"))
 
 
+@pytest.mark.parametrize("tag", sorted(LADDER_IDS))
+class TestTamperedLadders:
+    """The ladder order comes from the poset, so a changed order shows."""
+
+    def test_true_gap_passes(self, tag):
+        assert e_of_p(tampered_ladder(tag, 2))["holds"] is True
+        assert check_closure_axioms(
+            SymbolicSpace(tampered_ladder(tag, 2))) == []
+
+    def test_consecutive_rungs_comparable(self, tag):
+        doc = e_of_p(tampered_ladder(tag, 1))
+        assert doc["holds"] is False
+        assert doc["checked"] == 11
+        assert doc["failures"][0] == {
+            "k": 0, "got": {"shape": "finite", "ids": []}}
+
+    def test_widened_gap_breaks_the_axioms(self, tag):
+        problems = check_closure_axioms(SymbolicSpace(tampered_ladder(tag, 3)))
+        assert problems
+        assert all(p.startswith("closure not additive") for p in problems)
+
+
 class TestRenders:
     def test_text_table(self, rn20):
         t = rieger_nishimura_run(rn20, rn20.fin({"p0"}))
@@ -251,3 +335,33 @@ class TestRenders:
         assert '"p0" -> "p2";' in dot
         assert '"p0" -> "p3";' in dot
         assert '"p0" -> "p4";' not in dot
+
+
+# sha256 per "<family> <format>" over the closure command at every --max-n
+# in (10, 20, 30, 40) and --horizon in (1, 3, 12): for each run in that
+# order, "<max-n> <horizon> <exit code>\n" and then its stdout
+PINNED = os.path.join(os.path.dirname(__file__), "closure_digests.json")
+
+
+def closure_digest(tag: str, fmt: str) -> str:
+    h = hashlib.sha256()
+    for max_n in (10, 20, 30, 40):
+        for horizon in (1, 3, 12):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main(["closure", "--family", tag, "--format", fmt,
+                                 "--max-n", str(max_n),
+                                 "--horizon", str(horizon)])
+            h.update(f"{max_n} {horizon} {code}\n{out.getvalue()}".encode())
+    return h.hexdigest()
+
+
+def test_closure_output_is_pinned():
+    with open(PINNED) as f:
+        pinned = json.load(f)
+    tags = ([f"rn({m},{v})" for m in range(11) for v in (0, 2)]
+            + ["rn-infinity", "rn-infinity-bot"])
+    keys = [f"{tag} {fmt}" for tag in tags for fmt in ("json", "text", "dot")]
+    assert sorted(pinned) == sorted(keys)
+    changed = [k for k in keys if closure_digest(*k.split(" ")) != pinned[k]]
+    assert changed == []

@@ -210,7 +210,8 @@ def _dyadic() -> Poset:
 
     analytics = Analytics(
         minimal=lambda poset, h: frozenset({"0"}),
-        maximal=lambda poset, h: frozenset({"1"}),
+        maximal=lambda poset, h: frozenset({"1"}).intersection(
+            poset.prefix(h)),
         acc=False,
         omega_complete=False,
         omega_note="chains approaching a non-dyadic value have no least upper bound",

@@ -128,7 +128,8 @@ class Poset:
 
     ``typesets`` maps a generator mask over enumeration indices to its
     interned ``TypeSet`` (filled by ``TypeSet.from_mask``).  ``upper_of``
-    memoises up-closures of masks until the prefix grows.
+    memoises up-closures of masks, and ``upper_members`` their ids within
+    a prefix, until the prefix grows.
     """
 
     def __init__(self, name: str, *, ids: Optional[list[str]] = None,
@@ -151,6 +152,7 @@ class Poset:
             raise PosetError("duplicate element ids")
         self._up: list[int] = [0]
         self._uppers: dict[int, int] = {}
+        self._members: dict[tuple[int, int], frozenset] = {}
         self.typesets: dict[int, object] = {}
         self._fill_table()
         self.finite = gen is None
@@ -256,6 +258,7 @@ class Poset:
         ids, up, fn = self._ids, self._up, self._leq_fn
         if len(up) <= len(ids):
             self._uppers.clear()
+            self._members.clear()
         for k in range(len(up), len(ids) + 1):
             p = ids[k - 1]
             row = 1 << k
@@ -319,6 +322,18 @@ class Poset:
             for i in bits(mask):
                 hit |= self.up_mask(i)
             self._uppers[mask] = hit
+        return hit
+
+    def upper_members(self, mask: int, horizon: int) -> frozenset:
+        """Ids of the up-closure of mask within ``prefix(horizon)``,
+        memoised per (mask, horizon) alongside ``upper_of``."""
+        key = mask, horizon
+        hit = self._members.get(key)
+        if hit is None:
+            pre = self.prefix(horizon)
+            inside = self.upper_of(mask) & (1 << len(pre) + 1) - 2
+            hit = self._members[key] = frozenset(pre[i - 1]
+                                                 for i in bits(inside))
         return hit
 
     def leq(self, p: str, q: str) -> bool:

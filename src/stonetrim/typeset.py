@@ -92,10 +92,9 @@ class TypeSet:
         return None
 
     def members(self, horizon: int) -> frozenset:
-        """The denoted upper set restricted to the enumeration prefix."""
-        pre = self.poset.prefix(horizon)
-        inside = self._upper() & (1 << len(pre) + 1) - 2
-        return frozenset(pre[i - 1] for i in bits(inside))
+        """The denoted upper set restricted to the enumeration prefix; equal
+        calls return the same frozenset until the prefix grows."""
+        return self.poset.upper_members(self.mask, horizon)
 
     def serialize(self) -> list[str]:
         return list(self.min_antichain)

@@ -44,6 +44,15 @@ class TestAnalyze:
             "subset": ["1/2", "3/4"], "status": FOUND, "foundation": ["0"],
             "note": "the bottom element founds every subset"}]
 
+    def test_dyadic_top_outside_the_prefix(self):
+        # the top "1" is enumerated second, so horizon 1 has not seen it
+        proc = run_cli("analyze", "--family", "dyadic", "--horizon", "1")
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert doc["minimal"] == ["0"] and doc["maximal"] == []
+        proc = run_cli("analyze", "--family", "dyadic", "--horizon", "2")
+        assert json.loads(proc.stdout)["maximal"] == ["1"]
+
     def test_poset_file(self, tmp_path):
         path = tmp_path / "diamond.json"
         path.write_text(json.dumps(diamond_poset().to_json()))

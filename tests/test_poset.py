@@ -402,6 +402,10 @@ def test_up_closure_memo_follows_a_growing_prefix(values, data):
             for i in bits(mask):
                 want |= grown.up_mask(i)
             assert grown.upper_of(mask) == want
+            # members(h) is memoised too, and queried again after growth
+            ts = TypeSet.from_mask(grown, mask)
+            for h in range(1, n + 1):
+                assert ts.members(h) == grown.up_closure(ts.min_antichain, h)
         assert one.members(n) == frozenset(names[:n])
         assert one.contains(names[n - 1])
 

@@ -123,6 +123,11 @@ class TestSetAlgebra:
     def test_complement_default_level(self, chain_tree):
         x = RingElement(chain_tree, 2, 0b001)
         assert x.complement().mask == 0b110
+        # level 0 is given, not defaulted, and lies above every element
+        for y in (x, RingElement.whole(chain_tree)):
+            for n in (0, -1):
+                with pytest.raises(RingError, match="above its level"):
+                    y.complement(at_level=n)
 
     def test_foreign_tree_rejected(self, chain_tree, diamond_tree):
         with pytest.raises(RingError, match="different skeletons"):
@@ -510,12 +515,17 @@ def assert_same_laws(tree, level_bound, draws, seed):
     return got
 
 
-def tampered_chain_tree():
-    """The chain tree of test_tampered_skeleton_is_caught."""
-    tree = build_levels(BuildConfig(chain_ab_poset()), 4)
+def retype_level_3(tree):
+    """Give every type-1 node of level 3 type 2."""
     lvl3 = tree.level(3)
     lvl3.types = array("I", [2 if t == 1 else t for t in lvl3.types])
     lvl3._masks.clear()
+
+
+def tampered_chain_tree():
+    """The chain tree of test_tampered_skeleton_is_caught."""
+    tree = build_levels(BuildConfig(chain_ab_poset()), 4)
+    retype_level_3(tree)
     return tree
 
 
@@ -594,7 +604,8 @@ def test_unions_that_stay_on_their_level_realize_the_or(seed, isolate):
             masks += [tree.theta_image(n - 1, random_mask(
                 rng, len(tree.level(n - 1)))) for _ in range(10)]
             for m in masks:
-                if m and _turned_away(m, lvl, tree.level(n - 1)):
+                if m and _turned_away(m, lvl.u_mask,
+                                      *tree.level(n - 1).block_masks()):
                     assert _lower(tree, n, m) == (n, m)
         rng.shuffle(masks)
         for ma, mb in zip(masks[::2], masks[1::2]):
@@ -629,6 +640,42 @@ def skip_last_type(types_in):
                 realized |= bit
         return TypeSet.from_mask(tree.poset, realized)
     return mutated
+
+
+MUTATIONS = [(ring, "_lower", drop_last_lowered_parent),
+             (SkeletonTree, "theta_image", drop_last_child_block),
+             (ring, "_types_in", skip_last_type)]
+
+
+@pytest.mark.parametrize("owner,name,mutate", MUTATIONS)
+@pytest.mark.parametrize("maker", [diamond_poset, chain_ab_poset])
+def test_a_failing_draw_counts_every_time_it_repeats(owner, name, mutate,
+                                                      maker):
+    """Union draws repeat, mostly on small levels; the law decides each
+    distinct draw once per call, but must count it at every repeat, as
+    the element-by-element oracle does."""
+    tree = build_levels(BuildConfig(maker()), 5)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(owner, name, mutate(getattr(owner, name)))
+        got = verify_type_axioms(tree, 4, draws=1000, seed=0)["axioms"]
+        want = verify_type_axioms_oracle(tree, 4, draws=1000,
+                                         seed=0)["axioms"]
+    assert got["union-additive"]["violations"] > 0
+    for law in ("union-additive", "upward-closed"):
+        assert got[law] == want[law]
+
+
+def test_draw_memos_live_per_call():
+    """A level tampered between two calls on one tree shows in the second
+    report: the draw memos live per call, not on the tree, a level or the
+    poset."""
+    tree = build_levels(BuildConfig(chain_ab_poset()), 4)
+    assert verify_type_axioms(tree, 3, draws=500, seed=0)["passed"]
+    retype_level_3(tree)
+    after = verify_type_axioms(tree, 3, draws=500, seed=0)
+    assert after["axioms"]["union-additive"]["violations"] > 0
+    assert after == verify_type_axioms(tampered_chain_tree(), 3, draws=500,
+                                       seed=0)
 
 
 @pytest.mark.parametrize("owner,name,mutate,law", [

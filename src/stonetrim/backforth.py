@@ -7,6 +7,11 @@ exactly one atom of that type.  Splitting any part on one side forces a
 matching split on the other; isolated types cannot multiply inside parts
 typed exactly by them, so a count shortfall there is a proof that no
 matching split exists at any depth.
+
+Everything two-sided is held as a pair indexed by ``side``: 0 is the left
+side and 1 the right, so the other side is ``1 - side``.  The names in
+``SIDES`` appear only where output carries them: mismatch witnesses,
+depth-budget notes, setup errors and the messages of ``PartialIso.verify``.
 """
 from __future__ import annotations
 
@@ -19,6 +24,8 @@ from .poset import FOUND, Poset, PosetError, bits
 from .ring import RingElement, is_trim_for, supertrim_split, trim_split
 from .skeleton import BuildError, SkeletonTree
 
+SIDES = ("left", "right")
+
 
 class IsoError(ValueError):
     """The matching run was set up inconsistently."""
@@ -28,7 +35,7 @@ class IsoError(ValueError):
 class MismatchWitness:
     """A count contradiction that refinement can never repair."""
 
-    side: str                  # side that ran short
+    side: str                  # name of the side that ran short
     type_id: str
     needed: int
     available: int
@@ -50,92 +57,78 @@ class DepthBudget(Exception):
     """Matching needed more levels than the run allows."""
 
 
-@dataclass
+def _facing(side: int, mine, theirs) -> tuple:
+    """The two-sided pair holding mine at side and theirs at the other."""
+    return (theirs, mine) if side else (mine, theirs)
+
+
+@dataclass(slots=True)
 class Pair:
-    left: RingElement
-    right: RingElement
-    gen_left: str
-    gen_right: str
+    parts: tuple[RingElement, RingElement]
+    gens: tuple[str, str]
 
 
 class PartialIso:
     """Paired clopen decompositions of the two sides."""
 
     def __init__(self, left: SkeletonTree, right: SkeletonTree,
-                 theta: Callable[[str], str]):
-        self.left = left
-        self.right = right
+                 theta: _ThetaMap):
+        self.trees = (left, right)
         self.theta = theta
-        self.iso_left = frozenset(left.config.isolated)
-        self.iso_right = frozenset(right.config.isolated)
+        self.iso = tuple(frozenset(t.config.isolated) for t in self.trees)
         self.pairs: list[Pair] = []
-        self._union: dict[str, RingElement] = {}
+        self._union: list[Optional[RingElement]] = [None, None]
 
-    def tree(self, side: str) -> SkeletonTree:
-        return self.left if side == "left" else self.right
-
-    def iso_ids(self, side: str) -> frozenset:
-        return self.iso_left if side == "left" else self.iso_right
-
-    def part(self, pair: Pair, side: str) -> RingElement:
-        return pair.left if side == "left" else pair.right
-
-    def union(self, side: str) -> RingElement:
-        out = RingElement.empty(self.tree(side))
+    def union(self, side: int) -> RingElement:
+        out = RingElement.empty(self.trees[side])
         for pair in self.pairs:
-            out = out.union(self.part(pair, side))
+            out = out.union(pair.parts[side])
         return out
 
-    def running_union(self, side: str) -> RingElement:
+    def running_union(self, side: int) -> RingElement:
         """The union of the side's parts, seeded from ``union`` on first use
         and kept by ``add_fresh``: a split partitions its part, so only a
         fresh pair changes it."""
-        hit = self._union.get(side)
+        hit = self._union[side]
         if hit is None:
             hit = self._union[side] = self.union(side)
         return hit
 
     def add_fresh(self, pair: Pair) -> None:
         """Append a pair over atoms no part holds yet."""
-        grown = {side: self.running_union(side).union(self.part(pair, side))
-                 for side in ("left", "right")}
+        grown = [self.running_union(side).union(pair.parts[side])
+                 for side in (0, 1)]
         self.pairs.append(pair)
-        self._union.update(grown)
+        self._union = grown
 
     def verify(self) -> list[str]:
         """Recheck every pairing invariant from scratch."""
         problems = []
-        for side in ("left", "right"):
-            top = max((self.part(p, side).level for p in self.pairs),
-                      default=1)
+        for side, name in enumerate(SIDES):
+            top = max((p.parts[side].level for p in self.pairs), default=1)
             acc = 0
             count = 0
             for pair in self.pairs:
-                m = self.part(pair, side).mask_at(top)
+                m = pair.parts[side].mask_at(top)
                 count += m.bit_count()
                 acc |= m
             if count != acc.bit_count():
-                problems.append(f"{side} parts overlap")
+                problems.append(f"{name} parts overlap")
         for k, pair in enumerate(self.pairs):
-            if self.theta.image("left", pair.gen_left) != pair.gen_right:
+            if self.theta.image(0, pair.gens[0]) != pair.gens[1]:
                 problems.append(f"pair {k}: generators not matched by the "
                                 f"order bijection")
-            for side in ("left", "right"):
-                part = self.part(pair, side)
-                gen = pair.gen_left if side == "left" else pair.gen_right
+            for side, name in enumerate(SIDES):
+                part, gen = pair.parts[side], pair.gens[side]
                 if not is_trim_for(part, gen):
-                    problems.append(f"pair {k}: {side} part is not trim for "
+                    problems.append(f"pair {k}: {name} part is not trim for "
                                     f"{gen!r}")
-                if gen in self.iso_ids(side):
+                if gen in self.iso[side]:
                     c = part.type_counts().get(gen, 0)
                     if c != 1:
-                        problems.append(f"pair {k}: {side} isolated "
+                        problems.append(f"pair {k}: {name} isolated "
                                         f"generator count {c}")
         return problems
-
-
-def _other(side: str) -> str:
-    return "right" if side == "left" else "left"
 
 
 class _ThetaMap:
@@ -146,30 +139,28 @@ class _ThetaMap:
     which the matcher treats as a provable type mismatch.
     """
 
-    def __init__(self, left_poset: Poset, right_poset: Poset,
-                 pairs: Optional[dict] = None):
-        self.posets = {"left": left_poset, "right": right_poset}
-        self.fwd: dict[str, str] = dict(pairs or {})
-        self.rev: dict[str, str] = {v: k for k, v in self.fwd.items()}
-        if len(self.rev) != len(self.fwd):
+    def __init__(self, left_poset: Poset, right_poset: Poset, pairs: dict):
+        self.posets = (left_poset, right_poset)
+        fwd = dict(pairs)
+        rev = {v: k for k, v in fwd.items()}
+        if len(rev) != len(fwd):
             raise IsoError("the bijection repeats a target element")
+        # maps[side] carries ids of that side to the other side
+        self.maps = (fwd, rev)
 
-    def image(self, src_side: str, p: str) -> Optional[str]:
-        table = self.fwd if src_side == "left" else self.rev
+    def image(self, side: int, p: str) -> Optional[str]:
+        table, back = self.maps[side], self.maps[1 - side]
         hit = table.get(p)
         if hit is not None:
             return hit
-        src = self.posets[src_side]
-        dst = self.posets[_other(src_side)]
         try:
-            hit = dst.id_at(src.index(p))
+            hit = self.posets[1 - side].id_at(self.posets[side].index(p))
         except PosetError:
             return None
-        other = self.rev if src_side == "left" else self.fwd
-        if hit in other:
+        if hit in back:
             return None
         table[p] = hit
-        other[hit] = p
+        back[hit] = p
         return hit
 
 
@@ -180,41 +171,39 @@ def init_iso(left: SkeletonTree, right: SkeletonTree, q: Iterable[str],
     The covering level on each side is the last enumeration slot of the
     foundation; its whole level splits into trim parts and the parts
     generated inside q are paired through the order bijection.  theta may
-    be a callable, evaluated over the shared span, or a prepared map.
+    be a callable, checked over the shared span, or a prepared map.
     """
     if not isinstance(theta, _ThetaMap):
         span = min(left.type_cap(left.depth), right.type_cap(right.depth))
-        theta = _ThetaMap(left.poset, right.poset,
-                          {p: theta(p) for p in left.poset.prefix(span)})
+        theta = _check_theta(left, right, theta, span)
     state = PartialIso(left, right, theta)
     q_left = frozenset(q)
-    images = {p: theta.image("left", p) for p in q_left}
+    images = {p: theta.image(0, p) for p in q_left}
     missing = sorted(p for p, h in images.items() if h is None)
     if missing:
         raise IsoError(f"region elements {missing} have no counterpart "
                        f"under the bijection")
-    q_right = frozenset(images.values())
-    for side, tree, qs in (("left", left, q_left), ("right", right, q_right)):
+    parts = []
+    for side, qs in enumerate((q_left, frozenset(images.values()))):
+        tree = state.trees[side]
         cap = tree.type_cap(tree.depth)
         if not tree.poset.is_lower(qs, cap):
-            raise IsoError(f"{side} region is not a lower set on the prefix")
+            raise IsoError(f"{SIDES[side]} region is not a lower set on the "
+                           f"prefix")
         res = tree.poset.finite_foundation(qs, cap)
         if res.status != FOUND:
-            raise IsoError(f"{side} region has no confirmed finite foundation")
+            raise IsoError(f"{SIDES[side]} region has no confirmed finite "
+                           f"foundation")
         n0 = max(tree.poset.index(p) for p in res.foundation)
         _grow(tree, n0)
         whole = RingElement(tree, n0, tree.level(n0).full_mask)
-        parts = [(g, part) for g, part in trim_split(whole) if g in qs]
-        if side == "left":
-            left_parts = parts
-        else:
-            right_parts = parts
-    by_gen = {g: part for g, part in right_parts}
-    for g, part in left_parts:
-        h = theta.image("left", g)
+        parts.append([(g, part) for g, part in trim_split(whole) if g in qs])
+    by_gen = dict(parts[1])
+    for g, part in parts[0]:
+        h = theta.image(0, g)
         if h not in by_gen:
             raise IsoError(f"no right part for foundation type {h!r}")
-        state.pairs.append(Pair(part, by_gen.pop(h), g, h))
+        state.pairs.append(Pair((part, by_gen.pop(h)), (g, h)))
     if by_gen:
         raise IsoError(f"unmatched right foundation types {sorted(by_gen)}")
     return state
@@ -227,7 +216,7 @@ def _grow(tree: SkeletonTree, level: int) -> None:
         raise DepthBudget(str(e))
 
 
-def _counterpart_ix(tree: SkeletonTree, side: str, h: str, needed: int,
+def _counterpart_ix(tree: SkeletonTree, side: int, h: str, needed: int,
                     max_depth: int) -> int:
     """Enumeration index of a needed type, enumerating up to the reach of
     the level budget before declaring it absent."""
@@ -235,12 +224,12 @@ def _counterpart_ix(tree: SkeletonTree, side: str, h: str, needed: int,
         tree.poset.prefix(tree.type_cap(max_depth))
     if h not in tree.poset:
         raise MismatchFound(MismatchWitness(
-            side, h, needed, 0,
+            SIDES[side], h, needed, 0,
             "needed type does not occur in the counterpart poset"))
     return tree.poset.index(h)
 
 
-def _match_split(state: PartialIso, dst_side: str, dst_part: RingElement,
+def _match_split(state: PartialIso, dst_side: int, dst_part: RingElement,
                  needs: list[tuple[str, RingElement]],
                  max_depth: int) -> list[RingElement]:
     """Split dst_part into pieces matching the needed generators in order.
@@ -251,8 +240,8 @@ def _match_split(state: PartialIso, dst_side: str, dst_part: RingElement,
     reach its claimed count inside a part typed exactly by it never will,
     which raises a mismatch instead.
     """
-    tree = state.tree(dst_side)
-    iso = state.iso_ids(dst_side)
+    tree = state.trees[dst_side]
+    iso = state.iso[dst_side]
     poset = tree.poset
     gens = [h for h, _ in needs]
     want = Counter(gens)
@@ -262,7 +251,8 @@ def _match_split(state: PartialIso, dst_side: str, dst_part: RingElement,
     while True:
         if level > tree.depth:
             if level > max_depth:
-                raise DepthBudget(f"{dst_side} side needs level {level}")
+                raise DepthBudget(f"{SIDES[dst_side]} side needs level "
+                                  f"{level}")
             _grow(tree, level)
         mask = dst_part.mask_at(level)
         masks = tree.level(level).type_masks()
@@ -276,12 +266,12 @@ def _match_split(state: PartialIso, dst_side: str, dst_part: RingElement,
                            for t in realized)
             if h in iso and not growable:
                 raise MismatchFound(MismatchWitness(
-                    dst_side, h, want[h], len(avail[h]),
+                    SIDES[dst_side], h, want[h], len(avail[h]),
                     "isolated type cannot multiply inside a part typed "
                     "exactly by it"))
             if not growable and len(avail[h]) == 0:
                 raise MismatchFound(MismatchWitness(
-                    dst_side, h, want[h], 0,
+                    SIDES[dst_side], h, want[h], 0,
                     "needed type is not realized in the counterpart part"))
         level += 1
 
@@ -312,10 +302,10 @@ def _match_split(state: PartialIso, dst_side: str, dst_part: RingElement,
     return [RingElement(tree, level, pm) for pm in piece_masks]
 
 
-def _fresh_counterpart(state: PartialIso, dst_side: str, h: str,
+def _fresh_counterpart(state: PartialIso, dst_side: int, h: str,
                        busy: RingElement, max_depth: int) -> RingElement:
     """First unclaimed atom of exactly the needed type, lowest level first."""
-    tree = state.tree(dst_side)
+    tree = state.trees[dst_side]
     h_ix = _counterpart_ix(tree, dst_side, h, 1, max_depth)
     for level in range(busy.level, max_depth + 1):
         if level > tree.depth:
@@ -323,24 +313,27 @@ def _fresh_counterpart(state: PartialIso, dst_side: str, h: str,
         free = tree.level(level).type_mask(h_ix) & ~busy.mask_at(level)
         if free:
             return RingElement.atom(tree, level, next(bits(free)))
-    raise DepthBudget(f"no unclaimed {h!r} atom on the {dst_side} side "
-                      f"within depth {max_depth}")
+    raise DepthBudget(f"no unclaimed {h!r} atom on the {SIDES[dst_side]} "
+                      f"side within depth {max_depth}")
 
 
-def extend_iso(state: PartialIso, side: str, element: RingElement,
+def extend_iso(state: PartialIso, side: int, element: RingElement,
                max_depth: int,
                transcript: Optional[list] = None) -> None:
-    """Refine the pairing so the given element becomes a union of parts.
+    """Refine the pairing so the given element of side becomes a union of
+    parts.
 
-    Each part is compared with the element as masks at the deeper of their
-    two levels; ring elements are built only for a part the element splits
-    and for what no part holds yet."""
+    side is 0 (left) or 1 (right); the side names appear only in
+    witnesses, depth-budget notes and ``PartialIso.verify`` messages.  Each
+    part is compared with the element as masks at the deeper of their two
+    levels; ring elements are built only for a part the element splits and
+    for what no part holds yet."""
     if not element:
         return
-    dst_side = _other(side)
+    dst_side = 1 - side
     theta = state.theta
-    iso_src = state.iso_ids(side)
-    tree = state.tree(side)
+    iso_src = state.iso[side]
+    tree = state.trees[side]
     lifted = {element.level: element.mask}
 
     def element_at(level: int) -> int:
@@ -350,7 +343,7 @@ def extend_iso(state: PartialIso, side: str, element: RingElement,
 
     new_pairs: list[Pair] = []
     for pair in state.pairs:
-        src = state.part(pair, side)
+        src = pair.parts[side]
         n = max(element.level, src.level)
         s = src.mask_at(n)
         inter = element_at(n) & s
@@ -367,23 +360,20 @@ def extend_iso(state: PartialIso, side: str, element: RingElement,
             h = theta.image(side, g)
             if h is None:
                 raise MismatchFound(MismatchWitness(
-                    dst_side, g,
+                    SIDES[dst_side], g,
                     sum(1 for gg, _ in src_pieces if gg == g), 0,
                     "type has no counterpart in the other alphabet"))
             needs.append((h, piece))
-        dst_pieces = _match_split(state, dst_side,
-                                  state.part(pair, dst_side), needs,
-                                  max_depth)
+        dst_pieces = _match_split(state, dst_side, pair.parts[dst_side],
+                                  needs, max_depth)
         for (h, _), (g, src_piece), dst_piece in zip(needs, src_pieces,
                                                      dst_pieces):
-            if side == "left":
-                new_pairs.append(Pair(src_piece, dst_piece, g, h))
-            else:
-                new_pairs.append(Pair(dst_piece, src_piece, h, g))
+            new_pairs.append(Pair(_facing(side, src_piece, dst_piece),
+                                  _facing(side, g, h)))
         if transcript is not None:
             transcript.append({"action": "split", "side": side,
                                "pieces": len(src_pieces),
-                               "generator": pair.gen_left})
+                               "generator": pair.gens[0]})
     state.pairs = new_pairs
 
     held = state.running_union(side)
@@ -395,15 +385,13 @@ def extend_iso(state: PartialIso, side: str, element: RingElement,
             h = theta.image(side, g)
             if h is None:
                 raise MismatchFound(MismatchWitness(
-                    dst_side, g, 1, 0,
+                    SIDES[dst_side], g, 1, 0,
                     "type has no counterpart in the other alphabet"))
             mate = _fresh_counterpart(state, dst_side, h,
                                       state.running_union(dst_side),
                                       max_depth)
-            if side == "left":
-                state.add_fresh(Pair(piece, mate, g, h))
-            else:
-                state.add_fresh(Pair(mate, piece, h, g))
+            state.add_fresh(Pair(_facing(side, piece, mate),
+                                 _facing(side, g, h)))
         if transcript is not None:
             transcript.append({"action": "fresh", "side": side,
                                "pieces": len(pieces)})
@@ -435,50 +423,49 @@ class IsoRun:
 
 def _identity_theta(left: SkeletonTree, right: SkeletonTree,
                     span: int) -> _ThetaMap:
-    a = left.poset.prefix(span)
-    b = right.poset.prefix(span)
-    if set(a) != set(b):
+    if set(left.poset.prefix(span)) != set(right.poset.prefix(span)):
         raise IsoError("sides name different elements; supply a bijection")
-    return _ThetaMap(left.poset, right.poset, {p: p for p in a})
+    return _check_theta(left, right, lambda p: p, span)
 
 
 def _check_theta(left: SkeletonTree, right: SkeletonTree,
                  theta: Callable[[str], str], span: int) -> _ThetaMap:
+    """The bijection over the shared span, once it maps prefix onto prefix
+    and keeps the order both ways."""
     a = left.poset.prefix(span)
     b = set(right.poset.prefix(span))
-    image = [theta(p) for p in a]
-    if len(set(image)) != len(image) or not set(image) <= b:
+    image = {p: theta(p) for p in a}
+    targets = set(image.values())
+    if len(targets) != len(a) or not targets <= b:
         raise IsoError("the bijection does not map prefix onto prefix")
     for p in a:
         for q in a:
-            if left.poset.leq(p, q) != right.poset.leq(theta(p), theta(q)):
+            if left.poset.leq(p, q) != right.poset.leq(image[p], image[q]):
                 raise IsoError(f"the bijection breaks order at "
                                f"({p!r}, {q!r})")
-    return _ThetaMap(left.poset, right.poset, dict(zip(a, image)))
+    return _ThetaMap(left.poset, right.poset, image)
 
 
 def _schedule(left: SkeletonTree, right: SkeletonTree, depth: int,
-              seed: int) -> list[tuple[str, int, int]]:
+              seed: int) -> list[tuple[int, int, int]]:
     """Every atom of levels 1 .. depth-2 on both sides as (side, level,
     index), in a seeded shuffle."""
     schedule = [(side, n, i)
-                for side in ("left", "right")
+                for side, tree in enumerate((left, right))
                 for n in range(1, max(2, depth - 1))
-                for i in range(len((left if side == "left"
-                                    else right).level(n)))]
+                for i in range(len(tree.level(n)))]
     random.Random(seed).shuffle(schedule)
     return schedule
 
 
-def _covered(state: PartialIso, schedule: list[tuple[str, int, int]]) -> bool:
+def _covered(state: PartialIso, schedule: list[tuple[int, int, int]]) -> bool:
     """Is every scheduled atom a union of parts?
 
     Each side's parts are lifted once to a level no part or scheduled atom
     lies below; there an atom is covered iff the parts inside it fill it.
     Lifting keeps inclusion both ways, since every node has children."""
-    for side in ("left", "right"):
-        tree = state.tree(side)
-        parts = [state.part(pair, side) for pair in state.pairs]
+    for side, tree in enumerate(state.trees):
+        parts = [pair.parts[side] for pair in state.pairs]
         atoms = [(n, i) for s, n, i in schedule if s == side]
         top = max([p.level for p in parts] + [n for n, _ in atoms],
                   default=1)
@@ -542,8 +529,7 @@ def run_backforth(left: SkeletonTree, right: SkeletonTree,
     schedule = _schedule(left, right, depth, seed)
     try:
         for side, n, i in schedule:
-            tree = state.tree(side)
-            extend_iso(state, side, RingElement.atom(tree, n, i),
+            extend_iso(state, side, RingElement.atom(state.trees[side], n, i),
                        max_depth, run.transcript)
     except MismatchFound as m:
         run.status = "mismatch"
@@ -553,8 +539,8 @@ def run_backforth(left: SkeletonTree, right: SkeletonTree,
         run.note = str(d)
 
     run.pairs = len(state.pairs)
-    run.depth_used = max((max(p.left.level, p.right.level)
-                          for p in state.pairs), default=1)
+    run.depth_used = max((part.level for p in state.pairs
+                          for part in p.parts), default=1)
     if run.status == "iso":
         covered = _covered(state, schedule)
         run.coverage = covered

@@ -12,7 +12,7 @@ import json
 import sys
 from typing import Optional
 
-from .backforth import IsoError, run_backforth
+from .backforth import SIDES, IsoError, run_backforth
 from .closure import (Classification, SymbolicSpace, check_identities,
                       classify_algebra, e_of_p, render_trace_dot,
                       render_trace_text, rieger_nishimura_run)
@@ -149,10 +149,10 @@ def cmd_iso(args) -> int:
         return _fail(3, "--depth must be at least 3")
     if args.max_depth is not None and args.max_depth < args.depth:
         return _fail(3, "--max-depth must be at least --depth")
-    sides = {}
-    for side in ("left", "right"):
-        tag = getattr(args, f"{side}_family")
-        path = getattr(args, side)
+    trees = []
+    for name in SIDES:
+        tag = getattr(args, f"{name}_family")
+        path = getattr(args, name)
         try:
             if tag:
                 poset = family(tag)
@@ -160,23 +160,23 @@ def cmd_iso(args) -> int:
                 with open(path, "r", encoding="utf-8") as fh:
                     poset = Poset.from_json(json.load(fh))
             else:
-                return _fail(2, f"no {side} poset given")
+                return _fail(2, f"no {name} poset given")
         except (OSError, ValueError) as e:
-            return _fail(2, f"cannot load {side} poset: {e}")
-        config = _build_config(poset, args, prefix=f"{side}_")
+            return _fail(2, f"cannot load {name} poset: {e}")
+        config = _build_config(poset, args, prefix=f"{name}_")
         try:
-            sides[side] = build_levels(config, args.depth)
+            trees.append(build_levels(config, args.depth))
         except ConfigError as e:
-            return _fail(3, f"{side}: {e}")
+            return _fail(3, f"{name}: {e}")
         except BuildError as e:
-            return _fail(5, f"{side}: {e}")
+            return _fail(5, f"{name}: {e}")
     try:
         for p in args.q or ():
-            sides["left"].poset.index(p)
+            trees[0].poset.index(p)
     except PosetError as e:
         return _fail(2, f"bad --q: {e}")
     try:
-        run = run_backforth(sides["left"], sides["right"],
+        run = run_backforth(*trees,
                             q=frozenset(args.q) if args.q else None,
                             depth=args.depth,
                             max_depth=args.max_depth,

@@ -297,9 +297,11 @@ def check_identities(trace: RNTrace) -> list[str]:
     w = sp.whole()
     u, v, b = trace.u, trace.v, trace.b
     last = trace.n_ran
+    # every closure below is of a layer B_0 .. B_{last - 1}: take each once
+    closed = [sp.closure_of(b[n]) for n in range(last)]
     problems = []
     for n in range(1, last + 1):
-        if u[n] != w.minus(sp.closure_of(b[n - 1])):
+        if u[n] != w.minus(closed[n - 1]):
             problems.append(f"U_{n} is not the complement of the closed "
                             f"layer below")
         if v[n] != u[n - 1].union(v[n - 1]):
@@ -309,7 +311,7 @@ def check_identities(trace: RNTrace) -> list[str]:
     for n in range(0, last):
         if b[n] != v[n + 1].minus(v[n]):
             problems.append(f"B_{n} != V_{n + 1} - V_{n}")
-        if sp.closure_of(b[n]) != w.minus(u[n + 1]):
+        if closed[n] != w.minus(u[n + 1]):
             problems.append(f"closure(B_{n}) != W - U_{n + 1}")
         if v[n] != u[n + 1].intersect(v[n + 1]):
             problems.append(f"V_{n} != U_{n + 1} & V_{n + 1}")
@@ -320,7 +322,7 @@ def check_identities(trace: RNTrace) -> list[str]:
             if b[j] and b[k] and b[j].intersect(b[k]):
                 problems.append(f"B_{j} and B_{k} overlap")
             if b[j] and b[k]:
-                below = b[k].subset_of(sp.closure_of(b[j]))
+                below = b[k].subset_of(closed[j])
                 if below != (k >= j + 2):
                     problems.append(f"ladder order fails at B_{k}, B_{j}")
     if trace.a_inf is not None:

@@ -23,15 +23,15 @@ class TestInit:
         state = init_iso(left, right, {"a"}, lambda p: p)
         assert len(state.pairs) == 1
         pair = state.pairs[0]
-        assert (pair.gen_left, pair.gen_right) == ("a", "a")
-        assert pair.left == RingElement.whole(left)
+        assert pair.gens == ("a", "a")
+        assert pair.parts[0] == RingElement.whole(left)
         assert state.verify() == []
 
     def test_verify_recomputes_from_scratch(self):
         left = build(chain_ab_poset)
         right = build(chain_ab_poset)
         state = init_iso(left, right, {"a"}, lambda p: p)
-        state.pairs[0].gen_right = "b"
+        state.pairs[0].gens = ("a", "b")
         problems = state.verify()
         assert any("not matched by the order bijection" in p
                    for p in problems)
@@ -42,21 +42,21 @@ class TestInit:
         right = build(chain_ab_poset)
         state = init_iso(left, right, {"a"}, lambda p: p)
         for n, i in ((2, 0), (2, 2), (3, 4)):
-            extend_iso(state, "left", RingElement.atom(left, n, i), 12)
+            extend_iso(state, 0, RingElement.atom(left, n, i), 12)
             assert state.verify() == []
         atom = RingElement.atom(left, 2, 2)
-        assert state.union("left").contains(atom)
+        assert state.union(0).contains(atom)
 
 
 def coverage_oracle(state, schedule):
     """Coverage on ring elements: every scheduled atom equals the union of
     the parts it contains."""
     for side, n, i in schedule:
-        tree = state.tree(side)
+        tree = state.trees[side]
         atom = RingElement.atom(tree, n, i)
         inside = RingElement.empty(tree)
         for pair in state.pairs:
-            part = state.part(pair, side)
+            part = pair.parts[side]
             if atom.contains(part):
                 inside = inside.union(part)
         if inside != atom:
@@ -72,8 +72,9 @@ def test_mask_matcher_agrees_with_ring_operations(maker, isolated):
     state = init_iso(left, right, {"a"}, lambda p: p)
     schedule = _schedule(left, right, 6, seed=1)
     for k, (side, n, i) in enumerate(schedule, 1):
-        extend_iso(state, side, RingElement.atom(state.tree(side), n, i), 14)
-        for s in ("left", "right"):
+        extend_iso(state, side, RingElement.atom(state.trees[side], n, i),
+                   14)
+        for s in (0, 1):
             assert state.running_union(s) == state.union(s)
         assert state.verify() == []
         if k % 16 == 0:
@@ -95,11 +96,16 @@ def test_mask_matcher_agrees_with_ring_operations(maker, isolated):
         state.pairs.insert(k, pair)
     # a part over the whole space overlaps every other part (which verify
     # reports) and lies inside no smaller atom, so coverage still holds
-    state.pairs.append(Pair(RingElement.whole(left), RingElement.whole(right),
-                            "a", "a"))
+    state.pairs.append(Pair((RingElement.whole(left),
+                             RingElement.whole(right)), ("a", "a")))
     assert _covered(state, schedule) is coverage_oracle(state, schedule) \
         is True
     assert "left parts overlap" in state.verify()
+    # the same whole part on the right side alone overlaps only there
+    state.pairs[-1].parts = (RingElement.empty(left), RingElement.whole(right))
+    problems = state.verify()
+    assert "right parts overlap" in problems
+    assert "left parts overlap" not in problems
 
 
 class TestRuns:
@@ -133,20 +139,29 @@ class TestRuns:
             "witness": None, "note": "", "coverage": True,
             "invariant_failures": [], "steps": steps}
 
-    def test_isolation_difference_is_a_mismatch(self):
-        run = run_backforth(build(chain_ab_poset, isolated={"a"}),
-                            build(chain_ab_poset))
+    # each mismatch run and its mirror image, named by the short side
+    @pytest.mark.parametrize("isolated, side", [
+        (({"a"}, set()), "left"),
+        ((set(), {"a"}), "right"),
+    ], ids=["left", "right"])
+    def test_isolation_difference_is_a_mismatch(self, isolated, side):
+        run = run_backforth(*(build(chain_ab_poset, isolated=iso)
+                              for iso in isolated))
         assert run.status == "mismatch"
         assert run.witness.serialize() == {
-            "side": "left", "type": "a", "needed": 2, "available": 1,
+            "side": side, "type": "a", "needed": 2, "available": 1,
             "reason": "isolated type cannot multiply inside a part typed "
                       "exactly by it"}
 
-    def test_missing_type_is_a_mismatch(self):
-        run = run_backforth(build(chain_ab_poset), build(vee_poset))
+    @pytest.mark.parametrize("makers, side", [
+        ((chain_ab_poset, vee_poset), "left"),
+        ((vee_poset, chain_ab_poset), "right"),
+    ], ids=["left", "right"])
+    def test_missing_type_is_a_mismatch(self, makers, side):
+        run = run_backforth(*(build(maker) for maker in makers))
         assert run.status == "mismatch"
         assert run.witness.serialize() == {
-            "side": "left", "type": "c", "needed": 1, "available": 0,
+            "side": side, "type": "c", "needed": 1, "available": 0,
             "reason": "type has no counterpart in the other alphabet"}
 
     def test_depth_budget_exhaustion(self):
@@ -197,6 +212,18 @@ class TestThetaHandling:
     def test_identity_needs_shared_names(self):
         with pytest.raises(IsoError, match="supply a bijection"):
             run_backforth(build(chain_ab_poset), build(chain_xy_poset))
+
+    def test_identity_is_checked_for_order(self):
+        # the same names in isomorphic orders: a < c on the left, b < c on
+        # the right, so the identity breaks order and the swap keeps it
+        def lower(top):
+            return lambda: Poset.from_covers(f"{top}c", ["a", "b", "c"],
+                                             [(top, "c")])
+        with pytest.raises(IsoError, match=r"breaks order at \('a', 'c'\)"):
+            run_backforth(build(lower("a")), build(lower("b")))
+        run = run_backforth(build(lower("a")), build(lower("b")),
+                            theta={"a": "b", "b": "a", "c": "c"}.get)
+        assert (run.status, run.pairs, run.coverage) == ("iso", 29, True)
 
     def test_non_injective_theta_rejected(self):
         with pytest.raises(IsoError, match="does not map prefix onto prefix"):

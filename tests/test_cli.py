@@ -175,6 +175,22 @@ class TestIso:
             "region elements ['7/8'] have no counterpart under the "
             "bijection"]
 
+    def test_identity_bijection_is_checked_for_order(self, tmp_path):
+        # isomorphic posets over the same names, but not by the identity
+        paths = []
+        for top in ("a", "b"):
+            path = tmp_path / f"{top}c.json"
+            path.write_text(json.dumps({
+                "name": f"{top}c", "elements": ["a", "b", "c"],
+                "covers": [[top, "c"]]}))
+            paths.append(str(path))
+        proc = run_cli("iso", "--left", paths[0], "--right", paths[1],
+                       "--depth", "6")
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            "the bijection breaks order at ('a', 'c')"]
+
     def test_byte_identical_reruns(self):
         argv = ("iso", "--left-family", "rn(2,2)",
                 "--right-family", "rn(2,2)", "--depth", "6", "--seed", "5")

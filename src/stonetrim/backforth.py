@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
+from ._record import Frozen, Record
 from .poset import FOUND, Poset, PosetError, bits
 from .ring import RingElement, is_trim_for, supertrim_split, trim_split
 from .skeleton import BuildError, SkeletonTree
@@ -31,15 +31,16 @@ class IsoError(ValueError):
     """The matching run was set up inconsistently."""
 
 
-@dataclass(frozen=True)
-class MismatchWitness:
-    """A count contradiction that refinement can never repair."""
+class MismatchWitness(Frozen):
+    """A count contradiction that refinement can never repair; side is the
+    name of the side that ran short."""
 
-    side: str                  # name of the side that ran short
-    type_id: str
-    needed: int
-    available: int
-    reason: str
+    __slots__ = _compare = ("side", "type_id", "needed", "available",
+                            "reason")
+
+    def __init__(self, side: str, type_id: str, needed: int, available: int,
+                 reason: str):
+        self._fill(side, type_id, needed, available, reason)
 
     def serialize(self) -> dict:
         return {"side": self.side, "type": self.type_id,
@@ -62,10 +63,13 @@ def _facing(side: int, mine, theirs) -> tuple:
     return (theirs, mine) if side else (mine, theirs)
 
 
-@dataclass(slots=True)
-class Pair:
-    parts: tuple[RingElement, RingElement]
-    gens: tuple[str, str]
+class Pair(Record):
+    __slots__ = _compare = ("parts", "gens")
+
+    def __init__(self, parts: tuple[RingElement, RingElement],
+                 gens: tuple[str, str]):
+        self.parts = parts
+        self.gens = gens
 
 
 class PartialIso:
@@ -397,16 +401,23 @@ def extend_iso(state: PartialIso, side: int, element: RingElement,
                                "pieces": len(pieces)})
 
 
-@dataclass
-class IsoRun:
-    status: str                    # "iso" | "mismatch" | "depth-exhausted"
-    pairs: int = 0
-    depth_used: int = 0
-    witness: Optional[MismatchWitness] = None
-    note: str = ""
-    coverage: bool = False
-    invariant_failures: list = field(default_factory=list)
-    transcript: list = field(default_factory=list)
+class IsoRun(Record):
+    """status is "iso", "mismatch" or "depth-exhausted"."""
+
+    __slots__ = _compare = ("status", "pairs", "depth_used", "witness",
+                            "note", "coverage", "invariant_failures",
+                            "transcript")
+
+    def __init__(self, status: str, pairs: int = 0, depth_used: int = 0,
+                 witness: Optional[MismatchWitness] = None, note: str = "",
+                 coverage: bool = False,
+                 invariant_failures: Optional[list] = None,
+                 transcript: Optional[list] = None):
+        self.status, self.pairs, self.depth_used = status, pairs, depth_used
+        self.witness, self.note, self.coverage = witness, note, coverage
+        self.invariant_failures = (
+            [] if invariant_failures is None else invariant_failures)
+        self.transcript = [] if transcript is None else transcript
 
     def serialize(self) -> dict:
         return {

@@ -3,6 +3,9 @@
 Exit codes: 0 success, 2 unreadable input, 3 configuration rejected,
 4 mismatch verdict, 5 resource limit hit (the depth or the level-size
 budget).
+
+Only the order core, the families and the skeleton load with this module;
+each command imports the layer it runs when it runs.
 """
 from __future__ import annotations
 
@@ -12,14 +15,8 @@ import json
 import sys
 from typing import Optional
 
-from .backforth import SIDES, IsoError, run_backforth
-from .closure import (Classification, SymbolicSpace, check_identities,
-                      classify_algebra, e_of_p, render_trace_dot,
-                      render_trace_text, rieger_nishimura_run)
-from .completion import complete_finite, complete_over
 from .families import family, family_tags
 from .poset import DEFAULT_CHAIN_BOUND, Poset, PosetError
-from .ring import verify_type_axioms
 from .skeleton import (BuildConfig, BuildError, ConfigError, build_levels,
                        verify_structure)
 
@@ -59,6 +56,7 @@ def _verdict_json(v) -> dict:
 
 
 def cmd_analyze(args) -> int:
+    from .completion import complete_finite, complete_over
     try:
         poset = _load_poset(args)
     except (OSError, ValueError) as e:
@@ -113,6 +111,7 @@ def _build_config(poset: Poset, args, prefix: str = "") -> BuildConfig:
 
 
 def cmd_build_verify(args) -> int:
+    from .ring import verify_type_axioms
     try:
         poset = _load_poset(args)
     except (OSError, ValueError) as e:
@@ -145,6 +144,7 @@ def cmd_build_verify(args) -> int:
 
 
 def cmd_iso(args) -> int:
+    from .backforth import SIDES, IsoError, run_backforth
     if args.depth < 3:
         return _fail(3, "--depth must be at least 3")
     if args.max_depth is not None and args.max_depth < args.depth:
@@ -192,6 +192,9 @@ def cmd_iso(args) -> int:
 
 
 def cmd_closure(args) -> int:
+    from .closure import (SymbolicSpace, check_identities, classify_algebra,
+                          e_of_p, render_trace_dot, render_trace_text,
+                          rieger_nishimura_run)
     if args.max_n < 0:
         return _fail(3, "--max-n must be at least 0")
     try:

@@ -13,9 +13,9 @@ space enumerates horizon + 1 elements, each down-set one element further.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
+from ._record import Frozen, Record
 from .poset import Poset
 
 LADDER_FAMILIES = ("rn-infinity", "rn-infinity-bot")
@@ -101,19 +101,17 @@ class SymbolicSpace:
         return self.closure_of(comp) == comp
 
 
-@dataclass(frozen=True)
-class ClosureElement:
+class ClosureElement(Frozen):
     """Finite set of ids, or the complement of one.  Set operations build
     their results directly: ids from the space's own elements are known."""
 
-    space: SymbolicSpace = field(compare=False)
-    cofinite: bool
-    ids: frozenset
+    __slots__ = _show = ("space", "cofinite", "ids")
+    _compare = ("cofinite", "ids")
 
-    def __post_init__(self):
-        if self.cofinite and self.space.finite:
-            object.__setattr__(self, "cofinite", False)
-            object.__setattr__(self, "ids", self.space.all_ids - self.ids)
+    def __init__(self, space: SymbolicSpace, cofinite: bool, ids: frozenset):
+        if cofinite and space.finite:
+            cofinite, ids = False, space.all_ids - ids
+        self._fill(space, cofinite, ids)
 
     def __bool__(self) -> bool:
         return self.cofinite or bool(self.ids)
@@ -209,19 +207,22 @@ def check_closure_axioms(space: SymbolicSpace, sample_ids=None) -> list[str]:
 # ----------------------------------------------------------------------
 # the peeling recursion
 
-@dataclass
-class RNTrace:
-    space: SymbolicSpace
-    a: ClosureElement
-    u: list = field(default_factory=list)
-    v: list = field(default_factory=list)
-    b: list = field(default_factory=list)
-    n_ran: int = 0
-    N: Optional[int] = None
-    stabilized: bool = False
-    a_inf: Optional[ClosureElement] = None
-    a_inf_exact: bool = False
-    note: str = ""
+class RNTrace(Record):
+    __slots__ = _compare = ("space", "a", "u", "v", "b", "n_ran", "N",
+                            "stabilized", "a_inf", "a_inf_exact", "note")
+
+    def __init__(self, space: SymbolicSpace, a: ClosureElement,
+                 u: Optional[list] = None, v: Optional[list] = None,
+                 b: Optional[list] = None, n_ran: int = 0,
+                 N: Optional[int] = None, stabilized: bool = False,
+                 a_inf: Optional[ClosureElement] = None,
+                 a_inf_exact: bool = False, note: str = ""):
+        self.space, self.a = space, a
+        self.u = [] if u is None else u
+        self.v = [] if v is None else v
+        self.b = [] if b is None else b
+        self.n_ran, self.N, self.stabilized = n_ran, N, stabilized
+        self.a_inf, self.a_inf_exact, self.note = a_inf, a_inf_exact, note
 
     def serialize(self) -> dict:
         return {
@@ -334,12 +335,12 @@ def check_identities(trace: RNTrace) -> list[str]:
     return problems
 
 
-@dataclass(frozen=True)
-class Classification:
-    case: Optional[int]
-    name: str
-    witness: dict
-    note: str = ""
+class Classification(Frozen):
+    __slots__ = _compare = ("case", "name", "witness", "note")
+
+    def __init__(self, case: Optional[int], name: str, witness: dict,
+                 note: str = ""):
+        self._fill(case, name, witness, note)
 
     def serialize(self) -> dict:
         return {"case": self.case, "name": self.name,

@@ -8,9 +8,9 @@ two generating chains receive one token exactly when they interleave.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
+from ._record import Frozen
 from .poset import Poset, PosetError
 
 
@@ -18,14 +18,17 @@ class CompletionError(ValueError):
     """Bad generating sequence or unusable horizon."""
 
 
-@dataclass(frozen=True)
-class CompletionElement:
-    """A carrier element: an embedded base element or a limit token."""
+class CompletionElement(Frozen):
+    """A carrier element: an embedded base element or a limit token.
 
-    kind: str                      # "base" | "limit"
-    ref: str                       # base id, or the canonical token name
-    descriptor: frozenset          # prefix elements below the element
-    display: str = ""
+    kind is "base" or "limit"; ref is the base id, or the canonical token
+    name; descriptor holds the prefix elements below the element."""
+
+    __slots__ = _compare = ("kind", "ref", "descriptor", "display")
+
+    def __init__(self, kind: str, ref: str, descriptor: frozenset,
+                 display: str = ""):
+        self._fill(kind, ref, descriptor, display)
 
     @property
     def is_limit(self) -> bool:

@@ -7,10 +7,10 @@ completion token rather than any element.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import ceil
 from typing import Optional
 
+from ._record import Frozen
 from .completion import token_name
 from .skeleton import SkeletonTree
 
@@ -19,21 +19,20 @@ class PointError(ValueError):
     """A path request that the skeleton cannot satisfy."""
 
 
-@dataclass(frozen=True)
-class PathPrefix:
-    tree: SkeletonTree
-    nodes: tuple[tuple[int, int], ...]
+class PathPrefix(Frozen):
+    __slots__ = _compare = ("tree", "nodes")
 
-    def __post_init__(self):
-        if not self.nodes:
+    def __init__(self, tree: SkeletonTree, nodes: tuple[tuple[int, int], ...]):
+        if not nodes:
             raise PointError("a path prefix needs at least one node")
-        for (a_lvl, a_ix), (b_lvl, b_ix) in zip(self.nodes, self.nodes[1:]):
+        for (a_lvl, a_ix), (b_lvl, b_ix) in zip(nodes, nodes[1:]):
             if b_lvl != a_lvl + 1:
                 raise PointError("path levels must be consecutive")
-            s, e = self.tree.children_span(a_lvl, a_ix)
+            s, e = tree.children_span(a_lvl, a_ix)
             if not s <= b_ix < e:
                 raise PointError(f"{b_lvl}.{b_ix} is not a child of "
                                  f"{a_lvl}.{a_ix}")
+        self._fill(tree, nodes)
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -111,11 +110,13 @@ def realize_chain(tree: SkeletonTree, chain: list[str]) -> PathPrefix:
     return PathPrefix(tree, tuple(nodes))
 
 
-@dataclass(frozen=True)
-class PointLabel:
-    kind: str                  # "clean" | "limit" | "undetermined"
-    value: str = ""
-    detail: str = ""
+class PointLabel(Frozen):
+    """kind is "clean", "limit" or "undetermined"."""
+
+    __slots__ = _compare = ("kind", "value", "detail")
+
+    def __init__(self, kind: str, value: str = "", detail: str = ""):
+        self._fill(kind, value, detail)
 
     def serialize(self) -> dict:
         return {"kind": self.kind, "value": self.value, "detail": self.detail}

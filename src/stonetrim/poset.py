@@ -9,8 +9,9 @@ prefix says so: verdicts are "holds", "refuted" (with a checkable witness) or
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional
+
+from ._record import Frozen, Record
 
 HOLDS = "holds"
 REFUTED = "refuted"
@@ -43,27 +44,27 @@ def bits(mask: int) -> Iterator[int]:
         yield from range(start, end)
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Frozen):
     """Outcome of a bounded order-theoretic check."""
 
-    status: str
-    witness: tuple[str, ...] = ()
-    note: str = ""
+    __slots__ = _compare = ("status", "witness", "note")
+
+    def __init__(self, status: str, witness: tuple[str, ...] = (),
+                 note: str = ""):
+        self._fill(status, witness, note)
 
 
-@dataclass(frozen=True)
-class Extremal:
+class Extremal(Frozen):
     """Minimal/maximal elements confirmed at a horizon."""
 
-    minimal: frozenset
-    maximal: frozenset
-    exact: bool
-    note: str = ""
+    __slots__ = _compare = ("minimal", "maximal", "exact", "note")
+
+    def __init__(self, minimal: frozenset, maximal: frozenset, exact: bool,
+                 note: str = ""):
+        self._fill(minimal, maximal, exact, note)
 
 
-@dataclass(frozen=True)
-class FoundationResult:
+class FoundationResult(Frozen):
     """Result of a finite-foundation search.
 
     status is "found" (foundation holds the witness set), "refuted" (no
@@ -71,18 +72,21 @@ class FoundationResult:
     (the horizon cannot settle it either way).
     """
 
-    status: str
-    foundation: Optional[frozenset] = None
-    note: str = ""
+    __slots__ = _compare = ("status", "foundation", "note")
+
+    def __init__(self, status: str, foundation: Optional[frozenset] = None,
+                 note: str = ""):
+        self._fill(status, foundation, note)
 
 
-@dataclass(frozen=True)
-class SubsetSpec:
+class SubsetSpec(Frozen):
     """A finite subset with optional lower/upper declarations."""
 
-    members: frozenset
-    declared_lower: bool = False
-    declared_upper: bool = False
+    __slots__ = _compare = ("members", "declared_lower", "declared_upper")
+
+    def __init__(self, members: frozenset, declared_lower: bool = False,
+                 declared_upper: bool = False):
+        self._fill(members, declared_lower, declared_upper)
 
     def validate(self, poset: "Poset", horizon: int) -> list[str]:
         """Check the declared flags against the horizon prefix."""
@@ -97,23 +101,37 @@ class SubsetSpec:
         return problems
 
 
-@dataclass
-class Analytics:
+class Analytics(Record):
     """Facts a builtin family knows about its own infinite shape.
 
     All fields are optional; a plain generated poset leaves them unset and
     every predicate falls back to honest prefix-scoped answers.
     """
 
-    minimal: Optional[Callable[["Poset", int], frozenset]] = None
-    maximal: Optional[Callable[["Poset", int], frozenset]] = None
-    acc: Optional[bool] = None
-    acc_note: str = ""
-    omega_complete: Optional[bool] = None
-    omega_note: str = ""
-    omega_witness: Optional[Callable[["Poset", int], tuple[str, ...]]] = None
-    foundation: Optional[Callable[["Poset", frozenset, int], FoundationResult]] = None
-    limit_display: Optional[Callable[[tuple[str, ...]], Optional[str]]] = None
+    __slots__ = _compare = (
+        "minimal", "maximal", "acc", "acc_note", "omega_complete",
+        "omega_note", "omega_witness", "foundation", "limit_display")
+
+    def __init__(
+            self,
+            minimal: Optional[Callable[["Poset", int], frozenset]] = None,
+            maximal: Optional[Callable[["Poset", int], frozenset]] = None,
+            acc: Optional[bool] = None,
+            acc_note: str = "",
+            omega_complete: Optional[bool] = None,
+            omega_note: str = "",
+            omega_witness: Optional[
+                Callable[["Poset", int], tuple[str, ...]]] = None,
+            foundation: Optional[
+                Callable[["Poset", frozenset, int], FoundationResult]] = None,
+            limit_display: Optional[
+                Callable[[tuple[str, ...]], Optional[str]]] = None):
+        self.minimal, self.maximal = minimal, maximal
+        self.acc, self.acc_note = acc, acc_note
+        self.omega_complete, self.omega_note = omega_complete, omega_note
+        self.omega_witness = omega_witness
+        self.foundation = foundation
+        self.limit_display = limit_display
 
 
 class Poset:

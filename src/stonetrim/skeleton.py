@@ -11,14 +11,14 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
-from collections import deque
+from collections import Counter, deque
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, chain, repeat
 from operator import sub
 from typing import Iterable, Optional
 
+from ._record import Frozen, Record
 from .poset import FOUND, Poset, PosetError, bits, runs
 
 MAX_LEVEL_SIZE = 1 << 16
@@ -45,8 +45,7 @@ class BuildError(RuntimeError):
 BUCKETS = ("bounded", "unbounded", "noncompact")
 
 
-@dataclass
-class BuildConfig:
+class BuildConfig(Record):
     """Poset plus the isolation and compactness data steering the build.
 
     bounded / unbounded / noncompact are explicit, disjoint element sets;
@@ -55,22 +54,27 @@ class BuildConfig:
     bounded and the rest to noncompact.
     """
 
-    poset: Poset
-    isolated: frozenset = frozenset()
-    bounded: frozenset = frozenset()
-    unbounded: frozenset = frozenset()
-    noncompact: frozenset = frozenset()
-    default_bucket: str = "auto"
-    horizon: Optional[int] = None
-    max_level_size: int = MAX_LEVEL_SIZE
+    _compare = ("poset", "isolated", "bounded", "unbounded", "noncompact",
+                "default_bucket", "horizon", "max_level_size")
+    __slots__ = _compare + ("_bucket_cache",)
 
-    def __post_init__(self):
-        self.isolated = frozenset(self.isolated)
-        self.bounded = frozenset(self.bounded)
-        self.unbounded = frozenset(self.unbounded)
-        self.noncompact = frozenset(self.noncompact)
-        if self.default_bucket not in BUCKETS + ("auto",):
-            raise ConfigError(f"unknown default bucket {self.default_bucket!r}")
+    def __init__(self, poset: Poset, isolated: frozenset = frozenset(),
+                 bounded: frozenset = frozenset(),
+                 unbounded: frozenset = frozenset(),
+                 noncompact: frozenset = frozenset(),
+                 default_bucket: str = "auto",
+                 horizon: Optional[int] = None,
+                 max_level_size: int = MAX_LEVEL_SIZE):
+        self.poset = poset
+        self.isolated = frozenset(isolated)
+        self.bounded = frozenset(bounded)
+        self.unbounded = frozenset(unbounded)
+        self.noncompact = frozenset(noncompact)
+        if default_bucket not in BUCKETS + ("auto",):
+            raise ConfigError(f"unknown default bucket {default_bucket!r}")
+        self.default_bucket = default_bucket
+        self.horizon = horizon
+        self.max_level_size = max_level_size
         self._bucket_cache: dict[str, str] = {}
 
     def scope(self, depth: int) -> int:
@@ -149,22 +153,33 @@ class BuildConfig:
         return problems
 
 
-@dataclass
-class Level:
+class Level(Record):
     """One level of the skeleton, stored column-wise in typed arrays: each
     node's type and, once level number+1 is built, where each node's child
     block ends there.  Child starts and parents are derived from the child
-    ends, never stored."""
+    ends, never stored.  ``counts`` holds the number of nodes of each type
+    on the level (counted from ``types`` when not given)."""
 
-    number: int
-    types: array                      # 'I': 1-based poset enumeration index
-    u_start: int                           # nodes from here on are unattached
-    above: Optional["Level"] = field(default=None, repr=False, compare=False)
-    child_end: array = field(default_factory=lambda: array("I"))
-    _masks: dict[int, int] = field(default_factory=dict, repr=False)
-    _type_bits: list[tuple[int, int]] = field(default_factory=list,
-                                              repr=False)
-    _blocks: tuple = field(default=(), repr=False)
+    _compare = ("number", "types", "u_start", "child_end", "_masks",
+                "_type_bits", "_blocks")
+    _show = ("number", "types", "u_start", "child_end")
+
+    def __init__(self, number: int, types: array, u_start: int,
+                 above: Optional["Level"] = None,
+                 child_end: Optional[array] = None,
+                 _masks: Optional[dict[int, int]] = None,
+                 _type_bits: Optional[list[tuple[int, int]]] = None,
+                 _blocks: tuple = (),
+                 counts: Optional[dict[int, int]] = None):
+        self.number = number
+        self.types = types            # 'I': 1-based poset enumeration index
+        self.u_start = u_start        # nodes from here on are unattached
+        self.above = above
+        self.child_end = array("I") if child_end is None else child_end
+        self._masks = {} if _masks is None else _masks
+        self._type_bits = [] if _type_bits is None else _type_bits
+        self._blocks = _blocks
+        self.counts = dict(Counter(types)) if counts is None else counts
 
     def __len__(self) -> int:
         return len(self.types)
@@ -282,16 +297,15 @@ class Parents(Sequence):
         return chain(attached, repeat(None, hi - max(lo, top)))
 
 
-@dataclass(frozen=True)
-class SkeletonNode:
+class SkeletonNode(Frozen):
     """Read-only view of one skeleton node."""
 
-    level: int
-    index: int
-    type_id: str
-    type_ix: int
-    parent: Optional[int]
-    u_flag: bool
+    __slots__ = _compare = ("level", "index", "type_id", "type_ix", "parent",
+                            "u_flag")
+
+    def __init__(self, level: int, index: int, type_id: str, type_ix: int,
+                 parent: Optional[int], u_flag: bool):
+        self._fill(level, index, type_id, type_ix, parent, u_flag)
 
 
 class SkeletonTree:
@@ -343,8 +357,11 @@ class SkeletonTree:
 
     def _build_next(self) -> None:
         """Append level n+1.  A node's child block depends only on its type,
-        so one block is made per distinct type and laid out by type; the
-        size bound is checked before anything is written to the tree."""
+        so one block is made per distinct type and laid out by type.  The
+        new level's size and type counts follow from the previous level's
+        counts and the blocks, so the size bound is checked before any pass
+        over the previous level's nodes and before anything is written to
+        the tree."""
         n = self.depth + 1
         iso, buckets = self._type_ix_sets(n)
         cap = self.type_cap(n)
@@ -356,7 +373,7 @@ class SkeletonTree:
         below_cap = (1 << cap + 1) - 2
         blocks: dict[int, array] = {}
         reach = 0
-        for t in set(prev.types):
+        for t in prev.counts:
             up = self.poset.up_mask(t)
             reach |= up
             blocks[t] = block = array("I", [t] * (1 if t in iso else 2))
@@ -367,23 +384,30 @@ class SkeletonTree:
             unattached.append(n)
         unattached += [q for q in range(1, self.type_cap(n - 1) + 1)
                        if buckets.get(q) == "noncompact"]
-        block_of = blocks.__getitem__
-        ends = array("I", accumulate(map(len, map(block_of, prev.types))))
-        u_start = ends[-1]
+        u_start = sum(c * len(blocks[t]) for t, c in prev.counts.items())
         size = u_start + len(unattached)
         bound = self.config.max_level_size
         if size > bound:
             raise BuildError(
                 f"level {n} would hold {size} nodes, over the bound {bound}",
                 level=n, would_hold=size, bound=bound)
+        counts: dict[int, int] = {}
+        for t, c in prev.counts.items():
+            for q in blocks[t]:
+                counts[q] = counts.get(q, 0) + c
+        for q in unattached:
+            counts[q] = counts.get(q, 0) + 1
         self._iso_ix, self._bucket_ix = iso, buckets
+        block_of = blocks.__getitem__
         types = array("I")
         # appended block by block: a join over all blocks would hold a
         # buffer per node at once
         deque(map(types.extend, map(block_of, prev.types)), 0)
         types.extend(unattached)
-        prev.child_end = ends
-        self.levels.append(Level(n, types, u_start, above=prev))
+        prev.child_end = array(
+            "I", accumulate(map(len, map(block_of, prev.types))))
+        self.levels.append(Level(n, types, u_start, above=prev,
+                                 counts=counts))
 
     # ------------------------------------------------------------------
 
@@ -480,9 +504,11 @@ def build_levels(config: BuildConfig, depth: int) -> SkeletonTree:
 # ----------------------------------------------------------------------
 # structural invariants
 
-@dataclass
-class StructureReport:
-    checks: list[tuple[str, bool, str]] = field(default_factory=list)
+class StructureReport(Record):
+    __slots__ = _compare = ("checks",)
+
+    def __init__(self, checks: Optional[list[tuple[str, bool, str]]] = None):
+        self.checks = [] if checks is None else checks
 
     def add(self, name: str, ok: bool, detail: str = "") -> None:
         self.checks.append((name, ok, detail))

@@ -8,28 +8,27 @@ TypeSet per generator mask in the poset's ``typesets`` table.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Optional
 
+from ._record import Frozen
 from .poset import Poset, bits
 
 
-@dataclass(frozen=True)
-class TypeSet:
+class TypeSet(Frozen):
     """An upper set represented by its sorted minimal antichain; ``mask``
     has bit i set iff the element with enumeration index i is one of its
     minimal elements (derived from the ids when not given)."""
 
-    poset: Poset
-    min_antichain: tuple[str, ...]
-    mask: int = field(default=None, compare=False, repr=False)
+    __slots__ = ("poset", "min_antichain", "mask")
+    _compare = ("poset", "min_antichain")
 
-    def __post_init__(self):
-        if self.mask is None:
+    def __init__(self, poset: Poset, min_antichain: tuple[str, ...],
+                 mask: Optional[int] = None):
+        if mask is None:
             mask = 0
-            for p in self.min_antichain:
-                mask |= 1 << self.poset.index(p)
-            object.__setattr__(self, "mask", mask)
+            for p in min_antichain:
+                mask |= 1 << poset.index(p)
+        self._fill(poset, min_antichain, mask)
 
     @classmethod
     def of(cls, poset: Poset, members: Iterable[str]) -> "TypeSet":

@@ -1,0 +1,329 @@
+"""The package's value classes: construction, equality, hash, assignment and
+repr, pinned to what they were as generated record classes."""
+import copy
+import inspect
+import pickle
+from array import array
+
+import pytest
+
+from conftest import chain_ab_poset
+from stonetrim import (Analytics, BuildConfig, Classification,
+                       ClosureElement, CompletionElement, Extremal,
+                       FoundationResult, IsoRun, MismatchWitness, PathPrefix,
+                       PointError, PointLabel, RNTrace, SkeletonNode,
+                       StructureReport, SubsetSpec, SymbolicSpace, TypeSet,
+                       Verdict, build_levels, family)
+from stonetrim.backforth import Pair
+from stonetrim.skeleton import MAX_LEVEL_SIZE, ConfigError, Level
+
+POSET = chain_ab_poset()
+TREE = build_levels(BuildConfig(POSET), 3)
+SPACE = SymbolicSpace(family("rn-infinity"), 12)
+OTHER_SPACE = SymbolicSpace(family("rn-infinity"), 12)
+P0 = ClosureElement(SPACE, False, frozenset({"p0"}))
+LEVEL_1 = Level(1, array("I", [1]), 1)
+
+REQUIRED, FACTORY = object(), object()
+
+
+class Case:
+    """One class: a full set of field values in order, how many lead
+    positionally without a default, the defaults of the rest, whether it
+    is frozen and hashable, fields equality ignores (with a second value),
+    one compared field to change, and the repr where it is pinned."""
+
+    def __init__(self, cls, fields, required, defaults, *, frozen,
+                 hashable=None, ignored=None, differs, shown=None):
+        self.cls, self.fields, self.required = cls, fields, required
+        self.defaults, self.frozen = defaults, frozen
+        self.hashable = frozen if hashable is None else hashable
+        self.ignored, self.differs, self.shown = ignored or {}, differs, shown
+
+    def make(self, **changes):
+        return self.cls(**{**self.fields, **changes})
+
+
+CASES = [
+    Case(Verdict, {"status": "refuted", "witness": ("a", "b"), "note": "n"},
+         1, {"witness": (), "note": ""}, frozen=True,
+         differs=("note", "m"), shown=(
+             {"status": "holds", "witness": (), "note": ""},
+             "Verdict(status='holds', witness=(), note='')")),
+    Case(Extremal, {"minimal": frozenset({"a"}), "maximal": frozenset({"b"}),
+                    "exact": True, "note": "n"},
+         3, {"note": ""}, frozen=True, differs=("exact", False), shown=(
+             {}, "Extremal(minimal=frozenset({'a'}), "
+                 "maximal=frozenset({'b'}), exact=True, note='n')")),
+    Case(FoundationResult, {"status": "found",
+                            "foundation": frozenset({"a"}), "note": "n"},
+         1, {"foundation": None, "note": ""}, frozen=True,
+         differs=("status", "refuted"), shown=(
+             {}, "FoundationResult(status='found', "
+                 "foundation=frozenset({'a'}), note='n')")),
+    Case(SubsetSpec, {"members": frozenset({"a"}), "declared_lower": True,
+                      "declared_upper": False},
+         1, {"declared_lower": False, "declared_upper": False}, frozen=True,
+         differs=("declared_upper", True), shown=(
+             {}, "SubsetSpec(members=frozenset({'a'}), declared_lower=True, "
+                 "declared_upper=False)")),
+    Case(Analytics, {"minimal": None, "maximal": None, "acc": True,
+                     "acc_note": "x", "omega_complete": False,
+                     "omega_note": "y", "omega_witness": None,
+                     "foundation": None, "limit_display": None},
+         0, {"minimal": None, "maximal": None, "acc": None, "acc_note": "",
+             "omega_complete": None, "omega_note": "", "omega_witness": None,
+             "foundation": None, "limit_display": None},
+         frozen=False, differs=("acc", False), shown=(
+             {"acc_note": "", "omega_complete": None, "omega_note": ""},
+             "Analytics(minimal=None, maximal=None, acc=True, acc_note='', "
+             "omega_complete=None, omega_note='', omega_witness=None, "
+             "foundation=None, limit_display=None)")),
+    Case(BuildConfig, {"poset": POSET, "isolated": frozenset({"a"}),
+                       "bounded": frozenset({"a"}),
+                       "unbounded": frozenset(), "noncompact": frozenset(),
+                       "default_bucket": "noncompact", "horizon": 4,
+                       "max_level_size": 99},
+         1, {"isolated": frozenset(), "bounded": frozenset(),
+             "unbounded": frozenset(), "noncompact": frozenset(),
+             "default_bucket": "auto", "horizon": None,
+             "max_level_size": MAX_LEVEL_SIZE},
+         frozen=False, differs=("horizon", 5)),
+    Case(Level, {"number": 2, "types": array("I", [1, 1, 2]), "u_start": 3,
+                 "above": LEVEL_1, "child_end": array("I", [2, 3, 5])},
+         3, {"above": None, "child_end": array("I")}, frozen=False,
+         ignored={"above": None}, differs=("u_start", 2), shown=(
+             {"number": 1, "types": array("I", [1]), "u_start": 1,
+              "above": None, "child_end": array("I")},
+             "Level(number=1, types=array('I', [1]), u_start=1, "
+             "child_end=array('I'))")),
+    Case(SkeletonNode, {"level": 2, "index": 0, "type_id": "a",
+                        "type_ix": 1, "parent": 0, "u_flag": False},
+         6, {}, frozen=True, differs=("parent", None), shown=(
+             {}, "SkeletonNode(level=2, index=0, type_id='a', type_ix=1, "
+                 "parent=0, u_flag=False)")),
+    Case(StructureReport, {"checks": [("x", True, "")]},
+         0, {"checks": []}, frozen=False, differs=("checks", []), shown=(
+             {"checks": []}, "StructureReport(checks=[])")),
+    Case(TypeSet, {"poset": POSET, "min_antichain": ("a",), "mask": 2},
+         2, {"mask": 2}, frozen=True, ignored={"mask": 99},
+         differs=("min_antichain", ("b",)), shown=(
+             {"min_antichain": (), "mask": 0}, "TypeSet(∅)")),
+    Case(CompletionElement, {"kind": "base", "ref": "a",
+                             "descriptor": frozenset({"a"}), "display": "x"},
+         3, {"display": ""}, frozen=True, differs=("kind", "limit"), shown=(
+             {"display": ""}, "CompletionElement(kind='base', ref='a', "
+                              "descriptor=frozenset({'a'}), display='')")),
+    Case(PathPrefix, {"tree": TREE, "nodes": ((1, 0), (2, 0))},
+         2, {}, frozen=True, differs=("nodes", ((1, 0),))),
+    Case(PointLabel, {"kind": "clean", "value": "a", "detail": "d"},
+         1, {"value": "", "detail": ""}, frozen=True,
+         differs=("value", "b"), shown=(
+             {"detail": ""},
+             "PointLabel(kind='clean', value='a', detail='')")),
+    Case(MismatchWitness, {"side": "left", "type_id": "a", "needed": 2,
+                           "available": 1, "reason": "short"},
+         5, {}, frozen=True, differs=("side", "right"), shown=(
+             {}, "MismatchWitness(side='left', type_id='a', needed=2, "
+                 "available=1, reason='short')")),
+    Case(Pair, {"parts": (1, 2), "gens": ("a", "b")},
+         2, {}, frozen=False, differs=("gens", ("a", "a")), shown=(
+             {}, "Pair(parts=(1, 2), gens=('a', 'b'))")),
+    Case(IsoRun, {"status": "iso", "pairs": 3, "depth_used": 7,
+                  "witness": None, "note": "n", "coverage": True,
+                  "invariant_failures": ["x"], "transcript": [{}]},
+         1, {"pairs": 0, "depth_used": 0, "witness": None, "note": "",
+             "coverage": False, "invariant_failures": [], "transcript": []},
+         frozen=False, differs=("pairs", 4), shown=(
+             {"depth_used": 0, "note": "", "coverage": False,
+              "invariant_failures": [], "transcript": []},
+             "IsoRun(status='iso', pairs=3, depth_used=0, witness=None, "
+             "note='', coverage=False, invariant_failures=[], "
+             "transcript=[])")),
+    Case(ClosureElement, {"space": SPACE, "cofinite": False,
+                          "ids": frozenset({"p0"})},
+         3, {}, frozen=True, ignored={"space": OTHER_SPACE},
+         differs=("cofinite", True)),
+    Case(RNTrace, {"space": SPACE, "a": P0, "u": [P0], "v": [P0],
+                   "b": [P0], "n_ran": 2, "N": 1, "stabilized": True,
+                   "a_inf": P0, "a_inf_exact": True, "note": "n"},
+         2, {"u": [], "v": [], "b": [], "n_ran": 0, "N": None,
+             "stabilized": False, "a_inf": None, "a_inf_exact": False,
+             "note": ""},
+         frozen=False, differs=("n_ran", 3)),
+    Case(Classification, {"case": 1, "name": "x", "witness": {"0": "p0"},
+                          "note": "n"},
+         3, {"note": ""}, frozen=True, hashable=False,
+         differs=("case", 2), shown=(
+             {"note": ""}, "Classification(case=1, name='x', "
+                           "witness={'0': 'p0'}, note='')")),
+]
+IDS = [case.cls.__name__ for case in CASES]
+
+# each constructor's parameters at the last commit that generated them:
+# (name, default), REQUIRED for none and FACTORY for a fresh value per call
+SIGNATURES = {
+    "Verdict": [("status", REQUIRED), ("witness", ()), ("note", "")],
+    "Extremal": [("minimal", REQUIRED), ("maximal", REQUIRED),
+                 ("exact", REQUIRED), ("note", "")],
+    "FoundationResult": [("status", REQUIRED), ("foundation", None),
+                         ("note", "")],
+    "SubsetSpec": [("members", REQUIRED), ("declared_lower", False),
+                   ("declared_upper", False)],
+    "Analytics": [("minimal", None), ("maximal", None), ("acc", None),
+                  ("acc_note", ""), ("omega_complete", None),
+                  ("omega_note", ""), ("omega_witness", None),
+                  ("foundation", None), ("limit_display", None)],
+    "BuildConfig": [("poset", REQUIRED), ("isolated", frozenset()),
+                    ("bounded", frozenset()), ("unbounded", frozenset()),
+                    ("noncompact", frozenset()), ("default_bucket", "auto"),
+                    ("horizon", None), ("max_level_size", 65536)],
+    "Level": [("number", REQUIRED), ("types", REQUIRED),
+              ("u_start", REQUIRED), ("above", None), ("child_end", FACTORY),
+              ("_masks", FACTORY), ("_type_bits", FACTORY), ("_blocks", ())],
+    "SkeletonNode": [("level", REQUIRED), ("index", REQUIRED),
+                     ("type_id", REQUIRED), ("type_ix", REQUIRED),
+                     ("parent", REQUIRED), ("u_flag", REQUIRED)],
+    "StructureReport": [("checks", FACTORY)],
+    "TypeSet": [("poset", REQUIRED), ("min_antichain", REQUIRED),
+                ("mask", None)],
+    "CompletionElement": [("kind", REQUIRED), ("ref", REQUIRED),
+                          ("descriptor", REQUIRED), ("display", "")],
+    "PathPrefix": [("tree", REQUIRED), ("nodes", REQUIRED)],
+    "PointLabel": [("kind", REQUIRED), ("value", ""), ("detail", "")],
+    "MismatchWitness": [("side", REQUIRED), ("type_id", REQUIRED),
+                        ("needed", REQUIRED), ("available", REQUIRED),
+                        ("reason", REQUIRED)],
+    "Pair": [("parts", REQUIRED), ("gens", REQUIRED)],
+    "IsoRun": [("status", REQUIRED), ("pairs", 0), ("depth_used", 0),
+               ("witness", None), ("note", ""), ("coverage", False),
+               ("invariant_failures", FACTORY), ("transcript", FACTORY)],
+    "ClosureElement": [("space", REQUIRED), ("cofinite", REQUIRED),
+                       ("ids", REQUIRED)],
+    "RNTrace": [("space", REQUIRED), ("a", REQUIRED), ("u", FACTORY),
+                ("v", FACTORY), ("b", FACTORY), ("n_ran", 0), ("N", None),
+                ("stabilized", False), ("a_inf", None),
+                ("a_inf_exact", False), ("note", "")],
+    "Classification": [("case", REQUIRED), ("name", REQUIRED),
+                       ("witness", REQUIRED), ("note", "")],
+}
+
+
+def test_every_class_has_a_case():
+    assert sorted(IDS) == sorted(SIGNATURES) and len(IDS) == 19
+
+
+@pytest.mark.parametrize("case", CASES, ids=IDS)
+def test_signature_keeps_order_and_defaults(case):
+    params = list(inspect.signature(case.cls).parameters.values())
+    want = SIGNATURES[case.cls.__name__]
+    # a parameter may be added after the old ones, never before them
+    assert [p.name for p in params[:len(want)]] == [n for n, _ in want]
+    for p, (name, default) in zip(params, want):
+        assert p.kind is p.POSITIONAL_OR_KEYWORD, name
+        if default is REQUIRED:
+            assert p.default is p.empty, name
+        elif default is not FACTORY:
+            assert p.default == default, name
+    assert all(p.default is not p.empty for p in params[len(want):])
+
+
+@pytest.mark.parametrize("case", CASES, ids=IDS)
+def test_positional_and_keyword_construction_agree(case):
+    by_name = case.make()
+    by_position = case.cls(*case.fields.values())
+    assert by_name == by_position
+    for name, value in case.fields.items():
+        assert getattr(by_name, name) == value, name
+
+
+@pytest.mark.parametrize("case", CASES, ids=IDS)
+def test_defaults(case):
+    names = list(case.fields)
+    leading = [case.fields[n] for n in names[:case.required]]
+    obj = case.cls(*leading)
+    assert set(case.defaults) == set(names[case.required:])
+    for name, value in case.defaults.items():
+        assert getattr(obj, name) == value, name
+    # a mutable default is a fresh value for every instance
+    other = case.cls(*leading)
+    for name, value in case.defaults.items():
+        if isinstance(value, (list, dict, array)):
+            assert getattr(obj, name) is not getattr(other, name), name
+
+
+@pytest.mark.parametrize("case", CASES, ids=IDS)
+def test_equality_and_hash(case):
+    obj, twin = case.make(), case.make()
+    assert obj == twin and not obj != twin
+    field, value = case.differs
+    assert obj != case.make(**{field: value})
+    for field, value in case.ignored.items():
+        assert obj == case.make(**{field: value}), field
+    # no tuple underneath: a record equals no tuple of its fields
+    assert obj != tuple(case.fields.values())
+    assert obj.__eq__(object()) is NotImplemented
+    if case.hashable:
+        assert hash(obj) == hash(twin)
+        for field, value in case.ignored.items():
+            assert hash(obj) == hash(case.make(**{field: value})), field
+    else:
+        with pytest.raises(TypeError):
+            hash(obj)
+
+
+@pytest.mark.parametrize("case", CASES, ids=IDS)
+def test_frozen_classes_reject_assignment(case):
+    obj = case.make()
+    for name, value in case.fields.items():
+        if case.frozen:
+            with pytest.raises(AttributeError):
+                setattr(obj, name, value)
+            with pytest.raises(AttributeError):
+                delattr(obj, name)
+        else:
+            setattr(obj, name, value)
+        assert getattr(obj, name) == value
+
+
+@pytest.mark.parametrize("case", CASES, ids=IDS)
+def test_copies_are_equal(case):
+    obj = case.make()
+    assert copy.copy(obj) == obj
+    try:
+        pickle.dumps(tuple(case.fields.values()))
+    except AttributeError:      # a poset's order is a local function
+        return
+    assert pickle.loads(pickle.dumps(obj)) == obj
+
+
+@pytest.mark.parametrize("case", [c for c in CASES if c.shown],
+                         ids=[c.cls.__name__ for c in CASES if c.shown])
+def test_repr(case):
+    changes, text = case.shown
+    assert repr(case.make(**changes)) == text
+
+
+def test_post_init_behaviour():
+    config = BuildConfig(POSET, isolated=["a"], bounded={"a"})
+    assert config.isolated == config.bounded == frozenset({"a"})
+    assert type(config.isolated) is frozenset
+    config.bucket_of("b", 2)
+    assert config == BuildConfig(POSET, isolated={"a"}, bounded={"a"})
+    with pytest.raises(ConfigError, match="unknown default bucket 'x'"):
+        BuildConfig(POSET, default_bucket="x")
+    assert TypeSet(POSET, ("b",)).mask == 1 << POSET.index("b")
+    finite = SymbolicSpace(family("rn(2,0)"), 12)
+    flipped = ClosureElement(finite, True, frozenset({"p0"}))
+    assert not flipped.cofinite
+    assert flipped.ids == finite.all_ids - {"p0"}
+    with pytest.raises(PointError):
+        PathPrefix(TREE, ())
+    with pytest.raises(PointError):
+        PathPrefix(TREE, ((1, 0), (3, 0)))
+
+
+def test_level_cached_properties():
+    lvl = Level(2, array("I", [1, 1, 2]), 2)
+    assert (lvl.full_mask, lvl.u_mask) == (0b111, 0b100)
+    assert lvl.counts == {1: 2, 2: 1}

@@ -2,6 +2,7 @@
 import random
 import tracemalloc
 from array import array
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -491,6 +492,53 @@ def assert_same_report(tree, q_lower=None):
 ORACLE_FAMILIES = ["omega-chain", "omega-antichain", "rn-infinity",
                    "rn-infinity-bot", "rn(2,0)", "rn(2,2)", "rn(4,2)",
                    "dyadic", "ziegler-fan"]
+
+
+def assert_sizes_predicted(config, depth):
+    """Grow a tree level by level under a bound one short of each level's
+    size, then under its size.  The short build fails, predicting exactly
+    that size, and leaves the tree as it was; every level's type counts
+    match its types."""
+    full = SkeletonTree(config, depth)
+    tree = SkeletonTree(config, 1)
+    for n in range(2, depth + 1):
+        size = len(full.level(n))
+        layout = [(lvl.types.tolist(), lvl.child_end.tolist(), lvl.counts)
+                  for lvl in tree.levels]
+        config.max_level_size = size - 1
+        with pytest.raises(BuildError) as info:
+            tree.extend_to(n)
+        err = info.value
+        assert (err.level, err.would_hold, err.bound) == (n, size, size - 1)
+        assert [(lvl.types.tolist(), lvl.child_end.tolist(), lvl.counts)
+                for lvl in tree.levels] == layout
+        config.max_level_size = size
+        tree.extend_to(n)
+    for lvl in tree.levels:
+        assert lvl.counts == Counter(lvl.types)
+
+
+class TestPredictedSize:
+    @pytest.mark.parametrize("tag", ORACLE_FAMILIES)
+    def test_builtin_families(self, tag):
+        assert_sizes_predicted(BuildConfig(family(tag)), 7)
+
+    @given(seed=st.integers(0, 10 ** 6), isolate=st.booleans(),
+           bucket=st.sampled_from(["auto", "noncompact", "unbounded"]))
+    @settings(max_examples=40, deadline=None)
+    def test_random_posets(self, seed, isolate, bucket):
+        rng = random.Random(seed)
+        poset = random_poset(rng)
+        isolated = ({rng.choice(poset.prefix(poset.size))} if isolate
+                    else set())
+        assert_sizes_predicted(
+            BuildConfig(poset, isolated=isolated, default_bucket=bucket), 5)
+
+    def test_a_failed_build_reads_no_node_of_the_last_level(self, chain_ab):
+        tree = build_levels(BuildConfig(chain_ab, max_level_size=10), 3)
+        tree.level(3).types = None          # any per-node pass would fail
+        with pytest.raises(BuildError, match="level 4 would hold 20 nodes"):
+            tree.extend_to(4)
 
 
 class TestWholeLevelPasses:

@@ -9,8 +9,10 @@ so unattached nodes of deeper levels never enter a lifted element.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from collections import Counter
-from typing import Iterable, Optional
+from itertools import islice
+from typing import Iterable, Iterator, Optional
 
 from .poset import bits, runs
 from .skeleton import SkeletonTree
@@ -35,19 +37,23 @@ def _lower(tree: SkeletonTree, level: int, mask: int) -> tuple[int, int]:
     free of unattached atoms.  Blocks of consecutive parents are adjacent,
     so a run of set bits is such a union iff it starts where its first
     parent's block starts and ends where its last parent's block ends,
-    which is what ``_turned_away`` tests; a mask that passes drops to the
-    parents of its runs' ends."""
+    which is what ``_turned_away`` tests (inline here, as this runs for
+    every element made); a mask that passes drops to the parents of its
+    runs' ends, found in the child ends of the level above."""
     if not mask:
         return 1, 0
     levels = tree.levels
     while level > 1:
-        lvl = levels[level - 1]
-        if _turned_away(mask, lvl.u_mask, *levels[level - 2].block_masks()):
+        above = levels[level - 2]
+        starts, ends = above.block_masks()
+        if (mask & levels[level - 1].u_mask or mask & ~(mask << 1) & ~starts
+                or mask & ~(mask >> 1) & ~ends):
             break
+        child_end = above.child_end
         parent_mask = 0
         for a, b in runs(mask):
-            p, q = lvl.parent_of(a), lvl.parent_of(b - 1)
-            parent_mask |= (1 << q + 1) - (1 << p)
+            parent_mask |= ((1 << bisect_right(child_end, b - 1) + 1)
+                            - (1 << bisect_right(child_end, a)))
         level, mask = level - 1, parent_mask
     return level, mask
 
@@ -269,6 +275,17 @@ def _persist_rows(tree: SkeletonTree, n: int) -> list[tuple[int, int, int]]:
     return [(own, kids, nodes) for (own, kids), nodes in rows.items()]
 
 
+def _level_draws(getrandbits, bound: int) -> Iterator[int]:
+    """Endless draws from 1..bound: the stream ``Random.randint(1, bound)``
+    gives on the generator behind getrandbits, which draws
+    ``bound.bit_length()`` bits until they fall below bound."""
+    k = bound.bit_length()
+    while True:
+        r = getrandbits(k)
+        if r < bound:
+            yield r + 1
+
+
 def verify_type_axioms(tree: SkeletonTree, level_bound: int,
                        draws: int = 10_000, seed: int = 0) -> dict:
     """Sampled and small-case-exhaustive check of the type function laws.
@@ -278,33 +295,45 @@ def verify_type_axioms(tree: SkeletonTree, level_bound: int,
     types one level down, and upward closure of every computed type set.
 
     The laws run on raw level masks, typed through each level's
-    ``type_bits`` table, and compare interned ``TypeSet`` masks:
+    ``type_bits`` table, and compare interned ``TypeSet`` masks.  A random
+    level is drawn as ``Random.randint(1, level_bound)`` would draw it
+    (``_level_draws``), and a random mask with one ``getrandbits`` call.
 
     - union additivity: while both operands and their union stay on their
       level, both sides OR rows of one type table and agree on any table,
-      so such a draw counts as checked (``_turned_away`` decides most of
-      these, on each level's masks read once per call).  Any other draw
-      is tested on canonical forms: ``_lower`` both operands, lift them
-      to a common level with ``theta_image``, ``_lower`` the union, and
-      compare its ``_types_in`` with the OR of the operands'.  That is
-      done once per distinct (level, mask, mask) in a call;
+      so such a draw counts as checked.  The random-draw loop decides
+      that inline, with ``_lower``'s quick tests (``_turned_away``) on
+      level masks read once per level: the unattached-atom test first, as
+      a draw whose operands both hold an unattached atom stays, then the
+      runs' starts and ends.  The atom pairs of small levels take the same
+      tests through ``additive``.  Any other draw is tested on canonical
+      forms, once per distinct (level, mask, mask) in a call: ``_lower``
+      both operands, lift them to a common level with ``theta_image``,
+      ``_lower`` the union, and compare its ``_types_in`` with the OR of
+      the operands';
+    - emptiness calls ``_types_in`` on every nonempty draw;
     - persistence reads a per-level table built once per call from each
-      node's lifted child block (``_persist_rows``), so a tampered level
-      or a wrong lift shows up here;
-    - upward closure types the canonical element and reads its members
-      (``TypeSet.members`` is memoised on the poset); the law's counts
-      for one member set are made once per call.
+      node's lifted child block (``_persist_rows``, through
+      ``theta_image``), so a tampered level or a wrong lift shows up here;
+      a draw ORs the rows it meets, and the generators and lost types of
+      each distinct OR are found once per call;
+    - upward closure calls ``_lower``, ``_types_in`` and
+      ``TypeSet.members`` (memoised on the poset) on every draw, and makes
+      the law's counts once per distinct member set in a call.
 
-    The per-call memos hold functions of a draw only, and every draw is
-    still taken from the rng and counted, so the report has the same
-    format, counts and witnesses as the element-by-element check it
-    replaced.  Nothing is memoised on the tree, so a level changed
-    between two calls shows in the second.
+    The laws reach ``_lower``, ``_types_in`` and ``theta_image`` through
+    the module and the tree, with no copy of them and no memo kept across
+    calls, so a wrong lowering, lift or typing shows in the report.  The
+    per-call memos hold functions of a draw only, and every draw is still
+    taken from the rng and counted, so the report has the same format,
+    counts and witnesses as the element-by-element check it replaced.
+    Nothing is memoised on the tree, so a level changed between two calls
+    shows in the second.
     """
     if level_bound < 1 or level_bound + 1 > tree.depth:
         raise RingError("need depth at least level_bound + 1")
-    rng = random.Random(seed)
-    getrandbits = rng.getrandbits
+    getrandbits = random.Random(seed).getrandbits
+    level_draws = _level_draws(getrandbits, level_bound)
     poset = tree.poset
     levels = tree.levels
     size_of = [0, *map(len, levels)]
@@ -318,31 +347,31 @@ def verify_type_axioms(tree: SkeletonTree, level_bound: int,
             "witness": witness,
         }
 
-    # _lower's quick tests per level, read once: (u_mask, starts, ends)
-    tests = [None, None] + [(levels[n - 1].u_mask,
-                             *levels[n - 2].block_masks())
-                            for n in range(2, level_bound + 1)]
+    # _lower's quick tests per level, read once: (u_mask, starts, ends).
+    # No mask drops below level 1, as if every atom there were unattached.
+    tests = [None, (-1, 0, 0)] + [(levels[n - 1].u_mask,
+                                   *levels[n - 2].block_masks())
+                                  for n in range(2, level_bound + 1)]
     decided: dict[tuple[int, int, int], bool] = {}
 
     def additive(n: int, ma: int, mb: int) -> bool:
         """T(a | b) == T(a) | T(b) for the level-n masks a and b."""
         if ma and mb:
-            if n == 1:
-                return True
             u, starts, ends = tests[n]
             if (_turned_away(ma, u, starts, ends)
                     and _turned_away(mb, u, starts, ends)
                     and _turned_away(ma | mb, u, starts, ends)):
                 return True
-        key = n, ma, mb
-        hit = decided.get(key)
-        if hit is None:
-            hit = decided[key] = lowered_additive(n, ma, mb)
-        return hit
+        return lowered_additive(n, ma, mb)
 
     def lowered_additive(n: int, ma: int, mb: int) -> bool:
         """The law on the canonical forms: lower both operands, lift them
-        to the deeper one's level, and lower their union."""
+        to the deeper one's level, and lower their union; decided once
+        per distinct draw in a call."""
+        key = n, ma, mb
+        hit = decided.get(key)
+        if hit is not None:
+            return hit
         la, xa = _lower(tree, n, ma)
         lb, xb = _lower(tree, n, mb)
         k = max(la, lb)
@@ -352,11 +381,11 @@ def verify_type_axioms(tree: SkeletonTree, level_bound: int,
         for i in range(lb, k):
             ub = tree.theta_image(i, ub)
         lu, xu = _lower(tree, k, ua | ub)
-        if la == lb == lu == n:
-            return True
-        both = from_mask(poset, _types_in(tree, la, xa).mask
-                         | _types_in(tree, lb, xb).mask)
-        return _types_in(tree, lu, xu).mask == both.mask
+        hit = decided[key] = la == lb == lu == n or (
+            from_mask(poset, _types_in(tree, la, xa).mask
+                      | _types_in(tree, lb, xb).mask).mask
+            == _types_in(tree, lu, xu).mask)
+        return hit
 
     # union additivity: T(x | y) == T(x) | T(y)
     checked = bad = 0
@@ -371,13 +400,32 @@ def verify_type_axioms(tree: SkeletonTree, level_bound: int,
                         bad += 1
                         witness = witness or f"atoms {n}.{i} and {n}.{j}"
     per_level = max(1, draws // (2 * level_bound))
+    checked += per_level * level_bound
     for n in range(1, level_bound + 1):
         size = size_of[n]
+        # _turned_away inline: a mask stays on level n when it holds an
+        # unattached atom, or a run that starts or ends inside a child
+        # block of the level above; the draw counts when ma, mb and
+        # ma | mb all stay
+        u, starts, ends = tests[n]
+        inner_starts, inner_ends = ~starts, ~ends
         for _ in range(per_level):
             ma = getrandbits(size)
             mb = getrandbits(size)
-            checked += 1
-            if not additive(n, ma, mb):
+            if ma and mb:
+                ua = ma & u
+                ub = mb & u
+                if ua and ub:
+                    continue        # and ma | mb holds them both
+                if ((ua or ma & ~(ma << 1) & inner_starts
+                     or ma & ~(ma >> 1) & inner_ends)
+                        and (ub or mb & ~(mb << 1) & inner_starts
+                             or mb & ~(mb >> 1) & inner_ends)):
+                    m = ma | mb
+                    if (ua or ub or m & ~(m << 1) & inner_starts
+                            or m & ~(m >> 1) & inner_ends):
+                        continue
+            if not lowered_additive(n, ma, mb):
                 bad += 1
                 witness = witness or f"masks at level {n}"
     record("union-additive", checked, bad, witness)
@@ -401,8 +449,7 @@ def verify_type_axioms(tree: SkeletonTree, level_bound: int,
         bad += 1
         witness = "empty element got a nonempty type set"
     checked += 1
-    for _ in range(min(draws, 500)):
-        n = rng.randint(1, level_bound)
+    for n in islice(level_draws, min(draws, 500)):
         m = getrandbits(size_of[n])
         if not m:
             continue
@@ -417,8 +464,9 @@ def verify_type_axioms(tree: SkeletonTree, level_bound: int,
     checked = bad = 0
     witness = ""
     rows_of = [_persist_rows(tree, n) for n in range(1, level_bound + 1)]
-    for _ in range(min(draws, 2000)):
-        n = rng.randint(1, level_bound)
+    # (own types, child types) -> (minimal own types, those lost)
+    lost_of: dict[tuple[int, int], tuple[int, int]] = {}
+    for n in islice(level_draws, min(draws, 2000)):
         m = getrandbits(size_of[n])
         if not m:
             continue
@@ -427,10 +475,13 @@ def verify_type_axioms(tree: SkeletonTree, level_bound: int,
             if nodes & m:
                 own |= own_bit
                 kids |= kid_bits
-        kept = from_mask(poset, kids)._upper()
-        gens = from_mask(poset, own).mask
+        hit = lost_of.get((own, kids))
+        if hit is None:
+            gens = from_mask(poset, own).mask
+            hit = lost_of[own, kids] = (
+                gens, gens & ~from_mask(poset, kids)._upper())
+        gens, lost = hit
         checked += gens.bit_count()
-        lost = gens & ~kept
         if lost:
             bad += lost.bit_count()
             if not witness:
@@ -469,8 +520,7 @@ def verify_type_axioms(tree: SkeletonTree, level_bound: int,
         return checked, bad, witness
 
     by_members: dict[frozenset, tuple[int, int, str]] = {}
-    for _ in range(min(draws, 1000)):
-        n = rng.randint(1, level_bound)
+    for n in islice(level_draws, min(draws, 1000)):
         m = getrandbits(size_of[n])
         members = _types_in(tree, *_lower(tree, n, m)).members(horizon)
         hit = by_members.get(members)

@@ -160,9 +160,9 @@ class Level(Record):
     ends, never stored.  ``counts`` holds the number of nodes of each type
     on the level (counted from ``types`` when not given)."""
 
-    _compare = ("number", "types", "u_start", "child_end", "_masks",
-                "_type_bits", "_blocks")
-    _show = ("number", "types", "u_start", "child_end")
+    # the caches _masks, _type_bits and _blocks fill on first use, so
+    # equality leaves them out
+    _compare = ("number", "types", "u_start", "child_end")
 
     def __init__(self, number: int, types: array, u_start: int,
                  above: Optional["Level"] = None,

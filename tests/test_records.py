@@ -92,7 +92,9 @@ CASES = [
     Case(Level, {"number": 2, "types": array("I", [1, 1, 2]), "u_start": 3,
                  "above": LEVEL_1, "child_end": array("I", [2, 3, 5])},
          3, {"above": None, "child_end": array("I")}, frozen=False,
-         ignored={"above": None}, differs=("u_start", 2), shown=(
+         ignored={"above": None, "_masks": {1: 3}, "_type_bits": [(2, 3)],
+                  "_blocks": (array("I"), 0, 0)},
+         differs=("u_start", 2), shown=(
              {"number": 1, "types": array("I", [1]), "u_start": 1,
               "above": None, "child_end": array("I")},
              "Level(number=1, types=array('I', [1]), u_start=1, "
@@ -327,3 +329,15 @@ def test_level_cached_properties():
     lvl = Level(2, array("I", [1, 1, 2]), 2)
     assert (lvl.full_mask, lvl.u_mask) == (0b111, 0b100)
     assert lvl.counts == {1: 2, 2: 1}
+
+
+def test_level_equality_ignores_its_caches():
+    """Two builds of one config have equal levels, before and after one
+    side fills its type and block caches."""
+    left, right = (build_levels(BuildConfig(family("rn(2,0)")), 4)
+                   for _ in range(2))
+    assert left.level(3) == right.level(3)
+    left.level(3).type_masks()
+    left.level(3).block_masks()
+    assert left.level(3) == right.level(3)
+    assert left.levels == right.levels

@@ -1,4 +1,9 @@
 """Clopen-set ring: canonical form, set algebra, trim splits, axioms."""
+import contextlib
+import hashlib
+import io
+import json
+import os
 import random
 from array import array
 
@@ -6,11 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import chain_ab_poset, diamond_poset, random_poset
+from conftest import chain_ab_poset, diamond_poset, random_poset, vee_poset
 from stonetrim import (BuildConfig, RingElement, RingError, TypeSet,
-                       build_levels, is_trim_for, split_by_scarce_atoms,
-                       supertrim_split, trim_split, verify_type_axioms)
-from stonetrim import ring
+                       build_levels, family, is_trim_for,
+                       split_by_scarce_atoms, supertrim_split, trim_split,
+                       verify_type_axioms)
+from stonetrim import cli, ring
 from stonetrim.poset import bits, runs
 from stonetrim.ring import _lower, _turned_away, _types_in
 from stonetrim.skeleton import SkeletonTree
@@ -678,6 +684,38 @@ def test_draw_memos_live_per_call():
                                        seed=0)
 
 
+# configs whose levels hold unattached atoms: the nodes that continue a
+# noncompact type
+UNATTACHED = {
+    "chain": lambda: BuildConfig(chain_ab_poset(), bounded={"a"},
+                                 noncompact={"b"}),
+    "vee": lambda: BuildConfig(vee_poset(), noncompact={"b"}),
+    "diamond": lambda: BuildConfig(diamond_poset(),
+                                   noncompact={"b", "c", "d"}),
+    "rn-infinity": lambda: BuildConfig(family("rn-infinity"), horizon=8),
+}
+
+
+@pytest.mark.parametrize("owner,name,mutate", MUTATIONS)
+@pytest.mark.parametrize("config", UNATTACHED)
+def test_a_mutated_ring_with_unattached_atoms_reports_as_the_oracle(
+        owner, name, mutate, config):
+    """The union law reads unattached atoms first when it decides that a
+    draw stays on its level; a draw with an unattached atom in one operand
+    only still has the other operand and the union tested, so a wrong
+    lowering, lift or typing counts as the oracle counts it."""
+    tree = build_levels(UNATTACHED[config](), 5)
+    assert any(lvl.u_mask for lvl in tree.levels[1:4])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(owner, name, mutate(getattr(owner, name)))
+        got = verify_type_axioms(tree, 4, draws=1000, seed=0)["axioms"]
+        want = verify_type_axioms_oracle(tree, 4, draws=1000,
+                                         seed=0)["axioms"]
+    assert got["union-additive"]["violations"] > 0
+    for law in ("union-additive", "upward-closed"):
+        assert got[law] == want[law]
+
+
 @pytest.mark.parametrize("owner,name,mutate,law", [
     (ring, "_lower", drop_last_lowered_parent, "union-additive"),
     (SkeletonTree, "theta_image", drop_last_child_block, "types-persist"),
@@ -693,3 +731,74 @@ def test_laws_catch_a_mutated_ring(owner, name, mutate, law):
         report = verify_type_axioms(tree, 4, draws=1000, seed=0)
     assert report["passed"] is False
     assert report["axioms"][law]["status"] == "fail"
+
+
+@pytest.mark.parametrize("bound", range(1, 17))
+def test_level_draws_are_randint(bound):
+    """The laws draw levels with _level_draws; its stream, with other
+    draws from the same generator in between, is randint's, so reports
+    stay as they were on every Python version the package supports."""
+    for seed in range(100):
+        rng, ref = random.Random(seed), random.Random(seed)
+        draws = ring._level_draws(rng.getrandbits, bound)
+        for _ in range(20):
+            assert (next(draws), rng.getrandbits(37)) == \
+                (ref.randint(1, bound), ref.getrandbits(37))
+
+
+# ----------------------------------------------------------------------
+# law reports pinned byte for byte
+
+# sha256 of canonical JSON per key: "<criterion-1 name> iso=<isolated>
+# seed=<s>" and "dyadic iso= seed=<s>" for verify_type_axioms(tree, 6,
+# draws=10_000, seed=s) on a tree built to depth 6 and extended to 7, and
+# "build-verify <family> <depth>" for "<exit code>\n" and then the
+# command's stdout
+LAW_PINNED = os.path.join(os.path.dirname(__file__), "law_digests.json")
+LAW_SEEDS = (0, 1)
+CLI_FAMILIES = ["omega-chain", "omega-antichain", "rn-infinity",
+                "rn-infinity-bot", "rn(2,0)", "rn(2,2)", "rn(4,2)", "dyadic",
+                "ziegler-fan"]
+
+
+def canonical_digest(obj) -> str:
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def law_digests() -> dict[str, str]:
+    builds = [(name, maker, kw, iso) for name, maker, kw, single in CRITERION_1
+              for iso in ((), (single,))]
+    builds.append(("dyadic", lambda: family("dyadic"), {}, ()))
+    out = {}
+    for name, maker, kw, iso in builds:
+        tree = build_levels(BuildConfig(maker(), isolated=iso, **kw), 6)
+        tree.extend_to(7)
+        for s in LAW_SEEDS:
+            report = verify_type_axioms(tree, 6, draws=10_000, seed=s)
+            out[f"{name} iso={','.join(iso)} seed={s}"] = \
+                canonical_digest(report)
+    for f in CLI_FAMILIES:
+        for depth in ("4", "5"):
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                code = cli.main(["build-verify", "--family", f,
+                                 "--depth", depth])
+            text = f"{code}\n{stdout.getvalue()}"
+            out[f"build-verify {f} {depth}"] = \
+                hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return out
+
+
+def test_law_reports_are_pinned():
+    with open(LAW_PINNED) as f:
+        pinned = json.load(f)
+    got = law_digests()
+    assert len(got) == 17 * len(LAW_SEEDS) + 2 * len(CLI_FAMILIES)
+    assert sorted(got) == sorted(pinned)
+    assert [k for k in pinned if got[k] != pinned[k]] == []
+
+
+if __name__ == "__main__":
+    # prints the pinned digests of the program on the path
+    print(json.dumps(law_digests(), indent=1))

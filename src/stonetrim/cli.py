@@ -140,7 +140,7 @@ def cmd_build_verify(args) -> int:
         "axioms": axioms,
     }
     _emit(report)
-    return 0
+    return 0 if structure.passed and axioms["passed"] else 4
 
 
 def cmd_iso(args) -> int:

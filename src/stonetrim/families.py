@@ -5,11 +5,14 @@ rn(m,2), dyadic, ziegler-fan.  The rn families use the ladder order
 p_j > p_k iff k >= j + 2; rn(m,2) adjoins p_{m+2} to rn(m,0).  The dyadic
 family enumerates dyadic rationals in [0,1] by denominator, larger values
 first within each denominator group.
+
+Each family gives its order as up-set rows over enumeration indices, in
+closed form (see ``poset``).  Element ids are labels: they are formatted
+for output and witnesses, and no order is read back from them.
 """
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from typing import Optional
 
 from .poset import (Analytics, FoundationResult, Poset, PosetError,
@@ -18,9 +21,9 @@ from .poset import (Analytics, FoundationResult, Poset, PosetError,
 _RN_RE = re.compile(r"rn\((\d+),([02])\)$")
 
 
-def _ix(p: str) -> int:
-    # the k of a "p<k>" id
-    return int(p[1:])
+def _span(start: int, end: int) -> int:
+    """Bits start..end-1, none when end <= start."""
+    return (1 << end) - (1 << start) if end > start else 0
 
 
 def family_tags() -> list[str]:
@@ -65,10 +68,9 @@ def _omega_chain() -> Poset:
         omega_witness=lambda poset, h: tuple(poset.prefix(h)),
         foundation=foundation,
     )
-    return Poset.generated(
-        "omega-chain", lambda i: f"p{i}",
-        lambda a, b: _ix(a) <= _ix(b),
-        family="omega-chain", analytics=analytics)
+    return Poset("omega-chain", gen=lambda i: f"p{i}",
+                 rows=lambda ids, k: (0, _span(1, k)),
+                 family="omega-chain", analytics=analytics)
 
 
 def _omega_antichain() -> Poset:
@@ -84,19 +86,13 @@ def _omega_antichain() -> Poset:
         omega_note="ascending sequences are constant",
         foundation=foundation,
     )
-    return Poset.generated(
-        "omega-antichain", lambda i: f"a{i}",
-        lambda a, b: a == b,
-        family="omega-antichain", analytics=analytics)
+    return Poset("omega-antichain", gen=lambda i: f"a{i}",
+                 rows=lambda ids, k: (0, 0),
+                 family="omega-antichain", analytics=analytics)
 
 
 # ----------------------------------------------------------------------
 # the ladder posets
-
-def _rn_leq(a: str, b: str) -> bool:
-    # a <= b iff a == b or b dominates: p_j > p_k iff k >= j + 2
-    return a == b or _ix(a) >= _ix(b) + 2
-
 
 def _rn_infinity() -> Poset:
     def foundation(poset: Poset, q: frozenset, horizon: int) -> FoundationResult:
@@ -115,19 +111,13 @@ def _rn_infinity() -> Poset:
         omega_note="every ascending chain is finite",
         foundation=foundation,
     )
-    return Poset.generated(
-        "rn-infinity", lambda i: f"p{i - 1}", _rn_leq,
-        family="rn-infinity", analytics=analytics)
+    # p_{k-1}, at index k, lies below p_0..p_{k-3}
+    return Poset("rn-infinity", gen=lambda i: f"p{i - 1}",
+                 rows=lambda ids, k: (_span(1, k - 1), 0),
+                 family="rn-infinity", analytics=analytics)
 
 
 def _rn_infinity_bot() -> Poset:
-    def leq(a: str, b: str) -> bool:
-        if a == "bot":
-            return True
-        if b == "bot":
-            return a == b
-        return _rn_leq(a, b)
-
     def foundation(poset: Poset, q: frozenset, horizon: int) -> FoundationResult:
         return FoundationResult(FOUND, frozenset({"bot"}),
                                 note="the bottom element founds every subset")
@@ -142,10 +132,11 @@ def _rn_infinity_bot() -> Poset:
         omega_note="every ascending chain is finite",
         foundation=foundation,
     )
-    return Poset.generated(
-        "rn-infinity-bot",
-        lambda i: "bot" if i == 1 else f"p{i - 2}", leq,
-        family="rn-infinity-bot", analytics=analytics)
+    # bot, at index 1, lies below everything
+    return Poset("rn-infinity-bot",
+                 gen=lambda i: "bot" if i == 1 else f"p{i - 2}",
+                 rows=lambda ids, k: (_span(2, k - 1), 2),
+                 family="rn-infinity-bot", analytics=analytics)
 
 
 def _rn_finite(m: int, extra: int) -> Poset:
@@ -153,33 +144,51 @@ def _rn_finite(m: int, extra: int) -> Poset:
     if extra:
         ids.append(f"p{m + 2}")
     name = f"rn({m},{extra})"
-    p = Poset.finite_from_order(name, ids, _rn_leq)
-    p.family = name
-    return p
+    # the adjoined p_{m+2}, at index m + 2, lies below p_0..p_m
+    return Poset(name, ids=ids, family=name, rows=lambda _, k: (
+        _span(1, k if k == m + 2 else k - 1), 0))
 
 
 # ----------------------------------------------------------------------
 # dyadic rationals in [0,1], ordered as numbers
 
+def _dyadic_walk(k: int) -> tuple[list[tuple[int, int]], int, int]:
+    """(start, den) of each group before index k >= 3, and k's numerator and
+    denominator: group den holds den - 1, den - 3, ..., 1 from den // 2 + 2."""
+    groups, den = [], 2
+    while k >= den + 2:
+        groups.append((den // 2 + 2, den))
+        den *= 2
+    return groups, den - 1 - 2 * (k - den // 2 - 2), den
+
+
 def _dyadic_id(i: int) -> str:
     # 0, 1, then each denominator group with numerators descending
-    if i == 1:
-        return "0"
-    if i == 2:
-        return "1"
-    rest = i - 3
-    den = 2
-    while rest >= den // 2:
-        rest -= den // 2
-        den *= 2
-    num = den - 1 - 2 * rest
-    return str(Fraction(num, den))
+    if i <= 2:
+        return str(i - 1)
+    _, num, den = _dyadic_walk(i)
+    return f"{num}/{den}"
+
+
+def _dyadic_rows(ids: list[str], k: int) -> tuple[int, int]:
+    # "0" and "1" lie below and above everything; in an older group g, the
+    # first (g - num * g // den) // 2 numerators lie above num / den
+    if k <= 2:
+        return 0, 2
+    older, num, den = _dyadic_walk(k)
+    above, below = 4 | _span(den // 2 + 2, k), 2
+    for start, g in older:
+        cut = start + (g - num * g // den) // 2
+        above |= _span(start, cut)
+        below |= _span(cut, start + g // 2)
+    return above, below
 
 
 def _dyadic_limit_display(values: tuple[str, ...]) -> Optional[str]:
     """Exact limit of a geometric ascent; None when no pattern fits."""
     if len(values) < 3:
         return None
+    from fractions import Fraction
     vs = [Fraction(v) for v in values]
     gaps = [b - a for a, b in zip(vs, vs[1:])]
     if any(g <= 0 for g in gaps):
@@ -197,12 +206,7 @@ def _dyadic_limit_display(values: tuple[str, ...]) -> Optional[str]:
 def _dyadic() -> Poset:
     def thirds_chain(poset: Poset, h: int) -> tuple[str, ...]:
         # partial sums of 1/4 + 1/16 + ... approach 1/3, which is not dyadic
-        vals = []
-        s = Fraction(0)
-        for k in range(1, 6):
-            s += Fraction(1, 4 ** k)
-            vals.append(str(s))
-        return tuple(vals)
+        return tuple(f"{(4 ** k - 1) // 3}/{4 ** k}" for k in range(1, 6))
 
     def foundation(poset: Poset, q: frozenset, horizon: int) -> FoundationResult:
         return FoundationResult(FOUND, frozenset({"0"}),
@@ -219,19 +223,14 @@ def _dyadic() -> Poset:
         foundation=foundation,
         limit_display=_dyadic_limit_display,
     )
-    return Poset.generated(
-        "dyadic", _dyadic_id,
-        lambda a, b: Fraction(a) <= Fraction(b),
-        family="dyadic", analytics=analytics)
+    return Poset("dyadic", gen=_dyadic_id, rows=_dyadic_rows,
+                 family="dyadic", analytics=analytics)
 
 
 # ----------------------------------------------------------------------
 # fan: one top above an infinite antichain of minimal elements
 
 def _ziegler_fan() -> Poset:
-    def leq(a: str, b: str) -> bool:
-        return a == b or (a != "q" and b == "q")
-
     def foundation(poset: Poset, q: frozenset, horizon: int) -> FoundationResult:
         if "q" in q:
             return FoundationResult(
@@ -250,7 +249,7 @@ def _ziegler_fan() -> Poset:
         omega_note="ascending sequences stabilize at a minimal element or the hub",
         foundation=foundation,
     )
-    return Poset.generated(
-        "ziegler-fan",
-        lambda i: "q" if i == 1 else f"m{i - 1}", leq,
-        family="ziegler-fan", analytics=analytics)
+    # every m_i lies below the hub q, at index 1
+    return Poset("ziegler-fan", gen=lambda i: "q" if i == 1 else f"m{i - 1}",
+                 rows=lambda ids, k: (2, 0),
+                 family="ziegler-fan", analytics=analytics)

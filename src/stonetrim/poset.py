@@ -1,9 +1,11 @@
 """Finite and lazily enumerated countable posets.
 
-A poset here is either finite (explicit elements plus an order) or generated
-(an enumeration function yielding element ids one at a time, plus an order
-oracle).  Every predicate that cannot be decided from a finite enumeration
-prefix says so: verdicts are "holds", "refuted" (with a checkable witness) or
+A poset here is either finite (explicit elements) or generated (an
+enumeration yielding element ids one at a time).  Its order is filled from
+up-set rows: ``rows(ids, k)`` masks the older elements above and below
+element k (see ``Poset``); a string order enters only through ``_leq_rows``.
+Every predicate that cannot be decided from a finite prefix says so:
+verdicts are "holds", "refuted" (with a checkable witness) or
 "holds-on-prefix", and foundation queries may come back "inconclusive".
 """
 from __future__ import annotations
@@ -21,6 +23,7 @@ FOUND = "found"
 INCONCLUSIVE = "inconclusive"
 
 DEFAULT_CHAIN_BOUND = 8
+Rows = Callable[[list[str], int], tuple[int, int]]
 
 
 class PosetError(ValueError):
@@ -42,6 +45,15 @@ def bits(mask: int) -> Iterator[int]:
     """Positions of the set bits of a nonnegative int, ascending."""
     for start, end in runs(mask):
         yield from range(start, end)
+
+
+def _leq_rows(leq: Callable[[str, str], bool]) -> Rows:
+    """Rows of a string order, asking it both ways about each older element."""
+    def rows(ids: list[str], k: int) -> tuple[int, int]:
+        p, older = ids[k - 1], list(enumerate(ids[:k - 1], 1))
+        return (sum(1 << j for j, q in older if leq(p, q)),
+                sum(1 << j for j, q in older if leq(q, p)))
+    return rows
 
 
 class Verdict(Frozen):
@@ -138,9 +150,12 @@ class Poset:
     """A partial order over string element ids.
 
     The order lives in one up-set table over enumeration indices:
-    ``up_mask(i)`` has bit j set iff element i <= element j.  Finite posets
-    fill it at construction; generated posets grow an enumeration prefix on
-    demand and add one row (and one bit to each older row) per new element.
+    ``up_mask(i)`` has bit j set iff element i <= element j.  It is filled
+    from ``rows(ids, k)`` alone, which returns two masks ``(above, below)``
+    over the older indices 1..k-1 (other bits are ignored): bit j of
+    ``above`` is set iff element k <= element j, and of ``below`` iff
+    element j <= element k.  Finite posets fill the table, and check its
+    axioms, at construction; generated posets grow it one element at a time.
     Enumeration indices are 1-based, so ``prefix(n)`` is the set P_n of the
     first n elements.
 
@@ -151,18 +166,18 @@ class Poset:
     """
 
     def __init__(self, name: str, *, ids: Optional[list[str]] = None,
-                 leq_fn: Optional[Callable[[str, str], bool]] = None,
+                 rows: Optional[Rows] = None,
                  gen: Optional[Callable[[int], str]] = None,
                  family: Optional[str] = None,
                  analytics: Optional[Analytics] = None):
         if (ids is None) == (gen is None):
             raise PosetError("supply either a fixed id list or a generator, not both")
-        if leq_fn is None:
+        if rows is None:
             raise PosetError("an order oracle is required")
         self.name = name
         self.family = family
         self.analytics = analytics or Analytics()
-        self._leq_fn = leq_fn
+        self._rows = rows
         self._gen = gen
         self._ids: list[str] = list(ids) if ids is not None else []
         self._pos: dict[str, int] = {p: i for i, p in enumerate(self._ids, 1)}
@@ -175,7 +190,9 @@ class Poset:
         self._fill_table()
         self.finite = gen is None
         if self.finite:
-            self._check_axioms(self._ids)
+            problems = self.check_order_axioms(len(self._ids))
+            if problems:
+                raise PosetError("; ".join(problems[:3]))
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -188,7 +205,7 @@ class Poset:
         The order is the reflexive-transitive closure; cycles are rejected.
         """
         ids = list(elements)
-        pos = {p: i for i, p in enumerate(ids)}
+        pos = {p: i for i, p in enumerate(ids, 1)}
         if len(pos) != len(ids):
             raise PosetError("duplicate element ids")
         pairs = list(covers)
@@ -198,25 +215,26 @@ class Poset:
             if a == b:
                 raise PosetError(f"cover ({a!r}, {b!r}) is reflexive")
         up = {p: 1 << i for p, i in pos.items()}
+        down = dict(up)
         changed = True
         while changed:
             changed = False
             for a, b in pairs:
-                if up[b] & ~up[a]:
+                if up[b] & ~up[a] or down[a] & ~down[b]:
                     up[a] |= up[b]
+                    down[b] |= down[a]
                     changed = True
         for a in ids:
-            for j in bits(up[a] & ~(1 << pos[a])):
-                if up[ids[j]] >> pos[a] & 1:
-                    raise PosetError(f"covers contain a cycle through {a!r} "
-                                     f"and {ids[j]!r}")
-        return cls(name, ids=ids, leq_fn=lambda x, y: up[x] >> pos[y] & 1)
+            for j in bits(up[a] & down[a] & ~(1 << pos[a])):
+                raise PosetError(f"covers contain a cycle through {a!r} "
+                                 f"and {ids[j - 1]!r}")
+        return cls(name, ids=ids, rows=lambda _, k: (up[ids[k - 1]], down[ids[k - 1]]))
 
     @classmethod
     def finite_from_order(cls, name: str, elements: Iterable[str],
                           leq: Callable[[str, str], bool]) -> "Poset":
         """Finite poset from an explicit order function."""
-        return cls(name, ids=list(elements), leq_fn=leq)
+        return cls(name, ids=list(elements), rows=_leq_rows(leq))
 
     @classmethod
     def generated(cls, name: str, element_at: Callable[[int], str],
@@ -224,7 +242,7 @@ class Poset:
                   family: Optional[str] = None,
                   analytics: Optional[Analytics] = None) -> "Poset":
         """Countable poset from a 1-based enumeration and an order oracle."""
-        return cls(name, gen=element_at, leq_fn=leq, family=family,
+        return cls(name, gen=element_at, rows=_leq_rows(leq), family=family,
                    analytics=analytics)
 
     @classmethod
@@ -246,8 +264,12 @@ class Poset:
             covers = source["covers"]
         except KeyError as exc:
             raise PosetError(f"poset JSON missing key {exc}") from exc
+        if not isinstance(name, str):
+            raise PosetError("name must be a string")
         if not isinstance(elements, list) or not all(isinstance(e, str) for e in elements):
             raise PosetError("elements must be a list of strings")
+        if not isinstance(covers, list):
+            raise PosetError("covers must be a list of pairs")
         pairs = []
         for entry in covers:
             if (not isinstance(entry, (list, tuple))) or len(entry) != 2:
@@ -273,25 +295,19 @@ class Poset:
     def _fill_table(self) -> None:
         """Add the up-set rows of newly enumerated elements, and their bits
         to the rows of the older ones; the memoised up-closures go stale."""
-        ids, up, fn = self._ids, self._up, self._leq_fn
+        ids, up = self._ids, self._up
         if len(up) <= len(ids):
             self._uppers.clear()
             self._members.clear()
         for k in range(len(up), len(ids) + 1):
-            p = ids[k - 1]
-            row = 1 << k
-            for j in range(1, k):
-                q = ids[j - 1]
-                if fn(p, q):
-                    row |= 1 << j
-                if fn(q, p):
-                    up[j] |= 1 << k
-            up.append(row)
+            older = (1 << k) - 2
+            above, below = self._rows(ids, k)
+            up.append(1 << k | above & older)
+            for j in bits(below & older):
+                up[j] |= 1 << k
 
     def prefix(self, n: int) -> list[str]:
         """The first n enumerated elements (all of them, for finite posets)."""
-        if self.finite:
-            return list(self._ids[:n])
         self.ensure(n)
         return list(self._ids[:n])
 
@@ -422,34 +438,34 @@ class Poset:
     # axioms and serialization
 
     def check_order_axioms(self, horizon: int) -> list[str]:
-        """Exhaustive antisymmetry/transitivity check on a prefix; the table
-        makes every element reflexive."""
+        """Exhaustive antisymmetry/transitivity check on a prefix, read off
+        the table's rows; the table makes every element reflexive."""
         pre = self.prefix(horizon)
+        up = [row & (1 << len(pre) + 1) - 2 for row in self._up[:len(pre) + 1]]
         problems = []
-        for p in pre:
-            for q in pre:
-                if p != q and self.leq(p, q) and self.leq(q, p):
-                    problems.append(f"antisymmetry fails on {p!r}, {q!r}")
-        for p in pre:
-            for q in pre:
-                if not self.leq(p, q):
-                    continue
-                for r in pre:
-                    if self.leq(q, r) and not self.leq(p, r):
-                        problems.append(f"transitivity fails on {p!r}, {q!r}, {r!r}")
+        for i, row in enumerate(up):
+            for j in bits(row & ~(1 << i)):
+                if up[j] >> i & 1:
+                    problems.append(f"antisymmetry fails on {pre[i - 1]!r}, "
+                                    f"{pre[j - 1]!r}")
+        for i, row in enumerate(up):
+            for j in bits(row):
+                for k in bits(up[j] & ~row):
+                    problems.append(f"transitivity fails on {pre[i - 1]!r}, "
+                                    f"{pre[j - 1]!r}, {pre[k - 1]!r}")
         return problems
 
     def cover_pairs(self, horizon: Optional[int] = None) -> list[tuple[str, str]]:
         """Transitive reduction of the order on the prefix."""
         pre = self.prefix(horizon) if horizon else list(self._ids)
+        up = [row & (1 << len(pre) + 1) - 2 for row in self._up[:len(pre) + 1]]
         out = []
-        for a in pre:
-            for b in pre:
-                if not self.lt(a, b):
-                    continue
-                if any(self.lt(a, c) and self.lt(c, b) for c in pre):
-                    continue
-                out.append((a, b))
+        for i, row in enumerate(up):
+            strict = row & ~(1 << i)
+            beyond = 0
+            for c in bits(strict):
+                beyond |= up[c] & ~(1 << c)
+            out.extend((pre[i - 1], pre[j - 1]) for j in bits(strict & ~beyond))
         return out
 
     def to_json(self, horizon: Optional[int] = None) -> dict:
@@ -679,11 +695,6 @@ class Poset:
                        note=f"no violating chain of length >= {min_chain} at the horizon")
 
     # ------------------------------------------------------------------
-
-    def _check_axioms(self, ids: list[str]) -> None:
-        probs = self.check_order_axioms(len(ids))
-        if probs:
-            raise PosetError("; ".join(probs[:3]))
 
     def __repr__(self) -> str:
         kind = "finite" if self.finite else "generated"

@@ -110,6 +110,30 @@ class TestBuildVerify:
         assert "bounded-outside-delta" in proc.stderr
 
 
+    @pytest.mark.parametrize("family,q", [("rn-infinity", "p0"),
+                                          ("ziegler-fan", "q")])
+    def test_failed_structure_exits_four(self, family, q):
+        # neither q has a finite foundation, so the covering check fails
+        proc = run_cli("build-verify", "--family", family, "--depth", "4",
+                       "--q", q)
+        assert proc.returncode == 4, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert doc["structure"]["passed"] is False
+        assert doc["axioms"]["passed"] is True
+        assert [c["name"] for c in doc["structure"]["checks"]
+                if not c["passed"]] == ["cover-foundation"]
+
+    def test_failed_laws_exit_four(self, monkeypatch, capsys):
+        from stonetrim import ring
+        monkeypatch.setattr(ring, "verify_type_axioms",
+                            lambda *args, **kwargs: {"passed": False})
+        assert cli.main(["build-verify", "--family", "rn(2,0)",
+                         "--depth", "3"]) == 4
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["structure"]["passed"] is True
+        assert doc["axioms"] == {"passed": False}
+
+
 class TestIso:
     def test_identical_sides(self):
         proc = run_cli("iso", "--left-family", "rn(2,0)",
@@ -258,6 +282,22 @@ class TestExitContract:
         assert proc.returncode == 3
         assert proc.stdout == ""
         assert proc.stderr.splitlines() == ["--max-n must be at least 0"]
+
+    @pytest.mark.parametrize("doc", [
+        {"name": "x", "elements": ["a"], "covers": 5},
+        {"name": "x", "elements": ["a"], "covers": None},
+        {"name": 5, "elements": ["a"], "covers": []}])
+    @pytest.mark.parametrize("command", ["analyze", "build-verify", "iso"])
+    def test_malformed_poset_file(self, tmp_path, command, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        argv = ([command, "--left", str(path), "--right-family", "rn(2,0)"]
+                if command == "iso" else [command, str(path)])
+        proc = run_cli(*argv)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert "must be a" in proc.stderr
 
     def test_iso_builds_the_covering_level(self):
         proc = run_cli("iso", "--left-family", "rn(4,2)",

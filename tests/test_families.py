@@ -6,6 +6,68 @@ import pytest
 from stonetrim import FOUND, REFUTED, Poset, PosetError, family, family_tags
 
 
+# The string orders the families once read back from their ids, kept as the
+# reference that their up-set rows must reproduce bit for bit.
+
+def _ix(p: str) -> int:
+    return int(p[1:])
+
+
+def ladder_leq(a: str, b: str) -> bool:
+    return a == b or _ix(a) >= _ix(b) + 2
+
+
+def ladder_bot_leq(a: str, b: str) -> bool:
+    return a == "bot" or (b != "bot" and ladder_leq(a, b))
+
+
+def dyadic_id(i: int) -> str:
+    if i <= 2:
+        return str(i - 1)
+    rest, den = i - 3, 2
+    while rest >= den // 2:
+        rest -= den // 2
+        den *= 2
+    return str(Fraction(den - 1 - 2 * rest, den))
+
+
+REFERENCE = {
+    "omega-chain": (lambda i: f"p{i}", lambda a, b: _ix(a) <= _ix(b), 200),
+    "omega-antichain": (lambda i: f"a{i}", lambda a, b: a == b, 200),
+    "rn-infinity": (lambda i: f"p{i - 1}", ladder_leq, 200),
+    "rn-infinity-bot": (lambda i: "bot" if i == 1 else f"p{i - 2}",
+                        ladder_bot_leq, 200),
+    "dyadic": (dyadic_id, lambda a, b: Fraction(a) <= Fraction(b), 129),
+    "ziegler-fan": (lambda i: "q" if i == 1 else f"m{i - 1}",
+                    lambda a, b: a == b or (a != "q" and b == "q"), 200),
+}
+
+
+def table(poset: Poset, n: int) -> list[int]:
+    return [poset.up_mask(i) for i in range(1, n + 1)]
+
+
+@pytest.mark.parametrize("tag", sorted(REFERENCE))
+def test_infinite_family_rows_match_the_string_order(tag):
+    element_at, leq, n = REFERENCE[tag]
+    got, want = family(tag), Poset.generated(tag, element_at, leq)
+    # grow in two steps: the older rows gain the bits of later elements
+    assert table(got, 7) == table(want, 7)
+    assert got.prefix(n) == want.prefix(n)
+    assert table(got, n) == table(want, n)
+
+
+@pytest.mark.parametrize("extra", [0, 2])
+@pytest.mark.parametrize("m", range(11))
+def test_finite_ladder_rows_match_the_string_order(m, extra):
+    ids = [f"p{k}" for k in range(m + 1)] + ([f"p{m + 2}"] if extra else [])
+    got = family(f"rn({m},{extra})")
+    want = Poset.finite_from_order("ref", ids, ladder_leq)
+    assert got.prefix(len(ids)) == ids
+    assert table(got, len(ids)) == table(want, len(ids))
+    assert got.family == got.name == f"rn({m},{extra})"
+
+
 class TestTags:
     def test_catalog(self):
         tags = family_tags()

@@ -41,13 +41,13 @@ class TestConstruction:
     def test_exactly_one_element_source(self):
         with pytest.raises(PosetError, match="either"):
             Poset("bad", ids=["a"], gen=lambda i: "b",
-                  leq_fn=lambda a, b: a == b)
+                  rows=lambda ids, k: (0, 0))
         with pytest.raises(PosetError, match="either"):
-            Poset("bad", leq_fn=lambda a, b: a == b)
+            Poset("bad", rows=lambda ids, k: (0, 0))
 
     def test_order_oracle_required(self):
         with pytest.raises(PosetError, match="oracle"):
-            Poset("bad", ids=["a"], leq_fn=None)
+            Poset("bad", ids=["a"], rows=None)
 
     def test_finite_axioms_enforced_up_front(self):
         with pytest.raises(PosetError, match="antisymmetry"):
@@ -90,6 +90,17 @@ class TestJson:
     def test_bad_cover_entry(self):
         with pytest.raises(PosetError, match="cover entry"):
             Poset.from_json({"name": "x", "elements": ["a"], "covers": ["a"]})
+
+    @pytest.mark.parametrize("covers", [5, None, "ab", {"a": "b"}])
+    def test_covers_must_be_a_list(self, covers):
+        with pytest.raises(PosetError, match="covers must be a list"):
+            Poset.from_json({"name": "x", "elements": ["a", "b"],
+                             "covers": covers})
+
+    @pytest.mark.parametrize("name", [5, None, ["x"]])
+    def test_name_must_be_a_string(self, name):
+        with pytest.raises(PosetError, match="name must be a string"):
+            Poset.from_json({"name": name, "elements": [], "covers": []})
 
     def test_generated_serialization_needs_horizon(self):
         with pytest.raises(PosetError, match="horizon"):
@@ -362,6 +373,88 @@ def test_up_sets_are_upper_sets(seed, data):
     ids = p.prefix(p.size)
     x = data.draw(st.sampled_from(ids))
     assert p.is_upper(p.up_set(x, p.size), p.size)
+
+
+def random_relation(rng: random.Random, n: int):
+    """Ids and a string order for a random reflexive relation on them; its
+    strict pairs are drawn freely, so antisymmetry and transitivity may
+    fail."""
+    ids = [f"r{k}" for k in range(n)]
+    density = rng.choice([0.1, 0.3, 0.6])
+    pairs = {(a, b) for a in ids for b in ids
+             if a == b or rng.random() < density}
+    return ids, lambda a, b: (a, b) in pairs
+
+
+def triple_loop_axioms(p, pre):
+    problems = []
+    for a in pre:
+        for b in pre:
+            if a != b and p.leq(a, b) and p.leq(b, a):
+                problems.append(f"antisymmetry fails on {a!r}, {b!r}")
+    for a in pre:
+        for b in pre:
+            if not p.leq(a, b):
+                continue
+            for c in pre:
+                if p.leq(b, c) and not p.leq(a, c):
+                    problems.append(f"transitivity fails on {a!r}, {b!r}, {c!r}")
+    return problems
+
+
+def triple_loop_covers(p, pre):
+    return [(a, b) for a in pre for b in pre
+            if p.lt(a, b) and not any(p.lt(a, c) and p.lt(c, b) for c in pre)]
+
+
+@pytest.mark.parametrize("seed", range(80))
+def test_axioms_and_covers_match_the_triple_loops(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 9)
+    ids, leq = random_relation(rng, n)
+    # a generated poset keeps any relation; a finite one checks it
+    p = Poset.generated("rel", lambda i: ids[i - 1], leq)
+    for h in range(1, n + 1):
+        pre = p.prefix(h)
+        assert p.check_order_axioms(h) == triple_loop_axioms(p, pre)
+        assert p.cover_pairs(h) == triple_loop_covers(p, pre)
+    assert p.cover_pairs() == triple_loop_covers(p, ids)
+    problems = triple_loop_axioms(p, ids)
+    if problems:
+        with pytest.raises(PosetError) as err:
+            Poset.finite_from_order("rel", ids, leq)
+        assert str(err.value) == "; ".join(problems[:3])
+    order = random_poset(rng, max_size=9)
+    pre = order.prefix(order.size)
+    assert order.check_order_axioms(order.size) == []
+    assert order.cover_pairs() == triple_loop_covers(order, pre)
+
+
+def test_random_relations_break_both_axioms():
+    found = set()
+    for seed in range(80):
+        rng = random.Random(seed)
+        ids, leq = random_relation(rng, rng.randint(1, 9))
+        p = Poset.generated("rel", lambda i: ids[i - 1], leq)
+        found.update(s.split()[0] for s in p.check_order_axioms(len(ids)))
+    assert found == {"antisymmetry", "transitivity"}
+
+
+def test_rows_are_asked_once_per_element():
+    asked, compared = [], []
+
+    def rows(ids, k):
+        asked.append(k)
+        return 0, (1 << k) - 2
+
+    def leq(a, b):
+        compared.append((a, b))
+        return int(a) <= int(b)
+
+    Poset("chain", gen=str, rows=rows).ensure(30)
+    assert asked == list(range(1, 31))
+    Poset.generated("chain", str, leq).ensure(30)
+    assert len(compared) == 30 * 29
 
 
 def divides(a: str, b: str) -> bool:

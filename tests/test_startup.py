@@ -77,6 +77,7 @@ class TestImportFootprint:
     def test_cli_loads_the_order_core_and_the_skeleton(self):
         loaded = fresh("import stonetrim, stonetrim.cli")["loaded"]
         assert "dataclasses" not in loaded and "inspect" not in loaded
+        assert "fractions" not in loaded
         assert {"cli", "poset", "families", "skeleton"} <= layers(loaded)
         assert not layers(loaded) & LATER_LAYERS
 

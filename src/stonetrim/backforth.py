@@ -449,11 +449,16 @@ def _check_theta(left: SkeletonTree, right: SkeletonTree,
     targets = set(image.values())
     if len(targets) != len(a) or not targets <= b:
         raise IsoError("the bijection does not map prefix onto prefix")
-    for p in a:
-        for q in a:
-            if left.poset.leq(p, q) != right.poset.leq(image[p], image[q]):
-                raise IsoError(f"the bijection breaks order at "
-                               f"({p!r}, {q!r})")
+    # each left row against its image's row, pulled back through theta
+    back = {right.poset.index(image[p]): i for i, p in enumerate(a, 1)}
+    cut = (1 << len(a) + 1) - 2
+    for i, p in enumerate(a, 1):
+        row = right.poset.up_mask(right.poset.index(image[p]))
+        diff = (left.poset.up_mask(i) & cut) ^ sum(
+            1 << back[k] for k in bits(row) if k in back)
+        if diff:
+            q = a[(diff & -diff).bit_length() - 2]
+            raise IsoError(f"the bijection breaks order at ({p!r}, {q!r})")
     return _ThetaMap(left.poset, right.poset, image)
 
 

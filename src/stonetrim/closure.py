@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ._record import Frozen, Record
-from .poset import Poset
+from .poset import Poset, covers_of
 
 LADDER_FAMILIES = ("rn-infinity", "rn-infinity-bot")
 
@@ -422,16 +422,15 @@ def render_trace_dot(trace: RNTrace) -> str:
     poset = trace.space.poset
     layers = [(n, x.sole_id()) for n, x in enumerate(trace.b)]
     layers = [(n, p) for n, p in layers if p is not None]
-    bit = {p: 1 << poset.index(p) for _, p in layers}
-    up = {p: poset.up_mask(poset.index(p)) for p in bit}
+    names = list(dict.fromkeys(p for _, p in layers))
+    ix = [poset.index(p) for p in names]
+    up = [poset.up_mask(i) for i in ix]
+    # down-set rows over the layers: a cover pair (a, b) has b covered by a
+    down = [sum(1 << k for k, row in enumerate(up) if row >> i & 1)
+            for i in ix]
     lines = ["digraph ladder {", "  rankdir=TB;"]
     for n, p in layers:
         lines.append(f'  "{p}" [label="B{n}: {p}"];')
-    for a in bit:
-        below = sum(bit[c] for c in bit if c != a and up[c] & bit[a])
-        for b in bit:
-            # b is covered by a: nothing strictly between them
-            if below & bit[b] and up[b] & below == bit[b]:
-                lines.append(f'  "{a}" -> "{b}";')
+    lines.extend(f'  "{a}" -> "{b}";' for a, b in covers_of(down, names))
     lines.append("}")
     return "\n".join(lines)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from ._record import Frozen
-from .poset import Poset, PosetError
+from .poset import Poset, PosetError, axiom_problems, bits, covers_of
 
 
 class CompletionError(ValueError):
@@ -90,53 +90,45 @@ class CompletedPoset:
             return False
         return x.descriptor <= y.descriptor
 
+    def _rows(self) -> list[int]:
+        """Carrier up-set rows: bit j of row i is set iff els[i] <= els[j]."""
+        els = self.elements
+        return [sum(1 << j for j, y in enumerate(els) if self.leq(x, y))
+                for x in els]
+
     def verify(self) -> list[str]:
         """Bounded checks: order axioms on the carrier, unique suprema for
         token-generating chains, and density of tokens over their chains."""
-        problems = []
-        els = self.elements
-        for x in els:
-            if not self.leq(x, x):
-                problems.append(f"not reflexive at {x.ref}")
-        for x in els:
-            for y in els:
-                if x is not y and self.leq(x, y) and self.leq(y, x):
-                    problems.append(f"antisymmetry fails on {x.ref}, {y.ref}")
-                for z in els:
-                    if self.leq(x, y) and self.leq(y, z) and not self.leq(x, z):
-                        problems.append(f"transitivity fails on {x.ref}, {y.ref}, {z.ref}")
-        for tok in self.tokens():
+        els, up = self.elements, self._rows()
+        problems = [f"not reflexive at {x.ref}"
+                    for i, x in enumerate(els) if not up[i] >> i & 1]
+        problems += axiom_problems(up, [x.ref for x in els])
+        at = {x.ref: i for i, x in enumerate(els)}
+        for t, tok in enumerate(els):
+            if not tok.is_limit:
+                continue
             # at a finite horizon the truncated chain still has a top inside
             # the descriptor, so bounds are compared outside it
-            ubs = [u for u in els
-                   if (u.is_limit or u.ref not in tok.descriptor)
-                   and all(self.leq(self._by_ref[c], u)
-                           for c in tok.descriptor if c in self._by_ref)]
-            least = [u for u in ubs if all(self.leq(u, v) for v in ubs)]
-            if len(least) != 1 or least[0] is not tok:
+            desc = tok.descriptor
+            ubs = sum(1 << u for u, x in enumerate(els)
+                      if x.is_limit or x.ref not in desc)
+            for c in desc:
+                if c in at:
+                    ubs &= up[at[c]]
+            if [u for u in bits(ubs) if not ubs & ~up[u]] != [t]:
                 problems.append(f"token {tok.ref} is not the unique sup of its chain")
-            for r in els:
-                if not r.is_limit and self.leq(r, tok) and r is not tok:
-                    if r.ref not in tok.descriptor:
-                        problems.append(
-                            f"{r.ref} below token {tok.ref} but below no chain member")
+            problems.extend(
+                f"{r.ref} below token {tok.ref} but below no chain member"
+                for r, row in zip(els, up)
+                if not r.is_limit and row >> t & 1 and r.ref not in desc)
         return problems
 
     def to_json(self) -> dict:
         pre = self.poset.prefix(self.horizon)
         names = [e.ref for e in self.elements]
-        covers = []
-        for x in self.elements:
-            for y in self.elements:
-                if x is y or not self.leq(x, y):
-                    continue
-                if any(z is not x and z is not y
-                       and self.leq(x, z) and self.leq(z, y)
-                       for z in self.elements):
-                    continue
-                covers.append([x.ref, y.ref])
         return {"name": f"{self.poset.name}-completion",
-                "elements": names, "covers": covers,
+                "elements": names,
+                "covers": [list(c) for c in covers_of(self._rows(), names)],
                 "tokens": [e.serialize() for e in self.tokens()],
                 "horizon": self.horizon, "base": pre}
 
@@ -165,7 +157,7 @@ def complete_over(poset: Poset, members: Iterable[str],
     descriptors deduplicate interleaving chains.
     """
     pre = poset.prefix(horizon)
-    sub = [p for p in pre if p in set(members)]
+    sub = poset.mask_of(set(members) & set(pre))
     els = [CompletionElement("base", p, poset.down_set(p, horizon)) for p in pre]
     if poset.finite:
         return CompletedPoset(poset, horizon, els)
@@ -176,10 +168,11 @@ def complete_over(poset: Poset, members: Iterable[str],
 
     seen: dict[frozenset, CompletionElement] = {}
     for chain in poset._maximal_chains(sub):
+        chain = [pre[i - 1] for i in chain]
         top = chain[-1]
         if len(chain) < 2 or top in confirmed_max:
             continue
-        if any(poset.lt(top, u) for u in pre):
+        if len(poset.up_set(top, horizon)) > 1:
             continue
         desc = chain_closure(poset, chain, horizon)
         if desc in seen:

@@ -4,6 +4,10 @@ A poset here is either finite (explicit elements) or generated (an
 enumeration yielding element ids one at a time).  Its order is filled from
 up-set rows: ``rows(ids, k)`` masks the older elements above and below
 element k (see ``Poset``); a string order enters only through ``_leq_rows``.
+Every set, chain, cover and axiom question is read off those rows as masks
+over enumeration indices; ids are converted only at the edges, by ``mask_of``
+(an unknown id raises) and ``ids_of``.  ``covers_of`` and ``axiom_problems``
+take any list of rows, so the chain completion and the closure share them.
 Every predicate that cannot be decided from a finite prefix says so:
 verdicts are "holds", "refuted" (with a checkable witness) or
 "holds-on-prefix", and foundation queries may come back "inconclusive".
@@ -11,6 +15,8 @@ verdicts are "holds", "refuted" (with a checkable witness) or
 from __future__ import annotations
 
 import json
+from functools import reduce
+from operator import or_
 from typing import Callable, Iterable, Iterator, Optional
 
 from ._record import Frozen, Record
@@ -54,6 +60,32 @@ def _leq_rows(leq: Callable[[str, str], bool]) -> Rows:
         return (sum(1 << j for j, q in older if leq(p, q)),
                 sum(1 << j for j, q in older if leq(q, p)))
     return rows
+
+
+def covers_of(up: list[int], names: list) -> list[tuple]:
+    """Transitive reduction of the order with up-set rows ``up`` (bit j of
+    ``up[i]`` set iff i <= j; bits from ``len(up)`` on are ignored): pairs
+    (names[i], names[j]) with j covering i, ordered by i, then j."""
+    strict = [row & (1 << len(up)) - 1 & ~(1 << i) for i, row in enumerate(up)]
+    out = []
+    for i, row in enumerate(strict):
+        beyond = reduce(or_, map(strict.__getitem__, bits(row)), 0)
+        out.extend((names[i], names[j]) for j in bits(row & ~beyond))
+    return out
+
+
+def axiom_problems(up: list[int], names: list[str]) -> list[str]:
+    """Antisymmetry failures, then transitivity failures, of the relation
+    whose up-set rows are ``up`` (as in ``covers_of``)."""
+    up = [row & (1 << len(up)) - 1 for row in up]
+    problems = [f"antisymmetry fails on {names[i]}, {names[j]}"
+                for i, row in enumerate(up)
+                for j in bits(row & ~(1 << i)) if up[j] >> i & 1]
+    for i, row in enumerate(up):
+        for j in bits(row):
+            problems.extend(f"transitivity fails on {names[i]}, {names[j]}, "
+                            f"{names[k]}" for k in bits(up[j] & ~row))
+    return problems
 
 
 class Verdict(Frozen):
@@ -270,12 +302,11 @@ class Poset:
             raise PosetError("elements must be a list of strings")
         if not isinstance(covers, list):
             raise PosetError("covers must be a list of pairs")
-        pairs = []
         for entry in covers:
-            if (not isinstance(entry, (list, tuple))) or len(entry) != 2:
+            if (not isinstance(entry, (list, tuple)) or len(entry) != 2
+                    or not all(isinstance(e, str) for e in entry)):
                 raise PosetError(f"bad cover entry {entry!r}")
-            pairs.append((entry[0], entry[1]))
-        return cls.from_covers(name, elements, pairs)
+        return cls.from_covers(name, elements, map(tuple, covers))
 
     # ------------------------------------------------------------------
     # enumeration
@@ -343,6 +374,17 @@ class Poset:
             raise PosetError(f"enumeration index {i} out of range")
         return self._up[i]
 
+    def mask_of(self, ids: Iterable[str]) -> int:
+        """Mask of the enumeration indices of ids; an unknown id raises."""
+        try:
+            return sum(1 << i for i in {self._pos[p] for p in ids})
+        except KeyError as e:
+            raise PosetError(f"unknown element id {e.args[0]!r}") from None
+
+    def ids_of(self, mask: int) -> frozenset:
+        """Ids of the enumerated indices set in mask."""
+        return frozenset(self._ids[i - 1] for i in bits(mask))
+
     def upper_of(self, mask: int) -> int:
         """Up-closure of the indices set in mask on the enumerated prefix:
         the OR of their ``up_mask`` rows, memoised per mask until the prefix
@@ -369,6 +411,21 @@ class Poset:
             hit = self._members[key] = frozenset(pre[i - 1]
                                                  for i in bits(inside))
         return hit
+
+    def lower_of(self, mask: int, horizon: int) -> int:
+        """Indices of ``prefix(horizon)`` below some index set in mask."""
+        up = self._up
+        return sum(1 << j for j in range(1, len(self.prefix(horizon)) + 1)
+                   if up[j] & mask)
+
+    def minimal_in(self, mask: int) -> int:
+        """Indices set in mask that lie above no other index set in it."""
+        if mask:
+            self.up_mask(mask.bit_length() - 1)
+        up, above = self._up, 0
+        for q in bits(mask):
+            above |= up[q] & ~(1 << q)
+        return mask & ~above
 
     def leq(self, p: str, q: str) -> bool:
         i, j = self._pos.get(p), self._pos.get(q)
@@ -398,37 +455,26 @@ class Poset:
 
     def down_closure(self, members: Iterable[str], horizon: int) -> frozenset:
         """Everything in the prefix below some member."""
-        ms = list(members)
-        for p in ms:
-            self.index(p)
-        return frozenset(q for q in self.prefix(horizon)
-                         if any(self.leq(q, p) for p in ms))
+        return self.ids_of(self.lower_of(self.mask_of(members), horizon))
 
     def up_closure(self, members: Iterable[str], horizon: int) -> frozenset:
-        ms = list(members)
-        for p in ms:
-            self.index(p)
-        return frozenset(q for q in self.prefix(horizon)
-                         if any(self.leq(p, q) for p in ms))
+        return self.upper_members(self.mask_of(members), horizon)
 
     def minimal_of(self, members: Iterable[str]) -> frozenset:
-        ms = list(members)
-        return frozenset(p for p in ms
-                         if not any(self.lt(q, p) for q in ms))
+        return self.ids_of(self.minimal_in(self.mask_of(members)))
 
     def maximal_of(self, members: Iterable[str]) -> frozenset:
-        ms = list(members)
-        return frozenset(p for p in ms
-                         if not any(self.lt(p, q) for q in ms))
+        mask, up = self.mask_of(members), self._up
+        return frozenset(self._ids[q - 1] for q in bits(mask)
+                         if not up[q] & mask & ~(1 << q))
 
     def is_antichain(self, members: Iterable[str]) -> bool:
-        ms = list(members)
-        return all(not self.comparable(p, q)
-                   for i, p in enumerate(ms) for q in ms[i + 1:])
+        mask = self.mask_of(members)
+        return self.minimal_in(mask) == mask
 
     def is_lower(self, members: Iterable[str], horizon: int) -> bool:
-        ms = set(members)
-        return self.down_closure(ms, horizon) <= ms
+        mask = self.mask_of(members)
+        return not self.lower_of(mask, horizon) & ~mask
 
     def is_upper(self, members: Iterable[str], horizon: int) -> bool:
         ms = set(members)
@@ -441,32 +487,13 @@ class Poset:
         """Exhaustive antisymmetry/transitivity check on a prefix, read off
         the table's rows; the table makes every element reflexive."""
         pre = self.prefix(horizon)
-        up = [row & (1 << len(pre) + 1) - 2 for row in self._up[:len(pre) + 1]]
-        problems = []
-        for i, row in enumerate(up):
-            for j in bits(row & ~(1 << i)):
-                if up[j] >> i & 1:
-                    problems.append(f"antisymmetry fails on {pre[i - 1]!r}, "
-                                    f"{pre[j - 1]!r}")
-        for i, row in enumerate(up):
-            for j in bits(row):
-                for k in bits(up[j] & ~row):
-                    problems.append(f"transitivity fails on {pre[i - 1]!r}, "
-                                    f"{pre[j - 1]!r}, {pre[k - 1]!r}")
-        return problems
+        return axiom_problems(self._up[:len(pre) + 1],
+                              [""] + list(map(repr, pre)))
 
     def cover_pairs(self, horizon: Optional[int] = None) -> list[tuple[str, str]]:
         """Transitive reduction of the order on the prefix."""
         pre = self.prefix(horizon) if horizon else list(self._ids)
-        up = [row & (1 << len(pre) + 1) - 2 for row in self._up[:len(pre) + 1]]
-        out = []
-        for i, row in enumerate(up):
-            strict = row & ~(1 << i)
-            beyond = 0
-            for c in bits(strict):
-                beyond |= up[c] & ~(1 << c)
-            out.extend((pre[i - 1], pre[j - 1]) for j in bits(strict & ~beyond))
-        return out
+        return covers_of(self._up[:len(pre) + 1], [""] + pre)
 
     def to_json(self, horizon: Optional[int] = None) -> dict:
         if self.finite:
@@ -527,17 +554,15 @@ class Poset:
         q = frozenset(members)
         if not q:
             raise PosetError("foundation query needs a nonempty subset")
-        for p in q:
-            self.index(p)
+        mask = self.mask_of(q)
         if self.finite:
             # a finite order is well founded: the minimal elements of the
             # down-closure lie below q and cover all of it
-            down = self.down_closure(q, len(self._ids))
-            return FoundationResult(FOUND, self.minimal_of(down))
+            down = self.lower_of(mask, len(self._ids))
+            return FoundationResult(FOUND, self.ids_of(self.minimal_in(down)))
         if self.analytics.foundation is not None:
             return self.analytics.foundation(self, q, horizon)
-        down = self.down_closure(q, horizon)
-        candidate = self.minimal_of(down)
+        candidate = self.ids_of(self.minimal_in(self.lower_of(mask, horizon)))
         return FoundationResult(
             INCONCLUSIVE, candidate,
             note="prefix candidate only; minimality beyond the horizon unknown")
@@ -555,44 +580,39 @@ class Poset:
     # ------------------------------------------------------------------
     # chain conditions
 
-    def _longest_chain_from(self, pre: list[str]) -> dict[str, int]:
-        memo: dict[str, int] = {}
+    def _longest_chain_from(self, mask: int) -> dict[int, int]:
+        """Length of the longest chain inside mask that starts at each index
+        set in it, walked in ascending index order."""
+        up, memo = self._up, {}
 
-        def lc(x: str) -> int:
+        def lc(x: int) -> int:
             if x not in memo:
                 memo[x] = 1
-                memo[x] = 1 + max((lc(y) for y in pre if self.lt(x, y)),
+                memo[x] = 1 + max(map(lc, bits(up[x] & mask & ~(1 << x))),
                                   default=0)
             return memo[x]
 
-        for p in pre:
+        for p in bits(mask):
             lc(p)
         return memo
 
-    def _find_chain(self, pre: list[str], length: int) -> Optional[tuple[str, ...]]:
-        """First strictly increasing chain of the given length, DFS in
-        enumeration order."""
-        memo = self._longest_chain_from(pre)
+    def _find_chain(self, mask: int, length: int) -> Optional[tuple[int, ...]]:
+        """First strictly increasing chain of the given length inside mask,
+        DFS in enumeration order."""
+        up, memo = self._up, self._longest_chain_from(mask)
 
-        def dfs(path: list[str]) -> Optional[tuple[str, ...]]:
+        def dfs(path: list[int]) -> Optional[tuple[int, ...]]:
             if len(path) == length:
                 return tuple(path)
-            last = path[-1]
-            for y in pre:
-                if self.lt(last, y) and memo[y] >= length - len(path):
-                    path.append(y)
-                    got = dfs(path)
+            ups = up[path[-1]] & ~(1 << path[-1]) if path else -1
+            for y in bits(mask & ups):
+                if memo[y] >= length - len(path):
+                    got = dfs(path + [y])
                     if got:
                         return got
-                    path.pop()
             return None
 
-        for x in pre:
-            if memo[x] >= length:
-                got = dfs([x])
-                if got:
-                    return got
-        return None
+        return dfs([])
 
     def check_acc(self, horizon: int, bound: int = DEFAULT_CHAIN_BOUND) -> Verdict:
         """Ascending chain condition, decided at the horizon.
@@ -603,15 +623,16 @@ class Poset:
         if self.finite:
             return Verdict(HOLDS, note="finite poset")
         pre = self.prefix(horizon)
-        chain = self._find_chain(pre, bound + 1)
+        inside = (1 << len(pre) + 1) - 2
+        chain = self._find_chain(inside, bound + 1)
         a = self.analytics
         if a.acc is True:
             note = a.acc_note or "every ascending chain in the prefix terminates"
             if chain:
-                note += f"; longest prefix chain has {max(self._longest_chain_from(pre).values())} elements"
+                note += f"; longest prefix chain has {max(self._longest_chain_from(inside).values())} elements"
             return Verdict(HOLDS_ON_PREFIX, note=note)
         if chain:
-            return Verdict(REFUTED, witness=chain,
+            return Verdict(REFUTED, witness=tuple(pre[i - 1] for i in chain),
                            note=f"strictly increasing chain longer than bound {bound}")
         return Verdict(HOLDS_ON_PREFIX,
                        note=f"no chain longer than {bound} within the prefix")
@@ -635,25 +656,22 @@ class Poset:
         return Verdict(HOLDS_ON_PREFIX,
                        note="not refutable from a prefix: visible chains contain their maxima")
 
-    def _maximal_chains(self, members: list[str]) -> list[tuple[str, ...]]:
-        """All maximal chains inside a finite subset, depth first in the
-        subset's order: a chain grows only by the members that cover its
-        top, the minimal ones among the members above it."""
-        out = []
+    def _maximal_chains(self, mask: int) -> list[tuple[int, ...]]:
+        """All maximal chains inside the indices set in mask, depth first in
+        index order: a chain grows only by the members that cover its top,
+        the minimal ones among the members above it."""
+        up, out = self._up, []
 
-        def extend(chain: list[str], rest: list[str]) -> None:
-            ups = [y for y in rest if self.lt(chain[-1], y)]
+        def extend(chain: list[int], rest: int) -> None:
+            top = chain[-1]
+            ups = rest & up[top] & ~(1 << top)
             if not ups:
                 out.append(tuple(chain))
-                return
-            for y in ups:
-                if not any(self.lt(z, y) for z in ups):
-                    extend(chain + [y], ups)
+            for y in bits(self.minimal_in(ups)):
+                extend(chain + [y], ups)
 
-        starts = [x for x in members
-                  if not any(self.lt(y, x) for y in members)]
-        for x in starts:
-            extend([x], members)
+        for x in bits(self.minimal_in(mask)):
+            extend([x], mask)
         return out
 
     def is_chain_unique_over(self, members, horizon: int,
@@ -667,30 +685,33 @@ class Poset:
         """
         if isinstance(members, SubsetSpec):
             members = members.members
-        qset = frozenset(members)
-        for p in qset:
-            self.index(p)
+        qmask = self.mask_of(members)
         if self.finite:
             return Verdict(HOLDS, note="ascending sequences stabilize at their suprema")
         pre = self.prefix(horizon)
-        qpre = [x for x in pre if x in qset]
-        for s in pre:
-            below = [x for x in qpre if self.lt(x, s)]
-            if len(below) < min_chain:
+        inside = (1 << len(pre) + 1) - 2
+        up = self._up
+        for s in range(1, len(pre) + 1):
+            below = sum(1 << x for x in bits(qmask & inside & ~(1 << s))
+                        if up[x] >> s & 1)
+            if below.bit_count() < min_chain:
                 continue
             for chain in self._maximal_chains(below):
                 if len(chain) < min_chain:
                     continue
-                ubs = [u for u in pre
-                       if all(self.lt(c, u) for c in chain)]
-                if s not in ubs or not all(self.leq(s, u) for u in ubs):
+                ubs = inside
+                for c in chain:
+                    ubs &= up[c] & ~(1 << c)
+                if not ubs >> s & 1 or ubs & ~up[s]:
                     continue
-                for r in below:
-                    if not any(self.leq(r, c) for c in chain):
+                for r in bits(below):
+                    if not any(up[r] >> c & 1 for c in chain):
                         return Verdict(
-                            REFUTED, witness=chain + (s, r),
-                            note=f"sup candidate {s!r} has {r!r} below it "
-                                 f"but below no chain member")
+                            REFUTED,
+                            witness=tuple(pre[i - 1] for i in chain + (s, r)),
+                            note=f"sup candidate {pre[s - 1]!r} has "
+                                 f"{pre[r - 1]!r} below it but below no "
+                                 f"chain member")
         return Verdict(HOLDS_ON_PREFIX,
                        note=f"no violating chain of length >= {min_chain} at the horizon")
 

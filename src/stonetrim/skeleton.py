@@ -104,10 +104,12 @@ class BuildConfig(Record):
     def validate(self, depth: int = 0) -> list[str]:
         """Check the existence hypotheses on the enumeration prefix.
 
-        Named clauses: unknown-element, overlapping-buckets,
+        Named clauses: empty-poset, unknown-element, overlapping-buckets,
         isolated-minimal-noncompact, bounded-not-lower, bounded-outside-delta
         (and the same two for bounded+unbounded combined).
         """
+        if self.poset.size == 0:
+            return ["empty-poset: the poset has no elements to index a level"]
         n = self.scope(depth) or 1
         pre = self.poset.prefix(n)
         preset = set(pre)

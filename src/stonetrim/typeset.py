@@ -25,18 +25,13 @@ class TypeSet(Frozen):
     def __init__(self, poset: Poset, min_antichain: tuple[str, ...],
                  mask: Optional[int] = None):
         if mask is None:
-            mask = 0
-            for p in min_antichain:
-                mask |= 1 << poset.index(p)
+            mask = poset.mask_of(min_antichain)
         self._fill(poset, min_antichain, mask)
 
     @classmethod
     def of(cls, poset: Poset, members: Iterable[str]) -> "TypeSet":
         """Normalize an arbitrary generating set to its minimal antichain."""
-        mask = 0
-        for p in members:
-            mask |= 1 << poset.index(p)
-        return cls.from_mask(poset, mask)
+        return cls.from_mask(poset, poset.mask_of(members))
 
     @classmethod
     def from_mask(cls, poset: Poset, mask: int) -> "TypeSet":
@@ -49,10 +44,7 @@ class TypeSet(Frozen):
         hit = poset.typesets.get(mask)
         if hit is not None:
             return hit
-        above = 0
-        for q in bits(mask):
-            above |= poset.up_mask(q) & ~(1 << q)
-        mins = mask & ~above
+        mins = poset.minimal_in(mask)
         hit = poset.typesets.get(mins)
         if hit is None:
             hit = cls(poset, tuple(poset.id_at(i) for i in bits(mins)), mins)

@@ -80,3 +80,223 @@ def children(tree, n: int, i: int) -> list:
     """Node views of the children of node (n, i), in index order."""
     start, end = tree.children_span(n, i)
     return [tree.node(n + 1, j) for j in range(start, end)]
+
+
+# ----------------------------------------------------------------------
+# Pairwise references: the order queries as they were first written, asking
+# the order id by id.  The library answers the same questions from its
+# up-set rows; the tests compare the two.
+
+def ref_down_closure(poset: Poset, members, horizon: int) -> frozenset:
+    ms = list(members)
+    for p in ms:
+        poset.index(p)
+    return frozenset(q for q in poset.prefix(horizon)
+                     if any(poset.leq(q, p) for p in ms))
+
+
+def ref_up_closure(poset: Poset, members, horizon: int) -> frozenset:
+    ms = list(members)
+    for p in ms:
+        poset.index(p)
+    return frozenset(q for q in poset.prefix(horizon)
+                     if any(poset.leq(p, q) for p in ms))
+
+
+def ref_minimal_of(poset: Poset, members) -> frozenset:
+    ms = list(members)
+    return frozenset(p for p in ms if not any(poset.lt(q, p) for q in ms))
+
+
+def ref_maximal_of(poset: Poset, members) -> frozenset:
+    ms = list(members)
+    return frozenset(p for p in ms if not any(poset.lt(p, q) for q in ms))
+
+
+def ref_is_antichain(poset: Poset, members) -> bool:
+    ms = list(members)
+    return all(not poset.comparable(p, q)
+               for i, p in enumerate(ms) for q in ms[i + 1:])
+
+
+def ref_is_lower(poset: Poset, members, horizon: int) -> bool:
+    ms = set(members)
+    return ref_down_closure(poset, ms, horizon) <= ms
+
+
+def ref_is_upper(poset: Poset, members, horizon: int) -> bool:
+    ms = set(members)
+    return ref_up_closure(poset, ms, horizon) <= ms
+
+
+def ref_longest_chain_from(poset: Poset, pre: list) -> dict:
+    memo: dict = {}
+
+    def lc(x):
+        if x not in memo:
+            memo[x] = 1
+            memo[x] = 1 + max((lc(y) for y in pre if poset.lt(x, y)),
+                              default=0)
+        return memo[x]
+
+    for p in pre:
+        lc(p)
+    return memo
+
+
+def ref_find_chain(poset: Poset, pre: list, length: int):
+    memo = ref_longest_chain_from(poset, pre)
+
+    def dfs(path):
+        if len(path) == length:
+            return tuple(path)
+        for y in pre:
+            if poset.lt(path[-1], y) and memo[y] >= length - len(path):
+                path.append(y)
+                got = dfs(path)
+                if got:
+                    return got
+                path.pop()
+        return None
+
+    for x in pre:
+        if memo[x] >= length:
+            got = dfs([x])
+            if got:
+                return got
+    return None
+
+
+def ref_check_acc(poset: Poset, horizon: int, bound: int):
+    """(status, witness, note) of ``Poset.check_acc``."""
+    if poset.finite:
+        return "holds", (), "finite poset"
+    pre = poset.prefix(horizon)
+    chain = ref_find_chain(poset, pre, bound + 1)
+    a = poset.analytics
+    if a.acc is True:
+        note = a.acc_note or "every ascending chain in the prefix terminates"
+        if chain:
+            longest = max(ref_longest_chain_from(poset, pre).values())
+            note += f"; longest prefix chain has {longest} elements"
+        return "holds-on-prefix", (), note
+    if chain:
+        return ("refuted", chain,
+                f"strictly increasing chain longer than bound {bound}")
+    return ("holds-on-prefix", (),
+            f"no chain longer than {bound} within the prefix")
+
+
+def ref_maximal_chains(poset: Poset, members: list) -> list:
+    out = []
+
+    def extend(chain, rest):
+        ups = [y for y in rest if poset.lt(chain[-1], y)]
+        if not ups:
+            out.append(tuple(chain))
+            return
+        for y in ups:
+            if not any(poset.lt(z, y) for z in ups):
+                extend(chain + [y], ups)
+
+    for x in members:
+        if not any(poset.lt(y, x) for y in members):
+            extend([x], members)
+    return out
+
+
+def ref_is_chain_unique_over(poset: Poset, members, horizon: int,
+                             min_chain: int = 3):
+    """(status, witness, note) of ``Poset.is_chain_unique_over``."""
+    qset = frozenset(members)
+    for p in qset:
+        poset.index(p)
+    if poset.finite:
+        return "holds", (), "ascending sequences stabilize at their suprema"
+    pre = poset.prefix(horizon)
+    qpre = [x for x in pre if x in qset]
+    for s in pre:
+        below = [x for x in qpre if poset.lt(x, s)]
+        if len(below) < min_chain:
+            continue
+        for chain in ref_maximal_chains(poset, below):
+            if len(chain) < min_chain:
+                continue
+            ubs = [u for u in pre if all(poset.lt(c, u) for c in chain)]
+            if s not in ubs or not all(poset.leq(s, u) for u in ubs):
+                continue
+            for r in below:
+                if not any(poset.leq(r, c) for c in chain):
+                    return ("refuted", chain + (s, r),
+                            f"sup candidate {s!r} has {r!r} below it "
+                            f"but below no chain member")
+    return ("holds-on-prefix", (),
+            f"no violating chain of length >= {min_chain} at the horizon")
+
+
+def ref_completion_verify(c) -> list[str]:
+    """``CompletedPoset.verify`` over every pair and triple of carrier
+    elements."""
+    problems = []
+    els = c.elements
+    for x in els:
+        if not c.leq(x, x):
+            problems.append(f"not reflexive at {x.ref}")
+    for x in els:
+        for y in els:
+            if x is not y and c.leq(x, y) and c.leq(y, x):
+                problems.append(f"antisymmetry fails on {x.ref}, {y.ref}")
+            for z in els:
+                if c.leq(x, y) and c.leq(y, z) and not c.leq(x, z):
+                    problems.append(
+                        f"transitivity fails on {x.ref}, {y.ref}, {z.ref}")
+    by_ref = {e.ref: e for e in els}
+    for tok in c.tokens():
+        ubs = [u for u in els
+               if (u.is_limit or u.ref not in tok.descriptor)
+               and all(c.leq(by_ref[d], u)
+                       for d in tok.descriptor if d in by_ref)]
+        least = [u for u in ubs if all(c.leq(u, v) for v in ubs)]
+        if len(least) != 1 or least[0] is not tok:
+            problems.append(
+                f"token {tok.ref} is not the unique sup of its chain")
+        for r in els:
+            if not r.is_limit and c.leq(r, tok) and r is not tok:
+                if r.ref not in tok.descriptor:
+                    problems.append(f"{r.ref} below token {tok.ref} but "
+                                    f"below no chain member")
+    return problems
+
+
+def ref_completion_covers(c) -> list[list[str]]:
+    """``CompletedPoset.to_json()["covers"]`` by the triple loop."""
+    return [[x.ref, y.ref] for x in c.elements for y in c.elements
+            if x is not y and c.leq(x, y)
+            and not any(z is not x and z is not y
+                        and c.leq(x, z) and c.leq(z, y) for z in c.elements)]
+
+
+def ref_trace_dot_edges(trace) -> list[str]:
+    """The edge lines of ``render_trace_dot``, pair by pair of layers."""
+    poset = trace.space.poset
+    layers = [x.sole_id() for x in trace.b]
+    bit = {p: 1 << poset.index(p) for p in layers if p is not None}
+    up = {p: poset.up_mask(poset.index(p)) for p in bit}
+    edges = []
+    for a in bit:
+        below = sum(bit[c] for c in bit if c != a and up[c] & bit[a])
+        for b in bit:
+            if below & bit[b] and up[b] & below == bit[b]:
+                edges.append(f'  "{a}" -> "{b}";')
+    return edges
+
+
+def ref_theta_break(left: Poset, right: Poset, image: dict, span: int):
+    """First pair of the left prefix whose order the bijection breaks, as
+    ``_check_theta`` reports it pair by pair, or None."""
+    a = left.prefix(span)
+    for p in a:
+        for q in a:
+            if left.leq(p, q) != right.leq(image[p], image[q]):
+                return p, q
+    return None

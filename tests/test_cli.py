@@ -299,6 +299,40 @@ class TestExitContract:
         assert "Traceback" not in proc.stderr
         assert "must be a" in proc.stderr
 
+    @pytest.mark.parametrize("entry", [[["a"], "b"], [{"k": 1}, "b"]])
+    @pytest.mark.parametrize("command", ["analyze", "build-verify", "iso"])
+    def test_cover_endpoint_not_a_string(self, tmp_path, command, entry):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"name": "x", "elements": ["a", "b"],
+                                    "covers": [entry]}))
+        argv = ([command, "--left", str(path), "--right-family", "rn(2,0)"]
+                if command == "iso" else [command, str(path)])
+        proc = run_cli(*argv)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert "bad cover entry" in proc.stderr
+
+    @pytest.mark.parametrize("argv, code, message", [
+        (["build-verify", "{empty}"], 3, "empty-poset: "),
+        (["iso", "--left", "{empty}", "--right-family", "rn(2,0)"], 3,
+         "left: empty-poset: "),
+        (["iso", "--left-family", "rn(2,0)", "--right", "{empty}"], 3,
+         "right: empty-poset: "),
+        (["analyze", "{empty}"], 0, "")])
+    def test_empty_poset(self, tmp_path, argv, code, message):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"name": "e", "elements": [],
+                                    "covers": []}))
+        proc = run_cli(*(a.format(empty=path) for a in argv))
+        assert proc.returncode == code
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(message)
+        if code:
+            assert proc.stdout == ""
+        else:
+            assert json.loads(proc.stdout)["minimal"] == []
+
     def test_iso_builds_the_covering_level(self):
         proc = run_cli("iso", "--left-family", "rn(4,2)",
                        "--right-family", "rn(4,2)", "--depth", "5")

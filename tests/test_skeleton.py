@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import children, random_poset
-from stonetrim import (FOUND, BuildConfig, BuildError, ConfigError,
+from stonetrim import (FOUND, BuildConfig, BuildError, ConfigError, Poset,
                        build_levels, family, verify_structure)
 from stonetrim.poset import bits
 from stonetrim.skeleton import SkeletonTree, StructureReport
@@ -75,6 +75,13 @@ class TestValidate:
         probs = cfg.validate(8)
         assert any("bounded-outside-delta" in p for p in probs)
         assert any("bounded-not-lower" in p for p in probs)
+
+    def test_empty_poset(self):
+        empty = Poset.from_covers("empty", [], [])
+        assert BuildConfig(empty).validate(4) == [
+            "empty-poset: the poset has no elements to index a level"]
+        with pytest.raises(ConfigError, match="empty-poset"):
+            build_levels(BuildConfig(empty), 3)
 
     def test_build_levels_raises_on_problems(self, chain_ab):
         with pytest.raises(ConfigError, match="unknown-element"):

@@ -9,9 +9,11 @@ typed exactly by them, so a count shortfall there is a proof that no
 matching split exists at any depth.
 
 Everything two-sided is held as a pair indexed by ``side``: 0 is the left
-side and 1 the right, so the other side is ``1 - side``.  The names in
-``SIDES`` appear only where output carries them: mismatch witnesses,
-depth-budget notes, setup errors and the messages of ``PartialIso.verify``.
+side and 1 the right, so the other side is ``1 - side``.  A generator is
+named by its enumeration index on its own side.  The names in ``SIDES``,
+and element ids, appear only where output carries them: mismatch
+witnesses, depth-budget notes, setup errors, the messages of
+``PartialIso.verify`` and the transcript's split entries.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ from collections import Counter
 from typing import Callable, Iterable, Optional
 
 from ._record import Frozen, Record
-from .poset import FOUND, Poset, PosetError, bits
+from .poset import FOUND, Poset, bits
 from .ring import RingElement, is_trim_for, supertrim_split, trim_split
 from .skeleton import BuildError, SkeletonTree
 
@@ -64,10 +66,12 @@ def _facing(side: int, mine, theirs) -> tuple:
 
 
 class Pair(Record):
+    """Paired parts and their generators' enumeration indices."""
+
     __slots__ = _compare = ("parts", "gens")
 
     def __init__(self, parts: tuple[RingElement, RingElement],
-                 gens: tuple[str, str]):
+                 gens: tuple[int, int]):
         self.parts = parts
         self.gens = gens
 
@@ -79,7 +83,9 @@ class PartialIso:
                  theta: _ThetaMap):
         self.trees = (left, right)
         self.theta = theta
-        self.iso = tuple(frozenset(t.config.isolated) for t in self.trees)
+        # the isolated types of each side, as a mask over enumeration indices
+        self.iso = tuple(t.poset.mask_of(t.config.isolated)
+                         for t in self.trees)
         self.pairs: list[Pair] = []
         self._union: list[Optional[RingElement]] = [None, None]
 
@@ -126,9 +132,10 @@ class PartialIso:
                 part, gen = pair.parts[side], pair.gens[side]
                 if not is_trim_for(part, gen):
                     problems.append(f"pair {k}: {name} part is not trim for "
-                                    f"{gen!r}")
-                if gen in self.iso[side]:
-                    c = part.type_counts().get(gen, 0)
+                                    f"{self.trees[side].poset.id_at(gen)!r}")
+                if self.iso[side] >> gen & 1:
+                    c = (part.mask & part.tree.level(part.level)
+                         .type_mask(gen)).bit_count()
                     if c != 1:
                         problems.append(f"pair {k}: {name} isolated "
                                         f"generator count {c}")
@@ -136,36 +143,26 @@ class PartialIso:
 
 
 class _ThetaMap:
-    """Bijection between the side alphabets, usable in both directions.
+    """Bijection between the sides' enumeration indices, usable in both
+    directions.
 
-    Explicit pairs cover the compared span; beyond it ids correspond by
-    enumeration index.  An id with no injective counterpart maps to None,
-    which the matcher treats as a provable type mismatch.
+    ``maps[side][i]`` is the other side's index for index i of side over
+    the checked span 1..span.  Past the span an index maps to itself, or
+    to None when a finite other side lacks it, which the matcher treats as
+    a provable type mismatch.
     """
 
-    def __init__(self, left_poset: Poset, right_poset: Poset, pairs: dict):
-        self.posets = (left_poset, right_poset)
-        fwd = dict(pairs)
-        rev = {v: k for k, v in fwd.items()}
-        if len(rev) != len(fwd):
-            raise IsoError("the bijection repeats a target element")
-        # maps[side] carries ids of that side to the other side
-        self.maps = (fwd, rev)
+    def __init__(self, posets: tuple[Poset, Poset],
+                 maps: tuple[list[int], list[int]]):
+        self.posets = posets
+        self.maps = maps
 
-    def image(self, side: int, p: str) -> Optional[str]:
-        table, back = self.maps[side], self.maps[1 - side]
-        hit = table.get(p)
-        if hit is not None:
-            return hit
-        try:
-            hit = self.posets[1 - side].id_at(self.posets[side].index(p))
-        except PosetError:
-            return None
-        if hit in back:
-            return None
-        table[p] = hit
-        back[hit] = p
-        return hit
+    def image(self, side: int, g: int) -> Optional[int]:
+        table = self.maps[side]
+        if g < len(table):
+            return table[g]
+        other = self.posets[1 - side]
+        return None if other.finite and g > other.size else g
 
 
 def init_iso(left: SkeletonTree, right: SkeletonTree, q: Iterable[str],
@@ -181,35 +178,41 @@ def init_iso(left: SkeletonTree, right: SkeletonTree, q: Iterable[str],
         span = min(left.type_cap(left.depth), right.type_cap(right.depth))
         theta = _check_theta(left, right, theta, span)
     state = PartialIso(left, right, theta)
-    q_left = frozenset(q)
-    images = {p: theta.image(0, p) for p in q_left}
+    images = {p: theta.image(0, left.poset.index(p)) if p in left.poset
+              else None for p in frozenset(q)}
     missing = sorted(p for p, h in images.items() if h is None)
     if missing:
         raise IsoError(f"region elements {missing} have no counterpart "
                        f"under the bijection")
+    regions = (left.poset.mask_of(images),
+               sum(1 << h for h in images.values()))
     parts = []
-    for side, qs in enumerate((q_left, frozenset(images.values()))):
+    for side, region in enumerate(regions):
         tree = state.trees[side]
+        poset = tree.poset
         cap = tree.type_cap(tree.depth)
-        if not tree.poset.is_lower(qs, cap):
+        if poset.lower_of(region, cap) & ~region:
             raise IsoError(f"{SIDES[side]} region is not a lower set on the "
                            f"prefix")
-        res = tree.poset.finite_foundation(qs, cap)
+        res = poset.finite_foundation(map(poset.id_at, bits(region)), cap)
         if res.status != FOUND:
             raise IsoError(f"{SIDES[side]} region has no confirmed finite "
                            f"foundation")
-        n0 = max(tree.poset.index(p) for p in res.foundation)
+        n0 = max(poset.index(p) for p in res.foundation)
         _grow(tree, n0)
         whole = RingElement(tree, n0, tree.level(n0).full_mask)
-        parts.append([(g, part) for g, part in trim_split(whole) if g in qs])
+        parts.append([(g, part) for g, part in trim_split(whole)
+                      if region >> g & 1])
     by_gen = dict(parts[1])
     for g, part in parts[0]:
         h = theta.image(0, g)
         if h not in by_gen:
-            raise IsoError(f"no right part for foundation type {h!r}")
+            raise IsoError(f"no right part for foundation type "
+                           f"{right.poset.id_at(h)!r}")
         state.pairs.append(Pair((part, by_gen.pop(h)), (g, h)))
     if by_gen:
-        raise IsoError(f"unmatched right foundation types {sorted(by_gen)}")
+        raise IsoError(f"unmatched right foundation types "
+                       f"{sorted(map(right.poset.id_at, by_gen))}")
     return state
 
 
@@ -220,21 +223,8 @@ def _grow(tree: SkeletonTree, level: int) -> None:
         raise DepthBudget(str(e))
 
 
-def _counterpart_ix(tree: SkeletonTree, side: int, h: str, needed: int,
-                    max_depth: int) -> int:
-    """Enumeration index of a needed type, enumerating up to the reach of
-    the level budget before declaring it absent."""
-    if h not in tree.poset:
-        tree.poset.prefix(tree.type_cap(max_depth))
-    if h not in tree.poset:
-        raise MismatchFound(MismatchWitness(
-            SIDES[side], h, needed, 0,
-            "needed type does not occur in the counterpart poset"))
-    return tree.poset.index(h)
-
-
 def _match_split(state: PartialIso, dst_side: int, dst_part: RingElement,
-                 needs: list[tuple[str, RingElement]],
+                 needs: list[tuple[int, RingElement]],
                  max_depth: int) -> list[RingElement]:
     """Split dst_part into pieces matching the needed generators in order.
 
@@ -249,8 +239,6 @@ def _match_split(state: PartialIso, dst_side: int, dst_part: RingElement,
     poset = tree.poset
     gens = [h for h, _ in needs]
     want = Counter(gens)
-    h_ix = {h: _counterpart_ix(tree, dst_side, h, n, max_depth)
-            for h, n in want.items()}
     level = dst_part.level
     while True:
         if level > tree.depth:
@@ -260,22 +248,21 @@ def _match_split(state: PartialIso, dst_side: int, dst_part: RingElement,
             _grow(tree, level)
         mask = dst_part.mask_at(level)
         masks = tree.level(level).type_masks()
-        avail = {h: list(bits(mask & masks.get(h_ix[h], 0))) for h in want}
+        avail = {h: list(bits(mask & masks.get(h, 0))) for h in want}
         short = [h for h, n in want.items() if len(avail[h]) < n]
         if not short:
             break
         realized = [t for t, atoms in masks.items() if atoms & mask]
         for h in short:
-            growable = any(t != h_ix[h] and poset.leq_ix(t, h_ix[h])
-                           for t in realized)
-            if h in iso and not growable:
+            growable = any(t != h and poset.leq_ix(t, h) for t in realized)
+            if iso >> h & 1 and not growable:
                 raise MismatchFound(MismatchWitness(
-                    SIDES[dst_side], h, want[h], len(avail[h]),
+                    SIDES[dst_side], poset.id_at(h), want[h], len(avail[h]),
                     "isolated type cannot multiply inside a part typed "
                     "exactly by it"))
             if not growable and len(avail[h]) == 0:
                 raise MismatchFound(MismatchWitness(
-                    SIDES[dst_side], h, want[h], 0,
+                    SIDES[dst_side], poset.id_at(h), want[h], 0,
                     "needed type is not realized in the counterpart part"))
         level += 1
 
@@ -285,7 +272,6 @@ def _match_split(state: PartialIso, dst_side: int, dst_part: RingElement,
     # spread the unclaimed atoms round-robin so no piece starves a later
     # split into chasing atoms ever deeper; which pieces take an atom
     # depends only on its type
-    gen_ix = [h_ix[h] for h in gens]
     eligible_of: dict[int, list[int]] = {}
     fills: dict[int, int] = {}
     types = tree.level(level).types
@@ -294,8 +280,8 @@ def _match_split(state: PartialIso, dst_side: int, dst_part: RingElement,
         eligible = eligible_of.get(s)
         if eligible is None:
             eligible = eligible_of[s] = [
-                k for k, g in enumerate(gen_ix)
-                if poset.leq_ix(g, s) and not (g == s and gens[k] in iso)]
+                k for k, g in enumerate(gens)
+                if poset.leq_ix(g, s) and not (g == s and iso >> g & 1)]
         if not eligible:
             raise IsoError(f"atom of type {poset.id_at(s)!r} fits no piece; "
                            f"pairing invariant broken")
@@ -306,19 +292,18 @@ def _match_split(state: PartialIso, dst_side: int, dst_part: RingElement,
     return [RingElement(tree, level, pm) for pm in piece_masks]
 
 
-def _fresh_counterpart(state: PartialIso, dst_side: int, h: str,
+def _fresh_counterpart(state: PartialIso, dst_side: int, h: int,
                        busy: RingElement, max_depth: int) -> RingElement:
     """First unclaimed atom of exactly the needed type, lowest level first."""
     tree = state.trees[dst_side]
-    h_ix = _counterpart_ix(tree, dst_side, h, 1, max_depth)
     for level in range(busy.level, max_depth + 1):
         if level > tree.depth:
             _grow(tree, level)
-        free = tree.level(level).type_mask(h_ix) & ~busy.mask_at(level)
+        free = tree.level(level).type_mask(h) & ~busy.mask_at(level)
         if free:
             return RingElement.atom(tree, level, next(bits(free)))
-    raise DepthBudget(f"no unclaimed {h!r} atom on the {SIDES[dst_side]} "
-                      f"side within depth {max_depth}")
+    raise DepthBudget(f"no unclaimed {tree.poset.id_at(h)!r} atom on the "
+                      f"{SIDES[dst_side]} side within depth {max_depth}")
 
 
 def extend_iso(state: PartialIso, side: int, element: RingElement,
@@ -356,7 +341,7 @@ def extend_iso(state: PartialIso, side: int, element: RingElement,
             continue
         halves = [RingElement(tree, n, inter),
                   RingElement(tree, n, s & ~inter)]
-        src_pieces: list[tuple[str, RingElement]] = []
+        src_pieces: list[tuple[int, RingElement]] = []
         for half in halves:
             src_pieces.extend(supertrim_split(half, iso_src))
         needs = []
@@ -364,7 +349,7 @@ def extend_iso(state: PartialIso, side: int, element: RingElement,
             h = theta.image(side, g)
             if h is None:
                 raise MismatchFound(MismatchWitness(
-                    SIDES[dst_side], g,
+                    SIDES[dst_side], tree.poset.id_at(g),
                     sum(1 for gg, _ in src_pieces if gg == g), 0,
                     "type has no counterpart in the other alphabet"))
             needs.append((h, piece))
@@ -377,7 +362,8 @@ def extend_iso(state: PartialIso, side: int, element: RingElement,
         if transcript is not None:
             transcript.append({"action": "split", "side": side,
                                "pieces": len(src_pieces),
-                               "generator": pair.gens[0]})
+                               "generator": state.trees[0].poset.id_at(
+                                   pair.gens[0])})
     state.pairs = new_pairs
 
     held = state.running_union(side)
@@ -389,7 +375,7 @@ def extend_iso(state: PartialIso, side: int, element: RingElement,
             h = theta.image(side, g)
             if h is None:
                 raise MismatchFound(MismatchWitness(
-                    SIDES[dst_side], g, 1, 0,
+                    SIDES[dst_side], tree.poset.id_at(g), 1, 0,
                     "type has no counterpart in the other alphabet"))
             mate = _fresh_counterpart(state, dst_side, h,
                                       state.running_union(dst_side),
@@ -441,25 +427,29 @@ def _identity_theta(left: SkeletonTree, right: SkeletonTree,
 
 def _check_theta(left: SkeletonTree, right: SkeletonTree,
                  theta: Callable[[str], str], span: int) -> _ThetaMap:
-    """The bijection over the shared span, once it maps prefix onto prefix
-    and keeps the order both ways."""
+    """The bijection over the shared span as index tables both ways, once
+    it maps prefix onto prefix and keeps the order both ways."""
     a = left.poset.prefix(span)
     b = set(right.poset.prefix(span))
-    image = {p: theta(p) for p in a}
-    targets = set(image.values())
+    image = [theta(p) for p in a]
+    targets = set(image)
     if len(targets) != len(a) or not targets <= b:
         raise IsoError("the bijection does not map prefix onto prefix")
+    # fwd and back over 1..len(a), which the targets fill on the right
+    fwd = [0, *map(right.poset.index, image)]
+    back = fwd[:]
+    for i, j in enumerate(fwd):
+        back[j] = i
     # each left row against its image's row, pulled back through theta
-    back = {right.poset.index(image[p]): i for i, p in enumerate(a, 1)}
     cut = (1 << len(a) + 1) - 2
     for i, p in enumerate(a, 1):
-        row = right.poset.up_mask(right.poset.index(image[p]))
+        row = right.poset.up_mask(fwd[i])
         diff = (left.poset.up_mask(i) & cut) ^ sum(
-            1 << back[k] for k in bits(row) if k in back)
+            1 << back[k] for k in bits(row & cut))
         if diff:
             q = a[(diff & -diff).bit_length() - 2]
             raise IsoError(f"the bijection breaks order at ({p!r}, {q!r})")
-    return _ThetaMap(left.poset, right.poset, image)
+    return _ThetaMap((left.poset, right.poset), (fwd, back))
 
 
 def _schedule(left: SkeletonTree, right: SkeletonTree, depth: int,

@@ -33,12 +33,13 @@ def _emit(payload, as_json: bool = True) -> None:
         print(payload)
 
 
-def _load_poset(args) -> Poset:
-    if getattr(args, "family", None):
-        return family(args.family)
-    if not args.poset:
+def _load_poset(tag: Optional[str], path: Optional[str]) -> Poset:
+    """The builtin family tag names, else the poset JSON file at path."""
+    if tag:
+        return family(tag)
+    if not path:
         raise PosetError("no poset given")
-    with open(args.poset, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh:
         return Poset.from_json(json.load(fh))
 
 
@@ -58,7 +59,7 @@ def _verdict_json(v) -> dict:
 def cmd_analyze(args) -> int:
     from .completion import complete_finite, complete_over
     try:
-        poset = _load_poset(args)
+        poset = _load_poset(args.family, args.poset)
     except (OSError, ValueError) as e:
         return _fail(2, f"cannot load poset: {e}")
     horizon = poset.size if poset.finite else args.horizon
@@ -113,7 +114,7 @@ def _build_config(poset: Poset, args, prefix: str = "") -> BuildConfig:
 def cmd_build_verify(args) -> int:
     from .ring import verify_type_axioms
     try:
-        poset = _load_poset(args)
+        poset = _load_poset(args.family, args.poset)
     except (OSError, ValueError) as e:
         return _fail(2, f"cannot load poset: {e}")
     if args.depth < 2:
@@ -130,7 +131,6 @@ def cmd_build_verify(args) -> int:
         structure = verify_structure(tree, q_lower=args.q or None)
     except PosetError as e:
         return _fail(2, f"bad --q: {e}")
-    tree.extend_to(args.depth + 1)
     axioms = verify_type_axioms(tree, args.depth - 1, seed=args.seed)
     report = {
         "poset": poset.name,
@@ -151,16 +151,11 @@ def cmd_iso(args) -> int:
         return _fail(3, "--max-depth must be at least --depth")
     trees = []
     for name in SIDES:
-        tag = getattr(args, f"{name}_family")
-        path = getattr(args, name)
+        tag, path = getattr(args, f"{name}_family"), getattr(args, name)
+        if not (tag or path):
+            return _fail(2, f"no {name} poset given")
         try:
-            if tag:
-                poset = family(tag)
-            elif path:
-                with open(path, "r", encoding="utf-8") as fh:
-                    poset = Poset.from_json(json.load(fh))
-            else:
-                return _fail(2, f"no {name} poset given")
+            poset = _load_poset(tag, path)
         except (OSError, ValueError) as e:
             return _fail(2, f"cannot load {name} poset: {e}")
         config = _build_config(poset, args, prefix=f"{name}_")

@@ -12,7 +12,7 @@ import random
 from bisect import bisect_right
 from collections import Counter
 from itertools import islice
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .poset import bits, runs
 from .skeleton import SkeletonTree
@@ -191,8 +191,9 @@ def _types_in(tree: SkeletonTree, level: int, mask: int) -> TypeSet:
 # ----------------------------------------------------------------------
 # trim decompositions
 
-def trim_split(x: RingElement) -> list[tuple[str, RingElement]]:
-    """Partition x into trim parts, one per minimal realized type.
+def trim_split(x: RingElement) -> list[tuple[int, RingElement]]:
+    """Partition x into trim parts, one per minimal realized type, each
+    named by its generator's enumeration index.
 
     Each atom joins the part of the first generator below it in enumeration
     order, so every part A satisfies type_of(A) = all types above its
@@ -204,9 +205,8 @@ def trim_split(x: RingElement) -> list[tuple[str, RingElement]]:
     type_bits = x.tree.level(x.level).type_bits()
     rest = x.mask
     out = []
-    gens = x.type_of()
-    for g, g_ix in zip(gens.min_antichain, bits(gens.mask)):
-        up = poset.up_mask(g_ix)
+    for g in bits(x.type_of().mask):
+        up = poset.up_mask(g)
         part = 0
         for bit, atoms in type_bits:
             if up & bit:
@@ -216,10 +216,11 @@ def trim_split(x: RingElement) -> list[tuple[str, RingElement]]:
     return out
 
 
-def split_by_scarce_atoms(x: RingElement, gen: str) -> list[RingElement]:
+def split_by_scarce_atoms(x: RingElement, gen: int) -> list[RingElement]:
     """Split a trim part so each piece holds exactly one atom of its
-    generator type; atoms of other types all stay with the first piece."""
-    own = x.mask & x.tree.level(x.level).type_mask(x.tree.poset.index(gen))
+    generator type (an enumeration index); atoms of other types all stay
+    with the first piece."""
+    own = x.mask & x.tree.level(x.level).type_mask(gen)
     extra = own & (own - 1)
     if not extra:
         return [x]
@@ -228,17 +229,17 @@ def split_by_scarce_atoms(x: RingElement, gen: str) -> list[RingElement]:
 
 
 def supertrim_split(x: RingElement,
-                    isolated: Iterable[str]) -> list[tuple[str, RingElement]]:
-    """Trim split refined at isolated generators.
+                    isolated: int) -> list[tuple[int, RingElement]]:
+    """Trim split refined at isolated generators, given as a mask over
+    enumeration indices.
 
     Parts generated by an isolated type are cut further so each piece holds
     exactly one atom of that type; those atoms cannot be multiplied by
     refinement, so the piece count is an invariant of the part.
     """
-    iso = frozenset(isolated)
     out = []
     for g, part in trim_split(x):
-        if g in iso:
+        if isolated >> g & 1:
             for piece in split_by_scarce_atoms(part, g):
                 out.append((g, piece))
         else:
@@ -246,9 +247,9 @@ def supertrim_split(x: RingElement,
     return out
 
 
-def is_trim_for(x: RingElement, gen: str) -> bool:
-    """Does x realize exactly the types above gen?"""
-    return x.type_of().min_antichain == (gen,)
+def is_trim_for(x: RingElement, gen: int) -> bool:
+    """Does x realize exactly the types above the enumeration index gen?"""
+    return x.type_of().mask == 1 << gen
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,7 @@ from conftest import chain_ab_poset, diamond_poset, vee_poset
 from stonetrim import (BuildConfig, IsoError, Poset, RingElement,
                        build_levels, family, init_iso, extend_iso,
                        lift_poset_automorphism, run_backforth)
-from stonetrim.backforth import Pair, _covered, _schedule
+from stonetrim.backforth import Pair, _check_theta, _covered, _schedule
 
 
 def build(poset_maker, depth=6, **kw):
@@ -23,7 +23,7 @@ class TestInit:
         state = init_iso(left, right, {"a"}, lambda p: p)
         assert len(state.pairs) == 1
         pair = state.pairs[0]
-        assert pair.gens == ("a", "a")
+        assert pair.gens == (1, 1)
         assert pair.parts[0] == RingElement.whole(left)
         assert state.verify() == []
 
@@ -31,7 +31,7 @@ class TestInit:
         left = build(chain_ab_poset)
         right = build(chain_ab_poset)
         state = init_iso(left, right, {"a"}, lambda p: p)
-        state.pairs[0].gens = ("a", "b")
+        state.pairs[0].gens = (1, 2)
         problems = state.verify()
         assert any("not matched by the order bijection" in p
                    for p in problems)
@@ -97,7 +97,7 @@ def test_mask_matcher_agrees_with_ring_operations(maker, isolated):
     # a part over the whole space overlaps every other part (which verify
     # reports) and lies inside no smaller atom, so coverage still holds
     state.pairs.append(Pair((RingElement.whole(left),
-                             RingElement.whole(right)), ("a", "a")))
+                             RingElement.whole(right)), (1, 1)))
     assert _covered(state, schedule) is coverage_oracle(state, schedule) \
         is True
     assert "left parts overlap" in state.verify()
@@ -164,6 +164,23 @@ class TestRuns:
             "side": side, "type": "c", "needed": 1, "available": 0,
             "reason": "type has no counterpart in the other alphabet"}
 
+    # against a noncompact b the plain side finds no unclaimed b atom
+    # within the budget; the note names that side and the type by its id
+    @pytest.mark.parametrize("noncompact, pairs, side", [
+        ((set(), {"b"}), 11, "left"),
+        (({"b"}, set()), 10, "right"),
+    ], ids=["left", "right"])
+    def test_fresh_counterpart_budget_is_pinned(self, noncompact, pairs,
+                                                side):
+        run = run_backforth(*(build(chain_ab_poset, depth=5, noncompact=nc)
+                              for nc in noncompact), seed=0)
+        assert run.serialize() == {
+            "status": "depth-exhausted", "pairs": pairs, "depth_used": 5,
+            "witness": None,
+            "note": f"no unclaimed 'b' atom on the {side} side within "
+                    f"depth 13",
+            "coverage": False, "invariant_failures": [], "steps": pairs}
+
     def test_depth_budget_exhaustion(self):
         run = run_backforth(build(chain_ab_poset), build(chain_ab_poset),
                             max_depth=6)
@@ -199,6 +216,36 @@ class TestRuns:
         with pytest.raises(IsoError, match="depth at least 3"):
             run_backforth(build(chain_ab_poset, depth=2),
                           build(chain_ab_poset, depth=2))
+
+
+class TestBijection:
+    """The order bijection on enumeration indices, inside and past the
+    checked span."""
+
+    def test_identity_past_the_span(self):
+        left = build(lambda: family("omega-chain"), depth=5)
+        right = build(lambda: family("omega-chain"), depth=5)
+        theta = _check_theta(left, right, lambda p: p, 5)
+        for side in (0, 1):
+            assert [theta.image(side, g) for g in range(1, 13)] == list(
+                range(1, 13))
+
+    def test_index_the_finite_side_lacks(self):
+        theta = _check_theta(build(chain_ab_poset), build(vee_poset),
+                             lambda p: p, 2)
+        assert [theta.image(0, g) for g in (1, 2)] == [1, 2]
+        assert [theta.image(1, g) for g in (1, 2, 3)] == [1, 2, None]
+
+    def test_explicit_table_inside_the_span(self):
+        # a < c on the left and b < c on the right, as in
+        # TestThetaHandling.test_identity_is_checked_for_order
+        sides = [build(lambda: Poset.from_covers(f"{top}c", ["a", "b", "c"],
+                                                 [(top, "c")]))
+                 for top in ("a", "b")]
+        theta = _check_theta(*sides, {"a": "b", "b": "a", "c": "c"}.get, 3)
+        for side in (0, 1):
+            assert [theta.image(side, g) for g in (1, 2, 3, 4)] == [
+                2, 1, 3, None]
 
 
 class TestThetaHandling:

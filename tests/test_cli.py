@@ -123,6 +123,19 @@ class TestBuildVerify:
         assert [c["name"] for c in doc["structure"]["checks"]
                 if not c["passed"]] == ["cover-foundation"]
 
+    # the laws read levels 1..depth only, so a depth whose next level is
+    # over the level-size bound still reports
+    @pytest.mark.parametrize("family,depth", [("omega-chain", "8"),
+                                              ("dyadic", "9"),
+                                              ("rn-infinity", "13")])
+    def test_depth_next_to_the_level_bound(self, family, depth):
+        proc = run_cli("build-verify", "--family", family, "--depth", depth)
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert len(doc["level_sizes"]) == int(depth)
+        assert doc["structure"]["passed"] is True
+        assert doc["axioms"]["passed"] is True
+
     def test_failed_laws_exit_four(self, monkeypatch, capsys):
         from stonetrim import ring
         monkeypatch.setattr(ring, "verify_type_axioms",

@@ -172,9 +172,9 @@ class TestTrimSplit:
     def test_first_generator_takes_shared_atoms(self, diamond_tree):
         (b_i, c_i, d_i), x = self.build_mixed(diamond_tree)
         parts = dict(trim_split(x))
-        assert sorted(parts) == ["b", "c"]
-        assert parts["b"].atom_indices() == sorted([b_i, d_i])
-        assert parts["c"].atom_indices() == [c_i]
+        assert sorted(parts) == [2, 3]
+        assert parts[2].atom_indices() == sorted([b_i, d_i])
+        assert parts[3].atom_indices() == [c_i]
 
     def test_parts_partition_and_are_trim(self, diamond_tree):
         _, x = self.build_mixed(diamond_tree)
@@ -199,7 +199,7 @@ class TestScarceSplit:
         a_bits = [i for i, t in enumerate(lvl.types) if t == 1][:3]
         b_bits = [i for i, t in enumerate(lvl.types) if t == 2][:2]
         x = RingElement(chain_tree, 4, sum(1 << i for i in a_bits + b_bits))
-        pieces = split_by_scarce_atoms(x, "a")
+        pieces = split_by_scarce_atoms(x, 1)
         assert len(pieces) == 3
         assert pieces[0].atom_indices() == sorted([a_bits[0]] + b_bits)
         assert [p.atom_indices() for p in pieces[1:]] == [[a_bits[1]],
@@ -211,20 +211,20 @@ class TestScarceSplit:
 
     def test_single_atom_part_stays_whole(self, chain_tree):
         x = RingElement.atom(chain_tree, 3, 0)
-        assert split_by_scarce_atoms(x, "a") == [x]
+        assert split_by_scarce_atoms(x, 1) == [x]
 
     def test_supertrim_refines_isolated_generators_only(self, chain_tree):
         lvl = chain_tree.level(4)
         a_bits = [i for i, t in enumerate(lvl.types) if t == 1][:2]
         b_bits = [i for i, t in enumerate(lvl.types) if t == 2][:2]
         x = RingElement(chain_tree, 4, sum(1 << i for i in a_bits + b_bits))
-        plain = supertrim_split(x, isolated=frozenset())
-        assert [g for g, _ in plain] == ["a"]
-        refined = supertrim_split(x, isolated=frozenset({"a"}))
-        assert [g for g, _ in refined] == ["a", "a"]
+        plain = supertrim_split(x, isolated=0)
+        assert [g for g, _ in plain] == [1]
+        refined = supertrim_split(x, isolated=1 << 1)
+        assert [g for g, _ in refined] == [1, 1]
         for g, piece in refined:
             assert is_trim_for(piece, g)
-            assert piece.type_counts()[g] == 1
+            assert piece.type_counts()[chain_tree.poset.id_at(g)] == 1
 
 
 class TestAxioms:

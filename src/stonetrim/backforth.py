@@ -18,12 +18,14 @@ witnesses, depth-budget notes, setup errors, the messages of
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from collections import Counter
 from typing import Callable, Iterable, Optional
 
 from ._record import Frozen, Record
 from .poset import FOUND, Poset, bits
 from .ring import RingElement, is_trim_for, supertrim_split, trim_split
+from .runindex import RunIndex, spans_of
 from .skeleton import BuildError, SkeletonTree
 
 SIDES = ("left", "right")
@@ -77,7 +79,11 @@ class Pair(Record):
 
 
 class PartialIso:
-    """Paired clopen decompositions of the two sides."""
+    """Paired clopen decompositions of the two sides.
+
+    ``pairs`` may be edited directly until a step first asks for
+    ``part_index``; from then on ``add_fresh`` and ``replace`` keep the part
+    index, as ``add_fresh`` keeps the running union."""
 
     def __init__(self, left: SkeletonTree, right: SkeletonTree,
                  theta: _ThetaMap):
@@ -88,6 +94,9 @@ class PartialIso:
                          for t in self.trees)
         self.pairs: list[Pair] = []
         self._union: list[Optional[RingElement]] = [None, None]
+        # each side's part index, and the key of each pair in ``pairs``
+        self._index: Optional[tuple[RunIndex, RunIndex]] = None
+        self._keys: list[tuple[int, ...]] = []
 
     def union(self, side: int) -> RingElement:
         out = RingElement.empty(self.trees[side])
@@ -104,12 +113,48 @@ class PartialIso:
             hit = self._union[side] = self.union(side)
         return hit
 
+    def part_index(self, side: int) -> RunIndex:
+        """The side's parts as runs on one common level, indexed by the keys
+        of their pairs; built from ``pairs`` on first use.  A key is a
+        tuple, and keys sort as their pairs stand in ``pairs``: a piece's
+        key is its pair's key extended by the piece's place, and a fresh
+        pair's key is one past the last."""
+        if self._index is None:
+            self._keys = [(k,) for k in range(len(self.pairs))]
+            self._index = tuple(
+                RunIndex(tree, max((p.parts[s].level for p in self.pairs),
+                                   default=1),
+                         zip(self._keys, (p.parts[s] for p in self.pairs)))
+                for s, tree in enumerate(self.trees))
+        return self._index[side]
+
+    def pair(self, key: tuple[int, ...]) -> Pair:
+        return self.pairs[bisect_left(self._keys, key)]
+
     def add_fresh(self, pair: Pair) -> None:
         """Append a pair over atoms no part holds yet."""
         grown = [self.running_union(side).union(pair.parts[side])
                  for side in (0, 1)]
         self.pairs.append(pair)
         self._union = grown
+        if self._index is not None:
+            key = (self._keys[-1][0] + 1,) if self._keys else (0,)
+            self._keys.append(key)
+            for side in (0, 1):
+                self._index[side].add(key, pair.parts[side])
+
+    def replace(self, key: tuple[int, ...], pieces: list[Pair]) -> None:
+        """Put the pieces, in order, where the pair with this key stands."""
+        at = bisect_left(self._keys, key)
+        old = self.pairs[at]
+        keys = [key + (k,) for k in range(len(pieces))]
+        self.pairs[at:at + 1] = pieces
+        self._keys[at:at + 1] = keys
+        for side in (0, 1):
+            index = self._index[side]
+            index.remove(key, old.parts[side])
+            for k, piece in zip(keys, pieces):
+                index.add(k, piece.parts[side])
 
     def verify(self) -> list[str]:
         """Recheck every pairing invariant from scratch."""
@@ -313,32 +358,44 @@ def extend_iso(state: PartialIso, side: int, element: RingElement,
     parts.
 
     side is 0 (left) or 1 (right); the side names appear only in
-    witnesses, depth-budget notes and ``PartialIso.verify`` messages.  Each
-    part is compared with the element as masks at the deeper of their two
-    levels; ring elements are built only for a part the element splits and
-    for what no part holds yet."""
+    witnesses, depth-budget notes and ``PartialIso.verify`` messages.
+
+    A step visits only the parts the element meets.  The side's part index
+    (``PartialIso.part_index``) holds every part as runs on one common
+    level, raised first to the element's level if that lies deeper.  Each
+    run of the element lifts to one run there (``SkeletonTree.lift_runs``),
+    and bisect finds the part runs it overlaps.  A met part whose runs all
+    lie inside the element's is kept as it is; only a part the element
+    splits is lifted as a mask.  Only when the met runs leave a gap in the
+    element does the step read the running union: the element minus the
+    union, on the deeper of their levels, is paired fresh."""
     if not element:
         return
     dst_side = 1 - side
     theta = state.theta
     iso_src = state.iso[side]
     tree = state.trees[side]
-    lifted = {element.level: element.mask}
+    index = state.part_index(side)
+    n0 = element.level
+    if n0 > index.top:
+        index.raise_to(n0)
+    top = index.top
+    own = spans_of(element.mask)
+    met, gap = index.meet(tree.lift_runs(n0, own, top))
 
     def element_at(level: int) -> int:
-        for k in range(max(lifted), level):
-            lifted[k + 1] = tree.theta_image(k, lifted[k])
-        return lifted[level]
+        if level == n0:
+            return element.mask
+        return sum((1 << b) - (1 << a)
+                   for a, b in tree.lift_runs(n0, own, level))
 
-    new_pairs: list[Pair] = []
-    for pair in state.pairs:
+    refined = []
+    for key in sorted(key for key, inside in met.items() if not inside):
+        pair = state.pair(key)
         src = pair.parts[side]
-        n = max(element.level, src.level)
+        n = max(n0, src.level)
         s = src.mask_at(n)
         inter = element_at(n) & s
-        if not inter or inter == s:
-            new_pairs.append(pair)
-            continue
         halves = [RingElement(tree, n, inter),
                   RingElement(tree, n, s & ~inter)]
         src_pieces: list[tuple[int, RingElement]] = []
@@ -355,36 +412,37 @@ def extend_iso(state: PartialIso, side: int, element: RingElement,
             needs.append((h, piece))
         dst_pieces = _match_split(state, dst_side, pair.parts[dst_side],
                                   needs, max_depth)
-        for (h, _), (g, src_piece), dst_piece in zip(needs, src_pieces,
-                                                     dst_pieces):
-            new_pairs.append(Pair(_facing(side, src_piece, dst_piece),
-                                  _facing(side, g, h)))
+        refined.append((key, [
+            Pair(_facing(side, src_piece, dst_piece), _facing(side, g, h))
+            for (h, _), (g, src_piece), dst_piece in zip(needs, src_pieces,
+                                                         dst_pieces)]))
         if transcript is not None:
             transcript.append({"action": "split", "side": side,
                                "pieces": len(src_pieces),
                                "generator": state.trees[0].poset.id_at(
                                    pair.gens[0])})
-    state.pairs = new_pairs
+    for key, pieces in refined:
+        state.replace(key, pieces)
 
+    if not gap:
+        return
     held = state.running_union(side)
-    n = max(element.level, held.level)
-    rest = element_at(n) & ~held.mask_at(n)
-    if rest:
-        pieces = supertrim_split(RingElement(tree, n, rest), iso_src)
-        for g, piece in pieces:
-            h = theta.image(side, g)
-            if h is None:
-                raise MismatchFound(MismatchWitness(
-                    SIDES[dst_side], tree.poset.id_at(g), 1, 0,
-                    "type has no counterpart in the other alphabet"))
-            mate = _fresh_counterpart(state, dst_side, h,
-                                      state.running_union(dst_side),
-                                      max_depth)
-            state.add_fresh(Pair(_facing(side, piece, mate),
-                                 _facing(side, g, h)))
-        if transcript is not None:
-            transcript.append({"action": "fresh", "side": side,
-                               "pieces": len(pieces)})
+    n = max(n0, held.level)
+    rest = RingElement(tree, n, element_at(n) & ~held.mask_at(n))
+    pieces = supertrim_split(rest, iso_src)
+    for g, piece in pieces:
+        h = theta.image(side, g)
+        if h is None:
+            raise MismatchFound(MismatchWitness(
+                SIDES[dst_side], tree.poset.id_at(g), 1, 0,
+                "type has no counterpart in the other alphabet"))
+        mate = _fresh_counterpart(state, dst_side, h,
+                                  state.running_union(dst_side), max_depth)
+        state.add_fresh(Pair(_facing(side, piece, mate),
+                             _facing(side, g, h)))
+    if transcript is not None:
+        transcript.append({"action": "fresh", "side": side,
+                           "pieces": len(pieces)})
 
 
 class IsoRun(Record):
@@ -467,28 +525,20 @@ def _schedule(left: SkeletonTree, right: SkeletonTree, depth: int,
 def _covered(state: PartialIso, schedule: list[tuple[int, int, int]]) -> bool:
     """Is every scheduled atom a union of parts?
 
-    Each side's parts are lifted once to a level no part or scheduled atom
-    lies below; there an atom is covered iff the parts inside it fill it.
-    Lifting keeps inclusion both ways, since every node has children."""
+    Each call indexes each side's parts afresh, as runs on a level no part
+    or scheduled atom lies below.  There an atom is one run; bisect finds
+    the part runs that start inside it, and the atom is covered iff the
+    runs of the parts lying wholly inside it fill it.  Lifting keeps
+    inclusion both ways, since every node has children."""
     for side, tree in enumerate(state.trees):
         parts = [pair.parts[side] for pair in state.pairs]
         atoms = [(n, i) for s, n, i in schedule if s == side]
         top = max([p.level for p in parts] + [n for n, _ in atoms],
                   default=1)
-        lifted = [p.mask_at(top) for p in parts]
+        index = RunIndex(tree, top, enumerate(parts))
         for n, i in atoms:
-            # the child blocks of consecutive nodes are adjacent, so an
-            # atom lifts to one run of bits
-            a, b = i, i + 1
-            for k in range(n, top):
-                lvl = tree.level(k)
-                a, b = lvl.child_start(a), lvl.child_end[b - 1]
-            atom = (1 << b) - (1 << a)
-            inside = 0
-            for m in lifted:
-                if not m & ~atom:
-                    inside |= m
-            if inside != atom:
+            (a, b), = tree.lift_runs(n, [(i, i + 1)], top)
+            if not index.fills(a, b):
                 return False
     return True
 

@@ -91,10 +91,25 @@ class CompletedPoset:
         return x.descriptor <= y.descriptor
 
     def _rows(self) -> list[int]:
-        """Carrier up-set rows: bit j of row i is set iff els[i] <= els[j]."""
-        els = self.elements
-        return [sum(1 << j for j, y in enumerate(els) if self.leq(x, y))
-                for x in els]
+        """Carrier up-set rows: bit j of row i is set iff els[i] <= els[j].
+        Between base elements the bits come from the poset's up-set rows;
+        only pairs with a token go through ``leq``."""
+        els, poset = self.elements, self.poset
+        # the carrier position of each base element's enumeration index
+        at = {poset.index(x.ref): j for j, x in enumerate(els)
+              if not x.is_limit}
+        base = sum(1 << k for k in at)
+        tokens = [(j, y) for j, y in enumerate(els) if y.is_limit]
+        rows = []
+        for x in els:
+            if x.is_limit:
+                rows.append(sum(1 << j for j, y in enumerate(els)
+                                if self.leq(x, y)))
+                continue
+            up = poset.up_mask(poset.index(x.ref)) & base
+            rows.append(sum(1 << at[k] for k in bits(up))
+                        | sum(1 << j for j, y in tokens if self.leq(x, y)))
+        return rows
 
     def verify(self) -> list[str]:
         """Bounded checks: order axioms on the carrier, unique suprema for

@@ -449,6 +449,19 @@ class SkeletonTree:
             out |= (1 << ends[b - 1]) - (1 << (ends[a - 1] if a else 0))
         return out
 
+    def lift_runs(self, n: int, spans: list[tuple[int, int]],
+                  k: int) -> list[tuple[int, int]]:
+        """Where runs of atoms of level n lie on level k >= n.  Each
+        nonempty run (a, b), atoms a..b-1, lifts to one run, for the same
+        reason as in ``theta_image``, so the list keeps its length and its
+        order."""
+        if k > len(self.levels):
+            raise BuildError(f"level {k} not built (depth {self.depth})")
+        for lvl in self.levels[n - 1:k - 1]:
+            ends = lvl.child_end
+            spans = [(ends[a - 1] if a else 0, ends[b - 1]) for a, b in spans]
+        return spans
+
     def isolated_ix(self) -> frozenset:
         return frozenset(self._iso_ix)
 

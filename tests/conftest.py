@@ -4,6 +4,9 @@ import random
 import pytest
 
 from stonetrim import Poset
+from stonetrim.backforth import (SIDES, MismatchFound, MismatchWitness, Pair,
+                                 _facing, _fresh_counterpart, _match_split)
+from stonetrim.ring import RingElement, supertrim_split
 
 
 def chain_ab_poset() -> Poset:
@@ -300,3 +303,111 @@ def ref_theta_break(left: Poset, right: Poset, image: dict, span: int):
             if left.leq(p, q) != right.leq(image[p], image[q]):
                 return p, q
     return None
+
+
+# ----------------------------------------------------------------------
+# The matcher's step and coverage test as they were first written, visiting
+# every pair with masks.  The library finds the parts a step meets through
+# a part index; the tests drive both and compare.
+
+def ref_extend_iso(state, side: int, element, max_depth: int,
+                   transcript=None) -> None:
+    """``extend_iso`` as a scan: every pair is lifted to the element's level
+    or its own and compared with the element as masks, and the pairs are
+    rebuilt as a new list."""
+    if not element:
+        return
+    dst_side = 1 - side
+    theta = state.theta
+    iso_src = state.iso[side]
+    tree = state.trees[side]
+    lifted = {element.level: element.mask}
+
+    def element_at(level: int) -> int:
+        for k in range(max(lifted), level):
+            lifted[k + 1] = tree.theta_image(k, lifted[k])
+        return lifted[level]
+
+    new_pairs = []
+    for pair in state.pairs:
+        src = pair.parts[side]
+        n = max(element.level, src.level)
+        s = src.mask_at(n)
+        inter = element_at(n) & s
+        if not inter or inter == s:
+            new_pairs.append(pair)
+            continue
+        halves = [RingElement(tree, n, inter),
+                  RingElement(tree, n, s & ~inter)]
+        src_pieces = []
+        for half in halves:
+            src_pieces.extend(supertrim_split(half, iso_src))
+        needs = []
+        for g, piece in src_pieces:
+            h = theta.image(side, g)
+            if h is None:
+                raise MismatchFound(MismatchWitness(
+                    SIDES[dst_side], tree.poset.id_at(g),
+                    sum(1 for gg, _ in src_pieces if gg == g), 0,
+                    "type has no counterpart in the other alphabet"))
+            needs.append((h, piece))
+        dst_pieces = _match_split(state, dst_side, pair.parts[dst_side],
+                                  needs, max_depth)
+        for (h, _), (g, src_piece), dst_piece in zip(needs, src_pieces,
+                                                     dst_pieces):
+            new_pairs.append(Pair(_facing(side, src_piece, dst_piece),
+                                  _facing(side, g, h)))
+        if transcript is not None:
+            transcript.append({"action": "split", "side": side,
+                               "pieces": len(src_pieces),
+                               "generator": state.trees[0].poset.id_at(
+                                   pair.gens[0])})
+    state.pairs = new_pairs
+
+    held = state.running_union(side)
+    n = max(element.level, held.level)
+    rest = element_at(n) & ~held.mask_at(n)
+    if rest:
+        pieces = supertrim_split(RingElement(tree, n, rest), iso_src)
+        for g, piece in pieces:
+            h = theta.image(side, g)
+            if h is None:
+                raise MismatchFound(MismatchWitness(
+                    SIDES[dst_side], tree.poset.id_at(g), 1, 0,
+                    "type has no counterpart in the other alphabet"))
+            mate = _fresh_counterpart(state, dst_side, h,
+                                      state.running_union(dst_side),
+                                      max_depth)
+            state.add_fresh(Pair(_facing(side, piece, mate),
+                                 _facing(side, g, h)))
+        if transcript is not None:
+            transcript.append({"action": "fresh", "side": side,
+                               "pieces": len(pieces)})
+
+
+def ref_covered(state, schedule) -> bool:
+    """``_covered`` by lifting every part to a level no part or scheduled
+    atom lies below and testing it against each atom as masks; an atom is
+    covered iff the parts inside it fill it.  Lifting keeps inclusion both
+    ways, since every node has children."""
+    for side, tree in enumerate(state.trees):
+        parts = [pair.parts[side] for pair in state.pairs]
+        atoms = [(n, i) for s, n, i in schedule if s == side]
+        top = max([p.level for p in parts] + [n for n, _ in atoms],
+                  default=1)
+        lifted = [p.mask_at(top) for p in parts]
+        for n, i in atoms:
+            # the child blocks of consecutive nodes are adjacent, so an
+            # atom lifts to one run of bits
+            a, b = i, i + 1
+            for k in range(n, top):
+                lvl = tree.level(k)
+                a, b = lvl.child_start(a), lvl.child_end[b - 1]
+            atom = (1 << b) - (1 << a)
+            inside = 0
+            for m in lifted:
+                if not m & ~atom:
+                    inside |= m
+            if inside != atom:
+                return False
+    return True

@@ -158,6 +158,36 @@ def test_family_completions_match_the_reference(make):
         assert c.to_json()["covers"] == ref_completion_covers(c)
 
 
+@pytest.mark.parametrize("make, tokens", [(lambda: family("dyadic"), 0),
+                                          (two_chains_poset, 2)])
+def test_completion_rows_ask_the_base_order_nothing(make, tokens,
+                                                    monkeypatch):
+    # base against base is read off the poset's rows; only the pairs with a
+    # token go through CompletedPoset.leq, which never asks Poset.leq then
+    p = make()
+    c = complete_over(p, p.prefix(12), 12)
+    assert len(c.tokens()) == tokens
+    asked = {"poset": 0, "carrier": 0}
+
+    def counted(name, leq):
+        def wrapper(*args):
+            asked[name] += 1
+            return leq(*args)
+        return wrapper
+
+    monkeypatch.setattr(Poset, "leq", counted("poset", Poset.leq))
+    monkeypatch.setattr(CompletedPoset, "leq",
+                        counted("carrier", CompletedPoset.leq))
+    doc, problems = c.to_json(), c.verify()
+    # each of the two calls asks every row of a token, and every token
+    # column of a base row
+    assert asked == {"poset": 0,
+                     "carrier": 2 * (tokens * 12 + 12 * tokens + tokens ** 2)}
+    monkeypatch.undo()
+    assert doc["covers"] == ref_completion_covers(c)
+    assert problems == ref_completion_verify(c) == []
+
+
 def test_a_broken_completion_fails_verify():
     p = two_chains_poset()
     c = complete_over(p, p.prefix(8), 8)

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import children, random_poset
 from stonetrim import (FOUND, BuildConfig, BuildError, ConfigError, Poset,
                        build_levels, family, verify_structure)
-from stonetrim.poset import bits
+from stonetrim.poset import bits, runs
 from stonetrim.skeleton import SkeletonTree, StructureReport
 
 
@@ -267,6 +267,30 @@ class TestMasks:
         assert tree.theta_image(2, 0b001) == 0b00000111
         assert tree.theta_image(2, 0b100) == 0b11000000
         assert tree.theta_image(2, 0b101) == 0b11000111
+
+    def test_lift_runs_spans_children(self):
+        tree = chain_tree(4)
+        assert tree.lift_runs(2, [(0, 1), (2, 3)], 3) == [(0, 3), (6, 8)]
+        assert tree.lift_runs(2, [(1, 3)], 2) == [(1, 3)]
+        assert tree.lift_runs(1, [(0, 1)], 4) == [(0, len(tree.level(4)))]
+        with pytest.raises(BuildError, match="level 5 not built"):
+            tree.lift_runs(2, [(0, 1)], 5)
+
+    @given(seed=st.integers(0, 10 ** 6))
+    @settings(max_examples=30, deadline=None)
+    def test_lift_runs_agree_with_theta_image(self, seed):
+        # unattached nodes included: a run of them lifts as theta_image
+        # lifts their mask, even though no lifted element reaches them
+        rng = random.Random(seed)
+        tree = build_levels(BuildConfig(random_poset(rng)), 6)
+        n = rng.randint(1, 5)
+        k = rng.randint(n, 6)
+        mask = rng.getrandbits(len(tree.level(n))) or 1
+        spans = list(runs(mask))
+        lifted = mask
+        for m in range(n, k):
+            lifted = tree.theta_image(m, lifted)
+        assert tree.lift_runs(n, spans, k) == list(runs(lifted))
 
     def test_block_masks_follow_the_child_spans(self):
         lvl = chain_tree(3).level(2)        # child blocks 0-2, 3-5, 6-7

@@ -23,9 +23,9 @@ from collections import Counter
 from typing import Callable, Iterable, Optional
 
 from ._record import Frozen, Record
-from .poset import FOUND, Poset, bits
+from .poset import FOUND, Poset, bits, runs
 from .ring import RingElement, is_trim_for, supertrim_split, trim_split
-from .runindex import RunIndex, spans_of
+from .runindex import RunIndex
 from .skeleton import BuildError, SkeletonTree
 
 SIDES = ("left", "right")
@@ -157,17 +157,16 @@ class PartialIso:
                 index.add(k, piece.parts[side])
 
     def verify(self) -> list[str]:
-        """Recheck every pairing invariant from scratch."""
+        """Recheck every pairing invariant from scratch.  Overlap is read
+        off a fresh part index per side, built from ``pairs``: parts
+        overlap iff some run, in order of start, ends after the next one
+        starts."""
         problems = []
-        for side, name in enumerate(SIDES):
-            top = max((p.parts[side].level for p in self.pairs), default=1)
-            acc = 0
-            count = 0
-            for pair in self.pairs:
-                m = pair.parts[side].mask_at(top)
-                count += m.bit_count()
-                acc |= m
-            if count != acc.bit_count():
+        for side, (name, tree) in enumerate(zip(SIDES, self.trees)):
+            parts = [pair.parts[side] for pair in self.pairs]
+            index = RunIndex(tree, max((p.level for p in parts), default=1),
+                             enumerate(parts))
+            if any(b > a for b, a in zip(index.ends, index.starts[1:])):
                 problems.append(f"{name} parts overlap")
         for k, pair in enumerate(self.pairs):
             if self.theta.image(0, pair.gens[0]) != pair.gens[1]:
@@ -293,8 +292,8 @@ def _match_split(state: PartialIso, dst_side: int, dst_part: RingElement,
             _grow(tree, level)
         mask = dst_part.mask_at(level)
         masks = tree.level(level).type_masks()
-        avail = {h: list(bits(mask & masks.get(h, 0))) for h in want}
-        short = [h for h, n in want.items() if len(avail[h]) < n]
+        have = {h: (mask & masks.get(h, 0)).bit_count() for h in want}
+        short = [h for h, n in want.items() if have[h] < n]
         if not short:
             break
         realized = [t for t, atoms in masks.items() if atoms & mask]
@@ -302,16 +301,18 @@ def _match_split(state: PartialIso, dst_side: int, dst_part: RingElement,
             growable = any(t != h and poset.leq_ix(t, h) for t in realized)
             if iso >> h & 1 and not growable:
                 raise MismatchFound(MismatchWitness(
-                    SIDES[dst_side], poset.id_at(h), want[h], len(avail[h]),
+                    SIDES[dst_side], poset.id_at(h), want[h], have[h],
                     "isolated type cannot multiply inside a part typed "
                     "exactly by it"))
-            if not growable and len(avail[h]) == 0:
+            if not growable and not have[h]:
                 raise MismatchFound(MismatchWitness(
                     SIDES[dst_side], poset.id_at(h), want[h], 0,
                     "needed type is not realized in the counterpart part"))
         level += 1
 
-    taken = {h: iter(avail[h]) for h in want}
+    # the generators claim atoms of their types in order, lowest first; a
+    # type's atoms are read only as far as its claims go
+    taken = {h: bits(mask & masks[h]) for h in want}
     piece_masks = [1 << next(taken[h]) for h in gens]
     claimed = sum(piece_masks)
     # spread the unclaimed atoms round-robin so no piece starves a later
@@ -380,22 +381,14 @@ def extend_iso(state: PartialIso, side: int, element: RingElement,
     if n0 > index.top:
         index.raise_to(n0)
     top = index.top
-    own = spans_of(element.mask)
-    met, gap = index.meet(tree.lift_runs(n0, own, top))
-
-    def element_at(level: int) -> int:
-        if level == n0:
-            return element.mask
-        return sum((1 << b) - (1 << a)
-                   for a, b in tree.lift_runs(n0, own, level))
-
+    met, gap = index.meet(tree.lift_runs(n0, list(runs(element.mask)), top))
     refined = []
     for key in sorted(key for key, inside in met.items() if not inside):
         pair = state.pair(key)
         src = pair.parts[side]
         n = max(n0, src.level)
         s = src.mask_at(n)
-        inter = element_at(n) & s
+        inter = element.mask_at(n) & s
         halves = [RingElement(tree, n, inter),
                   RingElement(tree, n, s & ~inter)]
         src_pieces: list[tuple[int, RingElement]] = []
@@ -428,7 +421,7 @@ def extend_iso(state: PartialIso, side: int, element: RingElement,
         return
     held = state.running_union(side)
     n = max(n0, held.level)
-    rest = RingElement(tree, n, element_at(n) & ~held.mask_at(n))
+    rest = RingElement(tree, n, element.mask_at(n) & ~held.mask_at(n))
     pieces = supertrim_split(rest, iso_src)
     for g, piece in pieces:
         h = theta.image(side, g)

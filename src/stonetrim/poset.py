@@ -38,12 +38,17 @@ class PosetError(ValueError):
 
 def runs(mask: int) -> Iterator[tuple[int, int]]:
     """Maximal runs of set bits of a nonnegative int as (start, end) pairs,
-    ascending; bits start..end-1 are set."""
-    digits = bin(mask)[:1:-1] + "0"
-    start = digits.find("1")
+    ascending; bits start..end-1 are set.  The mask is spelled from its
+    lowest set bit, so a mask far up a wide level costs only its own span.
+    Every run the package reads off a mask is read here."""
+    if not mask:
+        return
+    low = (mask & -mask).bit_length() - 1
+    digits = bin(mask >> low)[:1:-1] + "0"
+    start = 0
     while start >= 0:
         end = digits.find("0", start)
-        yield start, end
+        yield low + start, low + end
         start = digits.find("1", end)
 
 

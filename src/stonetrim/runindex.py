@@ -11,23 +11,9 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from typing import Iterable
 
+from .poset import runs
 from .ring import RingElement
 from .skeleton import SkeletonTree
-
-
-def spans_of(mask: int) -> list[tuple[int, int]]:
-    """The maximal runs of set bits of a mask as (start, end) pairs, as
-    ``runs`` gives them, read by integer arithmetic: adding the lowest set
-    bit carries through the lowest run and leaves set the bit where it
-    ends.  A part's mask has few runs, often far up a wide level."""
-    out = []
-    while mask:
-        low = mask & -mask
-        carried = mask + low
-        past = carried & -carried
-        out.append((low.bit_length() - 1, past.bit_length() - 1))
-        mask &= carried
-    return out
 
 
 class RunIndex:
@@ -57,7 +43,8 @@ class RunIndex:
 
     def spans(self, part: RingElement) -> list[tuple[int, int]]:
         """The part's runs on level ``top``."""
-        return self.tree.lift_runs(part.level, spans_of(part.mask), self.top)
+        return self.tree.lift_runs(part.level, list(runs(part.mask)),
+                                   self.top)
 
     def add(self, owner, part: RingElement) -> None:
         if part.level > self.top:

@@ -432,29 +432,26 @@ class SkeletonTree:
         return lvl.child_start(i), lvl.child_end[i]
 
     def theta_image(self, n: int, mask: int) -> int:
-        """Image of a level-n atom mask inside level n+1.
+        """Image of a level-n atom mask inside level n+1: the one-level
+        ``lift_runs`` of its runs, as a mask.
 
         Unattached nodes of level n+1 never appear: the embedding of the
         level-n ring misses everything they generate.
         """
-        levels = self.levels
-        lvl = levels[n - 1] if 0 < n <= len(levels) else self.level(n)
-        ends = lvl.child_end
-        if mask and not ends:
-            raise BuildError(f"level {n + 1} not built")
+        self.level(n)                   # raises for n out of range
+        if not mask:
+            return 0
         out = 0
-        for a, b in runs(mask):
-            # the child blocks of consecutive nodes are adjacent, and a
-            # block starts where the one before it ends
-            out |= (1 << ends[b - 1]) - (1 << (ends[a - 1] if a else 0))
+        for a, b in self.lift_runs(n, list(runs(mask)), n + 1):
+            out |= (1 << b) - (1 << a)
         return out
 
     def lift_runs(self, n: int, spans: list[tuple[int, int]],
                   k: int) -> list[tuple[int, int]]:
         """Where runs of atoms of level n lie on level k >= n.  Each
-        nonempty run (a, b), atoms a..b-1, lifts to one run, for the same
-        reason as in ``theta_image``, so the list keeps its length and its
-        order."""
+        nonempty run (a, b), atoms a..b-1, lifts to one run, since the child
+        blocks of consecutive nodes are adjacent and a block starts where the
+        one before it ends; so the list keeps its length and its order."""
         if k > len(self.levels):
             raise BuildError(f"level {k} not built (depth {self.depth})")
         for lvl in self.levels[n - 1:k - 1]:

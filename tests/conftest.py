@@ -86,6 +86,47 @@ def children(tree, n: int, i: int) -> list:
 
 
 # ----------------------------------------------------------------------
+# Run readers and the one-level lift as they were first written.  The
+# library reads every mask's runs with ``poset.runs``, which spells a mask
+# from its lowest set bit, and lifts them with ``SkeletonTree.lift_runs``;
+# the tests compare it with these.
+
+def ref_runs(mask: int):
+    """Maximal runs of set bits as (start, end) pairs, spelling the mask
+    from bit 0."""
+    digits = bin(mask)[:1:-1] + "0"
+    start = digits.find("1")
+    while start >= 0:
+        end = digits.find("0", start)
+        yield start, end
+        start = digits.find("1", end)
+
+
+def ref_spans_of(mask: int) -> list[tuple[int, int]]:
+    """The same runs by carry arithmetic: adding the lowest set bit carries
+    through the lowest run and leaves set the bit where it ends."""
+    out = []
+    while mask:
+        low = mask & -mask
+        carried = mask + low
+        past = carried & -carried
+        out.append((low.bit_length() - 1, past.bit_length() - 1))
+        mask &= carried
+    return out
+
+
+def ref_theta_image(tree, n: int, mask: int) -> int:
+    """``theta_image`` with its own lift: a run of level n maps to the run
+    from the start of its first node's child block to the end of its last
+    node's, since the blocks of consecutive nodes are adjacent."""
+    ends = tree.level(n).child_end
+    out = 0
+    for a, b in ref_runs(mask):
+        out |= (1 << ends[b - 1]) - (1 << (ends[a - 1] if a else 0))
+    return out
+
+
+# ----------------------------------------------------------------------
 # Pairwise references: the order queries as they were first written, asking
 # the order id by id.  The library answers the same questions from its
 # up-set rows; the tests compare the two.

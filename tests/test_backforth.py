@@ -106,6 +106,29 @@ def test_mask_matcher_agrees_with_ring_operations(maker, isolated):
     problems = state.verify()
     assert "right parts overlap" in problems
     assert "left parts overlap" not in problems
+    # parts of different levels meet only once lifted: a level-4 atom
+    # inside a level-2 atom's block overlaps it, and the level-4 atoms
+    # just outside the block touch it end to start without overlapping
+    a, b = left.lift_runs(2, [(1, 2)], 4)[0]
+    coarse = RingElement.atom(left, 2, 1)
+    empty = RingElement.empty(right)
+    near = [i for i in (a - 1, a, b - 1, b) if 0 <= i < len(left.level(4))]
+    assert len(near) >= 3
+    for i in near:
+        fine = RingElement.atom(left, 4, i)
+        assert fine.level == 4
+        state.pairs = [Pair((coarse, empty), (1, 1)),
+                       Pair((fine, empty), (1, 1))]
+        overlaps = "left parts overlap" in state.verify()
+        assert overlaps is (a <= i < b)
+    # the two halves of that block touch, and the block overlaps each
+    mid = (a + b) // 2
+    halves = [RingElement(left, 4, (1 << hi) - (1 << lo))
+              for lo, hi in ((a, mid), (mid, b))]
+    state.pairs = [Pair((half, empty), (1, 1)) for half in halves]
+    assert "left parts overlap" not in state.verify()
+    state.pairs.append(Pair((coarse, empty), (1, 1)))
+    assert "left parts overlap" in state.verify()
 
 
 class TestRuns:

@@ -9,7 +9,8 @@ from stonetrim import (DEFAULT_CHAIN_BOUND, FOUND, HOLDS, HOLDS_ON_PREFIX,
                        TypeSet, family)
 from stonetrim.poset import bits, runs
 
-from conftest import all_chains, random_poset, ref_up_closure
+from conftest import (all_chains, random_poset, ref_runs, ref_spans_of,
+                      ref_up_closure)
 
 
 class TestConstruction:
@@ -518,6 +519,35 @@ def test_bits_and_runs_read_the_binary_expansion(mask):
     spans = list(runs(mask))
     assert [i for a, b in spans for i in range(a, b)] == want
     assert all(b < c for (_, b), (c, _) in zip(spans, spans[1:]))
+
+
+WIDE_MASKS = st.one_of(
+    st.just(0),
+    st.integers(0, 5000).map(lambda k: 1 << k),
+    st.integers(1, 5000).map(lambda w: (1 << w) - 1),
+    st.tuples(st.integers(1, 2 ** 70), st.integers(0, 5000)).map(
+        lambda t: t[0] << t[1]))
+
+
+@given(WIDE_MASKS)
+@settings(max_examples=300)
+def test_runs_agree_with_both_references_on_wide_masks(mask):
+    spans = list(runs(mask))
+    assert spans == list(ref_runs(mask)) == ref_spans_of(mask)
+    assert list(bits(mask)) == [i for a, b in ref_spans_of(mask)
+                                for i in range(a, b)]
+
+
+def test_runs_of_single_bits_and_all_ones():
+    assert list(runs(0)) == list(bits(0)) == ref_spans_of(0) == []
+    for k in range(5001):
+        assert list(runs(1 << k)) == [(k, k + 1)] == ref_spans_of(1 << k)
+        assert list(bits(1 << k)) == [k]
+    for w in (1, 2, 63, 64, 65, 4999, 5000):
+        ones = (1 << w) - 1
+        assert list(runs(ones)) == [(0, w)] == list(ref_runs(ones))
+        assert list(runs(ones << 3000)) == [(3000, 3000 + w)]
+        assert list(bits(ones << 3000)) == list(range(3000, 3000 + w))
 
 
 def increasing_paths(poset, members):

@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import children, random_poset
+from conftest import children, random_poset, ref_theta_image
 from stonetrim import (FOUND, BuildConfig, BuildError, ConfigError, Poset,
                        build_levels, family, verify_structure)
 from stonetrim.poset import bits, runs
@@ -268,6 +268,20 @@ class TestMasks:
         assert tree.theta_image(2, 0b100) == 0b11000000
         assert tree.theta_image(2, 0b101) == 0b11000111
 
+    def test_theta_image_at_the_edges_of_the_built_levels(self):
+        tree = chain_tree(3)
+        # on the last built level only the empty mask has an image
+        assert tree.theta_image(3, 0) == 0
+        with pytest.raises(BuildError, match="level 4 not built"):
+            tree.theta_image(3, 1)
+        with pytest.raises(BuildError, match="level 4 not built"):
+            tree.theta_image(3, tree.level(3).full_mask)
+        # a level out of range raises, whatever the mask
+        for n in (0, -1, 4, 5):
+            for mask in (0, 1):
+                with pytest.raises(BuildError, match=f"level {n} not built"):
+                    tree.theta_image(n, mask)
+
     def test_lift_runs_spans_children(self):
         tree = chain_tree(4)
         assert tree.lift_runs(2, [(0, 1), (2, 3)], 3) == [(0, 3), (6, 8)]
@@ -289,7 +303,9 @@ class TestMasks:
         spans = list(runs(mask))
         lifted = mask
         for m in range(n, k):
+            want = ref_theta_image(tree, m, lifted)
             lifted = tree.theta_image(m, lifted)
+            assert lifted == want
         assert tree.lift_runs(n, spans, k) == list(runs(lifted))
 
     def test_block_masks_follow_the_child_spans(self):

@@ -12,8 +12,8 @@ Everything two-sided is held as a pair indexed by ``side``: 0 is the left
 side and 1 the right, so the other side is ``1 - side``.  A generator is
 named by its enumeration index on its own side.  The names in ``SIDES``,
 and element ids, appear only where output carries them: mismatch
-witnesses, depth-budget notes, setup errors, the messages of
-``PartialIso.verify`` and the transcript's split entries.
+witnesses, depth-budget notes, setup errors and the messages of
+``PartialIso.verify``.
 """
 from __future__ import annotations
 
@@ -411,9 +411,7 @@ def extend_iso(state: PartialIso, side: int, element: RingElement,
                                                          dst_pieces)]))
         if transcript is not None:
             transcript.append({"action": "split", "side": side,
-                               "pieces": len(src_pieces),
-                               "generator": state.trees[0].poset.id_at(
-                                   pair.gens[0])})
+                               "pieces": len(src_pieces)})
     for key, pieces in refined:
         state.replace(key, pieces)
 
@@ -562,8 +560,7 @@ def run_backforth(left: SkeletonTree, right: SkeletonTree,
     else:
         theta = _check_theta(left, right, theta, span)
     if q is None:
-        delta, _ = left.poset.p_delta(span)
-        q = frozenset(delta) & set(left.poset.prefix(span))
+        q, _ = left.poset.p_delta(span)
     q = frozenset(q)
     if not q:
         raise IsoError("the compared region is empty; pass q explicitly when "

@@ -249,7 +249,6 @@ def rieger_nishimura_run(space: SymbolicSpace, a: ClosureElement,
     t.u.append(a)
     t.v.append(space.empty())
     t.b.append(a)
-    v_prev = space.empty()           # V_{-1}
     for n in range(1, max_n + 1):
         u_n = w.minus(space.closure_of(t.b[n - 1]))
         v_n = t.u[n - 1].union(t.v[n - 1])

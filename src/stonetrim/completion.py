@@ -8,10 +8,10 @@ two generating chains receive one token exactly when they interleave.
 """
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable
 
 from ._record import Frozen
-from .poset import Poset, PosetError, axiom_problems, bits, covers_of
+from .poset import Poset, axiom_problems, bits, covers_of
 
 
 class CompletionError(ValueError):

@@ -602,22 +602,20 @@ class Poset:
         return memo
 
     def _find_chain(self, mask: int, length: int) -> Optional[tuple[int, ...]]:
-        """First strictly increasing chain of the given length inside mask,
-        DFS in enumeration order."""
+        """First strictly increasing chain of the given length inside mask in
+        enumeration order.  A chain of k elements starts at y iff memo[y] >= k,
+        so the first such y extends the path and no step ever backtracks."""
         up, memo = self._up, self._longest_chain_from(mask)
-
-        def dfs(path: list[int]) -> Optional[tuple[int, ...]]:
-            if len(path) == length:
-                return tuple(path)
-            ups = up[path[-1]] & ~(1 << path[-1]) if path else -1
-            for y in bits(mask & ups):
-                if memo[y] >= length - len(path):
-                    got = dfs(path + [y])
-                    if got:
-                        return got
-            return None
-
-        return dfs([])
+        path: list[int] = []
+        ups = mask
+        while len(path) < length:
+            need = length - len(path)
+            y = next((y for y in bits(ups) if memo[y] >= need), None)
+            if y is None:
+                return None
+            path.append(y)
+            ups = mask & up[y] & ~(1 << y)
+        return tuple(path)
 
     def check_acc(self, horizon: int, bound: int = DEFAULT_CHAIN_BOUND) -> Verdict:
         """Ascending chain condition, decided at the horizon.

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from collections import Counter
 from itertools import islice
 from typing import Iterator, Optional
 
@@ -150,29 +149,18 @@ class RingElement:
         return RingElement(self.tree, n, self.tree.level(n).full_mask & ~m)
 
     def contains(self, other: "RingElement") -> bool:
-        n, a, b = self._pair(other)
+        _, a, b = self._pair(other)
         return b & ~a == 0
 
     def disjoint_from(self, other: "RingElement") -> bool:
-        n, a, b = self._pair(other)
+        _, a, b = self._pair(other)
         return a & b == 0
 
     # ------------------------------------------------------------------
 
-    def atom_type_ids(self) -> list[str]:
-        lvl = self.tree.level(self.level)
-        poset = self.tree.poset
-        return [poset.id_at(lvl.types[i]) for i in self.atom_indices()]
-
-    def type_counts(self) -> dict[str, int]:
-        return dict(Counter(self.atom_type_ids()))
-
     def type_of(self) -> TypeSet:
         """Upper set of element types realized inside this clopen set."""
         return _types_in(self.tree, self.level, self.mask)
-
-    def trim_generator(self) -> Optional[str]:
-        return self.type_of().trim_generator()
 
 
 def type_of(x: RingElement) -> TypeSet:
@@ -382,10 +370,9 @@ def verify_type_axioms(tree: SkeletonTree, level_bound: int,
         for i in range(lb, k):
             ub = tree.theta_image(i, ub)
         lu, xu = _lower(tree, k, ua | ub)
-        hit = decided[key] = la == lb == lu == n or (
-            from_mask(poset, _types_in(tree, la, xa).mask
-                      | _types_in(tree, lb, xb).mask).mask
-            == _types_in(tree, lu, xu).mask)
+        hit = decided[key] = (from_mask(poset, _types_in(tree, la, xa).mask
+                                        | _types_in(tree, lb, xb).mask).mask
+                              == _types_in(tree, lu, xu).mask)
         return hit
 
     # union additivity: T(x | y) == T(x) | T(y)

@@ -19,7 +19,7 @@ from operator import sub
 from typing import Iterable, Optional
 
 from ._record import Frozen, Record
-from .poset import FOUND, Poset, PosetError, bits, runs
+from .poset import FOUND, Poset, bits, runs
 
 MAX_LEVEL_SIZE = 1 << 16
 
@@ -621,10 +621,10 @@ def verify_structure(tree: SkeletonTree,
             ok = True
             bad = ""
             # nodes descending from level n0 fill a prefix of each level
+            whole = [(0, len(tree.level(n0)))]
             for n in range(n0, depth + 1):
                 lvl = tree.level(n)
-                reach = (len(lvl) if n == n0
-                         else tree.level(n - 1).child_end[reach - 1])
+                reach = tree.lift_runs(n0, whole, n)[0][1]
                 rest = lvl.types[reach:]
                 escaped = q_ix.intersection(rest)
                 if escaped:

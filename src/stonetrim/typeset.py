@@ -76,12 +76,6 @@ class TypeSet(Frozen):
             raise ValueError("type sets over different posets")
         return TypeSet.from_mask(self.poset, self.mask | other.mask)
 
-    def trim_generator(self) -> str | None:
-        """The single generator if this is a principal upper set, else None."""
-        if len(self.min_antichain) == 1:
-            return self.min_antichain[0]
-        return None
-
     def members(self, horizon: int) -> frozenset:
         """The denoted upper set restricted to the enumeration prefix; equal
         calls return the same frozenset until the prefix grows."""

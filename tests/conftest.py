@@ -400,9 +400,7 @@ def ref_extend_iso(state, side: int, element, max_depth: int,
                                   _facing(side, g, h)))
         if transcript is not None:
             transcript.append({"action": "split", "side": side,
-                               "pieces": len(src_pieces),
-                               "generator": state.trees[0].poset.id_at(
-                                   pair.gens[0])})
+                               "pieces": len(src_pieces)})
     state.pairs = new_pairs
 
     held = state.running_union(side)

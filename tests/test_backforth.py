@@ -162,6 +162,14 @@ class TestRuns:
             "witness": None, "note": "", "coverage": True,
             "invariant_failures": [], "steps": steps}
 
+    def test_transcript_entries_hold_counts_only(self):
+        run = run_backforth(build(diamond_poset), build(diamond_poset), seed=1)
+        assert run.status == "iso"
+        assert {entry["action"] for entry in run.transcript} >= {"init",
+                                                                 "split"}
+        for entry in run.transcript:
+            assert set(entry) <= {"action", "side", "pieces", "pairs"}
+
     # each mismatch run and its mirror image, named by the short side
     @pytest.mark.parametrize("isolated, side", [
         (({"a"}, set()), "left"),

@@ -44,9 +44,12 @@ class TestQueries:
             TypeSet.of(diamond, {"b"}).contains("zz")
 
     def test_trim_generator(self, diamond):
-        assert TypeSet.of(diamond, {"b"}).trim_generator() == "b"
-        assert TypeSet.of(diamond, {"b", "c"}).trim_generator() is None
-        assert TypeSet.empty(diamond).trim_generator() is None
+        """A principal upper set has one minimal element, its generator."""
+        b = diamond.index("b")
+        assert TypeSet.of(diamond, {"b"}).mask == 1 << b
+        assert TypeSet.of(diamond, {"b", "d"}).mask == 1 << b
+        assert TypeSet.of(diamond, {"b", "c"}).mask.bit_count() == 2
+        assert TypeSet.empty(diamond).mask == 0
 
     def test_members_is_the_up_closure(self, diamond):
         t = TypeSet.of(diamond, {"b", "c"})

@@ -587,25 +587,22 @@ class Poset:
 
     def _longest_chain_from(self, mask: int) -> dict[int, int]:
         """Length of the longest chain inside mask that starts at each index
-        set in it, walked in ascending index order."""
+        set in it.  An index strictly above x has fewer members of mask above
+        it than x has, so filling the table fewest first finds every index
+        above x filled before x."""
         up, memo = self._up, {}
-
-        def lc(x: int) -> int:
-            if x not in memo:
-                memo[x] = 1
-                memo[x] = 1 + max(map(lc, bits(up[x] & mask & ~(1 << x))),
-                                  default=0)
-            return memo[x]
-
-        for p in bits(mask):
-            lc(p)
+        for x in sorted(bits(mask), key=lambda x: (up[x] & mask).bit_count()):
+            memo[x] = 1 + max(map(memo.__getitem__,
+                                  bits(up[x] & mask & ~(1 << x))), default=0)
         return memo
 
-    def _find_chain(self, mask: int, length: int) -> Optional[tuple[int, ...]]:
+    def _find_chain(self, mask: int, length: int,
+                    memo: dict[int, int]) -> Optional[tuple[int, ...]]:
         """First strictly increasing chain of the given length inside mask in
-        enumeration order.  A chain of k elements starts at y iff memo[y] >= k,
-        so the first such y extends the path and no step ever backtracks."""
-        up, memo = self._up, self._longest_chain_from(mask)
+        enumeration order, read off mask's ``_longest_chain_from`` table.  A
+        chain of k elements starts at y iff memo[y] >= k, so the first such
+        y extends the path and no step ever backtracks."""
+        up = self._up
         path: list[int] = []
         ups = mask
         while len(path) < length:
@@ -627,12 +624,13 @@ class Poset:
             return Verdict(HOLDS, note="finite poset")
         pre = self.prefix(horizon)
         inside = (1 << len(pre) + 1) - 2
-        chain = self._find_chain(inside, bound + 1)
+        memo = self._longest_chain_from(inside)
+        chain = self._find_chain(inside, bound + 1, memo)
         a = self.analytics
         if a.acc is True:
             note = a.acc_note or "every ascending chain in the prefix terminates"
             if chain:
-                note += f"; longest prefix chain has {max(self._longest_chain_from(inside).values())} elements"
+                note += f"; longest prefix chain has {max(memo.values())} elements"
             return Verdict(HOLDS_ON_PREFIX, note=note)
         if chain:
             return Verdict(REFUTED, witness=tuple(pre[i - 1] for i in chain),
@@ -662,19 +660,16 @@ class Poset:
     def _maximal_chains(self, mask: int) -> list[tuple[int, ...]]:
         """All maximal chains inside the indices set in mask, depth first in
         index order: a chain grows only by the members that cover its top,
-        the minimal ones among the members above it."""
+        the minimal ones among the members above it.  The stack holds each
+        chain still to grow with the members of mask above its top."""
         up, out = self._up, []
-
-        def extend(chain: list[int], rest: int) -> None:
-            top = chain[-1]
-            ups = rest & up[top] & ~(1 << top)
-            if not ups:
-                out.append(tuple(chain))
-            for y in bits(self.minimal_in(ups)):
-                extend(chain + [y], ups)
-
-        for x in bits(self.minimal_in(mask)):
-            extend([x], mask)
+        stack = [((), mask)]
+        while stack:
+            chain, ups = stack.pop()
+            if chain and not ups:
+                out.append(chain)
+            for y in reversed(list(bits(self.minimal_in(ups)))):
+                stack.append((chain + (y,), ups & up[y] & ~(1 << y)))
         return out
 
     def is_chain_unique_over(self, members, horizon: int,

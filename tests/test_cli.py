@@ -81,6 +81,13 @@ class TestAnalyze:
             "tokens": ["lim(" + ",".join(f"p{k}" for k in range(1, 23)) + ")"]}
 
 
+    def test_chain_past_the_recursion_limit(self):
+        proc = run_cli("analyze", "--family", "omega-chain", "--horizon",
+                       "1200", timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["acc"]["status"] == "refuted"
+
+
 class TestBuildVerify:
     def test_report_shape(self):
         proc = run_cli("build-verify", "--family", "rn(2,0)", "--depth", "5")

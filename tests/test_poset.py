@@ -1,5 +1,6 @@
 """Order queries, bounded verdicts and foundation searches."""
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -206,6 +207,17 @@ class TestVerdicts:
         v = family("omega-chain").check_acc(12, bound=3)
         assert v.status == REFUTED
         assert len(v.witness) == 4
+
+    def test_chain_tables_past_the_recursion_limit(self):
+        n = sys.getrecursionlimit() + 100
+        p = family("omega-chain")
+        inside = p.mask_of(p.prefix(n))
+        memo = p._longest_chain_from(inside)
+        assert memo == {i: n + 1 - i for i in range(1, n + 1)}
+        assert p._find_chain(inside, n, memo) == tuple(range(1, n + 1))
+        assert p._maximal_chains(inside) == [tuple(range(1, n + 1))]
+        v = p.check_acc(n)
+        assert (v.status, v.witness) == (REFUTED, tuple(p.prefix(9)))
 
     def test_ladder_acc_analytic(self):
         v = family("rn-infinity").check_acc(30)

@@ -11,7 +11,7 @@ from conftest import children, random_poset, ref_theta_image
 from stonetrim import (FOUND, BuildConfig, BuildError, ConfigError, Poset,
                        build_levels, family, verify_structure)
 from stonetrim.poset import bits, runs
-from stonetrim.skeleton import SkeletonTree, StructureReport
+from stonetrim.skeleton import BUCKETS, SkeletonTree, StructureReport
 
 
 def chain_tree(depth=4, **kw):
@@ -115,7 +115,7 @@ class TestChainBuild:
                                                              16, 32]
         assert list(tree.level(2).types) == [1, 2]
         assert list(tree.level(3).types) == [1, 2, 2, 2]
-        assert tree.isolated_ix() == {1}
+        assert tree.config.masks(tree.type_cap(tree.depth))[0] == 1 << 1
 
     def test_node_views(self):
         tree = chain_tree(3)
@@ -170,10 +170,11 @@ class TestChainBuild:
             with pytest.raises(BuildError, match="level 4 would hold"):
                 tree.extend_to(4)
             assert tree.depth == 3
-            assert tree.isolated_ix() == frozenset()
-            with pytest.raises(KeyError):
-                tree.bucket_ix(4)
-        assert tree.bucket_ix(3) == "bounded"
+            # the tree's view of the config: indices 1..3, p4 is index 4
+            iso, buckets = tree.config.masks(tree.type_cap(tree.depth))
+            assert iso == 0
+            assert not any(m >> 4 & 1 for m in buckets.values())
+        assert buckets["bounded"] >> 3 & 1
 
     def test_extend_matches_fresh_build(self):
         grown = chain_tree(3).extend_to(6)
@@ -352,6 +353,14 @@ class TestStructureChecks:
         assert rep.passed
         assert any(n == "isolated-single-line:a" for n, _, _ in rep.checks)
 
+    def test_isolated_lines_in_index_order(self):
+        cfg = BuildConfig(family("omega-antichain"), isolated={"a9", "a2"})
+        rep = verify_structure(build_levels(cfg, 10))
+        assert rep.passed
+        assert [n for n, _, _ in rep.checks
+                if n.startswith("isolated-single-line")] == [
+            "isolated-single-line:a2", "isolated-single-line:a9"]
+
     def test_noncompact_and_unbounded_checks(self, chain_ab):
         t1 = build_levels(BuildConfig(chain_ab, bounded={"a"},
                                       noncompact={"b"}), 5)
@@ -393,8 +402,10 @@ def next_level_oracle(tree):
     parents and child starts were derived: (types, parents, u_start) of the
     new level and (child_start, child_end) of the current last one."""
     n = tree.depth + 1
-    iso, buckets = tree._type_ix_sets(n)
     cap = tree.type_cap(n)
+    config, ids = tree.config, tree.poset.prefix(cap)
+    iso = {ix for ix, p in enumerate(ids, 1) if p in config.isolated}
+    buckets = {ix: config.bucket_of(p, n) for ix, p in enumerate(ids, 1)}
     prev = tree.levels[-1]
     below_cap = (1 << cap + 1) - 2
     blocks, reach = {}, 0
@@ -441,10 +452,11 @@ def structure_oracle(tree, q_lower=None):
         have = set(tree.level(n).types)
         rep.add(f"types-present@{n}", want <= have,
                 f"missing {sorted(want - have)}" if not want <= have else "")
-    iso = tree.isolated_ix()
+    iso = {ix for ix, p in enumerate(poset.prefix(tree.type_cap(depth)), 1)
+           if p in tree.config.isolated}
     minimal, _ = poset.confirmed_minimal(tree.type_cap(depth))
     min_ix = {poset.index(p) for p in minimal}
-    for t in iso:
+    for t in sorted(iso):
         if t in min_ix:
             ok, bad = True, ""
             for n in range(t, depth + 1):
@@ -467,7 +479,7 @@ def structure_oracle(tree, q_lower=None):
                 break
         rep.add(f"continuation-children@{n}", ok, bad)
     for t in range(1, tree.type_cap(depth) + 1):
-        b = tree.bucket_ix(t)
+        b = tree.config.bucket_of(poset.id_at(t), depth)
         if b == "noncompact":
             ok, bad = True, ""
             for n in range(max(2, t + 1), depth + 1):
@@ -673,3 +685,65 @@ class TestWholeLevelPasses:
         doc = assert_same_report(tree)
         assert [c["name"] for c in doc["checks"] if not c["passed"]] == [
             "unbounded-entry:b"]
+
+
+# ----------------------------------------------------------------------
+# the config's index masks against per-id resolution
+
+def masks_oracle(config, n):
+    """(isolated, {bucket: mask}) over indices 1..n, resolved id by id."""
+    ids = config.poset.prefix(n)
+    iso = sum(1 << ix for ix, p in enumerate(ids, 1) if p in config.isolated)
+    buckets = dict.fromkeys(BUCKETS, 0)
+    for ix, p in enumerate(ids, 1):
+        buckets[config.bucket_of(p, n)] |= 1 << ix
+    return iso, buckets
+
+
+def assert_masks_match(rng, poset, reach=12):
+    """A random config's masks at n = 1..reach, in a random order and then
+    its reverse, so a smaller n follows a larger one."""
+    reach = reach if poset.size is None else min(reach, poset.size)
+    iso, explicit = set(), {b: set() for b in BUCKETS}
+    for p in poset.prefix(reach):
+        if rng.random() < 0.3:
+            iso.add(p)
+        if rng.random() < 0.5:
+            explicit[rng.choice(BUCKETS)].add(p)
+    config = BuildConfig(poset, isolated=iso, **explicit,
+                         default_bucket=rng.choice(("auto",) + BUCKETS),
+                         horizon=rng.choice((None, 4, reach)))
+    order = list(range(1, reach + 1))
+    rng.shuffle(order)
+    for n in order + order[::-1]:
+        assert config.masks(n) == masks_oracle(config, n)
+
+
+class TestConfigMasks:
+    @pytest.mark.parametrize("tag", ORACLE_FAMILIES)
+    def test_builtin_families_match_per_id_resolution(self, tag):
+        rng = random.Random(tag)
+        for _ in range(5):
+            assert_masks_match(rng, family(tag))
+
+    @given(seed=st.integers(0, 10 ** 6))
+    @settings(max_examples=60, deadline=None)
+    def test_random_posets_match_per_id_resolution(self, seed):
+        rng = random.Random(seed)
+        assert_masks_match(rng, random_poset(rng, max_size=12))
+
+    def test_one_config_shared_by_two_trees(self):
+        def make():
+            return BuildConfig(family("omega-antichain"),
+                               isolated={"a2", "a5"}, noncompact={"a3"},
+                               unbounded={"a6"})
+        shared = make()
+        short, deep = SkeletonTree(shared, 3), SkeletonTree(shared, 7)
+        short.extend_to(6)
+        for tree in (short, deep):
+            fresh = SkeletonTree(make(), tree.depth)
+            assert tree.levels == fresh.levels
+            assert (verify_structure(tree).to_json()
+                    == verify_structure(fresh).to_json())
+            cap = tree.type_cap(tree.depth)
+            assert shared.masks(cap) == masks_oracle(shared, cap)

@@ -1,9 +1,9 @@
 """Closure algebras generated by one open set, computed symbolically.
 
-Elements are finite or cofinite id sets over any finite poset or a ladder
-family (rn-infinity, rn-infinity-bot); every order fact comes from the
-poset.  Closure is down-closure; both shapes close exactly, so the
-recursion peeling the space into atoms runs without any approximation.
+Elements are finite or cofinite sets of enumeration indices, held as masks;
+every order fact comes from the poset's up-set rows, and ids appear only
+where sets are named.  Closure is down-closure; both shapes close exactly,
+so the recursion peeling the space into atoms runs without approximation.
 
 A ladder space sees an enumeration prefix and assumes two things of the
 rest: an element's order is settled one index past it (everything later
@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ._record import Frozen, Record
-from .poset import Poset, covers_of
+from .poset import Poset, PosetError, bits, covers_of
 
 LADDER_FAMILIES = ("rn-infinity", "rn-infinity-bot")
 
@@ -26,7 +26,8 @@ class ClosureError(ValueError):
 
 
 class SymbolicSpace:
-    """Index poset plus exact finite/cofinite set arithmetic over it."""
+    """Index poset plus exact finite/cofinite set arithmetic over it:
+    ``all_mask`` is a finite space's whole mask, ``_bot`` the bottom's bit."""
 
     def __init__(self, poset: Poset, horizon: int = 12):
         self.finite, self.ladder = poset.finite, not poset.finite
@@ -34,51 +35,53 @@ class SymbolicSpace:
             raise ClosureError(
                 "symbolic spaces need a finite poset or a ladder family")
         self.poset, self.horizon = poset, horizon
-        self._shown = poset.prefix(horizon + 1 if self.ladder else poset.size)
-        self.all_ids = None if self.ladder else frozenset(self._shown)
-        mins, confirmed = poset.confirmed_minimal(len(self._shown))
+        shown = horizon + 1 if self.ladder else poset.size
+        poset.ensure(shown)
+        self.all_mask = None if self.ladder else (1 << shown + 1) - 2
+        mins, confirmed = poset.confirmed_minimal(shown)
         self.bottom = next(iter(mins)) if confirmed and len(mins) == 1 else None
+        self._bot = 0 if self.bottom is None else 1 << poset.index(self.bottom)
+        rungs = [i for i in range(1, shown + 1) if 1 << i != self._bot]
+        self._rungs = rungs[:horizon] if self.ladder else rungs
 
     def fin(self, ids) -> "ClosureElement":
-        return ClosureElement(self, False, self._known(ids))
+        try:
+            return ClosureElement(self, False, self.poset.mask_of(ids))
+        except PosetError as e:
+            raise ClosureError(str(e)) from None
 
     def cof(self, ids) -> "ClosureElement":
-        return ClosureElement(self, True, self._known(ids))
-
-    def _known(self, ids) -> frozenset:
-        ids = frozenset(ids)
-        unknown = [p for p in ids if p not in self.poset]
-        if unknown:
-            raise ClosureError(f"unknown element id {min(unknown)!r}")
-        return ids
+        return self.fin(ids).complement()
 
     def empty(self) -> "ClosureElement":
-        return self.fin(())
+        return ClosureElement(self, False, 0)
 
     def whole(self) -> "ClosureElement":
-        return self.fin(self.all_ids) if self.finite else self.cof(())
+        return ClosureElement(self, True, 0)
 
     def rungs(self) -> list[str]:
         """The non-bottom elements in enumeration order: all of a finite
         space's, the first horizon of a ladder's."""
-        rungs = [p for p in self._shown if p != self.bottom]
-        return rungs[:self.horizon] if self.ladder else rungs
+        return [self.poset.id_at(i) for i in self._rungs]
 
-    def _reach(self, p: str) -> int:
-        # a prefix that settles p's order
-        return self.poset.index(p) + 1 if self.ladder else self.poset.size
+    def _reach(self, i: int) -> int:
+        # a prefix that settles element i's order
+        return i + 1 if self.ladder else self.poset.size
 
-    def down_of(self, p: str) -> "ClosureElement":
-        reach = self._reach(p)
-        below = self.poset.down_set(p, reach)
-        if p == self.bottom:
-            return self.fin(below)
-        return self.cof(frozenset(self.poset.prefix(reach)) - below)
+    def down_of(self, i: int) -> "ClosureElement":
+        """The down-set of enumeration index i."""
+        reach = self._reach(i)
+        below = self.poset.lower_of(1 << i, reach)
+        if 1 << i == self._bot:
+            return ClosureElement(self, False, below)
+        return ClosureElement(self, True, (1 << reach + 1) - 2 & ~below)
 
-    def up_of(self, p: str) -> "ClosureElement":
-        if p == self.bottom:
+    def up_of(self, i: int) -> "ClosureElement":
+        """The up-set of enumeration index i."""
+        if 1 << i == self._bot:
             return self.whole()
-        return self.fin(self.poset.up_set(p, self._reach(p)))
+        window = (1 << self._reach(i) + 1) - 2
+        return ClosureElement(self, False, self.poset.up_mask(i) & window)
 
     def closure_of(self, x: "ClosureElement") -> "ClosureElement":
         """Down-closure; exact on both set shapes."""
@@ -86,15 +89,12 @@ class SymbolicSpace:
             raise ClosureError("element from another space")
         if not x.cofinite:
             out = self.empty()
-            for p in x.ids:
-                out = out.union(self.down_of(p))
+            for i in bits(x.mask):
+                out = out.union(self.down_of(i))
             return out
-        grounded = set()
-        for p in x.ids:
-            up = self.up_of(p)
-            if not up.cofinite and up.ids <= x.ids:
-                grounded.add(p)
-        return self.cof(grounded)
+        # a missing element stays out iff its up-set misses x
+        return ClosureElement(self, True, sum(
+            1 << i for i in bits(x.mask) if not self.up_of(i).intersect(x)))
 
     def is_open(self, x: "ClosureElement") -> bool:
         comp = x.complement()
@@ -102,65 +102,71 @@ class SymbolicSpace:
 
 
 class ClosureElement(Frozen):
-    """Finite set of ids, or the complement of one.  Set operations build
-    their results directly: ids from the space's own elements are known."""
+    """Finite set of enumeration indices as a mask, or the complement of
+    one (on a finite space, stored as its finite complement).  In a set
+    operation a complement W - F is the negative int ~F, so union and
+    intersection are | and &.  ``ids`` is a read-only view."""
 
-    __slots__ = _show = ("space", "cofinite", "ids")
-    _compare = ("cofinite", "ids")
+    __slots__ = _show = ("space", "cofinite", "mask")
+    _compare = ("cofinite", "mask")
 
-    def __init__(self, space: SymbolicSpace, cofinite: bool, ids: frozenset):
+    def __init__(self, space: SymbolicSpace, cofinite: bool, mask: int):
         if cofinite and space.finite:
-            cofinite, ids = False, space.all_ids - ids
-        self._fill(space, cofinite, ids)
+            cofinite, mask = False, space.all_mask & ~mask
+        self._fill(space, cofinite, mask)
 
     def __bool__(self) -> bool:
-        return self.cofinite or bool(self.ids)
+        return self.cofinite or bool(self.mask)
 
     @property
     def is_empty(self) -> bool:
         return not self
 
+    @property
+    def ids(self) -> frozenset:
+        return self.space.poset.ids_of(self.mask)
+
     def contains_id(self, p: str) -> bool:
-        return (p not in self.ids) if self.cofinite else (p in self.ids)
+        poset = self.space.poset
+        bit = 1 << poset.index(p) if p in poset else 0
+        return bool(self.mask & bit) != self.cofinite
+
+    def _signed(self) -> int:
+        return ~self.mask if self.cofinite else self.mask
+
+    def _of(self, signed: int) -> "ClosureElement":
+        # of signed and ~signed, the nonnegative one is the stored mask
+        return ClosureElement(self.space, signed < 0, max(signed, ~signed))
 
     def union(self, other: "ClosureElement") -> "ClosureElement":
-        a, b = self, other
-        if not a.cofinite and not b.cofinite:
-            return ClosureElement(self.space, False, a.ids | b.ids)
-        if a.cofinite and b.cofinite:
-            return ClosureElement(self.space, True, a.ids & b.ids)
-        if a.cofinite:
-            a, b = b, a
-        return ClosureElement(self.space, True, b.ids - a.ids)
+        return self._of(self._signed() | other._signed())
 
     def intersect(self, other: "ClosureElement") -> "ClosureElement":
-        a, b = self, other
-        if not a.cofinite and not b.cofinite:
-            return ClosureElement(self.space, False, a.ids & b.ids)
-        if a.cofinite and b.cofinite:
-            return ClosureElement(self.space, True, a.ids | b.ids)
-        if a.cofinite:
-            a, b = b, a
-        return ClosureElement(self.space, False, a.ids - b.ids)
+        return self._of(self._signed() & other._signed())
 
     def complement(self) -> "ClosureElement":
-        return ClosureElement(self.space, not self.cofinite, self.ids)
+        return ClosureElement(self.space, not self.cofinite, self.mask)
 
     def minus(self, other: "ClosureElement") -> "ClosureElement":
-        return self.intersect(other.complement())
+        return self._of(self._signed() & ~other._signed())
 
     def subset_of(self, other: "ClosureElement") -> bool:
         return self.minus(other).is_empty
 
+    def _single(self) -> int:
+        """The mask of a one-element finite set, else 0."""
+        m = self.mask
+        return 0 if self.cofinite or m & m - 1 else m
+
     def sole_id(self) -> Optional[str]:
-        if not self.cofinite and len(self.ids) == 1:
-            return next(iter(self.ids))
-        return None
+        m = self._single()
+        return self.space.poset.id_at(m.bit_length() - 1) if m else None
 
     def render(self) -> str:
-        bottom = {self.space.bottom}
-        names = (sorted(self.ids - bottom, key=self.space.poset.index)
-                 + sorted(self.ids & bottom))
+        sp = self.space
+        names = [sp.poset.id_at(i) for i in bits(self.mask & ~sp._bot)]
+        if self.mask & sp._bot:
+            names.append(sp.bottom)
         body = "{" + ",".join(names) + "}"
         return f"W-{body}" if self.cofinite else body
 
@@ -173,12 +179,8 @@ def check_closure_axioms(space: SymbolicSpace, sample_ids=None) -> list[str]:
     """Exhaustive closure-axiom check over subsets of a small id pool."""
     from itertools import combinations
     if sample_ids is None:
-        if space.finite:
-            sample_ids = sorted(space.all_ids)
-        else:
-            sample_ids = space.rungs()[:5]
-            if space.bottom is not None:
-                sample_ids.append(space.bottom)
+        sample_ids = (sorted(space.whole().ids) if space.finite else
+                      space.rungs()[:5] + [p for p in [space.bottom] if p])
     pool = list(sample_ids)
     subsets = []
     for r in range(len(pool) + 1):
@@ -267,23 +269,20 @@ def rieger_nishimura_run(space: SymbolicSpace, a: ClosureElement,
 
 
 def _settle_a_inf(t: RNTrace) -> None:
-    union_b = t.space.empty()
+    sp = t.space
+    rest = sp.whole()
     for x in t.b:
-        union_b = union_b.union(x)
-    rest = t.space.whole().minus(union_b)
+        rest = rest.minus(x)
     if t.stabilized:
         t.a_inf = rest
         t.a_inf_exact = True
         return
-    sp = t.space
-    tail = [x.sole_id() for x in t.b[-3:]]
-    marching = (sp.ladder and len(tail) == 3 and None not in tail
-                and sp.bottom not in tail
-                and [sp.poset.index(p) - sp.poset.index(tail[0])
-                     for p in tail] == [0, 1, 2])
+    tail = [x._single() for x in t.b[-3:]]
+    marching = (sp.ladder and len(tail) == 3 and 0 not in tail
+                and not (tail[0] | tail[1] | tail[2]) & sp._bot
+                and tail[1:] == [tail[0] << 1, tail[0] << 2])
     if marching:
-        t.a_inf = sp.fin(p for p in [sp.bottom]
-                         if p is not None and rest.contains_id(p))
+        t.a_inf = ClosureElement(sp, False, sp._bot).intersect(rest)
         t.a_inf_exact = False
         t.note = (f"singleton layers march up the ladder; tail projected "
                   f"from step {t.n_ran}")
@@ -384,15 +383,14 @@ def e_of_p(poset: Poset, horizon: int = 12) -> dict:
     before p, must be exactly {q}.
     """
     space = SymbolicSpace(poset, horizon)
-    rungs = space.rungs()
-    failures = []
-    for k, (p, q) in enumerate(zip(rungs, rungs[1:])):
-        got = (space.whole()
-               .minus(space.up_of(p))
-               .minus(space.down_of(p))
-               .minus(space.fin(rungs[:k])))
-        if got != space.fin({q}):
+    rungs, w = space._rungs, space.whole()
+    failures, before = [], 0
+    for k, (i, j) in enumerate(zip(rungs, rungs[1:])):
+        got = (w.minus(space.up_of(i)).minus(space.down_of(i))
+               .minus(ClosureElement(space, False, before)))
+        if got != ClosureElement(space, False, 1 << j):
             failures.append({"k": k, "got": got.serialize()})
+        before |= 1 << i
     return {"family": poset.family or poset.name, "horizon": horizon,
             "checked": max(len(rungs) - 1, 0), "holds": not failures,
             "failures": failures}
@@ -419,17 +417,19 @@ def render_trace_dot(trace: RNTrace) -> str:
     """The layer ladder: each singleton layer hangs on the singleton
     layers that cover it in the order restricted to them."""
     poset = trace.space.poset
-    layers = [(n, x.sole_id()) for n, x in enumerate(trace.b)]
-    layers = [(n, p) for n, p in layers if p is not None]
-    names = list(dict.fromkeys(p for _, p in layers))
-    ix = [poset.index(p) for p in names]
-    up = [poset.up_mask(i) for i in ix]
-    # down-set rows over the layers: a cover pair (a, b) has b covered by a
-    down = [sum(1 << k for k, row in enumerate(up) if row >> i & 1)
-            for i in ix]
+    layers = [(n, x._single().bit_length() - 1) for n, x in enumerate(trace.b)]
+    layers = [(n, i) for n, i in layers if i > 0]
+    order = {i: k for k, i in enumerate(dict.fromkeys(i for _, i in layers))}
+    name = {i: poset.id_at(i) for i in order}
+    on = sum(1 << i for i in order)
+    up = [poset.up_mask(i) & on if i in order else 0
+          for i in range(max(order, default=0) + 1)]
+    # each cover pair (b, a) has a covering b; list a's covers in layer order
+    pairs = sorted(covers_of(up, range(len(up))),
+                   key=lambda ba: (order[ba[1]], order[ba[0]]))
     lines = ["digraph ladder {", "  rankdir=TB;"]
-    for n, p in layers:
-        lines.append(f'  "{p}" [label="B{n}: {p}"];')
-    lines.extend(f'  "{a}" -> "{b}";' for a, b in covers_of(down, names))
+    lines.extend(f'  "{name[i]}" [label="B{n}: {name[i]}"];'
+                 for n, i in layers)
+    lines.extend(f'  "{name[a]}" -> "{name[b]}";' for b, a in pairs)
     lines.append("}")
     return "\n".join(lines)

@@ -380,11 +380,13 @@ class Poset:
         return self._up[i]
 
     def mask_of(self, ids: Iterable[str]) -> int:
-        """Mask of the enumeration indices of ids; an unknown id raises."""
-        try:
-            return sum(1 << i for i in {self._pos[p] for p in ids})
-        except KeyError as e:
-            raise PosetError(f"unknown element id {e.args[0]!r}") from None
+        """Mask of the enumeration indices of ids; an unknown id raises,
+        naming the least one."""
+        ids = set(ids)
+        unknown = ids.difference(self._pos)
+        if unknown:
+            raise PosetError(f"unknown element id {min(unknown)!r}")
+        return sum(1 << self._pos[p] for p in ids)
 
     def ids_of(self, mask: int) -> frozenset:
         """Ids of the enumerated indices set in mask."""

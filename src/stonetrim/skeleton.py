@@ -130,7 +130,7 @@ class BuildConfig(Record):
                              ("bounded", self.bounded),
                              ("unbounded", self.unbounded),
                              ("noncompact", self.noncompact)):
-            for p in group:
+            for p in sorted(group):
                 if p not in preset:
                     problems.append(f"unknown-element: {label} lists {p!r} "
                                     f"outside the enumeration prefix")
@@ -605,10 +605,9 @@ def verify_structure(tree: SkeletonTree,
             ok = True
             bad = ""
             # nodes descending from level n0 fill a prefix of each level
-            whole = [(0, len(tree.level(n0)))]
             for n in range(n0, depth + 1):
                 lvl = tree.level(n)
-                reach = tree.lift_runs(n0, whole, n)[0][1]
+                reach = tree.lift_runs(n0, [(0, len(tree.level(n0)))], n)[0][1]
                 rest = lvl.types[reach:]
                 escaped = q_ix.intersection(rest)
                 if escaped:

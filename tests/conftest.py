@@ -320,6 +320,22 @@ def ref_completion_covers(c) -> list[list[str]]:
                         and c.leq(x, z) and c.leq(z, y) for z in c.elements)]
 
 
+def ref_closure_of(space, x, window: list) -> tuple[frozenset, bool]:
+    """The down-closure of x on a symbolic space, id by id: the ids of the
+    window below some member of x (``poset.leq``), and whether it holds
+    every element past the window.  The window must hold all that x
+    leaves out.  Past the window a ladder has infinitely many elements,
+    each below every non-bottom element before it (later elements lie
+    below) and above the bottom (the bottom lies below everything)."""
+    poset, bottom = space.poset, space.bottom
+    inside = [p for p in window if x.contains_id(p)]
+    below = {q for q in window if any(poset.leq(q, p) for p in inside)}
+    if space.ladder and x.cofinite and bottom is not None:
+        below.add(bottom)
+    past = space.ladder and (x.cofinite or any(p != bottom for p in inside))
+    return frozenset(below), past
+
+
 def ref_trace_dot_edges(trace) -> list[str]:
     """The edge lines of ``render_trace_dot``, pair by pair of layers."""
     poset = trace.space.poset

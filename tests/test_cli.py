@@ -14,11 +14,11 @@ from stonetrim import FOUND, cli
 SRC = os.path.dirname(os.path.dirname(stonetrim.__file__))
 
 
-def run_cli(*argv, timeout=None):
+def run_cli(*argv, timeout=None, env=None):
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "stonetrim.cli", *argv],
                           capture_output=True, text=True, timeout=timeout,
-                          env={**os.environ, "PYTHONPATH": path})
+                          env={**os.environ, "PYTHONPATH": path, **(env or {})})
 
 
 class TestAnalyze:
@@ -142,6 +142,16 @@ class TestBuildVerify:
         assert len(doc["level_sizes"]) == int(depth)
         assert doc["structure"]["passed"] is True
         assert doc["axioms"]["passed"] is True
+
+    def test_foundation_past_the_depth_passes_vacuously(self):
+        # omega-antichain's a6 is founded at level 6, past depth 3, so no
+        # level of the tree can show a covered type escaping
+        proc = run_cli("build-verify", "--family", "omega-antichain",
+                       "--depth", "3", "--q", "a6")
+        assert proc.returncode == 0, proc.stderr
+        checks = json.loads(proc.stdout)["structure"]["checks"]
+        assert {"name": "covered-types-descend", "passed": True,
+                "detail": ""} in checks
 
     def test_failed_laws_exit_four(self, monkeypatch, capsys):
         from stonetrim import ring
@@ -286,6 +296,21 @@ class TestExitContract:
         assert proc.stdout == ""
         assert proc.stderr.splitlines() == [
             "bad --q: unknown element id 'zz'"]
+
+    @pytest.mark.parametrize("argv,code,named", [
+        (("analyze", "--family", "rn(2,0)", "--subset", "zz", "yy", "xx"),
+         2, ["'xx'"]),
+        (("build-verify", "--family", "rn(2,0)", "--isolated", "zz", "yy",
+          "xx"), 3, ["'xx'", "'yy'", "'zz'"])])
+    def test_unknown_ids_named_alike_under_every_hash_seed(self, argv, code,
+                                                           named):
+        runs = [run_cli(*argv, env={"PYTHONHASHSEED": str(seed)})
+                for seed in range(4)]
+        assert [proc.returncode for proc in runs] == [code] * 4
+        assert len({proc.stderr for proc in runs}) == 1, [
+            proc.stderr for proc in runs]
+        text = runs[0].stderr
+        assert sorted(named, key=text.index) == named
 
     @pytest.mark.parametrize("max_depth", ["0", "-1", "4"])
     def test_iso_max_depth_below_depth(self, max_depth):

@@ -4,10 +4,12 @@ import hashlib
 import io
 import json
 import os
+import random
 from itertools import combinations
 
 import pytest
 
+from conftest import ref_closure_of
 from stonetrim import (ClosureError, Poset, SymbolicSpace,
                        check_closure_axioms, check_identities,
                        classify_algebra, cli, e_of_p, family,
@@ -55,7 +57,8 @@ def ladder_bot():
 class TestSpaces:
     def test_finite_space(self, rn20):
         assert rn20.finite
-        assert rn20.all_ids == {"p0", "p1", "p2"}
+        assert rn20.all_mask == 0b1110
+        assert rn20.whole().ids == {"p0", "p1", "p2"}
         assert rn20.whole().render() == "{p0,p1,p2}"
 
     def test_ladder_space(self, ladder):
@@ -68,23 +71,27 @@ class TestSpaces:
             SymbolicSpace(family("omega-chain"))
 
     def test_ladder_down_and_up(self, ladder):
-        assert ladder.down_of("p3").render() == "W-{p0,p1,p2,p4}"
-        assert ladder.up_of("p3").render() == "{p0,p1,p3}"
-        assert ladder.up_of("p0").render() == "{p0}"
+        ix = ladder.poset.index
+        assert ladder.down_of(ix("p3")).render() == "W-{p0,p1,p2,p4}"
+        assert ladder.up_of(ix("p3")).render() == "{p0,p1,p3}"
+        assert ladder.up_of(ix("p0")).render() == "{p0}"
 
     def test_bot_down_and_up(self, ladder_bot):
-        assert ladder_bot.down_of("bot").render() == "{bot}"
-        assert ladder_bot.up_of("bot") == ladder_bot.whole()
+        bot = ladder_bot.poset.index("bot")
+        assert ladder_bot.down_of(bot).render() == "{bot}"
+        assert ladder_bot.up_of(bot) == ladder_bot.whole()
 
     def test_finite_down_and_up(self, rn20):
-        assert rn20.down_of("p0").render() == "{p0,p2}"
-        assert rn20.up_of("p2").render() == "{p0,p2}"
+        ix = rn20.poset.index
+        assert rn20.down_of(ix("p0")).render() == "{p0,p2}"
+        assert rn20.up_of(ix("p2")).render() == "{p0,p2}"
 
     def test_bottoms(self, rn20, rn22, ladder, ladder_bot):
         assert (rn20.bottom, rn22.bottom) == (None, "p4")
         assert (ladder.bottom, ladder_bot.bottom) == (None, "bot")
-        assert rn22.down_of("p4").render() == "{p4}"
-        assert rn22.up_of("p4") == rn22.whole()
+        p4 = rn22.poset.index("p4")
+        assert rn22.down_of(p4).render() == "{p4}"
+        assert rn22.up_of(p4) == rn22.whole()
 
     def test_rungs(self, rn22):
         assert rn22.rungs() == ["p0", "p1", "p2"]
@@ -111,7 +118,7 @@ class TestUnknownIds:
         with pytest.raises(ClosureError, match="'p50'"):
             space.cof({"p50", "p0"})
         # a down-set enumerates one element past its own
-        space.down_of("p12")
+        space.down_of(space.poset.index("p12"))
         assert space.fin({"p13"}).render() == "{p13}"
 
     def test_horizon_one_shows_the_first_rung(self):
@@ -150,10 +157,32 @@ class TestClosure:
         assert check_closure_axioms(ladder_bot) == []
 
 
+@pytest.mark.parametrize("tag", [f"rn({m},{v})" for m in range(7)
+                                 for v in (0, 2)] + sorted(LADDER_IDS))
+@pytest.mark.parametrize("horizon", [3, 12])
+def test_closure_matches_the_reference(tag, horizon):
+    space = SymbolicSpace(family(tag), horizon)
+    shown = space.poset.prefix(horizon + 1 if space.ladder else
+                               space.poset.size)
+    # down-sets enumerate one element past their own
+    window = space.poset.prefix(len(shown) + 1)
+    rng = random.Random(f"{tag} {horizon}")
+    draws = [space.empty(), space.whole()]
+    for _ in range(40):
+        ids = rng.sample(shown, rng.randint(1, min(4, len(shown))))
+        draws.append((space.cof if rng.random() < 0.5 else space.fin)(ids))
+    for x in draws:
+        got = space.closure_of(x)
+        want, past = ref_closure_of(space, x, window)
+        assert {q for q in window if got.contains_id(q)} == want, x.render()
+        assert got.cofinite == past, x.render()
+
+
 class TestElements:
     def test_cofinite_normalizes_on_finite_spaces(self, rn20):
         x = rn20.cof({"p0"})
         assert not x.cofinite
+        assert x.mask == 0b1100
         assert x.ids == {"p1", "p2"}
 
     def test_render_ordering(self, ladder_bot):
@@ -170,7 +199,7 @@ class TestElements:
             "shape": "cofinite", "ids": ["p0", "p1"]}
 
     def test_exhaustive_small_algebra(self, rn20):
-        ids = sorted(rn20.all_ids)
+        ids = sorted(rn20.whole().ids)
         universe = set(ids)
         subsets = [frozenset(c) for r in range(4)
                    for c in combinations(ids, r)]

@@ -21,7 +21,7 @@ POSET = chain_ab_poset()
 TREE = build_levels(BuildConfig(POSET), 3)
 SPACE = SymbolicSpace(family("rn-infinity"), 12)
 OTHER_SPACE = SymbolicSpace(family("rn-infinity"), 12)
-P0 = ClosureElement(SPACE, False, frozenset({"p0"}))
+P0 = ClosureElement(SPACE, False, 1 << SPACE.poset.index("p0"))
 LEVEL_1 = Level(1, array("I", [1]), 1)
 
 REQUIRED, FACTORY = object(), object()
@@ -142,8 +142,7 @@ CASES = [
              "IsoRun(status='iso', pairs=3, depth_used=0, witness=None, "
              "note='', coverage=False, invariant_failures=[], "
              "transcript=[])")),
-    Case(ClosureElement, {"space": SPACE, "cofinite": False,
-                          "ids": frozenset({"p0"})},
+    Case(ClosureElement, {"space": SPACE, "cofinite": False, "mask": 0b10},
          3, {}, frozen=True, ignored={"space": OTHER_SPACE},
          differs=("cofinite", True)),
     Case(RNTrace, {"space": SPACE, "a": P0, "u": [P0], "v": [P0],
@@ -163,7 +162,9 @@ CASES = [
 IDS = [case.cls.__name__ for case in CASES]
 
 # each constructor's parameters at the last commit that generated them:
-# (name, default), REQUIRED for none and FACTORY for a fresh value per call
+# (name, default), REQUIRED for none and FACTORY for a fresh value per call;
+# ClosureElement's third field has since become an index mask, in place of
+# a frozenset of ids (declared in CHANGES.md)
 SIGNATURES = {
     "Verdict": [("status", REQUIRED), ("witness", ()), ("note", "")],
     "Extremal": [("minimal", REQUIRED), ("maximal", REQUIRED),
@@ -201,7 +202,7 @@ SIGNATURES = {
                ("witness", None), ("note", ""), ("coverage", False),
                ("invariant_failures", FACTORY), ("transcript", FACTORY)],
     "ClosureElement": [("space", REQUIRED), ("cofinite", REQUIRED),
-                       ("ids", REQUIRED)],
+                       ("mask", REQUIRED)],
     "RNTrace": [("space", REQUIRED), ("a", REQUIRED), ("u", FACTORY),
                 ("v", FACTORY), ("b", FACTORY), ("n_ran", 0), ("N", None),
                 ("stabilized", False), ("a_inf", None),
@@ -316,9 +317,10 @@ def test_post_init_behaviour():
         BuildConfig(POSET, default_bucket="x")
     assert TypeSet(POSET, ("b",)).mask == 1 << POSET.index("b")
     finite = SymbolicSpace(family("rn(2,0)"), 12)
-    flipped = ClosureElement(finite, True, frozenset({"p0"}))
+    flipped = ClosureElement(finite, True, 1 << finite.poset.index("p0"))
     assert not flipped.cofinite
-    assert flipped.ids == finite.all_ids - {"p0"}
+    assert flipped.mask == finite.all_mask & ~0b10
+    assert flipped.ids == {"p1", "p2"}
     with pytest.raises(PointError):
         PathPrefix(TREE, ())
     with pytest.raises(PointError):

@@ -57,7 +57,7 @@ def _verdict_json(v) -> dict:
 
 
 def cmd_analyze(args) -> int:
-    from .completion import complete_finite, complete_over
+    from .completion import complete_over
     try:
         poset = _load_poset(args.family, args.poset)
     except (OSError, ValueError) as e:
@@ -88,8 +88,7 @@ def cmd_analyze(args) -> int:
                            "foundation": sorted(res.foundation or ()),
                            "note": res.note})
         report["foundations"] = checks
-    completed = (complete_finite(poset) if poset.finite
-                 else complete_over(poset, poset.prefix(horizon), horizon))
+    completed = complete_over(poset, poset.prefix(horizon), horizon)
     report["completion"] = {
         "elements": len(completed.elements),
         "tokens": [t.display or t.ref for t in completed.tokens()],

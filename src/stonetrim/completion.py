@@ -156,20 +156,19 @@ def complete_finite(poset: Poset) -> CompletedPoset:
     """
     if not poset.finite:
         raise CompletionError("complete_finite needs a finite poset")
-    n = poset.size
-    els = [CompletionElement("base", p, poset.down_set(p, n))
-           for p in poset.prefix(n)]
-    return CompletedPoset(poset, n, els)
+    return complete_over(poset, (), poset.size)
 
 
 def complete_over(poset: Poset, members: Iterable[str],
                   horizon: int) -> CompletedPoset:
     """Adjoin suprema of ascending sequences drawn from a subset.
 
-    Tokens are created for maximal chains inside the subset whose top has no
-    strict upper bound in the prefix and is not family-confirmed maximal;
-    chains dominated inside the prefix keep their sups in the base.  Token
-    descriptors deduplicate interleaving chains.
+    A chain's closure is the down-set of its top, so one token stands for
+    every chain with the same top t: a member of the subset above some other
+    member, with no strict upper bound in the prefix and not family-confirmed
+    maximal.  It is named by the first maximal chain of the members below t
+    in index order, and its descriptor is t's down-set.  Chains dominated
+    inside the prefix keep their sups in the base.
     """
     pre = poset.prefix(horizon)
     sub = poset.mask_of(set(members) & set(pre))
@@ -177,25 +176,19 @@ def complete_over(poset: Poset, members: Iterable[str],
     if poset.finite:
         return CompletedPoset(poset, horizon, els)
 
-    confirmed_max = frozenset()
-    if poset.analytics.maximal is not None:
-        confirmed_max = poset.analytics.maximal(poset, horizon)
-
-    seen: dict[frozenset, CompletionElement] = {}
-    for chain in poset._maximal_chains(sub):
-        chain = [pre[i - 1] for i in chain]
-        top = chain[-1]
-        if len(chain) < 2 or top in confirmed_max:
+    a = poset.analytics
+    confirmed_max = a.maximal(poset, horizon) if a.maximal else frozenset()
+    display = a.limit_display or (lambda chain: "")
+    inside, tokens = (1 << len(pre) + 1) - 2, []
+    for t in bits(sub):
+        if pre[t - 1] in confirmed_max or poset.up_mask(t) & inside != 1 << t:
             continue
-        if len(poset.up_set(top, horizon)) > 1:
+        chain = poset._first_chain(sub & poset.lower_of(1 << t, horizon), 2)
+        if chain is None:
             continue
-        desc = chain_closure(poset, chain, horizon)
-        if desc in seen:
-            continue
-        display = ""
-        if poset.analytics.limit_display is not None:
-            display = poset.analytics.limit_display(tuple(chain)) or ""
-        tok = CompletionElement("limit", token_name(chain), desc, display)
-        seen[desc] = tok
-    els.extend(seen[d] for d in sorted(seen, key=lambda s: sorted(s)))
+        chain = tuple(pre[i - 1] for i in chain)
+        tokens.append(CompletionElement("limit", token_name(chain),
+                                        els[t - 1].descriptor,
+                                        display(chain) or ""))
+    els.extend(sorted(tokens, key=lambda tok: sorted(tok.descriptor)))
     return CompletedPoset(poset, horizon, els)

@@ -8,6 +8,8 @@ Every set, chain, cover and axiom question is read off those rows as masks
 over enumeration indices; ids are converted only at the edges, by ``mask_of``
 (an unknown id raises) and ``ids_of``.  ``covers_of`` and ``axiom_problems``
 take any list of rows, so the chain completion and the closure share them.
+Chain questions are asked of a top's cone through ``_first_chain``; no list
+of chains is built.
 Every predicate that cannot be decided from a finite prefix says so:
 verdicts are "holds", "refuted" (with a checkable witness) or
 "holds-on-prefix", and foundation queries may come back "inconclusive".
@@ -344,6 +346,8 @@ class Poset:
 
     def prefix(self, n: int) -> list[str]:
         """The first n enumerated elements (all of them, for finite posets)."""
+        if n < 0:
+            raise PosetError(f"prefix length {n} is negative")
         self.ensure(n)
         return list(self._ids[:n])
 
@@ -499,7 +503,7 @@ class Poset:
 
     def cover_pairs(self, horizon: Optional[int] = None) -> list[tuple[str, str]]:
         """Transitive reduction of the order on the prefix."""
-        pre = self.prefix(horizon) if horizon else list(self._ids)
+        pre = list(self._ids) if horizon is None else self.prefix(horizon)
         return covers_of(self._up[:len(pre) + 1], [""] + pre)
 
     def to_json(self, horizon: Optional[int] = None) -> dict:
@@ -616,6 +620,24 @@ class Poset:
             ups = mask & up[y] & ~(1 << y)
         return tuple(path)
 
+    def _first_chain(self, mask: int,
+                     length: int) -> Optional[tuple[int, ...]]:
+        """First maximal chain inside mask with at least ``length`` members
+        in depth-first index order (each step to a cover of the top, lowest
+        index first), or None.  The longest one through a cover y has
+        ``len(chain) + memo[y]`` members (mask's ``_longest_chain_from``
+        table), so the walk takes the first y long enough; no backtracking."""
+        up, memo = self._up, self._longest_chain_from(mask)
+        chain, ups = (), mask
+        while ups:
+            y = next((y for y in bits(self.minimal_in(ups))
+                      if len(chain) + memo[y] >= length), None)
+            if y is None:
+                return None
+            chain += (y,)
+            ups &= up[y] & ~(1 << y)
+        return chain or None
+
     def check_acc(self, horizon: int, bound: int = DEFAULT_CHAIN_BOUND) -> Verdict:
         """Ascending chain condition, decided at the horizon.
 
@@ -659,21 +681,6 @@ class Poset:
         return Verdict(HOLDS_ON_PREFIX,
                        note="not refutable from a prefix: visible chains contain their maxima")
 
-    def _maximal_chains(self, mask: int) -> list[tuple[int, ...]]:
-        """All maximal chains inside the indices set in mask, depth first in
-        index order: a chain grows only by the members that cover its top,
-        the minimal ones among the members above it.  The stack holds each
-        chain still to grow with the members of mask above its top."""
-        up, out = self._up, []
-        stack = [((), mask)]
-        while stack:
-            chain, ups = stack.pop()
-            if chain and not ups:
-                out.append(chain)
-            for y in reversed(list(bits(self.minimal_in(ups)))):
-                stack.append((chain + (y,), ups & up[y] & ~(1 << y)))
-        return out
-
     def is_chain_unique_over(self, members, horizon: int,
                              min_chain: int = 3) -> Verdict:
         """Bounded check that sequence suprema determine their lower cones.
@@ -692,26 +699,22 @@ class Poset:
         inside = (1 << len(pre) + 1) - 2
         up = self._up
         for s in range(1, len(pre) + 1):
-            below = sum(1 << x for x in bits(qmask & inside & ~(1 << s))
-                        if up[x] >> s & 1)
-            if below.bit_count() < min_chain:
-                continue
-            for chain in self._maximal_chains(below):
-                if len(chain) < min_chain:
-                    continue
-                ubs = inside
-                for c in chain:
-                    ubs &= up[c] & ~(1 << c)
-                if not ubs >> s & 1 or ubs & ~up[s]:
-                    continue
-                for r in bits(below):
-                    if not any(up[r] >> c & 1 for c in chain):
-                        return Verdict(
-                            REFUTED,
-                            witness=tuple(pre[i - 1] for i in chain + (s, r)),
-                            note=f"sup candidate {pre[s - 1]!r} has "
-                                 f"{pre[r - 1]!r} below it but below no "
-                                 f"chain member")
+            below = qmask & self.lower_of(1 << s, horizon) & ~(1 << s)
+            # a chain's strict upper bounds are its top t's and its members
+            # lie in t's cone: the chains that refute end at a t with least
+            # strict upper bound s whose cone misses a member of below
+            cones = {t: below & self.lower_of(1 << t, horizon)
+                     for t in bits(below)
+                     if not up[t] & inside & ~up[s] & ~(1 << t)}
+            found = [c for cone in cones.values() if cone != below
+                     if (c := self._first_chain(cone, min_chain))]
+            if found:
+                chain = min(found)
+                r = next(bits(below & ~cones[chain[-1]]))
+                return Verdict(
+                    REFUTED, witness=tuple(pre[i - 1] for i in chain + (s, r)),
+                    note=f"sup candidate {pre[s - 1]!r} has {pre[r - 1]!r} "
+                         f"below it but below no chain member")
         return Verdict(HOLDS_ON_PREFIX,
                        note=f"no violating chain of length >= {min_chain} at the horizon")
 

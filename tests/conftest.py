@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from stonetrim import Poset
+from stonetrim import (CompletedPoset, CompletionElement, Poset,
+                       chain_closure, token_name)
 from stonetrim.backforth import (SIDES, MismatchFound, MismatchWitness, Pair,
                                  _facing, _fresh_counterpart, _match_split)
 from stonetrim.ring import RingElement, supertrim_split
@@ -249,6 +250,13 @@ def ref_maximal_chains(poset: Poset, members: list) -> list:
     return out
 
 
+def ref_first_chain(chains: list, k: int, top=None):
+    """The first of chains, listed depth first, with at least k members (and
+    ending at top, if one is given), or None."""
+    return next((c for c in chains
+                 if len(c) >= k and top in (None, c[-1])), None)
+
+
 def ref_is_chain_unique_over(poset: Poset, members, horizon: int,
                              min_chain: int = 3):
     """(status, witness, note) of ``Poset.is_chain_unique_over``."""
@@ -318,6 +326,39 @@ def ref_completion_covers(c) -> list[list[str]]:
             if x is not y and c.leq(x, y)
             and not any(z is not x and z is not y
                         and c.leq(x, z) and c.leq(z, y) for z in c.elements)]
+
+
+def ref_complete_over(poset: Poset, members, horizon: int):
+    """``complete_over`` by enumerating every maximal chain of the subset
+    (``ref_maximal_chains`` over its members in index order) and keeping
+    one token per distinct chain closure."""
+    pre, members = poset.prefix(horizon), set(members)
+    sub = [p for p in pre if p in members]
+    els = [CompletionElement("base", p, poset.down_set(p, horizon)) for p in pre]
+    if poset.finite:
+        return CompletedPoset(poset, horizon, els)
+
+    confirmed_max = frozenset()
+    if poset.analytics.maximal is not None:
+        confirmed_max = poset.analytics.maximal(poset, horizon)
+
+    seen = {}
+    for chain in ref_maximal_chains(poset, sub):
+        top = chain[-1]
+        if len(chain) < 2 or top in confirmed_max:
+            continue
+        if len(poset.up_set(top, horizon)) > 1:
+            continue
+        desc = chain_closure(poset, chain, horizon)
+        if desc in seen:
+            continue
+        display = ""
+        if poset.analytics.limit_display is not None:
+            display = poset.analytics.limit_display(tuple(chain)) or ""
+        tok = CompletionElement("limit", token_name(chain), desc, display)
+        seen[desc] = tok
+    els.extend(seen[d] for d in sorted(seen, key=lambda s: sorted(s)))
+    return CompletedPoset(poset, horizon, els)
 
 
 def ref_closure_of(space, x, window: list) -> tuple[frozenset, bool]:

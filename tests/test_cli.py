@@ -87,6 +87,15 @@ class TestAnalyze:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["acc"]["status"] == "refuted"
 
+    def test_ladder_completion_is_not_a_chain_enumeration(self):
+        # the maximal chains of this prefix number far past memory; the
+        # completion asks only for each top's first chain
+        proc = run_cli("analyze", "--family", "rn-infinity", "--horizon",
+                       "200", timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert doc["completion"] == {"elements": 200, "tokens": []}
+
 
 class TestBuildVerify:
     def test_report_shape(self):

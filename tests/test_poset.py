@@ -10,8 +10,8 @@ from stonetrim import (DEFAULT_CHAIN_BOUND, FOUND, HOLDS, HOLDS_ON_PREFIX,
                        TypeSet, family)
 from stonetrim.poset import bits, runs
 
-from conftest import (all_chains, random_poset, ref_runs, ref_spans_of,
-                      ref_up_closure)
+from conftest import (all_chains, random_poset, ref_first_chain, ref_runs,
+                      ref_spans_of, ref_up_closure)
 
 
 class TestConstruction:
@@ -174,6 +174,23 @@ class TestEnumeration:
         assert not p.finite
         assert p.size is None
 
+    def test_negative_prefix_raises(self, vee):
+        # a negative length is an error, not a slice from the end
+        for p in (vee, family("omega-chain")):
+            p.prefix(3)
+            with pytest.raises(PosetError, match="negative"):
+                p.prefix(-1)
+        assert vee.prefix(0) == []
+
+    def test_zero_horizon_serializes_no_covers(self):
+        # a zero horizon is the empty prefix, not the whole enumerated one
+        p = family("omega-chain")
+        p.prefix(4)
+        assert p.cover_pairs(0) == []
+        assert p.to_json(0) == {"name": "omega-chain", "elements": [],
+                                "covers": [], "family": "omega-chain"}
+        assert p.cover_pairs() == [("p1", "p2"), ("p2", "p3"), ("p3", "p4")]
+
     def test_generator_must_not_repeat(self):
         p = Poset.generated("const", lambda i: "x", lambda a, b: a == b)
         assert p.id_at(1) == "x"
@@ -215,7 +232,8 @@ class TestVerdicts:
         memo = p._longest_chain_from(inside)
         assert memo == {i: n + 1 - i for i in range(1, n + 1)}
         assert p._find_chain(inside, n, memo) == tuple(range(1, n + 1))
-        assert p._maximal_chains(inside) == [tuple(range(1, n + 1))]
+        assert p._first_chain(inside, n) == tuple(range(1, n + 1))
+        assert p._first_chain(inside, n + 1) is None
         v = p.check_acc(n)
         assert (v.status, v.witness) == (REFUTED, tuple(p.prefix(9)))
 
@@ -583,19 +601,33 @@ def increasing_paths(poset, members):
 @given(seed=st.integers(0, 10 ** 6))
 @settings(max_examples=80, deadline=None)
 def test_maximal_chains_against_brute_force(seed):
+    # the first maximal chain of the members below each maximal member, with
+    # at least k members, is the first such chain among all maximal chains
     rng = random.Random(seed)
     p = random_poset(rng, max_size=7)
     members = [x for x in p.prefix(p.size) if rng.random() < 0.7]
     inside = [c for c in all_chains(p) if set(c) <= set(members)]
     brute = {c for c in inside
              if not any(set(c) < set(d) for d in inside)}
-    got = [tuple(map(p.id_at, c))
-           for c in p._maximal_chains(p.mask_of(members))]
-    assert set(got) == brute and len(got) == len(brute)
-    assert got == [c for c in increasing_paths(p, members) if c in brute]
+    ordered = [c for c in increasing_paths(p, members) if c in brute]
+    assert set(ordered) == brute and len(ordered) == len(brute)
+    mask, tops = p.mask_of(members), p.maximal_of(members)
+    for k in range(1, 5):
+        got = {}
+        for t in tops:
+            chain = p._first_chain(
+                mask & p.lower_of(1 << p.index(t), p.size), k)
+            got[t] = chain and tuple(map(p.id_at, chain))
+        assert got == {t: ref_first_chain(ordered, k, t) for t in tops}
+        first = p._first_chain(mask, k)
+        assert (first and tuple(map(p.id_at, first))) == ref_first_chain(
+            ordered, k)
 
 
 def test_maximal_chains_of_a_long_chain_are_one():
     p = family("omega-chain")
-    pre = p.prefix(22)
-    assert p._maximal_chains(p.mask_of(pre)) == [tuple(range(1, 23))]
+    mask = p.mask_of(p.prefix(22))
+    for k in range(1, 23):
+        assert p._first_chain(mask, k) == tuple(range(1, 23))
+    assert p._first_chain(mask, 23) is None
+    assert p._first_chain(0, 1) is None

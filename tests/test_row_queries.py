@@ -6,13 +6,15 @@ and on the same order grown one element at a time as a generated poset, at
 every horizon.
 """
 import random
+from functools import partial
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (random_poset, ref_check_acc, ref_completion_covers,
-                      ref_completion_verify, ref_down_closure,
+                      ref_complete_over, ref_completion_verify,
+                      ref_down_closure, ref_first_chain,
                       ref_is_antichain, ref_is_chain_unique_over,
                       ref_is_lower, ref_is_upper, ref_maximal_chains,
                       ref_maximal_of, ref_minimal_of, ref_theta_break,
@@ -107,9 +109,14 @@ def test_maximal_chains_match_the_reference(seed):
             pre = p.prefix(h)
             for ms in subsets(rng, pre):
                 members = [x for x in pre if x in ms]
-                got = p._maximal_chains(p.mask_of(members))
-                assert [tuple(map(p.id_at, c)) for c in got] == \
-                    ref_maximal_chains(p, members)
+                chains = ref_maximal_chains(p, members)
+                mask = p.mask_of(members)
+                for k in range(1, 5):
+                    for t in p.maximal_of(members):
+                        got = p._first_chain(
+                            mask & p.lower_of(1 << p.index(t), h), k)
+                        assert (got and tuple(map(p.id_at, got))) == \
+                            ref_first_chain(chains, k, t)
 
 
 @pytest.mark.parametrize("make", [two_chains_poset, weave_poset,
@@ -126,12 +133,82 @@ def test_chain_uniqueness_matches_the_reference(make):
                     ref_is_chain_unique_over(p, ms, h, min_chain)
 
 
+def chain_verdicts(p, n: int, rng: random.Random) -> list:
+    """Every (verdict, reference) of ``is_chain_unique_over`` on p at each
+    horizon up to n, on subsets of the prefix, with min_chain 1-4."""
+    out = []
+    for h in range(1, n + 1):
+        for ms in subsets(rng, p.prefix(h), count=3):
+            for min_chain in range(1, 5):
+                v = p.is_chain_unique_over(ms, h, min_chain)
+                out.append(((v.status, v.witness, v.note),
+                            ref_is_chain_unique_over(p, ms, h, min_chain)))
+    return out
+
+
+@given(seed=st.integers(0, 10 ** 6))
+@settings(max_examples=60, deadline=None)
+def test_chain_uniqueness_on_grown_posets_matches_the_reference(seed):
+    rng = random.Random(seed)
+    order, grown = both_sides(rng)
+    for p in (order, grown):
+        for got, ref in chain_verdicts(p, order.size, rng):
+            assert got == ref
+
+
 def test_chain_uniqueness_reference_sees_a_refutation():
-    # the comparison above is only as good as the verdicts it meets
+    # the comparisons above are only as good as the verdicts they meet
     seen = {ref_is_chain_unique_over(p, p.prefix(h), h)[0]
             for p in (two_chains_poset(), weave_poset(), family("dyadic"))
             for h in range(1, 14)}
     assert seen == {"refuted", "holds-on-prefix"}
+    seen = set()
+    for seed in range(40):
+        order, grown = both_sides(random.Random(seed))
+        seen |= {got[0] for got, _ in chain_verdicts(grown, order.size,
+                                                      random.Random(seed))}
+    assert seen == {"refuted", "holds-on-prefix"}
+
+
+INFINITE_FAMILIES = ["omega-chain", "omega-antichain", "rn-infinity",
+                     "rn-infinity-bot", "dyadic", "ziegler-fan"]
+
+
+def assert_same_completion(c, ref) -> None:
+    assert c.to_json() == ref.to_json()
+    assert c.tokens() == ref.tokens()
+    assert c.verify() == ref.verify()
+
+
+@pytest.mark.parametrize("make", [
+    *(partial(family, tag) for tag in INFINITE_FAMILIES),
+    two_chains_poset, weave_poset], ids=[*INFINITE_FAMILIES, "two-chains",
+                                         "weave"])
+def test_family_completions_match_the_enumeration(make):
+    # one token per top, named by its first maximal chain, against the
+    # completion that enumerates every maximal chain of the subset; of the
+    # families only omega-chain has tokens, the two test posets have more
+    rng = random.Random(7)
+    for h in range(1, 27):
+        p = make()
+        pre = p.prefix(h)
+        for ms in (pre, *({x for x in pre if rng.random() < q}
+                          for q in (0.3, 0.6, 0.9))):
+            assert_same_completion(complete_over(p, ms, h),
+                                   ref_complete_over(p, ms, h))
+
+
+@given(seed=st.integers(0, 10 ** 6))
+@settings(max_examples=60, deadline=None)
+def test_grown_completions_match_the_enumeration(seed):
+    rng = random.Random(seed)
+    order, grown = both_sides(rng)
+    assert_same_completion(complete_finite(order),
+                           ref_complete_over(order, (), order.size))
+    for h in range(1, order.size + 1):
+        for ms in subsets(rng, grown.prefix(h)):
+            assert_same_completion(complete_over(grown, ms, h),
+                                   ref_complete_over(grown, ms, h))
 
 
 @given(seed=st.integers(0, 10 ** 6))

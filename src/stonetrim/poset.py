@@ -54,6 +54,20 @@ def runs(mask: int) -> Iterator[tuple[int, int]]:
         start = digits.find("1", end)
 
 
+def from_runs(spans: Iterable[tuple[int, int]]) -> int:
+    """The mask whose set bits are the disjoint, ascending runs (start,
+    end), the inverse of ``runs``.  Neighbouring pieces are joined
+    pairwise, each held from its own start, so a pass costs the width the
+    runs cover and the mask takes log2(len(spans)) passes; an OR of one
+    full-width run at a time would cost that width per run."""
+    pieces = [((1 << b - a) - 1, a) for a, b in spans]
+    while len(pieces) > 1:
+        pairs = iter(pieces)        # zip(pairs, pairs) takes two at a time
+        pieces = [(lo | hi << b - a, a) for (lo, a), (hi, b)
+                  in zip(pairs, pairs)] + pieces[len(pieces) & ~1:]
+    return pieces[0][0] << pieces[0][1] if pieces else 0
+
+
 def bits(mask: int) -> Iterator[int]:
     """Positions of the set bits of a nonnegative int, ascending."""
     for start, end in runs(mask):

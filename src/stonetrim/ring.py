@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from itertools import islice
+from itertools import chain, islice
+from operator import add, mul, sub
 from typing import Iterator, Optional
 
 from .poset import bits, runs
-from .skeleton import SkeletonTree
+from .skeleton import SkeletonTree, char_masks, spell
 from .typeset import TypeSet
 
 
@@ -245,23 +246,42 @@ def is_trim_for(x: RingElement, gen: int) -> bool:
 
 def _persist_rows(tree: SkeletonTree, n: int) -> list[tuple[int, int, int]]:
     """(own type bit, types realized in the child block, node mask) for
-    each distinct pair of the two on level n.  A node's child block is its
-    lift ``theta_image(n, 1 << i)``, typed through level n+1's
-    ``type_bits``.  Child blocks of consecutive nodes tile level n+1, so
-    the lift of a mask is the union of its nodes' blocks, and ORing the
-    rows a mask meets gives both the types of the mask and those of its
-    lift."""
-    kid_bits = tree.levels[n].type_bits()
-    rows: dict[tuple[int, int], int] = {}
-    for bit, atoms in tree.levels[n - 1].type_bits():
-        for i in bits(atoms):
-            block = tree.theta_image(n, 1 << i)
-            kids = 0
-            for kid, kid_atoms in kid_bits:
-                if kid_atoms & block:
-                    kids |= kid
-            rows[bit, kids] = rows.get((bit, kids), 0) | 1 << i
-    return [(own, kids, nodes) for (own, kids), nodes in rows.items()]
+    each distinct pair of the two on level n.
+
+    Levels n and n+1 are read as their spellings (``spell``; types are
+    enumeration indices no larger than the depth, far below U+D800, so
+    every one decodes).  Node i's child block is the span
+    ``child_start(i):child_end[i]`` of level n+1's spelling, and nodes are
+    grouped by their own type's character followed by that span, so each
+    distinct block is typed once; each row's node mask is read off one
+    spelling of level n by row, in one pass.  Child blocks of consecutive
+    nodes tile level n+1, so the lift of a mask is the union of its nodes'
+    blocks, and ORing the rows a mask meets gives both the types of the
+    mask and those of its lift.
+
+    Each own type's node mask is lifted once with ``theta_image`` and
+    checked against the union of that type's blocks, read off level n+1
+    spelled by parent type.  A type whose lift differs realizes nothing
+    one level down in its rows, so a wrong lift fails types-persist."""
+    own = spell(tree.levels[n - 1].types)
+    kids = spell(tree.levels[n].types)
+    ends = tree.levels[n - 1].child_end
+    keys = list(map(add, own, map(kids.__getitem__, map(
+        slice, chain((0,), ends), ends))))
+    char_of: dict[str, str] = {}
+    rows: dict[tuple[int, int], str] = {}
+    for key in dict.fromkeys(keys):
+        row = 1 << ord(key[0]), sum(1 << ord(c) for c in set(key[1:]))
+        char_of[key] = rows.setdefault(row, chr(len(rows)))
+    node_masks = char_masks("".join(map(char_of.__getitem__, keys)),
+                            list(rows.values()))
+    types = list(dict.fromkeys(own))
+    parents = "".join(map(mul, own, map(sub, ends, chain((0,), ends))))
+    lifted = {1 << ord(c): tree.theta_image(n, nodes) == blocks
+              for c, nodes, blocks in zip(types, char_masks(own, types),
+                                          char_masks(parents, types))}
+    return [(bit, kid_bits if lifted[bit] else 0, nodes)
+            for (bit, kid_bits), nodes in zip(rows, node_masks)]
 
 
 def _level_draws(getrandbits, bound: int) -> Iterator[int]:
@@ -302,10 +322,12 @@ def verify_type_axioms(tree: SkeletonTree, level_bound: int,
       the operands';
     - emptiness calls ``_types_in`` on every nonempty draw;
     - persistence reads a per-level table built once per call from each
-      node's lifted child block (``_persist_rows``, through
-      ``theta_image``), so a tampered level or a wrong lift shows up here;
-      a draw ORs the rows it meets, and the generators and lost types of
-      each distinct OR are found once per call;
+      node's child block, read off the next level's spelling, with each
+      own type's node mask lifted once through ``theta_image`` and
+      checked against that type's blocks (``_persist_rows``), so a
+      tampered level or a wrong lift shows up here; a draw ORs the rows
+      it meets, and the generators and lost types of each distinct OR are
+      found once per call;
     - upward closure calls ``_lower``, ``_types_in`` and
       ``TypeSet.members`` (memoised on the poset) on every draw, and makes
       the law's counts once per distinct member set in a call.

@@ -9,19 +9,40 @@ when it is marked unbounded, and one per already-enumerated noncompact type.
 """
 from __future__ import annotations
 
+import sys
 from array import array
 from bisect import bisect_right
 from collections import Counter, deque
 from collections.abc import Iterator, Sequence
 from functools import cached_property
 from itertools import accumulate, chain, repeat
-from operator import sub
 from typing import Iterable, Optional
 
 from ._record import Frozen, Record
-from .poset import FOUND, Poset, bits, runs
+from .poset import FOUND, Poset, bits, from_runs, runs
 
 MAX_LEVEL_SIZE = 1 << 16
+
+_UTF32 = "utf-32-le" if sys.byteorder == "little" else "utf-32-be"
+
+
+def spell(types: array) -> str:
+    """A level's ``types`` column read as a str, one code point per node:
+    ``"".join(map(chr, types))``, decoded in one call from the array's
+    4-byte items.  Types are enumeration indices no larger than the depth,
+    far below the surrogates at U+D800, so every one of them decodes."""
+    return types.tobytes().decode(_UTF32)
+
+
+def char_masks(spelled: str, chars: list[str]) -> list[int]:
+    """The mask of the positions of each of chars in spelled, where chars
+    holds every character of spelled: the string reversed, translated to
+    "1" at the character and "0" at every other, then read in base 2, so
+    each mask is one pass over the string."""
+    backwards = spelled[::-1]
+    top = ord(max(chars, default="\0"))
+    tables = ("0" * t + "1" + "0" * (top - t) for t in map(ord, chars))
+    return [int(backwards.translate(table), 2) for table in tables]
 
 
 class ConfigError(ValueError):
@@ -217,15 +238,13 @@ class Level(Record):
 
     def type_masks(self) -> dict[int, int]:
         """Atom mask of every type on the level, keyed in the order the types
-        first occur from the last node down.  A mask is the level spelled
-        backwards, one character per type, translated to "1" at the type's
-        own character and "0" elsewhere, then read in base 2."""
+        first occur from the last node down, each read off the level's
+        spelling (``spell``) by ``char_masks``."""
         if not self._masks:
-            spelled = "".join(map(chr, reversed(self.types)))
-            top = max(self.types)
-            for t in dict.fromkeys(reversed(self.types)):
-                table = "0" * t + "1" + "0" * (top - t)    # indexed by chr
-                self._masks[t] = int(spelled.translate(table), 2)
+            spelled = spell(self.types)
+            chars = list(dict.fromkeys(reversed(spelled)))
+            self._masks.update(zip(map(ord, chars),
+                                   char_masks(spelled, chars)))
             self._type_bits = [(1 << t, atoms)
                                for t, atoms in self._masks.items()]
         return self._masks
@@ -434,10 +453,7 @@ class SkeletonTree:
         self.level(n)                   # raises for n out of range
         if not mask:
             return 0
-        out = 0
-        for a, b in self.lift_runs(n, list(runs(mask)), n + 1):
-            out |= (1 << b) - (1 << a)
-        return out
+        return from_runs(self.lift_runs(n, list(runs(mask)), n + 1))
 
     def lift_runs(self, n: int, spans: list[tuple[int, int]],
                   k: int) -> list[tuple[int, int]]:
@@ -535,17 +551,24 @@ def verify_structure(tree: SkeletonTree,
     node per later level and unbounded types one at their entry level; and,
     given a lower subset of bounded types, every node typed in it descends
     from the covering level of its foundation.
+
+    Each level is read once as its spelling (``spell``; types are
+    enumeration indices no larger than the depth, far below U+D800, so
+    every one decodes), and every check is a count or a search over
+    those strings with C-level ``str`` methods: no pass over a level
+    costs more than its width, and none rebuilds a level to compare it
+    with the tree.
     """
     rep = StructureReport()
     poset = tree.poset
     depth = tree.depth
+    spelled = [""] + [spell(lvl.types) for lvl in tree.levels]
 
     for n in range(1, depth + 1):
-        lvl = tree.level(n)
-        want = set(range(1, tree.type_cap(n) + 1))
-        have = set(lvl.types)
-        rep.add(f"types-present@{n}", want <= have,
-                f"missing {sorted(want - have)}" if not want <= have else "")
+        missing = [t for t in range(1, tree.type_cap(n) + 1)
+                   if chr(t) not in spelled[n]]
+        rep.add(f"types-present@{n}", not missing,
+                f"missing {missing}" if missing else "")
 
     iso, buckets = tree.config.masks(tree.type_cap(depth))
     minimal, _ = poset.confirmed_minimal(tree.type_cap(depth))
@@ -553,26 +576,24 @@ def verify_structure(tree: SkeletonTree,
         ok = True
         bad = ""
         for n in range(t, depth + 1):
-            c = tree.level(n).types.count(t)
+            c = spelled[n].count(chr(t))
             if c != 1:
                 ok, bad = False, f"level {n} holds {c} nodes of type ix {t}"
                 break
         rep.add(f"isolated-single-line:{poset.id_at(t)}", ok, bad)
 
     for n in range(1, depth):
-        lvl = tree.level(n)
-        kids = tree.level(n + 1).types
-        want_of = {t: 1 if iso >> t & 1 else 2 for t in set(lvl.types)}
-        ends = lvl.child_end
-        # list.count is faster than array.count, which boxes every item
-        same = list(map(list.count, map(kids.tolist().__getitem__, map(
-            slice, chain((0,), ends), ends)), lvl.types))
-        want = list(map(want_of.__getitem__, lvl.types))
+        own, kids = spelled[n], spelled[n + 1]
+        want_of = {c: 1 if iso >> ord(c) & 1 else 2 for c in set(own)}
+        ends = tree.level(n).child_end
+        # node i's own character counted in its child block of level n+1
+        same = list(map(kids.count, own, chain((0,), ends), ends))
+        want = list(map(want_of.__getitem__, own))
         ok = same == want
         bad = ""
         if not ok:
             i = next(i for i, (c, w) in enumerate(zip(same, want)) if c != w)
-            bad = (f"node {n}.{i} of type {poset.id_at(lvl.types[i])} has "
+            bad = (f"node {n}.{i} of type {poset.id_at(ord(own[i]))} has "
                    f"{same[i]} continuation children, wanted {want[i]}")
         rep.add(f"continuation-children@{n}", ok, bad)
 
@@ -582,14 +603,12 @@ def verify_structure(tree: SkeletonTree,
             ok = True
             bad = ""
             for n in range(max(2, t + 1), depth + 1):
-                lvl = tree.level(n)
-                if t not in lvl.types[lvl.u_start:]:
+                if spelled[n].find(chr(t), tree.level(n).u_start) < 0:
                     ok, bad = False, f"level {n} has no unattached node of type ix {t}"
                     break
             rep.add(f"noncompact-supply:{poset.id_at(t)}", ok, bad)
         elif 2 <= t <= depth:
-            lvl = tree.level(t)
-            ok = t in lvl.types[lvl.u_start:]
+            ok = spelled[t].find(chr(t), tree.level(t).u_start) >= 0
             rep.add(f"unbounded-entry:{poset.id_at(t)}", ok,
                     "" if ok else f"no unattached entry node at level {t}")
 
@@ -600,18 +619,17 @@ def verify_structure(tree: SkeletonTree,
             rep.add("cover-foundation", False,
                     f"foundation search returned {res.status}")
         else:
-            q_ix = {poset.index(p) for p in qset}
+            q_chars = {chr(poset.index(p)) for p in qset}
             n0 = max(poset.index(p) for p in res.foundation)
             ok = True
             bad = ""
             # nodes descending from level n0 fill a prefix of each level
             for n in range(n0, depth + 1):
-                lvl = tree.level(n)
                 reach = tree.lift_runs(n0, [(0, len(tree.level(n0)))], n)[0][1]
-                rest = lvl.types[reach:]
-                escaped = q_ix.intersection(rest)
+                escaped = [i for i in map(spelled[n].find, q_chars,
+                                          repeat(reach)) if i >= 0]
                 if escaped:
-                    i = reach + min(map(rest.index, escaped))
+                    i = min(escaped)
                     ok, bad = False, f"node {n}.{i} of covered type escapes level {n0}"
                     break
             rep.add("covered-types-descend", ok, bad)

@@ -7,6 +7,7 @@ from stonetrim import (CompletedPoset, CompletionElement, Poset,
                        chain_closure, token_name)
 from stonetrim.backforth import (SIDES, MismatchFound, MismatchWitness, Pair,
                                  _facing, _fresh_counterpart, _match_split)
+from stonetrim.poset import bits
 from stonetrim.ring import RingElement, supertrim_split
 
 
@@ -125,6 +126,24 @@ def ref_theta_image(tree, n: int, mask: int) -> int:
     for a, b in ref_runs(mask):
         out |= (1 << ends[b - 1]) - (1 << (ends[a - 1] if a else 0))
     return out
+
+
+def ref_persist_rows(tree, n: int) -> list[tuple[int, int, int]]:
+    """The types-persist table as first written: each node of level n
+    lifted alone with ``theta_image(n, 1 << i)`` and its block typed
+    through level n+1's ``type_bits``; one row per distinct (own type bit,
+    child types), with the mask of the nodes that have it."""
+    kid_bits = tree.levels[n].type_bits()
+    rows: dict[tuple[int, int], int] = {}
+    for bit, atoms in tree.levels[n - 1].type_bits():
+        for i in bits(atoms):
+            block = tree.theta_image(n, 1 << i)
+            kids = 0
+            for kid, kid_atoms in kid_bits:
+                if kid_atoms & block:
+                    kids |= kid
+            rows[bit, kids] = rows.get((bit, kids), 0) | 1 << i
+    return [(own, kids, nodes) for (own, kids), nodes in rows.items()]
 
 
 # ----------------------------------------------------------------------

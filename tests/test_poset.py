@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from stonetrim import (DEFAULT_CHAIN_BOUND, FOUND, HOLDS, HOLDS_ON_PREFIX,
                        INCONCLUSIVE, REFUTED, Poset, PosetError, SubsetSpec,
                        TypeSet, family)
-from stonetrim.poset import bits, runs
+from stonetrim.poset import bits, from_runs, runs
 
 from conftest import (all_chains, random_poset, ref_first_chain, ref_runs,
                       ref_spans_of, ref_up_closure)
@@ -566,6 +566,13 @@ def test_runs_agree_with_both_references_on_wide_masks(mask):
     assert spans == list(ref_runs(mask)) == ref_spans_of(mask)
     assert list(bits(mask)) == [i for a, b in ref_spans_of(mask)
                                 for i in range(a, b)]
+
+
+@given(st.one_of(WIDE_MASKS, st.integers(0, 2 ** 300)))
+@settings(max_examples=300)
+def test_from_runs_inverts_runs(mask):
+    assert from_runs(runs(mask)) == mask
+    assert from_runs(ref_spans_of(mask)) == mask
 
 
 def test_runs_of_single_bits_and_all_ones():

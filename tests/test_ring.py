@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import chain_ab_poset, diamond_poset, random_poset, vee_poset
+from conftest import (chain_ab_poset, diamond_poset, random_poset,
+                      ref_persist_rows, vee_poset)
 from stonetrim import (BuildConfig, RingElement, RingError, TypeSet,
                        build_levels, family, is_trim_for,
                        split_by_scarce_atoms, supertrim_split, trim_split,
@@ -619,6 +620,57 @@ def test_unions_that_stay_on_their_level_realize_the_or(seed, isolate):
         for ma, mb in zip(masks[::2], masks[1::2]):
             if all(_lower(tree, n, m)[0] == n for m in (ma, mb, ma | mb)):
                 assert realized(ma | mb) == realized(ma) | realized(mb)
+
+
+def assert_persist_rows_match(tree):
+    """_persist_rows on every level with a level below it gives the rows
+    of the node-by-node lift."""
+    for n in range(1, tree.depth):
+        assert (sorted(ring._persist_rows(tree, n))
+                == sorted(ref_persist_rows(tree, n)))
+
+
+class TestPersistRows:
+    @pytest.mark.parametrize("name,maker,kw,single", CRITERION_1)
+    def test_criterion_1_builds(self, name, maker, kw, single):
+        for iso in (frozenset(), frozenset({single})):
+            tree = build_levels(BuildConfig(maker(), isolated=iso, **kw), 7)
+            assert_persist_rows_match(tree)
+
+    def test_dyadic_build(self):
+        assert_persist_rows_match(build_levels(BuildConfig(family("dyadic")),
+                                               7))
+
+    @given(seed=st.integers(0, 10 ** 6), isolate=st.booleans(),
+           bucket=st.sampled_from(["auto", "noncompact", "unbounded"]))
+    @settings(max_examples=40, deadline=None)
+    def test_random_posets(self, seed, isolate, bucket):
+        rng = random.Random(seed)
+        poset = random_poset(rng)
+        isolated = ({rng.choice(poset.prefix(poset.size))} if isolate
+                    else set())
+        # built without validation, as some of these configs break the
+        # existence hypotheses
+        assert_persist_rows_match(SkeletonTree(
+            BuildConfig(poset, isolated=isolated, default_bucket=bucket), 5))
+
+    def test_tampered_levels(self):
+        tree = tampered_chain_tree()
+        assert_persist_rows_match(tree)
+        lvl = tree.level(4)
+        lvl.types[-1] = 1
+        lvl._masks.clear()
+        assert_persist_rows_match(tree)
+
+    def test_laws_past_the_level_bound(self):
+        """omega-chain's level 9 holds 103 049 nodes and level 10 518 859:
+        the rows of level 9 are read in time linear in the two widths,
+        where a node-by-node lift is quadratic."""
+        tree = build_levels(BuildConfig(family("omega-chain"),
+                                        max_level_size=1 << 20), 10)
+        report = verify_type_axioms(tree, 9)
+        assert report["passed"]
+        assert report["axioms"]["types-persist"]["checked"] > 0
 
 
 def drop_last_lowered_parent(lower):

@@ -11,7 +11,8 @@ from conftest import children, random_poset, ref_theta_image
 from stonetrim import (FOUND, BuildConfig, BuildError, ConfigError, Poset,
                        build_levels, family, verify_structure)
 from stonetrim.poset import bits, runs
-from stonetrim.skeleton import BUCKETS, SkeletonTree, StructureReport
+from stonetrim.skeleton import (BUCKETS, SkeletonTree, StructureReport,
+                                spell)
 
 
 def chain_tree(depth=4, **kw):
@@ -184,6 +185,12 @@ class TestChainBuild:
             assert list(grown.level(n).parent) == list(fresh.level(n).parent)
 
 
+# the families of the deep builds, each read at levels 1 to 8
+SPELLED_FAMILIES = ["omega-chain", "dyadic", "rn-infinity", "rn-infinity-bot",
+                    "ziegler-fan", "omega-antichain", "rn(2,0)", "rn(4,2)",
+                    "rn(10,0)"]
+
+
 class TestStorage:
     def test_levels_hold_few_bytes_per_node(self):
         # a node's type is one 4-byte array item, and so is each child end
@@ -195,6 +202,16 @@ class TestStorage:
         finally:
             tracemalloc.stop()
         assert held <= 12 * sum(map(len, tree.levels))
+
+    def test_spelling_is_one_code_point_per_node(self):
+        rng = random.Random(23)
+        for size in (0, 1, 2, 3, 7, 100, 4096):
+            types = array("I", (rng.randint(1, 4096) for _ in range(size)))
+            assert spell(types) == "".join(map(chr, types))
+        for tag in SPELLED_FAMILIES:
+            tree = build_levels(BuildConfig(family(tag)), 8)
+            for lvl in tree.levels:
+                assert spell(lvl.types) == "".join(map(chr, lvl.types))
 
 
 class TestUnattachedNodes:
@@ -663,6 +680,43 @@ class TestWholeLevelPasses:
         doc = assert_same_report(tree)
         assert [c["name"] for c in doc["checks"] if not c["passed"]] == [
             "isolated-single-line:a", "continuation-children@2"]
+
+    @staticmethod
+    def failures(tree):
+        doc = assert_same_report(tree)
+        return [(c["name"], c["detail"]) for c in doc["checks"]
+                if not c["passed"]]
+
+    def test_first_child_of_a_block_retyped(self):
+        # node 3.3 has type a and children [a, a, b]
+        tree = chain_tree(4)
+        self.tamper(tree, 3, 3, 0, 2)
+        assert self.failures(tree) == [(
+            "continuation-children@3",
+            "node 3.3 of type a has 1 continuation children, wanted 2")]
+
+    def test_last_child_of_the_last_node_retyped(self):
+        tree = chain_tree(4)
+        lvl = tree.level(3)
+        last = len(lvl) - 1
+        size = lvl.child_end[last] - lvl.child_start(last)
+        self.tamper(tree, 3, last, size - 1, 1)
+        assert self.failures(tree) == [(
+            "continuation-children@3",
+            f"node 3.{last} of type b has 1 continuation children, "
+            f"wanted 2")]
+
+    def test_child_of_an_unattached_node_retyped(self, chain_ab):
+        tree = build_levels(BuildConfig(chain_ab, bounded={"a"},
+                                        noncompact={"b"}), 4)
+        lvl = tree.level(3)
+        assert lvl.u_start < len(lvl)
+        assert lvl.types[lvl.u_start] == 2     # children [b, b]
+        self.tamper(tree, 3, lvl.u_start, 1, 1)
+        assert self.failures(tree) == [(
+            "continuation-children@3",
+            f"node 3.{lvl.u_start} of type b has 1 continuation children, "
+            f"wanted 2")]
 
     def test_noncompact_type_losing_its_unattached_node(self, chain_ab):
         tree = build_levels(BuildConfig(chain_ab, bounded={"a"},

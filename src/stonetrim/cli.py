@@ -26,11 +26,8 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
-def _emit(payload, as_json: bool = True) -> None:
-    if as_json:
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        print(payload)
+def _emit(payload) -> None:
+    print(json.dumps(payload, sort_keys=True, indent=2))
 
 
 def _load_poset(tag: Optional[str], path: Optional[str]) -> Poset:
@@ -43,9 +40,8 @@ def _load_poset(tag: Optional[str], path: Optional[str]) -> Poset:
         return Poset.from_json(json.load(fh))
 
 
-def _poset_args(sub, positional: bool = True) -> None:
-    if positional:
-        sub.add_argument("poset", nargs="?", help="poset JSON file")
+def _poset_args(sub) -> None:
+    sub.add_argument("poset", nargs="?", help="poset JSON file")
     sub.add_argument("--family", choices=None, metavar="TAG",
                      help="builtin family tag, e.g. omega-chain or rn(2,0)")
     sub.add_argument("--horizon", type=int, default=8,

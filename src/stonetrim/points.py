@@ -25,6 +25,10 @@ class PathPrefix(Frozen):
     def __init__(self, tree: SkeletonTree, nodes: tuple[tuple[int, int], ...]):
         if not nodes:
             raise PointError("a path prefix needs at least one node")
+        for lvl, ix in nodes:
+            if not (0 < lvl <= tree.depth and 0 <= ix < len(tree.level(lvl))):
+                raise PointError(f"no node {lvl}.{ix} on the levels built "
+                                 f"(depth {tree.depth})")
         for (a_lvl, a_ix), (b_lvl, b_ix) in zip(nodes, nodes[1:]):
             if b_lvl != a_lvl + 1:
                 raise PointError("path levels must be consecutive")

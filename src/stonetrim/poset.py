@@ -213,9 +213,9 @@ class Poset:
     first n elements.
 
     ``typesets`` maps a generator mask over enumeration indices to its
-    interned ``TypeSet`` (filled by ``TypeSet.from_mask``).  ``upper_of``
-    memoises up-closures of masks, and ``upper_members`` their ids within
-    a prefix, until the prefix grows.
+    interned ``TypeSet`` (filled by ``TypeSet.from_mask``).
+    ``upper_members`` memoises the ids of up-closures of masks within a
+    prefix, until the prefix grows.
     """
 
     def __init__(self, name: str, *, ids: Optional[list[str]] = None,
@@ -237,7 +237,6 @@ class Poset:
         if len(self._pos) != len(self._ids):
             raise PosetError("duplicate element ids")
         self._up: list[int] = [0]
-        self._uppers: dict[int, int] = {}
         self._members: dict[tuple[int, int], frozenset] = {}
         self.typesets: dict[int, object] = {}
         self._fill_table()
@@ -349,7 +348,6 @@ class Poset:
         to the rows of the older ones; the memoised up-closures go stale."""
         ids, up = self._ids, self._up
         if len(up) <= len(ids):
-            self._uppers.clear()
             self._members.clear()
         for k in range(len(up), len(ids) + 1):
             older = (1 << k) - 2
@@ -412,22 +410,18 @@ class Poset:
 
     def upper_of(self, mask: int) -> int:
         """Up-closure of the indices set in mask on the enumerated prefix:
-        the OR of their ``up_mask`` rows, memoised per mask until the prefix
-        grows."""
-        hit = self._uppers.get(mask)
-        if hit is None:
-            if mask:
-                # enumerate the highest index before any row is read
-                self.up_mask(mask.bit_length() - 1)
-            hit = 0
-            for i in bits(mask):
-                hit |= self.up_mask(i)
-            self._uppers[mask] = hit
+        the OR of their ``up_mask`` rows."""
+        if mask:
+            # enumerate the highest index before any row is read
+            self.up_mask(mask.bit_length() - 1)
+        hit = 0
+        for i in bits(mask):
+            hit |= self.up_mask(i)
         return hit
 
     def upper_members(self, mask: int, horizon: int) -> frozenset:
         """Ids of the up-closure of mask within ``prefix(horizon)``,
-        memoised per (mask, horizon) alongside ``upper_of``."""
+        memoised per (mask, horizon) until the prefix grows."""
         key = mask, horizon
         hit = self._members.get(key)
         if hit is None:

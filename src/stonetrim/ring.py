@@ -14,7 +14,7 @@ from itertools import chain, islice
 from operator import add, mul, sub
 from typing import Iterator, Optional
 
-from .poset import bits, runs
+from .poset import bits, from_runs, runs
 from .skeleton import SkeletonTree, char_masks, spell
 from .typeset import TypeSet
 
@@ -26,8 +26,8 @@ class RingError(ValueError):
 def _turned_away(mask: int, u_mask: int, starts: int, ends: int) -> bool:
     """Does a mask fail ``_lower``'s quick tests for dropping a level: it
     holds an unattached atom of its level (``u_mask``), or one of its runs
-    starts or ends inside a child block of the level above (whose block
-    starts and ends are the masks ``block_masks`` gives)?"""
+    starts or ends inside a child block (whose starts and ends are the
+    masks its level's ``block_masks`` gives)?"""
     return bool(mask & u_mask or mask & ~(mask << 1) & ~starts
                 or mask & ~(mask >> 1) & ~ends)
 
@@ -39,22 +39,20 @@ def _lower(tree: SkeletonTree, level: int, mask: int) -> tuple[int, int]:
     parent's block starts and ends where its last parent's block ends,
     which is what ``_turned_away`` tests (inline here, as this runs for
     every element made); a mask that passes drops to the parents of its
-    runs' ends, found in the child ends of the level above."""
+    runs, read off its level's block ends and joined by ``from_runs``."""
     if not mask:
         return 1, 0
     levels = tree.levels
     while level > 1:
-        above = levels[level - 2]
-        starts, ends = above.block_masks()
-        if (mask & levels[level - 1].u_mask or mask & ~(mask << 1) & ~starts
+        lvl = levels[level - 1]
+        starts, ends = lvl.block_masks()
+        if (mask & lvl.u_mask or mask & ~(mask << 1) & ~starts
                 or mask & ~(mask >> 1) & ~ends):
             break
-        child_end = above.child_end
-        parent_mask = 0
-        for a, b in runs(mask):
-            parent_mask |= ((1 << bisect_right(child_end, b - 1) + 1)
-                            - (1 << bisect_right(child_end, a)))
-        level, mask = level - 1, parent_mask
+        block_end = lvl.block_end
+        level, mask = level - 1, from_runs(
+            [(bisect_right(block_end, a), bisect_right(block_end, b - 1) + 1)
+             for a, b in runs(mask)])
     return level, mask
 
 
@@ -251,13 +249,13 @@ def _persist_rows(tree: SkeletonTree, n: int) -> list[tuple[int, int, int]]:
     Levels n and n+1 are read as their spellings (``spell``; types are
     enumeration indices no larger than the depth, far below U+D800, so
     every one decodes).  Node i's child block is the span
-    ``child_start(i):child_end[i]`` of level n+1's spelling, and nodes are
-    grouped by their own type's character followed by that span, so each
-    distinct block is typed once; each row's node mask is read off one
-    spelling of level n by row, in one pass.  Child blocks of consecutive
-    nodes tile level n+1, so the lift of a mask is the union of its nodes'
-    blocks, and ORing the rows a mask meets gives both the types of the
-    mask and those of its lift.
+    ``block_start(i):block_end[i]`` of level n+1's spelling, both read off
+    level n+1, and nodes are grouped by their own type's character
+    followed by that span, so each distinct block is typed once; each
+    row's node mask is read off one spelling of level n by row, in one
+    pass.  Child blocks of consecutive nodes tile level n+1, so the lift
+    of a mask is the union of its nodes' blocks, and ORing the rows a mask
+    meets gives both the types of the mask and those of its lift.
 
     Each own type's node mask is lifted once with ``theta_image`` and
     checked against the union of that type's blocks, read off level n+1
@@ -265,7 +263,7 @@ def _persist_rows(tree: SkeletonTree, n: int) -> list[tuple[int, int, int]]:
     one level down in its rows, so a wrong lift fails types-persist."""
     own = spell(tree.levels[n - 1].types)
     kids = spell(tree.levels[n].types)
-    ends = tree.levels[n - 1].child_end
+    ends = tree.levels[n].block_end
     keys = list(map(add, own, map(kids.__getitem__, map(
         slice, chain((0,), ends), ends))))
     char_of: dict[str, str] = {}
@@ -360,9 +358,8 @@ def verify_type_axioms(tree: SkeletonTree, level_bound: int,
 
     # _lower's quick tests per level, read once: (u_mask, starts, ends).
     # No mask drops below level 1, as if every atom there were unattached.
-    tests = [None, (-1, 0, 0)] + [(levels[n - 1].u_mask,
-                                   *levels[n - 2].block_masks())
-                                  for n in range(2, level_bound + 1)]
+    tests = [None, (-1, 0, 0)] + [(lvl.u_mask, *lvl.block_masks())
+                                  for lvl in levels[1:level_bound]]
     decided: dict[tuple[int, int, int], bool] = {}
 
     def additive(n: int, ma: int, mb: int) -> bool:

@@ -189,47 +189,42 @@ class BuildConfig(Record):
 
 
 class Level(Record):
-    """One level of the skeleton, stored column-wise in typed arrays: each
-    node's type and, once level number+1 is built, where each node's child
-    block ends there.  Child starts and parents are derived from the child
-    ends, never stored.  ``counts`` holds the number of nodes of each type
-    on the level (counted from ``types`` when not given)."""
+    """One level of the skeleton, written once, when it is built, and
+    stored column-wise in typed arrays: each node's type and where each
+    child block of the level above ends here (``block_end``, empty on level
+    1).  Block starts and parents are derived.  ``counts`` holds the number
+    of nodes of each type (counted from ``types`` when not given)."""
 
     # the caches _masks, _type_bits and _blocks fill on first use, so
     # equality leaves them out
-    _compare = ("number", "types", "u_start", "child_end")
+    _compare = ("number", "types", "u_start", "block_end")
 
     def __init__(self, number: int, types: array, u_start: int,
-                 above: Optional["Level"] = None,
-                 child_end: Optional[array] = None,
-                 _masks: Optional[dict[int, int]] = None,
-                 _type_bits: Optional[list[tuple[int, int]]] = None,
-                 _blocks: tuple = (),
+                 block_end: Optional[array] = None,
                  counts: Optional[dict[int, int]] = None):
         self.number = number
         self.types = types            # 'I': 1-based poset enumeration index
         self.u_start = u_start        # nodes from here on are unattached
-        self.above = above
-        self.child_end = array("I") if child_end is None else child_end
-        self._masks = {} if _masks is None else _masks
-        self._type_bits = [] if _type_bits is None else _type_bits
-        self._blocks = _blocks
+        self.block_end = array("I") if block_end is None else block_end
         self.counts = dict(Counter(types)) if counts is None else counts
+        self._masks: dict[int, int] = {}
+        self._type_bits: list[tuple[int, int]] = []
+        self._blocks: Optional[tuple[int, int]] = None
 
     def __len__(self) -> int:
         return len(self.types)
 
-    def child_start(self, i: int) -> int:
-        """Where node i's child block begins on level number+1: the child
-        blocks of consecutive nodes are adjacent."""
-        return self.child_end[i - 1] if i else 0
+    def block_start(self, p: int) -> int:
+        """Where the child block of node p of the level above begins here:
+        the child blocks of consecutive nodes are adjacent."""
+        return self.block_end[p - 1] if p else 0
 
     def parent_of(self, i: int) -> Optional[int]:
         """Parent of node i on the level above, the node whose child block
         holds i; None for an unattached node and for the root."""
-        if i >= self.u_start or self.above is None:
+        if i >= self.u_start or not self.block_end:
             return None
-        return bisect_right(self.above.child_end, i)
+        return bisect_right(self.block_end, i)
 
     @property
     def parent(self) -> "Parents":
@@ -260,20 +255,17 @@ class Level(Record):
         return self.type_masks().get(type_ix, 0)
 
     def block_masks(self) -> tuple[int, int]:
-        """(starts, ends) over the atoms of level number+1: bit i of starts
-        is set iff a child block begins at atom i, bit i of ends iff one
-        ends there.  Built on first use, and again once ``child_end`` is
-        replaced."""
-        got = self._blocks
-        if not got or got[0] is not self.child_end:
-            child_end = self.child_end
-            size = child_end[-1] if child_end else 0
+        """(starts, ends) over the level's atoms: bit i of starts is set
+        iff a child block begins at atom i, bit i of ends iff one ends."""
+        if self._blocks is None:
+            block_end = self.block_end
+            size = block_end[-1] if block_end else 0
             starts, ends = bytearray(b"0" * size), bytearray(b"0" * size)
-            for a, b in zip(chain((0,), child_end), child_end):
+            for a, b in zip(chain((0,), block_end), block_end):
                 starts[a] = ends[b - 1] = 49                # ord("1")
-            got = self._blocks = (child_end, int(b"0" + starts[::-1], 2),
-                                  int(b"0" + ends[::-1], 2))
-        return got[1], got[2]
+            self._blocks = (int(b"0" + starts[::-1], 2),
+                            int(b"0" + ends[::-1], 2))
+        return self._blocks
 
     def present_types(self) -> list[int]:
         return sorted(set(self.types))
@@ -289,9 +281,9 @@ class Level(Record):
 
 class Parents(Sequence):
     """The parents of a level's nodes, None from ``u_start`` on and at the
-    root, derived from the child ends of the level above.  Indexing looks
-    one node up; a slice is a list of that span only, so reading the
-    parents chunk by chunk never holds a list of the whole level."""
+    root, derived from the level's block ends.  Indexing looks one node
+    up; a slice is a list of that span only, so reading the parents chunk
+    by chunk never holds a list of the whole level."""
 
     __slots__ = ("_level",)
 
@@ -317,10 +309,10 @@ class Parents(Sequence):
         more after every child block that ends inside the span, then
         None."""
         lvl = self._level
-        top = lo if lvl.above is None else min(hi, lvl.u_start)
+        ends = lvl.block_end
+        top = min(hi, lvl.u_start) if ends else lo
         attached: Iterable[int] = ()
         if lo < top:
-            ends = lvl.above.child_end
             p, q = bisect_right(ends, lo), bisect_right(ends, top - 1)
             # flag k is set iff a child block ends just before node lo+1+k
             flags = bytearray(top - lo - 1)
@@ -418,10 +410,8 @@ class SkeletonTree:
         # buffer per node at once
         deque(map(types.extend, map(block_of, prev.types)), 0)
         types.extend(unattached)
-        prev.child_end = array(
-            "I", accumulate(map(len, map(block_of, prev.types))))
-        self.levels.append(Level(n, types, u_start, above=prev,
-                                 counts=counts))
+        self.levels.append(Level(n, types, u_start, array(
+            "I", accumulate(map(len, map(block_of, prev.types)))), counts))
 
     # ------------------------------------------------------------------
 
@@ -430,18 +420,25 @@ class SkeletonTree:
             return self.levels[n - 1]
         raise BuildError(f"level {n} not built (depth {self.depth})")
 
-    def node(self, n: int, i: int) -> SkeletonNode:
+    def _checked(self, n: int, i: int) -> Level:
         lvl = self.level(n)
+        if 0 <= i < len(lvl):
+            return lvl
+        raise IndexError(f"level {n} has no node {i}, only 0..{len(lvl) - 1}")
+
+    def node(self, n: int, i: int) -> SkeletonNode:
+        lvl = self._checked(n, i)
         t = lvl.types[i]
         return SkeletonNode(n, i, self.poset.id_at(t), t, lvl.parent_of(i),
                             i >= lvl.u_start)
 
     def children_span(self, n: int, i: int) -> tuple[int, int]:
         """Child index range of node (n, i) within level n+1."""
-        lvl = self.level(n)
-        if not lvl.child_end:
+        self._checked(n, i)
+        if n >= len(self.levels):
             raise BuildError(f"level {n + 1} not built")
-        return lvl.child_start(i), lvl.child_end[i]
+        kids = self.levels[n]
+        return kids.block_start(i), kids.block_end[i]
 
     def theta_image(self, n: int, mask: int) -> int:
         """Image of a level-n atom mask inside level n+1: the one-level
@@ -460,11 +457,12 @@ class SkeletonTree:
         """Where runs of atoms of level n lie on level k >= n.  Each
         nonempty run (a, b), atoms a..b-1, lifts to one run, since the child
         blocks of consecutive nodes are adjacent and a block starts where the
-        one before it ends; so the list keeps its length and its order."""
+        one before it ends (``block_end`` of the level lifted to); so the
+        list keeps its length and its order."""
         if k > len(self.levels):
             raise BuildError(f"level {k} not built (depth {self.depth})")
-        for lvl in self.levels[n - 1:k - 1]:
-            ends = lvl.child_end
+        for lvl in self.levels[n:k]:
+            ends = lvl.block_end
             spans = [(ends[a - 1] if a else 0, ends[b - 1]) for a, b in spans]
         return spans
 
@@ -584,17 +582,24 @@ def verify_structure(tree: SkeletonTree,
 
     for n in range(1, depth):
         own, kids = spelled[n], spelled[n + 1]
-        want_of = {c: 1 if iso >> ord(c) & 1 else 2 for c in set(own)}
-        ends = tree.level(n).child_end
-        # node i's own character counted in its child block of level n+1
-        same = list(map(kids.count, own, chain((0,), ends), ends))
-        want = list(map(want_of.__getitem__, own))
-        ok = same == want
+        want_of = {t: 1 if iso >> t & 1 else 2 for t in map(ord, set(own))}
+        ends = tree.levels[n].block_end
+        # node i's own character counted in its child block of level n+1,
+        # a byte a node (a list sets a wide tree's peak memory); a count
+        # past 255 fits no byte, and breaks the rule too
+        try:
+            ok = (bytes(map(kids.count, own, chain((0,), ends), ends))
+                  == own.translate(want_of).encode("latin-1"))
+        except ValueError:
+            ok = False
         bad = ""
         if not ok:
-            i = next(i for i, (c, w) in enumerate(zip(same, want)) if c != w)
-            bad = (f"node {n}.{i} of type {poset.id_at(ord(own[i]))} has "
-                   f"{same[i]} continuation children, wanted {want[i]}")
+            same = map(kids.count, own, chain((0,), ends), ends)
+            i, k = next((i, k) for i, k in enumerate(same)
+                        if k != want_of[ord(own[i])])
+            t = ord(own[i])
+            bad = (f"node {n}.{i} of type {poset.id_at(t)} has {k} "
+                   f"continuation children, wanted {want_of[t]}")
         rep.add(f"continuation-children@{n}", ok, bad)
 
     noncompact, unbounded = buckets["noncompact"], buckets["unbounded"]

@@ -121,7 +121,7 @@ def ref_theta_image(tree, n: int, mask: int) -> int:
     """``theta_image`` with its own lift: a run of level n maps to the run
     from the start of its first node's child block to the end of its last
     node's, since the blocks of consecutive nodes are adjacent."""
-    ends = tree.level(n).child_end
+    ends = tree.level(n + 1).block_end
     out = 0
     for a, b in ref_runs(mask):
         out |= (1 << ends[b - 1]) - (1 << (ends[a - 1] if a else 0))
@@ -516,8 +516,8 @@ def ref_covered(state, schedule) -> bool:
             # atom lifts to one run of bits
             a, b = i, i + 1
             for k in range(n, top):
-                lvl = tree.level(k)
-                a, b = lvl.child_start(a), lvl.child_end[b - 1]
+                kids = tree.level(k + 1)
+                a, b = kids.block_start(a), kids.block_end[b - 1]
             atom = (1 << b) - (1 << a)
             inside = 0
             for m in lifted:

@@ -48,6 +48,22 @@ class TestPathPrefix:
         with pytest.raises(PointError, match=r"3\.7 is not a child of 2\.0"):
             PathPrefix(chain_tree, ((2, 0), (3, 7)))
 
+    def test_node_indexes_are_checked(self):
+        # an index outside its level, or a level not built, names no node
+        tree = build_levels(BuildConfig(family("rn(2,0)")), 4)
+        valid = {(1, 0), (3, 0), (3, 4), (4, 0)}
+        for nodes in (((2, -1), (3, 4)), ((2, 99), (3, 0)), ((2, 99),),
+                      ((3, 0), (4, -1)), ((2, 3),), ((1, -1),), ((5, 0),),
+                      ((0, 0), (1, 0)), ((4, 0), (5, 0)), ((-1, 0),)):
+            [(n, i)] = set(nodes) - valid
+            with pytest.raises(PointError, match=rf"no node {n}\.{i} on the "
+                               r"levels built \(depth 4\)"):
+                PathPrefix(tree, nodes)
+        with pytest.raises(PointError, match=r"no node 5\.0"):
+            PathPrefix(tree, ((4, 0),)).extended(0)
+        path = PathPrefix(tree, ((2, 2), (3, 4)))
+        assert path.serialize()["nodes"] == [[2, 2], [3, 4]]
+
     def test_views(self, chain_tree):
         path = PathPrefix(chain_tree, ((1, 0), (2, 2)))
         assert len(path) == 2

@@ -22,7 +22,6 @@ TREE = build_levels(BuildConfig(POSET), 3)
 SPACE = SymbolicSpace(family("rn-infinity"), 12)
 OTHER_SPACE = SymbolicSpace(family("rn-infinity"), 12)
 P0 = ClosureElement(SPACE, False, 1 << SPACE.poset.index("p0"))
-LEVEL_1 = Level(1, array("I", [1]), 1)
 
 REQUIRED, FACTORY = object(), object()
 
@@ -90,15 +89,13 @@ CASES = [
              "max_level_size": MAX_LEVEL_SIZE},
          frozen=False, differs=("horizon", 5)),
     Case(Level, {"number": 2, "types": array("I", [1, 1, 2]), "u_start": 3,
-                 "above": LEVEL_1, "child_end": array("I", [2, 3, 5])},
-         3, {"above": None, "child_end": array("I")}, frozen=False,
-         ignored={"above": None, "_masks": {1: 3}, "_type_bits": [(2, 3)],
-                  "_blocks": (array("I"), 0, 0)},
-         differs=("u_start", 2), shown=(
+                 "block_end": array("I", [3])},
+         3, {"block_end": array("I")}, frozen=False,
+         ignored={"counts": {1: 3}}, differs=("u_start", 2), shown=(
              {"number": 1, "types": array("I", [1]), "u_start": 1,
-              "above": None, "child_end": array("I")},
+              "block_end": array("I")},
              "Level(number=1, types=array('I', [1]), u_start=1, "
-             "child_end=array('I'))")),
+             "block_end=array('I'))")),
     Case(SkeletonNode, {"level": 2, "index": 0, "type_id": "a",
                         "type_ix": 1, "parent": 0, "u_flag": False},
          6, {}, frozen=True, differs=("parent", None), shown=(
@@ -182,8 +179,8 @@ SIGNATURES = {
                     ("noncompact", frozenset()), ("default_bucket", "auto"),
                     ("horizon", None), ("max_level_size", 65536)],
     "Level": [("number", REQUIRED), ("types", REQUIRED),
-              ("u_start", REQUIRED), ("above", None), ("child_end", FACTORY),
-              ("_masks", FACTORY), ("_type_bits", FACTORY), ("_blocks", ())],
+              ("u_start", REQUIRED), ("block_end", FACTORY),
+              ("counts", FACTORY)],
     "SkeletonNode": [("level", REQUIRED), ("index", REQUIRED),
                      ("type_id", REQUIRED), ("type_ix", REQUIRED),
                      ("parent", REQUIRED), ("u_flag", REQUIRED)],

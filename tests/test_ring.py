@@ -504,13 +504,13 @@ def lower_oracle(tree, level, mask):
     if not mask:
         return 1, 0
     while level > 1:
-        lvl, above = tree.level(level), tree.level(level - 1)
+        lvl = tree.level(level)
         if mask & lvl.u_mask:
             break
         parent_mask = 0
         for a, b in runs(mask):
             p, q = lvl.parent_of(a), lvl.parent_of(b - 1)
-            if above.child_start(p) != a or above.child_end[q] != b:
+            if lvl.block_start(p) != a or lvl.block_end[q] != b:
                 return level, mask
             parent_mask |= (1 << q + 1) - (1 << p)
         level, mask = level - 1, parent_mask
@@ -589,6 +589,31 @@ class TestLawsMatchTheElementOracle:
                 assert _lower(tree, n, m) == lower_oracle(tree, n, m)
 
 
+def test_lowering_matches_the_run_walk_on_a_wide_level():
+    """Lifts of many-run masks onto omega-chain's level 8 (20 793 nodes)
+    lower as the run walk lowers them, and as the masks themselves lower;
+    so do the same lifts short of their last atom, which stay on level 8."""
+    tree = build_levels(BuildConfig(family("omega-chain")), 8)
+    rng = random.Random(24)
+    widest = 0
+    for n in (6, 7):
+        lvl = tree.level(n)
+        masks = list(lvl.type_masks().values())
+        masks += [rng.getrandbits(len(lvl)) for _ in range(3)]
+        for mask in masks:
+            lifted = mask
+            for k in range(n, 8):
+                lifted = tree.theta_image(k, lifted)
+            widest = max(widest, sum(1 for _ in runs(lifted)))
+            got = _lower(tree, 8, lifted)
+            assert got == lower_oracle(tree, 8, lifted)
+            assert got == _lower(tree, n, mask)
+            cut = lifted & ~(1 << lifted.bit_length() - 1)
+            assert _lower(tree, 8, cut) == lower_oracle(tree, 8, cut) \
+                == (8, cut)
+    assert widest > 1000
+
+
 @given(seed=st.integers(0, 10 ** 6), isolate=st.booleans())
 @settings(max_examples=30, deadline=None)
 def test_unions_that_stay_on_their_level_realize_the_or(seed, isolate):
@@ -613,8 +638,7 @@ def test_unions_that_stay_on_their_level_realize_the_or(seed, isolate):
             masks += [tree.theta_image(n - 1, random_mask(
                 rng, len(tree.level(n - 1)))) for _ in range(10)]
             for m in masks:
-                if m and _turned_away(m, lvl.u_mask,
-                                      *tree.level(n - 1).block_masks()):
+                if m and _turned_away(m, lvl.u_mask, *lvl.block_masks()):
                     assert _lower(tree, n, m) == (n, m)
         rng.shuffle(masks)
         for ma, mb in zip(masks[::2], masks[1::2]):
@@ -686,8 +710,8 @@ def drop_last_child_block(theta_image):
     def mutated(self, n, mask):
         out = theta_image(self, n, mask)
         if mask:
-            lvl, i = self.level(n), mask.bit_length() - 1
-            out &= ~((1 << lvl.child_end[i]) - (1 << lvl.child_start(i)))
+            kids, i = self.level(n + 1), mask.bit_length() - 1
+            out &= ~((1 << kids.block_end[i]) - (1 << kids.block_start(i)))
         return out
     return mutated
 

@@ -11,8 +11,8 @@ from conftest import children, random_poset, ref_theta_image
 from stonetrim import (FOUND, BuildConfig, BuildError, ConfigError, Poset,
                        build_levels, family, verify_structure)
 from stonetrim.poset import bits, runs
-from stonetrim.skeleton import (BUCKETS, SkeletonTree, StructureReport,
-                                spell)
+from stonetrim.skeleton import (BUCKETS, Level, SkeletonTree,
+                                StructureReport, spell)
 
 
 def chain_tree(depth=4, **kw):
@@ -138,6 +138,19 @@ class TestChainBuild:
         with pytest.raises(BuildError, match="level 4 not built"):
             tree.children_span(3, 0)
 
+    def test_node_indexes_are_checked(self):
+        # an index outside 0 .. len - 1 names no node, even where Python
+        # would read a negative one from the end
+        tree = build_levels(BuildConfig(family("rn(2,0)")), 4)
+        assert len(tree.level(2)) == 3
+        for i in (-1, -3, 3, 99):
+            with pytest.raises(IndexError, match=f"level 2 has no node {i}"):
+                tree.children_span(2, i)
+            with pytest.raises(IndexError, match=f"level 2 has no node {i}"):
+                tree.node(2, i)
+        assert tree.children_span(2, 2) == (4, 6)
+        assert tree.node(2, 2).index == 2
+
     def test_depth_must_be_positive(self, chain_ab):
         with pytest.raises(BuildError, match="at least 1") as info:
             build_levels(BuildConfig(chain_ab), 0)
@@ -152,12 +165,12 @@ class TestChainBuild:
 
     def test_failed_build_leaves_the_tree_as_it_was(self, chain_ab):
         tree = build_levels(BuildConfig(chain_ab, max_level_size=10), 3)
-        ends = [list(lvl.child_end) for lvl in tree.levels]
+        ends = [list(lvl.block_end) for lvl in tree.levels]
         for _ in range(2):
             with pytest.raises(BuildError, match="level 4 would hold"):
                 tree.extend_to(4)
             assert tree.depth == 3
-            assert [list(lvl.child_end) for lvl in tree.levels] == ends
+            assert [list(lvl.block_end) for lvl in tree.levels] == ends
             with pytest.raises(BuildError, match="level 4 not built"):
                 tree.children_span(tree.depth, 0)
             with pytest.raises(BuildError, match="level 4 not built"):
@@ -177,6 +190,31 @@ class TestChainBuild:
             assert not any(m >> 4 & 1 for m in buckets.values())
         assert buckets["bounded"] >> 3 & 1
 
+    @pytest.mark.parametrize("tag", ["omega-chain", "rn(2,0)",
+                                     "ziegler-fan"])
+    def test_a_built_level_is_never_written_again(self, tag):
+        """Each level keeps its object and its arrays through a deeper
+        build and a failed one, and equals the same level of a fresh
+        build to the smaller depth."""
+        tree = build_levels(BuildConfig(family(tag)), 4)
+        kept = [(lvl, lvl.types.tolist(), lvl.block_end.tolist(),
+                 lvl.u_start, dict(lvl.counts)) for lvl in tree.levels]
+        tree.extend_to(6)
+        tree.config.max_level_size = len(tree.level(6))
+        with pytest.raises(BuildError, match="level 7 would hold"):
+            tree.extend_to(7)
+        fresh = build_levels(BuildConfig(family(tag)), 4)
+        assert len(kept) == len(fresh.levels) == 4
+        for (lvl, types, ends, u_start, counts), want in zip(kept,
+                                                             fresh.levels):
+            assert lvl is tree.level(lvl.number)
+            assert (lvl.types.tolist(), lvl.block_end.tolist(), lvl.u_start,
+                    lvl.counts) == (types, ends, u_start, counts)
+            assert lvl == want
+        assert tree.levels[:4] == fresh.levels
+        assert tree.levels == build_levels(BuildConfig(family(tag)),
+                                           6).levels
+
     def test_extend_matches_fresh_build(self):
         grown = chain_tree(3).extend_to(6)
         fresh = chain_tree(6)
@@ -193,8 +231,9 @@ SPELLED_FAMILIES = ["omega-chain", "dyadic", "rn-infinity", "rn-infinity-bot",
 
 class TestStorage:
     def test_levels_hold_few_bytes_per_node(self):
-        # a node's type is one 4-byte array item, and so is each child end
-        # on the level above; parents and child starts are derived
+        # a node's type is one 4-byte array item, and so is the end of
+        # each child block on the level it lays out; parents and block
+        # starts are derived
         tracemalloc.start()
         try:
             tree = build_levels(BuildConfig(family("omega-antichain")), 14)
@@ -327,10 +366,10 @@ class TestMasks:
         assert tree.lift_runs(n, spans, k) == list(runs(lifted))
 
     def test_block_masks_follow_the_child_spans(self):
-        lvl = chain_tree(3).level(2)        # child blocks 0-2, 3-5, 6-7
+        lvl = chain_tree(3).level(3)        # child blocks 0-2, 3-5, 6-7
         assert lvl.block_masks() == (0b01001001, 0b10100100)
-        lvl.child_end = array("I", [2, 6, 8])
-        assert lvl.block_masks() == (0b01000101, 0b10100010)
+        other = Level(3, lvl.types, lvl.u_start, array("I", [2, 6, 8]))
+        assert other.block_masks() == (0b01000101, 0b10100010)
 
 
 class TestSerialization:
@@ -417,7 +456,7 @@ class TestStructureChecks:
 def next_level_oracle(tree):
     """Level depth+1 laid out node by node, as the builder stored it before
     parents and child starts were derived: (types, parents, u_start) of the
-    new level and (child_start, child_end) of the current last one."""
+    new level and the starts and ends of its child blocks."""
     n = tree.depth + 1
     cap = tree.type_cap(n)
     config, ids = tree.config, tree.poset.prefix(cap)
@@ -543,8 +582,8 @@ def assert_matches_oracles(config, depth, q_lower=None):
         tree.extend_to(tree.depth + 1)
         prev, lvl = tree.levels[-2], tree.levels[-1]
         assert (list(lvl.types), lvl.u_start) == (types, u_start)
-        assert list(prev.child_end) == ends
-        assert [prev.child_start(i) for i in range(len(prev))] == starts
+        assert list(lvl.block_end) == ends
+        assert [lvl.block_start(i) for i in range(len(prev))] == starts
         assert list(lvl.parent) == parents
         assert [lvl.parent_of(i) for i in range(len(lvl))] == parents
         for lo in range(0, len(lvl), 5):
@@ -579,14 +618,14 @@ def assert_sizes_predicted(config, depth):
     tree = SkeletonTree(config, 1)
     for n in range(2, depth + 1):
         size = len(full.level(n))
-        layout = [(lvl.types.tolist(), lvl.child_end.tolist(), lvl.counts)
+        layout = [(lvl.types.tolist(), lvl.block_end.tolist(), lvl.counts)
                   for lvl in tree.levels]
         config.max_level_size = size - 1
         with pytest.raises(BuildError) as info:
             tree.extend_to(n)
         err = info.value
         assert (err.level, err.would_hold, err.bound) == (n, size, size - 1)
-        assert [(lvl.types.tolist(), lvl.child_end.tolist(), lvl.counts)
+        assert [(lvl.types.tolist(), lvl.block_end.tolist(), lvl.counts)
                 for lvl in tree.levels] == layout
         config.max_level_size = size
         tree.extend_to(n)
@@ -643,7 +682,7 @@ class TestWholeLevelPasses:
         """Retype child block_ix of node n.i; n + 1 is the last level, so no
         other check sees the change."""
         lvl = tree.level(n + 1)
-        lvl.types[tree.level(n).child_start(i) + block_ix] = new_type
+        lvl.types[lvl.block_start(i) + block_ix] = new_type
         lvl._masks.clear()
 
     def test_one_and_three_continuation_children(self):
@@ -697,14 +736,23 @@ class TestWholeLevelPasses:
 
     def test_last_child_of_the_last_node_retyped(self):
         tree = chain_tree(4)
-        lvl = tree.level(3)
-        last = len(lvl) - 1
-        size = lvl.child_end[last] - lvl.child_start(last)
+        last = len(tree.level(3)) - 1
+        kids = tree.level(4)
+        size = kids.block_end[last] - kids.block_start(last)
         self.tamper(tree, 3, last, size - 1, 1)
         assert self.failures(tree) == [(
             "continuation-children@3",
             f"node 3.{last} of type b has 1 continuation children, "
             f"wanted 2")]
+
+    def test_more_continuation_children_than_a_byte_holds(self, chain_ab):
+        # the root's block of level 2 laid out by hand: 300 a's and a b
+        tree = build_levels(BuildConfig(chain_ab), 2)
+        tree.levels[1] = Level(2, array("I", [1] * 300 + [2]), 301,
+                               array("I", [301]))
+        assert self.failures(tree) == [(
+            "continuation-children@1",
+            "node 1.0 of type a has 300 continuation children, wanted 2")]
 
     def test_child_of_an_unattached_node_retyped(self, chain_ab):
         tree = build_levels(BuildConfig(chain_ab, bounded={"a"},

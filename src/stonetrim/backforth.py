@@ -81,9 +81,9 @@ class Pair(Record):
 class PartialIso:
     """Paired clopen decompositions of the two sides.
 
-    ``pairs`` may be edited directly until a step first asks for
-    ``part_index``; from then on ``add_fresh`` and ``replace`` keep the part
-    index, as ``add_fresh`` keeps the running union."""
+    Pairs enter through ``add_fresh`` and change through ``replace``, which
+    keep each side's part index and running union from the first pair on.
+    ``verify`` and ``_covered`` read ``pairs`` afresh."""
 
     def __init__(self, left: SkeletonTree, right: SkeletonTree,
                  theta: _ThetaMap):
@@ -93,9 +93,10 @@ class PartialIso:
         self.iso = tuple(t.poset.mask_of(t.config.isolated)
                          for t in self.trees)
         self.pairs: list[Pair] = []
-        self._union: list[Optional[RingElement]] = [None, None]
-        # each side's part index, and the key of each pair in ``pairs``
-        self._index: Optional[tuple[RunIndex, RunIndex]] = None
+        # each side's part index and the union of its parts, and the key of
+        # each pair in ``pairs``
+        self._index = tuple(RunIndex(tree, 1) for tree in self.trees)
+        self._union = [RingElement.empty(tree) for tree in self.trees]
         self._keys: list[tuple[int, ...]] = []
 
     def union(self, side: int) -> RingElement:
@@ -105,27 +106,15 @@ class PartialIso:
         return out
 
     def running_union(self, side: int) -> RingElement:
-        """The union of the side's parts, seeded from ``union`` on first use
-        and kept by ``add_fresh``: a split partitions its part, so only a
-        fresh pair changes it."""
-        hit = self._union[side]
-        if hit is None:
-            hit = self._union[side] = self.union(side)
-        return hit
+        """The union of the side's parts, kept by ``add_fresh``: a split
+        partitions its part, so only a fresh pair changes it."""
+        return self._union[side]
 
     def part_index(self, side: int) -> RunIndex:
         """The side's parts as runs on one common level, indexed by the keys
-        of their pairs; built from ``pairs`` on first use.  A key is a
-        tuple, and keys sort as their pairs stand in ``pairs``: a piece's
-        key is its pair's key extended by the piece's place, and a fresh
-        pair's key is one past the last."""
-        if self._index is None:
-            self._keys = [(k,) for k in range(len(self.pairs))]
-            self._index = tuple(
-                RunIndex(tree, max((p.parts[s].level for p in self.pairs),
-                                   default=1),
-                         zip(self._keys, (p.parts[s] for p in self.pairs)))
-                for s, tree in enumerate(self.trees))
+        of their pairs.  A key is a tuple, and keys sort as their pairs
+        stand in ``pairs``: a piece's key is its pair's key extended by the
+        piece's place, and a fresh pair's key is one past the last."""
         return self._index[side]
 
     def pair(self, key: tuple[int, ...]) -> Pair:
@@ -133,15 +122,12 @@ class PartialIso:
 
     def add_fresh(self, pair: Pair) -> None:
         """Append a pair over atoms no part holds yet."""
-        grown = [self.running_union(side).union(pair.parts[side])
-                 for side in (0, 1)]
+        key = (self._keys[-1][0] + 1,) if self._keys else (0,)
         self.pairs.append(pair)
-        self._union = grown
-        if self._index is not None:
-            key = (self._keys[-1][0] + 1,) if self._keys else (0,)
-            self._keys.append(key)
-            for side in (0, 1):
-                self._index[side].add(key, pair.parts[side])
+        self._keys.append(key)
+        for side, part in enumerate(pair.parts):
+            self._union[side] = self._union[side].union(part)
+            self._index[side].add(key, part)
 
     def replace(self, key: tuple[int, ...], pieces: list[Pair]) -> None:
         """Put the pieces, in order, where the pair with this key stands."""
@@ -253,7 +239,7 @@ def init_iso(left: SkeletonTree, right: SkeletonTree, q: Iterable[str],
         if h not in by_gen:
             raise IsoError(f"no right part for foundation type "
                            f"{right.poset.id_at(h)!r}")
-        state.pairs.append(Pair((part, by_gen.pop(h)), (g, h)))
+        state.add_fresh(Pair((part, by_gen.pop(h)), (g, h)))
     if by_gen:
         raise IsoError(f"unmatched right foundation types "
                        f"{sorted(map(right.poset.id_at, by_gen))}")
@@ -314,34 +300,31 @@ def _match_split(state: PartialIso, dst_side: int, dst_part: RingElement,
     # type's atoms are read only as far as its claims go
     taken = {h: bits(mask & masks[h]) for h in want}
     piece_masks = [1 << next(taken[h]) for h in gens]
-    claimed = sum(piece_masks)
-    # spread the unclaimed atoms round-robin so no piece starves a later
-    # split into chasing atoms ever deeper; which pieces take an atom
-    # depends only on its type
-    eligible_of: dict[int, list[int]] = {}
-    fills: dict[int, int] = {}
-    types = tree.level(level).types
-    for i in bits(mask & ~claimed):
-        s = types[i]
-        eligible = eligible_of.get(s)
-        if eligible is None:
-            eligible = eligible_of[s] = [
-                k for k, g in enumerate(gens)
-                if poset.leq_ix(g, s) and not (g == s and iso >> g & 1)]
+    spare = mask & ~sum(piece_masks)
+    # spread each type's unclaimed atoms round-robin, in index order, over
+    # the pieces that tolerate the type, so no piece starves a later split
+    # into chasing atoms ever deeper; which pieces take an atom depends
+    # only on its type
+    for s, atoms in masks.items():
+        atoms &= spare
+        if not atoms:
+            continue
+        eligible = [k for k, g in enumerate(gens)
+                    if poset.leq_ix(g, s) and not (g == s and iso >> g & 1)]
         if not eligible:
             raise IsoError(f"atom of type {poset.id_at(s)!r} fits no piece; "
                            f"pairing invariant broken")
-        turn = fills.get(s, 0)
-        k = eligible[turn % len(eligible)]
-        fills[s] = turn + 1
-        piece_masks[k] |= 1 << i
+        for j, i in enumerate(bits(atoms)):
+            piece_masks[eligible[j % len(eligible)]] |= 1 << i
     return [RingElement(tree, level, pm) for pm in piece_masks]
 
 
 def _fresh_counterpart(state: PartialIso, dst_side: int, h: int,
-                       busy: RingElement, max_depth: int) -> RingElement:
-    """First unclaimed atom of exactly the needed type, lowest level first."""
+                       max_depth: int) -> RingElement:
+    """First atom of exactly the needed type that no part of dst_side
+    holds, lowest level first."""
     tree = state.trees[dst_side]
+    busy = state.running_union(dst_side)
     for level in range(busy.level, max_depth + 1):
         if level > tree.depth:
             _grow(tree, level)
@@ -427,8 +410,7 @@ def extend_iso(state: PartialIso, side: int, element: RingElement,
             raise MismatchFound(MismatchWitness(
                 SIDES[dst_side], tree.poset.id_at(g), 1, 0,
                 "type has no counterpart in the other alphabet"))
-        mate = _fresh_counterpart(state, dst_side, h,
-                                  state.running_union(dst_side), max_depth)
+        mate = _fresh_counterpart(state, dst_side, h, max_depth)
         state.add_fresh(Pair(_facing(side, piece, mate),
                              _facing(side, g, h)))
     if transcript is not None:

@@ -215,7 +215,7 @@ class Poset:
     ``typesets`` maps a generator mask over enumeration indices to its
     interned ``TypeSet`` (filled by ``TypeSet.from_mask``).
     ``upper_members`` memoises the ids of up-closures of masks within a
-    prefix, until the prefix grows.
+    prefix; growth never changes them.
     """
 
     def __init__(self, name: str, *, ids: Optional[list[str]] = None,
@@ -345,10 +345,9 @@ class Poset:
 
     def _fill_table(self) -> None:
         """Add the up-set rows of newly enumerated elements, and their bits
-        to the rows of the older ones; the memoised up-closures go stale."""
+        to the rows of the older ones.  Only bits above the older prefix are
+        set, so the memoised up-closures stay valid."""
         ids, up = self._ids, self._up
-        if len(up) <= len(ids):
-            self._members.clear()
         for k in range(len(up), len(ids) + 1):
             older = (1 << k) - 2
             above, below = self._rows(ids, k)
@@ -421,7 +420,8 @@ class Poset:
 
     def upper_members(self, mask: int, horizon: int) -> frozenset:
         """Ids of the up-closure of mask within ``prefix(horizon)``,
-        memoised per (mask, horizon) until the prefix grows."""
+        memoised per (mask, horizon): the answer reads only bits 1..horizon
+        of rows already enumerated, which growth never sets."""
         key = mask, horizon
         hit = self._members.get(key)
         if hit is None:

@@ -267,9 +267,6 @@ class Level(Record):
                             int(b"0" + ends[::-1], 2))
         return self._blocks
 
-    def present_types(self) -> list[int]:
-        return sorted(set(self.types))
-
     @cached_property
     def full_mask(self) -> int:
         return (1 << len(self.types)) - 1

@@ -17,15 +17,17 @@ from .poset import Poset, bits
 class TypeSet(Frozen):
     """An upper set represented by its sorted minimal antichain; ``mask``
     has bit i set iff the element with enumeration index i is one of its
-    minimal elements (derived from the ids when not given)."""
+    minimal elements.  Without a mask the ids may be any generating set:
+    they are normalized to their minimal antichain in index order."""
 
     __slots__ = ("poset", "min_antichain", "mask")
     _compare = ("poset", "min_antichain")
 
-    def __init__(self, poset: Poset, min_antichain: tuple[str, ...],
+    def __init__(self, poset: Poset, min_antichain: Iterable[str],
                  mask: Optional[int] = None):
         if mask is None:
-            mask = poset.mask_of(min_antichain)
+            mask = poset.minimal_in(poset.mask_of(min_antichain))
+            min_antichain = tuple(map(poset.id_at, bits(mask)))
         self._fill(poset, min_antichain, mask)
 
     @classmethod
@@ -78,7 +80,8 @@ class TypeSet(Frozen):
 
     def members(self, horizon: int) -> frozenset:
         """The denoted upper set restricted to the enumeration prefix; equal
-        calls return the same frozenset until the prefix grows."""
+        calls return the same frozenset, before and after the prefix
+        grows."""
         return self.poset.upper_members(self.mask, horizon)
 
     def serialize(self) -> list[str]:

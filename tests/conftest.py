@@ -1,12 +1,14 @@
 """Shared fixtures and brute-force oracles for the test suite."""
 import random
+from collections import Counter
 
 import pytest
 
 from stonetrim import (CompletedPoset, CompletionElement, Poset,
                        chain_closure, token_name)
-from stonetrim.backforth import (SIDES, MismatchFound, MismatchWitness, Pair,
-                                 _facing, _fresh_counterpart, _match_split)
+from stonetrim.backforth import (SIDES, DepthBudget, IsoError, MismatchFound,
+                                 MismatchWitness, Pair, _facing,
+                                 _fresh_counterpart, _grow)
 from stonetrim.poset import bits
 from stonetrim.ring import RingElement, supertrim_split
 
@@ -427,6 +429,65 @@ def ref_theta_break(left: Poset, right: Poset, image: dict, span: int):
 # every pair with masks.  The library finds the parts a step meets through
 # a part index; the tests drive both and compare.
 
+def ref_match_split(state, dst_side: int, dst_part, needs: list,
+                    max_depth: int) -> list:
+    """``_match_split`` spreading the unclaimed atoms one atom at a time:
+    each atom reads its type and goes to the next of the pieces that
+    tolerate that type, counted per type."""
+    tree = state.trees[dst_side]
+    iso = state.iso[dst_side]
+    poset = tree.poset
+    gens = [h for h, _ in needs]
+    want = Counter(gens)
+    level = dst_part.level
+    while True:
+        if level > tree.depth:
+            if level > max_depth:
+                raise DepthBudget(f"{SIDES[dst_side]} side needs level "
+                                  f"{level}")
+            _grow(tree, level)
+        mask = dst_part.mask_at(level)
+        masks = tree.level(level).type_masks()
+        have = {h: (mask & masks.get(h, 0)).bit_count() for h in want}
+        short = [h for h, n in want.items() if have[h] < n]
+        if not short:
+            break
+        realized = [t for t, atoms in masks.items() if atoms & mask]
+        for h in short:
+            growable = any(t != h and poset.leq_ix(t, h) for t in realized)
+            if iso >> h & 1 and not growable:
+                raise MismatchFound(MismatchWitness(
+                    SIDES[dst_side], poset.id_at(h), want[h], have[h],
+                    "isolated type cannot multiply inside a part typed "
+                    "exactly by it"))
+            if not growable and not have[h]:
+                raise MismatchFound(MismatchWitness(
+                    SIDES[dst_side], poset.id_at(h), want[h], 0,
+                    "needed type is not realized in the counterpart part"))
+        level += 1
+
+    taken = {h: bits(mask & masks[h]) for h in want}
+    piece_masks = [1 << next(taken[h]) for h in gens]
+    claimed = sum(piece_masks)
+    eligible_of: dict = {}
+    fills: dict = {}
+    types = tree.level(level).types
+    for i in bits(mask & ~claimed):
+        s = types[i]
+        eligible = eligible_of.get(s)
+        if eligible is None:
+            eligible = eligible_of[s] = [
+                k for k, g in enumerate(gens)
+                if poset.leq_ix(g, s) and not (g == s and iso >> g & 1)]
+        if not eligible:
+            raise IsoError(f"atom of type {poset.id_at(s)!r} fits no piece; "
+                           f"pairing invariant broken")
+        turn = fills.get(s, 0)
+        piece_masks[eligible[turn % len(eligible)]] |= 1 << i
+        fills[s] = turn + 1
+    return [RingElement(tree, level, pm) for pm in piece_masks]
+
+
 def ref_extend_iso(state, side: int, element, max_depth: int,
                    transcript=None) -> None:
     """``extend_iso`` as a scan: every pair is lifted to the element's level
@@ -468,8 +529,8 @@ def ref_extend_iso(state, side: int, element, max_depth: int,
                     sum(1 for gg, _ in src_pieces if gg == g), 0,
                     "type has no counterpart in the other alphabet"))
             needs.append((h, piece))
-        dst_pieces = _match_split(state, dst_side, pair.parts[dst_side],
-                                  needs, max_depth)
+        dst_pieces = ref_match_split(state, dst_side, pair.parts[dst_side],
+                                     needs, max_depth)
         for (h, _), (g, src_piece), dst_piece in zip(needs, src_pieces,
                                                      dst_pieces):
             new_pairs.append(Pair(_facing(side, src_piece, dst_piece),
@@ -490,9 +551,7 @@ def ref_extend_iso(state, side: int, element, max_depth: int,
                 raise MismatchFound(MismatchWitness(
                     SIDES[dst_side], tree.poset.id_at(g), 1, 0,
                     "type has no counterpart in the other alphabet"))
-            mate = _fresh_counterpart(state, dst_side, h,
-                                      state.running_union(dst_side),
-                                      max_depth)
+            mate = _fresh_counterpart(state, dst_side, h, max_depth)
             state.add_fresh(Pair(_facing(side, piece, mate),
                                  _facing(side, g, h)))
         if transcript is not None:

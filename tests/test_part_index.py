@@ -2,10 +2,13 @@
 
 Each input is matched twice in lockstep, from the same seed and schedule:
 once by ``extend_iso``, which reaches the parts a step meets through the
-part index, and once by ``ref_extend_iso`` (conftest), which visits every
-pair.  After every step the two must hold the same pairs in the same order,
-the same transcript and the same stop; at the end ``_covered`` must give
-the reference's verdicts and ``verify()`` the same problems.
+part index and spreads spare atoms type by type, and once by
+``ref_extend_iso`` (conftest), which visits every pair and spreads spare
+atoms one at a time.  After every step the two must hold the same pairs in
+the same order, the same transcript and the same stop; at the end
+``_covered`` must give the reference's verdicts and ``verify()`` the same
+problems.  The index and running union are checked against the pairs right
+after seeding and at the end.
 """
 import random
 
@@ -20,6 +23,7 @@ from stonetrim.poset import runs
 from stonetrim.backforth import (DepthBudget, MismatchFound, Pair, _covered,
                                  _identity_theta, _schedule, extend_iso,
                                  init_iso)
+from stonetrim.runindex import RunIndex
 
 DEPTH = 6
 
@@ -34,6 +38,45 @@ def start(sides, depth):
     delta, _ = left.poset.p_delta(span)
     return init_iso(left, right,
                     frozenset(delta) & set(left.poset.prefix(span)), theta)
+
+
+def assert_index_follows(state):
+    """Keys sort as the pairs stand, each side's index holds the runs of
+    every part lifted to its common level, sorted and disjoint, once each,
+    and counts them, and each side's running union is its parts' union."""
+    assert state._keys == sorted(state._keys)
+    assert len(state._keys) == len(state.pairs)
+    for side in (0, 1):
+        index = state.part_index(side)
+        tree = state.trees[side]
+        entries = []
+        for key, pair in zip(state._keys, state.pairs):
+            part = pair.parts[side]
+            spans = tree.lift_runs(part.level, list(runs(part.mask)),
+                                   index.top)
+            assert index.count[key] == len(spans)
+            entries += [(a, b, key) for a, b in spans]
+        entries.sort()
+        assert list(zip(index.starts, index.ends, index.owners)) == entries
+        assert all(b <= c for (_, b, _), (c, _, _) in zip(entries,
+                                                           entries[1:]))
+        assert state.running_union(side) == state.union(side)
+
+
+def assert_seeded(state):
+    """Right after ``init_iso`` the seed pairs are keyed 0, 1, ... and each
+    side's index is the one built afresh from the pairs on the deepest part
+    level."""
+    assert state._keys == [(k,) for k in range(len(state.pairs))]
+    for side, tree in enumerate(state.trees):
+        parts = [pair.parts[side] for pair in state.pairs]
+        fresh = RunIndex(tree, max((p.level for p in parts), default=1),
+                         zip(state._keys, parts))
+        index = state.part_index(side)
+        assert (index.top, index.starts, index.ends, index.owners,
+                index.count) == (fresh.top, fresh.starts, fresh.ends,
+                                 fresh.owners, fresh.count)
+    assert_index_follows(state)
 
 
 def pairs_of(state):
@@ -59,6 +102,7 @@ def lockstep(sides, depth, seed, order):
         states = [start(sides, depth) for _ in (0, 1)]
     except DepthBudget:
         return None
+    assert_seeded(states[0])
     schedule = _schedule(*states[0].trees, depth, seed)
     if order == "levels":
         schedule.sort(key=lambda atom: atom[1])
@@ -83,6 +127,7 @@ def lockstep(sides, depth, seed, order):
     assert (_covered(new, schedule) == ref_covered(new, schedule)
             == ref_covered(ref, schedule))
     assert new.verify() == ref.verify()
+    assert_index_follows(new)
     return states, schedule, stops[0]
 
 
@@ -133,27 +178,9 @@ def test_random_posets_match_the_scan(seed, mseed, order, isolate):
 
 
 def test_index_follows_the_pairs():
-    """Keys sort as the pairs stand, and each side's index holds the runs
-    of every part lifted to its common level, sorted and disjoint, once
-    each, and counts them."""
     (state, _), _, _ = lockstep(INPUTS["vee-noncompact-b"], DEPTH, 1,
                                 "shuffle")
-    assert state._keys == sorted(state._keys)
-    assert len(state._keys) == len(state.pairs)
-    for side in (0, 1):
-        index = state.part_index(side)
-        tree = state.trees[side]
-        entries = []
-        for key, pair in zip(state._keys, state.pairs):
-            part = pair.parts[side]
-            spans = tree.lift_runs(part.level, list(runs(part.mask)),
-                                   index.top)
-            assert index.count[key] == len(spans)
-            entries += [(a, b, key) for a, b in spans]
-        entries.sort()
-        assert list(zip(index.starts, index.ends, index.owners)) == entries
-        assert all(b <= c for (_, b, _), (c, _, _) in zip(entries,
-                                                           entries[1:]))
+    assert_index_follows(state)
 
 
 @pytest.mark.parametrize("atoms, covered", [

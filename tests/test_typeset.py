@@ -22,6 +22,15 @@ class TestNormalization:
         t = TypeSet.of(vee, {"b", "c"})
         assert TypeSet.of(vee, t.members(3)) == t
 
+    def test_direct_construction_normalizes(self, vee):
+        direct = TypeSet(vee, ("c", "b"))
+        assert direct == TypeSet.of(vee, {"b", "c"})
+        assert hash(direct) == hash(TypeSet.of(vee, {"b", "c"}))
+        assert direct.min_antichain == ("b", "c")
+        above = TypeSet(vee, ("a", "b"))
+        assert above == TypeSet.of(vee, {"a"})
+        assert above.serialize() == ["a"] and above.mask == 0b10
+
     def test_unknown_member_rejected(self, diamond):
         with pytest.raises(PosetError, match="zz"):
             TypeSet.of(diamond, {"a", "zz"})
@@ -150,12 +159,16 @@ def test_direct_construction_carries_the_interned_mask(seed):
     ids = p.prefix(p.size)
     a = {x for x in ids if rng.random() < 0.5}
     interned = TypeSet.of(p, a)
-    direct = TypeSet(p, interned.min_antichain)
-    assert direct is not interned
-    assert direct == interned and hash(direct) == hash(interned)
-    assert direct.mask == interned.mask
-    assert repr(direct) == repr(interned)
-    assert direct.serialize() == interned.serialize()
+    # the drawn members unnormalized, in a shuffled order
+    shuffled = sorted(a)
+    rng.shuffle(shuffled)
+    for given_ids in (interned.min_antichain, tuple(shuffled)):
+        direct = TypeSet(p, given_ids)
+        assert direct is not interned
+        assert direct == interned and hash(direct) == hash(interned)
+        assert direct.mask == interned.mask
+        assert repr(direct) == repr(interned)
+        assert direct.serialize() == interned.serialize()
     assert TypeSet(p, ()).mask == TypeSet.empty(p).mask == 0
 
 

@@ -24,7 +24,7 @@ _EXPORTS = {
                  "verify_structure"),
     "ring": ("RingElement", "RingError", "is_trim_for",
              "split_by_scarce_atoms", "supertrim_split", "trim_split",
-             "type_of", "verify_type_axioms"),
+             "verify_type_axioms"),
     "points": ("PathPrefix", "PointError", "PointLabel", "ancestry",
                "label_prefix", "realize_chain"),
     "backforth": ("IsoError", "IsoRun", "MismatchWitness", "PartialIso",

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 unreadable input, 3 configuration rejected,
 4 mismatch verdict, 5 resource limit hit (the depth or the level-size
-budget).
+budget, or a stdout that refuses the output: a closed pipe or a full
+device).
 
 Only the order core, the families and the skeleton load with this module;
 each command imports the layer it runs when it runs.
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from typing import Optional
 
@@ -26,8 +28,18 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
+def _out(text: str) -> None:
+    """Print text and flush stdout.  A stdout that refuses it exits 5; what
+    it still buffers goes to devnull, so the flush at exit stays quiet."""
+    try:
+        print(text, flush=True)
+    except OSError as e:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise SystemExit(_fail(5, f"cannot write to stdout: {e}")) from None
+
+
 def _emit(payload) -> None:
-    print(json.dumps(payload, sort_keys=True, indent=2))
+    _out(json.dumps(payload, sort_keys=True, indent=2))
 
 
 def _load_poset(tag: Optional[str], path: Optional[str]) -> Poset:
@@ -120,7 +132,7 @@ def cmd_build_verify(args) -> int:
     except ConfigError as e:
         return _fail(3, str(e))
     if args.format == "dot":
-        print(tree.to_dot())
+        _out(tree.to_dot())
         return 0
     try:
         structure = verify_structure(tree, q_lower=args.q or None)
@@ -200,13 +212,13 @@ def cmd_closure(args) -> int:
     cls = classify_algebra(trace)
     gen_check = e_of_p(poset, args.horizon)
     if args.format == "text":
-        print(render_trace_text(trace, cls))
-        print(f"generator check: "
-              f"{'holds' if gen_check['holds'] else 'fails'} "
-              f"({gen_check['checked']} steps)")
+        _out(render_trace_text(trace, cls))
+        _out(f"generator check: "
+             f"{'holds' if gen_check['holds'] else 'fails'} "
+             f"({gen_check['checked']} steps)")
         return 0
     if args.format == "dot":
-        print(render_trace_dot(trace))
+        _out(render_trace_dot(trace))
         return 0
     _emit({
         "family": args.family,

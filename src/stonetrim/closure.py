@@ -126,11 +126,6 @@ class ClosureElement(Frozen):
     def ids(self) -> frozenset:
         return self.space.poset.ids_of(self.mask)
 
-    def contains_id(self, p: str) -> bool:
-        poset = self.space.poset
-        bit = 1 << poset.index(p) if p in poset else 0
-        return bool(self.mask & bit) != self.cofinite
-
     def _signed(self) -> int:
         return ~self.mask if self.cofinite else self.mask
 

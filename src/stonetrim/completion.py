@@ -65,12 +65,6 @@ class CompletedPoset:
         self.poset = poset
         self.horizon = horizon
         self.elements = elements
-        self._by_ref = {e.ref: e for e in elements}
-
-    def embed(self, p: str) -> CompletionElement:
-        """Image of a base element."""
-        self.poset.index(p)
-        return self._by_ref[p]
 
     def tokens(self) -> list[CompletionElement]:
         return [e for e in self.elements if e.is_limit]

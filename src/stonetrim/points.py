@@ -38,27 +38,12 @@ class PathPrefix(Frozen):
                                  f"{a_lvl}.{a_ix}")
         self._fill(tree, nodes)
 
-    def __len__(self) -> int:
-        return len(self.nodes)
-
-    @property
-    def start_level(self) -> int:
-        return self.nodes[0][0]
-
-    @property
-    def end(self) -> tuple[int, int]:
-        return self.nodes[-1]
-
     def type_ids(self) -> tuple[str, ...]:
         poset = self.tree.poset
         out = []
         for lvl, ix in self.nodes:
             out.append(poset.id_at(self.tree.level(lvl).types[ix]))
         return tuple(out)
-
-    def extended(self, child_index: int) -> "PathPrefix":
-        lvl, _ = self.end
-        return PathPrefix(self.tree, self.nodes + ((lvl + 1, child_index),))
 
     def serialize(self) -> dict:
         return {"nodes": [list(n) for n in self.nodes],

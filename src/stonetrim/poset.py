@@ -145,7 +145,8 @@ class FoundationResult(Frozen):
 
 
 class SubsetSpec(Frozen):
-    """A finite subset with optional lower/upper declarations."""
+    """A finite subset with optional lower/upper declarations, kept for the
+    README's "lower sets" analytic: ``validate`` checks them on a prefix."""
 
     __slots__ = _compare = ("members", "declared_lower", "declared_upper")
 
@@ -281,12 +282,6 @@ class Poset:
                 raise PosetError(f"covers contain a cycle through {a!r} "
                                  f"and {ids[j - 1]!r}")
         return cls(name, ids=ids, rows=lambda _, k: (up[ids[k - 1]], down[ids[k - 1]]))
-
-    @classmethod
-    def finite_from_order(cls, name: str, elements: Iterable[str],
-                          leq: Callable[[str, str], bool]) -> "Poset":
-        """Finite poset from an explicit order function."""
-        return cls(name, ids=list(elements), rows=_leq_rows(leq))
 
     @classmethod
     def generated(cls, name: str, element_at: Callable[[int], str],
@@ -456,17 +451,10 @@ class Poset:
     def lt(self, p: str, q: str) -> bool:
         return p != q and self.leq(p, q)
 
-    def comparable(self, p: str, q: str) -> bool:
-        return self.leq(p, q) or self.leq(q, p)
-
     def leq_ix(self, i: int, j: int) -> bool:
         """Order on 1-based enumeration indices."""
         self.up_mask(j)  # enumerates j, or rejects it as out of range
         return bool(self.up_mask(i) >> j & 1)
-
-    def up_set(self, p: str, horizon: int) -> frozenset:
-        pre, row = self.prefix(horizon), self._up[self.index(p)]
-        return frozenset(q for j, q in enumerate(pre, 1) if row >> j & 1)
 
     def down_set(self, p: str, horizon: int) -> frozenset:
         pre, i = self.prefix(horizon), self.index(p)
@@ -486,10 +474,6 @@ class Poset:
         mask, up = self.mask_of(members), self._up
         return frozenset(self._ids[q - 1] for q in bits(mask)
                          if not up[q] & mask & ~(1 << q))
-
-    def is_antichain(self, members: Iterable[str]) -> bool:
-        mask = self.mask_of(members)
-        return self.minimal_in(mask) == mask
 
     def is_lower(self, members: Iterable[str], horizon: int) -> bool:
         mask = self.mask_of(members)
@@ -698,8 +682,6 @@ class Poset:
         the subset with r < s but r below no member of C.  Such a triple
         refutes; finite posets hold outright.
         """
-        if isinstance(members, SubsetSpec):
-            members = members.members
         qmask = self.mask_of(members)
         if self.finite:
             return Verdict(HOLDS, note="ascending sequences stabilize at their suprema")

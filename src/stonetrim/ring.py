@@ -99,12 +99,6 @@ class RingElement:
     def __repr__(self) -> str:
         return f"RingElement(level={self.level}, mask={bin(self.mask)})"
 
-    def atom_count(self) -> int:
-        return self.mask.bit_count()
-
-    def atom_indices(self) -> list[int]:
-        return list(bits(self.mask))
-
     def mask_at(self, level: int) -> int:
         """The element's atom set expressed on a deeper level."""
         if level < self.level:
@@ -160,10 +154,6 @@ class RingElement:
     def type_of(self) -> TypeSet:
         """Upper set of element types realized inside this clopen set."""
         return _types_in(self.tree, self.level, self.mask)
-
-
-def type_of(x: RingElement) -> TypeSet:
-    return x.type_of()
 
 
 def _types_in(tree: SkeletonTree, level: int, mask: int) -> TypeSet:

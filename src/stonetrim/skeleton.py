@@ -424,6 +424,7 @@ class SkeletonTree:
         raise IndexError(f"level {n} has no node {i}, only 0..{len(lvl) - 1}")
 
     def node(self, n: int, i: int) -> SkeletonNode:
+        """Node (n, i) as one record; it stays while tests pin SkeletonNode."""
         lvl = self._checked(n, i)
         t = lvl.types[i]
         return SkeletonNode(n, i, self.poset.id_at(t), t, lvl.parent_of(i),
@@ -465,28 +466,6 @@ class SkeletonTree:
 
     # ------------------------------------------------------------------
 
-    def descends_to(self, n: int, i: int, target_level: int) -> bool:
-        """Can (n, i) be traced back to a node at the target level?"""
-        lvl, ix = n, i
-        while lvl > target_level:
-            p = self.level(lvl).parent_of(ix)
-            if p is None:
-                return False
-            lvl, ix = lvl - 1, p
-        return True
-
-    def to_json(self) -> dict:
-        return {
-            "poset": self.poset.name,
-            "depth": self.depth,
-            "levels": [
-                [{"t": self.poset.id_at(t), "parent": p,
-                  "u": i >= lvl.u_start}
-                 for i, (t, p) in enumerate(zip(lvl.types, lvl.parent))]
-                for lvl in self.levels
-            ],
-        }
-
     def to_dot(self, max_level: Optional[int] = None) -> str:
         top = min(self.depth, max_level or self.depth)
         lines = ["digraph skeleton {", "  rankdir=TB;"]
@@ -526,9 +505,6 @@ class StructureReport(Record):
     @property
     def passed(self) -> bool:
         return all(ok for _, ok, _ in self.checks)
-
-    def failures(self) -> list[tuple[str, str]]:
-        return [(n, d) for n, ok, d in self.checks if not ok]
 
     def to_json(self) -> dict:
         return {"passed": self.passed,

@@ -54,24 +54,12 @@ class TypeSet(Frozen):
         poset.typesets[mask] = hit
         return hit
 
-    @classmethod
-    def empty(cls, poset: Poset) -> "TypeSet":
-        return cls.from_mask(poset, 0)
-
     def __bool__(self) -> bool:
         return bool(self.mask)
-
-    def is_empty(self) -> bool:
-        return not self.mask
 
     def _upper(self) -> int:
         """The denoted upper set on the enumerated prefix, as a mask."""
         return self.poset.upper_of(self.mask)
-
-    def contains(self, p: str) -> bool:
-        """Is p in the denoted upper set?"""
-        j = self.poset.index(p)
-        return bool(self._upper() >> j & 1)
 
     def union(self, other: "TypeSet") -> "TypeSet":
         if other.poset is not self.poset:
@@ -86,10 +74,6 @@ class TypeSet(Frozen):
 
     def serialize(self) -> list[str]:
         return list(self.min_antichain)
-
-    def __le__(self, other: "TypeSet") -> bool:
-        """Denoted-set inclusion."""
-        return not self.mask & ~other._upper()
 
     def __repr__(self) -> str:
         return f"TypeSet({', '.join(self.min_antichain) or '∅'})"

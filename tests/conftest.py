@@ -9,7 +9,7 @@ from stonetrim import (CompletedPoset, CompletionElement, Poset,
 from stonetrim.backforth import (SIDES, DepthBudget, IsoError, MismatchFound,
                                  MismatchWitness, Pair, _facing,
                                  _fresh_counterpart, _grow)
-from stonetrim.poset import bits
+from stonetrim.poset import _leq_rows, bits
 from stonetrim.ring import RingElement, supertrim_split
 
 
@@ -39,6 +39,31 @@ def vee():
 @pytest.fixture
 def diamond():
     return diamond_poset()
+
+
+def finite_from_order(name: str, elements, leq) -> Poset:
+    """Finite poset from an order function on its ids, asked both ways
+    about each pair; the order axioms are checked at construction."""
+    return Poset(name, ids=list(elements), rows=_leq_rows(leq))
+
+
+def descends_to(tree, n: int, i: int, target_level: int) -> bool:
+    """Whether node (n, i) traces back through ``parent_of`` to a node of
+    the target level; an unattached node on the way stops it."""
+    while n > target_level:
+        i = tree.level(n).parent_of(i)
+        if i is None:
+            return False
+        n -= 1
+    return True
+
+
+def embed(c, p: str):
+    """The base element of p in the completion c: the base elements come
+    first, in enumeration order."""
+    e = c.elements[c.poset.index(p) - 1]
+    assert e.ref == p and not e.is_limit
+    return e
 
 
 def random_poset(rng: random.Random, max_size: int = 6,
@@ -177,12 +202,6 @@ def ref_minimal_of(poset: Poset, members) -> frozenset:
 def ref_maximal_of(poset: Poset, members) -> frozenset:
     ms = list(members)
     return frozenset(p for p in ms if not any(poset.lt(p, q) for q in ms))
-
-
-def ref_is_antichain(poset: Poset, members) -> bool:
-    ms = list(members)
-    return all(not poset.comparable(p, q)
-               for i, p in enumerate(ms) for q in ms[i + 1:])
 
 
 def ref_is_lower(poset: Poset, members, horizon: int) -> bool:
@@ -368,7 +387,7 @@ def ref_complete_over(poset: Poset, members, horizon: int):
         top = chain[-1]
         if len(chain) < 2 or top in confirmed_max:
             continue
-        if len(poset.up_set(top, horizon)) > 1:
+        if len(ref_up_closure(poset, [top], horizon)) > 1:
             continue
         desc = chain_closure(poset, chain, horizon)
         if desc in seen:
@@ -382,6 +401,12 @@ def ref_complete_over(poset: Poset, members, horizon: int):
     return CompletedPoset(poset, horizon, els)
 
 
+def holds(x, p: str) -> bool:
+    """Whether the closure-algebra element x holds the id p: p is among
+    the ids of its mask, or x is cofinite and p is not."""
+    return (p in x.ids) != x.cofinite
+
+
 def ref_closure_of(space, x, window: list) -> tuple[frozenset, bool]:
     """The down-closure of x on a symbolic space, id by id: the ids of the
     window below some member of x (``poset.leq``), and whether it holds
@@ -390,7 +415,7 @@ def ref_closure_of(space, x, window: list) -> tuple[frozenset, bool]:
     each below every non-bottom element before it (later elements lie
     below) and above the bottom (the bottom lies below everything)."""
     poset, bottom = space.poset, space.bottom
-    inside = [p for p in window if x.contains_id(p)]
+    inside = [p for p in window if holds(x, p)]
     below = {q for q in window if any(poset.leq(q, p) for p in inside)}
     if space.ladder and x.cofinite and bottom is not None:
         below.add(bottom)

@@ -4,8 +4,8 @@ import time
 
 import pytest
 
-from conftest import (all_chains, chain_ab_poset, diamond_poset,
-                      random_poset, two_chains_poset, vee_poset)
+from conftest import (all_chains, chain_ab_poset, descends_to, diamond_poset,
+                      embed, random_poset, two_chains_poset, vee_poset)
 from stonetrim import (BuildConfig, RingElement, SymbolicSpace,
                        build_levels, check_identities, classify_algebra,
                        complete_finite, complete_over, e_of_p, family,
@@ -136,7 +136,7 @@ def test_criterion_4_compactness_encodings():
         for i, t in enumerate(lvl.types):
             if t == 1:
                 descend_checked += 1
-                ok = ok and tree.descends_to(n, i, 1)
+                ok = ok and descends_to(tree, n, i, 1)
     ok = ok and verify_structure(tree, q_lower={"a"}).passed
     verdict(4, ok,
             f"unattached type-b supply on levels 3..{DEPTH}, sizes {sizes}, "
@@ -184,7 +184,7 @@ def test_criterion_6_chain_completion():
         assert c.tokens() == []
         for a in p.prefix(n):
             for b in p.prefix(n):
-                assert c.leq(c.embed(a), c.embed(b)) == p.leq(a, b)
+                assert c.leq(embed(c, a), embed(c, b)) == p.leq(a, b)
     omega = family("omega-chain")
     full = complete_over(omega, omega.prefix(8), 8)
     assert len(full.tokens()) == 1

@@ -184,6 +184,24 @@ class TestRuns:
             "reason": "isolated type cannot multiply inside a part typed "
                       "exactly by it"}
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 3: _schedule covers levels 1..depth-2 only, the root "
+        "alone at depth 3, so a shallow run certifies an isolation "
+        "difference; at depth 4 the verdict depends on the seed"))
+    def test_an_isolation_difference_never_certifies(self):
+        # a one-point space against the Cantor set, and rn(2,0) with and
+        # without p0 isolated: the uniqueness theorem predicts a mismatch
+        verdicts = {}
+        for maker, p in ((lambda: Poset.from_covers("s", ["a"], []), "a"),
+                         (lambda: family("rn(2,0)"), "p0")):
+            for depth in (3, 4, 5):
+                for seed in (0, 1, 2):
+                    run = run_backforth(build(maker, depth, isolated={p}),
+                                        build(maker, depth),
+                                        depth=depth, seed=seed)
+                    verdicts[p, depth, seed] = run.status
+        assert set(verdicts.values()) == {"mismatch"}, verdicts
+
     @pytest.mark.parametrize("makers, side", [
         ((chain_ab_poset, vee_poset), "left"),
         ((vee_poset, chain_ab_poset), "right"),

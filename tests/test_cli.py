@@ -1,4 +1,5 @@
 """End-to-end CLI runs through a subprocess."""
+import errno
 import json
 import os
 import subprocess
@@ -14,11 +15,29 @@ from stonetrim import FOUND, cli
 SRC = os.path.dirname(os.path.dirname(stonetrim.__file__))
 
 
-def run_cli(*argv, timeout=None, env=None):
+def run_cli(*argv, timeout=None, env=None, stdout=subprocess.PIPE):
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "stonetrim.cli", *argv],
-                          capture_output=True, text=True, timeout=timeout,
+                          stdout=stdout, stderr=subprocess.PIPE, text=True,
+                          timeout=timeout,
                           env={**os.environ, "PYTHONPATH": path, **(env or {})})
+
+
+# one command per way of writing stdout: JSON, dot larger than a pipe
+# buffer, and the two lines of the text table
+UNWRITABLE = {
+    "json": ["build-verify", "--family", "rn(2,0)", "--depth", "6"],
+    "dot": ["build-verify", "--family", "dyadic", "--depth", "7",
+            "--format", "dot"],
+    "text": ["closure", "--family", "rn-infinity", "--format", "text"],
+}
+
+
+def assert_refused_output(proc, reason: str) -> None:
+    """Exit 5 with one stderr line naming the failed write, and neither a
+    traceback nor an ignored exception at interpreter exit."""
+    assert proc.returncode == 5, proc.stderr
+    assert proc.stderr.splitlines() == [f"cannot write to stdout: {reason}"]
 
 
 class TestAnalyze:
@@ -386,6 +405,38 @@ class TestExitContract:
             assert proc.stdout == ""
         else:
             assert json.loads(proc.stdout)["minimal"] == []
+
+    @pytest.mark.parametrize("kind", sorted(UNWRITABLE))
+    def test_closed_pipe_exits_five(self, kind):
+        # the read end is closed before the child starts, so its first
+        # write fails whatever the size of the output
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = run_cli(*UNWRITABLE[kind], stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert_refused_output(proc, f"[Errno {errno.EPIPE}] "
+                                    f"{os.strerror(errno.EPIPE)}")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="no /dev/full on this platform")
+    @pytest.mark.parametrize("kind", sorted(UNWRITABLE))
+    def test_full_device_exits_five(self, kind):
+        with open("/dev/full", "w") as full:
+            proc = run_cli(*UNWRITABLE[kind], stdout=full)
+        assert_refused_output(proc, f"[Errno {errno.ENOSPC}] "
+                                    f"{os.strerror(errno.ENOSPC)}")
+
+    def test_other_exits_keep_their_code_on_a_closed_pipe(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = run_cli("analyze", "--family", "nope", stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
 
     def test_iso_builds_the_covering_level(self):
         proc = run_cli("iso", "--left-family", "rn(4,2)",

@@ -9,7 +9,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import ref_closure_of
+from conftest import holds, ref_closure_of
 from stonetrim import (ClosureError, Poset, SymbolicSpace,
                        check_closure_axioms, check_identities,
                        classify_algebra, cli, e_of_p, family,
@@ -174,7 +174,7 @@ def test_closure_matches_the_reference(tag, horizon):
     for x in draws:
         got = space.closure_of(x)
         want, past = ref_closure_of(space, x, window)
-        assert {q for q in window if got.contains_id(q)} == want, x.render()
+        assert {q for q in window if holds(got, q)} == want, x.render()
         assert got.cofinite == past, x.render()
 
 
@@ -220,11 +220,11 @@ class TestElements:
             for b in cases:
                 u, i, m = a.union(b), a.intersect(b), a.minus(b)
                 for p in probe:
-                    pa, pb = a.contains_id(p), b.contains_id(p)
-                    assert u.contains_id(p) == (pa or pb)
-                    assert i.contains_id(p) == (pa and pb)
-                    assert m.contains_id(p) == (pa and not pb)
-                    assert a.complement().contains_id(p) == (not pa)
+                    pa, pb = holds(a, p), holds(b, p)
+                    assert holds(u, p) == (pa or pb)
+                    assert holds(i, p) == (pa and pb)
+                    assert holds(m, p) == (pa and not pb)
+                    assert holds(a.complement(), p) == (not pa)
 
 
 class TestPeeling:

@@ -59,25 +59,14 @@ class TestPathPrefix:
             with pytest.raises(PointError, match=rf"no node {n}\.{i} on the "
                                r"levels built \(depth 4\)"):
                 PathPrefix(tree, nodes)
-        with pytest.raises(PointError, match=r"no node 5\.0"):
-            PathPrefix(tree, ((4, 0),)).extended(0)
         path = PathPrefix(tree, ((2, 2), (3, 4)))
         assert path.serialize()["nodes"] == [[2, 2], [3, 4]]
 
     def test_views(self, chain_tree):
         path = PathPrefix(chain_tree, ((1, 0), (2, 2)))
-        assert len(path) == 2
-        assert path.start_level == 1
-        assert path.end == (2, 2)
         assert path.type_ids() == ("a", "b")
         assert path.serialize() == {"nodes": [[1, 0], [2, 2]],
                                     "types": ["a", "b"]}
-
-    def test_extended(self, chain_tree):
-        path = PathPrefix(chain_tree, ((1, 0),)).extended(2)
-        assert path.nodes == ((1, 0), (2, 2))
-        with pytest.raises(PointError, match="not a child"):
-            path.extended(0)
 
 
 class TestAncestry:
@@ -103,7 +92,7 @@ class TestRealizeChain:
     def test_three_step_chain(self, diamond_tree):
         path = realize_chain(diamond_tree, ["a", "b", "d"])
         assert path.type_ids() == ("a", "b", "d")
-        assert path.end[0] == 4
+        assert path.nodes[-1][0] == 4
 
     def test_dyadic_ascent(self, dyadic_tree):
         path = realize_chain(dyadic_tree, ["1/2", "3/4", "7/8"])

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import (random_poset, ref_check_acc, ref_completion_covers,
                       ref_complete_over, ref_completion_verify,
                       ref_down_closure, ref_first_chain,
-                      ref_is_antichain, ref_is_chain_unique_over,
+                      ref_is_chain_unique_over,
                       ref_is_lower, ref_is_upper, ref_maximal_chains,
                       ref_maximal_of, ref_minimal_of, ref_theta_break,
                       ref_trace_dot_edges, ref_up_closure, two_chains_poset)
@@ -61,7 +61,6 @@ def test_set_queries_match_the_pairwise_reference(seed):
                         p, ms, horizon)
                 assert p.minimal_of(ms) == ref_minimal_of(p, ms)
                 assert p.maximal_of(ms) == ref_maximal_of(p, ms)
-                assert p.is_antichain(ms) == ref_is_antichain(p, ms)
                 if not ms:
                     continue
                 got = p.finite_foundation(ms, h)
@@ -338,7 +337,6 @@ PROBES = {
     "up_closure": lambda p, ms: p.up_closure(ms, 4),
     "minimal_of": lambda p, ms: p.minimal_of(ms),
     "maximal_of": lambda p, ms: p.maximal_of(ms),
-    "is_antichain": lambda p, ms: p.is_antichain(ms),
     "is_lower": lambda p, ms: p.is_lower(ms, 4),
     "is_upper": lambda p, ms: p.is_upper(ms, 4),
     "finite_foundation": lambda p, ms: p.finite_foundation(ms, 4),

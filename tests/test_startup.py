@@ -18,7 +18,8 @@ LATER_LAYERS = {"ring", "typeset", "completion", "backforth", "closure",
                 "points"}
 
 # every name `import stonetrim` exported, by the submodule that defines it,
-# recorded when the package still imported all its submodules eagerly
+# recorded when the package still imported all its submodules eagerly, less
+# the module function ring.type_of, deleted as a wrapper of the method
 EXPORTS = {
     "poset": ["DEFAULT_CHAIN_BOUND", "FOUND", "HOLDS", "HOLDS_ON_PREFIX",
               "INCONCLUSIVE", "REFUTED", "Analytics", "Extremal",
@@ -34,7 +35,7 @@ EXPORTS = {
                  "verify_structure"],
     "ring": ["RingElement", "RingError", "is_trim_for",
              "split_by_scarce_atoms", "supertrim_split", "trim_split",
-             "type_of", "verify_type_axioms"],
+             "verify_type_axioms"],
     "points": ["PathPrefix", "PointError", "PointLabel", "ancestry",
                "label_prefix", "realize_chain"],
     "backforth": ["IsoError", "IsoRun", "MismatchWitness", "PartialIso",

@@ -19,9 +19,8 @@ _EXPORTS = {
     "completion": ("CompletedPoset", "CompletionElement", "CompletionError",
                    "chain_closure", "complete_finite", "complete_over",
                    "token_name"),
-    "skeleton": ("BuildConfig", "BuildError", "ConfigError", "SkeletonNode",
-                 "SkeletonTree", "StructureReport", "build_levels",
-                 "verify_structure"),
+    "skeleton": ("BuildConfig", "BuildError", "ConfigError", "SkeletonTree",
+                 "StructureReport", "build_levels", "verify_structure"),
     "ring": ("RingElement", "RingError", "is_trim_for",
              "split_by_scarce_atoms", "supertrim_split", "trim_split",
              "verify_type_axioms"),

@@ -224,11 +224,11 @@ def init_iso(left: SkeletonTree, right: SkeletonTree, q: Iterable[str],
         if poset.lower_of(region, cap) & ~region:
             raise IsoError(f"{SIDES[side]} region is not a lower set on the "
                            f"prefix")
-        res = poset.finite_foundation(map(poset.id_at, bits(region)), cap)
+        res = poset.finite_foundation(region, cap)
         if res.status != FOUND:
             raise IsoError(f"{SIDES[side]} region has no confirmed finite "
                            f"foundation")
-        n0 = max(poset.index(p) for p in res.foundation)
+        n0 = res.foundation.bit_length() - 1
         _grow(tree, n0)
         whole = RingElement(tree, n0, tree.level(n0).full_mask)
         parts.append([(g, part) for g, part in trim_split(whole)
@@ -542,7 +542,7 @@ def run_backforth(left: SkeletonTree, right: SkeletonTree,
     else:
         theta = _check_theta(left, right, theta, span)
     if q is None:
-        q, _ = left.poset.p_delta(span)
+        q = left.poset.ids_of(left.poset.p_delta(span)[0])
     q = frozenset(q)
     if not q:
         raise IsoError("the compared region is empty; pass q explicitly when "

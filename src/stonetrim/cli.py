@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 2 unreadable input, 3 configuration rejected,
 4 mismatch verdict, 5 resource limit hit (the depth or the level-size
-budget, or a stdout that refuses the output: a closed pipe or a full
-device).
+budget, or a stdout that refuses the output: a closed pipe, a full device
+or a closed fd 1).
 
 Only the order core, the families and the skeleton load with this module;
 each command imports the layer it runs when it runs.
@@ -18,7 +18,7 @@ import sys
 from typing import Optional
 
 from .families import family, family_tags
-from .poset import DEFAULT_CHAIN_BOUND, Poset, PosetError
+from .poset import DEFAULT_CHAIN_BOUND, Poset, PosetError, bits
 from .skeleton import (BuildConfig, BuildError, ConfigError, build_levels,
                        verify_structure)
 
@@ -30,7 +30,10 @@ def _fail(code: int, message: str) -> int:
 
 def _out(text: str) -> None:
     """Print text and flush stdout.  A stdout that refuses it exits 5; what
-    it still buffers goes to devnull, so the flush at exit stays quiet."""
+    it still buffers goes to devnull, so the flush at exit stays quiet.  A
+    closed fd 1 leaves no stdout at all, and print would drop the text."""
+    if sys.stdout is None:
+        raise SystemExit(_fail(5, "cannot write to stdout: it is closed"))
     try:
         print(text, flush=True)
     except OSError as e:
@@ -76,10 +79,10 @@ def cmd_analyze(args) -> int:
     report = {
         "poset": poset.name,
         "horizon": horizon,
-        "minimal": sorted(ext.minimal, key=poset.index),
-        "maximal": sorted(ext.maximal, key=poset.index),
+        "minimal": list(map(poset.id_at, bits(ext.minimal))),
+        "maximal": list(map(poset.id_at, bits(ext.maximal))),
         "extremal_exact": ext.exact,
-        "p_delta": sorted(delta, key=poset.index),
+        "p_delta": list(map(poset.id_at, bits(delta))),
         "p_delta_exact": delta_exact,
         "acc": _verdict_json(poset.check_acc(horizon, DEFAULT_CHAIN_BOUND)),
         "omega_complete": _verdict_json(poset.check_omega_complete(horizon)),
@@ -88,12 +91,12 @@ def cmd_analyze(args) -> int:
         checks = []
         for members in args.subset:
             try:
-                res = poset.finite_foundation(frozenset(members), horizon)
+                res = poset.finite_foundation(poset.mask_of(members), horizon)
             except PosetError as e:
                 return _fail(2, f"bad --subset: {e}")
             checks.append({"subset": sorted(members),
                            "status": res.status,
-                           "foundation": sorted(res.foundation or ()),
+                           "foundation": sorted(poset.ids_of(res.foundation)),
                            "note": res.note})
         report["foundations"] = checks
     completed = complete_over(poset, poset.prefix(horizon), horizon)

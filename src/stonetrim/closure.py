@@ -39,8 +39,9 @@ class SymbolicSpace:
         poset.ensure(shown)
         self.all_mask = None if self.ladder else (1 << shown + 1) - 2
         mins, confirmed = poset.confirmed_minimal(shown)
-        self.bottom = next(iter(mins)) if confirmed and len(mins) == 1 else None
-        self._bot = 0 if self.bottom is None else 1 << poset.index(self.bottom)
+        self._bot = mins if confirmed and mins.bit_count() == 1 else 0
+        self.bottom = (poset.id_at(self._bot.bit_length() - 1) if self._bot
+                       else None)
         rungs = [i for i in range(1, shown + 1) if 1 << i != self._bot]
         self._rungs = rungs[:horizon] if self.ladder else rungs
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from ._record import Frozen
-from .poset import Poset, axiom_problems, bits, covers_of
+from .poset import Poset, bits
 
 
 class CompletionError(ValueError):
@@ -33,13 +33,6 @@ class CompletionElement(Frozen):
     @property
     def is_limit(self) -> bool:
         return self.kind == "limit"
-
-    def serialize(self) -> dict:
-        out = {"kind": self.kind, "ref": self.ref,
-               "descriptor": sorted(self.descriptor)}
-        if self.display:
-            out["display"] = self.display
-        return out
 
 
 def token_name(chain: Iterable[str]) -> str:
@@ -84,63 +77,6 @@ class CompletedPoset:
             return False
         return x.descriptor <= y.descriptor
 
-    def _rows(self) -> list[int]:
-        """Carrier up-set rows: bit j of row i is set iff els[i] <= els[j].
-        Between base elements the bits come from the poset's up-set rows;
-        only pairs with a token go through ``leq``."""
-        els, poset = self.elements, self.poset
-        # the carrier position of each base element's enumeration index
-        at = {poset.index(x.ref): j for j, x in enumerate(els)
-              if not x.is_limit}
-        base = sum(1 << k for k in at)
-        tokens = [(j, y) for j, y in enumerate(els) if y.is_limit]
-        rows = []
-        for x in els:
-            if x.is_limit:
-                rows.append(sum(1 << j for j, y in enumerate(els)
-                                if self.leq(x, y)))
-                continue
-            up = poset.up_mask(poset.index(x.ref)) & base
-            rows.append(sum(1 << at[k] for k in bits(up))
-                        | sum(1 << j for j, y in tokens if self.leq(x, y)))
-        return rows
-
-    def verify(self) -> list[str]:
-        """Bounded checks: order axioms on the carrier, unique suprema for
-        token-generating chains, and density of tokens over their chains."""
-        els, up = self.elements, self._rows()
-        problems = [f"not reflexive at {x.ref}"
-                    for i, x in enumerate(els) if not up[i] >> i & 1]
-        problems += axiom_problems(up, [x.ref for x in els])
-        at = {x.ref: i for i, x in enumerate(els)}
-        for t, tok in enumerate(els):
-            if not tok.is_limit:
-                continue
-            # at a finite horizon the truncated chain still has a top inside
-            # the descriptor, so bounds are compared outside it
-            desc = tok.descriptor
-            ubs = sum(1 << u for u, x in enumerate(els)
-                      if x.is_limit or x.ref not in desc)
-            for c in desc:
-                if c in at:
-                    ubs &= up[at[c]]
-            if [u for u in bits(ubs) if not ubs & ~up[u]] != [t]:
-                problems.append(f"token {tok.ref} is not the unique sup of its chain")
-            problems.extend(
-                f"{r.ref} below token {tok.ref} but below no chain member"
-                for r, row in zip(els, up)
-                if not r.is_limit and row >> t & 1 and r.ref not in desc)
-        return problems
-
-    def to_json(self) -> dict:
-        pre = self.poset.prefix(self.horizon)
-        names = [e.ref for e in self.elements]
-        return {"name": f"{self.poset.name}-completion",
-                "elements": names,
-                "covers": [list(c) for c in covers_of(self._rows(), names)],
-                "tokens": [e.serialize() for e in self.tokens()],
-                "horizon": self.horizon, "base": pre}
-
 
 def complete_finite(poset: Poset) -> CompletedPoset:
     """Chain completion of a finite poset: an isomorphic copy of it.
@@ -171,11 +107,11 @@ def complete_over(poset: Poset, members: Iterable[str],
         return CompletedPoset(poset, horizon, els)
 
     a = poset.analytics
-    confirmed_max = a.maximal(poset, horizon) if a.maximal else frozenset()
+    confirmed_max = a.maximal(poset, horizon) if a.maximal else 0
     display = a.limit_display or (lambda chain: "")
     inside, tokens = (1 << len(pre) + 1) - 2, []
-    for t in bits(sub):
-        if pre[t - 1] in confirmed_max or poset.up_mask(t) & inside != 1 << t:
+    for t in bits(sub & ~confirmed_max):
+        if poset.up_mask(t) & inside != 1 << t:
             continue
         chain = poset._first_chain(sub & poset.lower_of(1 << t, horizon), 2)
         if chain is None:

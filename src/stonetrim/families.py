@@ -7,8 +7,10 @@ family enumerates dyadic rationals in [0,1] by denominator, larger values
 first within each denominator group.
 
 Each family gives its order as up-set rows over enumeration indices, in
-closed form (see ``poset``).  Element ids are labels: they are formatted
-for output and witnesses, and no order is read back from them.
+closed form (see ``poset``), and its analytics as index arithmetic on
+masks: confirmed extremal elements and foundations are masks over the same
+indices.  Element ids are labels: they are formatted for output and
+witnesses, and nothing is read back from them.
 """
 from __future__ import annotations
 
@@ -55,13 +57,14 @@ def family(tag: str) -> Poset:
 # ascending chain p1 < p2 < ...
 
 def _omega_chain() -> Poset:
-    def foundation(poset: Poset, q: frozenset, horizon: int) -> FoundationResult:
-        return FoundationResult(FOUND, frozenset({"p1"}),
+    # p1, the bottom, is at index 1
+    def foundation(poset: Poset, q: int, horizon: int) -> FoundationResult:
+        return FoundationResult(FOUND, 2,
                                 note="the bottom element founds every subset")
 
     analytics = Analytics(
-        minimal=lambda poset, h: frozenset({"p1"}),
-        maximal=lambda poset, h: frozenset(),
+        minimal=lambda poset, h: 2,
+        maximal=lambda poset, h: 0,
         acc=False,
         omega_complete=False,
         omega_note="the full chain has no upper bound",
@@ -74,13 +77,13 @@ def _omega_chain() -> Poset:
 
 
 def _omega_antichain() -> Poset:
-    def foundation(poset: Poset, q: frozenset, horizon: int) -> FoundationResult:
-        return FoundationResult(FOUND, frozenset(q),
+    def foundation(poset: Poset, q: int, horizon: int) -> FoundationResult:
+        return FoundationResult(FOUND, q,
                                 note="an antichain subset founds itself")
 
     analytics = Analytics(
-        minimal=lambda poset, h: frozenset(poset.prefix(h)),
-        maximal=lambda poset, h: frozenset(poset.prefix(h)),
+        minimal=Poset.prefix_mask,
+        maximal=Poset.prefix_mask,
         acc=True,
         omega_complete=True,
         omega_note="ascending sequences are constant",
@@ -95,16 +98,16 @@ def _omega_antichain() -> Poset:
 # the ladder posets
 
 def _rn_infinity() -> Poset:
-    def foundation(poset: Poset, q: frozenset, horizon: int) -> FoundationResult:
+    def foundation(poset: Poset, q: int, horizon: int) -> FoundationResult:
         return FoundationResult(
             REFUTED,
             note="no minimal elements: below any finite candidate set "
                  "there are uncovered elements")
 
+    # p0 and p1, the maxima, are at indices 1 and 2
     analytics = Analytics(
-        minimal=lambda poset, h: frozenset(),
-        maximal=lambda poset, h: frozenset(x for x in ("p0", "p1")
-                                           if x in poset.prefix(h)),
+        minimal=lambda poset, h: 0,
+        maximal=lambda poset, h: 0b110 & poset.prefix_mask(h),
         acc=True,
         acc_note="ascending chains have strictly decreasing indices",
         omega_complete=True,
@@ -118,14 +121,14 @@ def _rn_infinity() -> Poset:
 
 
 def _rn_infinity_bot() -> Poset:
-    def foundation(poset: Poset, q: frozenset, horizon: int) -> FoundationResult:
-        return FoundationResult(FOUND, frozenset({"bot"}),
+    # bot is at index 1, the maxima p0 and p1 at indices 2 and 3
+    def foundation(poset: Poset, q: int, horizon: int) -> FoundationResult:
+        return FoundationResult(FOUND, 2,
                                 note="the bottom element founds every subset")
 
     analytics = Analytics(
-        minimal=lambda poset, h: frozenset({"bot"}),
-        maximal=lambda poset, h: frozenset(x for x in ("p0", "p1")
-                                           if x in poset.prefix(h)),
+        minimal=lambda poset, h: 2,
+        maximal=lambda poset, h: 0b1100 & poset.prefix_mask(h),
         acc=True,
         acc_note="ascending chains have strictly decreasing indices",
         omega_complete=True,
@@ -208,14 +211,14 @@ def _dyadic() -> Poset:
         # partial sums of 1/4 + 1/16 + ... approach 1/3, which is not dyadic
         return tuple(f"{(4 ** k - 1) // 3}/{4 ** k}" for k in range(1, 6))
 
-    def foundation(poset: Poset, q: frozenset, horizon: int) -> FoundationResult:
-        return FoundationResult(FOUND, frozenset({"0"}),
+    # "0", the bottom, is at index 1 and "1", the top, at index 2
+    def foundation(poset: Poset, q: int, horizon: int) -> FoundationResult:
+        return FoundationResult(FOUND, 2,
                                 note="the bottom element founds every subset")
 
     analytics = Analytics(
-        minimal=lambda poset, h: frozenset({"0"}),
-        maximal=lambda poset, h: frozenset({"1"}).intersection(
-            poset.prefix(h)),
+        minimal=lambda poset, h: 2,
+        maximal=lambda poset, h: 0b100 & poset.prefix_mask(h),
         acc=False,
         omega_complete=False,
         omega_note="chains approaching a non-dyadic value have no least upper bound",
@@ -231,18 +234,19 @@ def _dyadic() -> Poset:
 # fan: one top above an infinite antichain of minimal elements
 
 def _ziegler_fan() -> Poset:
-    def foundation(poset: Poset, q: frozenset, horizon: int) -> FoundationResult:
-        if "q" in q:
+    # the hub q is at index 1
+    def foundation(poset: Poset, q: int, horizon: int) -> FoundationResult:
+        if q & 2:
             return FoundationResult(
                 REFUTED,
                 note="everything sits below the hub, so a foundation "
                      "would need all infinitely many minimal elements")
-        return FoundationResult(FOUND, frozenset(q),
+        return FoundationResult(FOUND, q,
                                 note="minimal elements found themselves")
 
     analytics = Analytics(
-        minimal=lambda poset, h: frozenset(x for x in poset.prefix(h) if x != "q"),
-        maximal=lambda poset, h: frozenset({"q"}),
+        minimal=lambda poset, h: poset.prefix_mask(h) & ~2,
+        maximal=lambda poset, h: 2,
         acc=True,
         acc_note="chains have at most two elements",
         omega_complete=True,

@@ -5,9 +5,11 @@ enumeration yielding element ids one at a time).  Its order is filled from
 up-set rows: ``rows(ids, k)`` masks the older elements above and below
 element k (see ``Poset``); a string order enters only through ``_leq_rows``.
 Every set, chain, cover and axiom question is read off those rows as masks
-over enumeration indices; ids are converted only at the edges, by ``mask_of``
-(an unknown id raises) and ``ids_of``.  ``covers_of`` and ``axiom_problems``
-take any list of rows, so the chain completion and the closure share them.
+over enumeration indices, and the order analytics (extremal elements,
+foundations, P_Delta) take and answer such masks; ids are converted only
+at the edges, by ``mask_of`` (an unknown id raises) and ``ids_of``.
+``covers_of`` and ``axiom_problems`` take any list of rows, so the chain
+completion and the closure share them.
 Chain questions are asked of a top's cone through ``_first_chain``; no list
 of chains is built.
 Every predicate that cannot be decided from a finite prefix says so:
@@ -120,11 +122,11 @@ class Verdict(Frozen):
 
 
 class Extremal(Frozen):
-    """Minimal/maximal elements confirmed at a horizon."""
+    """Minimal/maximal elements confirmed at a horizon, as index masks."""
 
     __slots__ = _compare = ("minimal", "maximal", "exact", "note")
 
-    def __init__(self, minimal: frozenset, maximal: frozenset, exact: bool,
+    def __init__(self, minimal: int, maximal: int, exact: bool,
                  note: str = ""):
         self._fill(minimal, maximal, exact, note)
 
@@ -132,14 +134,14 @@ class Extremal(Frozen):
 class FoundationResult(Frozen):
     """Result of a finite-foundation search.
 
-    status is "found" (foundation holds the witness set), "refuted" (no
+    status is "found" (foundation masks the witness set), "refuted" (no
     finite foundation exists, certified analytically), or "inconclusive"
     (the horizon cannot settle it either way).
     """
 
     __slots__ = _compare = ("status", "foundation", "note")
 
-    def __init__(self, status: str, foundation: Optional[frozenset] = None,
+    def __init__(self, status: str, foundation: int = 0,
                  note: str = ""):
         self._fill(status, foundation, note)
 
@@ -171,7 +173,8 @@ class Analytics(Record):
     """Facts a builtin family knows about its own infinite shape.
 
     All fields are optional; a plain generated poset leaves them unset and
-    every predicate falls back to honest prefix-scoped answers.
+    every predicate falls back to honest prefix-scoped answers.  Elements
+    come and go as masks over enumeration indices.
     """
 
     __slots__ = _compare = (
@@ -180,8 +183,8 @@ class Analytics(Record):
 
     def __init__(
             self,
-            minimal: Optional[Callable[["Poset", int], frozenset]] = None,
-            maximal: Optional[Callable[["Poset", int], frozenset]] = None,
+            minimal: Optional[Callable[["Poset", int], int]] = None,
+            maximal: Optional[Callable[["Poset", int], int]] = None,
             acc: Optional[bool] = None,
             acc_note: str = "",
             omega_complete: Optional[bool] = None,
@@ -189,7 +192,7 @@ class Analytics(Record):
             omega_witness: Optional[
                 Callable[["Poset", int], tuple[str, ...]]] = None,
             foundation: Optional[
-                Callable[["Poset", frozenset, int], FoundationResult]] = None,
+                Callable[["Poset", int, int], FoundationResult]] = None,
             limit_display: Optional[
                 Callable[[tuple[str, ...]], Optional[str]]] = None):
         self.minimal, self.maximal = minimal, maximal
@@ -357,6 +360,10 @@ class Poset:
         self.ensure(n)
         return list(self._ids[:n])
 
+    def prefix_mask(self, n: int) -> int:
+        """The indices of ``prefix(n)`` as a mask."""
+        return (1 << len(self.prefix(n)) + 1) - 2
+
     @property
     def size(self) -> Optional[int]:
         return len(self._ids) if self.finite else None
@@ -399,7 +406,9 @@ class Poset:
         return sum(1 << self._pos[p] for p in ids)
 
     def ids_of(self, mask: int) -> frozenset:
-        """Ids of the enumerated indices set in mask."""
+        """Ids of the indices set in mask, enumerating them first: a
+        family's confirmed answer may name an index past the prefix."""
+        self.ensure(mask.bit_length() - 1)
         return frozenset(self._ids[i - 1] for i in bits(mask))
 
     def upper_of(self, mask: int) -> int:
@@ -441,6 +450,11 @@ class Poset:
             above |= up[q] & ~(1 << q)
         return mask & ~above
 
+    def maximal_in(self, mask: int) -> int:
+        """Indices set in mask that lie below no other index set in it."""
+        up = self._up
+        return sum(1 << q for q in bits(mask) if not up[q] & mask & ~(1 << q))
+
     def leq(self, p: str, q: str) -> bool:
         i, j = self._pos.get(p), self._pos.get(q)
         if i is None or j is None:
@@ -467,14 +481,6 @@ class Poset:
     def up_closure(self, members: Iterable[str], horizon: int) -> frozenset:
         return self.upper_members(self.mask_of(members), horizon)
 
-    def minimal_of(self, members: Iterable[str]) -> frozenset:
-        return self.ids_of(self.minimal_in(self.mask_of(members)))
-
-    def maximal_of(self, members: Iterable[str]) -> frozenset:
-        mask, up = self.mask_of(members), self._up
-        return frozenset(self._ids[q - 1] for q in bits(mask)
-                         if not up[q] & mask & ~(1 << q))
-
     def is_lower(self, members: Iterable[str], horizon: int) -> bool:
         mask = self.mask_of(members)
         return not self.lower_of(mask, horizon) & ~mask
@@ -484,7 +490,7 @@ class Poset:
         return self.up_closure(ms, horizon) <= ms
 
     # ------------------------------------------------------------------
-    # axioms and serialization
+    # axioms
 
     def check_order_axioms(self, horizon: int) -> list[str]:
         """Exhaustive antisymmetry/transitivity check on a prefix, read off
@@ -492,27 +498,6 @@ class Poset:
         pre = self.prefix(horizon)
         return axiom_problems(self._up[:len(pre) + 1],
                               [""] + list(map(repr, pre)))
-
-    def cover_pairs(self, horizon: Optional[int] = None) -> list[tuple[str, str]]:
-        """Transitive reduction of the order on the prefix."""
-        pre = list(self._ids) if horizon is None else self.prefix(horizon)
-        return covers_of(self._up[:len(pre) + 1], [""] + pre)
-
-    def to_json(self, horizon: Optional[int] = None) -> dict:
-        if self.finite:
-            pre = list(self._ids)
-        else:
-            if horizon is None:
-                raise PosetError("a horizon is required to serialize a generated poset")
-            pre = self.prefix(horizon)
-        obj = {
-            "name": self.name,
-            "elements": pre,
-            "covers": [list(c) for c in self.cover_pairs(len(pre))],
-        }
-        if self.family:
-            obj["family"] = self.family
-        return obj
 
     # ------------------------------------------------------------------
     # extremal elements and foundations
@@ -523,62 +508,54 @@ class Poset:
         For generated posets only family-confirmed extremals are reported;
         without analytics the prefix-relative answer is returned with a note.
         """
-        pre = self.prefix(horizon)
+        inside = self.prefix_mask(horizon)
         if self.finite:
-            exact = horizon >= len(self._ids)
-            return Extremal(self.minimal_of(pre), self.maximal_of(pre), exact)
+            return Extremal(self.minimal_in(inside), self.maximal_in(inside),
+                            horizon >= len(self._ids))
         a = self.analytics
         if a.minimal is not None or a.maximal is not None:
-            mins = a.minimal(self, horizon) if a.minimal else frozenset()
-            maxs = a.maximal(self, horizon) if a.maximal else frozenset()
-            return Extremal(frozenset(mins), frozenset(maxs), False,
-                            note="family-confirmed")
-        return Extremal(self.minimal_of(pre), self.maximal_of(pre), False,
-                        note="relative to the enumeration prefix only")
+            return Extremal(a.minimal(self, horizon) if a.minimal else 0,
+                            a.maximal(self, horizon) if a.maximal else 0,
+                            False, note="family-confirmed")
+        return Extremal(self.minimal_in(inside), self.maximal_in(inside),
+                        False, note="relative to the enumeration prefix only")
 
-    def confirmed_minimal(self, horizon: int) -> tuple[frozenset, bool]:
+    def confirmed_minimal(self, horizon: int) -> tuple[int, bool]:
         """Minimal elements known to be minimal in the full poset."""
+        inside = self.prefix_mask(horizon)
         if self.finite:
-            return self.minimal_of(self.prefix(horizon)), horizon >= len(self._ids)
+            return self.minimal_in(inside), horizon >= len(self._ids)
         if self.analytics.minimal is not None:
-            return frozenset(self.analytics.minimal(self, horizon)), True
-        return frozenset(), False
+            return self.analytics.minimal(self, horizon), True
+        return 0, False
 
-    def finite_foundation(self, members, horizon: int) -> FoundationResult:
-        """Search for a finite set F below Q with both foundation conditions.
+    def finite_foundation(self, mask: int, horizon: int) -> FoundationResult:
+        """Search for a finite set F below the set Q that mask holds, with
+        both foundation conditions.
 
         Condition (i): everything below a member of Q lies above some member
         of F.  Condition (ii): every member of F lies below some member of Q.
         Finite posets are decided exactly; generated families answer through
         their analytics; anything else is inconclusive at the horizon.
         """
-        if isinstance(members, SubsetSpec):
-            members = members.members
-        q = frozenset(members)
-        if not q:
+        if not mask:
             raise PosetError("foundation query needs a nonempty subset")
-        mask = self.mask_of(q)
         if self.finite:
             # a finite order is well founded: the minimal elements of the
             # down-closure lie below q and cover all of it
             down = self.lower_of(mask, len(self._ids))
-            return FoundationResult(FOUND, self.ids_of(self.minimal_in(down)))
+            return FoundationResult(FOUND, self.minimal_in(down))
         if self.analytics.foundation is not None:
-            return self.analytics.foundation(self, q, horizon)
-        candidate = self.ids_of(self.minimal_in(self.lower_of(mask, horizon)))
+            return self.analytics.foundation(self, mask, horizon)
         return FoundationResult(
-            INCONCLUSIVE, candidate,
+            INCONCLUSIVE, self.minimal_in(self.lower_of(mask, horizon)),
             note="prefix candidate only; minimality beyond the horizon unknown")
 
-    def p_delta(self, horizon: int) -> tuple[frozenset, bool]:
-        """Elements whose singleton has a confirmed finite foundation."""
-        pre = self.prefix(horizon)
-        confirmed = []
-        for p in pre:
-            res = self.finite_foundation({p}, horizon)
-            if res.status == FOUND:
-                confirmed.append(p)
-        return frozenset(confirmed), self.finite
+    def p_delta(self, horizon: int) -> tuple[int, bool]:
+        """Indices whose singleton has a confirmed finite foundation."""
+        return sum(1 << i for i in range(1, len(self.prefix(horizon)) + 1)
+                   if self.finite_foundation(1 << i, horizon).status
+                   == FOUND), self.finite
 
     # ------------------------------------------------------------------
     # chain conditions

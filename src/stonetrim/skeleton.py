@@ -18,7 +18,7 @@ from functools import cached_property
 from itertools import accumulate, chain, repeat
 from typing import Iterable, Optional
 
-from ._record import Frozen, Record
+from ._record import Record
 from .poset import FOUND, Poset, bits, from_runs, runs
 
 MAX_LEVEL_SIZE = 1 << 16
@@ -115,7 +115,8 @@ class BuildConfig(Record):
             return "noncompact"
         if self.default_bucket != "auto":
             return self.default_bucket
-        res = self.poset.finite_foundation({p}, self.scope(depth))
+        res = self.poset.finite_foundation(1 << self.poset.index(p),
+                                           self.scope(depth))
         return "bounded" if res.status == FOUND else "noncompact"
 
     def masks(self, n: int) -> tuple[int, dict[str, int]]:
@@ -167,11 +168,12 @@ class BuildConfig(Record):
         poset = self.poset
         minimal, _ = poset.confirmed_minimal(n)
         iso, buckets = self.masks(n)
-        bad = poset.ids_of(iso & buckets["noncompact"]) & minimal
+        bad = iso & buckets["noncompact"] & minimal
         if bad:
-            problems.append(f"isolated-minimal-noncompact: {sorted(bad)} are "
+            problems.append(f"isolated-minimal-noncompact: "
+                            f"{sorted(poset.ids_of(bad))} are "
                             f"isolated, minimal and noncompact at once")
-        delta = poset.mask_of(poset.p_delta(n)[0])
+        delta = poset.p_delta(n)[0]
         bounded = buckets["bounded"]
         for label, group in (("bounded", bounded),
                              ("bounded+unbounded",
@@ -319,17 +321,6 @@ class Parents(Sequence):
         return chain(attached, repeat(None, hi - max(lo, top)))
 
 
-class SkeletonNode(Frozen):
-    """Read-only view of one skeleton node."""
-
-    __slots__ = _compare = ("level", "index", "type_id", "type_ix", "parent",
-                            "u_flag")
-
-    def __init__(self, level: int, index: int, type_id: str, type_ix: int,
-                 parent: Optional[int], u_flag: bool):
-        self._fill(level, index, type_id, type_ix, parent, u_flag)
-
-
 class SkeletonTree:
     """The skeleton built to some depth; deterministically extendable."""
 
@@ -417,22 +408,12 @@ class SkeletonTree:
             return self.levels[n - 1]
         raise BuildError(f"level {n} not built (depth {self.depth})")
 
-    def _checked(self, n: int, i: int) -> Level:
-        lvl = self.level(n)
-        if 0 <= i < len(lvl):
-            return lvl
-        raise IndexError(f"level {n} has no node {i}, only 0..{len(lvl) - 1}")
-
-    def node(self, n: int, i: int) -> SkeletonNode:
-        """Node (n, i) as one record; it stays while tests pin SkeletonNode."""
-        lvl = self._checked(n, i)
-        t = lvl.types[i]
-        return SkeletonNode(n, i, self.poset.id_at(t), t, lvl.parent_of(i),
-                            i >= lvl.u_start)
-
     def children_span(self, n: int, i: int) -> tuple[int, int]:
         """Child index range of node (n, i) within level n+1."""
-        self._checked(n, i)
+        lvl = self.level(n)
+        if not 0 <= i < len(lvl):
+            raise IndexError(
+                f"level {n} has no node {i}, only 0..{len(lvl) - 1}")
         if n >= len(self.levels):
             raise BuildError(f"level {n + 1} not built")
         kids = self.levels[n]
@@ -543,7 +524,7 @@ def verify_structure(tree: SkeletonTree,
 
     iso, buckets = tree.config.masks(tree.type_cap(depth))
     minimal, _ = poset.confirmed_minimal(tree.type_cap(depth))
-    for t in bits(iso & poset.mask_of(minimal)):
+    for t in bits(iso & minimal):
         ok = True
         bad = ""
         for n in range(t, depth + 1):
@@ -591,14 +572,14 @@ def verify_structure(tree: SkeletonTree,
                     "" if ok else f"no unattached entry node at level {t}")
 
     if q_lower is not None:
-        qset = frozenset(q_lower)
-        res = poset.finite_foundation(qset, tree.type_cap(depth))
+        qmask = poset.mask_of(q_lower)
+        res = poset.finite_foundation(qmask, tree.type_cap(depth))
         if res.status != FOUND:
             rep.add("cover-foundation", False,
                     f"foundation search returned {res.status}")
         else:
-            q_chars = {chr(poset.index(p)) for p in qset}
-            n0 = max(poset.index(p) for p in res.foundation)
+            q_chars = set(map(chr, bits(qmask)))
+            n0 = res.foundation.bit_length() - 1
             ok = True
             bad = ""
             # nodes descending from level n0 fill a prefix of each level

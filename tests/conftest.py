@@ -108,10 +108,12 @@ def two_chains_poset() -> Poset:
     return Poset.generated("two-chains", gen, leq)
 
 
-def children(tree, n: int, i: int) -> list:
-    """Node views of the children of node (n, i), in index order."""
+def children(tree, n: int, i: int) -> list[tuple[int, str]]:
+    """The children of node (n, i) as (index on level n+1, type id) pairs,
+    in index order, read off the level's types column."""
     start, end = tree.children_span(n, i)
-    return [tree.node(n + 1, j) for j in range(start, end)]
+    types = tree.level(n + 1).types
+    return [(j, tree.poset.id_at(types[j])) for j in range(start, end)]
 
 
 # ----------------------------------------------------------------------
@@ -327,8 +329,10 @@ def ref_is_chain_unique_over(poset: Poset, members, horizon: int,
 
 
 def ref_completion_verify(c) -> list[str]:
-    """``CompletedPoset.verify`` over every pair and triple of carrier
-    elements."""
+    """The bounded checks of a chain completion over every pair and triple
+    of carrier elements: order axioms on the carrier, unique suprema for
+    token-generating chains, and no base element below a token but below
+    no member of its chain."""
     problems = []
     els = c.elements
     for x in els:
@@ -360,14 +364,6 @@ def ref_completion_verify(c) -> list[str]:
     return problems
 
 
-def ref_completion_covers(c) -> list[list[str]]:
-    """``CompletedPoset.to_json()["covers"]`` by the triple loop."""
-    return [[x.ref, y.ref] for x in c.elements for y in c.elements
-            if x is not y and c.leq(x, y)
-            and not any(z is not x and z is not y
-                        and c.leq(x, z) and c.leq(z, y) for z in c.elements)]
-
-
 def ref_complete_over(poset: Poset, members, horizon: int):
     """``complete_over`` by enumerating every maximal chain of the subset
     (``ref_maximal_chains`` over its members in index order) and keeping
@@ -380,7 +376,7 @@ def ref_complete_over(poset: Poset, members, horizon: int):
 
     confirmed_max = frozenset()
     if poset.analytics.maximal is not None:
-        confirmed_max = poset.analytics.maximal(poset, horizon)
+        confirmed_max = poset.ids_of(poset.analytics.maximal(poset, horizon))
 
     seen = {}
     for chain in ref_maximal_chains(poset, sub):

@@ -95,7 +95,7 @@ def test_criterion_3_isolation_counts(suite):
         minimal, _ = poset.confirmed_minimal(tree.type_cap(DEPTH))
         for g in rec["iso"]:
             g_ix = poset.index(g)
-            if g not in minimal:
+            if not minimal >> g_ix & 1:
                 continue
             for n in range(g_ix, DEPTH + 1):
                 lvl = tree.level(n)

@@ -2,26 +2,31 @@
 import errno
 import json
 import os
+import shutil
 import subprocess
 import sys
 
 import pytest
 
 import stonetrim
-from conftest import diamond_poset
 from stonetrim import FOUND, cli
 
 # the child imports the same stonetrim as this process, installed or not
 SRC = os.path.dirname(os.path.dirname(stonetrim.__file__))
 
 
-def run_cli(*argv, timeout=None, env=None, stdout=subprocess.PIPE):
+def run_cli(*argv, timeout=None, env=None, stdout=subprocess.PIPE,
+            launcher=()):
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "stonetrim.cli", *argv],
+    return subprocess.run([*launcher, sys.executable, "-m", "stonetrim.cli",
+                           *argv],
                           stdout=stdout, stderr=subprocess.PIPE, text=True,
                           timeout=timeout,
                           env={**os.environ, "PYTHONPATH": path, **(env or {})})
 
+
+# runs its arguments with fd 1 closed
+CLOSED_STDOUT = ("sh", "-c", 'exec "$@" >&-', "sh")
 
 # one command per way of writing stdout: JSON, dot larger than a pipe
 # buffer, and the two lines of the text table
@@ -74,7 +79,9 @@ class TestAnalyze:
 
     def test_poset_file(self, tmp_path):
         path = tmp_path / "diamond.json"
-        path.write_text(json.dumps(diamond_poset().to_json()))
+        path.write_text(json.dumps({
+            "name": "diamond", "elements": ["a", "b", "c", "d"],
+            "covers": [["a", "b"], ["a", "c"], ["b", "d"], ["c", "d"]]}))
         proc = run_cli("analyze", str(path))
         assert proc.returncode == 0
         doc = json.loads(proc.stdout)
@@ -427,6 +434,15 @@ class TestExitContract:
             proc = run_cli(*UNWRITABLE[kind], stdout=full)
         assert_refused_output(proc, f"[Errno {errno.ENOSPC}] "
                                     f"{os.strerror(errno.ENOSPC)}")
+
+    @pytest.mark.skipif(shutil.which("sh") is None,
+                        reason="no POSIX shell to close fd 1")
+    @pytest.mark.parametrize("kind", sorted(UNWRITABLE))
+    def test_closed_stdout_exits_five(self, kind):
+        # with fd 1 closed the child starts with sys.stdout set to None,
+        # and print would drop the output without an error
+        proc = run_cli(*UNWRITABLE[kind], launcher=CLOSED_STDOUT)
+        assert_refused_output(proc, "it is closed")
 
     def test_other_exits_keep_their_code_on_a_closed_pipe(self):
         read_end, write_end = os.pipe()

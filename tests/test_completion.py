@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from conftest import all_chains, embed, random_poset, two_chains_poset
+from conftest import (all_chains, embed, random_poset, ref_completion_verify,
+                      two_chains_poset)
 from stonetrim import (CompletionError, Poset, chain_closure,
                        complete_finite, complete_over, family, token_name)
 
@@ -52,7 +53,7 @@ class TestCompleteFinite:
         c = complete_finite(diamond)
         assert len(c.elements) == 4
         assert c.tokens() == []
-        assert c.verify() == []
+        assert ref_completion_verify(c) == []
         for a in diamond.prefix(4):
             for b in diamond.prefix(4):
                 assert c.leq(embed(c, a), embed(c, b)) == diamond.leq(a, b)
@@ -80,14 +81,14 @@ class TestCompleteOver:
         assert len(c.elements) == 9
         assert toks[0].ref == "lim(p1,p2,p3,p4,p5,p6,p7,p8)"
         assert toks[0].descriptor == frozenset(p.prefix(8))
-        assert c.verify() == []
+        assert ref_completion_verify(c) == []
 
     def test_two_disjoint_chains_get_two_tokens(self):
         p = two_chains_poset()
         c = complete_over(p, p.prefix(8), 8)
         assert [t.ref for t in c.tokens()] == ["lim(x1,x2,x3,x4)",
                                                "lim(y1,y2,y3,y4)"]
-        assert c.verify() == []
+        assert ref_completion_verify(c) == []
 
     def test_interleaving_chains_deduplicate(self):
         p = weave_poset()
@@ -95,7 +96,7 @@ class TestCompleteOver:
         descs = sorted(sorted(t.descriptor) for t in c.tokens())
         assert descs == [["w1", "w2", "w3", "w4", "w5", "w6", "w8"],
                          ["w1", "w2", "w3", "w4", "w5", "w7"]]
-        assert c.verify() == []
+        assert ref_completion_verify(c) == []
 
     def test_finite_poset_keeps_its_sups(self, diamond):
         c = complete_over(diamond, diamond.prefix(4), 4)
@@ -110,16 +111,3 @@ class TestCompleteOver:
         assert not c.leq(embed(c, "y1"), xt)
         assert not c.leq(xt, embed(c, "x4"))
         assert not c.leq(xt, yt) and not c.leq(yt, xt)
-
-    def test_to_json_shape(self):
-        p = two_chains_poset()
-        doc = complete_over(p, p.prefix(8), 8).to_json()
-        assert sorted(doc) == ["base", "covers", "elements", "horizon",
-                               "name", "tokens"]
-        assert doc["name"] == "two-chains-completion"
-        assert doc["horizon"] == 8
-        tok = doc["tokens"][0]
-        assert tok["kind"] == "limit"
-        assert tok["ref"] == "lim(x1,x2,x3,x4)"
-        assert tok["descriptor"] == ["x1", "x2", "x3", "x4"]
-        assert ["x4", "lim(x1,x2,x3,x4)"] in doc["covers"]

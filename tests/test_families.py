@@ -1,9 +1,12 @@
 """Builtin families: enumeration order, order oracles, analytics."""
+import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
-from conftest import finite_from_order
+from conftest import (finite_from_order, ref_down_closure, ref_maximal_of,
+                      ref_minimal_of)
 from stonetrim import FOUND, REFUTED, Poset, PosetError, family, family_tags
 
 
@@ -73,6 +76,59 @@ def test_finite_ladder_rows_match_the_string_order(m, extra):
     assert got.family == got.name == f"rn({m},{extra})"
 
 
+# Each infinite family's documented analytics over a prefix, by id: its
+# confirmed minimal and maximal elements, and the foundation of a nonempty
+# subset q (None where the family refutes one).
+DOCUMENTED = {
+    "omega-chain": (lambda pre: {"p1"}, lambda pre: set(),
+                    lambda q: {"p1"}),
+    "omega-antichain": (set, set, set),
+    "rn-infinity": (lambda pre: set(), lambda pre: {"p0", "p1"} & set(pre),
+                    lambda q: None),
+    "rn-infinity-bot": (lambda pre: {"bot"},
+                        lambda pre: {"p0", "p1"} & set(pre),
+                        lambda q: {"bot"}),
+    "dyadic": (lambda pre: {"0"}, lambda pre: {"1"} & set(pre),
+               lambda q: {"0"}),
+    "ziegler-fan": (lambda pre: set(pre) - {"q"}, lambda pre: {"q"},
+                    lambda q: None if "q" in q else set(q)),
+}
+
+
+@pytest.mark.parametrize("tag", ["omega-chain", "omega-antichain",
+                                 "rn-infinity", "rn-infinity-bot", "rn(2,0)",
+                                 "rn(2,2)", "rn(4,2)", "dyadic",
+                                 "ziegler-fan"])
+def test_order_answers_are_masks_of_the_documented_ids(tag):
+    # a finite family answers as the pairwise references do; an index off
+    # by one in an infinite family's analytics names another element
+    rng = random.Random(5)
+    for h in range(1, 13):
+        p = family(tag)
+        pre = p.prefix(h)
+        if p.finite:
+            want = (partial(ref_minimal_of, p), partial(ref_maximal_of, p),
+                    lambda q: ref_minimal_of(p, ref_down_closure(p, q, p.size)))
+        else:
+            want = DOCUMENTED[tag]
+        ext = p.extremal_elements(h)
+        mins, _ = p.confirmed_minimal(h)
+        delta, _ = p.p_delta(h)
+        assert [type(m) for m in (ext.minimal, ext.maximal, mins, delta)] \
+            == [int] * 4
+        assert p.ids_of(ext.minimal) == p.ids_of(mins) == want[0](pre)
+        assert p.ids_of(ext.maximal) == want[1](pre)
+        subsets = [{x} for x in pre]
+        subsets += [{x for x in pre if rng.random() < 0.5} for _ in range(4)]
+        for q in filter(None, subsets):
+            res = p.finite_foundation(p.mask_of(q), h)
+            founded = want[2](q)
+            assert type(res.foundation) is int
+            assert res.status == (REFUTED if founded is None else FOUND)
+            assert p.ids_of(res.foundation) == (founded or set())
+        assert p.ids_of(delta) == {x for x in pre if want[2]({x}) is not None}
+
+
 class TestTags:
     def test_catalog(self):
         tags = family_tags()
@@ -100,8 +156,8 @@ class TestOmegaChain:
         p = family("omega-chain")
         p.prefix(6)
         mins, exact = p.confirmed_minimal(6)
-        assert mins == {"p1"} and exact
-        assert p.finite_foundation({"p4"}, 6).foundation == {"p1"}
+        assert mins == 1 << p.index("p1") == 0b10 and exact
+        assert p.finite_foundation(p.mask_of({"p4"}), 6).foundation == 0b10
 
 
 class TestOmegaAntichain:
@@ -114,9 +170,9 @@ class TestOmegaAntichain:
     def test_subsets_found_themselves(self):
         p = family("omega-antichain")
         p.prefix(6)
-        res = p.finite_foundation({"a2", "a5"}, 6)
+        res = p.finite_foundation(p.mask_of({"a2", "a5"}), 6)
         assert res.status == FOUND
-        assert res.foundation == {"a2", "a5"}
+        assert res.foundation == p.mask_of({"a2", "a5"}) == 0b100100
 
 
 class TestLadder:
@@ -139,13 +195,13 @@ class TestLadder:
     def test_maximal_pair_confirmed(self):
         p = family("rn-infinity")
         ex = p.extremal_elements(8)
-        assert ex.maximal == {"p0", "p1"}
-        assert ex.minimal == frozenset()
+        assert ex.maximal == p.mask_of({"p0", "p1"}) == 0b110
+        assert ex.minimal == 0
 
     def test_no_finite_foundations(self):
         p = family("rn-infinity")
         p.prefix(6)
-        assert p.finite_foundation({"p1"}, 6).status == REFUTED
+        assert p.finite_foundation(p.mask_of({"p1"}), 6).status == REFUTED
 
     def test_bottom_variant(self):
         p = family("rn-infinity-bot")
@@ -153,8 +209,10 @@ class TestLadder:
         p.prefix(6)
         assert all(p.leq("bot", x) for x in p.prefix(6))
         assert not p.lt("p0", "bot")
-        res = p.finite_foundation({"p0", "p1"}, 6)
-        assert res.status == FOUND and res.foundation == {"bot"}
+        res = p.finite_foundation(p.mask_of({"p0", "p1"}), 6)
+        assert res.status == FOUND and res.foundation == 1 << p.index("bot")
+        # the confirmed maxima p0 and p1 sit at indices 2 and 3
+        assert p.extremal_elements(6).maximal == 0b1100
 
 
 class TestFiniteLadders:
@@ -193,7 +251,8 @@ class TestDyadic:
     def test_extremes(self):
         p = family("dyadic")
         ex = p.extremal_elements(9)
-        assert ex.minimal == {"0"} and ex.maximal == {"1"}
+        assert ex.minimal == p.mask_of({"0"}) == 0b10
+        assert ex.maximal == p.mask_of({"1"}) == 0b100
 
     def test_omega_witness_approaches_one_third(self):
         p = family("dyadic")
@@ -224,13 +283,14 @@ class TestZieglerFan:
         assert p.lt("m2", "q")
         assert not comparable(p, "m1", "m4")
         ex = p.extremal_elements(5)
-        assert ex.maximal == {"q"}
-        assert ex.minimal == {"m1", "m2", "m3", "m4"}
+        assert ex.maximal == p.mask_of({"q"}) == 0b10
+        assert p.ids_of(ex.minimal) == {"m1", "m2", "m3", "m4"}
 
     def test_foundation_depends_on_the_hub(self):
         p = family("ziegler-fan")
         p.prefix(6)
-        assert p.finite_foundation({"q"}, 6).status == REFUTED
-        res = p.finite_foundation({"m1", "m3"}, 6)
+        res = p.finite_foundation(p.mask_of({"q"}), 6)
+        assert res.status == REFUTED and res.foundation == 0
+        res = p.finite_foundation(p.mask_of({"m1", "m3"}), 6)
         assert res.status == FOUND
-        assert res.foundation == {"m1", "m3"}
+        assert res.foundation == p.mask_of({"m1", "m3"})

@@ -36,8 +36,7 @@ def start(sides, depth):
     span = min(left.type_cap(depth), right.type_cap(depth))
     theta = _identity_theta(left, right, span)
     delta, _ = left.poset.p_delta(span)
-    return init_iso(left, right,
-                    frozenset(delta) & set(left.poset.prefix(span)), theta)
+    return init_iso(left, right, left.poset.ids_of(delta), theta)
 
 
 def assert_index_follows(state):

@@ -29,9 +29,9 @@ def two_chains_tree():
 
 
 def child_of_type(tree, node, type_id):
-    for kid in children(tree, *node):
-        if kid.type_id == type_id:
-            return (kid.level, kid.index)
+    for j, kid_type in children(tree, *node):
+        if kid_type == type_id:
+            return (node[0] + 1, j)
     raise AssertionError(f"no {type_id} child under {node}")
 
 

@@ -11,9 +11,9 @@ from conftest import chain_ab_poset
 from stonetrim import (Analytics, BuildConfig, Classification,
                        ClosureElement, CompletionElement, Extremal,
                        FoundationResult, IsoRun, MismatchWitness, PathPrefix,
-                       PointError, PointLabel, RNTrace, SkeletonNode,
-                       StructureReport, SubsetSpec, SymbolicSpace, TypeSet,
-                       Verdict, build_levels, family)
+                       PointError, PointLabel, RNTrace, StructureReport,
+                       SubsetSpec, SymbolicSpace, TypeSet, Verdict,
+                       build_levels, family)
 from stonetrim.backforth import Pair
 from stonetrim.skeleton import MAX_LEVEL_SIZE, ConfigError, Level
 
@@ -49,17 +49,16 @@ CASES = [
          differs=("note", "m"), shown=(
              {"status": "holds", "witness": (), "note": ""},
              "Verdict(status='holds', witness=(), note='')")),
-    Case(Extremal, {"minimal": frozenset({"a"}), "maximal": frozenset({"b"}),
-                    "exact": True, "note": "n"},
+    Case(Extremal, {"minimal": 0b10, "maximal": 0b100, "exact": True,
+                    "note": "n"},
          3, {"note": ""}, frozen=True, differs=("exact", False), shown=(
-             {}, "Extremal(minimal=frozenset({'a'}), "
-                 "maximal=frozenset({'b'}), exact=True, note='n')")),
-    Case(FoundationResult, {"status": "found",
-                            "foundation": frozenset({"a"}), "note": "n"},
-         1, {"foundation": None, "note": ""}, frozen=True,
+             {}, "Extremal(minimal=2, maximal=4, exact=True, note='n')")),
+    Case(FoundationResult, {"status": "found", "foundation": 0b10,
+                            "note": "n"},
+         1, {"foundation": 0, "note": ""}, frozen=True,
          differs=("status", "refuted"), shown=(
-             {}, "FoundationResult(status='found', "
-                 "foundation=frozenset({'a'}), note='n')")),
+             {}, "FoundationResult(status='found', foundation=2, "
+                 "note='n')")),
     Case(SubsetSpec, {"members": frozenset({"a"}), "declared_lower": True,
                       "declared_upper": False},
          1, {"declared_lower": False, "declared_upper": False}, frozen=True,
@@ -96,11 +95,6 @@ CASES = [
               "block_end": array("I")},
              "Level(number=1, types=array('I', [1]), u_start=1, "
              "block_end=array('I'))")),
-    Case(SkeletonNode, {"level": 2, "index": 0, "type_id": "a",
-                        "type_ix": 1, "parent": 0, "u_flag": False},
-         6, {}, frozen=True, differs=("parent", None), shown=(
-             {}, "SkeletonNode(level=2, index=0, type_id='a', type_ix=1, "
-                 "parent=0, u_flag=False)")),
     Case(StructureReport, {"checks": [("x", True, "")]},
          0, {"checks": []}, frozen=False, differs=("checks", []), shown=(
              {"checks": []}, "StructureReport(checks=[])")),
@@ -161,12 +155,14 @@ IDS = [case.cls.__name__ for case in CASES]
 # each constructor's parameters at the last commit that generated them:
 # (name, default), REQUIRED for none and FACTORY for a fresh value per call;
 # ClosureElement's third field has since become an index mask, in place of
-# a frozenset of ids (declared in CHANGES.md)
+# a frozenset of ids, and so have Extremal's minimal and maximal and
+# FoundationResult's foundation, which defaults to the empty mask 0 in place
+# of None (declared in CHANGES.md)
 SIGNATURES = {
     "Verdict": [("status", REQUIRED), ("witness", ()), ("note", "")],
     "Extremal": [("minimal", REQUIRED), ("maximal", REQUIRED),
                  ("exact", REQUIRED), ("note", "")],
-    "FoundationResult": [("status", REQUIRED), ("foundation", None),
+    "FoundationResult": [("status", REQUIRED), ("foundation", 0),
                          ("note", "")],
     "SubsetSpec": [("members", REQUIRED), ("declared_lower", False),
                    ("declared_upper", False)],
@@ -181,9 +177,6 @@ SIGNATURES = {
     "Level": [("number", REQUIRED), ("types", REQUIRED),
               ("u_start", REQUIRED), ("block_end", FACTORY),
               ("counts", FACTORY)],
-    "SkeletonNode": [("level", REQUIRED), ("index", REQUIRED),
-                     ("type_id", REQUIRED), ("type_ix", REQUIRED),
-                     ("parent", REQUIRED), ("u_flag", REQUIRED)],
     "StructureReport": [("checks", FACTORY)],
     "TypeSet": [("poset", REQUIRED), ("min_antichain", REQUIRED),
                 ("mask", None)],
@@ -210,7 +203,7 @@ SIGNATURES = {
 
 
 def test_every_class_has_a_case():
-    assert sorted(IDS) == sorted(SIGNATURES) and len(IDS) == 19
+    assert sorted(IDS) == sorted(SIGNATURES) and len(IDS) == 18
 
 
 @pytest.mark.parametrize("case", CASES, ids=IDS)

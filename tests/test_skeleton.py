@@ -120,11 +120,13 @@ class TestChainBuild:
 
     def test_node_views(self):
         tree = chain_tree(3)
-        root = tree.node(1, 0)
-        assert (root.level, root.index, root.type_id, root.type_ix,
-                root.parent, root.u_flag) == (1, 0, "a", 1, None, False)
-        kids = children(tree, 1, 0)
-        assert [k.type_id for k in kids] == ["a", "a", "b"]
+        root = tree.level(1)
+        assert (root.types[0], root.parent_of(0), 0 >= root.u_start) == (
+            1, None, False)
+        assert tree.poset.id_at(root.types[0]) == "a"
+        assert children(tree, 1, 0) == [(0, "a"), (1, "a"), (2, "b")]
+        kids = tree.level(2)
+        assert [kids.parent_of(j) for j in range(3)] == [0, 0, 0]
 
     def test_level_out_of_range(self):
         tree = chain_tree(3)
@@ -146,10 +148,7 @@ class TestChainBuild:
         for i in (-1, -3, 3, 99):
             with pytest.raises(IndexError, match=f"level 2 has no node {i}"):
                 tree.children_span(2, i)
-            with pytest.raises(IndexError, match=f"level 2 has no node {i}"):
-                tree.node(2, i)
         assert tree.children_span(2, 2) == (4, 6)
-        assert tree.node(2, 2).index == 2
 
     def test_depth_must_be_positive(self, chain_ab):
         with pytest.raises(BuildError, match="at least 1") as info:
@@ -502,7 +501,7 @@ def structure_oracle(tree, q_lower=None):
     iso = {ix for ix, p in enumerate(poset.prefix(tree.type_cap(depth)), 1)
            if p in tree.config.isolated}
     minimal, _ = poset.confirmed_minimal(tree.type_cap(depth))
-    min_ix = {poset.index(p) for p in minimal}
+    min_ix = set(bits(minimal))
     for t in sorted(iso):
         if t in min_ix:
             ok, bad = True, ""
@@ -544,13 +543,14 @@ def structure_oracle(tree, q_lower=None):
             rep.add(f"unbounded-entry:{poset.id_at(t)}", c >= 1,
                     "" if c >= 1 else f"no unattached entry node at level {t}")
     if q_lower is not None:
-        res = poset.finite_foundation(frozenset(q_lower), tree.type_cap(depth))
+        res = poset.finite_foundation(poset.mask_of(q_lower),
+                                      tree.type_cap(depth))
         if res.status != FOUND:
             rep.add("cover-foundation", False,
                     f"foundation search returned {res.status}")
         else:
             q_ix = {poset.index(p) for p in q_lower}
-            n0 = max(poset.index(p) for p in res.foundation)
+            n0 = max(bits(res.foundation))
             ok, bad = True, ""
             for n in range(n0, depth + 1):
                 for i, t in enumerate(tree.level(n).types):

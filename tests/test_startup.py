@@ -19,7 +19,8 @@ LATER_LAYERS = {"ring", "typeset", "completion", "backforth", "closure",
 
 # every name `import stonetrim` exported, by the submodule that defines it,
 # recorded when the package still imported all its submodules eagerly, less
-# the module function ring.type_of, deleted as a wrapper of the method
+# the module function ring.type_of, deleted as a wrapper of the method, and
+# skeleton.SkeletonNode, deleted with the one method that built it
 EXPORTS = {
     "poset": ["DEFAULT_CHAIN_BOUND", "FOUND", "HOLDS", "HOLDS_ON_PREFIX",
               "INCONCLUSIVE", "REFUTED", "Analytics", "Extremal",
@@ -30,9 +31,8 @@ EXPORTS = {
     "completion": ["CompletedPoset", "CompletionElement", "CompletionError",
                    "chain_closure", "complete_finite", "complete_over",
                    "token_name"],
-    "skeleton": ["BuildConfig", "BuildError", "ConfigError", "SkeletonNode",
-                 "SkeletonTree", "StructureReport", "build_levels",
-                 "verify_structure"],
+    "skeleton": ["BuildConfig", "BuildError", "ConfigError", "SkeletonTree",
+                 "StructureReport", "build_levels", "verify_structure"],
     "ring": ["RingElement", "RingError", "is_trim_for",
              "split_by_scarce_atoms", "supertrim_split", "trim_split",
              "verify_type_axioms"],

@@ -22,6 +22,7 @@ from ._record import Record
 from .poset import FOUND, Poset, bits, from_runs, runs
 
 MAX_LEVEL_SIZE = 1 << 16
+_CHUNK = 4096               # nodes per chunk of the per-type layout test
 
 _UTF32 = "utf-32-le" if sys.byteorder == "little" else "utf-32-be"
 
@@ -29,9 +30,10 @@ _UTF32 = "utf-32-le" if sys.byteorder == "little" else "utf-32-be"
 def spell(types: array) -> str:
     """A level's ``types`` column read as a str, one code point per node:
     ``"".join(map(chr, types))``, decoded in one call from the array's
-    4-byte items.  Types are enumeration indices no larger than the depth,
-    far below the surrogates at U+D800, so every one of them decodes."""
-    return types.tobytes().decode(_UTF32)
+    4-byte items in place, with no bytes copy.  Types are enumeration
+    indices no larger than the depth, far below the surrogates at U+D800,
+    so every one of them decodes."""
+    return str(types, _UTF32)
 
 
 def char_masks(spelled: str, chars: list[str]) -> list[int]:
@@ -379,7 +381,8 @@ class SkeletonTree:
             unattached.append(n)
         unattached += bits(buckets["noncompact"]
                            & (1 << self.type_cap(n - 1) + 1) - 1)
-        u_start = sum(c * len(blocks[t]) for t, c in prev.counts.items())
+        size_of = {t: len(block) for t, block in blocks.items()}
+        u_start = sum(c * size_of[t] for t, c in prev.counts.items())
         size = u_start + len(unattached)
         bound = self.config.max_level_size
         if size > bound:
@@ -392,14 +395,13 @@ class SkeletonTree:
                 counts[q] = counts.get(q, 0) + c
         for q in unattached:
             counts[q] = counts.get(q, 0) + 1
-        block_of = blocks.__getitem__
         types = array("I")
         # appended block by block: a join over all blocks would hold a
         # buffer per node at once
-        deque(map(types.extend, map(block_of, prev.types)), 0)
+        deque(map(types.extend, map(blocks.__getitem__, prev.types)), 0)
         types.extend(unattached)
         self.levels.append(Level(n, types, u_start, array(
-            "I", accumulate(map(len, map(block_of, prev.types)))), counts))
+            "I", accumulate(map(size_of.__getitem__, prev.types))), counts))
 
     # ------------------------------------------------------------------
 
@@ -493,23 +495,50 @@ class StructureReport(Record):
                            for n, ok, d in self.checks]}
 
 
+def _reference_blocks(own, kids, ends, cap):
+    """Each type's child block at its first node on level own, if own holds
+    types 1..cap only and each node's block on level kids, ending at
+    ``ends``, is its type's; else None.  Per chunk, (a) the block lengths,
+    ends less the ends before them, and the wanted ones, each read as one
+    int of 32-bit lanes, are equal, and (b) the wanted blocks, joined,
+    start kids at the chunk's start.  (a) is exact: ends are below 2^32,
+    and by (b) the wanted blocks lie in kids, shorter than 2^20, so where
+    the lanes agree below lane k, lane k's block starts below 2^20 and its
+    have less want lies strictly between -2^21 and 2^32, where no nonzero
+    multiple of 2^32 lies: a borrow cannot fake equality."""
+    ref = {c: kids[ends[i - 1] if i else 0:ends[i]]
+           for c in map(chr, range(1, cap + 1))
+           if (i := own.find(c)) >= 0}
+    lens = {ord(c): chr(len(block)) for c, block in ref.items()}
+    if len(kids) >> 20 or own.translate(dict.fromkeys(lens)):
+        return None
+    order = sys.byteorder
+    for lo in range(0, len(own), _CHUNK):
+        chunk, block_ends = own[lo:lo + _CHUNK], ends[lo:lo + _CHUNK]
+        before = (ends[lo - 1:lo] or array("I", [0])) + block_ends[:-1]
+        want = chunk.translate(lens).encode(_UTF32, "surrogatepass")
+        if (int.from_bytes(block_ends, order) - int.from_bytes(before, order)
+                != int.from_bytes(want, order) or not kids.startswith(
+                    "".join(map(ref.__getitem__, chunk)), before[0])):
+            return None
+    return ref
+
+
 def verify_structure(tree: SkeletonTree,
                      q_lower: Optional[Iterable[str]] = None) -> StructureReport:
-    """Check the counting consequences of the build rules.
+    """Check the counting consequences of the build rules: every enumerated
+    type appears on its level; isolated minimal types keep a single node
+    per level; isolated types continue through one child, others through
+    exactly two; noncompact types get one unattached node per later level
+    and unbounded types one at their entry level; and, given a lower subset
+    of bounded types, every node typed in it descends from the covering
+    level of its foundation.
 
-    Covers: every enumerated type appears on its level; isolated minimal
-    types keep a single node per level; isolated types continue through one
-    child, others through exactly two; noncompact types get one unattached
-    node per later level and unbounded types one at their entry level; and,
-    given a lower subset of bounded types, every node typed in it descends
-    from the covering level of its foundation.
-
-    Each level is read once as its spelling (``spell``; types are
-    enumeration indices no larger than the depth, far below U+D800, so
-    every one decodes), and every check is a count or a search over
-    those strings with C-level ``str`` methods: no pass over a level
-    costs more than its width, and none rebuilds a level to compare it
-    with the tree.
+    Each level is read once as its spelling (``spell``), and every check is
+    a count or a search over those strings with C-level ``str`` methods: no
+    pass over a level costs more than its width, and none rebuilds a level.
+    Continuation children are counted once per type where the next level
+    is laid out by type (``_reference_blocks``), else once per node.
     """
     rep = StructureReport()
     poset = tree.poset
@@ -525,47 +554,33 @@ def verify_structure(tree: SkeletonTree,
     iso, buckets = tree.config.masks(tree.type_cap(depth))
     minimal, _ = poset.confirmed_minimal(tree.type_cap(depth))
     for t in bits(iso & minimal):
-        ok = True
-        bad = ""
-        for n in range(t, depth + 1):
-            c = spelled[n].count(chr(t))
-            if c != 1:
-                ok, bad = False, f"level {n} holds {c} nodes of type ix {t}"
-                break
-        rep.add(f"isolated-single-line:{poset.id_at(t)}", ok, bad)
+        bad = next((f"level {n} holds {c} nodes of type ix {t}"
+                    for n in range(t, depth + 1)
+                    if (c := spelled[n].count(chr(t))) != 1), "")
+        rep.add(f"isolated-single-line:{poset.id_at(t)}", not bad, bad)
 
     for n in range(1, depth):
         own, kids = spelled[n], spelled[n + 1]
-        want_of = {t: 1 if iso >> t & 1 else 2 for t in map(ord, set(own))}
         ends = tree.levels[n].block_end
-        # node i's own character counted in its child block of level n+1,
-        # a byte a node (a list sets a wide tree's peak memory); a count
-        # past 255 fits no byte, and breaks the rule too
-        try:
-            ok = (bytes(map(kids.count, own, chain((0,), ends), ends))
-                  == own.translate(want_of).encode("latin-1"))
-        except ValueError:
-            ok = False
+        ref = _reference_blocks(own, kids, ends, tree.type_cap(n))
+        want = {c: 1 if iso >> ord(c) & 1 else 2 for c in ref or set(own)}
         bad = ""
-        if not ok:
+        if ref is None or any(ref[c].count(c) != k for c, k in want.items()):
             same = map(kids.count, own, chain((0,), ends), ends)
-            i, k = next((i, k) for i, k in enumerate(same)
-                        if k != want_of[ord(own[i])])
-            t = ord(own[i])
-            bad = (f"node {n}.{i} of type {poset.id_at(t)} has {k} "
-                   f"continuation children, wanted {want_of[t]}")
-        rep.add(f"continuation-children@{n}", ok, bad)
+            bad = next((f"node {n}.{i} of type {poset.id_at(ord(c))} has {k} "
+                        f"continuation children, wanted {want[c]}"
+                        for i, (c, k) in enumerate(zip(own, same))
+                        if k != want[c]), "")
+        rep.add(f"continuation-children@{n}", not bad, bad)
 
     noncompact, unbounded = buckets["noncompact"], buckets["unbounded"]
     for t in bits(noncompact | unbounded):
         if noncompact >> t & 1:
-            ok = True
-            bad = ""
-            for n in range(max(2, t + 1), depth + 1):
-                if spelled[n].find(chr(t), tree.level(n).u_start) < 0:
-                    ok, bad = False, f"level {n} has no unattached node of type ix {t}"
-                    break
-            rep.add(f"noncompact-supply:{poset.id_at(t)}", ok, bad)
+            bad = next((f"level {n} has no unattached node of type ix {t}"
+                        for n in range(max(2, t + 1), depth + 1)
+                        if spelled[n].find(chr(t), tree.level(n).u_start) < 0),
+                       "")
+            rep.add(f"noncompact-supply:{poset.id_at(t)}", not bad, bad)
         elif 2 <= t <= depth:
             ok = spelled[t].find(chr(t), tree.level(t).u_start) >= 0
             rep.add(f"unbounded-entry:{poset.id_at(t)}", ok,
@@ -580,7 +595,6 @@ def verify_structure(tree: SkeletonTree,
         else:
             q_chars = set(map(chr, bits(qmask)))
             n0 = res.foundation.bit_length() - 1
-            ok = True
             bad = ""
             # nodes descending from level n0 fill a prefix of each level
             for n in range(n0, depth + 1):
@@ -588,8 +602,7 @@ def verify_structure(tree: SkeletonTree,
                 escaped = [i for i in map(spelled[n].find, q_chars,
                                           repeat(reach)) if i >= 0]
                 if escaped:
-                    i = min(escaped)
-                    ok, bad = False, f"node {n}.{i} of covered type escapes level {n0}"
+                    bad = f"node {n}.{min(escaped)} of covered type escapes level {n0}"
                     break
-            rep.add("covered-types-descend", ok, bad)
+            rep.add("covered-types-descend", not bad, bad)
     return rep

@@ -12,7 +12,7 @@ from stonetrim import (FOUND, BuildConfig, BuildError, ConfigError, Poset,
                        build_levels, family, verify_structure)
 from stonetrim.poset import bits, runs
 from stonetrim.skeleton import (BUCKETS, Level, SkeletonTree,
-                                StructureReport, spell)
+                                StructureReport, _reference_blocks, spell)
 
 
 def chain_tree(depth=4, **kw):
@@ -756,6 +756,106 @@ class TestWholeLevelPasses:
             "continuation-children@3",
             f"node 3.{lvl.u_start} of type b has 1 continuation children, "
             f"wanted 2")]
+
+    @staticmethod
+    def laid_out_by_type(tree, n):
+        """Whether the per-type test takes level n + 1 as laid out by type."""
+        own, kids = spell(tree.level(n).types), spell(tree.level(n + 1).types)
+        return _reference_blocks(own, kids, tree.level(n + 1).block_end,
+                                 tree.type_cap(n)) is not None
+
+    def test_children_permuted_inside_one_block(self):
+        # node 3.3 has type a and children [a, a, b]; as [b, a, a] its count
+        # holds, but its block is no longer its type's
+        tree = chain_tree(4)
+        assert self.laid_out_by_type(tree, 3)
+        self.tamper(tree, 3, 3, 0, 2)
+        self.tamper(tree, 3, 3, 2, 1)
+        assert not self.laid_out_by_type(tree, 3)
+        assert self.failures(tree) == []
+
+    def test_children_permuted_in_the_reference_block(self):
+        # node 3.0, the first of type a, sets a's reference block
+        tree = chain_tree(4)
+        self.tamper(tree, 3, 0, 1, 2)
+        self.tamper(tree, 3, 0, 2, 1)
+        assert not self.laid_out_by_type(tree, 3)
+        assert self.failures(tree) == []
+
+    @pytest.mark.parametrize("node, shift, failures", [
+        # node 3.2 of type b keeps one b; node 3.3's block gains it
+        (2, -1, [("continuation-children@3",
+                  "node 3.2 of type b has 1 continuation children, "
+                  "wanted 2")]),
+        # node 3.0 of type a keeps [a, a]; node 3.1 gets [b, a, a, b]
+        (0, -1, []),
+        # node 3.1 of type a takes node 3.2's first b
+        (1, 1, [("continuation-children@3",
+                 "node 3.2 of type b has 1 continuation children, "
+                 "wanted 2")]),
+        # past the first node of each type, so the reference blocks and
+        # the joined blocks still match: only the block lengths differ
+        (4, -1, [("continuation-children@3",
+                  "node 3.5 of type b has 3 continuation children, "
+                  "wanted 2")]),
+        # node 3.3 of type a keeps [a, a]; node 3.4 gets [b, a, a, b]
+        (3, -1, []),
+    ])
+    def test_one_block_end_moved(self, node, shift, failures):
+        tree = chain_tree(4)
+        tree.level(4).block_end[node] += shift
+        assert not self.laid_out_by_type(tree, 3)
+        assert self.failures(tree) == failures
+
+    def test_an_end_past_the_level(self):
+        # node 3.1's block runs to the last node of level 4, node 3.2's is
+        # empty; no lane of the per-type test may wrap round to agree (the
+        # oracle reads children past the level, so the report is spelled
+        # out here)
+        tree = chain_tree(4)
+        tree.level(4).block_end[1] = (1 << 32) - 1
+        assert not self.laid_out_by_type(tree, 3)
+        rep = verify_structure(tree).to_json()
+        assert [c["detail"] for c in rep["checks"] if not c["passed"]] == [
+            "node 3.1 of type a has 6 continuation children, wanted 2"]
+
+    def test_a_type_past_the_cap(self):
+        # level 3 of omega-chain holds types 1..3; node 3.1 is retyped 5,
+        # and its block is 5 nodes long, so its lane alone cannot tell
+        tree = build_levels(BuildConfig(family("omega-chain")), 4)
+        assert tree.children_span(3, 1) == (5, 10)
+        tree.level(3).types[1] = 5
+        tree.level(3)._masks.clear()
+        assert not self.laid_out_by_type(tree, 3)
+        assert self.failures(tree) == [
+            ("continuation-children@2",
+             "node 2.0 of type p1 has 1 continuation children, wanted 2"),
+            ("continuation-children@3",
+             "node 3.1 of type p5 has 0 continuation children, wanted 2")]
+
+    @pytest.mark.parametrize("node, block_ix, new_type, detail", [
+        (2, 1, 1, "node 3.2 of type b has 1 continuation children, wanted 2"),
+        (0, 2, 1, "node 3.0 of type a has 3 continuation children, wanted 2"),
+    ])
+    def test_bad_reference_block(self, node, block_ix, new_type, detail):
+        # the first node of its type on level 3, so its block is the
+        # reference every later node of that type is compared with
+        tree = chain_tree(4)
+        self.tamper(tree, 3, node, block_ix, new_type)
+        assert not self.laid_out_by_type(tree, 3)
+        assert self.failures(tree) == [("continuation-children@3", detail)]
+
+    @pytest.mark.parametrize("tag, depth", [("omega-antichain", 16),
+                                            ("rn(2,0)", 15)])
+    def test_widest_deep_builds_match_the_node_loops(self, tag, depth):
+        tree = build_levels(BuildConfig(family(tag)), depth)
+        assert all(self.laid_out_by_type(tree, n) for n in range(1, depth))
+        assert assert_same_report(tree)["passed"]
+        # one end moved in the fifth chunk of the widest level pair
+        assert len(tree.level(depth - 1)) > 5 * 4096
+        tree.level(depth).block_end[4 * 4096 + 7] -= 1
+        assert not self.laid_out_by_type(tree, depth - 1)
+        assert not assert_same_report(tree)["passed"]
 
     def test_noncompact_type_losing_its_unattached_node(self, chain_ab):
         tree = build_levels(BuildConfig(chain_ab, bounded={"a"},

@@ -9,10 +9,11 @@ when it is marked unbounded, and one per already-enumerated noncompact type.
 """
 from __future__ import annotations
 
+import codecs
 import sys
 from array import array
 from bisect import bisect_right
-from collections import Counter, deque
+from collections import Counter
 from collections.abc import Iterator, Sequence
 from functools import cached_property
 from itertools import accumulate, chain, repeat
@@ -22,9 +23,14 @@ from ._record import Record
 from .poset import FOUND, Poset, bits, from_runs, runs
 
 MAX_LEVEL_SIZE = 1 << 16
-_CHUNK = 4096               # nodes per chunk of the per-type layout test
+_CHUNK = 4096       # nodes per chunk of a level build and of the layout test
 
-_UTF32 = "utf-32-le" if sys.byteorder == "little" else "utf-32-be"
+# one 4-byte code unit a node, in array("I")'s byte order; the codec
+# functions are called directly, as str.encode and str() look the codec
+# up by name on every call
+_encode, _decode = ((codecs.utf_32_le_encode, codecs.utf_32_le_decode)
+                    if sys.byteorder == "little" else
+                    (codecs.utf_32_be_encode, codecs.utf_32_be_decode))
 
 
 def spell(types: array) -> str:
@@ -33,7 +39,7 @@ def spell(types: array) -> str:
     4-byte items in place, with no bytes copy.  Types are enumeration
     indices no larger than the depth, far below the surrogates at U+D800,
     so every one of them decodes."""
-    return str(types, _UTF32)
+    return _decode(types)[0]
 
 
 def char_masks(spelled: str, chars: list[str]) -> list[int]:
@@ -241,7 +247,7 @@ class Level(Record):
         spelling (``spell``) by ``char_masks``."""
         if not self._masks:
             spelled = spell(self.types)
-            chars = list(dict.fromkeys(reversed(spelled)))
+            chars = sorted(set(spelled), key=spelled.rfind, reverse=True)
             self._masks.update(zip(map(ord, chars),
                                    char_masks(spelled, chars)))
             self._type_bits = [(1 << t, atoms)
@@ -359,7 +365,12 @@ class SkeletonTree:
         new level's size and type counts follow from the previous level's
         counts and the blocks, so the size bound is checked before any pass
         over the previous level's nodes and before anything is written to
-        the tree."""
+        the tree.  Then level n is spelled once (``spell``) and read in
+        ``_CHUNK``-node slices, twice: for ``types``, each slice's nodes'
+        spelled child blocks joined and encoded; for ``block_end``, the
+        running sum of their block sizes, read off the slice translated
+        through ``size_of``.  No buffer but the spelling spans the whole
+        level."""
         n = self.depth + 1
         cap = self.type_cap(n)
         iso, buckets = self.config.masks(cap)
@@ -395,13 +406,23 @@ class SkeletonTree:
                 counts[q] = counts.get(q, 0) + c
         for q in unattached:
             counts[q] = counts.get(q, 0) + 1
-        types = array("I")
-        # appended block by block: a join over all blocks would hold a
-        # buffer per node at once
-        deque(map(types.extend, map(blocks.__getitem__, prev.types)), 0)
+        kids = {chr(t): spell(block) for t, block in blocks.items()}
+        spelled = spell(prev.types)
+        chunks = range(0, len(spelled), _CHUNK)
+        types, block_end, end = array("I"), array("I"), 0
+        # one column at a time: grown together, with each chunk's buffers
+        # in between, they would leapfrog each other up the heap
+        for lo in chunks:
+            types.frombytes(_encode("".join(map(
+                kids.__getitem__, spelled[lo:lo + _CHUNK])))[0])
         types.extend(unattached)
-        self.levels.append(Level(n, types, u_start, array(
-            "I", accumulate(map(size_of.__getitem__, prev.types))), counts))
+        for lo in chunks:
+            sizes = array("I", _encode(spelled[lo:lo + _CHUNK].translate(
+                size_of), "surrogatepass")[0])
+            sizes[0] += end
+            block_end.extend(accumulate(sizes))
+            end = block_end[-1]
+        self.levels.append(Level(n, types, u_start, block_end, counts))
 
     # ------------------------------------------------------------------
 
@@ -516,7 +537,7 @@ def _reference_blocks(own, kids, ends, cap):
     for lo in range(0, len(own), _CHUNK):
         chunk, block_ends = own[lo:lo + _CHUNK], ends[lo:lo + _CHUNK]
         before = (ends[lo - 1:lo] or array("I", [0])) + block_ends[:-1]
-        want = chunk.translate(lens).encode(_UTF32, "surrogatepass")
+        want = _encode(chunk.translate(lens), "surrogatepass")[0]
         if (int.from_bytes(block_ends, order) - int.from_bytes(before, order)
                 != int.from_bytes(want, order) or not kids.startswith(
                     "".join(map(ref.__getitem__, chunk)), before[0])):

@@ -241,6 +241,19 @@ class TestStorage:
             tracemalloc.stop()
         assert held <= 12 * sum(map(len, tree.levels))
 
+    def test_building_the_widest_level_holds_one_chunk_at_a_time(self):
+        # level 15 of omega-antichain has 32 767 nodes, so a whole-level
+        # column of 4-byte block sizes alone would be 128 KB
+        tree = build_levels(BuildConfig(family("omega-antichain")), 15)
+        tracemalloc.start()
+        try:
+            tree.extend_to(16)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(tree.level(15)) == 32767
+        assert peak - held <= 128 * 1024
+
     def test_spelling_is_one_code_point_per_node(self):
         rng = random.Random(23)
         for size in (0, 1, 2, 3, 7, 100, 4096):
@@ -857,6 +870,19 @@ class TestWholeLevelPasses:
         assert not self.laid_out_by_type(tree, depth - 1)
         assert not assert_same_report(tree)["passed"]
 
+    @pytest.mark.parametrize("tag, depth", [("omega-antichain", 16),
+                                            ("rn(2,0)", 15)])
+    def test_widest_deep_builds_lay_out_like_the_node_loops(self, tag, depth):
+        tree = SkeletonTree(BuildConfig(family(tag)), 1)
+        while tree.depth < depth:
+            types, _, u_start, _, ends = next_level_oracle(tree)
+            tree.extend_to(tree.depth + 1)
+            lvl = tree.levels[-1]
+            assert lvl.types.tolist() == types
+            assert lvl.block_end.tolist() == ends
+            assert lvl.u_start == u_start
+            assert lvl.counts == Counter(types)
+
     def test_noncompact_type_losing_its_unattached_node(self, chain_ab):
         tree = build_levels(BuildConfig(chain_ab, bounded={"a"},
                                         noncompact={"b"}), 4)
@@ -880,6 +906,30 @@ class TestWholeLevelPasses:
         doc = assert_same_report(tree)
         assert [c["name"] for c in doc["checks"] if not c["passed"]] == [
             "unbounded-entry:b"]
+
+
+class TestChunkedBuild:
+    """Levels built, and their layout tested, in chunks far smaller than a
+    level, so that most blocks and block ends lie past a chunk boundary."""
+
+    @pytest.mark.parametrize("chunk", [1, 3, 64])
+    @pytest.mark.parametrize("tag", ORACLE_FAMILIES)
+    def test_builtin_families_match_the_node_loops(self, monkeypatch, tag,
+                                                   chunk):
+        monkeypatch.setattr("stonetrim.skeleton._CHUNK", chunk)
+        assert_matches_oracles(BuildConfig(family(tag)), 7)
+
+    @pytest.mark.parametrize("chunk", [1, 3, 64])
+    def test_random_posets_match_the_node_loops(self, monkeypatch, chunk):
+        monkeypatch.setattr("stonetrim.skeleton._CHUNK", chunk)
+        rng = random.Random(chunk)
+        for bucket in ("noncompact", "unbounded", "auto"):
+            for _ in range(4):
+                poset = random_poset(rng)
+                ids = poset.prefix(poset.size)
+                config = BuildConfig(poset, isolated={rng.choice(ids)},
+                                     default_bucket=bucket)
+                assert_matches_oracles(config, 5)
 
 
 # ----------------------------------------------------------------------

@@ -272,6 +272,17 @@ def _persist_rows(tree: SkeletonTree, n: int) -> list[tuple[int, int, int]]:
             for (bit, kid_bits), nodes in zip(rows, node_masks)]
 
 
+class _Memo(dict):
+    """A table that fills each missing key once, with ``fill(*key)``."""
+
+    def __init__(self, fill):
+        self.fill = fill
+
+    def __missing__(self, key: tuple):
+        hit = self[key] = self.fill(*key)
+        return hit
+
+
 def _level_draws(getrandbits, bound: int) -> Iterator[int]:
     """Endless draws from 1..bound: the stream ``Random.randint(1, bound)``
     gives on the generator behind getrandbits, which draws
@@ -295,42 +306,36 @@ def verify_type_axioms(tree: SkeletonTree, level_bound: int,
     ``type_bits`` table, and compare interned ``TypeSet`` masks.  A random
     level is drawn as ``Random.randint(1, level_bound)`` would draw it
     (``_level_draws``), and a random mask with one ``getrandbits`` call.
+    Each distinct (level, mask) that the union law's canonical path or the
+    upward law reads is lowered and typed once per call (``canon``).
 
     - union additivity: while both operands and their union stay on their
       level, both sides OR rows of one type table and agree on any table,
-      so such a draw counts as checked.  The random-draw loop decides
-      that inline, with ``_lower``'s quick tests (``_turned_away``) on
-      level masks read once per level: the unattached-atom test first, as
-      a draw whose operands both hold an unattached atom stays, then the
-      runs' starts and ends.  The atom pairs of small levels take the same
-      tests through ``additive``.  Any other draw is tested on canonical
-      forms, once per distinct (level, mask, mask) in a call: ``_lower``
-      both operands, lift them to a common level with ``theta_image``,
-      ``_lower`` the union, and compare its ``_types_in`` with the OR of
-      the operands';
+      so such a draw counts as checked, as ``_lower``'s quick tests
+      (``_turned_away``, on level masks read once per level) decide.  Any
+      other draw is decided once per distinct (level, mask, mask) in a
+      call: both operands are read from the table, lifted to a common
+      level with ``theta_image``, and the type set of their union, read
+      from the table too, is compared with the OR of theirs;
     - emptiness calls ``_types_in`` on every nonempty draw;
-    - persistence reads a per-level table built once per call from each
-      node's child block, read off the next level's spelling, with each
-      own type's node mask lifted once through ``theta_image`` and
-      checked against that type's blocks (``_persist_rows``), so a
-      tampered level or a wrong lift shows up here; a draw ORs the rows
-      it meets, and the generators and lost types of each distinct OR are
-      found once per call;
-    - upward closure calls ``_lower``, ``_types_in`` and
+    - persistence ORs the rows a draw meets in a per-level table built
+      once per call from the next level's spelling, each own type's node
+      mask lifted once through ``theta_image`` (``_persist_rows``), and
+      finds the generators and lost types of each distinct OR once;
+    - upward closure reads each draw's type set from the table, calls
       ``TypeSet.members`` (memoised on the poset) on every draw, and makes
       the law's counts once per distinct member set in a call.
 
     The laws reach ``_lower``, ``_types_in`` and ``theta_image`` through
-    the module and the tree, with no copy of them and no memo kept across
-    calls, so a wrong lowering, lift or typing shows in the report.  The
-    per-call memos hold functions of a draw only, and every draw is still
-    taken from the rng and counted, so the report has the same format,
-    counts and witnesses as the element-by-element check it replaced.
-    Nothing is memoised on the tree, so a level changed between two calls
-    shows in the second.
+    the module and the tree, and every memo lives for one call, so a wrong
+    lowering, lift or typing, or a level changed between calls, shows in
+    the report.  Every draw is still drawn and counted, as the
+    element-by-element check counts it.
     """
     if level_bound < 1 or level_bound + 1 > tree.depth:
         raise RingError("need depth at least level_bound + 1")
+    if not isinstance(draws, int) or draws < 0:
+        raise RingError(f"draws must be an int >= 0, not {draws!r}")
     getrandbits = random.Random(seed).getrandbits
     level_draws = _level_draws(getrandbits, level_bound)
     poset = tree.poset
@@ -350,7 +355,11 @@ def verify_type_axioms(tree: SkeletonTree, level_bound: int,
     # No mask drops below level 1, as if every atom there were unattached.
     tests = [None, (-1, 0, 0)] + [(lvl.u_mask, *lvl.block_masks())
                                   for lvl in levels[1:level_bound]]
-    decided: dict[tuple[int, int, int], bool] = {}
+
+    def canonical(n: int, m: int) -> tuple[int, int, TypeSet]:
+        """The canonical (level, mask) of the level-n mask m, and its types."""
+        level, mask = _lower(tree, n, m)
+        return level, mask, _types_in(tree, level, mask)
 
     def additive(n: int, ma: int, mb: int) -> bool:
         """T(a | b) == T(a) | T(b) for the level-n masks a and b."""
@@ -360,29 +369,22 @@ def verify_type_axioms(tree: SkeletonTree, level_bound: int,
                     and _turned_away(mb, u, starts, ends)
                     and _turned_away(ma | mb, u, starts, ends)):
                 return True
-        return lowered_additive(n, ma, mb)
+        return decided[n, ma, mb]
 
     def lowered_additive(n: int, ma: int, mb: int) -> bool:
-        """The law on the canonical forms: lower both operands, lift them
-        to the deeper one's level, and lower their union; decided once
-        per distinct draw in a call."""
-        key = n, ma, mb
-        hit = decided.get(key)
-        if hit is not None:
-            return hit
-        la, xa = _lower(tree, n, ma)
-        lb, xb = _lower(tree, n, mb)
+        """additive on the canonical forms."""
+        la, xa, ta = canon[n, ma]
+        lb, xb, tb = canon[n, mb]
         k = max(la, lb)
-        ua, ub = xa, xb
         for i in range(la, k):
-            ua = tree.theta_image(i, ua)
+            xa = tree.theta_image(i, xa)
         for i in range(lb, k):
-            ub = tree.theta_image(i, ub)
-        lu, xu = _lower(tree, k, ua | ub)
-        hit = decided[key] = (from_mask(poset, _types_in(tree, la, xa).mask
-                                        | _types_in(tree, lb, xb).mask).mask
-                              == _types_in(tree, lu, xu).mask)
-        return hit
+            xb = tree.theta_image(i, xb)
+        return (from_mask(poset, ta.mask | tb.mask).mask
+                == canon[k, xa | xb][2].mask)
+
+    canon = _Memo(canonical)
+    decided = _Memo(lowered_additive)       # (level, mask, mask) -> law
 
     # union additivity: T(x | y) == T(x) | T(y)
     checked = bad = 0
@@ -400,10 +402,8 @@ def verify_type_axioms(tree: SkeletonTree, level_bound: int,
     checked += per_level * level_bound
     for n in range(1, level_bound + 1):
         size = size_of[n]
-        # _turned_away inline: a mask stays on level n when it holds an
-        # unattached atom, or a run that starts or ends inside a child
-        # block of the level above; the draw counts when ma, mb and
-        # ma | mb all stay
+        # _turned_away inline; the draw counts when ma, mb and ma | mb
+        # all stay on level n
         u, starts, ends = tests[n]
         inner_starts, inner_ends = ~starts, ~ends
         for _ in range(per_level):
@@ -422,7 +422,7 @@ def verify_type_axioms(tree: SkeletonTree, level_bound: int,
                     if (ua or ub or m & ~(m << 1) & inner_starts
                             or m & ~(m >> 1) & inner_ends):
                         continue
-            if not lowered_additive(n, ma, mb):
+            if not decided[n, ma, mb]:
                 bad += 1
                 witness = witness or f"masks at level {n}"
     record("union-additive", checked, bad, witness)
@@ -519,7 +519,7 @@ def verify_type_axioms(tree: SkeletonTree, level_bound: int,
     by_members: dict[frozenset, tuple[int, int, str]] = {}
     for n in islice(level_draws, min(draws, 1000)):
         m = getrandbits(size_of[n])
-        members = _types_in(tree, *_lower(tree, n, m)).members(horizon)
+        members = canon[n, m][2].members(horizon)
         hit = by_members.get(members)
         if hit is None:
             hit = by_members[members] = closure_law(members)

@@ -761,6 +761,60 @@ def test_draw_memos_live_per_call():
                                        seed=0)
 
 
+def test_each_level_mask_is_lowered_once_per_call():
+    """The union law's canonical path and the upward law read each
+    (level, mask) from one table per call: every pair they ask for is
+    lowered once, a mask int drawn on two levels once on each, and the
+    report is the element-by-element oracle's."""
+    tree = build_levels(BuildConfig(diamond_poset()), 5)
+    lowered = []
+
+    def counted(tree, level, mask):
+        lowered.append((level, mask))
+        return _lower(tree, level, mask)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ring, "_lower", counted)
+        got = verify_type_axioms(tree, 4, draws=1000, seed=0)
+        asked = lowered.copy()
+        lowered.clear()
+        want = verify_type_axioms_oracle(tree, 4, draws=1000, seed=0)
+    assert got == want
+    # the oracle lowers every operand, union and draw it makes; its last
+    # 1000 elements are the upward law's draws
+    upward = set(lowered[-1000:])
+    assert len(asked) == len(set(asked)) < len(lowered)
+    assert upward <= set(asked) <= set(lowered)
+    levels_of = {}
+    for level, mask in asked:
+        levels_of.setdefault(mask, set()).add(level)
+    assert max(map(len, levels_of.values())) > 1
+
+
+@pytest.mark.parametrize("draws", [-1, 2.5])
+def test_bad_draws_raise_before_any_law(chain_tree, draws):
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_lower", "_types_in", "_persist_rows"):
+            def logged(*args, name=name, f=getattr(ring, name)):
+                calls.append(name)
+                return f(*args)
+            mp.setattr(ring, name, logged)
+        with pytest.raises(RingError, match="draws"):
+            verify_type_axioms(chain_tree, 4, draws=draws)
+    assert calls == []
+
+
+def test_zero_draws_takes_one_union_draw_per_level(chain_tree):
+    report = verify_type_axioms(chain_tree, 4, draws=0, seed=0)
+    assert report == verify_type_axioms_oracle(chain_tree, 4, draws=0,
+                                               seed=0)
+    atom_pairs = sum(len(lvl) ** 2 for lvl in chain_tree.levels[:4]
+                     if len(lvl) <= 12)
+    assert report["axioms"]["union-additive"]["checked"] == atom_pairs + 4
+    assert report["axioms"]["empty-detection"]["checked"] == 1
+    assert report["axioms"]["upward-closed"]["checked"] == 0
+
+
 # configs whose levels hold unattached atoms: the nodes that continue a
 # noncompact type
 UNATTACHED = {

@@ -12,8 +12,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "poset": ("DEFAULT_CHAIN_BOUND", "FOUND", "HOLDS", "HOLDS_ON_PREFIX",
               "INCONCLUSIVE", "REFUTED", "Analytics", "Extremal",
-              "FoundationResult", "Poset", "PosetError", "SubsetSpec",
-              "Verdict"),
+              "FoundationResult", "Poset", "PosetError", "Verdict"),
     "families": ("family", "family_tags"),
     "typeset": ("TypeSet",),
     "completion": ("CompletedPoset", "CompletionElement", "CompletionError",

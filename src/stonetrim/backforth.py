@@ -483,6 +483,28 @@ def _check_theta(left: SkeletonTree, right: SkeletonTree,
     return _ThetaMap((left.poset, right.poset), (fwd, back))
 
 
+def _check_isolation(state: PartialIso) -> None:
+    """Raise a mismatch at the first pair whose generator is isolated on
+    one side only.  The isolated part holds one atom of its type at every
+    depth, while the other part's type splits in two each level, so no
+    refinement can match them: the witness counts the other part's atoms
+    of its type one level below it."""
+    for pair in state.pairs:
+        for side in (0, 1):
+            other, g, h = 1 - side, pair.gens[side], pair.gens[1 - side]
+            if not state.iso[side] >> g & 1 or state.iso[other] >> h & 1:
+                continue
+            part = pair.parts[other]
+            n = part.level + 1
+            _grow(part.tree, n)
+            atoms = part.mask_at(n) & part.tree.level(n).type_mask(h)
+            raise MismatchFound(MismatchWitness(
+                SIDES[side], state.trees[side].poset.id_at(g),
+                atoms.bit_count(), 1,
+                "isolated type cannot multiply inside a part typed exactly "
+                "by it"))
+
+
 def _schedule(left: SkeletonTree, right: SkeletonTree, depth: int,
               seed: int) -> list[tuple[int, int, int]]:
     """Every atom of levels 1 .. depth-2 on both sides as (side, level,
@@ -524,7 +546,8 @@ def run_backforth(left: SkeletonTree, right: SkeletonTree,
                   seed: int = 0) -> IsoRun:
     """Drive the pairing over a seeded shuffle of both atom schedules.
 
-    Completing the schedule with every scheduled atom a union of parts is an
+    Completing the schedule with every scheduled atom a union of parts,
+    and no pair whose generator is isolated on one side only, is an
     isomorphism certificate to the scheduled depth.  A provable count
     contradiction reports a mismatch with its witness; running out of the
     level budget reports exhaustion instead.
@@ -559,6 +582,7 @@ def run_backforth(left: SkeletonTree, right: SkeletonTree,
         for side, n, i in schedule:
             extend_iso(state, side, RingElement.atom(state.trees[side], n, i),
                        max_depth, run.transcript)
+        _check_isolation(state)
     except MismatchFound as m:
         run.status = "mismatch"
         run.witness = m.witness

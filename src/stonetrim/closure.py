@@ -171,13 +171,13 @@ class ClosureElement(Frozen):
                 "ids": sorted(self.ids)}
 
 
-def check_closure_axioms(space: SymbolicSpace, sample_ids=None) -> list[str]:
-    """Exhaustive closure-axiom check over subsets of a small id pool."""
+def check_closure_axioms(space: SymbolicSpace) -> list[str]:
+    """Exhaustive closure-axiom check over subsets of a small id pool: a
+    finite space's every id, or a ladder's first five rungs and its
+    bottom."""
     from itertools import combinations
-    if sample_ids is None:
-        sample_ids = (sorted(space.whole().ids) if space.finite else
-                      space.rungs()[:5] + [p for p in [space.bottom] if p])
-    pool = list(sample_ids)
+    pool = (sorted(space.whole().ids) if space.finite else
+            space.rungs()[:5] + [p for p in [space.bottom] if p])
     subsets = []
     for r in range(len(pool) + 1):
         for combo in combinations(pool, r):

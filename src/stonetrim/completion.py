@@ -2,9 +2,12 @@
 
 The completed carrier holds one element per base element (its principal
 down-set) plus limit tokens for open-ended ascending chains that have no
-upper bound in the seen prefix.  Tokens are canonicalized by their descriptor
-(the union of the down-sets of the chain members) restricted to the horizon;
-two generating chains receive one token exactly when they interleave.
+upper bound in the seen prefix.  Every element carries its descriptor, its
+down-set in the prefix as a mask over enumeration indices, and the carrier
+order is descriptor inclusion (no token lies below a base element).  Tokens
+are canonicalized by their descriptor (the union of the down-sets of the
+chain members); two generating chains receive one token exactly when they
+interleave.
 """
 from __future__ import annotations
 
@@ -22,11 +25,11 @@ class CompletionElement(Frozen):
     """A carrier element: an embedded base element or a limit token.
 
     kind is "base" or "limit"; ref is the base id, or the canonical token
-    name; descriptor holds the prefix elements below the element."""
+    name; descriptor masks the prefix elements below the element."""
 
     __slots__ = _compare = ("kind", "ref", "descriptor", "display")
 
-    def __init__(self, kind: str, ref: str, descriptor: frozenset,
+    def __init__(self, kind: str, ref: str, descriptor: int,
                  display: str = ""):
         self._fill(kind, ref, descriptor, display)
 
@@ -39,15 +42,16 @@ def token_name(chain: Iterable[str]) -> str:
     return "lim(" + ",".join(chain) + ")"
 
 
-def chain_closure(poset: Poset, seq: Iterable[str], horizon: int) -> frozenset:
-    """Prefix elements below some member of an ascending sequence."""
+def chain_closure(poset: Poset, seq: Iterable[str], horizon: int) -> int:
+    """Mask of the prefix elements below some member of an ascending
+    sequence."""
     seq = list(seq)
     if not seq:
         raise CompletionError("empty sequence has no closure")
     for a, b in zip(seq, seq[1:]):
         if not poset.leq(a, b):
             raise CompletionError(f"sequence not ascending at {a!r}, {b!r}")
-    return poset.down_closure(seq, horizon)
+    return poset.lower_of(poset.mask_of(seq), horizon)
 
 
 class CompletedPoset:
@@ -63,19 +67,12 @@ class CompletedPoset:
         return [e for e in self.elements if e.is_limit]
 
     def leq(self, x: CompletionElement, y: CompletionElement) -> bool:
-        """Order on the carrier.
-
-        Base-base follows the poset; a base sits below a token when the
-        token's generating chain dominates it; tokens never sit below bases,
-        and token-token order is descriptor inclusion.
-        """
-        if not x.is_limit and not y.is_limit:
-            return self.poset.leq(x.ref, y.ref)
-        if not x.is_limit and y.is_limit:
-            return x.ref in y.descriptor
-        if x.is_limit and not y.is_limit:
-            return False
-        return x.descriptor <= y.descriptor
+        """Order on the carrier: descriptor inclusion, except that tokens
+        never sit below bases.  Base-base inclusion is the poset's order; a
+        token's descriptor is its chain top's down-set, so a base sits below
+        a token exactly when the token's generating chain dominates it."""
+        return (not (x.is_limit and not y.is_limit)
+                and not x.descriptor & ~y.descriptor)
 
 
 def complete_finite(poset: Poset) -> CompletedPoset:
@@ -102,7 +99,8 @@ def complete_over(poset: Poset, members: Iterable[str],
     """
     pre = poset.prefix(horizon)
     sub = poset.mask_of(set(members) & set(pre))
-    els = [CompletionElement("base", p, poset.down_set(p, horizon)) for p in pre]
+    els = [CompletionElement("base", p, poset.lower_of(1 << i, horizon))
+           for i, p in enumerate(pre, 1)]
     if poset.finite:
         return CompletedPoset(poset, horizon, els)
 
@@ -120,5 +118,6 @@ def complete_over(poset: Poset, members: Iterable[str],
         tokens.append(CompletionElement("limit", token_name(chain),
                                         els[t - 1].descriptor,
                                         display(chain) or ""))
-    els.extend(sorted(tokens, key=lambda tok: sorted(tok.descriptor)))
+    els.extend(sorted(tokens,
+                      key=lambda tok: sorted(poset.ids_of(tok.descriptor))))
     return CompletedPoset(poset, horizon, els)

@@ -73,10 +73,12 @@ def realize_chain(tree: SkeletonTree, chain: list[str]) -> PathPrefix:
     if not chain:
         raise PointError("empty chain")
     poset = tree.poset
+    idx = [poset.index(chain[0])]
     for a, b in zip(chain, chain[1:]):
-        if not poset.lt(a, b):
+        i, j = idx[-1], poset.index(b)
+        if i == j or not poset.up_mask(i) >> j & 1:
             raise PointError(f"chain is not strictly ascending at {a!r}, {b!r}")
-    idx = [poset.index(c) for c in chain]
+        idx.append(j)
     start = max(ix - off for off, ix in enumerate(idx))
     start = max(start, 1)
     need = start + len(chain) - 1
@@ -119,17 +121,20 @@ def label_prefix(path: PathPrefix) -> PointLabel:
     poset whose ascending chains are known or suspected infinite points at a
     completion token; posets with stabilizing ascents never get that label.
     """
-    types = path.type_ids()
-    d = len(types)
+    tree = path.tree
+    poset = tree.poset
+    ix = [tree.level(lvl).types[i] for lvl, i in path.nodes]
+    d = len(ix)
     tail = max(2, ceil(d / 2))
-    if d >= tail and len(set(types[-tail:])) == 1:
-        return PointLabel("clean", types[-1],
+    if d >= tail and len(set(ix[-tail:])) == 1:
+        return PointLabel("clean", poset.id_at(ix[-1]),
                           f"type constant over the last {tail} levels")
-    poset = path.tree.poset
-    strict = all(poset.lt(a, b) for a, b in zip(types, types[1:]))
+    strict = all(a != b and poset.up_mask(a) >> b & 1
+                 for a, b in zip(ix, ix[1:]))
     if strict and d >= 3:
         acc = True if poset.finite else poset.analytics.acc
         if acc is not True:
+            types = path.type_ids()
             display: Optional[str] = None
             if poset.analytics.limit_display is not None:
                 display = poset.analytics.limit_display(types)

@@ -146,29 +146,6 @@ class FoundationResult(Frozen):
         self._fill(status, foundation, note)
 
 
-class SubsetSpec(Frozen):
-    """A finite subset with optional lower/upper declarations, kept for the
-    README's "lower sets" analytic: ``validate`` checks them on a prefix."""
-
-    __slots__ = _compare = ("members", "declared_lower", "declared_upper")
-
-    def __init__(self, members: frozenset, declared_lower: bool = False,
-                 declared_upper: bool = False):
-        self._fill(members, declared_lower, declared_upper)
-
-    def validate(self, poset: "Poset", horizon: int) -> list[str]:
-        """Check the declared flags against the horizon prefix."""
-        problems = []
-        for p in self.members:
-            if p not in poset.prefix(horizon) and not poset.finite:
-                problems.append(f"member {p!r} outside enumeration prefix")
-        if self.declared_lower and not poset.is_lower(self.members, horizon):
-            problems.append("declared lower but prefix shows a missing lower element")
-        if self.declared_upper and not poset.is_upper(self.members, horizon):
-            problems.append("declared upper but prefix shows a missing upper element")
-        return problems
-
-
 class Analytics(Record):
     """Facts a builtin family knows about its own infinite shape.
 
@@ -462,32 +439,10 @@ class Poset:
             raise PosetError(f"unknown element id {missing!r}")
         return bool(self._up[i] >> j & 1)
 
-    def lt(self, p: str, q: str) -> bool:
-        return p != q and self.leq(p, q)
-
     def leq_ix(self, i: int, j: int) -> bool:
         """Order on 1-based enumeration indices."""
         self.up_mask(j)  # enumerates j, or rejects it as out of range
         return bool(self.up_mask(i) >> j & 1)
-
-    def down_set(self, p: str, horizon: int) -> frozenset:
-        pre, i = self.prefix(horizon), self.index(p)
-        return frozenset(q for j, q in enumerate(pre, 1) if self._up[j] >> i & 1)
-
-    def down_closure(self, members: Iterable[str], horizon: int) -> frozenset:
-        """Everything in the prefix below some member."""
-        return self.ids_of(self.lower_of(self.mask_of(members), horizon))
-
-    def up_closure(self, members: Iterable[str], horizon: int) -> frozenset:
-        return self.upper_members(self.mask_of(members), horizon)
-
-    def is_lower(self, members: Iterable[str], horizon: int) -> bool:
-        mask = self.mask_of(members)
-        return not self.lower_of(mask, horizon) & ~mask
-
-    def is_upper(self, members: Iterable[str], horizon: int) -> bool:
-        ms = set(members)
-        return self.up_closure(ms, horizon) <= ms
 
     # ------------------------------------------------------------------
     # axioms

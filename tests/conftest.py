@@ -4,8 +4,7 @@ from collections import Counter
 
 import pytest
 
-from stonetrim import (CompletedPoset, CompletionElement, Poset,
-                       chain_closure, token_name)
+from stonetrim import CompletedPoset, CompletionElement, Poset, token_name
 from stonetrim.backforth import (SIDES, DepthBudget, IsoError, MismatchFound,
                                  MismatchWitness, Pair, _facing,
                                  _fresh_counterpart, _grow)
@@ -66,6 +65,11 @@ def embed(c, p: str):
     return e
 
 
+def lt(poset: Poset, p: str, q: str) -> bool:
+    """The strict order, asked of ``Poset.leq``."""
+    return p != q and poset.leq(p, q)
+
+
 def random_poset(rng: random.Random, max_size: int = 6,
                  name: str = "random") -> Poset:
     """Random finite poset: strict pairs sampled over a fixed topological order."""
@@ -81,14 +85,14 @@ def all_chains(poset: Poset) -> list[tuple[str, ...]]:
     ids = poset.prefix(poset.size)
     # sort by how much sits strictly below; a chain read upward is then a
     # subsequence of this listing, so each chain is produced exactly once
-    topo = sorted(ids, key=lambda p: (sum(poset.lt(q, p) for q in ids),
+    topo = sorted(ids, key=lambda p: (sum(lt(poset, q, p) for q in ids),
                                       poset.index(p)))
     out: list[tuple[str, ...]] = []
 
     def grow(chain: list[str], rest: list[str]) -> None:
         out.append(tuple(chain))
         for k, y in enumerate(rest):
-            if poset.lt(chain[-1], y):
+            if lt(poset, chain[-1], y):
                 grow(chain + [y], rest[k + 1:])
 
     for k, x in enumerate(topo):
@@ -198,12 +202,12 @@ def ref_up_closure(poset: Poset, members, horizon: int) -> frozenset:
 
 def ref_minimal_of(poset: Poset, members) -> frozenset:
     ms = list(members)
-    return frozenset(p for p in ms if not any(poset.lt(q, p) for q in ms))
+    return frozenset(p for p in ms if not any(lt(poset, q, p) for q in ms))
 
 
 def ref_maximal_of(poset: Poset, members) -> frozenset:
     ms = list(members)
-    return frozenset(p for p in ms if not any(poset.lt(p, q) for q in ms))
+    return frozenset(p for p in ms if not any(lt(poset, p, q) for q in ms))
 
 
 def ref_is_lower(poset: Poset, members, horizon: int) -> bool:
@@ -216,13 +220,18 @@ def ref_is_upper(poset: Poset, members, horizon: int) -> bool:
     return ref_up_closure(poset, ms, horizon) <= ms
 
 
+def ref_down_mask(poset: Poset, members, horizon: int) -> int:
+    """``ref_down_closure`` as a mask over enumeration indices."""
+    return poset.mask_of(ref_down_closure(poset, members, horizon))
+
+
 def ref_longest_chain_from(poset: Poset, pre: list) -> dict:
     memo: dict = {}
 
     def lc(x):
         if x not in memo:
             memo[x] = 1
-            memo[x] = 1 + max((lc(y) for y in pre if poset.lt(x, y)),
+            memo[x] = 1 + max((lc(y) for y in pre if lt(poset, x, y)),
                               default=0)
         return memo[x]
 
@@ -238,7 +247,7 @@ def ref_find_chain(poset: Poset, pre: list, length: int):
         if len(path) == length:
             return tuple(path)
         for y in pre:
-            if poset.lt(path[-1], y) and memo[y] >= length - len(path):
+            if lt(poset, path[-1], y) and memo[y] >= length - len(path):
                 path.append(y)
                 got = dfs(path)
                 if got:
@@ -278,16 +287,16 @@ def ref_maximal_chains(poset: Poset, members: list) -> list:
     out = []
 
     def extend(chain, rest):
-        ups = [y for y in rest if poset.lt(chain[-1], y)]
+        ups = [y for y in rest if lt(poset, chain[-1], y)]
         if not ups:
             out.append(tuple(chain))
             return
         for y in ups:
-            if not any(poset.lt(z, y) for z in ups):
+            if not any(lt(poset, z, y) for z in ups):
                 extend(chain + [y], ups)
 
     for x in members:
-        if not any(poset.lt(y, x) for y in members):
+        if not any(lt(poset, y, x) for y in members):
             extend([x], members)
     return out
 
@@ -310,13 +319,13 @@ def ref_is_chain_unique_over(poset: Poset, members, horizon: int,
     pre = poset.prefix(horizon)
     qpre = [x for x in pre if x in qset]
     for s in pre:
-        below = [x for x in qpre if poset.lt(x, s)]
+        below = [x for x in qpre if lt(poset, x, s)]
         if len(below) < min_chain:
             continue
         for chain in ref_maximal_chains(poset, below):
             if len(chain) < min_chain:
                 continue
-            ubs = [u for u in pre if all(poset.lt(c, u) for c in chain)]
+            ubs = [u for u in pre if all(lt(poset, c, u) for c in chain)]
             if s not in ubs or not all(poset.leq(s, u) for u in ubs):
                 continue
             for r in below:
@@ -348,17 +357,17 @@ def ref_completion_verify(c) -> list[str]:
                         f"transitivity fails on {x.ref}, {y.ref}, {z.ref}")
     by_ref = {e.ref: e for e in els}
     for tok in c.tokens():
+        below = c.poset.ids_of(tok.descriptor)
         ubs = [u for u in els
-               if (u.is_limit or u.ref not in tok.descriptor)
-               and all(c.leq(by_ref[d], u)
-                       for d in tok.descriptor if d in by_ref)]
+               if (u.is_limit or u.ref not in below)
+               and all(c.leq(by_ref[d], u) for d in below if d in by_ref)]
         least = [u for u in ubs if all(c.leq(u, v) for v in ubs)]
         if len(least) != 1 or least[0] is not tok:
             problems.append(
                 f"token {tok.ref} is not the unique sup of its chain")
         for r in els:
             if not r.is_limit and c.leq(r, tok) and r is not tok:
-                if r.ref not in tok.descriptor:
+                if r.ref not in below:
                     problems.append(f"{r.ref} below token {tok.ref} but "
                                     f"below no chain member")
     return problems
@@ -367,10 +376,12 @@ def ref_completion_verify(c) -> list[str]:
 def ref_complete_over(poset: Poset, members, horizon: int):
     """``complete_over`` by enumerating every maximal chain of the subset
     (``ref_maximal_chains`` over its members in index order) and keeping
-    one token per distinct chain closure."""
+    one token per distinct chain closure; descriptors are the down-sets
+    ``ref_down_mask`` asks of the order id by id."""
     pre, members = poset.prefix(horizon), set(members)
     sub = [p for p in pre if p in members]
-    els = [CompletionElement("base", p, poset.down_set(p, horizon)) for p in pre]
+    els = [CompletionElement("base", p, ref_down_mask(poset, [p], horizon))
+           for p in pre]
     if poset.finite:
         return CompletedPoset(poset, horizon, els)
 
@@ -385,15 +396,15 @@ def ref_complete_over(poset: Poset, members, horizon: int):
             continue
         if len(ref_up_closure(poset, [top], horizon)) > 1:
             continue
-        desc = chain_closure(poset, chain, horizon)
+        desc = ref_down_closure(poset, chain, horizon)
         if desc in seen:
             continue
         display = ""
         if poset.analytics.limit_display is not None:
             display = poset.analytics.limit_display(tuple(chain)) or ""
-        tok = CompletionElement("limit", token_name(chain), desc, display)
-        seen[desc] = tok
-    els.extend(seen[d] for d in sorted(seen, key=lambda s: sorted(s)))
+        seen[desc] = CompletionElement("limit", token_name(chain),
+                                       poset.mask_of(desc), display)
+    els.extend(seen[d] for d in sorted(seen, key=sorted))
     return CompletedPoset(poset, horizon, els)
 
 

@@ -5,7 +5,8 @@ import time
 import pytest
 
 from conftest import (all_chains, chain_ab_poset, descends_to, diamond_poset,
-                      embed, random_poset, two_chains_poset, vee_poset)
+                      embed, random_poset, ref_down_mask, two_chains_poset,
+                      vee_poset)
 from stonetrim import (BuildConfig, RingElement, SymbolicSpace,
                        build_levels, check_identities, classify_algebra,
                        complete_finite, complete_over, e_of_p, family,
@@ -178,7 +179,7 @@ def test_criterion_6_chain_completion():
         p = random_poset(rng, name=f"random{trial}")
         n = p.size
         c = complete_finite(p)
-        closures = {p.down_closure(ch, n) for ch in all_chains(p)}
+        closures = {ref_down_mask(p, ch, n) for ch in all_chains(p)}
         assert closures == {e.descriptor for e in c.elements}
         assert len(c.elements) == n
         assert c.tokens() == []

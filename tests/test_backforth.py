@@ -184,10 +184,6 @@ class TestRuns:
             "reason": "isolated type cannot multiply inside a part typed "
                       "exactly by it"}
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP item 3: _schedule covers levels 1..depth-2 only, the root "
-        "alone at depth 3, so a shallow run certifies an isolation "
-        "difference; at depth 4 the verdict depends on the seed"))
     def test_an_isolation_difference_never_certifies(self):
         # a one-point space against the Cantor set, and rn(2,0) with and
         # without p0 isolated: the uniqueness theorem predicts a mismatch

@@ -220,6 +220,38 @@ class TestIso:
         assert doc["status"] == "mismatch"
         assert doc["witness"]["type"] == "p1"
 
+    # an isolation difference at shallow depths, where the schedule may
+    # never split the isolated pair: a one-point space against the Cantor
+    # set, and rn(2,0) with p0 isolated against rn(2,0); the uniqueness
+    # theorem says they differ
+    @pytest.mark.parametrize("family, isolated, depth, seed", [
+        (None, "a", 3, 0),
+        ("rn(2,0)", "p0", 3, 0),
+        ("rn(2,0)", "p0", 3, 1),
+        ("rn(2,0)", "p0", 3, 2),
+        ("rn(2,0)", "p0", 4, 0),
+    ])
+    def test_an_isolation_difference_exits_four(self, tmp_path, family,
+                                                isolated, depth, seed):
+        if family is None:
+            path = tmp_path / "one.json"
+            path.write_text(json.dumps({"name": "one", "elements": ["a"],
+                                        "covers": []}))
+            sides = ["--left", str(path), "--right", str(path)]
+        else:
+            sides = ["--left-family", family, "--right-family", family]
+        proc = run_cli("iso", *sides, "--left-isolated", isolated,
+                       "--depth", str(depth), "--seed", str(seed))
+        assert proc.returncode == 4, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert doc["status"] == "mismatch"
+        witness = doc["witness"]
+        assert (witness["side"], witness["type"], witness["available"]) \
+            == ("left", isolated, 1)
+        assert witness["needed"] > 1
+        assert witness["reason"] == ("isolated type cannot multiply inside "
+                                     "a part typed exactly by it")
+
     def test_depth_exhaustion_exit_code(self):
         proc = run_cli("iso", "--left-family", "omega-chain",
                        "--right-family", "omega-chain",
@@ -234,6 +266,17 @@ class TestIso:
                        "--right-family", "rn-infinity", "--depth", "6")
         assert proc.returncode == 3
         assert "compared region is empty" in proc.stderr
+
+    def test_region_without_a_confirmed_foundation(self):
+        # the ladder's rungs have no finite foundation, so a region of
+        # rungs is refused before any pairing
+        proc = run_cli("iso", "--left-family", "rn-infinity",
+                       "--right-family", "rn-infinity", "--depth", "5",
+                       "--q", "p2", "p3", "p4")
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            "left region has no confirmed finite foundation"]
 
     def test_missing_side(self):
         proc = run_cli("iso", "--right-family", "rn(2,0)")

@@ -342,6 +342,73 @@ class TestTamperedLadders:
         assert all(p.startswith("closure not additive") for p in problems)
 
 
+def layer(name: str, n: int, make):
+    """A tamper that puts make(space, trace) at step n of the trace's
+    layer list ``name``."""
+    def tamper(space, trace):
+        getattr(trace, name)[n] = make(space, trace)
+    return tamper
+
+
+def limit(make):
+    """A tamper that puts make(space, trace) in the trace's A_inf."""
+    def tamper(space, trace):
+        trace.a_inf = make(space, trace)
+    return tamper
+
+
+# each of check_identities' problems, and one tamper of an eight-step run
+# on the ladder that shows it
+TAMPERS = {
+    "U_3 is not the complement of the closed layer below":
+        layer("u", 3, lambda sp, t: t.u[4]),
+    "V_3 does not accumulate U_2": layer("v", 3, lambda sp, t: t.v[2]),
+    "B_8 is not the new part of U_8":
+        layer("b", 8, lambda sp, t: sp.fin({"p7"})),
+    "B_0 != V_1 - V_0": layer("b", 0, lambda sp, t: sp.fin({"p1"})),
+    "closure(B_0) != W - U_1": layer("u", 1, lambda sp, t: sp.whole()),
+    "V_2 != U_3 & V_3": layer("v", 2, lambda sp, t: t.v[3]),
+    "V_1 != U_3 & U_2": layer("v", 1, lambda sp, t: t.v[2]),
+    "B_4 and B_5 overlap": layer("b", 5, lambda sp, t: t.b[4]),
+    "ladder order fails at B_6, B_4":
+        layer("b", 6, lambda sp, t: sp.fin({"p0"})),
+    "A_inf is not closed": limit(lambda sp, t: sp.fin({"p2"})),
+    "A_inf meets B_3": limit(lambda sp, t: t.b[3]),
+}
+
+
+@pytest.mark.parametrize("message", TAMPERS)
+def test_a_tampered_trace_fails_check_identities(ladder, message):
+    trace = rieger_nishimura_run(ladder, ladder.fin({"p0"}), 8)
+    assert check_identities(trace) == []
+    TAMPERS[message](ladder, trace)
+    assert message in check_identities(trace)
+
+
+def one_more(space):
+    """A closure that adds the least id it leaves out to every answer, so
+    the empty set closes to a point and no answer is ever closed again."""
+    real = space.closure_of
+
+    def closure_of(x):
+        cx = real(x)
+        return cx.union(space.fin(sorted(space.whole().minus(cx).ids)[:1]))
+    return closure_of
+
+
+@pytest.mark.parametrize("wrap, message", [
+    (one_more, "closure of the empty set is nonempty"),
+    (one_more, "closure not idempotent at {}"),
+    (lambda sp: lambda x: sp.empty(), "{p0} not inside its closure"),
+], ids=["empty", "idempotence", "inclusion"])
+def test_a_broken_closure_fails_check_closure_axioms(monkeypatch, wrap,
+                                                      message):
+    space = SymbolicSpace(family("rn(2,0)"))
+    assert check_closure_axioms(space) == []
+    monkeypatch.setattr(space, "closure_of", wrap(space))
+    assert message in check_closure_axioms(space)
+
+
 class TestRenders:
     def test_text_table(self, rn20):
         t = rieger_nishimura_run(rn20, rn20.fin({"p0"}))

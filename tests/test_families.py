@@ -5,8 +5,8 @@ from functools import partial
 
 import pytest
 
-from conftest import (finite_from_order, ref_down_closure, ref_maximal_of,
-                      ref_minimal_of)
+from conftest import (finite_from_order, lt, ref_down_closure,
+                      ref_maximal_of, ref_minimal_of)
 from stonetrim import FOUND, REFUTED, Poset, PosetError, family, family_tags
 
 
@@ -184,10 +184,10 @@ class TestLadder:
         p = family("rn-infinity")
         p.prefix(6)
         # p_j > p_k exactly when k >= j + 2
-        assert p.lt("p2", "p0")
-        assert p.lt("p3", "p0")
-        assert p.lt("p3", "p1")
-        assert p.lt("p5", "p3")
+        assert lt(p, "p2", "p0")
+        assert lt(p, "p3", "p0")
+        assert lt(p, "p3", "p1")
+        assert lt(p, "p5", "p3")
         assert not comparable(p, "p0", "p1")
         assert not comparable(p, "p2", "p3")
         assert not comparable(p, "p1", "p2")
@@ -208,7 +208,7 @@ class TestLadder:
         assert p.prefix(3) == ["bot", "p0", "p1"]
         p.prefix(6)
         assert all(p.leq("bot", x) for x in p.prefix(6))
-        assert not p.lt("p0", "bot")
+        assert not lt(p, "p0", "bot")
         res = p.finite_foundation(p.mask_of({"p0", "p1"}), 6)
         assert res.status == FOUND and res.foundation == 1 << p.index("bot")
         # the confirmed maxima p0 and p1 sit at indices 2 and 3
@@ -220,7 +220,7 @@ class TestFiniteLadders:
         p = family("rn(2,0)")
         assert p.prefix(3) == ["p0", "p1", "p2"]
         assert p.size == 3
-        assert p.lt("p2", "p0")
+        assert lt(p, "p2", "p0")
         assert not comparable(p, "p1", "p2")
 
     def test_segment_with_adjoined_bottom(self):
@@ -280,7 +280,7 @@ class TestZieglerFan:
     def test_minimal_antichain_under_one_hub(self):
         p = family("ziegler-fan")
         p.prefix(5)
-        assert p.lt("m2", "q")
+        assert lt(p, "m2", "q")
         assert not comparable(p, "m1", "m4")
         ex = p.extremal_elements(5)
         assert ex.maximal == p.mask_of({"q"}) == 0b10

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stonetrim import (DEFAULT_CHAIN_BOUND, FOUND, HOLDS, HOLDS_ON_PREFIX,
-                       INCONCLUSIVE, REFUTED, Poset, PosetError, SubsetSpec,
-                       TypeSet, family)
+                       INCONCLUSIVE, REFUTED, Poset, PosetError, TypeSet,
+                       family)
 from stonetrim.poset import bits, covers_of, from_runs, runs
 
-from conftest import (all_chains, finite_from_order, random_poset,
-                      ref_first_chain, ref_runs, ref_spans_of,
+from conftest import (all_chains, finite_from_order, lt, random_poset,
+                      ref_first_chain, ref_is_lower, ref_runs, ref_spans_of,
                       ref_up_closure)
 
 
@@ -26,7 +26,7 @@ def cover_pairs(p, horizon):
 class TestConstruction:
     def test_covers_close_transitively(self, diamond):
         assert diamond.leq("a", "d")
-        assert diamond.lt("a", "d")
+        assert lt(diamond, "a", "d")
         assert not diamond.leq("b", "c") and not diamond.leq("c", "b")
 
     def test_cycle_rejected(self):
@@ -137,15 +137,18 @@ class TestJson:
 class TestOrderQueries:
     def test_up_and_down_sets(self, vee):
         assert TypeSet.of(vee, {"a"}).members(3) == {"a", "b", "c"}
-        assert vee.down_set("b", 3) == {"a", "b"}
+        assert vee.lower_of(0b100, 3) == 0b110
+        assert vee.up_mask(1) == 0b1110
 
     def test_closures(self, vee):
-        assert vee.down_closure({"b", "c"}, 3) == {"a", "b", "c"}
-        assert vee.up_closure({"a"}, 3) == {"a", "b", "c"}
+        assert vee.lower_of(0b1100, 3) == 0b1110
+        assert vee.upper_of(0b10) == 0b1110
+        assert vee.upper_members(0b10, 3) == {"a", "b", "c"}
+        assert vee.upper_members(0b10, 1) == {"a"}
 
     def test_closure_rejects_unknown_member(self, vee):
         with pytest.raises(PosetError, match="unknown"):
-            vee.down_closure({"zz"}, 3)
+            vee.lower_of(vee.mask_of({"zz"}), 3)
 
     def test_extremes_of_subsets(self, diamond):
         m = diamond.mask_of
@@ -153,10 +156,15 @@ class TestOrderQueries:
         assert diamond.maximal_in(m({"a", "b", "c"})) == m({"b", "c"})
 
     def test_lower_and_upper_predicates(self, vee):
-        assert vee.is_lower({"a"}, 3)
-        assert not vee.is_lower({"b"}, 3)
-        assert vee.is_upper({"b", "c"}, 3)
-        assert not vee.is_upper({"a"}, 3)
+        # a mask is a lower set iff its down-closure adds nothing, and an
+        # upper set iff its up-closure adds nothing
+        for ids, lower, upper in (({"a"}, True, False),
+                                  ({"b"}, False, True),
+                                  ({"b", "c"}, False, True),
+                                  ({"a", "b", "c"}, True, True)):
+            m = vee.mask_of(ids)
+            assert (not vee.lower_of(m, 3) & ~m) == lower
+            assert (not vee.upper_of(m) & ~m) == upper
 
     def test_index_and_id_at(self, vee):
         assert vee.index("b") == 2
@@ -380,27 +388,6 @@ class TestFoundations:
         assert delta == 0
 
 
-class TestSubsetSpec:
-    def test_members_outside_prefix_flagged(self):
-        p = family("omega-chain")
-        p.prefix(8)
-        p.ensure(12)
-        spec = SubsetSpec(frozenset({"p12"}))
-        probs = spec.validate(p, 8)
-        assert probs and "outside" in probs[0]
-
-    def test_declared_lower_checked(self):
-        p = family("omega-chain")
-        spec = SubsetSpec(frozenset({"p2"}), declared_lower=True)
-        probs = spec.validate(p, 6)
-        assert any("lower" in s for s in probs)
-
-    def test_clean_spec_passes(self):
-        p = family("omega-chain")
-        spec = SubsetSpec(frozenset({"p1", "p2"}), declared_lower=True)
-        assert spec.validate(p, 6) == []
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10_000))
 def test_random_posets_satisfy_the_order_axioms(seed):
@@ -414,7 +401,9 @@ def test_down_closures_are_lower_sets(seed, data):
     p = random_poset(random.Random(seed))
     ids = p.prefix(p.size)
     members = data.draw(st.sets(st.sampled_from(ids), min_size=1))
-    assert p.is_lower(p.down_closure(members, p.size), p.size)
+    down = p.lower_of(p.mask_of(members), p.size)
+    assert not p.lower_of(down, p.size) & ~down
+    assert ref_is_lower(p, p.ids_of(down), p.size)
 
 
 @settings(max_examples=40, deadline=None)
@@ -423,7 +412,9 @@ def test_up_sets_are_upper_sets(seed, data):
     p = random_poset(random.Random(seed))
     ids = p.prefix(p.size)
     x = data.draw(st.sampled_from(ids))
-    assert p.is_upper(ref_up_closure(p, [x], p.size), p.size)
+    up = p.mask_of(ref_up_closure(p, [x], p.size))
+    assert up == p.up_mask(p.index(x))
+    assert not p.upper_of(up) & ~up
 
 
 def random_relation(rng: random.Random, n: int):
@@ -455,7 +446,8 @@ def triple_loop_axioms(p, pre):
 
 def triple_loop_covers(p, pre):
     return [(a, b) for a in pre for b in pre
-            if p.lt(a, b) and not any(p.lt(a, c) and p.lt(c, b) for c in pre)]
+            if lt(p, a, b)
+            and not any(lt(p, a, c) and lt(p, c, b) for c in pre)]
 
 
 @pytest.mark.parametrize("seed", range(80))
@@ -610,14 +602,14 @@ def increasing_paths(poset, members):
     out = []
 
     def extend(chain, rest):
-        ups = [y for y in rest if poset.lt(chain[-1], y)]
+        ups = [y for y in rest if lt(poset, chain[-1], y)]
         if not ups:
             out.append(tuple(chain))
         for y in ups:
             extend(chain + [y], ups)
 
     for x in members:
-        if not any(poset.lt(y, x) for y in members):
+        if not any(lt(poset, y, x) for y in members):
             extend([x], members)
     return out
 

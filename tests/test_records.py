@@ -12,7 +12,7 @@ from stonetrim import (Analytics, BuildConfig, Classification,
                        ClosureElement, CompletionElement, Extremal,
                        FoundationResult, IsoRun, MismatchWitness, PathPrefix,
                        PointError, PointLabel, RNTrace, StructureReport,
-                       SubsetSpec, SymbolicSpace, TypeSet, Verdict,
+                       SymbolicSpace, TypeSet, Verdict,
                        build_levels, family)
 from stonetrim.backforth import Pair
 from stonetrim.skeleton import MAX_LEVEL_SIZE, ConfigError, Level
@@ -59,12 +59,6 @@ CASES = [
          differs=("status", "refuted"), shown=(
              {}, "FoundationResult(status='found', foundation=2, "
                  "note='n')")),
-    Case(SubsetSpec, {"members": frozenset({"a"}), "declared_lower": True,
-                      "declared_upper": False},
-         1, {"declared_lower": False, "declared_upper": False}, frozen=True,
-         differs=("declared_upper", True), shown=(
-             {}, "SubsetSpec(members=frozenset({'a'}), declared_lower=True, "
-                 "declared_upper=False)")),
     Case(Analytics, {"minimal": None, "maximal": None, "acc": True,
                      "acc_note": "x", "omega_complete": False,
                      "omega_note": "y", "omega_witness": None,
@@ -103,10 +97,10 @@ CASES = [
          differs=("min_antichain", ("b",)), shown=(
              {"min_antichain": (), "mask": 0}, "TypeSet(∅)")),
     Case(CompletionElement, {"kind": "base", "ref": "a",
-                             "descriptor": frozenset({"a"}), "display": "x"},
+                             "descriptor": 0b10, "display": "x"},
          3, {"display": ""}, frozen=True, differs=("kind", "limit"), shown=(
              {"display": ""}, "CompletionElement(kind='base', ref='a', "
-                              "descriptor=frozenset({'a'}), display='')")),
+                              "descriptor=2, display='')")),
     Case(PathPrefix, {"tree": TREE, "nodes": ((1, 0), (2, 0))},
          2, {}, frozen=True, differs=("nodes", ((1, 0),))),
     Case(PointLabel, {"kind": "clean", "value": "a", "detail": "d"},
@@ -164,8 +158,6 @@ SIGNATURES = {
                  ("exact", REQUIRED), ("note", "")],
     "FoundationResult": [("status", REQUIRED), ("foundation", 0),
                          ("note", "")],
-    "SubsetSpec": [("members", REQUIRED), ("declared_lower", False),
-                   ("declared_upper", False)],
     "Analytics": [("minimal", None), ("maximal", None), ("acc", None),
                   ("acc_note", ""), ("omega_complete", None),
                   ("omega_note", ""), ("omega_witness", None),
@@ -203,7 +195,7 @@ SIGNATURES = {
 
 
 def test_every_class_has_a_case():
-    assert sorted(IDS) == sorted(SIGNATURES) and len(IDS) == 18
+    assert sorted(IDS) == sorted(SIGNATURES) and len(IDS) == 17
 
 
 @pytest.mark.parametrize("case", CASES, ids=IDS)

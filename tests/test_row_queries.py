@@ -20,8 +20,9 @@ from conftest import (random_poset, ref_check_acc, ref_complete_over,
                       ref_trace_dot_edges, ref_up_closure, two_chains_poset)
 from stonetrim import (FOUND, INCONCLUSIVE, CompletedPoset,
                        CompletionElement, Poset, PosetError, SymbolicSpace,
-                       TypeSet, complete_finite, complete_over, family,
-                       render_trace_dot, rieger_nishimura_run)
+                       TypeSet, chain_closure, complete_finite,
+                       complete_over, family, render_trace_dot,
+                       rieger_nishimura_run)
 from stonetrim.backforth import IsoError, _check_theta
 from stonetrim.poset import bits
 from test_completion import weave_poset
@@ -50,16 +51,15 @@ def test_set_queries_match_the_pairwise_reference(seed):
         for p in (order, grown):
             pre = p.prefix(h)
             for ms in subsets(rng, pre):
-                for horizon in (h, order.size):
-                    assert p.down_closure(ms, horizon) == ref_down_closure(
-                        p, ms, horizon)
-                    assert p.up_closure(ms, horizon) == ref_up_closure(
-                        p, ms, horizon)
-                    assert p.is_lower(ms, horizon) == ref_is_lower(
-                        p, ms, horizon)
-                    assert p.is_upper(ms, horizon) == ref_is_upper(
-                        p, ms, horizon)
                 mask = p.mask_of(ms)
+                for horizon in (h, order.size):
+                    down = p.lower_of(mask, horizon)
+                    up = p.upper_of(mask) & p.prefix_mask(horizon)
+                    assert p.ids_of(down) == ref_down_closure(p, ms, horizon)
+                    assert p.ids_of(up) == ref_up_closure(p, ms, horizon)
+                    assert p.upper_members(mask, horizon) == p.ids_of(up)
+                    assert (not down & ~mask) == ref_is_lower(p, ms, horizon)
+                    assert (not up & ~mask) == ref_is_upper(p, ms, horizon)
                 assert p.ids_of(p.minimal_in(mask)) == ref_minimal_of(p, ms)
                 assert p.ids_of(p.maximal_in(mask)) == ref_maximal_of(p, ms)
                 if not ms:
@@ -332,10 +332,7 @@ def test_theta_check_reports_the_reference_pair(seed):
 
 PROBES = {
     "mask_of": lambda p, ms: p.mask_of(ms),
-    "down_closure": lambda p, ms: p.down_closure(ms, 4),
-    "up_closure": lambda p, ms: p.up_closure(ms, 4),
-    "is_lower": lambda p, ms: p.is_lower(ms, 4),
-    "is_upper": lambda p, ms: p.is_upper(ms, 4),
+    "chain_closure": lambda p, ms: chain_closure(p, sorted(ms), 4),
     "is_chain_unique_over": lambda p, ms: p.is_chain_unique_over(ms, 4),
     "typeset_of": lambda p, ms: TypeSet.of(p, ms),
 }

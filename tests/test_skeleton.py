@@ -7,7 +7,8 @@ from collections import Counter
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import children, descends_to, random_poset, ref_theta_image
+from conftest import (children, descends_to, random_poset, ref_down_closure,
+                      ref_theta_image)
 from stonetrim import (FOUND, BuildConfig, BuildError, ConfigError, Poset,
                        build_levels, family, verify_structure)
 from stonetrim.poset import bits, runs
@@ -678,7 +679,7 @@ class TestWholeLevelPasses:
         ids = poset.prefix(poset.size)
         isolated = {rng.choice(ids)} if isolate else set()
         config = BuildConfig(poset, isolated=isolated, default_bucket=bucket)
-        lower = poset.down_set(rng.choice(ids), poset.size)
+        lower = ref_down_closure(poset, [rng.choice(ids)], poset.size)
         assert_matches_oracles(config, 5, q_lower=lower)
 
     @staticmethod

@@ -20,12 +20,12 @@ LATER_LAYERS = {"ring", "typeset", "completion", "backforth", "closure",
 # every name `import stonetrim` exported, by the submodule that defines it,
 # recorded when the package still imported all its submodules eagerly, less
 # the module function ring.type_of, deleted as a wrapper of the method, and
-# skeleton.SkeletonNode, deleted with the one method that built it
+# skeleton.SkeletonNode, deleted with the one method that built it, and
+# poset.SubsetSpec, deleted with the id-set twins of the order queries
 EXPORTS = {
     "poset": ["DEFAULT_CHAIN_BOUND", "FOUND", "HOLDS", "HOLDS_ON_PREFIX",
               "INCONCLUSIVE", "REFUTED", "Analytics", "Extremal",
-              "FoundationResult", "Poset", "PosetError", "SubsetSpec",
-              "Verdict"],
+              "FoundationResult", "Poset", "PosetError", "Verdict"],
     "families": ["family", "family_tags"],
     "typeset": ["TypeSet"],
     "completion": ["CompletedPoset", "CompletionElement", "CompletionError",

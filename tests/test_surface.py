@@ -10,8 +10,8 @@ reason it stays.
 
 The match is by name only.  A method passes when any object in ``src/``
 has an attribute of its name, so a method that shares its name with a
-used one (``SubsetSpec.validate`` with ``BuildConfig.validate``,
-``TypeSet.union`` with ``RingElement.union``) is not caught here.
+used one (``TypeSet.union`` with ``RingElement.union``) is not caught
+here.
 """
 import ast
 import re
@@ -22,12 +22,7 @@ PACKAGE = ROOT / "src" / "stonetrim"
 READERS = ("perfbench/tracing.py", "perfbench/workloads.py")
 
 # public names no reader names, each with the reason it stays
-ALLOWED = {
-    "poset.SubsetSpec":
-        "the README lists lower sets among the order analytics on a "
-        "prefix, and SubsetSpec.validate checks declared lower and upper "
-        "subsets there",
-}
+ALLOWED: dict[str, str] = {}
 
 
 def definitions() -> dict[str, tuple[str, bool]]:

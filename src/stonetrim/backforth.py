@@ -82,7 +82,7 @@ class PartialIso:
     """Paired clopen decompositions of the two sides.
 
     Pairs enter through ``add_fresh`` and change through ``replace``, which
-    keep each side's part index and running union from the first pair on.
+    keep each side's part index and held union from the first pair on.
     ``verify`` and ``_covered`` read ``pairs`` afresh."""
 
     def __init__(self, left: SkeletonTree, right: SkeletonTree,
@@ -93,10 +93,13 @@ class PartialIso:
         self.iso = tuple(t.poset.mask_of(t.config.isolated)
                          for t in self.trees)
         self.pairs: list[Pair] = []
-        # each side's part index and the union of its parts, and the key of
-        # each pair in ``pairs``
-        self._index = tuple(RunIndex(tree, 1) for tree in self.trees)
-        self._union = [RingElement.empty(tree) for tree in self.trees]
+        # each side's parts as runs on one common level, keyed by their
+        # pairs: keys are tuples that sort as the pairs stand, a piece's key
+        # its pair's key and its place, a fresh pair's one past the last
+        self.index = tuple(RunIndex(tree, 1) for tree in self.trees)
+        # the union of each side's parts: a split partitions its part, so
+        # only a fresh pair changes it
+        self.held = [RingElement.empty(tree) for tree in self.trees]
         self._keys: list[tuple[int, ...]] = []
 
     def union(self, side: int) -> RingElement:
@@ -104,18 +107,6 @@ class PartialIso:
         for pair in self.pairs:
             out = out.union(pair.parts[side])
         return out
-
-    def running_union(self, side: int) -> RingElement:
-        """The union of the side's parts, kept by ``add_fresh``: a split
-        partitions its part, so only a fresh pair changes it."""
-        return self._union[side]
-
-    def part_index(self, side: int) -> RunIndex:
-        """The side's parts as runs on one common level, indexed by the keys
-        of their pairs.  A key is a tuple, and keys sort as their pairs
-        stand in ``pairs``: a piece's key is its pair's key extended by the
-        piece's place, and a fresh pair's key is one past the last."""
-        return self._index[side]
 
     def pair(self, key: tuple[int, ...]) -> Pair:
         return self.pairs[bisect_left(self._keys, key)]
@@ -126,8 +117,8 @@ class PartialIso:
         self.pairs.append(pair)
         self._keys.append(key)
         for side, part in enumerate(pair.parts):
-            self._union[side] = self._union[side].union(part)
-            self._index[side].add(key, part)
+            self.held[side] = self.held[side].union(part)
+            self.index[side].add(key, part)
 
     def replace(self, key: tuple[int, ...], pieces: list[Pair]) -> None:
         """Put the pieces, in order, where the pair with this key stands."""
@@ -136,8 +127,7 @@ class PartialIso:
         keys = [key + (k,) for k in range(len(pieces))]
         self.pairs[at:at + 1] = pieces
         self._keys[at:at + 1] = keys
-        for side in (0, 1):
-            index = self._index[side]
+        for side, index in enumerate(self.index):
             index.remove(key, old.parts[side])
             for k, piece in zip(keys, pieces):
                 index.add(k, piece.parts[side])
@@ -324,7 +314,7 @@ def _fresh_counterpart(state: PartialIso, dst_side: int, h: int,
     """First atom of exactly the needed type that no part of dst_side
     holds, lowest level first."""
     tree = state.trees[dst_side]
-    busy = state.running_union(dst_side)
+    busy = state.held[dst_side]
     for level in range(busy.level, max_depth + 1):
         if level > tree.depth:
             _grow(tree, level)
@@ -345,21 +335,21 @@ def extend_iso(state: PartialIso, side: int, element: RingElement,
     witnesses, depth-budget notes and ``PartialIso.verify`` messages.
 
     A step visits only the parts the element meets.  The side's part index
-    (``PartialIso.part_index``) holds every part as runs on one common
-    level, raised first to the element's level if that lies deeper.  Each
-    run of the element lifts to one run there (``SkeletonTree.lift_runs``),
-    and bisect finds the part runs it overlaps.  A met part whose runs all
-    lie inside the element's is kept as it is; only a part the element
-    splits is lifted as a mask.  Only when the met runs leave a gap in the
-    element does the step read the running union: the element minus the
-    union, on the deeper of their levels, is paired fresh."""
+    (``PartialIso.index``) holds every part as runs on one common level,
+    raised first to the element's level if that lies deeper.  Each run of
+    the element lifts to one run there (``SkeletonTree.lift_runs``), and
+    bisect finds the part runs it overlaps.  A met part whose runs all lie
+    inside the element's is kept as it is; only a part the element splits
+    is lifted as a mask.  Only when the met runs leave a gap in the element
+    does the step read the held union (``PartialIso.held``): the element
+    minus the union, on the deeper of their levels, is paired fresh."""
     if not element:
         return
     dst_side = 1 - side
     theta = state.theta
     iso_src = state.iso[side]
     tree = state.trees[side]
-    index = state.part_index(side)
+    index = state.index[side]
     n0 = element.level
     if n0 > index.top:
         index.raise_to(n0)
@@ -400,7 +390,7 @@ def extend_iso(state: PartialIso, side: int, element: RingElement,
 
     if not gap:
         return
-    held = state.running_union(side)
+    held = state.held[side]
     n = max(n0, held.level)
     rest = RingElement(tree, n, element.mask_at(n) & ~held.mask_at(n))
     pieces = supertrim_split(rest, iso_src)
@@ -447,6 +437,15 @@ class IsoRun(Record):
             "invariant_failures": list(self.invariant_failures),
             "steps": len(self.transcript),
         }
+
+
+def _theta_over(left: SkeletonTree, right: SkeletonTree,
+                theta: Optional[Callable[[str], str]], span: int) -> _ThetaMap:
+    """The bijection over the span, the identity on ids when theta is
+    None."""
+    if theta is None:
+        return _identity_theta(left, right, span)
+    return _check_theta(left, right, theta, span)
 
 
 def _identity_theta(left: SkeletonTree, right: SkeletonTree,
@@ -505,6 +504,25 @@ def _check_isolation(state: PartialIso) -> None:
                 "by it"))
 
 
+def _check_past_span(left: SkeletonTree, right: SkeletonTree,
+                     theta: Optional[Callable[[str], str]], span: int) -> None:
+    """Raise when the posets differ past the checked span, where the
+    bijection is the identity on indices.  A finite side with fewer
+    elements than the other lacks a counterpart for the other side's next
+    element, a mismatch; finite sides of one size are checked whole, as
+    the span was."""
+    trees = (left, right)
+    sizes = [tree.poset.size for tree in trees]
+    for side in (0, 1):
+        mine, theirs = sizes[side], sizes[1 - side]
+        if mine is not None and (theirs is None or mine < theirs):
+            raise MismatchFound(MismatchWitness(
+                SIDES[side], trees[1 - side].poset.id_at(mine + 1), 1, 0,
+                "type has no counterpart in the other alphabet"))
+    if sizes[0] is not None and sizes[0] > span:
+        _theta_over(left, right, theta, sizes[0])
+
+
 def _schedule(left: SkeletonTree, right: SkeletonTree, depth: int,
               seed: int) -> list[tuple[int, int, int]]:
     """Every atom of levels 1 .. depth-2 on both sides as (side, level,
@@ -547,10 +565,11 @@ def run_backforth(left: SkeletonTree, right: SkeletonTree,
     """Drive the pairing over a seeded shuffle of both atom schedules.
 
     Completing the schedule with every scheduled atom a union of parts,
-    and no pair whose generator is isolated on one side only, is an
-    isomorphism certificate to the scheduled depth.  A provable count
-    contradiction reports a mismatch with its witness; running out of the
-    level budget reports exhaustion instead.
+    no pair whose generator is isolated on one side only, and posets that
+    agree past the span (``_check_past_span``) is an isomorphism
+    certificate to the scheduled depth.  A provable count contradiction
+    reports a mismatch with its witness; running out of the level budget
+    reports exhaustion instead.
     """
     if depth is None:
         depth = min(left.depth, right.depth)
@@ -560,10 +579,7 @@ def run_backforth(left: SkeletonTree, right: SkeletonTree,
     if max_depth < depth:
         raise IsoError("max_depth must be at least depth")
     span = min(left.type_cap(depth), right.type_cap(depth))
-    if theta is None:
-        theta = _identity_theta(left, right, span)
-    else:
-        theta = _check_theta(left, right, theta, span)
+    bijection = _theta_over(left, right, theta, span)
     if q is None:
         q = left.poset.ids_of(left.poset.p_delta(span)[0])
     q = frozenset(q)
@@ -572,7 +588,7 @@ def run_backforth(left: SkeletonTree, right: SkeletonTree,
                        "no element has a confirmed finite foundation")
     run = IsoRun(status="iso")
     try:
-        state = init_iso(left, right, q, theta)
+        state = init_iso(left, right, q, bijection)
     except DepthBudget as d:
         return IsoRun(status="depth-exhausted", note=str(d))
     run.transcript.append({"action": "init", "pairs": len(state.pairs)})
@@ -583,6 +599,7 @@ def run_backforth(left: SkeletonTree, right: SkeletonTree,
             extend_iso(state, side, RingElement.atom(state.trees[side], n, i),
                        max_depth, run.transcript)
         _check_isolation(state)
+        _check_past_span(left, right, theta, span)
     except MismatchFound as m:
         run.status = "mismatch"
         run.witness = m.witness

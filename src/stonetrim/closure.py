@@ -206,21 +206,36 @@ def check_closure_axioms(space: SymbolicSpace) -> list[str]:
 # the peeling recursion
 
 class RNTrace(Record):
-    __slots__ = _compare = ("space", "a", "u", "v", "b", "n_ran", "N",
-                            "stabilized", "a_inf", "a_inf_exact", "note")
+    __slots__ = _compare = ("space", "a", "u", "v", "b", "a_inf",
+                            "a_inf_exact", "note")
 
     def __init__(self, space: SymbolicSpace, a: ClosureElement,
                  u: Optional[list] = None, v: Optional[list] = None,
-                 b: Optional[list] = None, n_ran: int = 0,
-                 N: Optional[int] = None, stabilized: bool = False,
+                 b: Optional[list] = None,
                  a_inf: Optional[ClosureElement] = None,
                  a_inf_exact: bool = False, note: str = ""):
         self.space, self.a = space, a
         self.u = [] if u is None else u
         self.v = [] if v is None else v
         self.b = [] if b is None else b
-        self.n_ran, self.N, self.stabilized = n_ran, N, stabilized
         self.a_inf, self.a_inf_exact, self.note = a_inf, a_inf_exact, note
+
+    @property
+    def n_ran(self) -> int:
+        """The last step computed, 0 before any."""
+        return max(len(self.b) - 1, 0)
+
+    @property
+    def N(self) -> Optional[int]:
+        """n - 1 for the first step n >= 1 with B_n empty, or None."""
+        return next((n - 1 for n in range(1, len(self.b))
+                     if self.b[n].is_empty), None)
+
+    @property
+    def stabilized(self) -> bool:
+        """Did the run end on an empty B_n with V_n the whole space?"""
+        return (len(self.b) > 1 and self.b[-1].is_empty
+                and self.v[-1] == self.space.whole())
 
     def serialize(self) -> dict:
         return {
@@ -243,10 +258,7 @@ def rieger_nishimura_run(space: SymbolicSpace, a: ClosureElement,
     if not space.is_open(a):
         raise ClosureError("the generator must be an open (up-closed) set")
     w = space.whole()
-    t = RNTrace(space, a)
-    t.u.append(a)
-    t.v.append(space.empty())
-    t.b.append(a)
+    t = RNTrace(space, a, [a], [space.empty()], [a])
     for n in range(1, max_n + 1):
         u_n = w.minus(space.closure_of(t.b[n - 1]))
         v_n = t.u[n - 1].union(t.v[n - 1])
@@ -254,11 +266,7 @@ def rieger_nishimura_run(space: SymbolicSpace, a: ClosureElement,
         t.u.append(u_n)
         t.v.append(v_n)
         t.b.append(b_n)
-        t.n_ran = n
-        if t.N is None and b_n.is_empty:
-            t.N = n - 1
         if b_n.is_empty and v_n == w:
-            t.stabilized = True
             break
     _settle_a_inf(t)
     return t

@@ -95,10 +95,13 @@ def complete_over(poset: Poset, members: Iterable[str],
     member, with no strict upper bound in the prefix and not family-confirmed
     maximal.  It is named by the first maximal chain of the members below t
     in index order, and its descriptor is t's down-set.  Chains dominated
-    inside the prefix keep their sups in the base.
+    inside the prefix keep their sups in the base.  An unknown member
+    raises ``PosetError``, as ``mask_of`` does; members past the horizon
+    are dropped.
     """
     pre = poset.prefix(horizon)
-    sub = poset.mask_of(set(members) & set(pre))
+    inside = (1 << len(pre) + 1) - 2
+    sub = poset.mask_of(members) & inside
     els = [CompletionElement("base", p, poset.lower_of(1 << i, horizon))
            for i, p in enumerate(pre, 1)]
     if poset.finite:
@@ -107,17 +110,16 @@ def complete_over(poset: Poset, members: Iterable[str],
     a = poset.analytics
     confirmed_max = a.maximal(poset, horizon) if a.maximal else 0
     display = a.limit_display or (lambda chain: "")
-    inside, tokens = (1 << len(pre) + 1) - 2, []
+    tokens = []
     for t in bits(sub & ~confirmed_max):
         if poset.up_mask(t) & inside != 1 << t:
             continue
         chain = poset._first_chain(sub & poset.lower_of(1 << t, horizon), 2)
         if chain is None:
             continue
-        chain = tuple(pre[i - 1] for i in chain)
-        tokens.append(CompletionElement("limit", token_name(chain),
-                                        els[t - 1].descriptor,
-                                        display(chain) or ""))
+        tokens.append(CompletionElement(
+            "limit", token_name(pre[i - 1] for i in chain),
+            els[t - 1].descriptor, display(chain) or ""))
     els.extend(sorted(tokens,
                       key=lambda tok: sorted(poset.ids_of(tok.descriptor))))
     return CompletedPoset(poset, horizon, els)

@@ -187,12 +187,21 @@ def _dyadic_rows(ids: list[str], k: int) -> tuple[int, int]:
     return above, below
 
 
-def _dyadic_limit_display(values: tuple[str, ...]) -> Optional[str]:
-    """Exact limit of a geometric ascent; None when no pattern fits."""
-    if len(values) < 3:
-        return None
+def _dyadic_value(i: int) -> "Fraction":
+    """The number at enumeration index i."""
     from fractions import Fraction
-    vs = [Fraction(v) for v in values]
+    if i <= 2:
+        return Fraction(i - 1)
+    _, num, den = _dyadic_walk(i)
+    return Fraction(num, den)
+
+
+def _dyadic_limit_display(chain: tuple[int, ...]) -> Optional[str]:
+    """Exact limit of a geometric ascent, given by enumeration indices;
+    None when no pattern fits."""
+    if len(chain) < 3:
+        return None
+    vs = list(map(_dyadic_value, chain))
     gaps = [b - a for a, b in zip(vs, vs[1:])]
     if any(g <= 0 for g in gaps):
         return None

@@ -134,12 +134,11 @@ def label_prefix(path: PathPrefix) -> PointLabel:
     if strict and d >= 3:
         acc = True if poset.finite else poset.analytics.acc
         if acc is not True:
-            types = path.type_ids()
             display: Optional[str] = None
             if poset.analytics.limit_display is not None:
-                display = poset.analytics.limit_display(types)
+                display = poset.analytics.limit_display(tuple(ix))
             if display is None:
-                display = token_name(types)
+                display = token_name(path.type_ids())
             return PointLabel("limit", display,
                               f"strictly ascending through {d} levels")
         return PointLabel("undetermined", "",

@@ -8,8 +8,6 @@ Every set, chain, cover and axiom question is read off those rows as masks
 over enumeration indices, and the order analytics (extremal elements,
 foundations, P_Delta) take and answer such masks; ids are converted only
 at the edges, by ``mask_of`` (an unknown id raises) and ``ids_of``.
-``covers_of`` and ``axiom_problems`` take any list of rows, so the chain
-completion and the closure share them.
 Chain questions are asked of a top's cone through ``_first_chain``; no list
 of chains is built.
 Every predicate that cannot be decided from a finite prefix says so:
@@ -171,7 +169,7 @@ class Analytics(Record):
             foundation: Optional[
                 Callable[["Poset", int, int], FoundationResult]] = None,
             limit_display: Optional[
-                Callable[[tuple[str, ...]], Optional[str]]] = None):
+                Callable[[tuple[int, ...]], Optional[str]]] = None):
         self.minimal, self.maximal = minimal, maximal
         self.acc, self.acc_note = acc, acc_note
         self.omega_complete, self.omega_note = omega_complete, omega_note

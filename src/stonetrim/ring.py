@@ -159,9 +159,9 @@ class RingElement:
 def _types_in(tree: SkeletonTree, level: int, mask: int) -> TypeSet:
     """Upper set of the types of the atoms set in mask on a built level."""
     realized = 0
-    for bit, atoms in tree.levels[level - 1].type_bits():
+    for t, atoms in tree.levels[level - 1].type_masks().items():
         if atoms & mask:
-            realized |= bit
+            realized |= 1 << t
     return TypeSet.from_mask(tree.poset, realized)
 
 
@@ -179,14 +179,14 @@ def trim_split(x: RingElement) -> list[tuple[int, RingElement]]:
     if not x:
         return []
     poset = x.tree.poset
-    type_bits = x.tree.level(x.level).type_bits()
+    masks = x.tree.level(x.level).type_masks()
     rest = x.mask
     out = []
     for g in bits(x.type_of().mask):
         up = poset.up_mask(g)
         part = 0
-        for bit, atoms in type_bits:
-            if up & bit:
+        for t, atoms in masks.items():
+            if up >> t & 1:
                 part |= atoms & rest
         rest &= ~part
         out.append((g, RingElement(x.tree, x.level, part)))
@@ -303,7 +303,7 @@ def verify_type_axioms(tree: SkeletonTree, level_bound: int,
     types one level down, and upward closure of every computed type set.
 
     The laws run on raw level masks, typed through each level's
-    ``type_bits`` table, and compare interned ``TypeSet`` masks.  A random
+    ``type_masks`` table, and compare interned ``TypeSet`` masks.  A random
     level is drawn as ``Random.randint(1, level_bound)`` would draw it
     (``_level_draws``), and a random mask with one ``getrandbits`` call.
     Each distinct (level, mask) that the union law's canonical path or the

@@ -205,8 +205,8 @@ class Level(Record):
     1).  Block starts and parents are derived.  ``counts`` holds the number
     of nodes of each type (counted from ``types`` when not given)."""
 
-    # the caches _masks, _type_bits and _blocks fill on first use, so
-    # equality leaves them out
+    # the caches _masks and _blocks fill on first use, so equality leaves
+    # them out
     _compare = ("number", "types", "u_start", "block_end")
 
     def __init__(self, number: int, types: array, u_start: int,
@@ -218,7 +218,6 @@ class Level(Record):
         self.block_end = array("I") if block_end is None else block_end
         self.counts = dict(Counter(types)) if counts is None else counts
         self._masks: dict[int, int] = {}
-        self._type_bits: list[tuple[int, int]] = []
         self._blocks: Optional[tuple[int, int]] = None
 
     def __len__(self) -> int:
@@ -250,16 +249,7 @@ class Level(Record):
             chars = sorted(set(spelled), key=spelled.rfind, reverse=True)
             self._masks.update(zip(map(ord, chars),
                                    char_masks(spelled, chars)))
-            self._type_bits = [(1 << t, atoms)
-                               for t, atoms in self._masks.items()]
         return self._masks
-
-    def type_bits(self) -> list[tuple[int, int]]:
-        """(1 << type, atom mask) for every type on the level; refilled
-        with ``type_masks`` whenever ``_masks`` is emptied."""
-        if not self._masks:
-            self.type_masks()
-        return self._type_bits
 
     def type_mask(self, type_ix: int) -> int:
         return self.type_masks().get(type_ix, 0)

@@ -1,34 +1,39 @@
-"""Upper sets of a poset, stored by their minimal antichain.
+"""Upper sets of a poset, stored by their minimal generators.
 
-A TypeSet denotes the upward closure of its antichain.  Normalization keeps
-the minimal elements only, sorted by enumeration index, so equal upper sets
-compare equal structurally.  Alongside the ids a TypeSet carries the same
-antichain as a mask over enumeration indices, and ``from_mask`` interns one
-TypeSet per generator mask in the poset's ``typesets`` table.
+An upper set is fixed by its minimal elements, so a TypeSet holds only
+their mask over enumeration indices, and equal upper sets compare equal.
+``from_mask`` interns one TypeSet per generator mask in the poset's
+``typesets`` table; ids appear only where a type set is named.
 """
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable
 
 from ._record import Frozen
 from .poset import Poset, bits
 
 
 class TypeSet(Frozen):
-    """An upper set represented by its sorted minimal antichain; ``mask``
-    has bit i set iff the element with enumeration index i is one of its
-    minimal elements.  Without a mask the ids may be any generating set:
-    they are normalized to their minimal antichain in index order."""
+    """An upper set: ``mask`` has bit i set iff the element with enumeration
+    index i is one of its minimal elements.  The constructor's ids may be
+    any generating set: they are normalized to their minimal antichain."""
 
-    __slots__ = ("poset", "min_antichain", "mask")
-    _compare = ("poset", "min_antichain")
+    __slots__ = _compare = ("poset", "mask")
 
-    def __init__(self, poset: Poset, min_antichain: Iterable[str],
-                 mask: Optional[int] = None):
-        if mask is None:
-            mask = poset.minimal_in(poset.mask_of(min_antichain))
-            min_antichain = tuple(map(poset.id_at, bits(mask)))
-        self._fill(poset, min_antichain, mask)
+    def __init__(self, poset: Poset, min_antichain: Iterable[str]):
+        self._fill(poset, poset.minimal_in(poset.mask_of(min_antichain)))
+
+    def __copy__(self) -> "TypeSet":
+        return TypeSet.from_mask(self.poset, self.mask)
+
+    def __reduce__(self):
+        # a deep copy of a poset rebuilds its type sets before its own state
+        return _rebuilt, (self.poset, self.mask)
+
+    @property
+    def min_antichain(self) -> tuple[str, ...]:
+        """Ids of the minimal elements, in enumeration order."""
+        return tuple(map(self.poset.id_at, bits(self.mask)))
 
     @classmethod
     def of(cls, poset: Poset, members: Iterable[str]) -> "TypeSet":
@@ -49,8 +54,7 @@ class TypeSet(Frozen):
         mins = poset.minimal_in(mask)
         hit = poset.typesets.get(mins)
         if hit is None:
-            hit = cls(poset, tuple(poset.id_at(i) for i in bits(mins)), mins)
-            poset.typesets[mins] = hit
+            hit = poset.typesets[mins] = _rebuilt(poset, mins)
         poset.typesets[mask] = hit
         return hit
 
@@ -77,3 +81,10 @@ class TypeSet(Frozen):
 
     def __repr__(self) -> str:
         return f"TypeSet({', '.join(self.min_antichain) or '∅'})"
+
+
+def _rebuilt(poset: Poset, mask: int) -> TypeSet:
+    """The type set whose minimal generators are mask, not interned."""
+    ts = TypeSet.__new__(TypeSet)
+    ts._fill(poset, mask)
+    return ts

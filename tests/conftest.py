@@ -164,18 +164,18 @@ def ref_theta_image(tree, n: int, mask: int) -> int:
 def ref_persist_rows(tree, n: int) -> list[tuple[int, int, int]]:
     """The types-persist table as first written: each node of level n
     lifted alone with ``theta_image(n, 1 << i)`` and its block typed
-    through level n+1's ``type_bits``; one row per distinct (own type bit,
+    through level n+1's ``type_masks``; one row per distinct (own type bit,
     child types), with the mask of the nodes that have it."""
-    kid_bits = tree.levels[n].type_bits()
+    kid_masks = tree.levels[n].type_masks()
     rows: dict[tuple[int, int], int] = {}
-    for bit, atoms in tree.levels[n - 1].type_bits():
+    for t, atoms in tree.levels[n - 1].type_masks().items():
         for i in bits(atoms):
             block = tree.theta_image(n, 1 << i)
             kids = 0
-            for kid, kid_atoms in kid_bits:
+            for kid, kid_atoms in kid_masks.items():
                 if kid_atoms & block:
-                    kids |= kid
-            rows[bit, kids] = rows.get((bit, kids), 0) | 1 << i
+                    kids |= 1 << kid
+            rows[1 << t, kids] = rows.get((1 << t, kids), 0) | 1 << i
     return [(own, kids, nodes) for (own, kids), nodes in rows.items()]
 
 
@@ -401,7 +401,8 @@ def ref_complete_over(poset: Poset, members, horizon: int):
             continue
         display = ""
         if poset.analytics.limit_display is not None:
-            display = poset.analytics.limit_display(tuple(chain)) or ""
+            display = poset.analytics.limit_display(
+                tuple(map(poset.index, chain))) or ""
         seen[desc] = CompletionElement("limit", token_name(chain),
                                        poset.mask_of(desc), display)
     els.extend(seen[d] for d in sorted(seen, key=sorted))
@@ -572,7 +573,7 @@ def ref_extend_iso(state, side: int, element, max_depth: int,
                                "pieces": len(src_pieces)})
     state.pairs = new_pairs
 
-    held = state.running_union(side)
+    held = state.held[side]
     n = max(element.level, held.level)
     rest = element_at(n) & ~held.mask_at(n)
     if rest:

@@ -5,7 +5,9 @@ from conftest import chain_ab_poset, diamond_poset, vee_poset
 from stonetrim import (BuildConfig, IsoError, Poset, RingElement,
                        build_levels, family, init_iso, extend_iso,
                        lift_poset_automorphism, run_backforth)
-from stonetrim.backforth import Pair, _check_theta, _covered, _schedule
+from stonetrim.backforth import (MismatchFound, Pair, _ThetaMap,
+                                 _check_theta, _covered, _match_split,
+                                 _schedule)
 
 
 def build(poset_maker, depth=6, **kw):
@@ -14,6 +16,17 @@ def build(poset_maker, depth=6, **kw):
 
 def chain_xy_poset():
     return Poset.from_covers("chain-xy", ["x", "y"], [("x", "y")])
+
+
+def antichain_poset(*ids):
+    return Poset.from_covers("anti-" + "".join(ids), list(ids), [])
+
+
+def identity_map(left, right, span):
+    """The identity on indices 1..span as a prepared map, with no check
+    that it keeps the order."""
+    table = list(range(span + 1))
+    return _ThetaMap((left.poset, right.poset), (table, table[:]))
 
 
 class TestInit:
@@ -75,7 +88,7 @@ def test_mask_matcher_agrees_with_ring_operations(maker, isolated):
         extend_iso(state, side, RingElement.atom(state.trees[side], n, i),
                    14)
         for s in (0, 1):
-            assert state.running_union(s) == state.union(s)
+            assert state.held[s] == state.union(s)
         assert state.verify() == []
         if k % 16 == 0:
             # the atoms extended so far are unions of parts, the rest
@@ -293,6 +306,61 @@ class TestBijection:
                 2, 1, 3, None]
 
 
+class TestBranchesNoRunReaches:
+    """Refusals that ``run_backforth``'s own checks keep every run from
+    reaching, reached through hand-built maps and pairings."""
+
+    def test_a_region_element_without_a_counterpart(self):
+        left, right = build(chain_ab_poset), build(chain_ab_poset)
+        with pytest.raises(IsoError, match=r"^region elements \['zz'\] have "
+                                           r"no counterpart"):
+            init_iso(left, right, {"a", "zz"}, lambda p: p)
+
+    # under a map that breaks order, a type minimal on one side only has no
+    # part on the other: a < b on the chain, a and b apart on the antichain
+    def test_a_foundation_type_without_a_right_part(self):
+        left, right = build(lambda: antichain_poset("a", "b")), \
+            build(chain_ab_poset)
+        with pytest.raises(IsoError, match="^no right part for foundation "
+                                           "type 'b'$"):
+            init_iso(left, right, {"a", "b"}, identity_map(left, right, 2))
+
+    def test_an_unmatched_right_foundation_type(self):
+        left, right = build(chain_ab_poset), \
+            build(lambda: antichain_poset("a", "b"))
+        with pytest.raises(IsoError, match=r"^unmatched right foundation "
+                                           r"types \['b'\]$"):
+            init_iso(left, right, {"a", "b"}, identity_map(left, right, 2))
+
+    def test_a_needed_type_the_counterpart_part_lacks(self):
+        # the a parts realize only a, and no type below b can grow into it
+        sides = [build(lambda: antichain_poset("a", "b")) for _ in "lr"]
+        state = init_iso(*sides, {"a", "b"}, lambda p: p)
+        a_pair = state.pairs[0]
+        assert a_pair.gens == (1, 1)
+        with pytest.raises(MismatchFound) as m:
+            _match_split(state, 1, a_pair.parts[1],
+                         [(2, a_pair.parts[0])], 10)
+        assert m.value.witness.serialize() == {
+            "side": "right", "type": "b", "needed": 1, "available": 0,
+            "reason": "needed type is not realized in the counterpart part"}
+
+    def test_a_fresh_type_without_a_counterpart(self):
+        # c enters level 3 unattached on the left, so no part holds it and
+        # it is paired fresh; the right side has no third element
+        left = build(lambda: antichain_poset("a", "b", "c"))
+        right = build(lambda: antichain_poset("a", "b"))
+        state = init_iso(left, right, {"a", "b"}, identity_map(left, right, 2))
+        lvl = left.level(3)
+        c_atom = list(lvl.types).index(3)
+        assert c_atom >= lvl.u_start
+        with pytest.raises(MismatchFound) as m:
+            extend_iso(state, 0, RingElement.atom(left, 3, c_atom), 10)
+        assert m.value.witness.serialize() == {
+            "side": "right", "type": "c", "needed": 1, "available": 0,
+            "reason": "type has no counterpart in the other alphabet"}
+
+
 class TestThetaHandling:
     def test_relabelled_chain_certifies(self):
         run = run_backforth(build(chain_ab_poset), build(chain_xy_poset),
@@ -321,6 +389,19 @@ class TestThetaHandling:
         with pytest.raises(IsoError, match="does not map prefix onto prefix"):
             run_backforth(build(chain_ab_poset), build(chain_xy_poset),
                           theta=lambda p: "x")
+
+    def test_a_bijection_is_checked_past_the_span(self):
+        # b < d on the left and c < d on the right: at depth 3 the span
+        # stops short of d, and the whole posets are compared once the
+        # schedule completes, under the identity and under the swap
+        sides = [lambda top=top: Poset.from_covers(
+            f"vee-{top}d", ["a", "b", "c", "d"],
+            [("a", "b"), ("a", "c"), (top, "d")]) for top in ("b", "c")]
+        with pytest.raises(IsoError, match=r"breaks order at \('b', 'd'\)"):
+            run_backforth(*(build(s, 3) for s in sides), seed=0)
+        swap = {"a": "a", "b": "c", "c": "b", "d": "d"}.get
+        run = run_backforth(*(build(s, 3) for s in sides), theta=swap)
+        assert (run.status, run.coverage) == ("iso", True)
 
     def test_order_breaking_theta_rejected(self):
         with pytest.raises(IsoError, match=r"breaks order at \('a', 'b'\)"):

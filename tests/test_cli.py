@@ -252,6 +252,69 @@ class TestIso:
         assert witness["reason"] == ("isolated type cannot multiply inside "
                                      "a part typed exactly by it")
 
+    # poset files that agree on the span a shallow schedule checks and
+    # differ past it
+    PAST_SPAN = {
+        "ab": (["a", "b"], [["a", "b"]]),
+        "abc": (["a", "b", "c"], [["a", "b"], ["b", "c"]]),
+        "c3": (["p1", "p2", "p3"], [["p1", "p2"], ["p2", "p3"]]),
+        "vee": (["a", "b", "c"], [["a", "b"], ["a", "c"]]),
+        "veed": (["a", "b", "c", "d"], [["a", "b"], ["a", "c"], ["b", "d"]]),
+        "veedc": (["a", "b", "c", "d"], [["a", "b"], ["a", "c"],
+                                         ["c", "d"]]),
+    }
+
+    def past_span_sides(self, tmp_path, left, right):
+        argv = []
+        for side, name in (("left", left), ("right", right)):
+            if name not in self.PAST_SPAN:
+                argv += [f"--{side}-family", name]
+                continue
+            path = tmp_path / f"{name}.json"
+            elements, covers = self.PAST_SPAN[name]
+            path.write_text(json.dumps({"name": name, "elements": elements,
+                                        "covers": covers}))
+            argv += [f"--{side}", str(path)]
+        return argv
+
+    # a finite side shorter than the other never certifies: the shallow
+    # depths certified before the posets were compared past the span, the
+    # deepest one mismatched during the schedule with the same witness
+    @pytest.mark.parametrize("left, right, depths, side, missing", [
+        ("ab", "abc", (3, 4, 5), "left", "c"),
+        ("omega-chain", "c3", (3, 4, 5, 6), "right", "p4"),
+        ("vee", "veed", (3, 4, 5, 6), "left", "d"),
+    ])
+    def test_a_difference_past_the_span_exits_four(self, tmp_path, capsys,
+                                                   left, right, depths, side,
+                                                   missing):
+        sides = self.past_span_sides(tmp_path, left, right)
+        for depth in depths:
+            for seed in (0, 1, 2):
+                assert cli.main(["iso", *sides, "--depth", str(depth),
+                                 "--seed", str(seed)]) == 4, (depth, seed)
+                doc = json.loads(capsys.readouterr().out)
+                assert doc["status"] == "mismatch"
+                assert doc["witness"] == {
+                    "side": side, "type": missing, "needed": 1,
+                    "available": 0,
+                    "reason": "type has no counterpart in the other "
+                              "alphabet"}
+
+    def test_an_order_difference_past_the_span_exits_three(self, tmp_path,
+                                                           capsys):
+        # finite sides of one size are checked whole; at depth 4 the span
+        # already holds d
+        sides = self.past_span_sides(tmp_path, "veed", "veedc")
+        for depth in (3, 4):
+            for seed in (0, 1, 2):
+                assert cli.main(["iso", *sides, "--depth", str(depth),
+                                 "--seed", str(seed)]) == 3
+                out, err = capsys.readouterr()
+                assert out == ""
+                assert err.splitlines() == [
+                    "the bijection breaks order at ('b', 'd')"]
+
     def test_depth_exhaustion_exit_code(self):
         proc = run_cli("iso", "--left-family", "omega-chain",
                        "--right-family", "omega-chain",

@@ -10,7 +10,7 @@ from itertools import combinations
 import pytest
 
 from conftest import holds, ref_closure_of
-from stonetrim import (ClosureError, Poset, SymbolicSpace,
+from stonetrim import (ClosureError, Poset, RNTrace, SymbolicSpace,
                        check_closure_axioms, check_identities,
                        classify_algebra, cli, e_of_p, family,
                        render_trace_dot, render_trace_text,
@@ -250,6 +250,18 @@ class TestPeeling:
         assert (cls.case, cls.name) == (2, "P(2,2)")
         assert cls.witness["4"] == "p4"
         assert check_identities(t) == []
+
+    def test_counts_are_read_off_the_layers(self, rn20, ladder):
+        # an empty trace ran no step, found no empty layer and did not
+        # stabilize; a run cut at max_n stops there without stabilizing
+        empty = RNTrace(rn20, rn20.fin({"p0"}))
+        assert (empty.n_ran, empty.N, empty.stabilized) == (0, None, False)
+        for space, max_n, want in ((rn20, 30, (3, 2, True)),
+                                   (rn20, 2, (2, None, False)),
+                                   (rn20, 3, (3, 2, True)),
+                                   (ladder, 5, (5, None, False))):
+            t = rieger_nishimura_run(space, space.fin({"p0"}), max_n)
+            assert (t.n_ran, t.N, t.stabilized) == want, max_n
 
     def test_full_ladder_marches(self, ladder):
         t = rieger_nishimura_run(ladder, ladder.fin({"p0"}), max_n=30)

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import (all_chains, embed, random_poset, ref_completion_verify,
                       ref_down_mask, two_chains_poset)
-from stonetrim import (CompletionError, Poset, chain_closure,
+from stonetrim import (CompletionError, Poset, PosetError, chain_closure,
                        complete_finite, complete_over, family, token_name)
 
 
@@ -98,6 +98,24 @@ class TestCompleteOver:
         assert descs == [["w1", "w2", "w3", "w4", "w5", "w6", "w8"],
                          ["w1", "w2", "w3", "w4", "w5", "w7"]]
         assert ref_completion_verify(c) == []
+
+    def test_an_unknown_member_is_named(self, diamond):
+        # as mask_of and chain_closure name it: the least unknown id
+        p = family("omega-chain")
+        for poset, members, least in ((p, {"zz", "p1", "p2", "p3"}, "zz"),
+                                      (p, {"zz", "yy"}, "yy"),
+                                      (diamond, {"x", "a"}, "x")):
+            with pytest.raises(PosetError,
+                               match=f"^unknown element id {least!r}$"):
+                complete_over(poset, members, 4)
+        with pytest.raises(PosetError, match="^unknown element id 'zz'$"):
+            chain_closure(p, ["p1", "zz"], 4)
+
+    def test_members_past_the_horizon_are_dropped(self):
+        p = family("omega-chain")
+        c = complete_over(p, p.prefix(8), 4)
+        assert c.elements == complete_over(p, p.prefix(4), 4).elements
+        assert [t.ref for t in c.tokens()] == ["lim(p1,p2,p3,p4)"]
 
     def test_finite_poset_keeps_its_sups(self, diamond):
         c = complete_over(diamond, diamond.prefix(4), 4)

@@ -2,6 +2,7 @@
 import random
 from fractions import Fraction
 from functools import partial
+from itertools import combinations
 
 import pytest
 
@@ -127,6 +128,28 @@ def test_order_answers_are_masks_of_the_documented_ids(tag):
             assert res.status == (REFUTED if founded is None else FOUND)
             assert p.ids_of(res.foundation) == (founded or set())
         assert p.ids_of(delta) == {x for x in pre if want[2]({x}) is not None}
+
+
+def show_dyadic(values):
+    """The dyadic display of the chain whose ids are values."""
+    p = family("dyadic")
+    p.prefix(64)
+    return p.analytics.limit_display(tuple(map(p.index, values)))
+
+
+def ref_geometric_limit(values):
+    """The display as first written, on the numbers themselves: the limit
+    of values whose gaps shrink by one ratio r with 0 < r < 1."""
+    if len(values) < 3:
+        return None
+    gaps = [b - a for a, b in zip(values, values[1:])]
+    if any(g <= 0 for g in gaps):
+        return None
+    ratios = {g2 / g1 for g1, g2 in zip(gaps, gaps[1:])}
+    if len(ratios) != 1 or not 0 < min(ratios) < 1:
+        return None
+    r = ratios.pop()
+    return f"lim→{values[-1] + gaps[-1] * r / (1 - r)}⁻"
 
 
 class TestTags:
@@ -261,15 +284,25 @@ class TestDyadic:
         assert v.witness == ("1/4", "5/16", "21/64", "85/256", "341/1024")
 
     def test_limit_display_geometric(self):
-        show = family("dyadic").analytics.limit_display
+        show = show_dyadic
         assert show(("1/2", "3/4", "7/8")) == "lim→1⁻"
         assert show(("1/4", "5/16", "21/64")) == "lim→1/3⁻"
 
     def test_limit_display_rejects_non_geometric(self):
-        show = family("dyadic").analytics.limit_display
+        show = show_dyadic
         assert show(("1/2", "3/4")) is None
         assert show(("3/4", "1/2", "1/4")) is None
         assert show(("1/4", "1/2", "3/4")) is None
+
+    def test_limit_display_reads_values_off_indices(self):
+        # every chain of three among the first 40 elements, against the
+        # display worked out from the values the ids spell
+        p = family("dyadic")
+        pre = p.prefix(40)
+        for chain in combinations(range(1, 41), 3):
+            values = [Fraction(pre[i - 1]) for i in chain]
+            assert (p.analytics.limit_display(chain)
+                    == ref_geometric_limit(values)), chain
 
 
 class TestZieglerFan:

@@ -7,7 +7,7 @@ part index and spreads spare atoms type by type, and once by
 atoms one at a time.  After every step the two must hold the same pairs in
 the same order, the same transcript and the same stop; at the end
 ``_covered`` must give the reference's verdicts and ``verify()`` the same
-problems.  The index and running union are checked against the pairs right
+problems.  The index and held union are checked against the pairs right
 after seeding and at the end.
 """
 import random
@@ -42,11 +42,11 @@ def start(sides, depth):
 def assert_index_follows(state):
     """Keys sort as the pairs stand, each side's index holds the runs of
     every part lifted to its common level, sorted and disjoint, once each,
-    and counts them, and each side's running union is its parts' union."""
+    and counts them, and each side's held union is its parts' union."""
     assert state._keys == sorted(state._keys)
     assert len(state._keys) == len(state.pairs)
     for side in (0, 1):
-        index = state.part_index(side)
+        index = state.index[side]
         tree = state.trees[side]
         entries = []
         for key, pair in zip(state._keys, state.pairs):
@@ -59,7 +59,7 @@ def assert_index_follows(state):
         assert list(zip(index.starts, index.ends, index.owners)) == entries
         assert all(b <= c for (_, b, _), (c, _, _) in zip(entries,
                                                            entries[1:]))
-        assert state.running_union(side) == state.union(side)
+        assert state.held[side] == state.union(side)
 
 
 def assert_seeded(state):
@@ -71,7 +71,7 @@ def assert_seeded(state):
         parts = [pair.parts[side] for pair in state.pairs]
         fresh = RunIndex(tree, max((p.level for p in parts), default=1),
                          zip(state._keys, parts))
-        index = state.part_index(side)
+        index = state.index[side]
         assert (index.top, index.starts, index.ends, index.owners,
                 index.count) == (fresh.top, fresh.starts, fresh.ends,
                                  fresh.owners, fresh.count)

@@ -92,10 +92,9 @@ CASES = [
     Case(StructureReport, {"checks": [("x", True, "")]},
          0, {"checks": []}, frozen=False, differs=("checks", []), shown=(
              {"checks": []}, "StructureReport(checks=[])")),
-    Case(TypeSet, {"poset": POSET, "min_antichain": ("a",), "mask": 2},
-         2, {"mask": 2}, frozen=True, ignored={"mask": 99},
-         differs=("min_antichain", ("b",)), shown=(
-             {"min_antichain": (), "mask": 0}, "TypeSet(∅)")),
+    Case(TypeSet, {"poset": POSET, "min_antichain": ("a",)},
+         2, {}, frozen=True, differs=("min_antichain", ("b",)), shown=(
+             {"min_antichain": ()}, "TypeSet(∅)")),
     Case(CompletionElement, {"kind": "base", "ref": "a",
                              "descriptor": 0b10, "display": "x"},
          3, {"display": ""}, frozen=True, differs=("kind", "limit"), shown=(
@@ -131,12 +130,10 @@ CASES = [
          3, {}, frozen=True, ignored={"space": OTHER_SPACE},
          differs=("cofinite", True)),
     Case(RNTrace, {"space": SPACE, "a": P0, "u": [P0], "v": [P0],
-                   "b": [P0], "n_ran": 2, "N": 1, "stabilized": True,
-                   "a_inf": P0, "a_inf_exact": True, "note": "n"},
-         2, {"u": [], "v": [], "b": [], "n_ran": 0, "N": None,
-             "stabilized": False, "a_inf": None, "a_inf_exact": False,
+                   "b": [P0], "a_inf": P0, "a_inf_exact": True, "note": "n"},
+         2, {"u": [], "v": [], "b": [], "a_inf": None, "a_inf_exact": False,
              "note": ""},
-         frozen=False, differs=("n_ran", 3)),
+         frozen=False, differs=("b", [])),
     Case(Classification, {"case": 1, "name": "x", "witness": {"0": "p0"},
                           "note": "n"},
          3, {"note": ""}, frozen=True, hashable=False,
@@ -151,7 +148,9 @@ IDS = [case.cls.__name__ for case in CASES]
 # ClosureElement's third field has since become an index mask, in place of
 # a frozenset of ids, and so have Extremal's minimal and maximal and
 # FoundationResult's foundation, which defaults to the empty mask 0 in place
-# of None (declared in CHANGES.md)
+# of None; TypeSet has lost its mask parameter and RNTrace its n_ran, N and
+# stabilized, which are read off the fields that remain (declared in
+# CHANGES.md)
 SIGNATURES = {
     "Verdict": [("status", REQUIRED), ("witness", ()), ("note", "")],
     "Extremal": [("minimal", REQUIRED), ("maximal", REQUIRED),
@@ -170,8 +169,7 @@ SIGNATURES = {
               ("u_start", REQUIRED), ("block_end", FACTORY),
               ("counts", FACTORY)],
     "StructureReport": [("checks", FACTORY)],
-    "TypeSet": [("poset", REQUIRED), ("min_antichain", REQUIRED),
-                ("mask", None)],
+    "TypeSet": [("poset", REQUIRED), ("min_antichain", REQUIRED)],
     "CompletionElement": [("kind", REQUIRED), ("ref", REQUIRED),
                           ("descriptor", REQUIRED), ("display", "")],
     "PathPrefix": [("tree", REQUIRED), ("nodes", REQUIRED)],
@@ -186,8 +184,7 @@ SIGNATURES = {
     "ClosureElement": [("space", REQUIRED), ("cofinite", REQUIRED),
                        ("mask", REQUIRED)],
     "RNTrace": [("space", REQUIRED), ("a", REQUIRED), ("u", FACTORY),
-                ("v", FACTORY), ("b", FACTORY), ("n_ran", 0), ("N", None),
-                ("stabilized", False), ("a_inf", None),
+                ("v", FACTORY), ("b", FACTORY), ("a_inf", None),
                 ("a_inf_exact", False), ("note", "")],
     "Classification": [("case", REQUIRED), ("name", REQUIRED),
                        ("witness", REQUIRED), ("note", "")],

@@ -718,9 +718,9 @@ def drop_last_child_block(theta_image):
 def skip_last_type(types_in):
     def mutated(tree, level, mask):
         realized = 0
-        for bit, atoms in tree.level(level).type_bits()[:-1]:
+        for t, atoms in list(tree.level(level).type_masks().items())[:-1]:
             if atoms & mask:
-                realized |= bit
+                realized |= 1 << t
         return TypeSet.from_mask(tree.poset, realized)
     return mutated
 

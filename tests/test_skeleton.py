@@ -597,8 +597,6 @@ def assert_matches_oracles(config, depth, q_lower=None):
         assert lvl.parent[-1] == parents[-1]
     for lvl in tree.levels:
         assert list(lvl.type_masks().items()) == type_masks_oracle(lvl.types)
-        assert lvl.type_bits() == [(1 << t, m)
-                                   for t, m in type_masks_oracle(lvl.types)]
     assert_same_report(tree, q_lower)
     return tree
 

@@ -1,4 +1,5 @@
 """Upper sets and their minimal-antichain normal form."""
+import copy
 import random
 
 import pytest
@@ -30,6 +31,19 @@ class TestNormalization:
         above = TypeSet(vee, ("a", "b"))
         assert above == TypeSet.of(vee, {"a"})
         assert above.serialize() == ["a"] and above.mask == 0b10
+
+    def test_copies_re_intern(self, vee):
+        # a type set is its poset and generator mask, and nothing else
+        assert TypeSet.__slots__ == ("poset", "mask")
+        interned = TypeSet.of(vee, {"b", "c"})
+        assert copy.copy(interned) is interned
+        assert copy.copy(TypeSet(vee, ("c", "b"))) is interned
+        # a deep copy of the poset copies its interned type sets with it
+        twin = copy.deepcopy(vee)
+        copied = TypeSet.of(twin, {"b", "c"})
+        assert copied.poset is twin and copied is twin.typesets[copied.mask]
+        assert copied.mask == interned.mask and copied != interned
+        assert copy.deepcopy(interned).mask == interned.mask
 
     def test_unknown_member_rejected(self, diamond):
         with pytest.raises(PosetError, match="zz"):

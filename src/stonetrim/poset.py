@@ -193,8 +193,6 @@ class Poset:
 
     ``typesets`` maps a generator mask over enumeration indices to its
     interned ``TypeSet`` (filled by ``TypeSet.from_mask``).
-    ``upper_members`` memoises the ids of up-closures of masks within a
-    prefix; growth never changes them.
     """
 
     def __init__(self, name: str, *, ids: Optional[list[str]] = None,
@@ -216,7 +214,6 @@ class Poset:
         if len(self._pos) != len(self._ids):
             raise PosetError("duplicate element ids")
         self._up: list[int] = [0]
-        self._members: dict[tuple[int, int], frozenset] = {}
         self.typesets: dict[int, object] = {}
         self._fill_table()
         self.finite = gen is None
@@ -319,7 +316,7 @@ class Poset:
     def _fill_table(self) -> None:
         """Add the up-set rows of newly enumerated elements, and their bits
         to the rows of the older ones.  Only bits above the older prefix are
-        set, so the memoised up-closures stay valid."""
+        set, so the interned type sets stay valid."""
         ids, up = self._ids, self._up
         for k in range(len(up), len(ids) + 1):
             older = (1 << k) - 2
@@ -395,19 +392,6 @@ class Poset:
         hit = 0
         for i in bits(mask):
             hit |= self.up_mask(i)
-        return hit
-
-    def upper_members(self, mask: int, horizon: int) -> frozenset:
-        """Ids of the up-closure of mask within ``prefix(horizon)``,
-        memoised per (mask, horizon): the answer reads only bits 1..horizon
-        of rows already enumerated, which growth never sets."""
-        key = mask, horizon
-        hit = self._members.get(key)
-        if hit is None:
-            pre = self.prefix(horizon)
-            inside = self.upper_of(mask) & (1 << len(pre) + 1) - 2
-            hit = self._members[key] = frozenset(pre[i - 1]
-                                                 for i in bits(inside))
         return hit
 
     def lower_of(self, mask: int, horizon: int) -> int:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from itertools import chain, islice
+from itertools import chain, islice, product, repeat
 from operator import add, mul, sub
 from typing import Iterator, Optional
 
@@ -23,23 +23,14 @@ class RingError(ValueError):
     """Operation on incompatible or malformed ring elements."""
 
 
-def _turned_away(mask: int, u_mask: int, starts: int, ends: int) -> bool:
-    """Does a mask fail ``_lower``'s quick tests for dropping a level: it
-    holds an unattached atom of its level (``u_mask``), or one of its runs
-    starts or ends inside a child block (whose starts and ends are the
-    masks its level's ``block_masks`` gives)?"""
-    return bool(mask & u_mask or mask & ~(mask << 1) & ~starts
-                or mask & ~(mask >> 1) & ~ends)
-
-
 def _lower(tree: SkeletonTree, level: int, mask: int) -> tuple[int, int]:
     """Drop the mask a level while it is a union of whole sibling blocks
     free of unattached atoms.  Blocks of consecutive parents are adjacent,
     so a run of set bits is such a union iff it starts where its first
-    parent's block starts and ends where its last parent's block ends,
-    which is what ``_turned_away`` tests (inline here, as this runs for
-    every element made); a mask that passes drops to the parents of its
-    runs, read off its level's block ends and joined by ``from_runs``."""
+    parent's block starts and ends where its last parent's block ends, as
+    the quick tests below (inlined in ``verify_type_axioms``) read off
+    ``block_masks``; a mask that passes drops to the parents of its runs,
+    read off its level's block ends and joined by ``from_runs``."""
     if not mask:
         return 1, 0
     levels = tree.levels
@@ -273,13 +264,13 @@ def _persist_rows(tree: SkeletonTree, n: int) -> list[tuple[int, int, int]]:
 
 
 class _Memo(dict):
-    """A table that fills each missing key once, with ``fill(*key)``."""
+    """A table that fills each missing key once, with ``fill(key)``."""
 
     def __init__(self, fill):
         self.fill = fill
 
-    def __missing__(self, key: tuple):
-        hit = self[key] = self.fill(*key)
+    def __missing__(self, key):
+        hit = self[key] = self.fill(key)
         return hit
 
 
@@ -303,37 +294,39 @@ def verify_type_axioms(tree: SkeletonTree, level_bound: int,
     types one level down, and upward closure of every computed type set.
 
     The laws run on raw level masks, typed through each level's
-    ``type_masks`` table, and compare interned ``TypeSet`` masks.  A random
-    level is drawn as ``Random.randint(1, level_bound)`` would draw it
-    (``_level_draws``), and a random mask with one ``getrandbits`` call.
-    Each distinct (level, mask) that the union law's canonical path or the
-    upward law reads is lowered and typed once per call (``canon``).
+    ``type_masks`` table, and compare type sets as index masks; ids are
+    made only for a witness.  A random level is drawn as
+    ``Random.randint(1, level_bound)`` would draw it (``_level_draws``),
+    and a random mask with one ``getrandbits`` call.  Each distinct
+    (level, mask) that the union law's canonical path or the upward law
+    reads is lowered and typed once per call (``canon``).
 
-    - union additivity: while both operands and their union stay on their
-      level, both sides OR rows of one type table and agree on any table,
-      so such a draw counts as checked, as ``_lower``'s quick tests
-      (``_turned_away``, on level masks read once per level) decide.  Any
-      other draw is decided once per distinct (level, mask, mask) in a
-      call: both operands are read from the table, lifted to a common
-      level with ``theta_image``, and the type set of their union, read
-      from the table too, is compared with the OR of theirs;
+    - union additivity: one loop takes the atom pairs of each level of at
+      most 12 atoms, then the random pairs.  While both operands and their
+      union stay on their level, as ``_lower``'s quick tests (inline)
+      decide, both sides OR rows of one type table: the pair counts as
+      checked.  Any other pair is decided once per distinct (level, mask,
+      mask) in a call: both operands are read from the table, lifted to a
+      common level with ``theta_image``, and the type set of their union,
+      read from the table too, is compared with the OR of theirs;
     - emptiness calls ``_types_in`` on every nonempty draw;
     - persistence ORs the rows a draw meets in a per-level table built
       once per call from the next level's spelling, each own type's node
       mask lifted once through ``theta_image`` (``_persist_rows``), and
       finds the generators and lost types of each distinct OR once;
-    - upward closure reads each draw's type set from the table, calls
-      ``TypeSet.members`` (memoised on the poset) on every draw, and makes
-      the law's counts once per distinct member set in a call.
+    - upward closure reads each draw's type set from the table and makes
+      the law's counts once per distinct type set in a call, on the mask
+      ``TypeSet._upper`` gives cut to the prefix.
 
-    The laws reach ``_lower``, ``_types_in`` and ``theta_image`` through
-    the module and the tree, and every memo lives for one call, so a wrong
-    lowering, lift or typing, or a level changed between calls, shows in
-    the report.  Every draw is still drawn and counted, as the
-    element-by-element check counts it.
+    The laws reach ``_lower``, ``_types_in``, ``theta_image`` and
+    ``_upper`` through the module, the tree and the class, and every memo
+    lives for one call, so a wrong lowering, lift, typing or up-closure,
+    or a level changed between calls, shows in the report.  Every draw is
+    still drawn and counted, as the element-by-element check counts it.
     """
-    if level_bound < 1 or level_bound + 1 > tree.depth:
-        raise RingError("need depth at least level_bound + 1")
+    if not isinstance(level_bound, int) or not 0 < level_bound < tree.depth:
+        raise RingError(f"level_bound must be an int in 1..{tree.depth - 1}, "
+                        f"not {level_bound!r}")
     if not isinstance(draws, int) or draws < 0:
         raise RingError(f"draws must be an int >= 0, not {draws!r}")
     getrandbits = random.Random(seed).getrandbits
@@ -356,23 +349,14 @@ def verify_type_axioms(tree: SkeletonTree, level_bound: int,
     tests = [None, (-1, 0, 0)] + [(lvl.u_mask, *lvl.block_masks())
                                   for lvl in levels[1:level_bound]]
 
-    def canonical(n: int, m: int) -> tuple[int, int, TypeSet]:
-        """The canonical (level, mask) of the level-n mask m, and its types."""
-        level, mask = _lower(tree, n, m)
+    def canonical(key: tuple[int, int]) -> tuple[int, int, TypeSet]:
+        """The canonical (level, mask) of a (level, mask), and its types."""
+        level, mask = _lower(tree, *key)
         return level, mask, _types_in(tree, level, mask)
 
-    def additive(n: int, ma: int, mb: int) -> bool:
-        """T(a | b) == T(a) | T(b) for the level-n masks a and b."""
-        if ma and mb:
-            u, starts, ends = tests[n]
-            if (_turned_away(ma, u, starts, ends)
-                    and _turned_away(mb, u, starts, ends)
-                    and _turned_away(ma | mb, u, starts, ends)):
-                return True
-        return decided[n, ma, mb]
-
-    def lowered_additive(n: int, ma: int, mb: int) -> bool:
-        """additive on the canonical forms."""
+    def additive(key: tuple[int, int, int]) -> bool:
+        """T(a | b) == T(a) | T(b) for the level-n masks of (n, a, b)."""
+        n, ma, mb = key
         la, xa, ta = canon[n, ma]
         lb, xb, tb = canon[n, mb]
         k = max(la, lb)
@@ -384,31 +368,28 @@ def verify_type_axioms(tree: SkeletonTree, level_bound: int,
                 == canon[k, xa | xb][2].mask)
 
     canon = _Memo(canonical)
-    decided = _Memo(lowered_additive)       # (level, mask, mask) -> law
+    decided = _Memo(additive)
 
     # union additivity: T(x | y) == T(x) | T(y)
+    per_level = max(1, draws // (2 * level_bound))
+    upto = range(1, level_bound + 1)
+    rounds = [(n, True) for n in upto if size_of[n] <= 12]
+    rounds += [(n, False) for n in upto]
     checked = bad = 0
     witness = ""
-    for n in range(1, level_bound + 1):
+    for n, atoms in rounds:
         size = size_of[n]
-        if size <= 12:
-            for i in range(size):
-                for j in range(size):
-                    checked += 1
-                    if not additive(n, 1 << i, 1 << j):
-                        bad += 1
-                        witness = witness or f"atoms {n}.{i} and {n}.{j}"
-    per_level = max(1, draws // (2 * level_bound))
-    checked += per_level * level_bound
-    for n in range(1, level_bound + 1):
-        size = size_of[n]
-        # _turned_away inline; the draw counts when ma, mb and ma | mb
-        # all stay on level n
+        if atoms:
+            checked += size * size
+            pairs = product([1 << i for i in range(size)], repeat=2)
+        else:
+            checked += per_level
+            drawn = map(getrandbits, repeat(size, 2 * per_level))
+            pairs = zip(drawn, drawn)
+        # the pair counts when ma, mb and ma | mb all stay on level n
         u, starts, ends = tests[n]
         inner_starts, inner_ends = ~starts, ~ends
-        for _ in range(per_level):
-            ma = getrandbits(size)
-            mb = getrandbits(size)
+        for ma, mb in pairs:
             if ma and mb:
                 ua = ma & u
                 ub = mb & u
@@ -424,7 +405,10 @@ def verify_type_axioms(tree: SkeletonTree, level_bound: int,
                         continue
             if not decided[n, ma, mb]:
                 bad += 1
-                witness = witness or f"masks at level {n}"
+                witness = witness or (
+                    f"atoms {n}.{ma.bit_length() - 1} and "
+                    f"{n}.{mb.bit_length() - 1}" if atoms
+                    else f"masks at level {n}")
     record("union-additive", checked, bad, witness)
 
     # realization: type with index m has an atom on every level from m on
@@ -461,8 +445,14 @@ def verify_type_axioms(tree: SkeletonTree, level_bound: int,
     checked = bad = 0
     witness = ""
     rows_of = [_persist_rows(tree, n) for n in range(1, level_bound + 1)]
-    # (own types, child types) -> (minimal own types, those lost)
-    lost_of: dict[tuple[int, int], tuple[int, int]] = {}
+
+    def lost(key: tuple[int, int]) -> tuple[int, int]:
+        """(minimal own types, those lost) of (own types, child types)."""
+        own, kids = key
+        gens = from_mask(poset, own).mask
+        return gens, gens & ~from_mask(poset, kids)._upper()
+
+    lost_of = _Memo(lost)
     for n in islice(level_draws, min(draws, 2000)):
         m = getrandbits(size_of[n])
         if not m:
@@ -472,42 +462,32 @@ def verify_type_axioms(tree: SkeletonTree, level_bound: int,
             if nodes & m:
                 own |= own_bit
                 kids |= kid_bits
-        hit = lost_of.get((own, kids))
-        if hit is None:
-            gens = from_mask(poset, own).mask
-            hit = lost_of[own, kids] = (
-                gens, gens & ~from_mask(poset, kids)._upper())
-        gens, lost = hit
+        gens, missed = lost_of[own, kids]
         checked += gens.bit_count()
-        if lost:
-            bad += lost.bit_count()
+        if missed:
+            bad += missed.bit_count()
             if not witness:
-                p = poset.id_at((lost & -lost).bit_length() - 1)
+                p = poset.id_at((missed & -missed).bit_length() - 1)
                 witness = f"type {p} lost lifting level {n} to {n + 1}"
     record("types-persist", checked, bad, witness)
 
-    # upward closure: every computed type set is an upper set of the prefix
-    checked = bad = 0
-    witness = ""
-    # one check per (q, r) with q a member and q <= r on the prefix; the
-    # witness names the lowest-index q and r
+    # upward closure: every computed type set is an upper set of the
+    # prefix; one check per (q, r) with q a member and q <= r on the
+    # prefix, the witness the lowest-index q and r
     horizon = tree.type_cap(level_bound)
     prefix_mask = (1 << horizon + 1) - 2
-    index_of = {p: i for i, p in enumerate(poset.prefix(horizon), 1)}
     above_of = [0] + [poset.up_mask(q) & prefix_mask
                       for q in range(1, horizon + 1)]
 
-    def closure_law(members: frozenset) -> tuple[int, int, str]:
-        """(checked, violations, witness) for one member set."""
-        member_mask = 0
-        for q in map(index_of.__getitem__, members):
-            member_mask |= 1 << q
+    def closure_law(gens: int) -> tuple[int, int, str]:
+        """(checked, violations, witness) for the type set of gens."""
+        members = from_mask(poset, gens)._upper() & prefix_mask
         checked = bad = 0
         witness = ""
-        for q in bits(member_mask):
+        for q in bits(members):
             above = above_of[q]
             checked += above.bit_count()
-            missing = above & ~member_mask
+            missing = above & ~members
             if missing:
                 bad += missing.bit_count()
                 if not witness:
@@ -516,13 +496,11 @@ def verify_type_axioms(tree: SkeletonTree, level_bound: int,
                                f"{poset.id_at(q)}")
         return checked, bad, witness
 
-    by_members: dict[frozenset, tuple[int, int, str]] = {}
+    closure_of = _Memo(closure_law)
+    checked = bad = 0
+    witness = ""
     for n in islice(level_draws, min(draws, 1000)):
-        m = getrandbits(size_of[n])
-        members = canon[n, m][2].members(horizon)
-        hit = by_members.get(members)
-        if hit is None:
-            hit = by_members[members] = closure_law(members)
+        hit = closure_of[canon[n, getrandbits(size_of[n])][2].mask]
         checked += hit[0]
         bad += hit[1]
         witness = witness or hit[2]

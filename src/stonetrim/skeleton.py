@@ -147,15 +147,22 @@ class BuildConfig(Record):
     def validate(self, depth: int = 0) -> list[str]:
         """Check the existence hypotheses on the enumeration prefix.
 
-        Named clauses: empty-poset, unknown-element, overlapping-buckets,
+        Named clauses: empty-poset, order-axioms (a generated poset whose
+        prefix breaks antisymmetry or transitivity; a finite one is checked
+        when it loads), unknown-element, overlapping-buckets,
         isolated-minimal-noncompact, bounded-not-lower, bounded-outside-delta
         (and the same two for bounded+unbounded combined).
         """
-        if self.poset.size == 0:
+        poset = self.poset
+        if poset.size == 0:
             return ["empty-poset: the poset has no elements to index a level"]
         n = self.scope(depth) or 1
-        preset = set(self.poset.prefix(n))
+        preset = set(poset.prefix(n))
         problems = []
+        if not poset.finite:
+            broken = poset.check_order_axioms(n)
+            if broken:
+                problems.append("order-axioms: " + "; ".join(broken[:3]))
         for label, group in (("isolated", self.isolated),
                              ("bounded", self.bounded),
                              ("unbounded", self.unbounded),
@@ -173,7 +180,6 @@ class BuildConfig(Record):
         if problems:
             return problems
 
-        poset = self.poset
         minimal, _ = poset.confirmed_minimal(n)
         iso, buckets = self.masks(n)
         bad = iso & buckets["noncompact"] & minimal
@@ -460,10 +466,9 @@ class SkeletonTree:
 
     # ------------------------------------------------------------------
 
-    def to_dot(self, max_level: Optional[int] = None) -> str:
-        top = min(self.depth, max_level or self.depth)
+    def to_dot(self) -> str:
         lines = ["digraph skeleton {", "  rankdir=TB;"]
-        for n in range(1, top + 1):
+        for n in range(1, self.depth + 1):
             lvl = self.level(n)
             for i, (t, p) in enumerate(zip(lvl.types, lvl.parent)):
                 name = f'"{n}.{i}"'

@@ -3,7 +3,8 @@
 An upper set is fixed by its minimal elements, so a TypeSet holds only
 their mask over enumeration indices, and equal upper sets compare equal.
 ``from_mask`` interns one TypeSet per generator mask in the poset's
-``typesets`` table; ids appear only where a type set is named.
+``typesets`` table, and ``_upper`` gives the denoted upper set as a mask;
+ids appear only where a type set is named.
 """
 from __future__ import annotations
 
@@ -69,12 +70,6 @@ class TypeSet(Frozen):
         if other.poset is not self.poset:
             raise ValueError("type sets over different posets")
         return TypeSet.from_mask(self.poset, self.mask | other.mask)
-
-    def members(self, horizon: int) -> frozenset:
-        """The denoted upper set restricted to the enumeration prefix; equal
-        calls return the same frozenset, before and after the prefix
-        grows."""
-        return self.poset.upper_members(self.mask, horizon)
 
     def serialize(self) -> list[str]:
         return list(self.min_antichain)

@@ -76,7 +76,9 @@ def test_criterion_2_upper_set_law(suite):
         pre = poset.prefix(h)
         for n in (1, 2, 3):
             for i in range(len(tree.level(n))):
-                members = RingElement.atom(tree, n, i).type_of().members(h)
+                members = poset.ids_of(
+                    RingElement.atom(tree, n, i).type_of()._upper()
+                    & poset.prefix_mask(h))
                 for q in members:
                     violations += sum(1 for r in pre
                                       if poset.leq(q, r)

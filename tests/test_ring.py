@@ -12,14 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (chain_ab_poset, diamond_poset, random_poset,
-                      ref_persist_rows, vee_poset)
-from stonetrim import (BuildConfig, RingElement, RingError, TypeSet,
+                      ref_persist_rows, ref_up_closure, vee_poset)
+from stonetrim import (BuildConfig, Poset, RingElement, RingError, TypeSet,
                        build_levels, family, is_trim_for,
                        split_by_scarce_atoms, supertrim_split, trim_split,
                        verify_type_axioms)
 from stonetrim import cli, ring
 from stonetrim.poset import bits, runs
-from stonetrim.ring import _lower, _turned_away, _types_in
+from stonetrim.ring import _lower, _types_in
 from stonetrim.skeleton import SkeletonTree
 from test_acceptance import CONFIGS as CRITERION_1
 
@@ -259,20 +259,32 @@ class TestAxioms:
         assert report["axioms"]["types-persist"]["status"] == "fail"
 
     @staticmethod
-    def record_members(mp, drop=None):
-        """Patch TypeSet.members to log every set it returns, after
-        passing it through drop when given."""
+    def record_members(tree, level_bound, draws, seed, drop=None):
+        """The laws' report with TypeSet._upper passed through drop when
+        given, and the member id set of each upward-law draw, read by the
+        element-by-element oracle from the brute-force up-closure passed
+        through the same drop."""
+        poset = tree.poset
         seen = []
-        members = TypeSet.members
 
-        def logged(self, horizon):
-            out = members(self, horizon)
+        def members(ts, horizon):
+            ms = ref_up_closure(poset, ts.min_antichain, horizon)
             if drop is not None:
-                out = drop(out)
-            seen.append(out)
-            return out
-        mp.setattr(TypeSet, "members", logged)
-        return seen
+                ms = poset.ids_of(drop(poset.mask_of(ms)))
+            seen.append(ms)
+            return ms
+        with pytest.MonkeyPatch.context() as mp:
+            if drop is not None:
+                upper = TypeSet._upper
+                mp.setattr(TypeSet, "_upper",
+                           lambda self: drop(upper(self)))
+            report = verify_type_axioms(tree, level_bound, draws=draws,
+                                        seed=seed)
+        want = verify_type_axioms_oracle(tree, level_bound, draws=draws,
+                                         seed=seed, members=members)
+        assert report["axioms"]["upward-closed"] == \
+            want["axioms"]["upward-closed"]
+        return report, seen
 
     @staticmethod
     def brute_upward_closed(poset, horizon, seen):
@@ -293,9 +305,7 @@ class TestAxioms:
         ids = poset.prefix(poset.size)
         isolated = {rng.choice(ids)} if isolate else set()
         tree = build_levels(BuildConfig(poset, isolated=isolated), 5)
-        with pytest.MonkeyPatch.context() as mp:
-            seen = self.record_members(mp)
-            report = verify_type_axioms(tree, 4, draws=200, seed=seed)
+        report, seen = self.record_members(tree, 4, 200, seed)
         law = report["axioms"]["upward-closed"]
         assert len(seen) == 200
         assert (law["checked"], law["violations"]) == \
@@ -304,12 +314,11 @@ class TestAxioms:
 
     def test_upward_closed_witness_is_lowest_index(self):
         tree = build_levels(BuildConfig(diamond_poset()), 5)
+        a, d = (1 << tree.poset.index(p) for p in "ad")
 
-        def drop_top(ms):
-            return ms - {"d"} if "a" in ms else ms
-        with pytest.MonkeyPatch.context() as mp:
-            seen = self.record_members(mp, drop_top)
-            report = verify_type_axioms(tree, 4, draws=300, seed=0)
+        def drop_top(up):
+            return up & ~d if up & a else up
+        report, seen = self.record_members(tree, 4, 300, 0, drop_top)
         law = report["axioms"]["upward-closed"]
         cut = sum(ms == {"a", "b", "c"} for ms in seen)
         assert cut > 0
@@ -319,7 +328,6 @@ class TestAxioms:
             self.brute_upward_closed(tree.poset, 4, seen)
         assert law["status"] == "fail"
         assert law["witness"] == "d missing above a"
-
 
 
 def bit_set(mask):
@@ -366,7 +374,7 @@ def test_ring_agrees_with_leaf_sets(seed, isolate, depth):
             assert got == RingElement(tree, depth, sum(1 << j for j in want))
             types = {poset.id_at(leaves.types[j]) for j in want}
             assert got.type_of() == TypeSet.of(poset, types)
-            assert got.type_of().members(len(ids)) == {
+            assert poset.ids_of(got.type_of()._upper()) == {
                 q for q in ids if any(poset.leq(t, q) for t in types)}
 
 
@@ -377,9 +385,12 @@ def random_mask(rng, size):
     return rng.getrandbits(size) if size else 0
 
 
-def verify_type_axioms_oracle(tree, level_bound, draws=10_000, seed=0):
+def verify_type_axioms_oracle(tree, level_bound, draws=10_000, seed=0,
+                              members=None):
     """The type function laws checked element by element: every draw
-    builds canonical RingElements, types them and compares TypeSets."""
+    builds canonical RingElements, types them and compares TypeSets.  The
+    upward law reads each draw's members as ids, from members(type set,
+    horizon) when given and from the brute-force up-closure otherwise."""
     if level_bound < 1 or level_bound + 1 > tree.depth:
         raise RingError("need depth at least level_bound + 1")
     rng = random.Random(seed)
@@ -475,12 +486,14 @@ def verify_type_axioms_oracle(tree, level_bound, draws=10_000, seed=0):
     # witness names the lowest-index q and r
     horizon = tree.type_cap(level_bound)
     prefix_mask = (1 << horizon + 1) - 2
+    if members is None:
+        def members(ts, horizon):
+            return ref_up_closure(poset, ts.min_antichain, horizon)
     for _ in range(min(draws, 1000)):
         n = rng.randint(1, level_bound)
         m = random_mask(rng, len(tree.level(n)))
-        members = RingElement(tree, n, m).type_of().members(horizon)
         member_mask = 0
-        for q in members:
+        for q in members(RingElement(tree, n, m).type_of(), horizon):
             member_mask |= 1 << poset.index(q)
         for q in bits(member_mask):
             above = poset.up_mask(q) & prefix_mask
@@ -618,8 +631,7 @@ def test_lowering_matches_the_run_walk_on_a_wide_level():
 def test_unions_that_stay_on_their_level_realize_the_or(seed, isolate):
     """The ground for counting same-level union draws without typing them:
     where _lower keeps a, b and a | b on level n, the types the atoms of
-    a | b carry are those of a ORed with those of b.  A mask that
-    _turned_away keeps is one that _lower keeps."""
+    a | b carry are those of a ORed with those of b."""
     rng = random.Random(seed)
     poset = random_poset(rng)
     ids = poset.prefix(poset.size)
@@ -636,9 +648,6 @@ def test_unions_that_stay_on_their_level_realize_the_or(seed, isolate):
             # unions of whole child blocks, which drop a level
             masks += [tree.theta_image(n - 1, random_mask(
                 rng, len(tree.level(n - 1)))) for _ in range(10)]
-            for m in masks:
-                if m and _turned_away(m, lvl.u_mask, *lvl.block_masks()):
-                    assert _lower(tree, n, m) == (n, m)
         rng.shuffle(masks)
         for ma, mb in zip(masks[::2], masks[1::2]):
             if all(_lower(tree, n, m)[0] == n for m in (ma, mb, ma | mb)):
@@ -790,8 +799,7 @@ def test_each_level_mask_is_lowered_once_per_call():
     assert max(map(len, levels_of.values())) > 1
 
 
-@pytest.mark.parametrize("draws", [-1, 2.5])
-def test_bad_draws_raise_before_any_law(chain_tree, draws):
+def assert_raises_before_any_law(tree, match, level_bound, **kw):
     calls = []
     with pytest.MonkeyPatch.context() as mp:
         for name in ("_lower", "_types_in", "_persist_rows"):
@@ -799,9 +807,56 @@ def test_bad_draws_raise_before_any_law(chain_tree, draws):
                 calls.append(name)
                 return f(*args)
             mp.setattr(ring, name, logged)
-        with pytest.raises(RingError, match="draws"):
-            verify_type_axioms(chain_tree, 4, draws=draws)
+        with pytest.raises(RingError, match=match):
+            verify_type_axioms(tree, level_bound, **kw)
     assert calls == []
+
+
+@pytest.mark.parametrize("draws", [-1, 2.5])
+def test_bad_draws_raise_before_any_law(chain_tree, draws):
+    assert_raises_before_any_law(chain_tree, "draws", 4, draws=draws)
+
+
+@pytest.mark.parametrize("level_bound", [2.5, "3"])
+def test_bad_level_bound_raises_before_any_law(chain_tree, level_bound):
+    assert_raises_before_any_law(chain_tree, "level_bound", level_bound)
+
+
+def test_the_laws_read_no_ids():
+    """On the criterion-1 builds and dyadic, every law passes without one
+    call that reads or makes an element id: ids are made only for a
+    failing law's witness."""
+    trees = [build_levels(BuildConfig(maker(), isolated=iso, **kw), 7)
+             for _, maker, kw, single in CRITERION_1
+             for iso in (frozenset(), frozenset({single}))]
+    trees.append(build_levels(BuildConfig(family("dyadic")), 7))
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("prefix", "id_at", "index", "mask_of", "ids_of"):
+            def logged(*args, name=name, f=getattr(Poset, name)):
+                calls.append(name)
+                return f(*args)
+            mp.setattr(Poset, name, logged)
+        reports = [verify_type_axioms(tree, 6, draws=2000, seed=0)
+                   for tree in trees]
+    assert all(report["passed"] for report in reports)
+    assert calls == []
+
+
+def test_a_generated_order_that_is_not_transitive():
+    """x1 < x2 < x3 without x1 < x3: validate names the broken order, and
+    the upward law, on a tree built without validation, names the missing
+    pair."""
+    less = {("x1", "x2"), ("x2", "x3")}
+    poset = Poset.generated("bad", lambda i: f"x{i}",
+                            lambda p, q: p == q or (p, q) in less)
+    config = BuildConfig(poset)
+    assert config.validate(5) == [
+        "order-axioms: transitivity fails on 'x1', 'x2', 'x3'"]
+    report = verify_type_axioms(SkeletonTree(config, 5), 4, draws=1000)
+    law = report["axioms"]["upward-closed"]
+    assert law["status"] == "fail"
+    assert law["witness"] == "x3 missing above x2"
 
 
 def test_zero_draws_takes_one_union_draw_per_level(chain_tree):

@@ -57,7 +57,6 @@ def test_set_queries_match_the_pairwise_reference(seed):
                     up = p.upper_of(mask) & p.prefix_mask(horizon)
                     assert p.ids_of(down) == ref_down_closure(p, ms, horizon)
                     assert p.ids_of(up) == ref_up_closure(p, ms, horizon)
-                    assert p.upper_members(mask, horizon) == p.ids_of(up)
                     assert (not down & ~mask) == ref_is_lower(p, ms, horizon)
                     assert (not up & ~mask) == ref_is_upper(p, ms, horizon)
                 assert p.ids_of(p.minimal_in(mask)) == ref_minimal_of(p, ms)

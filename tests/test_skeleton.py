@@ -394,10 +394,6 @@ class TestSerialization:
         assert '"1.0" -> "2.0";' in dot
         assert '"3.8" [label="3.8:b", style=dashed];' in dot
 
-    def test_to_dot_truncates(self):
-        dot = chain_tree(4).to_dot(max_level=2)
-        assert '"2.2"' in dot and '"3.0"' not in dot
-
 
 class TestStructureChecks:
     def test_chain_passes(self):

@@ -123,12 +123,11 @@ class PartialIso:
     def replace(self, key: tuple[int, ...], pieces: list[Pair]) -> None:
         """Put the pieces, in order, where the pair with this key stands."""
         at = bisect_left(self._keys, key)
-        old = self.pairs[at]
         keys = [key + (k,) for k in range(len(pieces))]
         self.pairs[at:at + 1] = pieces
         self._keys[at:at + 1] = keys
         for side, index in enumerate(self.index):
-            index.remove(key, old.parts[side])
+            index.remove(key)
             for k, piece in zip(keys, pieces):
                 index.add(k, piece.parts[side])
 
@@ -196,7 +195,7 @@ def init_iso(left: SkeletonTree, right: SkeletonTree, q: Iterable[str],
     """
     if not isinstance(theta, _ThetaMap):
         span = min(left.type_cap(left.depth), right.type_cap(right.depth))
-        theta = _check_theta(left, right, theta, span)
+        theta = _theta_over(left, right, theta, span)
     state = PartialIso(left, right, theta)
     images = {p: theta.image(0, left.poset.index(p)) if p in left.poset
               else None for p in frozenset(q)}
@@ -441,27 +440,15 @@ class IsoRun(Record):
 
 def _theta_over(left: SkeletonTree, right: SkeletonTree,
                 theta: Optional[Callable[[str], str]], span: int) -> _ThetaMap:
-    """The bijection over the span, the identity on ids when theta is
-    None."""
-    if theta is None:
-        return _identity_theta(left, right, span)
-    return _check_theta(left, right, theta, span)
-
-
-def _identity_theta(left: SkeletonTree, right: SkeletonTree,
-                    span: int) -> _ThetaMap:
-    if set(left.poset.prefix(span)) != set(right.poset.prefix(span)):
-        raise IsoError("sides name different elements; supply a bijection")
-    return _check_theta(left, right, lambda p: p, span)
-
-
-def _check_theta(left: SkeletonTree, right: SkeletonTree,
-                 theta: Callable[[str], str], span: int) -> _ThetaMap:
-    """The bijection over the shared span as index tables both ways, once
-    it maps prefix onto prefix and keeps the order both ways."""
+    """The bijection over the span as index tables both ways, the identity
+    on ids when theta is None, in which case the sides must name the same
+    elements.  It must map prefix onto prefix and keep the order both
+    ways."""
     a = left.poset.prefix(span)
     b = set(right.poset.prefix(span))
-    image = [theta(p) for p in a]
+    if theta is None and set(a) != b:
+        raise IsoError("sides name different elements; supply a bijection")
+    image = a if theta is None else [theta(p) for p in a]
     targets = set(image)
     if len(targets) != len(a) or not targets <= b:
         raise IsoError("the bijection does not map prefix onto prefix")

@@ -102,11 +102,10 @@ def axiom_problems(up: list[int], names: list[str]) -> list[str]:
     problems = [f"antisymmetry fails on {names[i]}, {names[j]}"
                 for i, row in enumerate(up)
                 for j in bits(row & ~(1 << i)) if up[j] >> i & 1]
-    for i, row in enumerate(up):
-        for j in bits(row):
-            problems.extend(f"transitivity fails on {names[i]}, {names[j]}, "
-                            f"{names[k]}" for k in bits(up[j] & ~row))
-    return problems
+    return problems + [
+        f"transitivity fails on {names[i]}, {names[j]}, {names[k]}"
+        for i, row in enumerate(up) for j in bits(row)
+        if up[j] & ~row for k in bits(up[j] & ~row)]
 
 
 class Verdict(Frozen):

@@ -19,10 +19,10 @@ from .skeleton import SkeletonTree
 class RunIndex:
     """Parts of one skeleton as runs of atoms on one common level, ``top``,
     in parallel lists sorted by where the runs start.  An owner names its
-    part, and ``count`` holds how many runs each owner's part has.  A
-    deeper part raises the common level: lifting keeps each run one run and
-    keeps the runs in order.  ``remove`` and ``meet`` need the parts to be
-    disjoint; ``fills`` does not."""
+    part, and ``starts_of`` holds where each owner's runs start, so a part
+    leaves by its owner alone.  A deeper part raises the common level:
+    lifting keeps each run one run and keeps the runs in order.  ``remove``
+    and ``meet`` need the parts to be disjoint; ``fills`` does not."""
 
     def __init__(self, tree: SkeletonTree, top: int,
                  parts: Iterable[tuple[object, RingElement]] = ()):
@@ -30,11 +30,11 @@ class RunIndex:
         part lies below."""
         self.tree = tree
         self.top = top
-        self.count: dict = {}
+        self.starts_of: dict = {}
         entries = []
         for owner, part in parts:
             got = self.spans(part)
-            self.count[owner] = len(got)
+            self.starts_of[owner] = [a for a, _ in got]
             entries += [(a, b, owner) for a, b in got]
         entries.sort()
         self.starts: list[int] = [a for a, _, _ in entries]
@@ -50,7 +50,7 @@ class RunIndex:
         if part.level > self.top:
             self.raise_to(part.level)
         got = self.spans(part)
-        self.count[owner] = len(got)
+        self.starts_of[owner] = [a for a, _ in got]
         starts = self.starts
         for a, b in got:
             j = bisect_left(starts, a)
@@ -58,16 +58,18 @@ class RunIndex:
             self.ends.insert(j, b)
             self.owners.insert(j, owner)
 
-    def remove(self, owner, part: RingElement) -> None:
-        del self.count[owner]
+    def remove(self, owner) -> None:
         starts = self.starts
-        for a, _ in self.spans(part):
+        for a in self.starts_of.pop(owner):
             j = bisect_left(starts, a)
             del starts[j], self.ends[j], self.owners[j]
 
     def raise_to(self, top: int) -> None:
         lifted = self.tree.lift_runs(self.top, list(zip(self.starts,
                                                         self.ends)), top)
+        moved = {a: b for a, (b, _) in zip(self.starts, lifted)}
+        self.starts_of = {owner: [moved[a] for a in got]
+                          for owner, got in self.starts_of.items()}
         self.starts = [a for a, _ in lifted]
         self.ends = [b for _, b in lifted]
         self.top = top
@@ -92,8 +94,8 @@ class RunIndex:
                 gap = gap or starts[j] > at
                 at = max(at, ends[j])
             gap = gap or at < hi
-        count = self.count
-        return {key: n == count[key] for key, n in met.items()}, gap
+        starts_of = self.starts_of
+        return {key: n == len(starts_of[key]) for key, n in met.items()}, gap
 
     def fills(self, lo: int, hi: int) -> bool:
         """Do the parts lying wholly inside the run lo..hi-1 of level
@@ -108,7 +110,7 @@ class RunIndex:
                 held[owners[j]] = held.get(owners[j], 0) + 1
         at = lo
         for j in window:
-            if held.get(owners[j]) == self.count[owners[j]]:
+            if held.get(owners[j]) == len(self.starts_of[owners[j]]):
                 if starts[j] > at:
                     return False
                 at = max(at, ends[j])

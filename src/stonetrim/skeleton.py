@@ -58,7 +58,7 @@ class ConfigError(ValueError):
 
 
 class BuildError(RuntimeError):
-    """Level growth exceeded the configured bound, or a level is missing.
+    """Level growth exceeded ``MAX_LEVEL_SIZE``, or a level is missing.
 
     A level-size failure carries the level it would have built, the nodes
     that level would hold and the bound as ``level``, ``would_hold`` and
@@ -84,7 +84,7 @@ class BuildConfig(Record):
     """
 
     _compare = ("poset", "isolated", "bounded", "unbounded", "noncompact",
-                "default_bucket", "horizon", "max_level_size")
+                "default_bucket", "horizon")
     __slots__ = _compare + ("_resolved",)
 
     def __init__(self, poset: Poset, isolated: frozenset = frozenset(),
@@ -92,8 +92,7 @@ class BuildConfig(Record):
                  unbounded: frozenset = frozenset(),
                  noncompact: frozenset = frozenset(),
                  default_bucket: str = "auto",
-                 horizon: Optional[int] = None,
-                 max_level_size: int = MAX_LEVEL_SIZE):
+                 horizon: Optional[int] = None):
         self.poset = poset
         self.isolated = frozenset(isolated)
         self.bounded = frozenset(bounded)
@@ -103,7 +102,6 @@ class BuildConfig(Record):
             raise ConfigError(f"unknown default bucket {default_bucket!r}")
         self.default_bucket = default_bucket
         self.horizon = horizon
-        self.max_level_size = max_level_size
         # indices resolved so far, then the isolated and bucket masks
         self._resolved: tuple[int, int, dict[str, int]] = (
             0, 0, dict.fromkeys(BUCKETS, 0))
@@ -262,15 +260,18 @@ class Level(Record):
 
     def block_masks(self) -> tuple[int, int]:
         """(starts, ends) over the level's atoms: bit i of starts is set
-        iff a child block begins at atom i, bit i of ends iff one ends."""
+        iff a child block begins at atom i, bit i of ends iff one ends.
+        Blocks are adjacent, so both are read off one mask of the block
+        ends: a block starts at 0 and at every end but the last, and ends
+        just before every end."""
         if self._blocks is None:
             block_end = self.block_end
             size = block_end[-1] if block_end else 0
-            starts, ends = bytearray(b"0" * size), bytearray(b"0" * size)
-            for a, b in zip(chain((0,), block_end), block_end):
-                starts[a] = ends[b - 1] = 49                # ord("1")
-            self._blocks = (int(b"0" + starts[::-1], 2),
-                            int(b"0" + ends[::-1], 2))
+            flags = bytearray(b"0" * (size + 1))
+            for e in block_end:
+                flags[e] = 49                               # ord("1")
+            edges = int(flags[::-1], 2)
+            self._blocks = ((edges | 1) & ~(1 << size), edges >> 1)
         return self._blocks
 
     @cached_property
@@ -391,11 +392,10 @@ class SkeletonTree:
         size_of = {t: len(block) for t, block in blocks.items()}
         u_start = sum(c * size_of[t] for t, c in prev.counts.items())
         size = u_start + len(unattached)
-        bound = self.config.max_level_size
-        if size > bound:
-            raise BuildError(
-                f"level {n} would hold {size} nodes, over the bound {bound}",
-                level=n, would_hold=size, bound=bound)
+        if size > MAX_LEVEL_SIZE:
+            raise BuildError(f"level {n} would hold {size} nodes, over the "
+                             f"bound {MAX_LEVEL_SIZE}", level=n,
+                             would_hold=size, bound=MAX_LEVEL_SIZE)
         counts: dict[int, int] = {}
         for t, c in prev.counts.items():
             for q in blocks[t]:

@@ -448,7 +448,7 @@ def ref_trace_dot_edges(trace) -> list[str]:
 
 def ref_theta_break(left: Poset, right: Poset, image: dict, span: int):
     """First pair of the left prefix whose order the bijection breaks, as
-    ``_check_theta`` reports it pair by pair, or None."""
+    ``_theta_over`` reports it pair by pair, or None."""
     a = left.prefix(span)
     for p in a:
         for q in a:

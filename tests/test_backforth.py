@@ -4,10 +4,9 @@ import pytest
 from conftest import chain_ab_poset, diamond_poset, vee_poset
 from stonetrim import (BuildConfig, IsoError, Poset, RingElement,
                        build_levels, family, init_iso, extend_iso,
-                       lift_poset_automorphism, run_backforth)
-from stonetrim.backforth import (MismatchFound, Pair, _ThetaMap,
-                                 _check_theta, _covered, _match_split,
-                                 _schedule)
+                       lift_poset_automorphism, run_backforth, skeleton)
+from stonetrim.backforth import (MismatchFound, Pair, _ThetaMap, _covered,
+                                 _match_split, _schedule, _theta_over)
 
 
 def build(poset_maker, depth=6, **kw):
@@ -283,14 +282,14 @@ class TestBijection:
     def test_identity_past_the_span(self):
         left = build(lambda: family("omega-chain"), depth=5)
         right = build(lambda: family("omega-chain"), depth=5)
-        theta = _check_theta(left, right, lambda p: p, 5)
+        theta = _theta_over(left, right, lambda p: p, 5)
         for side in (0, 1):
             assert [theta.image(side, g) for g in range(1, 13)] == list(
                 range(1, 13))
 
     def test_index_the_finite_side_lacks(self):
-        theta = _check_theta(build(chain_ab_poset), build(vee_poset),
-                             lambda p: p, 2)
+        theta = _theta_over(build(chain_ab_poset), build(vee_poset),
+                            lambda p: p, 2)
         assert [theta.image(0, g) for g in (1, 2)] == [1, 2]
         assert [theta.image(1, g) for g in (1, 2, 3)] == [1, 2, None]
 
@@ -300,7 +299,7 @@ class TestBijection:
         sides = [build(lambda: Poset.from_covers(f"{top}c", ["a", "b", "c"],
                                                  [(top, "c")]))
                  for top in ("a", "b")]
-        theta = _check_theta(*sides, {"a": "b", "b": "a", "c": "c"}.get, 3)
+        theta = _theta_over(*sides, {"a": "b", "b": "a", "c": "c"}.get, 3)
         for side in (0, 1):
             assert [theta.image(side, g) for g in (1, 2, 3, 4)] == [
                 2, 1, 3, None]
@@ -370,8 +369,12 @@ class TestThetaHandling:
         assert run.coverage is True
 
     def test_identity_needs_shared_names(self):
-        with pytest.raises(IsoError, match="supply a bijection"):
-            run_backforth(build(chain_ab_poset), build(chain_xy_poset))
+        for depth in (3, 6):
+            with pytest.raises(IsoError) as info:
+                run_backforth(build(chain_ab_poset, depth),
+                              build(chain_xy_poset, depth))
+            assert str(info.value) == ("sides name different elements; "
+                                       "supply a bijection")
 
     def test_identity_is_checked_for_order(self):
         # the same names in isomorphic orders: a < c on the left, b < c on
@@ -421,9 +424,10 @@ class TestRegionHandling:
                             build(lambda: family("rn(4,2)"), depth=5))
         assert (run.status, run.pairs, run.coverage) == ("iso", 8, True)
 
-    def test_covering_level_over_the_size_bound_exhausts(self):
-        left = build(lambda: family("rn(4,2)"), depth=5, max_level_size=40)
-        right = build(lambda: family("rn(4,2)"), depth=5, max_level_size=40)
+    def test_covering_level_over_the_size_bound_exhausts(self, monkeypatch):
+        monkeypatch.setattr(skeleton, "MAX_LEVEL_SIZE", 40)
+        left = build(lambda: family("rn(4,2)"), depth=5)
+        right = build(lambda: family("rn(4,2)"), depth=5)
         run = run_backforth(left, right)
         assert run.status == "depth-exhausted"
         assert "level 6 would hold 86 nodes" in run.note

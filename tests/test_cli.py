@@ -386,6 +386,20 @@ class TestIso:
         assert proc.stderr.splitlines() == [
             "the bijection breaks order at ('a', 'c')"]
 
+    def test_different_ids_need_a_bijection(self, tmp_path):
+        paths = []
+        for name in ("ab", "xy"):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({"name": name, "elements": list(name),
+                                        "covers": [list(name)]}))
+            paths.append(str(path))
+        proc = run_cli("iso", "--left", paths[0], "--right", paths[1],
+                       "--depth", "3")
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            "sides name different elements; supply a bijection"]
+
     def test_byte_identical_reruns(self):
         argv = ("iso", "--left-family", "rn(2,2)",
                 "--right-family", "rn(2,2)", "--depth", "6", "--seed", "5")

@@ -7,8 +7,8 @@ part index and spreads spare atoms type by type, and once by
 atoms one at a time.  After every step the two must hold the same pairs in
 the same order, the same transcript and the same stop; at the end
 ``_covered`` must give the reference's verdicts and ``verify()`` the same
-problems.  The index and held union are checked against the pairs right
-after seeding and at the end.
+problems.  The index is checked against the pairs after every step, the
+held union right after seeding and at the end.
 """
 import random
 
@@ -21,7 +21,7 @@ from conftest import (chain_ab_poset, diamond_poset, random_poset,
 from stonetrim import BuildConfig, RingElement, build_levels, family
 from stonetrim.poset import runs
 from stonetrim.backforth import (DepthBudget, MismatchFound, Pair, _covered,
-                                 _identity_theta, _schedule, extend_iso,
+                                 _schedule, _theta_over, extend_iso,
                                  init_iso)
 from stonetrim.runindex import RunIndex
 
@@ -34,15 +34,24 @@ def start(sides, depth):
     left, right = (build_levels(BuildConfig(maker(), **kw), depth)
                    for maker, kw in sides)
     span = min(left.type_cap(depth), right.type_cap(depth))
-    theta = _identity_theta(left, right, span)
+    theta = _theta_over(left, right, None, span)
     delta, _ = left.poset.p_delta(span)
     return init_iso(left, right, left.poset.ids_of(delta), theta)
 
 
 def assert_index_follows(state):
-    """Keys sort as the pairs stand, each side's index holds the runs of
-    every part lifted to its common level, sorted and disjoint, once each,
-    and counts them, and each side's held union is its parts' union."""
+    """``assert_runs_follow``, and each side's held union is its parts'
+    union."""
+    assert_runs_follow(state)
+    for side in (0, 1):
+        assert state.held[side] == state.union(side)
+
+
+def assert_runs_follow(state):
+    """Keys sort as the pairs stand, and each side's index holds the runs
+    of every part lifted to its common level, sorted and disjoint, once
+    each, and records where each part's runs start, under its key and no
+    other."""
     assert state._keys == sorted(state._keys)
     assert len(state._keys) == len(state.pairs)
     for side in (0, 1):
@@ -53,13 +62,13 @@ def assert_index_follows(state):
             part = pair.parts[side]
             spans = tree.lift_runs(part.level, list(runs(part.mask)),
                                    index.top)
-            assert index.count[key] == len(spans)
+            assert index.starts_of[key] == [a for a, _ in spans]
             entries += [(a, b, key) for a, b in spans]
+        assert set(index.starts_of) == set(state._keys)
         entries.sort()
         assert list(zip(index.starts, index.ends, index.owners)) == entries
         assert all(b <= c for (_, b, _), (c, _, _) in zip(entries,
                                                            entries[1:]))
-        assert state.held[side] == state.union(side)
 
 
 def assert_seeded(state):
@@ -73,8 +82,8 @@ def assert_seeded(state):
                          zip(state._keys, parts))
         index = state.index[side]
         assert (index.top, index.starts, index.ends, index.owners,
-                index.count) == (fresh.top, fresh.starts, fresh.ends,
-                                 fresh.owners, fresh.count)
+                index.starts_of) == (fresh.top, fresh.starts, fresh.ends,
+                                     fresh.owners, fresh.starts_of)
     assert_index_follows(state)
 
 
@@ -115,6 +124,7 @@ def lockstep(sides, depth, seed, order):
         assert transcripts[0] == transcripts[1]
         if stops[0]:
             break
+        assert_runs_follow(states[0])
         if k % 32 == 0:
             # the atoms stepped so far are unions of parts; the rest meet
             # parts that straddle them, in general
@@ -180,6 +190,22 @@ def test_index_follows_the_pairs():
     (state, _), _, _ = lockstep(INPUTS["vee-noncompact-b"], DEPTH, 1,
                                 "shuffle")
     assert_index_follows(state)
+
+
+@pytest.mark.parametrize("name", ["chain", "diamond-iso", "rn(2,0)"])
+def test_the_record_follows_a_raise(name):
+    """Raising the common level lifts each part's recorded starts with its
+    runs, and a part then leaves the raised index by its key alone."""
+    state = start(INPUTS[name], DEPTH)
+    for index, tree in zip(state.index, state.trees):
+        assert index.top < tree.depth
+        index.raise_to(tree.depth)
+    assert_index_follows(state)
+    keys = list(state._keys)
+    for key in keys:
+        state.replace(key, [state.pair(key)])
+        assert_index_follows(state)
+    assert state._keys == [key + (0,) for key in keys]
 
 
 @pytest.mark.parametrize("atoms, covered", [

@@ -15,7 +15,7 @@ from stonetrim import (Analytics, BuildConfig, Classification,
                        SymbolicSpace, TypeSet, Verdict,
                        build_levels, family)
 from stonetrim.backforth import Pair
-from stonetrim.skeleton import MAX_LEVEL_SIZE, ConfigError, Level
+from stonetrim.skeleton import ConfigError, Level
 
 POSET = chain_ab_poset()
 TREE = build_levels(BuildConfig(POSET), 3)
@@ -74,12 +74,10 @@ CASES = [
     Case(BuildConfig, {"poset": POSET, "isolated": frozenset({"a"}),
                        "bounded": frozenset({"a"}),
                        "unbounded": frozenset(), "noncompact": frozenset(),
-                       "default_bucket": "noncompact", "horizon": 4,
-                       "max_level_size": 99},
+                       "default_bucket": "noncompact", "horizon": 4},
          1, {"isolated": frozenset(), "bounded": frozenset(),
              "unbounded": frozenset(), "noncompact": frozenset(),
-             "default_bucket": "auto", "horizon": None,
-             "max_level_size": MAX_LEVEL_SIZE},
+             "default_bucket": "auto", "horizon": None},
          frozen=False, differs=("horizon", 5)),
     Case(Level, {"number": 2, "types": array("I", [1, 1, 2]), "u_start": 3,
                  "block_end": array("I", [3])},
@@ -164,7 +162,7 @@ SIGNATURES = {
     "BuildConfig": [("poset", REQUIRED), ("isolated", frozenset()),
                     ("bounded", frozenset()), ("unbounded", frozenset()),
                     ("noncompact", frozenset()), ("default_bucket", "auto"),
-                    ("horizon", None), ("max_level_size", 65536)],
+                    ("horizon", None)],
     "Level": [("number", REQUIRED), ("types", REQUIRED),
               ("u_start", REQUIRED), ("block_end", FACTORY),
               ("counts", FACTORY)],

@@ -17,7 +17,7 @@ from stonetrim import (BuildConfig, Poset, RingElement, RingError, TypeSet,
                        build_levels, family, is_trim_for,
                        split_by_scarce_atoms, supertrim_split, trim_split,
                        verify_type_axioms)
-from stonetrim import cli, ring
+from stonetrim import cli, ring, skeleton
 from stonetrim.poset import bits, runs
 from stonetrim.ring import _lower, _types_in
 from stonetrim.skeleton import SkeletonTree
@@ -694,12 +694,12 @@ class TestPersistRows:
         lvl._masks.clear()
         assert_persist_rows_match(tree)
 
-    def test_laws_past_the_level_bound(self):
+    def test_laws_past_the_level_bound(self, monkeypatch):
         """omega-chain's level 9 holds 103 049 nodes and level 10 518 859:
         the rows of level 9 are read in time linear in the two widths,
         where a node-by-node lift is quadratic."""
-        tree = build_levels(BuildConfig(family("omega-chain"),
-                                        max_level_size=1 << 20), 10)
+        monkeypatch.setattr(skeleton, "MAX_LEVEL_SIZE", 1 << 20)
+        tree = build_levels(BuildConfig(family("omega-chain")), 10)
         report = verify_type_axioms(tree, 9)
         assert report["passed"]
         assert report["axioms"]["types-persist"]["checked"] > 0

@@ -23,7 +23,7 @@ from stonetrim import (FOUND, INCONCLUSIVE, CompletedPoset,
                        TypeSet, chain_closure, complete_finite,
                        complete_over, family, render_trace_dot,
                        rieger_nishimura_run)
-from stonetrim.backforth import IsoError, _check_theta
+from stonetrim.backforth import IsoError, _theta_over
 from stonetrim.poset import bits
 from test_completion import weave_poset
 
@@ -304,7 +304,7 @@ def test_trace_dot_edges_match_the_reference(tag):
 def theta_outcome(left, right, image, span):
     sides = (SimpleNamespace(poset=left), SimpleNamespace(poset=right))
     try:
-        _check_theta(*sides, image.__getitem__, span)
+        _theta_over(*sides, image.__getitem__, span)
     except IsoError as e:
         return str(e)
     return None

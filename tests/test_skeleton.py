@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import (children, descends_to, random_poset, ref_down_closure,
                       ref_theta_image)
 from stonetrim import (FOUND, BuildConfig, BuildError, ConfigError, Poset,
-                       build_levels, family, verify_structure)
+                       build_levels, family, skeleton, verify_structure)
 from stonetrim.poset import bits, runs
 from stonetrim.skeleton import (BUCKETS, Level, SkeletonTree,
                                 StructureReport, _reference_blocks, spell)
@@ -156,15 +156,18 @@ class TestChainBuild:
             build_levels(BuildConfig(chain_ab), 0)
         assert info.value.level is None and info.value.bound is None
 
-    def test_level_size_bound(self, chain_ab):
+    def test_level_size_bound(self, chain_ab, monkeypatch):
+        monkeypatch.setattr(skeleton, "MAX_LEVEL_SIZE", 10)
         with pytest.raises(BuildError) as info:
-            build_levels(BuildConfig(chain_ab, max_level_size=10), 4)
+            build_levels(BuildConfig(chain_ab), 4)
         err = info.value
         assert str(err) == "level 4 would hold 20 nodes, over the bound 10"
         assert (err.level, err.would_hold, err.bound) == (4, 20, 10)
 
-    def test_failed_build_leaves_the_tree_as_it_was(self, chain_ab):
-        tree = build_levels(BuildConfig(chain_ab, max_level_size=10), 3)
+    def test_failed_build_leaves_the_tree_as_it_was(self, chain_ab,
+                                                    monkeypatch):
+        monkeypatch.setattr(skeleton, "MAX_LEVEL_SIZE", 10)
+        tree = build_levels(BuildConfig(chain_ab), 3)
         ends = [list(lvl.block_end) for lvl in tree.levels]
         for _ in range(2):
             with pytest.raises(BuildError, match="level 4 would hold"):
@@ -176,9 +179,10 @@ class TestChainBuild:
             with pytest.raises(BuildError, match="level 4 not built"):
                 tree.theta_image(3, 1)
 
-    def test_failed_build_leaves_the_index_sets_as_they_were(self):
-        cfg = BuildConfig(family("omega-chain"), isolated={"p4"},
-                          max_level_size=20, horizon=6)
+    def test_failed_build_leaves_the_index_sets_as_they_were(self,
+                                                             monkeypatch):
+        monkeypatch.setattr(skeleton, "MAX_LEVEL_SIZE", 20)
+        cfg = BuildConfig(family("omega-chain"), isolated={"p4"}, horizon=6)
         tree = build_levels(cfg, 3)
         for _ in range(2):
             with pytest.raises(BuildError, match="level 4 would hold"):
@@ -192,7 +196,7 @@ class TestChainBuild:
 
     @pytest.mark.parametrize("tag", ["omega-chain", "rn(2,0)",
                                      "ziegler-fan"])
-    def test_a_built_level_is_never_written_again(self, tag):
+    def test_a_built_level_is_never_written_again(self, tag, monkeypatch):
         """Each level keeps its object and its arrays through a deeper
         build and a failed one, and equals the same level of a fresh
         build to the smaller depth."""
@@ -200,7 +204,7 @@ class TestChainBuild:
         kept = [(lvl, lvl.types.tolist(), lvl.block_end.tolist(),
                  lvl.u_start, dict(lvl.counts)) for lvl in tree.levels]
         tree.extend_to(6)
-        tree.config.max_level_size = len(tree.level(6))
+        monkeypatch.setattr(skeleton, "MAX_LEVEL_SIZE", len(tree.level(6)))
         with pytest.raises(BuildError, match="level 7 would hold"):
             tree.extend_to(7)
         fresh = build_levels(BuildConfig(family(tag)), 4)
@@ -619,15 +623,17 @@ def assert_sizes_predicted(config, depth):
         size = len(full.level(n))
         layout = [(lvl.types.tolist(), lvl.block_end.tolist(), lvl.counts)
                   for lvl in tree.levels]
-        config.max_level_size = size - 1
-        with pytest.raises(BuildError) as info:
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(skeleton, "MAX_LEVEL_SIZE", size - 1)
+            with pytest.raises(BuildError) as info:
+                tree.extend_to(n)
+            err = info.value
+            assert (err.level, err.would_hold, err.bound) == (n, size,
+                                                              size - 1)
+            assert [(lvl.types.tolist(), lvl.block_end.tolist(), lvl.counts)
+                    for lvl in tree.levels] == layout
+            monkeypatch.setattr(skeleton, "MAX_LEVEL_SIZE", size)
             tree.extend_to(n)
-        err = info.value
-        assert (err.level, err.would_hold, err.bound) == (n, size, size - 1)
-        assert [(lvl.types.tolist(), lvl.block_end.tolist(), lvl.counts)
-                for lvl in tree.levels] == layout
-        config.max_level_size = size
-        tree.extend_to(n)
     for lvl in tree.levels:
         assert lvl.counts == Counter(lvl.types)
 
@@ -648,8 +654,10 @@ class TestPredictedSize:
         assert_sizes_predicted(
             BuildConfig(poset, isolated=isolated, default_bucket=bucket), 5)
 
-    def test_a_failed_build_reads_no_node_of_the_last_level(self, chain_ab):
-        tree = build_levels(BuildConfig(chain_ab, max_level_size=10), 3)
+    def test_a_failed_build_reads_no_node_of_the_last_level(self, chain_ab,
+                                                            monkeypatch):
+        monkeypatch.setattr(skeleton, "MAX_LEVEL_SIZE", 10)
+        tree = build_levels(BuildConfig(chain_ab), 3)
         tree.level(3).types = None          # any per-node pass would fail
         with pytest.raises(BuildError, match="level 4 would hold 20 nodes"):
             tree.extend_to(4)
@@ -877,6 +885,21 @@ class TestWholeLevelPasses:
             assert lvl.block_end.tolist() == ends
             assert lvl.u_start == u_start
             assert lvl.counts == Counter(types)
+
+    @pytest.mark.parametrize("tag, depth", [
+        *((tag, 7) for tag in ORACLE_FAMILIES),
+        ("omega-antichain", 16), ("rn(2,0)", 15)])
+    def test_block_masks_match_the_blocks(self, tag, depth):
+        """Every level's block masks against its child blocks one by one:
+        bit ``block_start(p)`` of starts and bit ``block_end[p] - 1`` of
+        ends for each node p of the level above, and no other bit."""
+        tree = build_levels(BuildConfig(family(tag)), depth)
+        for lvl in tree.levels:
+            starts = ends = 0
+            for p, end in enumerate(lvl.block_end):
+                starts |= 1 << lvl.block_start(p)
+                ends |= 1 << end - 1
+            assert lvl.block_masks() == (starts, ends)
 
     def test_noncompact_type_losing_its_unattached_node(self, chain_ab):
         tree = build_levels(BuildConfig(chain_ab, bounded={"a"},

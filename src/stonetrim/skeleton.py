@@ -207,20 +207,26 @@ class Level(Record):
     stored column-wise in typed arrays: each node's type and where each
     child block of the level above ends here (``block_end``, empty on level
     1).  Block starts and parents are derived.  ``counts`` holds the number
-    of nodes of each type (counted from ``types`` when not given)."""
+    of nodes of each type (counted from ``types`` when not given), and
+    ``substitution`` the per-type rule the level was built by: each type
+    of the level above, as its character, with its child block here,
+    spelled (``spell``); None on level 1 and on a level laid out by
+    hand."""
 
-    # the caches _masks and _blocks fill on first use, so equality leaves
-    # them out
+    # the caches _masks and _blocks fill on first use, and the
+    # substitution follows from the config, so equality leaves them out
     _compare = ("number", "types", "u_start", "block_end")
 
     def __init__(self, number: int, types: array, u_start: int,
                  block_end: Optional[array] = None,
-                 counts: Optional[dict[int, int]] = None):
+                 counts: Optional[dict[int, int]] = None,
+                 substitution: Optional[dict[str, str]] = None):
         self.number = number
         self.types = types            # 'I': 1-based poset enumeration index
         self.u_start = u_start        # nodes from here on are unattached
         self.block_end = array("I") if block_end is None else block_end
         self.counts = dict(Counter(types)) if counts is None else counts
+        self.substitution = substitution
         self._masks: dict[int, int] = {}
         self._blocks: Optional[tuple[int, int]] = None
 
@@ -326,6 +332,56 @@ class Parents(Sequence):
         return chain(attached, repeat(None, hi - max(lo, top)))
 
 
+def _rewrite(levels: Sequence[Level],
+             rules: Sequence[Optional[dict[str, str]]],
+             own: str) -> Iterator[str]:
+    """Level n+1 up to its unattached tail, spelled in pieces of at most
+    one ``_CHUNK`` (or of one block, where a block is longer).  n =
+    len(rules), own is level n spelled, and rules[j - 1] spells the child
+    block on level j+1 of each type of level j, as ``Level.substitution``
+    does, or is None where no rule is known.
+
+    Level j+1 is level j rewritten through rules[j - 1], then its own
+    unattached tail, which starts past its last block end.  So level n+1
+    is level k rewritten through the rules of levels k..n composed, then
+    the tail of each level k+1..n rewritten through the rules composed
+    from its own level.  The tables are composed from level n upward, a
+    type's block on level j the composed blocks of its child block
+    joined.  Composing stops at level 1, at an unknown rule, where a
+    composed block would be longer than a chunk (its length is summed
+    from the blocks it joins before it is joined), and at a level that
+    already goes out in one piece: a piece rewrites as many nodes as the
+    longest block of their table fits in one chunk, at least one.  So a
+    piece costs one lookup a node of level k, not of level n; where a
+    block of rules[n - 1] is longer than a chunk, k = n, the per-node
+    rewrite of level n."""
+    n = k = len(rules)
+    table = rules[n - 1]
+    widest = max(map(len, table.values()))
+    tables = [(table, widest)]
+    while (k > 1 and len(levels[k - 1]) * widest > _CHUNK
+           and (rule := rules[k - 2]) is not None):
+        widest = max(sum(map(len, map(table.__getitem__, block)))
+                     for block in rule.values())
+        if widest > _CHUNK:
+            break
+        table = {c: "".join(map(table.__getitem__, block))
+                 for c, block in rule.items()}
+        tables.append((table, widest))
+        k -= 1
+    for j in range(k, n + 1):
+        table, widest = tables[n - j]
+        if j == n:
+            text = own if k == n else own[levels[n - 1].block_end[-1]:]
+        else:
+            lvl = levels[j - 1]
+            text = spell(lvl.types if j == k
+                         else lvl.types[lvl.block_end[-1]:])
+        step = max(1, _CHUNK // (widest or 1))
+        for lo in range(0, len(text), step):
+            yield "".join(map(table.__getitem__, text[lo:lo + step]))
+
+
 class SkeletonTree:
     """The skeleton built to some depth; deterministically extendable."""
 
@@ -358,16 +414,17 @@ class SkeletonTree:
 
     def _build_next(self) -> None:
         """Append level n+1.  A node's child block depends only on its type,
-        so one block is made per distinct type and laid out by type.  The
-        new level's size and type counts follow from the previous level's
-        counts and the blocks, so the size bound is checked before any pass
-        over the previous level's nodes and before anything is written to
-        the tree.  Then level n is spelled once (``spell``) and read in
-        ``_CHUNK``-node slices, twice: for ``types``, each slice's nodes'
-        spelled child blocks joined and encoded; for ``block_end``, the
-        running sum of their block sizes, read off the slice translated
-        through ``size_of``.  No buffer but the spelling spans the whole
-        level."""
+        so one block is made per distinct type: the level's substitution.
+        The new level's size and type counts follow from the previous
+        level's counts and the blocks, so the size bound is checked before
+        any pass over the previous level's nodes and before anything is
+        written to the tree.  Then ``types`` is filled from the pieces of
+        ``_rewrite``, level n+1 as a shallower level rewritten through the
+        substitutions of the levels below it, composed; and level n is
+        spelled once (``spell``) for ``block_end``, read in ``_CHUNK``-node
+        slices, each the running sum of its nodes' block sizes, read off
+        the slice translated through ``size_of``.  No buffer but the
+        spelling spans the whole level."""
         n = self.depth + 1
         cap = self.type_cap(n)
         iso, buckets = self.config.masks(cap)
@@ -404,21 +461,20 @@ class SkeletonTree:
             counts[q] = counts.get(q, 0) + 1
         kids = {chr(t): spell(block) for t, block in blocks.items()}
         spelled = spell(prev.types)
-        chunks = range(0, len(spelled), _CHUNK)
+        rules = [lvl.substitution for lvl in self.levels[1:]] + [kids]
         types, block_end, end = array("I"), array("I"), 0
         # one column at a time: grown together, with each chunk's buffers
         # in between, they would leapfrog each other up the heap
-        for lo in chunks:
-            types.frombytes(_encode("".join(map(
-                kids.__getitem__, spelled[lo:lo + _CHUNK])))[0])
+        for piece in _rewrite(self.levels, rules, spelled):
+            types.frombytes(_encode(piece)[0])
         types.extend(unattached)
-        for lo in chunks:
+        for lo in range(0, len(spelled), _CHUNK):
             sizes = array("I", _encode(spelled[lo:lo + _CHUNK].translate(
                 size_of), "surrogatepass")[0])
             sizes[0] += end
             block_end.extend(accumulate(sizes))
             end = block_end[-1]
-        self.levels.append(Level(n, types, u_start, block_end, counts))
+        self.levels.append(Level(n, types, u_start, block_end, counts, kids))
 
     # ------------------------------------------------------------------
 
@@ -511,33 +567,57 @@ class StructureReport(Record):
                            for n, ok, d in self.checks]}
 
 
-def _reference_blocks(own, kids, ends, cap):
-    """Each type's child block at its first node on level own, if own holds
-    types 1..cap only and each node's block on level kids, ending at
-    ``ends``, is its type's; else None.  Per chunk, (a) the block lengths,
-    ends less the ends before them, and the wanted ones, each read as one
-    int of 32-bit lanes, are equal, and (b) the wanted blocks, joined,
-    start kids at the chunk's start.  (a) is exact: ends are below 2^32,
-    and by (b) the wanted blocks lie in kids, shorter than 2^20, so where
-    the lanes agree below lane k, lane k's block starts below 2^20 and its
-    have less want lies strictly between -2^21 and 2^32, where no nonzero
-    multiple of 2^32 lies: a borrow cannot fake equality."""
-    ref = {c: kids[ends[i - 1] if i else 0:ends[i]]
-           for c in map(chr, range(1, cap + 1))
-           if (i := own.find(c)) >= 0}
-    lens = {ord(c): chr(len(block)) for c, block in ref.items()}
-    if len(kids) >> 20 or own.translate(dict.fromkeys(lens)):
-        return None
+def _reference_blocks(tree: SkeletonTree,
+                      spelled: list[str]) -> list[Optional[dict[str, str]]]:
+    """For each level n = 1..depth-1, at n - 1, each type's child block at
+    its first node on level n, if level n holds types 1..type_cap(n) only
+    and each node's block on level n+1, ending at its ``block_end``, is
+    its type's; else None.  spelled[n] is level n spelled.
+
+    Two tests, each passed by the whole level: (a) per ``_CHUNK`` of
+    nodes, the block lengths, ends less the ends before them, and the
+    wanted ones, each read as one int of 32-bit lanes, are equal; (b) the
+    wanted blocks, joined, start level n+1: they are read as the pieces of
+    ``_rewrite`` through the reference blocks of the levels above, which
+    is the same string as long as each of those levels passed (a) and
+    (b), so the chain of rules restarts past a level that failed.  (a) is
+    exact: ends are below 2^32, and by (b) the wanted blocks lie in level
+    n+1, shorter than 2^20, so where the lanes agree below lane k, lane
+    k's block starts below 2^20 and its have less want lies strictly
+    between -2^21 and 2^32, where no nonzero multiple of 2^32 lies: a
+    borrow cannot fake equality.  The reference blocks are read off the
+    tree itself, never off the substitutions the builder kept."""
+    refs: list[Optional[dict[str, str]]] = []
     order = sys.byteorder
-    for lo in range(0, len(own), _CHUNK):
-        chunk, block_ends = own[lo:lo + _CHUNK], ends[lo:lo + _CHUNK]
-        before = (ends[lo - 1:lo] or array("I", [0])) + block_ends[:-1]
-        want = _encode(chunk.translate(lens), "surrogatepass")[0]
-        if (int.from_bytes(block_ends, order) - int.from_bytes(before, order)
-                != int.from_bytes(want, order) or not kids.startswith(
-                    "".join(map(ref.__getitem__, chunk)), before[0])):
-            return None
-    return ref
+    for n in range(1, tree.depth):
+        own, kids = spelled[n], spelled[n + 1]
+        ends = tree.levels[n].block_end
+        ref = {c: kids[ends[i - 1] if i else 0:ends[i]]
+               for c in map(chr, range(1, tree.type_cap(n) + 1))
+               if (i := own.find(c)) >= 0}
+        refs.append(ref)
+        lens = {ord(c): chr(len(block)) for c, block in ref.items()}
+        if len(kids) >> 20 or own.translate(dict.fromkeys(lens)):
+            refs[-1] = None
+            continue
+        for lo in range(0, len(own), _CHUNK):
+            block_ends = ends[lo:lo + _CHUNK]
+            before = (ends[lo - 1:lo] or array("I", [0])) + block_ends[:-1]
+            want = _encode(own[lo:lo + _CHUNK].translate(lens),
+                           "surrogatepass")[0]
+            if (int.from_bytes(block_ends, order)
+                    - int.from_bytes(before, order)
+                    != int.from_bytes(want, order)):
+                refs[-1] = None
+                break
+        else:
+            at = 0
+            for piece in _rewrite(tree.levels, refs, own):
+                if not kids.startswith(piece, at):
+                    refs[-1] = None
+                    break
+                at += len(piece)
+    return refs
 
 
 def verify_structure(tree: SkeletonTree,
@@ -575,10 +655,11 @@ def verify_structure(tree: SkeletonTree,
                     if (c := spelled[n].count(chr(t))) != 1), "")
         rep.add(f"isolated-single-line:{poset.id_at(t)}", not bad, bad)
 
+    refs = _reference_blocks(tree, spelled)
     for n in range(1, depth):
         own, kids = spelled[n], spelled[n + 1]
         ends = tree.levels[n].block_end
-        ref = _reference_blocks(own, kids, ends, tree.type_cap(n))
+        ref = refs[n - 1]
         want = {c: 1 if iso >> ord(c) & 1 else 2 for c in ref or set(own)}
         bad = ""
         if ref is None or any(ref[c].count(c) != k for c, k in want.items()):

@@ -130,3 +130,25 @@ class TestCompleteOver:
         assert not c.leq(embed(c, "y1"), xt)
         assert not c.leq(xt, embed(c, "x4"))
         assert not c.leq(xt, yt) and not c.leq(yt, xt)
+
+    @pytest.mark.parametrize("tag", ["omega-chain", "omega-antichain",
+                                     "dyadic", "rn-infinity", "ziegler-fan",
+                                     "rn(4,2)", "rn(10,0)"])
+    def test_base_descriptors_are_the_principal_down_sets(self, tag):
+        # read off one transpose of the up-set rows, they are the
+        # down-closures of single elements, id by id
+        p = family(tag)
+        for h in (0, 1, 2, 7, 12):
+            pre = p.prefix(h)
+            bases = [e for e in complete_over(p, pre, h).elements
+                     if not e.is_limit]
+            assert [(e.ref, e.descriptor) for e in bases] == [
+                (q, ref_down_mask(p, [q], h)) for q in pre]
+
+    def test_base_descriptors_of_random_posets(self):
+        rng = random.Random(35)
+        for _ in range(30):
+            p = random_poset(rng)
+            pre = p.prefix(p.size)
+            assert [e.descriptor for e in complete_finite(p).elements] == [
+                ref_down_mask(p, [q], p.size) for q in pre]

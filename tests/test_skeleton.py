@@ -1,8 +1,11 @@
 """Skeleton builds: level recurrences, buckets, and structure checks."""
+import importlib.util
+import json
 import random
 import tracemalloc
 from array import array
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -258,6 +261,21 @@ class TestStorage:
             tracemalloc.stop()
         assert len(tree.level(15)) == 32767
         assert peak - held <= 128 * 1024
+
+    def test_checking_the_widest_level_holds_one_chunk_at_a_time(self):
+        # the spellings of all 16 levels are most of it; the per-node
+        # content test peaked at 244 433 bytes here, and reading the
+        # rewrite's pieces may add one chunk's buffers: a piece of 4096
+        # nodes as 4-byte code points
+        tree = build_levels(BuildConfig(family("omega-antichain")), 16)
+        tracemalloc.start()
+        try:
+            report = verify_structure(tree)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak - held <= 244_433 + 4 * 4096
 
     def test_spelling_is_one_code_point_per_node(self):
         rng = random.Random(23)
@@ -578,6 +596,20 @@ def structure_oracle(tree, q_lower=None):
     return rep
 
 
+def laid_out_oracle(tree, n):
+    """Whether level n holds types 1..type_cap(n) only and each of its
+    nodes has, on level n + 1, the child block of the first node of its
+    type, read node by node through children_span."""
+    own, kids = tree.level(n), tree.level(n + 1)
+    first = {}
+    for i, t in enumerate(own.types):
+        s, e = tree.children_span(n, i)
+        block = kids.types[s:e].tolist()
+        if t > tree.type_cap(n) or first.setdefault(t, block) != block:
+            return False
+    return True
+
+
 def assert_matches_oracles(config, depth, q_lower=None):
     """Grow a tree level by level, comparing each level with the per-node
     layout, then its type masks and structure report."""
@@ -775,10 +807,10 @@ class TestWholeLevelPasses:
 
     @staticmethod
     def laid_out_by_type(tree, n):
-        """Whether the per-type test takes level n + 1 as laid out by type."""
-        own, kids = spell(tree.level(n).types), spell(tree.level(n + 1).types)
-        return _reference_blocks(own, kids, tree.level(n + 1).block_end,
-                                 tree.type_cap(n)) is not None
+        """Whether the per-type test takes level n + 1 as laid out by type,
+        read through the chain of the levels above it."""
+        spelled = [""] + [spell(lvl.types) for lvl in tree.levels]
+        return _reference_blocks(tree, spelled)[n - 1] is not None
 
     def test_children_permuted_inside_one_block(self):
         # node 3.3 has type a and children [a, a, b]; as [b, a, a] its count
@@ -835,6 +867,16 @@ class TestWholeLevelPasses:
         assert [c["detail"] for c in rep["checks"] if not c["passed"]] == [
             "node 3.1 of type a has 6 continuation children, wanted 2"]
 
+    def test_every_block_empty(self):
+        # every node's block is its type's, the empty one, so the level
+        # is laid out by type with no block to size its pieces by
+        tree = chain_tree(4)
+        tree.level(4).block_end[:] = array("I", [0] * len(tree.level(3)))
+        assert self.laid_out_by_type(tree, 3) and laid_out_oracle(tree, 3)
+        assert self.failures(tree) == [(
+            "continuation-children@3",
+            "node 3.0 of type a has 0 continuation children, wanted 2")]
+
     def test_a_type_past_the_cap(self):
         # level 3 of omega-chain holds types 1..3; node 3.1 is retyped 5,
         # and its block is 5 nodes long, so its lane alone cannot tell
@@ -886,6 +928,60 @@ class TestWholeLevelPasses:
             assert lvl.u_start == u_start
             assert lvl.counts == Counter(types)
 
+    def test_a_tampered_level_restarts_the_chain(self):
+        """One child block retyped at a random level of a random family
+        tree: every level's per-type decision is the node-by-node one, and
+        so is the report, also on the levels past the tampered one, whose
+        pieces are rewritten through a chain that restarts there."""
+        rng = random.Random(35)
+        restarted = 0
+        for _ in range(24):
+            tag, depth = rng.choice(ORACLE_FAMILIES), rng.randint(6, 8)
+            tree = build_levels(BuildConfig(family(tag)), depth)
+            n = rng.randint(1, depth - 2)
+            i = rng.randrange(len(tree.level(n)))
+            s, e = tree.children_span(n, i)
+            j = rng.randrange(s, e)
+            kids = tree.level(n + 1)
+            kids.types[j] = rng.choice([t for t in range(
+                1, tree.type_cap(n + 1) + 1) if t != kids.types[j]])
+            kids._masks.clear()
+            laid = [self.laid_out_by_type(tree, m) for m in range(1, depth)]
+            assert laid == [laid_out_oracle(tree, m)
+                            for m in range(1, depth)], (tag, depth, n, j)
+            assert_same_report(tree)
+            failed = laid.index(False) if False in laid else depth
+            restarted += any(laid[failed + 1:])
+        assert restarted >= 12
+
+    @pytest.mark.parametrize("tag", ORACLE_FAMILIES)
+    def test_the_check_reads_no_substitution(self, tag):
+        # the reference blocks come from the tree's nodes, so a tree
+        # whose levels lost the builder's substitutions checks the same
+        tree = build_levels(BuildConfig(family(tag)), 8)
+        want = verify_structure(tree).to_json()
+        laid = [self.laid_out_by_type(tree, n) for n in range(1, 8)]
+        for lvl in tree.levels:
+            del lvl.substitution
+        assert verify_structure(tree).to_json() == want
+        assert [self.laid_out_by_type(tree, n) for n in range(1, 8)] == laid
+        assert all(laid)
+
+    @pytest.mark.parametrize("tag, depth", [("omega-antichain", 16),
+                                            ("rn(2,0)", 15)])
+    def test_a_level_laid_out_by_hand_ends_the_build_chain(self, tag,
+                                                           depth):
+        # a level without a substitution stops the composition there, so
+        # the deeper levels are rewritten from it, not through it
+        tree = build_levels(BuildConfig(family(tag)), 6)
+        lvl = tree.level(5)
+        tree.levels[4] = Level(5, lvl.types, lvl.u_start, lvl.block_end,
+                               lvl.counts)
+        assert tree.level(5).substitution is None
+        tree.extend_to(depth)
+        assert tree.levels == build_levels(BuildConfig(family(tag)),
+                                           depth).levels
+
     @pytest.mark.parametrize("tag, depth", [
         *((tag, 7) for tag in ORACLE_FAMILIES),
         ("omega-antichain", 16), ("rn(2,0)", 15)])
@@ -924,6 +1020,38 @@ class TestWholeLevelPasses:
         doc = assert_same_report(tree)
         assert [c["name"] for c in doc["checks"] if not c["passed"]] == [
             "unbounded-entry:b"]
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+class TestDeepBuilds:
+    @pytest.fixture(scope="class")
+    def recorded(self):
+        """The benchmark's workload module, loaded from its file, which
+        holds the nine deep builds and the digests of their outputs, and
+        the outputs it expects."""
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_workloads", PERFBENCH / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        with open(PERFBENCH / "expected.json", encoding="utf-8") as fh:
+            expected = json.load(fh)
+        return workloads, expected
+
+    @pytest.mark.parametrize("tag, depth", [
+        ("omega-chain", 8), ("dyadic", 9), ("rn-infinity", 13),
+        ("rn-infinity-bot", 10), ("ziegler-fan", 13), ("omega-antichain", 16),
+        ("rn(2,0)", 15), ("rn(4,2)", 13), ("rn(10,0)", 13)])
+    def test_layout_and_report_match_the_recorded_digests(self, recorded,
+                                                          tag, depth):
+        workloads, expected = recorded
+        assert (tag, depth) in workloads.DEEP_BUILDS
+        tree = build_levels(BuildConfig(family(tag)), depth)
+        want = expected[f"deep:{tag}:{depth}"]
+        assert workloads.layout_digest(tree) == want["layout"]
+        assert (workloads.digest(verify_structure(tree).to_json())
+                == want["structure"])
 
 
 class TestChunkedBuild:

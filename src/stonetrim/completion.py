@@ -86,23 +86,6 @@ def complete_finite(poset: Poset) -> CompletedPoset:
     return complete_over(poset, (), poset.size)
 
 
-def _down_sets(poset: Poset, h: int) -> list[int]:
-    """The principal down-set of each of indices 1..h inside the prefix of
-    h elements, as masks: the up-set rows transposed.  The rows are written
-    once into one buffer of binary digits, h + 1 a row from bit h down to
-    bit 0, so index i's down-set is the column of bit i, read off with one
-    strided slice; the work is C-level passes over h^2 digits, held in
-    h^2 bytes, not one ``lower_of`` pass over the prefix per index."""
-    width = h + 1
-    inside = (1 << width) - 2
-    rows = bytearray(width * h)
-    for j in range(h):
-        rows[j * width:(j + 1) * width] = format(
-            poset.up_mask(j + 1) & inside, f"0{width}b").encode()
-    return [int(rows[width - 1 - i::width][::-1], 2) << 1
-            for i in range(1, h + 1)]
-
-
 def complete_over(poset: Poset, members: Iterable[str],
                   horizon: int) -> CompletedPoset:
     """Adjoin suprema of ascending sequences drawn from a subset.
@@ -119,8 +102,8 @@ def complete_over(poset: Poset, members: Iterable[str],
     pre = poset.prefix(horizon)
     inside = (1 << len(pre) + 1) - 2
     sub = poset.mask_of(members) & inside
-    els = [CompletionElement("base", p, down)
-           for p, down in zip(pre, _down_sets(poset, len(pre)))]
+    els = [CompletionElement("base", p, poset.lower_of(1 << i, horizon))
+           for i, p in enumerate(pre, 1)]
     if poset.finite:
         return CompletedPoset(poset, horizon, els)
 

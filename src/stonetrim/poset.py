@@ -1,9 +1,10 @@
 """Finite and lazily enumerated countable posets.
 
 A poset here is either finite (explicit elements) or generated (an
-enumeration yielding element ids one at a time).  Its order is filled from
-up-set rows: ``rows(ids, k)`` masks the older elements above and below
-element k (see ``Poset``); a string order enters only through ``_leq_rows``.
+enumeration yielding element ids one at a time).  Its order is filled into
+up-set and down-set rows: ``rows(ids, k)`` masks the older elements above
+and below element k (see ``Poset``); a string order enters only through
+``_leq_rows``.
 Every set, chain, cover and axiom question is read off those rows as masks
 over enumeration indices, and the order analytics (extremal elements,
 foundations, P_Delta) take and answer such masks; ids are converted only
@@ -180,13 +181,14 @@ class Analytics(Record):
 class Poset:
     """A partial order over string element ids.
 
-    The order lives in one up-set table over enumeration indices:
-    ``up_mask(i)`` has bit j set iff element i <= element j.  It is filled
-    from ``rows(ids, k)`` alone, which returns two masks ``(above, below)``
-    over the older indices 1..k-1 (other bits are ignored): bit j of
-    ``above`` is set iff element k <= element j, and of ``below`` iff
-    element j <= element k.  Finite posets fill the table, and check its
-    axioms, at construction; generated posets grow it one element at a time.
+    The order lives in an up-set table over enumeration indices,
+    ``up_mask(i)`` with bit j set iff element i <= element j, and beside it
+    its transpose, the down-set table.  Both are filled from
+    ``rows(ids, k)`` alone, which returns two masks ``(above, below)`` over
+    the older indices 1..k-1 (other bits are ignored): bit j of ``above`` is
+    set iff element k <= element j, and of ``below`` iff element j <=
+    element k.  Finite posets fill the tables, and check their axioms, at
+    construction; generated posets grow them one element at a time.
     Enumeration indices are 1-based, so ``prefix(n)`` is the set P_n of the
     first n elements.
 
@@ -213,6 +215,7 @@ class Poset:
         if len(self._pos) != len(self._ids):
             raise PosetError("duplicate element ids")
         self._up: list[int] = [0]
+        self._down: list[int] = [0]
         self.typesets: dict[int, object] = {}
         self._fill_table()
         self.finite = gen is None
@@ -313,27 +316,31 @@ class Poset:
             self._fill_table()
 
     def _fill_table(self) -> None:
-        """Add the up-set rows of newly enumerated elements, and their bits
-        to the rows of the older ones.  Only bits above the older prefix are
-        set, so the interned type sets stay valid."""
-        ids, up = self._ids, self._up
+        """Add the up-set and down-set rows of newly enumerated elements,
+        and their bits to the rows of the older ones.  Only bits above the
+        older prefix are set, so the interned type sets stay valid."""
+        ids, up, down = self._ids, self._up, self._down
         for k in range(len(up), len(ids) + 1):
             older = (1 << k) - 2
             above, below = self._rows(ids, k)
             up.append(1 << k | above & older)
+            down.append(1 << k | below & older)
             for j in bits(below & older):
                 up[j] |= 1 << k
+            for j in bits(above & older):
+                down[j] |= 1 << k
 
     def prefix(self, n: int) -> list[str]:
         """The first n enumerated elements (all of them, for finite posets)."""
-        if n < 0:
-            raise PosetError(f"prefix length {n} is negative")
-        self.ensure(n)
-        return list(self._ids[:n])
+        self.prefix_mask(n)  # rejects a negative n, and enumerates n
+        return self._ids[:n]
 
     def prefix_mask(self, n: int) -> int:
         """The indices of ``prefix(n)`` as a mask."""
-        return (1 << len(self.prefix(n)) + 1) - 2
+        if n < 0:
+            raise PosetError(f"prefix length {n} is negative")
+        self.ensure(n)
+        return (1 << min(n, len(self._ids)) + 1) - 2
 
     @property
     def size(self) -> Optional[int]:
@@ -394,10 +401,11 @@ class Poset:
         return hit
 
     def lower_of(self, mask: int, horizon: int) -> int:
-        """Indices of ``prefix(horizon)`` below some index set in mask."""
-        up = self._up
-        return sum(1 << j for j in range(1, len(self.prefix(horizon)) + 1)
-                   if up[j] & mask)
+        """Indices of ``prefix(horizon)`` below some index set in mask: the
+        OR of the down-set rows of mask's enumerated indices."""
+        inside, down = self.prefix_mask(horizon), self._down
+        return inside & reduce(or_, map(down.__getitem__,
+                                        bits(mask & (1 << len(down)) - 1)), 0)
 
     def minimal_in(self, mask: int) -> int:
         """Indices set in mask that lie above no other index set in it."""
@@ -488,10 +496,18 @@ class Poset:
             note="prefix candidate only; minimality beyond the horizon unknown")
 
     def p_delta(self, horizon: int) -> tuple[int, bool]:
-        """Indices whose singleton has a confirmed finite foundation."""
-        return sum(1 << i for i in range(1, len(self.prefix(horizon)) + 1)
+        """Indices whose singleton has a confirmed finite foundation.
+
+        A finite order is well founded, so the minimal elements below q lie
+        below q and cover its whole down-set: every singleton of a finite
+        poset is founded, and P_Delta is the whole prefix.  A generated
+        poset asks ``finite_foundation`` of each singleton."""
+        inside = self.prefix_mask(horizon)
+        if self.finite:
+            return inside, True
+        return sum(1 << i for i in bits(inside)
                    if self.finite_foundation(1 << i, horizon).status
-                   == FOUND), self.finite
+                   == FOUND), False
 
     # ------------------------------------------------------------------
     # chain conditions

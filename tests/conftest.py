@@ -4,7 +4,8 @@ from collections import Counter
 
 import pytest
 
-from stonetrim import CompletedPoset, CompletionElement, Poset, token_name
+from stonetrim import (FOUND, CompletedPoset, CompletionElement, Poset,
+                       token_name)
 from stonetrim.backforth import (SIDES, DepthBudget, IsoError, MismatchFound,
                                  MismatchWitness, Pair, _facing,
                                  _fresh_counterpart, _grow)
@@ -223,6 +224,25 @@ def ref_is_upper(poset: Poset, members, horizon: int) -> bool:
 def ref_down_mask(poset: Poset, members, horizon: int) -> int:
     """``ref_down_closure`` as a mask over enumeration indices."""
     return poset.mask_of(ref_down_closure(poset, members, horizon))
+
+
+def ref_p_delta(poset: Poset, horizon: int) -> int:
+    """P_Delta as the mask of the prefix elements whose singleton
+    ``finite_foundation`` finds a foundation for, one element at a time; on
+    a finite poset each foundation is checked against both conditions, id by
+    id."""
+    out = 0
+    for i, q in enumerate(poset.prefix(horizon), 1):
+        res = poset.finite_foundation(1 << i, horizon)
+        if res.status != FOUND:
+            continue
+        if poset.finite:
+            found = poset.ids_of(res.foundation)
+            assert all(any(poset.leq(f, r) for f in found)
+                       for r in ref_down_closure(poset, [q], poset.size))
+            assert all(poset.leq(f, q) for f in found)
+        out |= 1 << i
+    return out
 
 
 def ref_longest_chain_from(poset: Poset, pre: list) -> dict:

@@ -135,8 +135,8 @@ class TestCompleteOver:
                                      "dyadic", "rn-infinity", "ziegler-fan",
                                      "rn(4,2)", "rn(10,0)"])
     def test_base_descriptors_are_the_principal_down_sets(self, tag):
-        # read off one transpose of the up-set rows, they are the
-        # down-closures of single elements, id by id
+        # read off the poset's down-set rows, they are the down-closures
+        # of single elements, id by id
         p = family(tag)
         for h in (0, 1, 2, 7, 12):
             pre = p.prefix(h)

@@ -7,7 +7,7 @@ from itertools import combinations
 import pytest
 
 from conftest import (finite_from_order, lt, ref_down_closure,
-                      ref_maximal_of, ref_minimal_of)
+                      ref_maximal_of, ref_minimal_of, ref_p_delta)
 from stonetrim import FOUND, REFUTED, Poset, PosetError, family, family_tags
 
 
@@ -128,6 +128,7 @@ def test_order_answers_are_masks_of_the_documented_ids(tag):
             assert res.status == (REFUTED if founded is None else FOUND)
             assert p.ids_of(res.foundation) == (founded or set())
         assert p.ids_of(delta) == {x for x in pre if want[2]({x}) is not None}
+        assert delta == ref_p_delta(p, h)
 
 
 def show_dyadic(values):

@@ -144,6 +144,34 @@ class TestOrderQueries:
         assert vee.lower_of(0b1100, 3) == 0b1110
         assert vee.upper_of(0b10) == 0b1110
 
+    @pytest.mark.parametrize("make", [
+        lambda: family("dyadic"), lambda: family("rn-infinity-bot"),
+        lambda: family("omega-antichain"), lambda: family("rn(4,2)"),
+        lambda: random_poset(random.Random(36), max_size=9)])
+    def test_down_closures_ignore_bits_past_the_table(self, make):
+        # between interleaved ensure calls, bits past the enumerated table
+        # are ignored and nothing past the horizon is enumerated, while an
+        # enumerated index past the horizon still pulls in the prefix
+        # elements below it: the answer is read off the up-set rows one
+        # prefix element at a time
+        p = make()
+        rng = random.Random(36)
+        for horizon in (3, 1, 6, 2, 11, 5, 15, 8):
+            p.ensure(horizon - 2)
+            seen = len(p._ids)
+            for _ in range(20):
+                mask = rng.getrandbits(24) & ~1
+                got = p.lower_of(mask, horizon)
+                assert got == sum(1 << j for j in bits(p.prefix_mask(horizon))
+                                  if p.up_mask(j) & mask)
+                assert p.lower_of(1 << 40 | mask, horizon) == got
+            assert len(p._ids) == (seen if p.finite else max(seen, horizon))
+        # the down-set rows are the transpose of the up-set rows
+        n = len(p.prefix(15))
+        assert [p.lower_of(1 << i, n) for i in range(1, n + 1)] == [
+            sum(1 << j for j in range(1, n + 1) if p.up_mask(j) >> i & 1)
+            for i in range(1, n + 1)]
+
     def test_closure_rejects_unknown_member(self, vee):
         with pytest.raises(PosetError, match="unknown"):
             vee.lower_of(vee.mask_of({"zz"}), 3)

@@ -16,7 +16,8 @@ from conftest import (random_poset, ref_check_acc, ref_complete_over,
                       ref_completion_verify, ref_down_closure, ref_first_chain,
                       ref_is_chain_unique_over,
                       ref_is_lower, ref_is_upper, ref_maximal_chains,
-                      ref_maximal_of, ref_minimal_of, ref_theta_break,
+                      ref_maximal_of, ref_minimal_of, ref_p_delta,
+                      ref_theta_break,
                       ref_trace_dot_edges, ref_up_closure, two_chains_poset)
 from stonetrim import (FOUND, INCONCLUSIVE, CompletedPoset,
                        CompletionElement, Poset, PosetError, SymbolicSpace,
@@ -80,6 +81,7 @@ def test_set_queries_match_the_pairwise_reference(seed):
             assert p.ids_of(ext.maximal) == ref_maximal_of(p, pre)
             assert mins == (ext.minimal if p.finite else 0)
             assert p.ids_of(delta) == (set(pre) if p.finite else set())
+            assert delta == ref_p_delta(p, h)
 
 
 @given(seed=st.integers(0, 10 ** 6))

@@ -248,32 +248,30 @@ def _match_split(state: PartialIso, dst_side: int, dst_part: RingElement,
     """Split dst_part into pieces matching the needed generators in order.
 
     Each needed generator claims one atom of exactly its type; remaining
-    atoms attach to the first piece that tolerates them.  The level deepens
+    atoms spread over the pieces that tolerate them.  The level deepens
     until every claim is satisfiable; an isolated generator that cannot
     reach its claimed count inside a part typed exactly by it never will,
-    which raises a mismatch instead.
+    which raises a mismatch instead.  Only the part's own atoms are typed,
+    off the level's ``types`` over the part's runs, one level deeper a pass.
     """
     tree = state.trees[dst_side]
     iso = state.iso[dst_side]
     poset = tree.poset
     gens = [h for h, _ in needs]
     want = Counter(gens)
-    level = dst_part.level
+    level, mask = dst_part.level, dst_part.mask
     while True:
-        if level > tree.depth:
-            if level > max_depth:
-                raise DepthBudget(f"{SIDES[dst_side]} side needs level "
-                                  f"{level}")
-            _grow(tree, level)
-        mask = dst_part.mask_at(level)
-        masks = tree.level(level).type_masks()
-        have = {h: (mask & masks.get(h, 0)).bit_count() for h in want}
+        # the part's atoms of each type
+        types, masks = tree.level(level).types, {}
+        for a, b in runs(mask):
+            for i in range(a, b):
+                masks[types[i]] = masks.get(types[i], 0) | 1 << i
+        have = {h: masks.get(h, 0).bit_count() for h in want}
         short = [h for h, n in want.items() if have[h] < n]
         if not short:
             break
-        realized = [t for t, atoms in masks.items() if atoms & mask]
         for h in short:
-            growable = any(t != h and poset.leq_ix(t, h) for t in realized)
+            growable = any(t != h and poset.leq_ix(t, h) for t in masks)
             if iso >> h & 1 and not growable:
                 raise MismatchFound(MismatchWitness(
                     SIDES[dst_side], poset.id_at(h), want[h], have[h],
@@ -284,10 +282,16 @@ def _match_split(state: PartialIso, dst_side: int, dst_part: RingElement,
                     SIDES[dst_side], poset.id_at(h), want[h], 0,
                     "needed type is not realized in the counterpart part"))
         level += 1
+        if level > tree.depth:
+            if level > max_depth:
+                raise DepthBudget(f"{SIDES[dst_side]} side needs level "
+                                  f"{level}")
+            _grow(tree, level)
+        mask = tree.theta_image(level - 1, mask)
 
     # the generators claim atoms of their types in order, lowest first; a
     # type's atoms are read only as far as its claims go
-    taken = {h: bits(mask & masks[h]) for h in want}
+    taken = {h: bits(masks[h]) for h in want}
     piece_masks = [1 << next(taken[h]) for h in gens]
     spare = mask & ~sum(piece_masks)
     # spread each type's unclaimed atoms round-robin, in index order, over
@@ -319,7 +323,8 @@ def _fresh_counterpart(state: PartialIso, dst_side: int, h: int,
             _grow(tree, level)
         free = tree.level(level).type_mask(h) & ~busy.mask_at(level)
         if free:
-            return RingElement.atom(tree, level, next(bits(free)))
+            low = (free & -free).bit_length() - 1
+            return RingElement.atom(tree, level, low)
     raise DepthBudget(f"no unclaimed {tree.poset.id_at(h)!r} atom on the "
                       f"{SIDES[dst_side]} side within depth {max_depth}")
 
@@ -353,7 +358,7 @@ def extend_iso(state: PartialIso, side: int, element: RingElement,
     if n0 > index.top:
         index.raise_to(n0)
     top = index.top
-    met, gap = index.meet(tree.lift_runs(n0, list(runs(element.mask)), top))
+    met, gap = index.meet(tree.lift_runs(n0, runs(element.mask), top))
     refined = []
     for key in sorted(key for key, inside in met.items() if not inside):
         pair = state.pair(key)
@@ -526,19 +531,22 @@ def _covered(state: PartialIso, schedule: list[tuple[int, int, int]]) -> bool:
     """Is every scheduled atom a union of parts?
 
     Each call indexes each side's parts afresh, as runs on a level no part
-    or scheduled atom lies below.  There an atom is one run; bisect finds
-    the part runs that start inside it, and the atom is covered iff the
-    runs of the parts lying wholly inside it fill it.  Lifting keeps
-    inclusion both ways, since every node has children."""
+    or scheduled atom lies below.  There an atom is one run, and the atoms
+    of one level lift in one ``lift_runs`` call; bisect finds the part runs
+    that start inside an atom's run, and the atom is covered iff the runs
+    of the parts lying wholly inside it fill it.  Lifting keeps inclusion
+    both ways, since every node has children."""
     for side, tree in enumerate(state.trees):
         parts = [pair.parts[side] for pair in state.pairs]
-        atoms = [(n, i) for s, n, i in schedule if s == side]
-        top = max([p.level for p in parts] + [n for n, _ in atoms],
-                  default=1)
+        atoms: dict[int, list[tuple[int, int]]] = {}
+        for s, n, i in schedule:
+            if s == side:
+                atoms.setdefault(n, []).append((i, i + 1))
+        top = max([p.level for p in parts] + list(atoms), default=1)
         index = RunIndex(tree, top, enumerate(parts))
-        for n, i in atoms:
-            (a, b), = tree.lift_runs(n, [(i, i + 1)], top)
-            if not index.fills(a, b):
+        for n, spans in atoms.items():
+            if not all(index.fills(a, b)
+                       for a, b in tree.lift_runs(n, spans, top)):
                 return False
     return True
 

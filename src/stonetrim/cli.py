@@ -212,6 +212,9 @@ def cmd_closure(args) -> int:
         return _fail(3, str(e))
     generator = space.fin({"p0"})
     trace = rieger_nishimura_run(space, generator, args.max_n)
+    if args.format == "dot":
+        _out(render_trace_dot(trace))
+        return 0
     cls = classify_algebra(trace)
     gen_check = e_of_p(poset, args.horizon)
     if args.format == "text":
@@ -219,9 +222,6 @@ def cmd_closure(args) -> int:
         _out(f"generator check: "
              f"{'holds' if gen_check['holds'] else 'fails'} "
              f"({gen_check['checked']} steps)")
-        return 0
-    if args.format == "dot":
-        _out(render_trace_dot(trace))
         return 0
     _emit({
         "family": args.family,

@@ -39,20 +39,23 @@ class PosetError(ValueError):
     """Bad element id, malformed source data, or an order-axiom violation."""
 
 
-def runs(mask: int) -> Iterator[tuple[int, int]]:
+def runs(mask: int) -> list[tuple[int, int]]:
     """Maximal runs of set bits of a nonnegative int as (start, end) pairs,
-    ascending; bits start..end-1 are set.  The mask is spelled from its
-    lowest set bit, so a mask far up a wide level costs only its own span.
-    Every run the package reads off a mask is read here."""
-    if not mask:
-        return
+    ascending; bits start..end-1 are set.  A mask of one bit is answered
+    from its length; a wider one is spelled from its lowest set bit, so a
+    mask far up a wide level costs only its own span.  Every run the
+    package reads off a mask is read here."""
+    if not mask & mask - 1:                     # no bit or one bit
+        return [(mask.bit_length() - 1, mask.bit_length())] if mask else []
     low = (mask & -mask).bit_length() - 1
     digits = bin(mask >> low)[:1:-1] + "0"
+    out = []
     start = 0
     while start >= 0:
         end = digits.find("0", start)
-        yield low + start, low + end
+        out.append((low + start, low + end))
         start = digits.find("1", end)
+    return out
 
 
 def from_runs(spans: Iterable[tuple[int, int]]) -> int:

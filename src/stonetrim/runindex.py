@@ -43,8 +43,7 @@ class RunIndex:
 
     def spans(self, part: RingElement) -> list[tuple[int, int]]:
         """The part's runs on level ``top``."""
-        return self.tree.lift_runs(part.level, list(runs(part.mask)),
-                                   self.top)
+        return self.tree.lift_runs(part.level, runs(part.mask), self.top)
 
     def add(self, owner, part: RingElement) -> None:
         if part.level > self.top:

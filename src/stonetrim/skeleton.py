@@ -504,7 +504,7 @@ class SkeletonTree:
         self.level(n)                   # raises for n out of range
         if not mask:
             return 0
-        return from_runs(self.lift_runs(n, list(runs(mask)), n + 1))
+        return from_runs(self.lift_runs(n, runs(mask), n + 1))
 
     def lift_runs(self, n: int, spans: list[tuple[int, int]],
                   k: int) -> list[tuple[int, int]]:

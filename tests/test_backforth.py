@@ -1,7 +1,8 @@
 """Back-and-forth matching runs: certificates, witnesses, budgets."""
 import pytest
 
-from conftest import chain_ab_poset, diamond_poset, vee_poset
+from conftest import (chain_ab_poset, diamond_poset, ref_match_split,
+                      vee_poset)
 from stonetrim import (BuildConfig, IsoError, Poset, RingElement,
                        build_levels, family, init_iso, extend_iso,
                        lift_poset_automorphism, run_backforth, skeleton)
@@ -141,6 +142,25 @@ def test_mask_matcher_agrees_with_ring_operations(maker, isolated):
     assert "left parts overlap" not in state.verify()
     state.pairs.append(Pair((coarse, empty), (1, 1)))
     assert "left parts overlap" in state.verify()
+
+
+def test_a_split_types_only_its_part():
+    # one a and twenty b atoms first lie together in the whole space on
+    # level 5, so the split grows levels 4 and 5 and reads only its part's
+    # atoms there: neither grown level is typed whole
+    states = [init_iso(build(chain_ab_poset, 3), build(chain_ab_poset, 3),
+                       {"a"}, lambda p: p) for _ in (0, 1)]
+    right = states[0].trees[1]
+    pieces, want = (split(state, 1, state.pairs[0].parts[1],
+                          [(g, state.pairs[0].parts[0])
+                           for g in [1] + [2] * 20], 10)
+                    for split, state in zip((_match_split, ref_match_split),
+                                            states))
+    assert right.depth == 5
+    assert not right.level(4)._masks and not right.level(5)._masks
+    assert [(p.level, p.mask) for p in pieces] == \
+        [(p.level, p.mask) for p in want]
+    assert {p.level for p in pieces} == {5}
 
 
 class TestRuns:

@@ -229,3 +229,36 @@ def test_coverage_of_hand_made_parts(atoms, covered):
     schedule = [(0, 2, 1)]
     assert _covered(state, schedule) is ref_covered(state, schedule) \
         is covered
+
+
+@pytest.mark.parametrize("side", [0, 1])
+def test_coverage_reads_the_shallowest_scheduled_level(side):
+    """A tampered pairing whose one uncovered scheduled atom lies on the
+    shallowest scheduled level of its side, listed last, while every
+    deeper scheduled atom is covered: each level's atoms are read, however
+    the atoms are grouped."""
+    state = start(INPUTS["chain"], DEPTH)
+    schedule = _schedule(*state.trees, DEPTH, 0)
+    for s, n, i in schedule:
+        extend_iso(state, s, RingElement.atom(state.trees[s], n, i),
+                   DEPTH + 8)
+    assert _covered(state, schedule) is ref_covered(state, schedule) is True
+    # one part inside level-2 atom 0 grows over one inside atom 1, so atom
+    # 0 and the deeper atoms over the first part lose it; atom 1 keeps the
+    # second part
+    tree = state.trees[side]
+    first, second = (next(pair for pair in state.pairs
+                          if RingElement.atom(tree, 2, x).contains(
+                              pair.parts[side])) for x in (0, 1))
+    merged = first.parts[side].union(second.parts[side])
+    first.parts = (merged, first.parts[1]) if side == 0 \
+        else (first.parts[0], merged)
+    deeper = [atom for atom in schedule
+              if atom[0] != side or atom[1] > 2
+              and ref_covered(state, [atom])]
+    assert len(deeper) < len(schedule) - 4
+    assert _covered(state, deeper) is ref_covered(state, deeper) is True
+    for x, covered in ((1, True), (0, False)):
+        atoms = deeper + [(side, 2, x)]
+        assert _covered(state, atoms) is ref_covered(state, atoms) \
+            is covered

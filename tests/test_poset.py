@@ -617,6 +617,20 @@ def test_runs_of_single_bits_and_all_ones():
         assert list(bits(ones << 3000)) == list(range(3000, 3000 + w))
 
 
+def test_runs_is_a_list_matching_the_reference():
+    # a one-bit mask is answered without spelling it, so single bits are
+    # checked one by one, and random masks take the spelled path
+    assert runs(0) == []
+    for k in range(301):
+        got = runs(1 << k)
+        assert type(got) is list and got == list(ref_runs(1 << k))
+    rng = random.Random(5)
+    for _ in range(500):
+        mask = rng.getrandbits(rng.randrange(1, 400)) << rng.randrange(300)
+        got = runs(mask)
+        assert type(got) is list and got == list(ref_runs(mask))
+
+
 def increasing_paths(poset, members):
     """Every strictly increasing path from a minimal to a maximal member,
     depth first in the members' order; the maximal chains are among them."""

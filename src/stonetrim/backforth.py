@@ -58,6 +58,21 @@ class MismatchFound(Exception):
         self.witness = witness
 
 
+# one witness maker per mismatch reason; side names the side that ran short
+def _no_counterpart(side: int, poset: Poset, g: int,
+                    needed: int) -> MismatchFound:
+    return MismatchFound(MismatchWitness(
+        SIDES[side], poset.id_at(g), needed, 0,
+        "type has no counterpart in the other alphabet"))
+
+
+def _isolation_shortfall(side: int, poset: Poset, g: int, needed: int,
+                         available: int) -> MismatchFound:
+    return MismatchFound(MismatchWitness(
+        SIDES[side], poset.id_at(g), needed, available,
+        "isolated type cannot multiply inside a part typed exactly by it"))
+
+
 class DepthBudget(Exception):
     """Matching needed more levels than the run allows."""
 
@@ -185,17 +200,14 @@ class _ThetaMap:
 
 
 def init_iso(left: SkeletonTree, right: SkeletonTree, q: Iterable[str],
-             theta) -> PartialIso:
+             theta: _ThetaMap) -> PartialIso:
     """Seed the pairing from the founded lower region named by q.
 
     The covering level on each side is the last enumeration slot of the
     foundation; its whole level splits into trim parts and the parts
-    generated inside q are paired through the order bijection.  theta may
-    be a callable, checked over the shared span, or a prepared map.
+    generated inside q are paired through theta, the order bijection that
+    ``run_backforth`` prepares over the schedule's span (``_theta_over``).
     """
-    if not isinstance(theta, _ThetaMap):
-        span = min(left.type_cap(left.depth), right.type_cap(right.depth))
-        theta = _theta_over(left, right, theta, span)
     state = PartialIso(left, right, theta)
     images = {p: theta.image(0, left.poset.index(p)) if p in left.poset
               else None for p in frozenset(q)}
@@ -273,10 +285,8 @@ def _match_split(state: PartialIso, dst_side: int, dst_part: RingElement,
         for h in short:
             growable = any(t != h and poset.leq_ix(t, h) for t in masks)
             if iso >> h & 1 and not growable:
-                raise MismatchFound(MismatchWitness(
-                    SIDES[dst_side], poset.id_at(h), want[h], have[h],
-                    "isolated type cannot multiply inside a part typed "
-                    "exactly by it"))
+                raise _isolation_shortfall(dst_side, poset, h, want[h],
+                                           have[h])
             if not growable and not have[h]:
                 raise MismatchFound(MismatchWitness(
                     SIDES[dst_side], poset.id_at(h), want[h], 0,
@@ -375,10 +385,8 @@ def extend_iso(state: PartialIso, side: int, element: RingElement,
         for g, piece in src_pieces:
             h = theta.image(side, g)
             if h is None:
-                raise MismatchFound(MismatchWitness(
-                    SIDES[dst_side], tree.poset.id_at(g),
-                    sum(1 for gg, _ in src_pieces if gg == g), 0,
-                    "type has no counterpart in the other alphabet"))
+                raise _no_counterpart(dst_side, tree.poset, g, sum(
+                    1 for gg, _ in src_pieces if gg == g))
             needs.append((h, piece))
         dst_pieces = _match_split(state, dst_side, pair.parts[dst_side],
                                   needs, max_depth)
@@ -401,9 +409,7 @@ def extend_iso(state: PartialIso, side: int, element: RingElement,
     for g, piece in pieces:
         h = theta.image(side, g)
         if h is None:
-            raise MismatchFound(MismatchWitness(
-                SIDES[dst_side], tree.poset.id_at(g), 1, 0,
-                "type has no counterpart in the other alphabet"))
+            raise _no_counterpart(dst_side, tree.poset, g, 1)
         mate = _fresh_counterpart(state, dst_side, h, max_depth)
         state.add_fresh(Pair(_facing(side, piece, mate),
                              _facing(side, g, h)))
@@ -463,7 +469,7 @@ def _theta_over(left: SkeletonTree, right: SkeletonTree,
     for i, j in enumerate(fwd):
         back[j] = i
     # each left row against its image's row, pulled back through theta
-    cut = (1 << len(a) + 1) - 2
+    cut = left.poset.prefix_mask(span)
     for i, p in enumerate(a, 1):
         row = right.poset.up_mask(fwd[i])
         diff = (left.poset.up_mask(i) & cut) ^ sum(
@@ -489,11 +495,8 @@ def _check_isolation(state: PartialIso) -> None:
             n = part.level + 1
             _grow(part.tree, n)
             atoms = part.mask_at(n) & part.tree.level(n).type_mask(h)
-            raise MismatchFound(MismatchWitness(
-                SIDES[side], state.trees[side].poset.id_at(g),
-                atoms.bit_count(), 1,
-                "isolated type cannot multiply inside a part typed exactly "
-                "by it"))
+            raise _isolation_shortfall(side, state.trees[side].poset, g,
+                                       atoms.bit_count(), 1)
 
 
 def _check_past_span(left: SkeletonTree, right: SkeletonTree,
@@ -508,9 +511,7 @@ def _check_past_span(left: SkeletonTree, right: SkeletonTree,
     for side in (0, 1):
         mine, theirs = sizes[side], sizes[1 - side]
         if mine is not None and (theirs is None or mine < theirs):
-            raise MismatchFound(MismatchWitness(
-                SIDES[side], trees[1 - side].poset.id_at(mine + 1), 1, 0,
-                "type has no counterpart in the other alphabet"))
+            raise _no_counterpart(side, trees[1 - side].poset, mine + 1, 1)
     if sizes[0] is not None and sizes[0] > span:
         _theta_over(left, right, theta, sizes[0])
 
@@ -557,7 +558,8 @@ def run_backforth(left: SkeletonTree, right: SkeletonTree,
                   depth: Optional[int] = None,
                   max_depth: Optional[int] = None,
                   seed: int = 0) -> IsoRun:
-    """Drive the pairing over a seeded shuffle of both atom schedules.
+    """Drive the pairing over a seeded shuffle of both atom schedules,
+    each side grown to the scheduled levels first.
 
     Completing the schedule with every scheduled atom a union of parts,
     no pair whose generator is isolated on one side only, and posets that
@@ -584,6 +586,8 @@ def run_backforth(left: SkeletonTree, right: SkeletonTree,
     run = IsoRun(status="iso")
     try:
         state = init_iso(left, right, q, bijection)
+        for tree in state.trees:
+            _grow(tree, depth - 2)
     except DepthBudget as d:
         return IsoRun(status="depth-exhausted", note=str(d))
     run.transcript.append({"action": "init", "pairs": len(state.pairs)})

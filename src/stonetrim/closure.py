@@ -37,7 +37,7 @@ class SymbolicSpace:
         self.poset, self.horizon = poset, horizon
         shown = horizon + 1 if self.ladder else poset.size
         poset.ensure(shown)
-        self.all_mask = None if self.ladder else (1 << shown + 1) - 2
+        self.all_mask = None if self.ladder else poset.prefix_mask(shown)
         mins, confirmed = poset.confirmed_minimal(shown)
         self._bot = mins if confirmed and mins.bit_count() == 1 else 0
         self.bottom = (poset.id_at(self._bot.bit_length() - 1) if self._bot
@@ -75,7 +75,8 @@ class SymbolicSpace:
         below = self.poset.lower_of(1 << i, reach)
         if 1 << i == self._bot:
             return ClosureElement(self, False, below)
-        return ClosureElement(self, True, (1 << reach + 1) - 2 & ~below)
+        return ClosureElement(self, True,
+                              self.poset.prefix_mask(reach) & ~below)
 
     def up_of(self, i: int) -> "ClosureElement":
         """The up-set of enumeration index i."""

@@ -100,7 +100,7 @@ def complete_over(poset: Poset, members: Iterable[str],
     are dropped.
     """
     pre = poset.prefix(horizon)
-    inside = (1 << len(pre) + 1) - 2
+    inside = poset.prefix_mask(horizon)
     sub = poset.mask_of(members) & inside
     els = [CompletionElement("base", p, poset.lower_of(1 << i, horizon))
            for i, p in enumerate(pre, 1)]

@@ -35,22 +35,24 @@ def family_tags() -> list[str]:
 
 def family(tag: str) -> Poset:
     """Build the poset named by a family tag."""
-    if tag == "omega-chain":
-        return _omega_chain()
-    if tag == "omega-antichain":
-        return _omega_antichain()
-    if tag == "rn-infinity":
-        return _rn_infinity()
-    if tag == "rn-infinity-bot":
-        return _rn_infinity_bot()
-    if tag == "dyadic":
-        return _dyadic()
-    if tag == "ziegler-fan":
-        return _ziegler_fan()
+    if tag in _BUILDERS:
+        return _BUILDERS[tag]()
     m = _RN_RE.match(tag)
     if m:
         return _rn_finite(int(m.group(1)), int(m.group(2)))
     raise PosetError(f"unknown family tag {tag!r}")
+
+
+# the analytics of a bottom at index 1, and the chains of both ladders
+_BOTTOM_AT_1 = dict(
+    minimal=lambda poset, h: 2,
+    foundation=lambda poset, q, h: FoundationResult(FOUND, 2, note=(
+        "the bottom element founds every subset")))
+_LADDER_CHAINS = dict(
+    acc=True,
+    acc_note="ascending chains have strictly decreasing indices",
+    omega_complete=True,
+    omega_note="every ascending chain is finite")
 
 
 # ----------------------------------------------------------------------
@@ -58,18 +60,13 @@ def family(tag: str) -> Poset:
 
 def _omega_chain() -> Poset:
     # p1, the bottom, is at index 1
-    def foundation(poset: Poset, q: int, horizon: int) -> FoundationResult:
-        return FoundationResult(FOUND, 2,
-                                note="the bottom element founds every subset")
-
     analytics = Analytics(
-        minimal=lambda poset, h: 2,
         maximal=lambda poset, h: 0,
         acc=False,
         omega_complete=False,
         omega_note="the full chain has no upper bound",
         omega_witness=lambda poset, h: tuple(poset.prefix(h)),
-        foundation=foundation,
+        **_BOTTOM_AT_1,
     )
     return Poset("omega-chain", gen=lambda i: f"p{i}",
                  rows=lambda ids, k: (0, _span(1, k)),
@@ -108,11 +105,8 @@ def _rn_infinity() -> Poset:
     analytics = Analytics(
         minimal=lambda poset, h: 0,
         maximal=lambda poset, h: 0b110 & poset.prefix_mask(h),
-        acc=True,
-        acc_note="ascending chains have strictly decreasing indices",
-        omega_complete=True,
-        omega_note="every ascending chain is finite",
         foundation=foundation,
+        **_LADDER_CHAINS,
     )
     # p_{k-1}, at index k, lies below p_0..p_{k-3}
     return Poset("rn-infinity", gen=lambda i: f"p{i - 1}",
@@ -122,18 +116,9 @@ def _rn_infinity() -> Poset:
 
 def _rn_infinity_bot() -> Poset:
     # bot is at index 1, the maxima p0 and p1 at indices 2 and 3
-    def foundation(poset: Poset, q: int, horizon: int) -> FoundationResult:
-        return FoundationResult(FOUND, 2,
-                                note="the bottom element founds every subset")
-
     analytics = Analytics(
-        minimal=lambda poset, h: 2,
         maximal=lambda poset, h: 0b1100 & poset.prefix_mask(h),
-        acc=True,
-        acc_note="ascending chains have strictly decreasing indices",
-        omega_complete=True,
-        omega_note="every ascending chain is finite",
-        foundation=foundation,
+        **_BOTTOM_AT_1, **_LADDER_CHAINS,
     )
     # bot, at index 1, lies below everything
     return Poset("rn-infinity-bot",
@@ -221,19 +206,14 @@ def _dyadic() -> Poset:
         return tuple(f"{(4 ** k - 1) // 3}/{4 ** k}" for k in range(1, 6))
 
     # "0", the bottom, is at index 1 and "1", the top, at index 2
-    def foundation(poset: Poset, q: int, horizon: int) -> FoundationResult:
-        return FoundationResult(FOUND, 2,
-                                note="the bottom element founds every subset")
-
     analytics = Analytics(
-        minimal=lambda poset, h: 2,
         maximal=lambda poset, h: 0b100 & poset.prefix_mask(h),
         acc=False,
         omega_complete=False,
         omega_note="chains approaching a non-dyadic value have no least upper bound",
         omega_witness=thirds_chain,
-        foundation=foundation,
         limit_display=_dyadic_limit_display,
+        **_BOTTOM_AT_1,
     )
     return Poset("dyadic", gen=_dyadic_id, rows=_dyadic_rows,
                  family="dyadic", analytics=analytics)
@@ -266,3 +246,8 @@ def _ziegler_fan() -> Poset:
     return Poset("ziegler-fan", gen=lambda i: "q" if i == 1 else f"m{i - 1}",
                  rows=lambda ids, k: (2, 0),
                  family="ziegler-fan", analytics=analytics)
+
+
+_BUILDERS = {"omega-chain": _omega_chain, "omega-antichain": _omega_antichain,
+             "rn-infinity": _rn_infinity, "rn-infinity-bot": _rn_infinity_bot,
+             "dyadic": _dyadic, "ziegler-fan": _ziegler_fan}

@@ -394,7 +394,8 @@ class Poset:
 
     def upper_of(self, mask: int) -> int:
         """Up-closure of the indices set in mask on the enumerated prefix:
-        the OR of their ``up_mask`` rows."""
+        the OR of their ``up_mask`` rows.  Every bit reads its row, so a
+        bit at index 0 or past a finite poset raises ``PosetError``."""
         if mask:
             # enumerate the highest index before any row is read
             self.up_mask(mask.bit_length() - 1)
@@ -405,7 +406,8 @@ class Poset:
 
     def lower_of(self, mask: int, horizon: int) -> int:
         """Indices of ``prefix(horizon)`` below some index set in mask: the
-        OR of the down-set rows of mask's enumerated indices."""
+        OR of the down-set rows of mask's enumerated indices.  A bit at
+        index 0 or past the enumerated table is dropped."""
         inside, down = self.prefix_mask(horizon), self._down
         return inside & reduce(or_, map(down.__getitem__,
                                         bits(mask & (1 << len(down)) - 1)), 0)
@@ -571,7 +573,7 @@ class Poset:
         if self.finite:
             return Verdict(HOLDS, note="finite poset")
         pre = self.prefix(horizon)
-        inside = (1 << len(pre) + 1) - 2
+        inside = self.prefix_mask(horizon)
         memo = self._longest_chain_from(inside)
         chain = self._find_chain(inside, bound + 1, memo)
         a = self.analytics
@@ -618,7 +620,7 @@ class Poset:
         if self.finite:
             return Verdict(HOLDS, note="ascending sequences stabilize at their suprema")
         pre = self.prefix(horizon)
-        inside = (1 << len(pre) + 1) - 2
+        inside = self.prefix_mask(horizon)
         up = self._up
         for s in range(1, len(pre) + 1):
             below = qmask & self.lower_of(1 << s, horizon) & ~(1 << s)

@@ -238,10 +238,10 @@ def _persist_rows(tree: SkeletonTree, n: int) -> list[tuple[int, int, int]]:
     of a mask is the union of its nodes' blocks, and ORing the rows a mask
     meets gives both the types of the mask and those of its lift.
 
-    Each own type's node mask is lifted once with ``theta_image`` and
-    checked against the union of that type's blocks, read off level n+1
-    spelled by parent type.  A type whose lift differs realizes nothing
-    one level down in its rows, so a wrong lift fails types-persist."""
+    Each own type's node mask (``Level.type_masks``) is lifted once with
+    ``theta_image`` and checked against the union of that type's blocks,
+    read off level n+1 spelled by parent type.  A type whose lift differs
+    gets no child types in its rows, so a wrong lift fails types-persist."""
     own = spell(tree.levels[n - 1].types)
     kids = spell(tree.levels[n].types)
     ends = tree.levels[n].block_end
@@ -254,11 +254,11 @@ def _persist_rows(tree: SkeletonTree, n: int) -> list[tuple[int, int, int]]:
         char_of[key] = rows.setdefault(row, chr(len(rows)))
     node_masks = char_masks("".join(map(char_of.__getitem__, keys)),
                             list(rows.values()))
-    types = list(dict.fromkeys(own))
+    own_masks = tree.levels[n - 1].type_masks()
     parents = "".join(map(mul, own, map(sub, ends, chain((0,), ends))))
-    lifted = {1 << ord(c): tree.theta_image(n, nodes) == blocks
-              for c, nodes, blocks in zip(types, char_masks(own, types),
-                                          char_masks(parents, types))}
+    lifted = {1 << t: tree.theta_image(n, nodes) == blocks
+              for (t, nodes), blocks in zip(own_masks.items(), char_masks(
+                  parents, list(map(chr, own_masks))))}
     return [(bit, kid_bits if lifted[bit] else 0, nodes)
             for (bit, kid_bits), nodes in zip(rows, node_masks)]
 
@@ -475,7 +475,7 @@ def verify_type_axioms(tree: SkeletonTree, level_bound: int,
     # prefix; one check per (q, r) with q a member and q <= r on the
     # prefix, the witness the lowest-index q and r
     horizon = tree.type_cap(level_bound)
-    prefix_mask = (1 << horizon + 1) - 2
+    prefix_mask = poset.prefix_mask(horizon)
     above_of = [0] + [poset.up_mask(q) & prefix_mask
                       for q in range(1, horizon + 1)]
 

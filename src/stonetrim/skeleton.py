@@ -432,7 +432,7 @@ class SkeletonTree:
             self.levels.append(Level(1, array("I", [1]), u_start=1))
             return
         prev = self.levels[-1]
-        below_cap = (1 << cap + 1) - 2
+        below_cap = self.poset.prefix_mask(cap)
         blocks: dict[int, array] = {}
         reach = 0
         for t in prev.counts:

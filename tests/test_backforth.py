@@ -33,7 +33,7 @@ class TestInit:
     def test_seed_pairs_cover_the_foundation(self):
         left = build(chain_ab_poset, isolated={"a"})
         right = build(chain_ab_poset, isolated={"a"})
-        state = init_iso(left, right, {"a"}, lambda p: p)
+        state = init_iso(left, right, {"a"}, identity_map(left, right, 2))
         assert len(state.pairs) == 1
         pair = state.pairs[0]
         assert pair.gens == (1, 1)
@@ -43,7 +43,7 @@ class TestInit:
     def test_verify_recomputes_from_scratch(self):
         left = build(chain_ab_poset)
         right = build(chain_ab_poset)
-        state = init_iso(left, right, {"a"}, lambda p: p)
+        state = init_iso(left, right, {"a"}, identity_map(left, right, 2))
         state.pairs[0].gens = (1, 2)
         problems = state.verify()
         assert any("not matched by the order bijection" in p
@@ -53,7 +53,7 @@ class TestInit:
     def test_extend_keeps_invariants(self):
         left = build(chain_ab_poset)
         right = build(chain_ab_poset)
-        state = init_iso(left, right, {"a"}, lambda p: p)
+        state = init_iso(left, right, {"a"}, identity_map(left, right, 2))
         for n, i in ((2, 0), (2, 2), (3, 4)):
             extend_iso(state, 0, RingElement.atom(left, n, i), 12)
             assert state.verify() == []
@@ -82,7 +82,8 @@ def coverage_oracle(state, schedule):
 def test_mask_matcher_agrees_with_ring_operations(maker, isolated):
     left = build(maker, isolated=isolated)
     right = build(maker, isolated=isolated)
-    state = init_iso(left, right, {"a"}, lambda p: p)
+    state = init_iso(left, right, {"a"},
+                     identity_map(left, right, left.poset.size))
     schedule = _schedule(left, right, 6, seed=1)
     for k, (side, n, i) in enumerate(schedule, 1):
         extend_iso(state, side, RingElement.atom(state.trees[side], n, i),
@@ -148,8 +149,10 @@ def test_a_split_types_only_its_part():
     # one a and twenty b atoms first lie together in the whole space on
     # level 5, so the split grows levels 4 and 5 and reads only its part's
     # atoms there: neither grown level is typed whole
-    states = [init_iso(build(chain_ab_poset, 3), build(chain_ab_poset, 3),
-                       {"a"}, lambda p: p) for _ in (0, 1)]
+    pairs = [(build(chain_ab_poset, 3), build(chain_ab_poset, 3))
+             for _ in (0, 1)]
+    states = [init_iso(*sides, {"a"}, identity_map(*sides, 2))
+              for sides in pairs]
     right = states[0].trees[1]
     pieces, want = (split(state, 1, state.pairs[0].parts[1],
                           [(g, state.pairs[0].parts[0])
@@ -266,6 +269,23 @@ class TestRuns:
         full = run_backforth(build(chain_ab_poset), build(chain_ab_poset))
         assert full.status == "iso"
 
+    def test_sides_grow_to_the_scheduled_levels(self):
+        # the schedule at depth 7 reads levels 1-5 of sides built to 4
+        def rn20(depth):
+            return build(lambda: family("rn(2,0)"), depth)
+        run = run_backforth(rn20(4), rn20(4), depth=7)
+        assert (run.status, run.coverage) == ("iso", True)
+        assert run.serialize() == run_backforth(rn20(7), rn20(7),
+                                                depth=7).serialize()
+
+    def test_growing_to_the_scheduled_levels_can_exhaust(self):
+        # omega-chain's level 9 lies past the level-size bound
+        run = run_backforth(build(lambda: family("omega-chain"), 4),
+                            build(lambda: family("omega-chain"), 4), depth=11)
+        assert run.status == "depth-exhausted"
+        assert run.note == ("level 9 would hold 103049 nodes, over the "
+                            "bound 65536")
+
     @pytest.mark.parametrize("max_depth", [0, 5])
     def test_max_depth_below_depth_is_rejected(self, max_depth):
         with pytest.raises(IsoError, match="max_depth must be at least"):
@@ -333,7 +353,7 @@ class TestBranchesNoRunReaches:
         left, right = build(chain_ab_poset), build(chain_ab_poset)
         with pytest.raises(IsoError, match=r"^region elements \['zz'\] have "
                                            r"no counterpart"):
-            init_iso(left, right, {"a", "zz"}, lambda p: p)
+            init_iso(left, right, {"a", "zz"}, identity_map(left, right, 2))
 
     # under a map that breaks order, a type minimal on one side only has no
     # part on the other: a < b on the chain, a and b apart on the antichain
@@ -354,7 +374,7 @@ class TestBranchesNoRunReaches:
     def test_a_needed_type_the_counterpart_part_lacks(self):
         # the a parts realize only a, and no type below b can grow into it
         sides = [build(lambda: antichain_poset("a", "b")) for _ in "lr"]
-        state = init_iso(*sides, {"a", "b"}, lambda p: p)
+        state = init_iso(*sides, {"a", "b"}, identity_map(*sides, 2))
         a_pair = state.pairs[0]
         assert a_pair.gens == (1, 1)
         with pytest.raises(MismatchFound) as m:

@@ -222,7 +222,7 @@ def test_the_record_follows_a_raise(name):
         "under-a-whole-part", "same-start", "overlapping-gap"])
 def test_coverage_of_hand_made_parts(atoms, covered):
     sides = [build_levels(BuildConfig(chain_ab_poset()), 4) for _ in (0, 1)]
-    state = init_iso(*sides, {"a"}, lambda p: p)
+    state = init_iso(*sides, {"a"}, _theta_over(*sides, None, 2))
     state.pairs = [Pair(tuple(RingElement(tree, 3, sum(1 << i for i in part))
                               for tree in sides), (1, 1))
                    for part in atoms]

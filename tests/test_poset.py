@@ -172,6 +172,15 @@ class TestOrderQueries:
             sum(1 << j for j in range(1, n + 1) if p.up_mask(j) >> i & 1)
             for i in range(1, n + 1)]
 
+    @pytest.mark.parametrize("mask", [0b1, 0b11, 0b10000, 0b10110])
+    def test_closures_of_bits_outside_the_poset(self, vee, mask):
+        # bit 0 and bit 4 name no element of the three-element vee: the
+        # up-closure reads each bit's up-set row, which raises, and the
+        # down-closure drops them
+        with pytest.raises(PosetError, match="out of range"):
+            vee.upper_of(mask)
+        assert vee.lower_of(mask, 3) == vee.lower_of(mask & 0b1110, 3)
+
     def test_closure_rejects_unknown_member(self, vee):
         with pytest.raises(PosetError, match="unknown"):
             vee.lower_of(vee.mask_of({"zz"}), 3)

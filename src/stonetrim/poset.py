@@ -99,19 +99,6 @@ def covers_of(up: list[int], names: list) -> list[tuple]:
     return out
 
 
-def axiom_problems(up: list[int], names: list[str]) -> list[str]:
-    """Antisymmetry failures, then transitivity failures, of the relation
-    whose up-set rows are ``up`` (as in ``covers_of``)."""
-    up = [row & (1 << len(up)) - 1 for row in up]
-    problems = [f"antisymmetry fails on {names[i]}, {names[j]}"
-                for i, row in enumerate(up)
-                for j in bits(row & ~(1 << i)) if up[j] >> i & 1]
-    return problems + [
-        f"transitivity fails on {names[i]}, {names[j]}, {names[k]}"
-        for i, row in enumerate(up) for j in bits(row)
-        if up[j] & ~row for k in bits(up[j] & ~row)]
-
-
 class Verdict(Frozen):
     """Outcome of a bounded order-theoretic check."""
 
@@ -361,9 +348,7 @@ class Poset:
 
     def id_at(self, i: int) -> str:
         """Element with 1-based enumeration index i."""
-        self.ensure(i)
-        if i < 1 or i > len(self._ids):
-            raise PosetError(f"enumeration index {i} out of range")
+        self.up_mask(i)  # enumerates i, or rejects it as out of range
         return self._ids[i - 1]
 
     # ------------------------------------------------------------------
@@ -386,23 +371,29 @@ class Poset:
             raise PosetError(f"unknown element id {min(unknown)!r}")
         return sum(1 << self._pos[p] for p in ids)
 
+    def _rows_for(self, mask: int) -> list[int]:
+        """The up-set rows, with every index set in mask enumerated.  The
+        indices form an interval, so reading the rows of mask's highest,
+        then lowest, index rejects as ``up_mask`` does a bit at index 0
+        or past a finite poset.  ``ids_of``, ``upper_of``, ``minimal_in``
+        and ``maximal_in`` share this one range rule; ``lower_of`` drops
+        such bits instead."""
+        if mask:
+            self.up_mask(mask.bit_length() - 1)
+            self.up_mask((mask & -mask).bit_length() - 1)
+        return self._up
+
     def ids_of(self, mask: int) -> frozenset:
         """Ids of the indices set in mask, enumerating them first: a
         family's confirmed answer may name an index past the prefix."""
-        self.ensure(mask.bit_length() - 1)
+        self._rows_for(mask)
         return frozenset(self._ids[i - 1] for i in bits(mask))
 
     def upper_of(self, mask: int) -> int:
         """Up-closure of the indices set in mask on the enumerated prefix:
-        the OR of their ``up_mask`` rows.  Every bit reads its row, so a
-        bit at index 0 or past a finite poset raises ``PosetError``."""
-        if mask:
-            # enumerate the highest index before any row is read
-            self.up_mask(mask.bit_length() - 1)
-        hit = 0
-        for i in bits(mask):
-            hit |= self.up_mask(i)
-        return hit
+        the OR of their up-set rows."""
+        up = self._rows_for(mask)
+        return reduce(or_, map(up.__getitem__, bits(mask)), 0)
 
     def lower_of(self, mask: int, horizon: int) -> int:
         """Indices of ``prefix(horizon)`` below some index set in mask: the
@@ -414,16 +405,14 @@ class Poset:
 
     def minimal_in(self, mask: int) -> int:
         """Indices set in mask that lie above no other index set in it."""
-        if mask:
-            self.up_mask(mask.bit_length() - 1)
-        up, above = self._up, 0
+        up, above = self._rows_for(mask), 0
         for q in bits(mask):
             above |= up[q] & ~(1 << q)
         return mask & ~above
 
     def maximal_in(self, mask: int) -> int:
         """Indices set in mask that lie below no other index set in it."""
-        up = self._up
+        up = self._rows_for(mask)
         return sum(1 << q for q in bits(mask) if not up[q] & mask & ~(1 << q))
 
     def leq(self, p: str, q: str) -> bool:
@@ -444,9 +433,15 @@ class Poset:
     def check_order_axioms(self, horizon: int) -> list[str]:
         """Exhaustive antisymmetry/transitivity check on a prefix, read off
         the table's rows; the table makes every element reflexive."""
-        pre = self.prefix(horizon)
-        return axiom_problems(self._up[:len(pre) + 1],
-                              [""] + list(map(repr, pre)))
+        names = [""] + list(map(repr, self.prefix(horizon)))
+        up = [row & (1 << len(names)) - 1 for row in self._up[:len(names)]]
+        problems = [f"antisymmetry fails on {names[i]}, {names[j]}"
+                    for i, row in enumerate(up)
+                    for j in bits(row & ~(1 << i)) if up[j] >> i & 1]
+        return problems + [
+            f"transitivity fails on {names[i]}, {names[j]}, {names[k]}"
+            for i, row in enumerate(up) for j in bits(row)
+            if up[j] & ~row for k in bits(up[j] & ~row)]
 
     # ------------------------------------------------------------------
     # extremal elements and foundations

@@ -474,10 +474,9 @@ def verify_type_axioms(tree: SkeletonTree, level_bound: int,
     # upward closure: every computed type set is an upper set of the
     # prefix; one check per (q, r) with q a member and q <= r on the
     # prefix, the witness the lowest-index q and r
-    horizon = tree.type_cap(level_bound)
-    prefix_mask = poset.prefix_mask(horizon)
+    prefix_mask = poset.prefix_mask(cap)
     above_of = [0] + [poset.up_mask(q) & prefix_mask
-                      for q in range(1, horizon + 1)]
+                      for q in range(1, cap + 1)]
 
     def closure_law(gens: int) -> tuple[int, int, str]:
         """(checked, violations, witness) for the type set of gens."""

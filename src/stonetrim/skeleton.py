@@ -16,7 +16,7 @@ from bisect import bisect_right
 from collections import Counter
 from collections.abc import Iterator, Sequence
 from functools import cached_property
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, combinations, repeat
 from typing import Iterable, Optional
 
 from ._record import Record
@@ -113,12 +113,9 @@ class BuildConfig(Record):
         return max(self.horizon or 0, depth)
 
     def bucket_of(self, p: str, depth: int) -> str:
-        if p in self.bounded:
-            return "bounded"
-        if p in self.unbounded:
-            return "unbounded"
-        if p in self.noncompact:
-            return "noncompact"
+        for bucket in BUCKETS:
+            if p in getattr(self, bucket):
+                return bucket
         if self.default_bucket != "auto":
             return self.default_bucket
         res = self.poset.finite_foundation(1 << self.poset.index(p),
@@ -139,7 +136,7 @@ class BuildConfig(Record):
                     iso |= 1 << ix
                 buckets[self.bucket_of(p, n)] |= 1 << ix
             self._resolved = n, iso, buckets
-        keep = (1 << n + 1) - 1
+        keep = self.poset.prefix_mask(n)
         return iso & keep, {b: m & keep for b, m in buckets.items()}
 
     def validate(self, depth: int = 0) -> list[str]:
@@ -161,16 +158,12 @@ class BuildConfig(Record):
             broken = poset.check_order_axioms(n)
             if broken:
                 problems.append("order-axioms: " + "; ".join(broken[:3]))
-        for label, group in (("isolated", self.isolated),
-                             ("bounded", self.bounded),
-                             ("unbounded", self.unbounded),
-                             ("noncompact", self.noncompact)):
-            for p in sorted(group):
+        for label in ("isolated",) + BUCKETS:
+            for p in sorted(getattr(self, label)):
                 if p not in preset:
                     problems.append(f"unknown-element: {label} lists {p!r} "
                                     f"outside the enumeration prefix")
-        for a, b in (("bounded", "unbounded"), ("bounded", "noncompact"),
-                     ("unbounded", "noncompact")):
+        for a, b in combinations(BUCKETS, 2):
             overlap = getattr(self, a) & getattr(self, b)
             if overlap:
                 problems.append(f"overlapping-buckets: {a} and {b} share "
@@ -445,7 +438,7 @@ class SkeletonTree:
                          or not reach >> n & 1):
             unattached.append(n)
         unattached += bits(buckets["noncompact"]
-                           & (1 << self.type_cap(n - 1) + 1) - 1)
+                           & self.poset.prefix_mask(self.type_cap(n - 1)))
         size_of = {t: len(block) for t, block in blocks.items()}
         u_start = sum(c * size_of[t] for t, c in prev.counts.items())
         size = u_start + len(unattached)

@@ -174,12 +174,20 @@ class TestOrderQueries:
 
     @pytest.mark.parametrize("mask", [0b1, 0b11, 0b10000, 0b10110])
     def test_closures_of_bits_outside_the_poset(self, vee, mask):
-        # bit 0 and bit 4 name no element of the three-element vee: the
-        # up-closure reads each bit's up-set row, which raises, and the
+        # bit 0 and bit 4 name no element of the three-element vee: every
+        # query that reads up-set rows rejects them alike, and the
         # down-closure drops them
-        with pytest.raises(PosetError, match="out of range"):
-            vee.upper_of(mask)
+        for query in (vee.upper_of, vee.minimal_in, vee.maximal_in,
+                      vee.ids_of):
+            with pytest.raises(PosetError, match="out of range"):
+                query(mask)
         assert vee.lower_of(mask, 3) == vee.lower_of(mask & 0b1110, 3)
+
+    def test_rows_past_the_prefix_of_a_generated_poset(self):
+        # a generated poset enumerates a mask's top index before reading
+        p = family("omega-chain")
+        assert p.maximal_in(1 << 20) == 1 << 20
+        assert len(p._ids) == 20
 
     def test_closure_rejects_unknown_member(self, vee):
         with pytest.raises(PosetError, match="unknown"):

@@ -63,6 +63,21 @@ class TestValidate:
         assert probs == ["overlapping-buckets: bounded and noncompact "
                          "share ['a']"]
 
+    def test_problem_order(self, chain_ab):
+        # unknown elements per group in the order isolated, then BUCKETS;
+        # then each overlapping pair of buckets in that order
+        probs = BuildConfig(chain_ab, isolated={"x1"}, bounded={"a", "x2"},
+                            unbounded={"a", "x3"},
+                            noncompact={"a", "x4"}).validate(4)
+        assert probs == [
+            f"unknown-element: {label} lists {p!r} outside the "
+            f"enumeration prefix"
+            for label, p in (("isolated", "x1"), ("bounded", "x2"),
+                             ("unbounded", "x3"), ("noncompact", "x4"))
+        ] + [f"overlapping-buckets: {a} and {b} share ['a']"
+             for a, b in (("bounded", "unbounded"), ("bounded", "noncompact"),
+                          ("unbounded", "noncompact"))]
+
     def test_isolated_minimal_noncompact(self):
         cfg = BuildConfig(family("omega-antichain"), isolated={"a1"},
                           noncompact={"a1"}, horizon=6)

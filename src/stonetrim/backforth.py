@@ -615,7 +615,9 @@ def run_backforth(left: SkeletonTree, right: SkeletonTree,
         run.invariant_failures = state.verify()
         if not covered or run.invariant_failures:
             run.status = "depth-exhausted"
-            run.note = run.note or "schedule finished without full coverage"
+            run.note = ("schedule finished without full coverage"
+                        if not covered else
+                        "schedule finished with broken pairing invariants")
     return run
 
 

@@ -181,9 +181,6 @@ class Poset:
     construction; generated posets grow them one element at a time.
     Enumeration indices are 1-based, so ``prefix(n)`` is the set P_n of the
     first n elements.
-
-    ``typesets`` maps a generator mask over enumeration indices to its
-    interned ``TypeSet`` (filled by ``TypeSet.from_mask``).
     """
 
     def __init__(self, name: str, *, ids: Optional[list[str]] = None,
@@ -206,7 +203,7 @@ class Poset:
             raise PosetError("duplicate element ids")
         self._up: list[int] = [0]
         self._down: list[int] = [0]
-        self.typesets: dict[int, object] = {}
+        self._minimal: dict[int, int] = {}
         self._fill_table()
         self.finite = gen is None
         if self.finite:
@@ -308,7 +305,8 @@ class Poset:
     def _fill_table(self) -> None:
         """Add the up-set and down-set rows of newly enumerated elements,
         and their bits to the rows of the older ones.  Only bits above the
-        older prefix are set, so the interned type sets stay valid."""
+        older prefix are set, so the answers ``minimal_in`` keeps stay
+        valid."""
         ids, up, down = self._ids, self._up, self._down
         for k in range(len(up), len(ids) + 1):
             older = (1 << k) - 2
@@ -404,11 +402,17 @@ class Poset:
                                         bits(mask & (1 << len(down)) - 1)), 0)
 
     def minimal_in(self, mask: int) -> int:
-        """Indices set in mask that lie above no other index set in it."""
-        up, above = self._rows_for(mask), 0
-        for q in bits(mask):
-            above |= up[q] & ~(1 << q)
-        return mask & ~above
+        """Indices set in mask that lie above no other index set in it.
+
+        The answer reads only up-set bits between enumerated indices, which
+        a growing prefix never changes, so it is kept once per mask."""
+        hit = self._minimal.get(mask)
+        if hit is None:
+            up, above = self._rows_for(mask), 0
+            for q in bits(mask):
+                above |= up[q] & ~(1 << q)
+            hit = self._minimal[mask] = mask & ~above
+        return hit
 
     def maximal_in(self, mask: int) -> int:
         """Indices set in mask that lie below no other index set in it."""

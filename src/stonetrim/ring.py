@@ -16,7 +16,6 @@ from typing import Iterator, Optional
 
 from .poset import bits, from_runs, runs
 from .skeleton import SkeletonTree, char_masks, spell
-from .typeset import TypeSet
 
 
 class RingError(ValueError):
@@ -142,18 +141,20 @@ class RingElement:
 
     # ------------------------------------------------------------------
 
-    def type_of(self) -> TypeSet:
-        """Upper set of element types realized inside this clopen set."""
+    def type_of(self) -> int:
+        """Upper set of element types realized inside this clopen set, as
+        the mask of its minimal generators over enumeration indices."""
         return _types_in(self.tree, self.level, self.mask)
 
 
-def _types_in(tree: SkeletonTree, level: int, mask: int) -> TypeSet:
-    """Upper set of the types of the atoms set in mask on a built level."""
+def _types_in(tree: SkeletonTree, level: int, mask: int) -> int:
+    """Minimal generators of the types of the atoms set in mask on a built
+    level."""
     realized = 0
     for t, atoms in tree.levels[level - 1].type_masks().items():
         if atoms & mask:
             realized |= 1 << t
-    return TypeSet.from_mask(tree.poset, realized)
+    return tree.poset.minimal_in(realized)
 
 
 # ----------------------------------------------------------------------
@@ -173,7 +174,7 @@ def trim_split(x: RingElement) -> list[tuple[int, RingElement]]:
     masks = x.tree.level(x.level).type_masks()
     rest = x.mask
     out = []
-    for g in bits(x.type_of().mask):
+    for g in bits(x.type_of()):
         up = poset.up_mask(g)
         part = 0
         for t, atoms in masks.items():
@@ -217,7 +218,7 @@ def supertrim_split(x: RingElement,
 
 def is_trim_for(x: RingElement, gen: int) -> bool:
     """Does x realize exactly the types above the enumeration index gen?"""
-    return x.type_of().mask == 1 << gen
+    return x.type_of() == 1 << gen
 
 
 # ----------------------------------------------------------------------
@@ -316,13 +317,14 @@ def verify_type_axioms(tree: SkeletonTree, level_bound: int,
       finds the generators and lost types of each distinct OR once;
     - upward closure reads each draw's type set from the table and makes
       the law's counts once per distinct type set in a call, on the mask
-      ``TypeSet._upper`` gives cut to the prefix.
+      ``Poset.upper_of`` gives cut to the prefix.
 
     The laws reach ``_lower``, ``_types_in``, ``theta_image`` and
-    ``_upper`` through the module, the tree and the class, and every memo
-    lives for one call, so a wrong lowering, lift, typing or up-closure,
-    or a level changed between calls, shows in the report.  Every draw is
-    still drawn and counted, as the element-by-element check counts it.
+    ``upper_of`` through the module, the tree and the poset's class, and
+    every memo of theirs lives for one call, so a wrong lowering, lift,
+    typing or up-closure, or a level changed between calls, shows in the
+    report.  Every draw is still drawn and counted, as the
+    element-by-element check counts it.
     """
     if not isinstance(level_bound, int) or not 0 < level_bound < tree.depth:
         raise RingError(f"level_bound must be an int in 1..{tree.depth - 1}, "
@@ -334,7 +336,6 @@ def verify_type_axioms(tree: SkeletonTree, level_bound: int,
     poset = tree.poset
     levels = tree.levels
     size_of = [0, *map(len, levels)]
-    from_mask = TypeSet.from_mask
     axioms: dict[str, dict] = {}
 
     def record(name, checked, violations, witness=""):
@@ -349,7 +350,7 @@ def verify_type_axioms(tree: SkeletonTree, level_bound: int,
     tests = [None, (-1, 0, 0)] + [(lvl.u_mask, *lvl.block_masks())
                                   for lvl in levels[1:level_bound]]
 
-    def canonical(key: tuple[int, int]) -> tuple[int, int, TypeSet]:
+    def canonical(key: tuple[int, int]) -> tuple[int, int, int]:
         """The canonical (level, mask) of a (level, mask), and its types."""
         level, mask = _lower(tree, *key)
         return level, mask, _types_in(tree, level, mask)
@@ -364,8 +365,7 @@ def verify_type_axioms(tree: SkeletonTree, level_bound: int,
             xa = tree.theta_image(i, xa)
         for i in range(lb, k):
             xb = tree.theta_image(i, xb)
-        return (from_mask(poset, ta.mask | tb.mask).mask
-                == canon[k, xa | xb][2].mask)
+        return poset.minimal_in(ta | tb) == canon[k, xa | xb][2]
 
     canon = _Memo(canonical)
     decided = _Memo(additive)
@@ -449,8 +449,8 @@ def verify_type_axioms(tree: SkeletonTree, level_bound: int,
     def lost(key: tuple[int, int]) -> tuple[int, int]:
         """(minimal own types, those lost) of (own types, child types)."""
         own, kids = key
-        gens = from_mask(poset, own).mask
-        return gens, gens & ~from_mask(poset, kids)._upper()
+        gens = poset.minimal_in(own)
+        return gens, gens & ~poset.upper_of(kids)
 
     lost_of = _Memo(lost)
     for n in islice(level_draws, min(draws, 2000)):
@@ -480,7 +480,7 @@ def verify_type_axioms(tree: SkeletonTree, level_bound: int,
 
     def closure_law(gens: int) -> tuple[int, int, str]:
         """(checked, violations, witness) for the type set of gens."""
-        members = from_mask(poset, gens)._upper() & prefix_mask
+        members = poset.upper_of(gens) & prefix_mask
         checked = bad = 0
         witness = ""
         for q in bits(members):
@@ -499,7 +499,7 @@ def verify_type_axioms(tree: SkeletonTree, level_bound: int,
     checked = bad = 0
     witness = ""
     for n in islice(level_draws, min(draws, 1000)):
-        hit = closure_of[canon[n, getrandbits(size_of[n])][2].mask]
+        hit = closure_of[canon[n, getrandbits(size_of[n])][2]]
         checked += hit[0]
         bad += hit[1]
         witness = witness or hit[2]

@@ -1,10 +1,10 @@
 """Upper sets of a poset, stored by their minimal generators.
 
-An upper set is fixed by its minimal elements, so a TypeSet holds only
-their mask over enumeration indices, and equal upper sets compare equal.
-``from_mask`` interns one TypeSet per generator mask in the poset's
-``typesets`` table, and ``_upper`` gives the denoted upper set as a mask;
-ids appear only where a type set is named.
+An upper set is fixed by its minimal elements, so a TypeSet is a value
+that holds only their mask over enumeration indices, and equal upper sets
+compare equal.  The integer core types a clopen set by that mask alone
+(``Poset.minimal_in``); a TypeSet names it, and ``_upper`` gives the
+denoted upper set as a mask.
 """
 from __future__ import annotations
 
@@ -24,12 +24,9 @@ class TypeSet(Frozen):
     def __init__(self, poset: Poset, min_antichain: Iterable[str]):
         self._fill(poset, poset.minimal_in(poset.mask_of(min_antichain)))
 
-    def __copy__(self) -> "TypeSet":
-        return TypeSet.from_mask(self.poset, self.mask)
-
     def __reduce__(self):
-        # a deep copy of a poset rebuilds its type sets before its own state
-        return _rebuilt, (self.poset, self.mask)
+        # __init__ takes ids, so a copy rebuilds from the generator mask
+        return TypeSet.from_mask, (self.poset, self.mask)
 
     @property
     def min_antichain(self) -> tuple[str, ...]:
@@ -44,20 +41,10 @@ class TypeSet(Frozen):
     @classmethod
     def from_mask(cls, poset: Poset, mask: int) -> "TypeSet":
         """Upper set generated by the enumeration indices set in mask: its
-        minimal elements are the members above no other member.
-
-        The answer reads only up-set bits between elements already
-        enumerated, which a growing prefix never changes, so it is computed
-        once per mask and poset."""
-        hit = poset.typesets.get(mask)
-        if hit is not None:
-            return hit
-        mins = poset.minimal_in(mask)
-        hit = poset.typesets.get(mins)
-        if hit is None:
-            hit = poset.typesets[mins] = _rebuilt(poset, mins)
-        poset.typesets[mask] = hit
-        return hit
+        minimal elements are the members above no other member."""
+        ts = cls.__new__(cls)
+        ts._fill(poset, poset.minimal_in(mask))
+        return ts
 
     def __bool__(self) -> bool:
         return bool(self.mask)
@@ -76,10 +63,3 @@ class TypeSet(Frozen):
 
     def __repr__(self) -> str:
         return f"TypeSet({', '.join(self.min_antichain) or '∅'})"
-
-
-def _rebuilt(poset: Poset, mask: int) -> TypeSet:
-    """The type set whose minimal generators are mask, not interned."""
-    ts = TypeSet.__new__(TypeSet)
-    ts._fill(poset, mask)
-    return ts

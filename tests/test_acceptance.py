@@ -77,7 +77,7 @@ def test_criterion_2_upper_set_law(suite):
         for n in (1, 2, 3):
             for i in range(len(tree.level(n))):
                 members = poset.ids_of(
-                    RingElement.atom(tree, n, i).type_of()._upper()
+                    poset.upper_of(RingElement.atom(tree, n, i).type_of())
                     & poset.prefix_mask(h))
                 for q in members:
                     violations += sum(1 for r in pre

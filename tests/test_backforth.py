@@ -3,9 +3,10 @@ import pytest
 
 from conftest import (chain_ab_poset, diamond_poset, ref_match_split,
                       vee_poset)
-from stonetrim import (BuildConfig, IsoError, Poset, RingElement,
-                       build_levels, family, init_iso, extend_iso,
-                       lift_poset_automorphism, run_backforth, skeleton)
+from stonetrim import (BuildConfig, IsoError, PartialIso, Poset,
+                       RingElement, backforth, build_levels, family,
+                       init_iso, extend_iso, lift_poset_automorphism,
+                       run_backforth, skeleton)
 from stonetrim.backforth import (MismatchFound, Pair, _ThetaMap, _covered,
                                  _match_split, _schedule, _theta_over)
 
@@ -59,6 +60,23 @@ class TestInit:
             assert state.verify() == []
         atom = RingElement.atom(left, 2, 2)
         assert state.union(0).contains(atom)
+
+    def test_extending_by_the_empty_element_changes_nothing(self):
+        left = build(chain_ab_poset)
+        right = build(chain_ab_poset)
+        state = init_iso(left, right, {"a"}, identity_map(left, right, 2))
+        extend_iso(state, 0, RingElement.atom(left, 3, 4), 12)
+
+        def snapshot():
+            return (list(state.pairs), list(state._keys), list(state.held),
+                    [(ix.top, list(ix.starts), list(ix.ends),
+                      list(ix.owners), dict(ix.starts_of))
+                     for ix in state.index])
+        before = snapshot()
+        transcript = []
+        for side, tree in enumerate(state.trees):
+            extend_iso(state, side, RingElement.empty(tree), 12, transcript)
+        assert snapshot() == before and transcript == []
 
 
 def coverage_oracle(state, schedule):
@@ -260,6 +278,21 @@ class TestRuns:
             "note": f"no unclaimed 'b' atom on the {side} side within "
                     f"depth 13",
             "coverage": False, "invariant_failures": [], "steps": pairs}
+
+    @pytest.mark.parametrize("covered, failures, note", [
+        (False, [], "schedule finished without full coverage"),
+        (False, ["x"], "schedule finished without full coverage"),
+        (True, ["x"], "schedule finished with broken pairing invariants"),
+    ])
+    def test_a_failed_certificate_names_its_cause(self, monkeypatch,
+                                                  covered, failures, note):
+        monkeypatch.setattr(backforth, "_covered", lambda *_: covered)
+        monkeypatch.setattr(PartialIso, "verify", lambda self: failures)
+        run = run_backforth(build(lambda: family("rn(2,0)"), 5),
+                            build(lambda: family("rn(2,0)"), 5), depth=5,
+                            seed=0)
+        assert (run.status, run.coverage, run.invariant_failures,
+                run.note) == ("depth-exhausted", covered, failures, note)
 
     def test_depth_budget_exhaustion(self):
         run = run_backforth(build(chain_ab_poset), build(chain_ab_poset),

@@ -341,6 +341,17 @@ class TestIso:
         assert proc.stderr.splitlines() == [
             "left region has no confirmed finite foundation"]
 
+    def test_region_without_a_foundation_in_process(self, capsys):
+        # the same refusal, from init_iso in this process, on the ladder's
+        # first four elements
+        assert cli.main(["iso", "--left-family", "rn-infinity",
+                         "--right-family", "rn-infinity", "--depth", "4",
+                         "--q", "p0", "p1", "p2", "p3"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [
+            "left region has no confirmed finite foundation"]
+
     def test_missing_side(self):
         proc = run_cli("iso", "--right-family", "rn(2,0)")
         assert proc.returncode == 2

@@ -294,6 +294,8 @@ class TestDyadic:
         assert show(("1/2", "3/4")) is None
         assert show(("3/4", "1/2", "1/4")) is None
         assert show(("1/4", "1/2", "3/4")) is None
+        # a geometric ascent of ratio 2 has no limit
+        assert show(("1/4", "1/2", "1")) is None
 
     def test_limit_display_reads_values_off_indices(self):
         # every chain of three among the first 40 elements, against the

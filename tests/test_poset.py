@@ -40,6 +40,8 @@ class TestConstruction:
     def test_duplicate_ids_rejected(self):
         with pytest.raises(PosetError, match="duplicate"):
             Poset.from_covers("bad", ["x", "x"], [])
+        with pytest.raises(PosetError, match="^duplicate element ids$"):
+            Poset("d", ids=["a", "a"], rows=lambda ids, k: (0, 0))
 
     def test_unknown_cover_element_rejected(self):
         with pytest.raises(PosetError, match="unknown"):
@@ -566,8 +568,7 @@ def test_up_set_table_matches_the_order_function(values):
 @given(st.lists(st.integers(2, 60), max_size=11, unique=True), st.data())
 def test_up_closure_memo_follows_a_growing_prefix(values, data):
     # "1" comes first and divides everything, so its up-closure grows with
-    # every new element; the poset's interned type sets stay valid as it
-    # does
+    # every new element; the answers minimal_in keeps stay valid as it does
     names = ["1"] + [str(v) for v in values]
     grown = Poset.generated("div", lambda i: names[i - 1], divides)
     one = TypeSet.from_mask(grown, 0b10)
@@ -581,7 +582,7 @@ def test_up_closure_memo_follows_a_growing_prefix(values, data):
             for i in bits(mask):
                 want |= grown.up_mask(i)
             assert grown.upper_of(mask) == want
-            # the interned type set is queried again after growth
+            # the kept generators of mask are read again after growth
             ts = TypeSet.from_mask(grown, mask)
             for h in range(1, n + 1):
                 assert grown.ids_of(ts._upper() & grown.prefix_mask(h)) == \

@@ -148,18 +148,18 @@ class TestTypes:
         b_all = RingElement(chain_tree, 3, lvl3.type_mask(2))
         assert b_all.mask == 0b11100100
         assert [lvl3.types[i] for i in bits(b_all.mask)] == [2] * 4
-        assert b_all.type_of().mask == 1 << 2
+        assert b_all.type_of() == 1 << 2
         mixed = RingElement(chain_tree, 3, 0b011)
         assert [lvl3.types[i] for i in bits(mixed.mask)] == [1] * 2
-        assert mixed.type_of().min_antichain == ("a",)
+        assert mixed.type_of() == 1 << chain_tree.poset.index("a")
 
     def test_empty_types(self, chain_tree):
-        assert RingElement.empty(chain_tree).type_of().mask == 0
+        assert RingElement.empty(chain_tree).type_of() == 0
 
     def test_whole_realizes_everything(self, diamond_tree):
         whole = RingElement.whole(diamond_tree)
         t = RingElement(diamond_tree, 4, whole.mask_at(4)).type_of()
-        assert t.min_antichain == ("a",)
+        assert t == 1 << diamond_tree.poset.index("a")
 
 
 class TestTrimSplit:
@@ -260,7 +260,7 @@ class TestAxioms:
 
     @staticmethod
     def record_members(tree, level_bound, draws, seed, drop=None):
-        """The laws' report with TypeSet._upper passed through drop when
+        """The laws' report with Poset.upper_of passed through drop when
         given, and the member id set of each upward-law draw, read by the
         element-by-element oracle from the brute-force up-closure passed
         through the same drop."""
@@ -275,9 +275,9 @@ class TestAxioms:
             return ms
         with pytest.MonkeyPatch.context() as mp:
             if drop is not None:
-                upper = TypeSet._upper
-                mp.setattr(TypeSet, "_upper",
-                           lambda self: drop(upper(self)))
+                upper = Poset.upper_of
+                mp.setattr(Poset, "upper_of",
+                           lambda self, mask: drop(upper(self, mask)))
             report = verify_type_axioms(tree, level_bound, draws=draws,
                                         seed=seed)
         want = verify_type_axioms_oracle(tree, level_bound, draws=draws,
@@ -373,8 +373,9 @@ def test_ring_agrees_with_leaf_sets(seed, isolate, depth):
             assert bit_set(got.mask_at(depth)) == want
             assert got == RingElement(tree, depth, sum(1 << j for j in want))
             types = {poset.id_at(leaves.types[j]) for j in want}
-            assert got.type_of() == TypeSet.of(poset, types)
-            assert poset.ids_of(got.type_of()._upper()) == {
+            got_type = TypeSet.from_mask(poset, got.type_of())
+            assert got_type == TypeSet.of(poset, types)
+            assert poset.ids_of(got_type._upper()) == {
                 q for q in ids if any(poset.leq(t, q) for t in types)}
 
 
@@ -397,6 +398,9 @@ def verify_type_axioms_oracle(tree, level_bound, draws=10_000, seed=0,
     poset = tree.poset
     axioms = {}
 
+    def type_set(x):
+        return TypeSet.from_mask(poset, x.type_of())
+
     def record(name, checked, violations, witness=""):
         axioms[name] = {
             "status": "pass" if violations == 0 else "fail",
@@ -415,7 +419,8 @@ def verify_type_axioms_oracle(tree, level_bound, draws=10_000, seed=0,
                     a = RingElement.atom(tree, n, i)
                     b = RingElement.atom(tree, n, j)
                     checked += 1
-                    if a.union(b).type_of() != a.type_of().union(b.type_of()):
+                    if type_set(a.union(b)) != type_set(a).union(
+                            type_set(b)):
                         bad += 1
                         witness = witness or f"atoms {n}.{i} and {n}.{j}"
     per_level = max(1, draws // (2 * level_bound))
@@ -425,7 +430,7 @@ def verify_type_axioms_oracle(tree, level_bound, draws=10_000, seed=0,
             a = RingElement(tree, n, random_mask(rng, size))
             b = RingElement(tree, n, random_mask(rng, size))
             checked += 1
-            if a.union(b).type_of() != a.type_of().union(b.type_of()):
+            if type_set(a.union(b)) != type_set(a).union(type_set(b)):
                 bad += 1
                 witness = witness or f"masks at level {n}"
     record("union-additive", checked, bad, witness)
@@ -470,13 +475,14 @@ def verify_type_axioms_oracle(tree, level_bound, draws=10_000, seed=0,
         m = random_mask(rng, len(tree.level(n)))
         if not m:
             continue
-        lifted = _types_in(tree, n + 1, tree.theta_image(n, m))
-        for p in _types_in(tree, n, m).min_antichain:
+        lifted = poset.upper_of(_types_in(tree, n + 1,
+                                          tree.theta_image(n, m)))
+        for g in bits(_types_in(tree, n, m)):
             checked += 1
-            if not lifted._upper() >> tree.poset.index(p) & 1:
+            if not lifted >> g & 1:
                 bad += 1
-                witness = witness or (f"type {p} lost lifting level {n} "
-                                      f"to {n + 1}")
+                witness = witness or (f"type {poset.id_at(g)} lost lifting "
+                                      f"level {n} to {n + 1}")
     record("types-persist", checked, bad, witness)
 
     # upward closure: every computed type set is an upper set of the prefix
@@ -493,7 +499,7 @@ def verify_type_axioms_oracle(tree, level_bound, draws=10_000, seed=0,
         n = rng.randint(1, level_bound)
         m = random_mask(rng, len(tree.level(n)))
         member_mask = 0
-        for q in members(RingElement(tree, n, m).type_of(), horizon):
+        for q in members(type_set(RingElement(tree, n, m)), horizon):
             member_mask |= 1 << poset.index(q)
         for q in bits(member_mask):
             above = poset.up_mask(q) & prefix_mask
@@ -730,7 +736,7 @@ def skip_last_type(types_in):
         for t, atoms in list(tree.level(level).type_masks().items())[:-1]:
             if atoms & mask:
                 realized |= 1 << t
-        return TypeSet.from_mask(tree.poset, realized)
+        return tree.poset.minimal_in(realized)
     return mutated
 
 
@@ -755,6 +761,18 @@ def test_a_failing_draw_counts_every_time_it_repeats(owner, name, mutate,
     assert got["union-additive"]["violations"] > 0
     for law in ("union-additive", "upward-closed"):
         assert got[law] == want[law]
+
+
+def test_an_empty_element_typed_nonempty_fails_emptiness():
+    tree = build_levels(BuildConfig(diamond_poset()), 5)
+    types_in = ring._types_in
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ring, "_types_in", lambda tree, level, mask: types_in(
+            tree, *((1, 1) if mask == 0 else (level, mask))))
+        law = verify_type_axioms(tree, 4, draws=200)["axioms"][
+            "empty-detection"]
+    assert (law["status"], law["violations"]) == ("fail", 1)
+    assert law["witness"] == "empty element got a nonempty type set"
 
 
 def test_draw_memos_live_per_call():

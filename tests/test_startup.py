@@ -91,6 +91,20 @@ class TestImportFootprint:
         assert layers(out["loaded"]) & LATER_LAYERS == {"completion"}
         assert "dataclasses" not in out["loaded"]
 
+    @pytest.mark.parametrize("argv,own", [
+        (["build-verify", "--family", "rn(2,0)", "--depth", "4"], {"ring"}),
+        (["iso", "--left-family", "rn(2,0)", "--right-family", "rn(2,0)",
+          "--depth", "4"], {"ring", "backforth"}),
+    ], ids=["build-verify", "iso"])
+    def test_a_command_loads_only_its_own_layers(self, argv, own):
+        # the ring types clopen sets by generator masks, so neither
+        # command loads typeset
+        out = fresh("import stonetrim.cli\n"
+                    "with contextlib.redirect_stdout(io.StringIO()):\n"
+                    f"    out['rc'] = stonetrim.cli.main({argv!r})")
+        assert out["rc"] == 0
+        assert layers(out["loaded"]) & LATER_LAYERS == own
+
     def test_every_layer_loads_without_dataclasses(self):
         loaded = fresh("import stonetrim\n"
                        "for name in stonetrim.__all__:\n"

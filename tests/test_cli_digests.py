@@ -55,6 +55,8 @@ FILES = {
     "badcover.json": {"name": "x", "elements": ["a", "b"],
                       "covers": [[["a"], "b"]]},
     "dup.json": {"name": "d", "elements": ["a", "a"], "covers": []},
+    "v3.json": {"name": "v3", "elements": ["e0", "e1", "e2"],
+                "covers": [["e0", "e1"]]},
 }
 
 
@@ -252,6 +254,11 @@ def _iso() -> list[list[str]]:
         ["iso", "--left", "vee.json", "--right", "empty.json",
          "--depth", "3"],
     ]
+    # every element isolated on both sides: seed 1 reaches the matcher's
+    # refinement of a trim part with two atoms of its isolated generator
+    out += [["iso", "--left", "v3.json", "--right", "v3.json",
+             "--left-isolated", "e0", "e1", "e2", "--right-isolated", "e0",
+             "e1", "e2", "--depth", "5", "--seed", s] for s in ("0", "1", "2")]
     return out
 
 

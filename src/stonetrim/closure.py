@@ -27,7 +27,9 @@ class ClosureError(ValueError):
 
 class SymbolicSpace:
     """Index poset plus exact finite/cofinite set arithmetic over it:
-    ``all_mask`` is a finite space's whole mask, ``_bot`` the bottom's bit."""
+    ``all_mask`` is a finite space's whole mask, ``_bot`` the bottom's bit
+    and ``_rungs`` the other indices in enumeration order, all of a finite
+    space's and the first horizon of a ladder's."""
 
     def __init__(self, poset: Poset, horizon: int = 12):
         self.finite, self.ladder = poset.finite, not poset.finite
@@ -51,19 +53,11 @@ class SymbolicSpace:
         except PosetError as e:
             raise ClosureError(str(e)) from None
 
-    def cof(self, ids) -> "ClosureElement":
-        return self.fin(ids).complement()
-
     def empty(self) -> "ClosureElement":
         return ClosureElement(self, False, 0)
 
     def whole(self) -> "ClosureElement":
         return ClosureElement(self, True, 0)
-
-    def rungs(self) -> list[str]:
-        """The non-bottom elements in enumeration order: all of a finite
-        space's, the first horizon of a ladder's."""
-        return [self.poset.id_at(i) for i in self._rungs]
 
     def _reach(self, i: int) -> int:
         # a prefix that settles element i's order
@@ -178,13 +172,14 @@ def check_closure_axioms(space: SymbolicSpace) -> list[str]:
     bottom."""
     from itertools import combinations
     pool = (sorted(space.whole().ids) if space.finite else
-            space.rungs()[:5] + [p for p in [space.bottom] if p])
+            [space.poset.id_at(i) for i in space._rungs[:5]]
+            + [p for p in [space.bottom] if p])
     subsets = []
     for r in range(len(pool) + 1):
         for combo in combinations(pool, r):
             subsets.append(space.fin(combo))
             if not space.finite:
-                subsets.append(space.cof(combo))
+                subsets.append(subsets[-1].complement())
     problems = []
     cl = space.closure_of
     if not cl(space.empty()).is_empty:
@@ -383,7 +378,7 @@ def classify_algebra(trace: RNTrace) -> Classification:
 def e_of_p(poset: Poset, horizon: int = 12) -> dict:
     """Certify that consecutive singletons fall out of order arithmetic.
 
-    For consecutive rungs p, q (``SymbolicSpace.rungs``), p the k-th, the
+    For consecutive rungs p, q (``SymbolicSpace._rungs``), p the k-th, the
     space minus the up-set of p, minus its down-set, minus the k rungs
     before p, must be exactly {q}.
     """

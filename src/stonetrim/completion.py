@@ -66,14 +66,6 @@ class CompletedPoset:
     def tokens(self) -> list[CompletionElement]:
         return [e for e in self.elements if e.is_limit]
 
-    def leq(self, x: CompletionElement, y: CompletionElement) -> bool:
-        """Order on the carrier: descriptor inclusion, except that tokens
-        never sit below bases.  Base-base inclusion is the poset's order; a
-        token's descriptor is its chain top's down-set, so a base sits below
-        a token exactly when the token's generating chain dominates it."""
-        return (not (x.is_limit and not y.is_limit)
-                and not x.descriptor & ~y.descriptor)
-
 
 def complete_finite(poset: Poset) -> CompletedPoset:
     """Chain completion of a finite poset: an isomorphic copy of it.

@@ -8,7 +8,6 @@ completion token rather than any element.
 from __future__ import annotations
 
 from math import ceil
-from typing import Optional
 
 from ._record import Frozen
 from .completion import token_name
@@ -119,7 +118,9 @@ def label_prefix(path: PathPrefix) -> PointLabel:
     A stabilized tail (at least half the path, minimum two entries) names
     that element.  A strictly climbing path of length three or more along a
     poset whose ascending chains are known or suspected infinite points at a
-    completion token; posets with stabilizing ascents never get that label.
+    completion token, unless it ends at a family-confirmed maximal element
+    (``complete_over`` gives it no token); posets with stabilizing ascents
+    never get that label.
     """
     tree = path.tree
     poset = tree.poset
@@ -132,17 +133,18 @@ def label_prefix(path: PathPrefix) -> PointLabel:
     strict = all(a != b and poset.up_mask(a) >> b & 1
                  for a, b in zip(ix, ix[1:]))
     if strict and d >= 3:
-        acc = True if poset.finite else poset.analytics.acc
-        if acc is not True:
-            display: Optional[str] = None
-            if poset.analytics.limit_display is not None:
-                display = poset.analytics.limit_display(tuple(ix))
-            if display is None:
-                display = token_name(path.type_ids())
-            return PointLabel("limit", display,
-                              f"strictly ascending through {d} levels")
-        return PointLabel("undetermined", "",
-                          "ascending, but all ascents here stabilize")
+        a = None if poset.finite else poset.analytics
+        if a is None or a.acc is True:
+            return PointLabel("undetermined", "",
+                              "ascending, but all ascents here stabilize")
+        top = ix[-1]
+        if a.maximal and a.maximal(poset, top) >> top & 1:
+            return PointLabel("undetermined", "",
+                              f"ascending to {poset.id_at(top)}, which is "
+                              f"confirmed maximal")
+        display = a.limit_display and a.limit_display(tuple(ix))
+        return PointLabel("limit", display or token_name(path.type_ids()),
+                          f"strictly ascending through {d} levels")
     if strict:
         return PointLabel("undetermined", "", "ascending but too short")
     return PointLabel("undetermined", "", "no stabilized tail yet")

@@ -70,21 +70,10 @@ class RingElement:
     def atom(cls, tree: SkeletonTree, level: int, index: int) -> "RingElement":
         return cls(tree, level, 1 << index)
 
-    @classmethod
-    def whole(cls, tree: SkeletonTree) -> "RingElement":
-        return cls(tree, 1, 1)
-
     # ------------------------------------------------------------------
 
     def __bool__(self) -> bool:
         return self.mask != 0
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, RingElement) and other.tree is self.tree
-                and other.level == self.level and other.mask == self.mask)
-
-    def __hash__(self) -> int:
-        return hash((id(self.tree), self.level, self.mask))
 
     def __repr__(self) -> str:
         return f"RingElement(level={self.level}, mask={bin(self.mask)})"

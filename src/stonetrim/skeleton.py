@@ -282,11 +282,11 @@ class Level(Record):
         return self.full_mask & ~((1 << self.u_start) - 1)
 
 
-class Parents(Sequence):
+class Parents:
     """The parents of a level's nodes, None from ``u_start`` on and at the
-    root, derived from the level's block ends.  Indexing looks one node
-    up; a slice is a list of that span only, so reading the parents chunk
-    by chunk never holds a list of the whole level."""
+    root, derived from the level's block ends.  A slice of step 1 is a list
+    of that span only, so reading the parents chunk by chunk never holds a
+    list of the whole level; ``Level.parent_of`` answers for one node."""
 
     __slots__ = ("_level",)
 
@@ -296,12 +296,10 @@ class Parents(Sequence):
     def __len__(self) -> int:
         return len(self._level.types)
 
-    def __getitem__(self, i):
+    def __getitem__(self, i: slice) -> list[Optional[int]]:
         span = range(len(self))[i]
-        if not isinstance(i, slice):
-            return self._level.parent_of(span)
-        if span.step != 1:
-            return list(map(self._level.parent_of, span))
+        if not isinstance(span, range) or span.step != 1:
+            raise TypeError("Level.parent reads slices of step 1")
         return list(self._span(span.start, span.stop))
 
     def __iter__(self) -> Iterator[Optional[int]]:

@@ -3,8 +3,8 @@
 An upper set is fixed by its minimal elements, so a TypeSet is a value
 that holds only their mask over enumeration indices, and equal upper sets
 compare equal.  The integer core types a clopen set by that mask alone
-(``Poset.minimal_in``); a TypeSet names it, and ``_upper`` gives the
-denoted upper set as a mask.
+(``Poset.minimal_in``); a TypeSet names it, and ``Poset.upper_of`` of
+its mask gives the denoted upper set as a mask.
 """
 from __future__ import annotations
 
@@ -48,10 +48,6 @@ class TypeSet(Frozen):
 
     def __bool__(self) -> bool:
         return bool(self.mask)
-
-    def _upper(self) -> int:
-        """The denoted upper set on the enumerated prefix, as a mask."""
-        return self.poset.upper_of(self.mask)
 
     def union(self, other: "TypeSet") -> "TypeSet":
         if other.poset is not self.poset:

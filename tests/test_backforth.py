@@ -2,11 +2,11 @@
 import pytest
 
 from conftest import (chain_ab_poset, diamond_poset, ref_match_split,
-                      vee_poset)
+                      ring_key, vee_poset)
 from stonetrim import (BuildConfig, IsoError, PartialIso, Poset,
                        RingElement, backforth, build_levels, family,
-                       init_iso, extend_iso, lift_poset_automorphism,
-                       run_backforth, skeleton)
+                       init_iso, extend_iso, lift_poset_automorphism, ring,
+                       run_backforth, skeleton, split_by_scarce_atoms)
 from stonetrim.backforth import (MismatchFound, Pair, _ThetaMap, _covered,
                                  _match_split, _schedule, _theta_over)
 
@@ -38,7 +38,7 @@ class TestInit:
         assert len(state.pairs) == 1
         pair = state.pairs[0]
         assert pair.gens == (1, 1)
-        assert pair.parts[0] == RingElement.whole(left)
+        assert ring_key(pair.parts[0]) == (1, 1)
         assert state.verify() == []
 
     def test_verify_recomputes_from_scratch(self):
@@ -90,7 +90,7 @@ def coverage_oracle(state, schedule):
             part = pair.parts[side]
             if atom.contains(part):
                 inside = inside.union(part)
-        if inside != atom:
+        if ring_key(inside) != ring_key(atom):
             return False
     return True
 
@@ -107,7 +107,7 @@ def test_mask_matcher_agrees_with_ring_operations(maker, isolated):
         extend_iso(state, side, RingElement.atom(state.trees[side], n, i),
                    14)
         for s in (0, 1):
-            assert state.held[s] == state.union(s)
+            assert ring_key(state.held[s]) == ring_key(state.union(s))
         assert state.verify() == []
         if k % 16 == 0:
             # the atoms extended so far are unions of parts, the rest
@@ -128,13 +128,14 @@ def test_mask_matcher_agrees_with_ring_operations(maker, isolated):
         state.pairs.insert(k, pair)
     # a part over the whole space overlaps every other part (which verify
     # reports) and lies inside no smaller atom, so coverage still holds
-    state.pairs.append(Pair((RingElement.whole(left),
-                             RingElement.whole(right)), (1, 1)))
+    state.pairs.append(Pair((RingElement(left, 1, 1),
+                             RingElement(right, 1, 1)), (1, 1)))
     assert _covered(state, schedule) is coverage_oracle(state, schedule) \
         is True
     assert "left parts overlap" in state.verify()
     # the same whole part on the right side alone overlaps only there
-    state.pairs[-1].parts = (RingElement.empty(left), RingElement.whole(right))
+    state.pairs[-1].parts = (RingElement.empty(left),
+                             RingElement(right, 1, 1))
     problems = state.verify()
     assert "right parts overlap" in problems
     assert "left parts overlap" not in problems
@@ -194,6 +195,32 @@ class TestRuns:
             assert run.coverage is True
             assert run.invariant_failures == []
             assert run.depth_used <= 14
+
+    @pytest.mark.parametrize("seed, refined", [(0, []), (1, [3]), (2, [])])
+    def test_a_part_with_two_isolated_atoms_is_refined(self, seed, refined,
+                                                       monkeypatch):
+        # every element isolated on both sides: on seed 1 a trim part holds
+        # two atoms of its isolated generator, and the supertrim split cuts
+        # it into one piece per atom
+        def v3():
+            return Poset.from_covers("v3", ["e0", "e1", "e2"],
+                                     [("e0", "e1")])
+
+        cut = []
+
+        def spy(x, gen):
+            pieces = split_by_scarce_atoms(x, gen)
+            if len(pieces) > 1:
+                cut.append(x.level)
+            return pieces
+
+        monkeypatch.setattr(ring, "split_by_scarce_atoms", spy)
+        isolated = {"e0", "e1", "e2"}
+        run = run_backforth(build(v3, depth=5, isolated=isolated),
+                            build(v3, depth=5, isolated=isolated), seed=seed)
+        assert cut == refined
+        assert (run.status, run.coverage, run.invariant_failures) == (
+            "iso", True, [])
 
     def test_vee_and_diamond_certify(self):
         run_v = run_backforth(build(vee_poset), build(vee_poset))

@@ -20,6 +20,11 @@ LADDER_IDS = {"rn-infinity": lambda i: f"p{i - 1}",
               "rn-infinity-bot": lambda i: "bot" if i == 1 else f"p{i - 2}"}
 
 
+def rung_ids(space: SymbolicSpace) -> list[str]:
+    """The ids of the space's non-bottom indices, in enumeration order."""
+    return [space.poset.id_at(i) for i in space._rungs]
+
+
 def tampered_ladder(tag: str, gap: int) -> Poset:
     """A ladder family's ids, tag and analytics with the rung gap changed:
     p_j > p_k iff k >= j + gap, the bottom still below everything."""
@@ -94,10 +99,10 @@ class TestSpaces:
         assert rn22.up_of(p4) == rn22.whole()
 
     def test_rungs(self, rn22):
-        assert rn22.rungs() == ["p0", "p1", "p2"]
-        assert SymbolicSpace(family("rn-infinity"), 3).rungs() == [
+        assert rung_ids(rn22) == ["p0", "p1", "p2"]
+        assert rung_ids(SymbolicSpace(family("rn-infinity"), 3)) == [
             "p0", "p1", "p2"]
-        assert SymbolicSpace(family("rn-infinity-bot"), 3).rungs() == [
+        assert rung_ids(SymbolicSpace(family("rn-infinity-bot"), 3)) == [
             "p0", "p1", "p2"]
 
 
@@ -105,10 +110,10 @@ class TestUnknownIds:
     @pytest.mark.parametrize("tag", ["rn(2,0)", "rn(2,2)", "rn-infinity",
                                      "rn-infinity-bot"])
     def test_fin_and_cof_reject_unknown_ids(self, tag):
+        # a cofinite set is the complement of fin's, which raises first
         space = SymbolicSpace(family(tag))
-        for make in (space.fin, space.cof):
-            with pytest.raises(ClosureError, match="unknown element id 'zz'"):
-                make({"p0", "zz"})
+        with pytest.raises(ClosureError, match="unknown element id 'zz'"):
+            space.fin({"p0", "zz"})
 
     def test_ladder_ids_must_be_enumerated(self):
         space = SymbolicSpace(family("rn-infinity"), horizon=12)
@@ -116,7 +121,7 @@ class TestUnknownIds:
         with pytest.raises(ClosureError, match="'p13'"):
             space.fin({"p13"})
         with pytest.raises(ClosureError, match="'p50'"):
-            space.cof({"p50", "p0"})
+            space.fin({"p50", "p0"}).complement()
         # a down-set enumerates one element past its own
         space.down_of(space.poset.index("p12"))
         assert space.fin({"p13"}).render() == "{p13}"
@@ -124,19 +129,20 @@ class TestUnknownIds:
     def test_horizon_one_shows_the_first_rung(self):
         space = SymbolicSpace(family("rn-infinity-bot"), horizon=1)
         assert space.fin({"p0"}).render() == "{p0}"
-        assert space.rungs() == ["p0"]
+        assert rung_ids(space) == ["p0"]
 
 
 class TestClosure:
     def test_closure_of_finite_shape(self, ladder):
         got = ladder.closure_of(ladder.fin({"p0"}))
-        assert got == ladder.cof({"p1"})
+        assert got == ladder.fin({"p1"}).complement()
         assert got.render() == "W-{p1}"
 
     def test_closure_of_cofinite_shape(self, ladder):
-        assert ladder.closure_of(ladder.cof({"p2"})) == ladder.whole()
-        kept = ladder.closure_of(ladder.cof({"p0"}))
-        assert kept == ladder.cof({"p0"})
+        assert (ladder.closure_of(ladder.fin({"p2"}).complement())
+                == ladder.whole())
+        kept = ladder.closure_of(ladder.fin({"p0"}).complement())
+        assert kept == ladder.fin({"p0"}).complement()
 
     def test_finite_space_closure_is_down_closure(self, rn20):
         got = rn20.closure_of(rn20.fin({"p0"}))
@@ -170,7 +176,8 @@ def test_closure_matches_the_reference(tag, horizon):
     draws = [space.empty(), space.whole()]
     for _ in range(40):
         ids = rng.sample(shown, rng.randint(1, min(4, len(shown))))
-        draws.append((space.cof if rng.random() < 0.5 else space.fin)(ids))
+        x = space.fin(ids)
+        draws.append(x.complement() if rng.random() < 0.5 else x)
     for x in draws:
         got = space.closure_of(x)
         want, past = ref_closure_of(space, x, window)
@@ -180,7 +187,7 @@ def test_closure_matches_the_reference(tag, horizon):
 
 class TestElements:
     def test_cofinite_normalizes_on_finite_spaces(self, rn20):
-        x = rn20.cof({"p0"})
+        x = rn20.fin({"p0"}).complement()
         assert not x.cofinite
         assert x.mask == 0b1100
         assert x.ids == {"p1", "p2"}
@@ -192,10 +199,10 @@ class TestElements:
     def test_sole_id(self, ladder):
         assert ladder.fin({"p3"}).sole_id() == "p3"
         assert ladder.fin({"p1", "p2"}).sole_id() is None
-        assert ladder.cof({"p3"}).sole_id() is None
+        assert ladder.fin({"p3"}).complement().sole_id() is None
 
     def test_serialize(self, ladder):
-        assert ladder.cof({"p1", "p0"}).serialize() == {
+        assert ladder.fin({"p1", "p0"}).complement().serialize() == {
             "shape": "cofinite", "ids": ["p0", "p1"]}
 
     def test_exhaustive_small_algebra(self, rn20):
@@ -214,8 +221,9 @@ class TestElements:
 
     def test_mixed_shape_algebra(self, ladder):
         probe = [f"p{k}" for k in range(9)]
-        cases = [ladder.fin({"p0", "p3"}), ladder.cof({"p1", "p2"}),
-                 ladder.cof({"p0", "p5"}), ladder.fin(())]
+        cases = [ladder.fin({"p0", "p3"}),
+                 ladder.fin({"p1", "p2"}).complement(),
+                 ladder.fin({"p0", "p5"}).complement(), ladder.fin(())]
         for a in cases:
             for b in cases:
                 u, i, m = a.union(b), a.intersect(b), a.minus(b)

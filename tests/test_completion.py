@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from conftest import (all_chains, embed, random_poset, ref_completion_verify,
-                      ref_down_mask, two_chains_poset)
+from conftest import (all_chains, embed, random_poset, ref_carrier_leq,
+                      ref_completion_verify, ref_down_mask, two_chains_poset)
 from stonetrim import (CompletionError, Poset, PosetError, chain_closure,
                        complete_finite, complete_over, family, token_name)
 
@@ -57,7 +57,8 @@ class TestCompleteFinite:
         assert ref_completion_verify(c) == []
         for a in diamond.prefix(4):
             for b in diamond.prefix(4):
-                assert c.leq(embed(c, a), embed(c, b)) == diamond.leq(a, b)
+                assert (ref_carrier_leq(embed(c, a), embed(c, b))
+                        == diamond.leq(a, b))
 
     def test_descriptors_are_the_chain_closures(self):
         rng = random.Random(12345)
@@ -69,7 +70,8 @@ class TestCompleteFinite:
             assert closures == {e.descriptor for e in c.elements}
             for a in p.prefix(n):
                 for b in p.prefix(n):
-                    assert c.leq(embed(c, a), embed(c, b)) == p.leq(a, b)
+                    assert (ref_carrier_leq(embed(c, a), embed(c, b))
+                            == p.leq(a, b))
             assert c.tokens() == []
 
 
@@ -126,10 +128,10 @@ class TestCompleteOver:
         p = two_chains_poset()
         c = complete_over(p, p.prefix(8), 8)
         xt, yt = c.tokens()
-        assert c.leq(embed(c, "x2"), xt)
-        assert not c.leq(embed(c, "y1"), xt)
-        assert not c.leq(xt, embed(c, "x4"))
-        assert not c.leq(xt, yt) and not c.leq(yt, xt)
+        assert ref_carrier_leq(embed(c, "x2"), xt)
+        assert not ref_carrier_leq(embed(c, "y1"), xt)
+        assert not ref_carrier_leq(xt, embed(c, "x4"))
+        assert not ref_carrier_leq(xt, yt) and not ref_carrier_leq(yt, xt)
 
     @pytest.mark.parametrize("tag", ["omega-chain", "omega-antichain",
                                      "dyadic", "rn-infinity", "ziegler-fan",

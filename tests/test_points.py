@@ -137,6 +137,18 @@ class TestLabels:
         assert lab.value == "lim→1⁻"
         assert lab.detail == "strictly ascending through 3 levels"
 
+    @pytest.mark.parametrize("chain", [["1/4", "1/2", "1"],
+                                       ["0", "1/2", "1"]])
+    def test_a_climb_to_a_confirmed_maximum_is_no_limit(self, chain):
+        # "1" is dyadic's family-confirmed maximum, which complete_over
+        # gives no token
+        tree = build_levels(BuildConfig(family("dyadic")), 7)
+        lab = label_prefix(realize_chain(tree, chain))
+        assert (lab.kind, lab.value) == ("undetermined", "")
+        assert lab.detail == "ascending to 1, which is confirmed maximal"
+        lab = label_prefix(realize_chain(tree, ["1/2", "3/4", "7/8"]))
+        assert (lab.kind, lab.value) == ("limit", "lim→1⁻")
+
     def test_limit_falls_back_to_the_token_name(self, two_chains_tree):
         path = realize_chain(two_chains_tree, ["x1", "x2", "x3"])
         lab = label_prefix(path)

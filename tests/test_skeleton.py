@@ -313,7 +313,7 @@ class TestUnattachedNodes:
         lvl3 = tree.level(3)
         assert list(lvl3.types) == [1, 1, 2, 1, 1, 2, 2, 2, 2]
         assert lvl3.u_start == 8
-        assert lvl3.parent[8] is None
+        assert lvl3.parent_of(8) is None
         for n in range(3, 7):
             lvl = tree.level(n)
             u_b = sum(1 for i in range(lvl.u_start, len(lvl))
@@ -640,8 +640,13 @@ def assert_matches_oracles(config, depth, q_lower=None):
         assert [lvl.parent_of(i) for i in range(len(lvl))] == parents
         for lo in range(0, len(lvl), 5):
             assert lvl.parent[lo:lo + 7] == parents[lo:lo + 7]
-        assert lvl.parent[::-3] == parents[::-3]
-        assert lvl.parent[-1] == parents[-1]
+        nodes = range(len(lvl))
+        assert [lvl.parent_of(i) for i in nodes[::-3]] == parents[::-3]
+        assert lvl.parent_of(nodes[-1]) == parents[-1]
+        # one node, or a stride, is asked of parent_of
+        for key in (-1, slice(None, None, -3)):
+            with pytest.raises(TypeError, match="slices of step 1"):
+                lvl.parent[key]
     for lvl in tree.levels:
         assert list(lvl.type_masks().items()) == type_masks_oracle(lvl.types)
     assert_same_report(tree, q_lower)

@@ -12,8 +12,13 @@ The match is by name only.  A method passes when any object in ``src/``
 has an attribute of its name, so a method that shares its name with a
 used one (``TypeSet.union`` with ``RingElement.union``) is not caught
 here.
+
+``perfbench/tracing.py`` looks up each name it wraps in its owner's
+``__dict__``, so a deleted or inherited one breaks every traced run; the
+last test checks each of them here.
 """
 import ast
+import importlib.util
 import re
 from pathlib import Path
 
@@ -82,3 +87,26 @@ def test_every_allowed_name_is_defined_and_unread():
     defined, left = definitions(), set(unread())
     assert [key for key in ALLOWED
             if key not in defined or key not in left] == []
+
+
+# the names Tracer.install patches by hand, outside SPANNED and COUNTED
+HAND_PATCHED = (("skeleton", "SkeletonTree", "_build_next"),
+                ("ring", "RingElement", "__init__"),
+                ("ring", None, "verify_type_axioms"),
+                ("backforth", None, "extend_iso"),
+                ("backforth", None, "run_backforth"))
+
+
+def test_every_traced_name_is_its_owners_own(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    targets = [t for rows in tracing.SPANNED.values() for t in rows]
+    targets += tracing.COUNTED.values()
+    for module, cls, attr in HAND_PATCHED:
+        owner = getattr(tracing, module)
+        targets.append((getattr(owner, cls) if cls else owner, attr))
+    assert [f"{owner.__name__}.{attr}" for owner, attr in targets
+            if attr not in owner.__dict__] == []

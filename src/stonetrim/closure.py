@@ -1,9 +1,12 @@
 """Closure algebras generated by one open set, computed symbolically.
 
-Elements are finite or cofinite sets of enumeration indices, held as masks;
-every order fact comes from the poset's up-set rows, and ids appear only
-where sets are named.  Closure is down-closure; both shapes close exactly,
-so the recursion peeling the space into atoms runs without approximation.
+Elements are finite or cofinite sets of enumeration indices.  The algebra
+runs on their signed form (F for a finite F, ~F for W - F), where union,
+intersection and difference are |, & and & ~ and equal ints are equal
+sets.  The space keeps each index's down-set and up-set as signed rows;
+elements are made only at the trace and API edges, and ids only where sets
+are named.  Closure is down-closure, exact on both shapes, so the peeling
+runs without approximation.
 
 A ladder space sees an enumeration prefix and assumes two things of the
 rest: an element's order is settled one index past it (everything later
@@ -13,10 +16,12 @@ space enumerates horizon + 1 elements, each down-set one element further.
 """
 from __future__ import annotations
 
+from functools import reduce
+from operator import or_
 from typing import Optional
 
 from ._record import Frozen, Record
-from .poset import Poset, PosetError, bits, covers_of
+from .poset import Poset, PosetError, bits
 
 LADDER_FAMILIES = ("rn-infinity", "rn-infinity-bot")
 
@@ -27,9 +32,9 @@ class ClosureError(ValueError):
 
 class SymbolicSpace:
     """Index poset plus exact finite/cofinite set arithmetic over it:
-    ``all_mask`` is a finite space's whole mask, ``_bot`` the bottom's bit
-    and ``_rungs`` the other indices in enumeration order, all of a finite
-    space's and the first horizon of a ladder's."""
+    ``all_mask`` is a finite space's whole mask, ``_w`` the whole set
+    signed, ``_bot`` the bottom's bit and ``_rungs`` the other indices in
+    enumeration order, a finite space's all and a ladder's first horizon."""
 
     def __init__(self, poset: Poset, horizon: int = 12):
         self.finite, self.ladder = poset.finite, not poset.finite
@@ -46,6 +51,12 @@ class SymbolicSpace:
                        else None)
         rungs = [i for i in range(1, shown + 1) if 1 << i != self._bot]
         self._rungs = rungs[:horizon] if self.ladder else rungs
+        self._w = -1 if self.ladder else self.all_mask
+        self._rows: dict[int, tuple[int, int]] = {}
+
+    def _element(self, signed: int) -> "ClosureElement":
+        # of signed and ~signed, the nonnegative one is the stored mask
+        return ClosureElement(self, signed < 0, max(signed, ~signed))
 
     def fin(self, ids) -> "ClosureElement":
         try:
@@ -57,40 +68,41 @@ class SymbolicSpace:
         return ClosureElement(self, False, 0)
 
     def whole(self) -> "ClosureElement":
-        return ClosureElement(self, True, 0)
+        return self._element(self._w)
 
-    def _reach(self, i: int) -> int:
-        # a prefix that settles element i's order
-        return i + 1 if self.ladder else self.poset.size
+    def _row(self, i: int) -> tuple[int, int]:
+        """The signed down-set and up-set of index i, read once; a ladder
+        settles i's order on the prefix through i + 1 (later lies below)."""
+        row = self._rows.get(i)
+        if row is None:
+            p, w = self.poset, self._w
+            reach = i + 1 if self.ladder else p.size
+            below = p.lower_of(1 << i, reach)
+            row = self._rows[i] = (
+                (below, w) if 1 << i == self._bot else
+                (w & ~(p.prefix_mask(reach) & ~below),
+                 p.up_mask(i) & (1 << reach + 1) - 2))
+        return row
 
     def down_of(self, i: int) -> "ClosureElement":
         """The down-set of enumeration index i."""
-        reach = self._reach(i)
-        below = self.poset.lower_of(1 << i, reach)
-        if 1 << i == self._bot:
-            return ClosureElement(self, False, below)
-        return ClosureElement(self, True,
-                              self.poset.prefix_mask(reach) & ~below)
+        return self._element(self._row(i)[0])
 
     def up_of(self, i: int) -> "ClosureElement":
         """The up-set of enumeration index i."""
-        if 1 << i == self._bot:
-            return self.whole()
-        window = (1 << self._reach(i) + 1) - 2
-        return ClosureElement(self, False, self.poset.up_mask(i) & window)
+        return self._element(self._row(i)[1])
 
     def closure_of(self, x: "ClosureElement") -> "ClosureElement":
         """Down-closure; exact on both set shapes."""
         if x.space is not self:
             raise ClosureError("element from another space")
-        if not x.cofinite:
-            out = self.empty()
-            for i in bits(x.mask):
-                out = out.union(self.down_of(i))
-            return out
+        s = x._signed()
+        if s >= 0:
+            return self._element(reduce(
+                or_, [self._row(i)[0] for i in bits(s)], 0))
         # a missing element stays out iff its up-set misses x
-        return ClosureElement(self, True, sum(
-            1 << i for i in bits(x.mask) if not self.up_of(i).intersect(x)))
+        return self._element(~sum(1 << i for i in bits(~s)
+                                  if not self._row(i)[1] & s))
 
     def is_open(self, x: "ClosureElement") -> bool:
         comp = x.complement()
@@ -99,9 +111,8 @@ class SymbolicSpace:
 
 class ClosureElement(Frozen):
     """Finite set of enumeration indices as a mask, or the complement of
-    one (on a finite space, stored as its finite complement).  In a set
-    operation a complement W - F is the negative int ~F, so union and
-    intersection are | and &.  ``ids`` is a read-only view."""
+    one (on a finite space, stored as its finite complement); ``_signed``
+    is its signed form.  ``ids`` is a read-only view."""
 
     __slots__ = _show = ("space", "cofinite", "mask")
     _compare = ("cofinite", "mask")
@@ -125,24 +136,20 @@ class ClosureElement(Frozen):
     def _signed(self) -> int:
         return ~self.mask if self.cofinite else self.mask
 
-    def _of(self, signed: int) -> "ClosureElement":
-        # of signed and ~signed, the nonnegative one is the stored mask
-        return ClosureElement(self.space, signed < 0, max(signed, ~signed))
-
     def union(self, other: "ClosureElement") -> "ClosureElement":
-        return self._of(self._signed() | other._signed())
+        return self.space._element(self._signed() | other._signed())
 
     def intersect(self, other: "ClosureElement") -> "ClosureElement":
-        return self._of(self._signed() & other._signed())
+        return self.space._element(self._signed() & other._signed())
 
     def complement(self) -> "ClosureElement":
         return ClosureElement(self.space, not self.cofinite, self.mask)
 
     def minus(self, other: "ClosureElement") -> "ClosureElement":
-        return self._of(self._signed() & ~other._signed())
+        return self.space._element(self._signed() & ~other._signed())
 
     def subset_of(self, other: "ClosureElement") -> bool:
-        return self.minus(other).is_empty
+        return not self._signed() & ~other._signed()
 
     def _single(self) -> int:
         """The mask of a one-element finite set, else 0."""
@@ -154,8 +161,9 @@ class ClosureElement(Frozen):
         return self.space.poset.id_at(m.bit_length() - 1) if m else None
 
     def render(self) -> str:
-        sp = self.space
-        names = [sp.poset.id_at(i) for i in bits(self.mask & ~sp._bot)]
+        sp, m = self.space, self.mask & ~self.space._bot
+        ids = sp.poset.prefix(max(m.bit_length() - 1, 0))
+        names = [ids[i - 1] for i in bits(m)]
         if self.mask & sp._bot:
             names.append(sp.bottom)
         body = "{" + ",".join(names) + "}"
@@ -211,9 +219,7 @@ class RNTrace(Record):
                  a_inf: Optional[ClosureElement] = None,
                  a_inf_exact: bool = False, note: str = ""):
         self.space, self.a = space, a
-        self.u = [] if u is None else u
-        self.v = [] if v is None else v
-        self.b = [] if b is None else b
+        self.u, self.v, self.b = ([] if x is None else x for x in (u, v, b))
         self.a_inf, self.a_inf_exact, self.note = a_inf, a_inf_exact, note
 
     @property
@@ -231,7 +237,7 @@ class RNTrace(Record):
     def stabilized(self) -> bool:
         """Did the run end on an empty B_n with V_n the whole space?"""
         return (len(self.b) > 1 and self.b[-1].is_empty
-                and self.v[-1] == self.space.whole())
+                and self.v[-1]._signed() == self.space._w)
 
     def serialize(self) -> dict:
         return {
@@ -253,83 +259,74 @@ def rieger_nishimura_run(space: SymbolicSpace, a: ClosureElement,
     accumulates, B is what the strip newly exposed."""
     if not space.is_open(a):
         raise ClosureError("the generator must be an open (up-closed) set")
-    w = space.whole()
+    w, el = space._w, space._element
     t = RNTrace(space, a, [a], [space.empty()], [a])
-    for n in range(1, max_n + 1):
-        u_n = w.minus(space.closure_of(t.b[n - 1]))
-        v_n = t.u[n - 1].union(t.v[n - 1])
-        b_n = u_n.minus(t.v[n - 1])
-        t.u.append(u_n)
-        t.v.append(v_n)
-        t.b.append(b_n)
-        if b_n.is_empty and v_n == w:
+    # the last layer's U and V and all that no layer has taken yet, signed
+    u, v, rest = a._signed(), 0, w & ~a._signed()
+    for _ in range(max_n):
+        u_n = w & ~space.closure_of(t.b[-1])._signed()
+        u, v, b = u_n, u | v, u_n & ~v
+        t.u.append(el(u))
+        t.v.append(el(v))
+        t.b.append(el(b))
+        rest &= ~b
+        if not b and v == w:
             break
-    _settle_a_inf(t)
-    return t
-
-
-def _settle_a_inf(t: RNTrace) -> None:
-    sp = t.space
-    rest = sp.whole()
-    for x in t.b:
-        rest = rest.minus(x)
     if t.stabilized:
-        t.a_inf = rest
-        t.a_inf_exact = True
-        return
+        t.a_inf, t.a_inf_exact = el(rest), True
+        return t
     tail = [x._single() for x in t.b[-3:]]
-    marching = (sp.ladder and len(tail) == 3 and 0 not in tail
-                and not (tail[0] | tail[1] | tail[2]) & sp._bot
+    marching = (space.ladder and len(tail) == 3 and 0 not in tail
+                and not (tail[0] | tail[1] | tail[2]) & space._bot
                 and tail[1:] == [tail[0] << 1, tail[0] << 2])
     if marching:
-        t.a_inf = ClosureElement(sp, False, sp._bot).intersect(rest)
-        t.a_inf_exact = False
+        t.a_inf = el(space._bot & rest)
         t.note = (f"singleton layers march up the ladder; tail projected "
                   f"from step {t.n_ran}")
     else:
         t.note = "cut off before the layer pattern settled"
+    return t
 
 
 def check_identities(trace: RNTrace) -> list[str]:
-    """Recheck the defining and derived equations at every computed step."""
-    sp = trace.space
-    w = sp.whole()
-    u, v, b = trace.u, trace.v, trace.b
+    """Recheck the defining and derived equations at every computed step,
+    on the layers' signed forms."""
+    sp, w = trace.space, trace.space._w
+    u, v, b = ([x._signed() for x in xs] for xs in (trace.u, trace.v, trace.b))
     last = trace.n_ran
     # every closure below is of a layer B_0 .. B_{last - 1}: take each once
-    closed = [sp.closure_of(b[n]) for n in range(last)]
+    closed = [sp.closure_of(trace.b[n])._signed() for n in range(last)]
     problems = []
     for n in range(1, last + 1):
-        if u[n] != w.minus(closed[n - 1]):
+        if u[n] != w & ~closed[n - 1]:
             problems.append(f"U_{n} is not the complement of the closed "
                             f"layer below")
-        if v[n] != u[n - 1].union(v[n - 1]):
+        if v[n] != u[n - 1] | v[n - 1]:
             problems.append(f"V_{n} does not accumulate U_{n - 1}")
-        if b[n] != u[n].minus(v[n - 1]):
+        if b[n] != u[n] & ~v[n - 1]:
             problems.append(f"B_{n} is not the new part of U_{n}")
     for n in range(0, last):
-        if b[n] != v[n + 1].minus(v[n]):
+        if b[n] != v[n + 1] & ~v[n]:
             problems.append(f"B_{n} != V_{n + 1} - V_{n}")
-        if closed[n] != w.minus(u[n + 1]):
+        if closed[n] != w & ~u[n + 1]:
             problems.append(f"closure(B_{n}) != W - U_{n + 1}")
-        if v[n] != u[n + 1].intersect(v[n + 1]):
+        if v[n] != u[n + 1] & v[n + 1]:
             problems.append(f"V_{n} != U_{n + 1} & V_{n + 1}")
-        if n >= 1 and v[n - 1] != u[n + 1].intersect(u[n]):
+        if n >= 1 and v[n - 1] != u[n + 1] & u[n]:
             problems.append(f"V_{n - 1} != U_{n + 1} & U_{n}")
     for j in range(last + 1):
         for k in range(j + 1, last + 1):
-            if b[j] and b[k] and b[j].intersect(b[k]):
-                problems.append(f"B_{j} and B_{k} overlap")
             if b[j] and b[k]:
-                below = b[k].subset_of(closed[j])
-                if below != (k >= j + 2):
+                if b[j] & b[k]:
+                    problems.append(f"B_{j} and B_{k} overlap")
+                if (not b[k] & ~closed[j]) != (k >= j + 2):
                     problems.append(f"ladder order fails at B_{k}, B_{j}")
     if trace.a_inf is not None:
-        if sp.closure_of(trace.a_inf) != trace.a_inf:
+        a = trace.a_inf._signed()
+        if sp.closure_of(trace.a_inf)._signed() != a:
             problems.append("A_inf is not closed")
-        for k in range(last + 1):
-            if trace.a_inf.intersect(b[k]):
-                problems.append(f"A_inf meets B_{k}")
+        problems.extend(f"A_inf meets B_{k}" for k in range(last + 1)
+                        if a & b[k])
     return problems
 
 
@@ -383,13 +380,13 @@ def e_of_p(poset: Poset, horizon: int = 12) -> dict:
     before p, must be exactly {q}.
     """
     space = SymbolicSpace(poset, horizon)
-    rungs, w = space._rungs, space.whole()
+    rungs = space._rungs
     failures, before = [], 0
     for k, (i, j) in enumerate(zip(rungs, rungs[1:])):
-        got = (w.minus(space.up_of(i)).minus(space.down_of(i))
-               .minus(ClosureElement(space, False, before)))
-        if got != ClosureElement(space, False, 1 << j):
-            failures.append({"k": k, "got": got.serialize()})
+        down, up = space._row(i)
+        got = space._w & ~up & ~down & ~before
+        if got != 1 << j:
+            failures.append({"k": k, "got": space._element(got).serialize()})
         before |= 1 << i
     return {"family": poset.family or poset.name, "horizon": horizon,
             "checked": max(len(rungs) - 1, 0), "holds": not failures,
@@ -416,20 +413,23 @@ def render_trace_text(trace: RNTrace, cls: Classification) -> str:
 def render_trace_dot(trace: RNTrace) -> str:
     """The layer ladder: each singleton layer hangs on the singleton
     layers that cover it in the order restricted to them."""
-    poset = trace.space.poset
-    layers = [(n, x._single().bit_length() - 1) for n, x in enumerate(trace.b)]
-    layers = [(n, i) for n, i in layers if i > 0]
-    order = {i: k for k, i in enumerate(dict.fromkeys(i for _, i in layers))}
-    name = {i: poset.id_at(i) for i in order}
-    on = sum(1 << i for i in order)
-    up = [poset.up_mask(i) & on if i in order else 0
-          for i in range(max(order, default=0) + 1)]
-    # each cover pair (b, a) has a covering b; list a's covers in layer order
-    pairs = sorted(covers_of(up, range(len(up))),
-                   key=lambda ba: (order[ba[1]], order[ba[0]]))
+    sp = trace.space
+    layers = [(n, m) for n, x in enumerate(trace.b) if (m := x._single())]
+    seen = dict.fromkeys(m for _, m in layers)
+    name = {m: sp.poset.id_at(m.bit_length() - 1) for m in seen}
+    on = sum(seen)
+    below = {m: sp._row(m.bit_length() - 1)[0] & on & ~m for m in seen}
     lines = ["digraph ladder {", "  rankdir=TB;"]
-    lines.extend(f'  "{name[i]}" [label="B{n}: {name[i]}"];'
-                 for n, i in layers)
-    lines.extend(f'  "{name[a]}" -> "{name[b]}";' for b, a in pairs)
+    lines.extend(f'  "{name[m]}" [label="B{n}: {name[m]}"];'
+                 for n, m in layers)
+    for a in seen:
+        # a covers what lies below it and below no other layer below it
+        cover = rest = below[a]
+        while rest:
+            c = rest & -rest
+            cover &= ~below[c]
+            rest = cover & -(c << 1)
+        lines.extend(f'  "{name[a]}" -> "{name[b]}";' for b in seen
+                     if cover & b)
     lines.append("}")
     return "\n".join(lines)

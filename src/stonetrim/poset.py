@@ -87,18 +87,6 @@ def _leq_rows(leq: Callable[[str, str], bool]) -> Rows:
     return rows
 
 
-def covers_of(up: list[int], names: list) -> list[tuple]:
-    """Transitive reduction of the order with up-set rows ``up`` (bit j of
-    ``up[i]`` set iff i <= j; bits from ``len(up)`` on are ignored): pairs
-    (names[i], names[j]) with j covering i, ordered by i, then j."""
-    strict = [row & (1 << len(up)) - 1 & ~(1 << i) for i, row in enumerate(up)]
-    out = []
-    for i, row in enumerate(strict):
-        beyond = reduce(or_, map(strict.__getitem__, bits(row)), 0)
-        out.extend((names[i], names[j]) for j in bits(row & ~beyond))
-    return out
-
-
 class Verdict(Frozen):
     """Outcome of a bounded order-theoretic check."""
 

@@ -4,7 +4,8 @@ from collections import Counter
 
 import pytest
 
-from stonetrim import (FOUND, CompletedPoset, CompletionElement, Poset,
+from stonetrim import (FOUND, ClosureElement, ClosureError, CompletedPoset,
+                       CompletionElement, Poset, RNTrace, SymbolicSpace,
                        token_name)
 from stonetrim.backforth import (SIDES, DepthBudget, IsoError, MismatchFound,
                                  MismatchWitness, Pair, _facing,
@@ -480,6 +481,97 @@ def ref_trace_dot_edges(trace) -> list[str]:
             if below & bit[b] and up[b] & below == bit[b]:
                 edges.append(f'  "{a}" -> "{b}";')
     return edges
+
+
+def ref_rieger_nishimura_run(space, a, max_n: int = 30):
+    """``rieger_nishimura_run`` element by element: every set operation
+    of the peeling and of settling A_inf builds a ``ClosureElement``."""
+    if not space.is_open(a):
+        raise ClosureError("the generator must be an open (up-closed) set")
+    w = space.whole()
+    u, v, b = [a], [space.empty()], [a]
+    for n in range(1, max_n + 1):
+        u.append(w.minus(space.closure_of(b[n - 1])))
+        v.append(u[n - 1].union(v[n - 1]))
+        b.append(u[n].minus(v[n - 1]))
+        if b[n].is_empty and v[n] == w:
+            break
+    t = RNTrace(space, a, u, v, b)
+    rest = w
+    for x in b:
+        rest = rest.minus(x)
+    if len(b) > 1 and b[-1].is_empty and v[-1] == w:
+        t.a_inf, t.a_inf_exact = rest, True
+        return t
+    tail = [x._single() for x in b[-3:]]
+    marching = (space.ladder and len(tail) == 3 and 0 not in tail
+                and not (tail[0] | tail[1] | tail[2]) & space._bot
+                and tail[1:] == [tail[0] << 1, tail[0] << 2])
+    if marching:
+        t.a_inf = ClosureElement(space, False, space._bot).intersect(rest)
+        t.note = (f"singleton layers march up the ladder; tail projected "
+                  f"from step {t.n_ran}")
+    else:
+        t.note = "cut off before the layer pattern settled"
+    return t
+
+
+def ref_check_identities(trace) -> list[str]:
+    """``check_identities`` element by element, comparing elements."""
+    sp = trace.space
+    w = sp.whole()
+    u, v, b = trace.u, trace.v, trace.b
+    last = trace.n_ran
+    closed = [sp.closure_of(b[n]) for n in range(last)]
+    problems = []
+    for n in range(1, last + 1):
+        if u[n] != w.minus(closed[n - 1]):
+            problems.append(f"U_{n} is not the complement of the closed "
+                            f"layer below")
+        if v[n] != u[n - 1].union(v[n - 1]):
+            problems.append(f"V_{n} does not accumulate U_{n - 1}")
+        if b[n] != u[n].minus(v[n - 1]):
+            problems.append(f"B_{n} is not the new part of U_{n}")
+    for n in range(0, last):
+        if b[n] != v[n + 1].minus(v[n]):
+            problems.append(f"B_{n} != V_{n + 1} - V_{n}")
+        if closed[n] != w.minus(u[n + 1]):
+            problems.append(f"closure(B_{n}) != W - U_{n + 1}")
+        if v[n] != u[n + 1].intersect(v[n + 1]):
+            problems.append(f"V_{n} != U_{n + 1} & V_{n + 1}")
+        if n >= 1 and v[n - 1] != u[n + 1].intersect(u[n]):
+            problems.append(f"V_{n - 1} != U_{n + 1} & U_{n}")
+    for j in range(last + 1):
+        for k in range(j + 1, last + 1):
+            if b[j] and b[k] and b[j].intersect(b[k]):
+                problems.append(f"B_{j} and B_{k} overlap")
+            if b[j] and b[k]:
+                below = b[k].subset_of(closed[j])
+                if below != (k >= j + 2):
+                    problems.append(f"ladder order fails at B_{k}, B_{j}")
+    if trace.a_inf is not None:
+        if sp.closure_of(trace.a_inf) != trace.a_inf:
+            problems.append("A_inf is not closed")
+        for k in range(last + 1):
+            if trace.a_inf.intersect(b[k]):
+                problems.append(f"A_inf meets B_{k}")
+    return problems
+
+
+def ref_e_of_p(poset: Poset, horizon: int = 12) -> dict:
+    """``e_of_p`` element by element, from ``up_of`` and ``down_of``."""
+    space = SymbolicSpace(poset, horizon)
+    rungs, w = space._rungs, space.whole()
+    failures, before = [], 0
+    for k, (i, j) in enumerate(zip(rungs, rungs[1:])):
+        got = (w.minus(space.up_of(i)).minus(space.down_of(i))
+               .minus(ClosureElement(space, False, before)))
+        if got != ClosureElement(space, False, 1 << j):
+            failures.append({"k": k, "got": got.serialize()})
+        before |= 1 << i
+    return {"family": poset.family or poset.name, "horizon": horizon,
+            "checked": max(len(rungs) - 1, 0), "holds": not failures,
+            "failures": failures}
 
 
 def ref_theta_break(left: Poset, right: Poset, image: dict, span: int):

@@ -9,15 +9,20 @@ from itertools import combinations
 
 import pytest
 
-from conftest import holds, ref_closure_of
-from stonetrim import (ClosureError, Poset, RNTrace, SymbolicSpace,
-                       check_closure_axioms, check_identities,
+from conftest import (holds, ref_check_identities, ref_closure_of,
+                      ref_e_of_p, ref_rieger_nishimura_run)
+from stonetrim import (ClosureElement, ClosureError, Poset, RNTrace,
+                       SymbolicSpace, check_closure_axioms, check_identities,
                        classify_algebra, cli, e_of_p, family,
                        render_trace_dot, render_trace_text,
                        rieger_nishimura_run)
 
 LADDER_IDS = {"rn-infinity": lambda i: f"p{i - 1}",
               "rn-infinity-bot": lambda i: "bot" if i == 1 else f"p{i - 2}"}
+
+# the families the closure command runs on in the benchmark's CLI mix
+CLI_TAGS = ([f"rn({m},{v})" for m in range(11) for v in (0, 2)]
+            + sorted(LADDER_IDS))
 
 
 def rung_ids(space: SymbolicSpace) -> list[str]:
@@ -405,6 +410,95 @@ def test_a_tampered_trace_fails_check_identities(ladder, message):
     assert message in check_identities(trace)
 
 
+@pytest.mark.parametrize("message", TAMPERS)
+def test_a_tampered_trace_reports_as_the_oracle(ladder, message):
+    trace = rieger_nishimura_run(ladder, ladder.fin({"p0"}), 8)
+    TAMPERS[message](ladder, trace)
+    assert check_identities(trace) == ref_check_identities(trace)
+
+
+def outcome(f, *args):
+    """f(*args), or the message of the ClosureError it raises."""
+    try:
+        return f(*args)
+    except ClosureError as e:
+        return f"ClosureError: {e}"
+
+
+def trace_outcome(run, tag_or_poset, horizon: int, max_n: int):
+    """Everything a peeling run on a fresh space shows: its serialization,
+    its A_inf, its text render, its dot render and its identity check
+    (by the oracle), or the error it raises."""
+    poset = (family(tag_or_poset) if isinstance(tag_or_poset, str)
+             else tag_or_poset)
+    space = SymbolicSpace(poset, horizon)
+    t = outcome(run, space, space.fin({"p0"}), max_n)
+    if isinstance(t, str):
+        return t
+    return (t.serialize(), t.a_inf,
+            render_trace_text(t, classify_algebra(t)), render_trace_dot(t),
+            ref_check_identities(t))
+
+
+@pytest.mark.parametrize("tag", CLI_TAGS)
+def test_runs_match_the_element_oracles(tag):
+    for horizon in (1, 3, 12):
+        for max_n in (0, 1, 10, 30):
+            want = trace_outcome(ref_rieger_nishimura_run, tag, horizon,
+                                 max_n)
+            assert trace_outcome(rieger_nishimura_run, tag, horizon,
+                                 max_n) == want, (horizon, max_n)
+            space = SymbolicSpace(family(tag), horizon)
+            t = rieger_nishimura_run(space, space.fin({"p0"}), max_n)
+            assert check_identities(t) == ref_check_identities(t)
+        assert (e_of_p(family(tag), horizon)
+                == ref_e_of_p(family(tag), horizon)), horizon
+
+
+@pytest.mark.parametrize("tag", sorted(LADDER_IDS))
+@pytest.mark.parametrize("gap", [1, 2, 3])
+def test_tampered_ladders_match_the_element_oracles(tag, gap):
+    for horizon in (3, 12):
+        assert (e_of_p(tampered_ladder(tag, gap), horizon)
+                == ref_e_of_p(tampered_ladder(tag, gap), horizon))
+        for max_n in (1, 10, 30):
+            got = trace_outcome(rieger_nishimura_run,
+                                tampered_ladder(tag, gap), horizon, max_n)
+            assert got == trace_outcome(ref_rieger_nishimura_run,
+                                        tampered_ladder(tag, gap), horizon,
+                                        max_n), (horizon, max_n)
+            space = SymbolicSpace(tampered_ladder(tag, gap), horizon)
+            t = outcome(rieger_nishimura_run, space, space.fin({"p0"}), max_n)
+            if not isinstance(t, str):
+                assert check_identities(t) == ref_check_identities(t)
+
+
+def test_elements_are_built_per_layer_not_per_comparison(monkeypatch):
+    """Comparing and combining layers builds no element: a run builds a
+    few a step, ``check_identities`` one closure a layer and ``e_of_p``
+    none a rung while it holds."""
+    built = []
+    init = ClosureElement.__init__
+
+    def counting(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(ClosureElement, "__init__", counting)
+    space = SymbolicSpace(family("rn-infinity"), 12)
+    trace = rieger_nishimura_run(space, space.fin({"p0"}), 30)
+    layers = len(trace.b)
+    assert layers == 31
+    assert len(built) <= 5 * layers
+    built.clear()
+    assert check_identities(trace) == []
+    assert len(built) <= 2 * layers     # 1 262 when each comparison built
+    built.clear()
+    doc = e_of_p(family("rn-infinity"), 12)
+    assert doc["holds"] and doc["checked"] == 11
+    assert len(built) <= 2 * 12         # 78 when each set operation built
+
+
 def one_more(space):
     """A closure that adds the least id it leaves out to every answer, so
     the empty set closes to a point and no answer is ever closed again."""
@@ -457,6 +551,8 @@ class TestRenders:
 # in (10, 20, 30, 40) and --horizon in (1, 3, 12): for each run in that
 # order, "<max-n> <horizon> <exit code>\n" and then its stdout
 PINNED = os.path.join(os.path.dirname(__file__), "closure_digests.json")
+PINNED_KEYS = [f"{tag} {fmt}" for tag in CLI_TAGS
+               for fmt in ("json", "text", "dot")]
 
 
 def closure_digest(tag: str, fmt: str) -> str:
@@ -475,9 +571,14 @@ def closure_digest(tag: str, fmt: str) -> str:
 def test_closure_output_is_pinned():
     with open(PINNED) as f:
         pinned = json.load(f)
-    tags = ([f"rn({m},{v})" for m in range(11) for v in (0, 2)]
-            + ["rn-infinity", "rn-infinity-bot"])
-    keys = [f"{tag} {fmt}" for tag in tags for fmt in ("json", "text", "dot")]
-    assert sorted(pinned) == sorted(keys)
-    changed = [k for k in keys if closure_digest(*k.split(" ")) != pinned[k]]
+    assert sorted(pinned) == sorted(PINNED_KEYS)
+    changed = [k for k in PINNED_KEYS
+               if closure_digest(*k.split(" ")) != pinned[k]]
     assert changed == []
+
+
+if __name__ == "__main__":
+    # prints the pinned digests of the program on the path, in the pinned
+    # file's key order
+    print(json.dumps({k: closure_digest(*k.split(" ")) for k in PINNED_KEYS},
+                     indent=1))

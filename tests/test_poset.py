@@ -1,6 +1,8 @@
 """Order queries, bounded verdicts and foundation searches."""
 import random
 import sys
+from functools import reduce
+from operator import or_
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from stonetrim import (DEFAULT_CHAIN_BOUND, FOUND, HOLDS, HOLDS_ON_PREFIX,
                        INCONCLUSIVE, REFUTED, Poset, PosetError, TypeSet,
                        family)
-from stonetrim.poset import bits, covers_of, from_runs, runs
+from stonetrim.poset import bits, from_runs, runs
 
 from conftest import (all_chains, finite_from_order, lt, random_poset,
                       ref_first_chain, ref_is_lower, ref_runs, ref_spans_of,
@@ -16,11 +18,18 @@ from conftest import (all_chains, finite_from_order, lt, random_poset,
 
 
 def cover_pairs(p, horizon):
-    """The transitive reduction of ``p.prefix(horizon)``, by ``covers_of``
-    over the poset's up-set rows."""
+    """The transitive reduction of ``p.prefix(horizon)`` read off the
+    poset's up-set rows: pairs (a, b) with b covering a, ordered by the
+    index of a, then of b."""
     pre = p.prefix(horizon)
-    rows = [0] + [p.up_mask(i) for i in range(1, len(pre) + 1)]
-    return covers_of(rows, [""] + pre)
+    keep = p.prefix_mask(horizon)
+    strict = {i: p.up_mask(i) & keep & ~(1 << i)
+              for i in range(1, len(pre) + 1)}
+    out = []
+    for i, row in strict.items():
+        beyond = reduce(or_, map(strict.__getitem__, bits(row)), 0)
+        out.extend((pre[i - 1], pre[j - 1]) for j in bits(row & ~beyond))
+    return out
 
 
 class TestConstruction:

@@ -105,7 +105,7 @@ class PartialIso:
         self.trees = (left, right)
         self.theta = theta
         # the isolated types of each side, as a mask over enumeration indices
-        self.iso = tuple(t.poset.mask_of(t.config.isolated)
+        self.iso = tuple(t.config.masks(t.config.scope(t.depth))[0]
                          for t in self.trees)
         self.pairs: list[Pair] = []
         # each side's parts as runs on one common level, keyed by their

@@ -216,7 +216,7 @@ def cmd_closure(args) -> int:
         _out(render_trace_dot(trace))
         return 0
     cls = classify_algebra(trace)
-    gen_check = e_of_p(poset, args.horizon)
+    gen_check = e_of_p(space)
     if args.format == "text":
         _out(render_trace_text(trace, cls))
         _out(f"generator check: "

@@ -372,15 +372,14 @@ def classify_algebra(trace: RNTrace) -> Classification:
 # ----------------------------------------------------------------------
 # single-generation certificate
 
-def e_of_p(poset: Poset, horizon: int = 12) -> dict:
+def e_of_p(space: SymbolicSpace) -> dict:
     """Certify that consecutive singletons fall out of order arithmetic.
 
     For consecutive rungs p, q (``SymbolicSpace._rungs``), p the k-th, the
     space minus the up-set of p, minus its down-set, minus the k rungs
     before p, must be exactly {q}.
     """
-    space = SymbolicSpace(poset, horizon)
-    rungs = space._rungs
+    poset, rungs = space.poset, space._rungs
     failures, before = [], 0
     for k, (i, j) in enumerate(zip(rungs, rungs[1:])):
         down, up = space._row(i)
@@ -388,7 +387,7 @@ def e_of_p(poset: Poset, horizon: int = 12) -> dict:
         if got != 1 << j:
             failures.append({"k": k, "got": space._element(got).serialize()})
         before |= 1 << i
-    return {"family": poset.family or poset.name, "horizon": horizon,
+    return {"family": poset.family or poset.name, "horizon": space.horizon,
             "checked": max(len(rungs) - 1, 0), "holds": not failures,
             "failures": failures}
 

@@ -77,30 +77,27 @@ BUCKETS = ("bounded", "unbounded", "noncompact")
 class BuildConfig(Record):
     """Poset plus the isolation and compactness data steering the build.
 
-    bounded / unbounded / noncompact are explicit, disjoint element sets;
-    anything unlisted falls into the default bucket.  The "auto" default
-    sends elements with a confirmed finite foundation for their singleton to
-    bounded and the rest to noncompact.
+    bounded / unbounded / noncompact are explicit, disjoint element sets.
+    An unlisted element is bounded when it lies in P_Delta, the elements
+    whose singleton has a confirmed finite foundation (``Poset.p_delta``),
+    and noncompact when not.  ``masks`` is the one place where these id
+    sets become index masks.
     """
 
     _compare = ("poset", "isolated", "bounded", "unbounded", "noncompact",
-                "default_bucket", "horizon")
+                "horizon")
     __slots__ = _compare + ("_resolved",)
 
     def __init__(self, poset: Poset, isolated: frozenset = frozenset(),
                  bounded: frozenset = frozenset(),
                  unbounded: frozenset = frozenset(),
                  noncompact: frozenset = frozenset(),
-                 default_bucket: str = "auto",
                  horizon: Optional[int] = None):
         self.poset = poset
         self.isolated = frozenset(isolated)
         self.bounded = frozenset(bounded)
         self.unbounded = frozenset(unbounded)
         self.noncompact = frozenset(noncompact)
-        if default_bucket not in BUCKETS + ("auto",):
-            raise ConfigError(f"unknown default bucket {default_bucket!r}")
-        self.default_bucket = default_bucket
         self.horizon = horizon
         # indices resolved so far, then the isolated and bucket masks
         self._resolved: tuple[int, int, dict[str, int]] = (
@@ -112,31 +109,32 @@ class BuildConfig(Record):
             return self.poset.size
         return max(self.horizon or 0, depth)
 
-    def bucket_of(self, p: str, depth: int) -> str:
-        for bucket in BUCKETS:
-            if p in getattr(self, bucket):
-                return bucket
-        if self.default_bucket != "auto":
-            return self.default_bucket
-        res = self.poset.finite_foundation(1 << self.poset.index(p),
-                                           self.scope(depth))
-        return "bounded" if res.status == FOUND else "noncompact"
-
     def masks(self, n: int) -> tuple[int, dict[str, int]]:
         """The configuration over enumeration indices 1..n: the mask of the
-        isolated indices and one mask per bucket.  Each index is resolved
-        once, through ``bucket_of(id_at(ix), n)`` by the first call that
-        reaches it; a call with a smaller n reads the memo below bit n+1."""
+        isolated indices and one mask per bucket.  The first call that
+        reaches an index resolves it: a listed id takes the first bucket in
+        ``BUCKETS`` that lists it, and any other index is bounded when it
+        lies in ``p_delta(scope(n))``, else noncompact.  Ids not enumerated
+        yet are skipped; a call with a smaller n reads the memo below bit
+        n+1."""
         done, iso, buckets = self._resolved
+        poset = self.poset
+        keep = poset.prefix_mask(n)
         if n > done:
+            fresh = keep & ~poset.prefix_mask(done)
+            iso |= fresh & poset.mask_of(filter(poset.__contains__,
+                                                self.isolated))
             buckets = dict(buckets)
-            for ix in range(done + 1, n + 1):
-                p = self.poset.id_at(ix)
-                if p in self.isolated:
-                    iso |= 1 << ix
-                buckets[self.bucket_of(p, n)] |= 1 << ix
+            for bucket in BUCKETS:
+                listed = fresh & poset.mask_of(
+                    filter(poset.__contains__, getattr(self, bucket)))
+                buckets[bucket] |= listed
+                fresh &= ~listed
+            if fresh:
+                delta = poset.p_delta(self.scope(n))[0]
+                buckets["bounded"] |= fresh & delta
+                buckets["noncompact"] |= fresh & ~delta
             self._resolved = n, iso, buckets
-        keep = self.poset.prefix_mask(n)
         return iso & keep, {b: m & keep for b, m in buckets.items()}
 
     def validate(self, depth: int = 0) -> list[str]:

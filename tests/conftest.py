@@ -88,6 +88,12 @@ def random_poset(rng: random.Random, max_size: int = 6,
     return Poset.from_covers(name, ids, pairs)
 
 
+def listed_in(bucket: str, ids) -> dict:
+    """BuildConfig keywords that list ids in bucket; none for "auto", which
+    leaves every id to P_Delta."""
+    return {} if bucket == "auto" else {bucket: frozenset(ids)}
+
+
 def all_chains(poset: Poset) -> list[tuple[str, ...]]:
     """Every nonempty chain of a finite poset, listed bottom to top."""
     ids = poset.prefix(poset.size)
@@ -250,6 +256,18 @@ def ref_p_delta(poset: Poset, horizon: int) -> int:
             assert all(poset.leq(f, q) for f in found)
         out |= 1 << i
     return out
+
+
+def ref_bucket_of(config, p: str, n: int) -> str:
+    """The bucket of id p in a config resolved at n, id by id: the first
+    bucket that lists p, else bounded when p's singleton has a confirmed
+    finite foundation at ``config.scope(n)`` and noncompact when not."""
+    for bucket in ("bounded", "unbounded", "noncompact"):
+        if p in getattr(config, bucket):
+            return bucket
+    poset = config.poset
+    res = poset.finite_foundation(1 << poset.index(p), config.scope(n))
+    return "bounded" if res.status == FOUND else "noncompact"
 
 
 def ref_longest_chain_from(poset: Poset, pre: list) -> dict:

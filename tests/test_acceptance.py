@@ -216,7 +216,7 @@ def test_criterion_7_rieger_nishimura():
             for k in range(trace.n_ran + 1):
                 if trace.b[k]:
                     assert trace.b[k].ids == {f"p{k}"}
-            gen = e_of_p(family(tag))
+            gen = e_of_p(space)
             assert gen["holds"] is True and gen["checked"] == m
             ran += 1
     for tag, want_case in (("rn-infinity", 3), ("rn-infinity-bot", 4)):
@@ -226,7 +226,7 @@ def test_criterion_7_rieger_nishimura():
         assert classify_algebra(trace).case == want_case
         for k in range(trace.n_ran + 1):
             assert trace.b[k].ids == {f"p{k}"}
-        gen = e_of_p(family(tag), horizon=12)
+        gen = e_of_p(space)
         assert gen["holds"] is True and gen["checked"] == 11
         ran += 1
     elapsed = time.perf_counter() - t0

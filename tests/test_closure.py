@@ -327,22 +327,22 @@ class TestPeeling:
 
 class TestGenerationCertificate:
     def test_plain_segment(self):
-        doc = e_of_p(family("rn(2,0)"))
+        doc = e_of_p(SymbolicSpace(family("rn(2,0)")))
         assert doc == {"family": "rn(2,0)", "horizon": 12, "checked": 2,
                        "holds": True, "failures": []}
 
     def test_full_ladder(self):
-        doc = e_of_p(family("rn-infinity"), horizon=12)
+        doc = e_of_p(SymbolicSpace(family("rn-infinity"), 12))
         assert doc["checked"] == 11
         assert doc["holds"] is True
 
     def test_bottom_variant(self):
-        doc = e_of_p(family("rn-infinity-bot"), horizon=10)
+        doc = e_of_p(SymbolicSpace(family("rn-infinity-bot"), 10))
         assert doc["holds"] is True
 
     def test_needs_symbolic_space(self):
         with pytest.raises(ClosureError, match="finite poset or a ladder"):
-            e_of_p(family("omega-chain"))
+            e_of_p(SymbolicSpace(family("omega-chain")))
 
 
 @pytest.mark.parametrize("tag", sorted(LADDER_IDS))
@@ -350,12 +350,12 @@ class TestTamperedLadders:
     """The ladder order comes from the poset, so a changed order shows."""
 
     def test_true_gap_passes(self, tag):
-        assert e_of_p(tampered_ladder(tag, 2))["holds"] is True
+        assert e_of_p(SymbolicSpace(tampered_ladder(tag, 2)))["holds"] is True
         assert check_closure_axioms(
             SymbolicSpace(tampered_ladder(tag, 2))) == []
 
     def test_consecutive_rungs_comparable(self, tag):
-        doc = e_of_p(tampered_ladder(tag, 1))
+        doc = e_of_p(SymbolicSpace(tampered_ladder(tag, 1)))
         assert doc["holds"] is False
         assert doc["checked"] == 11
         assert doc["failures"][0] == {
@@ -451,7 +451,7 @@ def test_runs_match_the_element_oracles(tag):
             space = SymbolicSpace(family(tag), horizon)
             t = rieger_nishimura_run(space, space.fin({"p0"}), max_n)
             assert check_identities(t) == ref_check_identities(t)
-        assert (e_of_p(family(tag), horizon)
+        assert (e_of_p(SymbolicSpace(family(tag), horizon))
                 == ref_e_of_p(family(tag), horizon)), horizon
 
 
@@ -459,7 +459,7 @@ def test_runs_match_the_element_oracles(tag):
 @pytest.mark.parametrize("gap", [1, 2, 3])
 def test_tampered_ladders_match_the_element_oracles(tag, gap):
     for horizon in (3, 12):
-        assert (e_of_p(tampered_ladder(tag, gap), horizon)
+        assert (e_of_p(SymbolicSpace(tampered_ladder(tag, gap), horizon))
                 == ref_e_of_p(tampered_ladder(tag, gap), horizon))
         for max_n in (1, 10, 30):
             got = trace_outcome(rieger_nishimura_run,
@@ -494,7 +494,7 @@ def test_elements_are_built_per_layer_not_per_comparison(monkeypatch):
     assert check_identities(trace) == []
     assert len(built) <= 2 * layers     # 1 262 when each comparison built
     built.clear()
-    doc = e_of_p(family("rn-infinity"), 12)
+    doc = e_of_p(space)
     assert doc["holds"] and doc["checked"] == 11
     assert len(built) <= 2 * 12         # 78 when each set operation built
 

@@ -15,7 +15,7 @@ from stonetrim import (Analytics, BuildConfig, Classification,
                        SymbolicSpace, TypeSet, Verdict,
                        build_levels, family)
 from stonetrim.backforth import Pair
-from stonetrim.skeleton import ConfigError, Level
+from stonetrim.skeleton import Level
 
 POSET = chain_ab_poset()
 TREE = build_levels(BuildConfig(POSET), 3)
@@ -72,12 +72,11 @@ CASES = [
              "omega_complete=None, omega_note='', omega_witness=None, "
              "foundation=None, limit_display=None)")),
     Case(BuildConfig, {"poset": POSET, "isolated": frozenset({"a"}),
-                       "bounded": frozenset({"a"}),
-                       "unbounded": frozenset(), "noncompact": frozenset(),
-                       "default_bucket": "noncompact", "horizon": 4},
+                       "bounded": frozenset({"a"}), "unbounded": frozenset(),
+                       "noncompact": frozenset({"b"}), "horizon": 4},
          1, {"isolated": frozenset(), "bounded": frozenset(),
              "unbounded": frozenset(), "noncompact": frozenset(),
-             "default_bucket": "auto", "horizon": None},
+             "horizon": None},
          frozen=False, differs=("horizon", 5)),
     Case(Level, {"number": 2, "types": array("I", [1, 1, 2]), "u_start": 3,
                  "block_end": array("I", [3])},
@@ -161,8 +160,7 @@ SIGNATURES = {
                   ("foundation", None), ("limit_display", None)],
     "BuildConfig": [("poset", REQUIRED), ("isolated", frozenset()),
                     ("bounded", frozenset()), ("unbounded", frozenset()),
-                    ("noncompact", frozenset()), ("default_bucket", "auto"),
-                    ("horizon", None)],
+                    ("noncompact", frozenset()), ("horizon", None)],
     "Level": [("number", REQUIRED), ("types", REQUIRED),
               ("u_start", REQUIRED), ("block_end", FACTORY),
               ("counts", FACTORY)],
@@ -288,10 +286,8 @@ def test_post_init_behaviour():
     config = BuildConfig(POSET, isolated=["a"], bounded={"a"})
     assert config.isolated == config.bounded == frozenset({"a"})
     assert type(config.isolated) is frozenset
-    config.bucket_of("b", 2)
+    config.masks(2)
     assert config == BuildConfig(POSET, isolated={"a"}, bounded={"a"})
-    with pytest.raises(ConfigError, match="unknown default bucket 'x'"):
-        BuildConfig(POSET, default_bucket="x")
     assert TypeSet(POSET, ("b",)).mask == 1 << POSET.index("b")
     finite = SymbolicSpace(family("rn(2,0)"), 12)
     flipped = ClosureElement(finite, True, 1 << finite.poset.index("p0"))

@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (chain_ab_poset, diamond_poset, random_poset,
-                      ref_persist_rows, ref_up_closure, ring_key, vee_poset)
+from conftest import (chain_ab_poset, diamond_poset, listed_in,
+                      random_poset, ref_persist_rows, ref_up_closure,
+                      ring_key, vee_poset)
 from stonetrim import (BuildConfig, Poset, RingElement, RingError, TypeSet,
                        build_levels, family, is_trim_for,
                        split_by_scarce_atoms, supertrim_split, trim_split,
@@ -693,7 +694,8 @@ class TestPersistRows:
         # built without validation, as some of these configs break the
         # existence hypotheses
         assert_persist_rows_match(SkeletonTree(
-            BuildConfig(poset, isolated=isolated, default_bucket=bucket), 5))
+            BuildConfig(poset, isolated=isolated,
+                        **listed_in(bucket, poset.prefix(poset.size))), 5))
 
     def test_tampered_levels(self):
         tree = tampered_chain_tree()

@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import (children, descends_to, random_poset, ref_down_closure,
-                      ref_theta_image)
+from conftest import (chain_ab_poset, children, descends_to, diamond_poset,
+                      listed_in, random_poset, ref_bucket_of,
+                      ref_down_closure, ref_theta_image, vee_poset)
 from stonetrim import (FOUND, BuildConfig, BuildError, ConfigError, Poset,
                        build_levels, family, skeleton, verify_structure)
 from stonetrim.poset import bits, runs
@@ -20,15 +21,16 @@ from stonetrim.skeleton import (BUCKETS, Level, SkeletonTree,
 
 
 def chain_tree(depth=4, **kw):
-    from conftest import chain_ab_poset
     return build_levels(BuildConfig(chain_ab_poset(), **kw), depth)
 
 
-class TestConfig:
-    def test_unknown_default_bucket(self, chain_ab):
-        with pytest.raises(ConfigError, match="unknown default bucket"):
-            BuildConfig(chain_ab, default_bucket="weird")
+def bucket_in_masks(config, p, n):
+    """The bucket whose mask in ``config.masks(n)`` holds p's index."""
+    ix = config.poset.index(p)
+    return next(b for b, m in config.masks(n)[1].items() if m >> ix & 1)
 
+
+class TestConfig:
     def test_scope(self, chain_ab):
         assert BuildConfig(chain_ab).scope(10) == 2
         cfg = BuildConfig(family("omega-chain"), horizon=8)
@@ -37,15 +39,15 @@ class TestConfig:
 
     def test_auto_bucket_follows_foundations(self, chain_ab):
         cfg = BuildConfig(chain_ab)
-        assert cfg.bucket_of("a", 4) == "bounded"
-        assert cfg.bucket_of("b", 4) == "bounded"
+        assert bucket_in_masks(cfg, "a", 4) == "bounded"
+        assert bucket_in_masks(cfg, "b", 4) == "bounded"
         lad = BuildConfig(family("rn-infinity"), horizon=8)
         lad.poset.prefix(8)
-        assert lad.bucket_of("p0", 8) == "noncompact"
+        assert bucket_in_masks(lad, "p0", 8) == "noncompact"
 
     def test_explicit_buckets_win(self, chain_ab):
         cfg = BuildConfig(chain_ab, noncompact=frozenset({"b"}))
-        assert cfg.bucket_of("b", 4) == "noncompact"
+        assert bucket_in_masks(cfg, "b", 4) == "noncompact"
 
 
 class TestValidate:
@@ -85,8 +87,7 @@ class TestValidate:
         assert any(p.startswith("isolated-minimal-noncompact") for p in probs)
 
     def test_bounded_not_lower(self, chain_ab):
-        cfg = BuildConfig(chain_ab, bounded={"b"},
-                          default_bucket="noncompact")
+        cfg = BuildConfig(chain_ab, bounded={"b"}, noncompact={"a"})
         probs = cfg.validate(4)
         assert "bounded-not-lower: not a lower set on the prefix" in probs
 
@@ -498,7 +499,8 @@ def next_level_oracle(tree):
     cap = tree.type_cap(n)
     config, ids = tree.config, tree.poset.prefix(cap)
     iso = {ix for ix, p in enumerate(ids, 1) if p in config.isolated}
-    buckets = {ix: config.bucket_of(p, n) for ix, p in enumerate(ids, 1)}
+    buckets = {ix: ref_bucket_of(config, p, n)
+               for ix, p in enumerate(ids, 1)}
     prev = tree.levels[-1]
     below_cap = (1 << cap + 1) - 2
     blocks, reach = {}, 0
@@ -572,7 +574,7 @@ def structure_oracle(tree, q_lower=None):
                 break
         rep.add(f"continuation-children@{n}", ok, bad)
     for t in range(1, tree.type_cap(depth) + 1):
-        b = tree.config.bucket_of(poset.id_at(t), depth)
+        b = ref_bucket_of(tree.config, poset.id_at(t), depth)
         if b == "noncompact":
             ok, bad = True, ""
             for n in range(max(2, t + 1), depth + 1):
@@ -704,7 +706,8 @@ class TestPredictedSize:
         isolated = ({rng.choice(poset.prefix(poset.size))} if isolate
                     else set())
         assert_sizes_predicted(
-            BuildConfig(poset, isolated=isolated, default_bucket=bucket), 5)
+            BuildConfig(poset, isolated=isolated,
+                        **listed_in(bucket, poset.prefix(poset.size))), 5)
 
     def test_a_failed_build_reads_no_node_of_the_last_level(self, chain_ab,
                                                             monkeypatch):
@@ -732,7 +735,8 @@ class TestWholeLevelPasses:
         poset = random_poset(rng)
         ids = poset.prefix(poset.size)
         isolated = {rng.choice(ids)} if isolate else set()
-        config = BuildConfig(poset, isolated=isolated, default_bucket=bucket)
+        config = BuildConfig(poset, isolated=isolated,
+                             **listed_in(bucket, ids))
         lower = ref_down_closure(poset, [rng.choice(ids)], poset.size)
         assert_matches_oracles(config, 5, q_lower=lower)
 
@@ -1094,7 +1098,7 @@ class TestChunkedBuild:
                 poset = random_poset(rng)
                 ids = poset.prefix(poset.size)
                 config = BuildConfig(poset, isolated={rng.choice(ids)},
-                                     default_bucket=bucket)
+                                     **listed_in(bucket, ids))
                 assert_matches_oracles(config, 5)
 
 
@@ -1107,27 +1111,59 @@ def masks_oracle(config, n):
     iso = sum(1 << ix for ix, p in enumerate(ids, 1) if p in config.isolated)
     buckets = dict.fromkeys(BUCKETS, 0)
     for ix, p in enumerate(ids, 1):
-        buckets[config.bucket_of(p, n)] |= 1 << ix
+        buckets[ref_bucket_of(config, p, n)] |= 1 << ix
     return iso, buckets
 
 
 def assert_masks_match(rng, poset, reach=12):
     """A random config's masks at n = 1..reach, in a random order and then
-    its reverse, so a smaller n follows a larger one."""
+    its reverse, so a smaller n follows a larger one.  An id may be listed
+    in no bucket, one or two, listed ids include two the poset does not
+    know, and three times in four every id of the prefix left unlisted is
+    then listed in one bucket."""
     reach = reach if poset.size is None else min(reach, poset.size)
+    ids = poset.prefix(reach)
     iso, explicit = set(), {b: set() for b in BUCKETS}
-    for p in poset.prefix(reach):
+    for p in ids + ["no-such-id-1", "no-such-id-2"]:
         if rng.random() < 0.3:
             iso.add(p)
-        if rng.random() < 0.5:
-            explicit[rng.choice(BUCKETS)].add(p)
+        for bucket in rng.sample(BUCKETS, rng.choice((0, 0, 1, 2))):
+            explicit[bucket].add(p)
+    rest = rng.choice(("auto",) + BUCKETS)
+    unlisted = set(ids).difference(*explicit.values())
+    for bucket, listed in listed_in(rest, unlisted).items():
+        explicit[bucket] |= listed
     config = BuildConfig(poset, isolated=iso, **explicit,
-                         default_bucket=rng.choice(("auto",) + BUCKETS),
                          horizon=rng.choice((None, 4, reach)))
     order = list(range(1, reach + 1))
     rng.shuffle(order)
     for n in order + order[::-1]:
         assert config.masks(n) == masks_oracle(config, n)
+
+
+FILE_POSETS = {"chain": chain_ab_poset, "vee": vee_poset,
+               "diamond": diamond_poset}
+
+
+def count_lookups_in_masks(monkeypatch) -> dict[str, int]:
+    """Count the ``Poset.id_at`` and ``Poset.index`` calls made while
+    ``BuildConfig.masks`` runs, into the dict returned."""
+    calls, inside = {"id_at": 0, "index": 0}, [False]
+    for name in calls:
+        def counted(self, arg, _name=name, _call=getattr(Poset, name)):
+            calls[_name] += inside[0]
+            return _call(self, arg)
+        monkeypatch.setattr(Poset, name, counted)
+    masks = BuildConfig.masks
+
+    def watched(self, n):
+        inside[0] = True
+        try:
+            return masks(self, n)
+        finally:
+            inside[0] = False
+    monkeypatch.setattr(BuildConfig, "masks", watched)
+    return calls
 
 
 class TestConfigMasks:
@@ -1142,6 +1178,25 @@ class TestConfigMasks:
     def test_random_posets_match_per_id_resolution(self, seed):
         rng = random.Random(seed)
         assert_masks_match(rng, random_poset(rng, max_size=12))
+
+    @pytest.mark.parametrize("tag", ORACLE_FAMILIES + sorted(FILE_POSETS))
+    def test_masks_look_up_no_id(self, monkeypatch, tag):
+        calls = count_lookups_in_masks(monkeypatch)
+        make = FILE_POSETS.get(tag, lambda: family(tag))
+        rng = random.Random(tag)
+        for _ in range(3):
+            assert_masks_match(rng, make())
+        verify_structure(build_levels(BuildConfig(make()), 5))
+        assert calls == {"id_at": 0, "index": 0}
+
+    @given(seed=st.integers(0, 10 ** 6))
+    @settings(max_examples=20, deadline=None)
+    def test_random_configs_look_up_no_id(self, seed):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            calls = count_lookups_in_masks(monkeypatch)
+            rng = random.Random(seed)
+            assert_masks_match(rng, random_poset(rng, max_size=12))
+        assert calls == {"id_at": 0, "index": 0}
 
     def test_one_config_shared_by_two_trees(self):
         def make():

@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from collections import Counter
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from ._record import Frozen, Record
 from .poset import FOUND, Poset, bits, runs
@@ -199,9 +199,10 @@ class _ThetaMap:
         return None if other.finite and g > other.size else g
 
 
-def init_iso(left: SkeletonTree, right: SkeletonTree, q: Iterable[str],
+def init_iso(left: SkeletonTree, right: SkeletonTree, q: int,
              theta: _ThetaMap) -> PartialIso:
-    """Seed the pairing from the founded lower region named by q.
+    """Seed the pairing from the founded lower region q, a mask over the
+    left enumeration.
 
     The covering level on each side is the last enumeration slot of the
     foundation; its whole level splits into trim parts and the parts
@@ -209,14 +210,12 @@ def init_iso(left: SkeletonTree, right: SkeletonTree, q: Iterable[str],
     ``run_backforth`` prepares over the schedule's span (``_theta_over``).
     """
     state = PartialIso(left, right, theta)
-    images = {p: theta.image(0, left.poset.index(p)) if p in left.poset
-              else None for p in frozenset(q)}
-    missing = sorted(p for p, h in images.items() if h is None)
+    images = {g: theta.image(0, g) for g in bits(q)}
+    missing = sum(1 << g for g, h in images.items() if h is None)
     if missing:
-        raise IsoError(f"region elements {missing} have no counterpart "
-                       f"under the bijection")
-    regions = (left.poset.mask_of(images),
-               sum(1 << h for h in images.values()))
+        raise IsoError(f"region elements {sorted(left.poset.ids_of(missing))}"
+                       f" have no counterpart under the bijection")
+    regions = (q, sum(1 << h for h in images.values()))
     parts = []
     for side, region in enumerate(regions):
         tree = state.trees[side]
@@ -553,7 +552,7 @@ def _covered(state: PartialIso, schedule: list[tuple[int, int, int]]) -> bool:
 
 
 def run_backforth(left: SkeletonTree, right: SkeletonTree,
-                  q: Optional[Iterable[str]] = None,
+                  q: Optional[int] = None,
                   theta: Optional[Callable[[str], str]] = None,
                   depth: Optional[int] = None,
                   max_depth: Optional[int] = None,
@@ -566,7 +565,8 @@ def run_backforth(left: SkeletonTree, right: SkeletonTree,
     agree past the span (``_check_past_span``) is an isomorphism
     certificate to the scheduled depth.  A provable count contradiction
     reports a mismatch with its witness; running out of the level budget
-    reports exhaustion instead.
+    reports exhaustion instead.  The compared region q is a mask over the
+    left enumeration, by default P_Delta over the span.
     """
     if depth is None:
         depth = min(left.depth, right.depth)
@@ -578,8 +578,7 @@ def run_backforth(left: SkeletonTree, right: SkeletonTree,
     span = min(left.type_cap(depth), right.type_cap(depth))
     bijection = _theta_over(left, right, theta, span)
     if q is None:
-        q = left.poset.ids_of(left.poset.p_delta(span)[0])
-    q = frozenset(q)
+        q = left.poset.p_delta(span)[0]
     if not q:
         raise IsoError("the compared region is empty; pass q explicitly when "
                        "no element has a confirmed finite foundation")

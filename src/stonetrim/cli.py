@@ -99,7 +99,7 @@ def cmd_analyze(args) -> int:
                            "foundation": sorted(poset.ids_of(res.foundation)),
                            "note": res.note})
         report["foundations"] = checks
-    completed = complete_over(poset, poset.prefix(horizon), horizon)
+    completed = complete_over(poset, poset.prefix_mask(horizon), horizon)
     report["completion"] = {
         "elements": len(completed.elements),
         "tokens": [t.display or t.ref for t in completed.tokens()],
@@ -138,7 +138,8 @@ def cmd_build_verify(args) -> int:
         _out(tree.to_dot())
         return 0
     try:
-        structure = verify_structure(tree, q_lower=args.q or None)
+        structure = verify_structure(
+            tree, q_lower=poset.mask_of(args.q) if args.q else None)
     except PosetError as e:
         return _fail(2, f"bad --q: {e}")
     axioms = verify_type_axioms(tree, args.depth - 1, seed=args.seed)
@@ -175,17 +176,15 @@ def cmd_iso(args) -> int:
             return _fail(3, f"{name}: {e}")
         except BuildError as e:
             return _fail(5, f"{name}: {e}")
+    q = None
     try:
         for p in args.q or ():
-            trees[0].poset.index(p)
+            q = (q or 0) | 1 << trees[0].poset.index(p)
     except PosetError as e:
         return _fail(2, f"bad --q: {e}")
     try:
-        run = run_backforth(*trees,
-                            q=frozenset(args.q) if args.q else None,
-                            depth=args.depth,
-                            max_depth=args.max_depth,
-                            seed=args.seed)
+        run = run_backforth(*trees, q=q, depth=args.depth,
+                            max_depth=args.max_depth, seed=args.seed)
     except IsoError as e:
         return _fail(3, str(e))
     _emit(run.serialize())

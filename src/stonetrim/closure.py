@@ -38,7 +38,7 @@ class SymbolicSpace:
 
     def __init__(self, poset: Poset, horizon: int = 12):
         self.finite, self.ladder = poset.finite, not poset.finite
-        if self.ladder and poset.family not in LADDER_FAMILIES:
+        if self.ladder and poset.name not in LADDER_FAMILIES:
             raise ClosureError(
                 "symbolic spaces need a finite poset or a ladder family")
         self.poset, self.horizon = poset, horizon
@@ -387,7 +387,7 @@ def e_of_p(space: SymbolicSpace) -> dict:
         if got != 1 << j:
             failures.append({"k": k, "got": space._element(got).serialize()})
         before |= 1 << i
-    return {"family": poset.family or poset.name, "horizon": space.horizon,
+    return {"family": poset.name, "horizon": space.horizon,
             "checked": max(len(rungs) - 1, 0), "holds": not failures,
             "failures": failures}
 

@@ -75,25 +75,25 @@ def complete_finite(poset: Poset) -> CompletedPoset:
     """
     if not poset.finite:
         raise CompletionError("complete_finite needs a finite poset")
-    return complete_over(poset, (), poset.size)
+    return complete_over(poset, 0, poset.size)
 
 
-def complete_over(poset: Poset, members: Iterable[str],
+def complete_over(poset: Poset, members: int,
                   horizon: int) -> CompletedPoset:
-    """Adjoin suprema of ascending sequences drawn from a subset.
+    """Adjoin suprema of ascending sequences drawn from a subset, given as
+    an index mask.
 
     A chain's closure is the down-set of its top, so one token stands for
     every chain with the same top t: a member of the subset above some other
     member, with no strict upper bound in the prefix and not family-confirmed
     maximal.  It is named by the first maximal chain of the members below t
     in index order, and its descriptor is t's down-set.  Chains dominated
-    inside the prefix keep their sups in the base.  An unknown member
-    raises ``PosetError``, as ``mask_of`` does; members past the horizon
-    are dropped.
+    inside the prefix keep their sups in the base.  Members past the
+    horizon are dropped.
     """
     pre = poset.prefix(horizon)
     inside = poset.prefix_mask(horizon)
-    sub = poset.mask_of(members) & inside
+    sub = members & inside
     els = [CompletionElement("base", p, poset.lower_of(1 << i, horizon))
            for i, p in enumerate(pre, 1)]
     if poset.finite:

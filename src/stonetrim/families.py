@@ -69,8 +69,7 @@ def _omega_chain() -> Poset:
         **_BOTTOM_AT_1,
     )
     return Poset("omega-chain", gen=lambda i: f"p{i}",
-                 rows=lambda ids, k: (0, _span(1, k)),
-                 family="omega-chain", analytics=analytics)
+                 rows=lambda ids, k: (0, _span(1, k)), analytics=analytics)
 
 
 def _omega_antichain() -> Poset:
@@ -87,8 +86,7 @@ def _omega_antichain() -> Poset:
         foundation=foundation,
     )
     return Poset("omega-antichain", gen=lambda i: f"a{i}",
-                 rows=lambda ids, k: (0, 0),
-                 family="omega-antichain", analytics=analytics)
+                 rows=lambda ids, k: (0, 0), analytics=analytics)
 
 
 # ----------------------------------------------------------------------
@@ -110,8 +108,7 @@ def _rn_infinity() -> Poset:
     )
     # p_{k-1}, at index k, lies below p_0..p_{k-3}
     return Poset("rn-infinity", gen=lambda i: f"p{i - 1}",
-                 rows=lambda ids, k: (_span(1, k - 1), 0),
-                 family="rn-infinity", analytics=analytics)
+                 rows=lambda ids, k: (_span(1, k - 1), 0), analytics=analytics)
 
 
 def _rn_infinity_bot() -> Poset:
@@ -123,8 +120,7 @@ def _rn_infinity_bot() -> Poset:
     # bot, at index 1, lies below everything
     return Poset("rn-infinity-bot",
                  gen=lambda i: "bot" if i == 1 else f"p{i - 2}",
-                 rows=lambda ids, k: (_span(2, k - 1), 2),
-                 family="rn-infinity-bot", analytics=analytics)
+                 rows=lambda ids, k: (_span(2, k - 1), 2), analytics=analytics)
 
 
 def _rn_finite(m: int, extra: int) -> Poset:
@@ -133,7 +129,7 @@ def _rn_finite(m: int, extra: int) -> Poset:
         ids.append(f"p{m + 2}")
     name = f"rn({m},{extra})"
     # the adjoined p_{m+2}, at index m + 2, lies below p_0..p_m
-    return Poset(name, ids=ids, family=name, rows=lambda _, k: (
+    return Poset(name, ids=ids, rows=lambda _, k: (
         _span(1, k if k == m + 2 else k - 1), 0))
 
 
@@ -216,7 +212,7 @@ def _dyadic() -> Poset:
         **_BOTTOM_AT_1,
     )
     return Poset("dyadic", gen=_dyadic_id, rows=_dyadic_rows,
-                 family="dyadic", analytics=analytics)
+                 analytics=analytics)
 
 
 # ----------------------------------------------------------------------
@@ -244,8 +240,7 @@ def _ziegler_fan() -> Poset:
     )
     # every m_i lies below the hub q, at index 1
     return Poset("ziegler-fan", gen=lambda i: "q" if i == 1 else f"m{i - 1}",
-                 rows=lambda ids, k: (2, 0),
-                 family="ziegler-fan", analytics=analytics)
+                 rows=lambda ids, k: (2, 0), analytics=analytics)
 
 
 _BUILDERS = {"omega-chain": _omega_chain, "omega-antichain": _omega_antichain,

@@ -174,14 +174,12 @@ class Poset:
     def __init__(self, name: str, *, ids: Optional[list[str]] = None,
                  rows: Optional[Rows] = None,
                  gen: Optional[Callable[[int], str]] = None,
-                 family: Optional[str] = None,
                  analytics: Optional[Analytics] = None):
         if (ids is None) == (gen is None):
             raise PosetError("supply either a fixed id list or a generator, not both")
         if rows is None:
             raise PosetError("an order oracle is required")
         self.name = name
-        self.family = family
         self.analytics = analytics or Analytics()
         self._rows = rows
         self._gen = gen
@@ -238,10 +236,9 @@ class Poset:
     @classmethod
     def generated(cls, name: str, element_at: Callable[[int], str],
                   leq: Callable[[str, str], bool], *,
-                  family: Optional[str] = None,
                   analytics: Optional[Analytics] = None) -> "Poset":
         """Countable poset from a 1-based enumeration and an order oracle."""
-        return cls(name, gen=element_at, rows=_leq_rows(leq), family=family,
+        return cls(name, gen=element_at, rows=_leq_rows(leq),
                    analytics=analytics)
 
     @classmethod

@@ -610,14 +610,14 @@ def _reference_blocks(tree: SkeletonTree,
 
 
 def verify_structure(tree: SkeletonTree,
-                     q_lower: Optional[Iterable[str]] = None) -> StructureReport:
+                     q_lower: Optional[int] = None) -> StructureReport:
     """Check the counting consequences of the build rules: every enumerated
     type appears on its level; isolated minimal types keep a single node
     per level; isolated types continue through one child, others through
     exactly two; noncompact types get one unattached node per later level
     and unbounded types one at their entry level; and, given a lower subset
-    of bounded types, every node typed in it descends from the covering
-    level of its foundation.
+    of bounded types as an index mask q_lower, every node typed in it
+    descends from the covering level of its foundation.
 
     Each level is read once as its spelling (``spell``), and every check is
     a count or a search over those strings with C-level ``str`` methods: no
@@ -673,13 +673,12 @@ def verify_structure(tree: SkeletonTree,
                     "" if ok else f"no unattached entry node at level {t}")
 
     if q_lower is not None:
-        qmask = poset.mask_of(q_lower)
-        res = poset.finite_foundation(qmask, tree.type_cap(depth))
+        res = poset.finite_foundation(q_lower, tree.type_cap(depth))
         if res.status != FOUND:
             rep.add("cover-foundation", False,
                     f"foundation search returned {res.status}")
         else:
-            q_chars = set(map(chr, bits(qmask)))
+            q_chars = set(map(chr, bits(q_lower)))
             n0 = res.foundation.bit_length() - 1
             bad = ""
             # nodes descending from level n0 fill a prefix of each level

@@ -587,7 +587,7 @@ def ref_e_of_p(poset: Poset, horizon: int = 12) -> dict:
         if got != ClosureElement(space, False, 1 << j):
             failures.append({"k": k, "got": got.serialize()})
         before |= 1 << i
-    return {"family": poset.family or poset.name, "horizon": horizon,
+    return {"family": poset.name, "horizon": horizon,
             "checked": max(len(rungs) - 1, 0), "holds": not failures,
             "failures": failures}
 

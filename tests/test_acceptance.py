@@ -140,7 +140,8 @@ def test_criterion_4_compactness_encodings():
             if t == 1:
                 descend_checked += 1
                 ok = ok and descends_to(tree, n, i, 1)
-    ok = ok and verify_structure(tree, q_lower={"a"}).passed
+    q_lower = tree.poset.mask_of({"a"})
+    ok = ok and verify_structure(tree, q_lower=q_lower).passed
     verdict(4, ok,
             f"unattached type-b supply on levels 3..{DEPTH}, sizes {sizes}, "
             f"{descend_checked} covered nodes descend to the level-1 cover")
@@ -190,11 +191,11 @@ def test_criterion_6_chain_completion():
                 assert (ref_carrier_leq(embed(c, a), embed(c, b))
                         == p.leq(a, b))
     omega = family("omega-chain")
-    full = complete_over(omega, omega.prefix(8), 8)
+    full = complete_over(omega, omega.prefix_mask(8), 8)
     assert len(full.tokens()) == 1
     assert len(full.elements) == 8 + 1
     pair = two_chains_poset()
-    double = complete_over(pair, pair.prefix(8), 8)
+    double = complete_over(pair, pair.prefix_mask(8), 8)
     assert len(double.tokens()) == 2
     verdict(6, True,
             "100 random posets match the brute-force chain-closure oracle; "

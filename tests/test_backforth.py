@@ -1,12 +1,16 @@
 """Back-and-forth matching runs: certificates, witnesses, budgets."""
+import sys
+from collections import Counter
+
 import pytest
 
 from conftest import (chain_ab_poset, diamond_poset, ref_match_split,
                       ring_key, vee_poset)
 from stonetrim import (BuildConfig, IsoError, PartialIso, Poset,
                        RingElement, backforth, build_levels, family,
-                       init_iso, extend_iso, lift_poset_automorphism, ring,
-                       run_backforth, skeleton, split_by_scarce_atoms)
+                       complete_over, init_iso, extend_iso,
+                       lift_poset_automorphism, ring, run_backforth, skeleton,
+                       split_by_scarce_atoms, verify_structure)
 from stonetrim.backforth import (MismatchFound, Pair, _ThetaMap, _covered,
                                  _match_split, _schedule, _theta_over)
 
@@ -34,7 +38,8 @@ class TestInit:
     def test_seed_pairs_cover_the_foundation(self):
         left = build(chain_ab_poset, isolated={"a"})
         right = build(chain_ab_poset, isolated={"a"})
-        state = init_iso(left, right, {"a"}, identity_map(left, right, 2))
+        state = init_iso(left, right, left.poset.mask_of({"a"}),
+                         identity_map(left, right, 2))
         assert len(state.pairs) == 1
         pair = state.pairs[0]
         assert pair.gens == (1, 1)
@@ -44,7 +49,8 @@ class TestInit:
     def test_verify_recomputes_from_scratch(self):
         left = build(chain_ab_poset)
         right = build(chain_ab_poset)
-        state = init_iso(left, right, {"a"}, identity_map(left, right, 2))
+        state = init_iso(left, right, left.poset.mask_of({"a"}),
+                         identity_map(left, right, 2))
         state.pairs[0].gens = (1, 2)
         problems = state.verify()
         assert any("not matched by the order bijection" in p
@@ -54,7 +60,8 @@ class TestInit:
     def test_extend_keeps_invariants(self):
         left = build(chain_ab_poset)
         right = build(chain_ab_poset)
-        state = init_iso(left, right, {"a"}, identity_map(left, right, 2))
+        state = init_iso(left, right, left.poset.mask_of({"a"}),
+                         identity_map(left, right, 2))
         for n, i in ((2, 0), (2, 2), (3, 4)):
             extend_iso(state, 0, RingElement.atom(left, n, i), 12)
             assert state.verify() == []
@@ -64,7 +71,8 @@ class TestInit:
     def test_extending_by_the_empty_element_changes_nothing(self):
         left = build(chain_ab_poset)
         right = build(chain_ab_poset)
-        state = init_iso(left, right, {"a"}, identity_map(left, right, 2))
+        state = init_iso(left, right, left.poset.mask_of({"a"}),
+                         identity_map(left, right, 2))
         extend_iso(state, 0, RingElement.atom(left, 3, 4), 12)
 
         def snapshot():
@@ -100,7 +108,7 @@ def coverage_oracle(state, schedule):
 def test_mask_matcher_agrees_with_ring_operations(maker, isolated):
     left = build(maker, isolated=isolated)
     right = build(maker, isolated=isolated)
-    state = init_iso(left, right, {"a"},
+    state = init_iso(left, right, left.poset.mask_of({"a"}),
                      identity_map(left, right, left.poset.size))
     schedule = _schedule(left, right, 6, seed=1)
     for k, (side, n, i) in enumerate(schedule, 1):
@@ -170,7 +178,8 @@ def test_a_split_types_only_its_part():
     # atoms there: neither grown level is typed whole
     pairs = [(build(chain_ab_poset, 3), build(chain_ab_poset, 3))
              for _ in (0, 1)]
-    states = [init_iso(*sides, {"a"}, identity_map(*sides, 2))
+    states = [init_iso(*sides, sides[0].poset.mask_of({"a"}),
+                       identity_map(*sides, 2))
               for sides in pairs]
     right = states[0].trees[1]
     pieces, want = (split(state, 1, state.pairs[0].parts[1],
@@ -410,10 +419,14 @@ class TestBranchesNoRunReaches:
     reaching, reached through hand-built maps and pairings."""
 
     def test_a_region_element_without_a_counterpart(self):
-        left, right = build(chain_ab_poset), build(chain_ab_poset)
-        with pytest.raises(IsoError, match=r"^region elements \['zz'\] have "
+        # c, index 3 on the left, lies past the finite right side; an
+        # unknown id is refused at the CLI, before any region is a mask
+        left = build(lambda: antichain_poset("a", "b", "c"))
+        right = build(lambda: antichain_poset("a", "b"))
+        with pytest.raises(IsoError, match=r"^region elements \['c'\] have "
                                            r"no counterpart"):
-            init_iso(left, right, {"a", "zz"}, identity_map(left, right, 2))
+            init_iso(left, right, left.poset.mask_of({"c"}),
+                     identity_map(left, right, 2))
 
     # under a map that breaks order, a type minimal on one side only has no
     # part on the other: a < b on the chain, a and b apart on the antichain
@@ -422,19 +435,22 @@ class TestBranchesNoRunReaches:
             build(chain_ab_poset)
         with pytest.raises(IsoError, match="^no right part for foundation "
                                            "type 'b'$"):
-            init_iso(left, right, {"a", "b"}, identity_map(left, right, 2))
+            init_iso(left, right, left.poset.mask_of({"a", "b"}),
+                     identity_map(left, right, 2))
 
     def test_an_unmatched_right_foundation_type(self):
         left, right = build(chain_ab_poset), \
             build(lambda: antichain_poset("a", "b"))
         with pytest.raises(IsoError, match=r"^unmatched right foundation "
                                            r"types \['b'\]$"):
-            init_iso(left, right, {"a", "b"}, identity_map(left, right, 2))
+            init_iso(left, right, left.poset.mask_of({"a", "b"}),
+                     identity_map(left, right, 2))
 
     def test_a_needed_type_the_counterpart_part_lacks(self):
         # the a parts realize only a, and no type below b can grow into it
         sides = [build(lambda: antichain_poset("a", "b")) for _ in "lr"]
-        state = init_iso(*sides, {"a", "b"}, identity_map(*sides, 2))
+        state = init_iso(*sides, sides[0].poset.mask_of({"a", "b"}),
+                         identity_map(*sides, 2))
         a_pair = state.pairs[0]
         assert a_pair.gens == (1, 1)
         with pytest.raises(MismatchFound) as m:
@@ -449,7 +465,8 @@ class TestBranchesNoRunReaches:
         # it is paired fresh; the right side has no third element
         left = build(lambda: antichain_poset("a", "b", "c"))
         right = build(lambda: antichain_poset("a", "b"))
-        state = init_iso(left, right, {"a", "b"}, identity_map(left, right, 2))
+        state = init_iso(left, right, left.poset.mask_of({"a", "b"}),
+                         identity_map(left, right, 2))
         lvl = left.level(3)
         c_atom = list(lvl.types).index(3)
         assert c_atom >= lvl.u_start
@@ -514,9 +531,9 @@ class TestThetaHandling:
 
 class TestRegionHandling:
     def test_region_must_be_lower(self):
+        left, right = build(chain_ab_poset), build(chain_ab_poset)
         with pytest.raises(IsoError, match="left region is not a lower set"):
-            run_backforth(build(chain_ab_poset), build(chain_ab_poset),
-                          q={"b"})
+            run_backforth(left, right, q=left.poset.mask_of({"b"}))
 
     def test_covering_level_is_built_before_it_is_read(self):
         # the foundation of rn(4,2)'s region ends at index 6, past depth 5
@@ -537,6 +554,27 @@ class TestRegionHandling:
         right = build_levels(BuildConfig(family("rn-infinity"), horizon=8), 6)
         with pytest.raises(IsoError, match="compared region is empty"):
             run_backforth(left, right)
+
+    def test_regions_reach_the_core_as_masks(self, monkeypatch):
+        # the four functions that take a region look up no id for it;
+        # _theta_over's name map is where the sides meet by name
+        calls = Counter()
+        for name in ("index", "mask_of", "ids_of"):
+            def counted(self, arg, _name=name, _call=getattr(Poset, name)):
+                calls[_name, sys._getframe(1).f_code.co_name] += 1
+                return _call(self, arg)
+            monkeypatch.setattr(Poset, name, counted)
+        run = run_backforth(build(vee_poset), build(vee_poset))
+        assert (run.status, run.coverage) == ("iso", True)
+        dyadic = family("dyadic")
+        assert complete_over(dyadic, dyadic.prefix_mask(8), 8).tokens() == []
+        tree = build(chain_ab_poset, 5)
+        a = tree.poset.mask_of({"a"})
+        assert verify_structure(tree, q_lower=a).passed
+        assert calls["index", "_theta_over"] > 0
+        assert [k for k in calls if k[1] in ("init_iso", "run_backforth",
+                                             "complete_over",
+                                             "verify_structure")] == []
 
 
 class TestAutomorphismLift:

@@ -463,6 +463,33 @@ class TestExitContract:
         assert proc.stderr.splitlines() == [
             "bad --q: unknown element id 'zz'"]
 
+    # iso reads --q in argv order, build-verify names the least unknown id
+    @pytest.mark.parametrize("argv,named", [
+        (["iso", "--left-family", "rn(2,0)", "--right-family", "rn(2,0)"],
+         "zz"),
+        (["build-verify", "--family", "rn(2,0)"], "yy")])
+    def test_the_first_unknown_q_member_is_named(self, capsys, argv, named):
+        assert cli.main([*argv, "--depth", "3", "--q", "zz", "yy"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [f"bad --q: unknown element id {named!r}"]
+
+    def test_dot_output_reads_no_q(self, capsys):
+        assert cli.main(["build-verify", "--family", "rn(2,0)", "--depth",
+                         "3", "--format", "dot", "--q", "zz"]) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("digraph skeleton {") and err == ""
+
+    def test_a_repeated_q_member_is_one_element(self, capsys):
+        argv = ["iso", "--left-family", "rn(2,0)", "--right-family",
+                "rn(2,0)", "--depth", "4", "--q", "p2"]
+        runs = []
+        for extra in ([], ["p2"]):
+            assert cli.main([*argv, *extra]) == 5
+            runs.append(capsys.readouterr())
+        assert runs[0] == runs[1]
+        assert runs[0].err == "" and '"pairs": 5' in runs[0].out
+
     @pytest.mark.parametrize("argv,code,named", [
         (("analyze", "--family", "rn(2,0)", "--subset", "zz", "yy", "xx"),
          2, ["'xx'"]),

@@ -40,7 +40,7 @@ def tampered_ladder(tag: str, gap: int) -> Poset:
             return a == b
         return a == b or int(a[1:]) >= int(b[1:]) + gap
 
-    return Poset.generated(tag, LADDER_IDS[tag], leq, family=tag,
+    return Poset.generated(tag, LADDER_IDS[tag], leq,
                            analytics=family(tag).analytics)
 
 

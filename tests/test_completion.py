@@ -78,7 +78,7 @@ class TestCompleteFinite:
 class TestCompleteOver:
     def test_omega_chain_gets_one_token(self):
         p = family("omega-chain")
-        c = complete_over(p, p.prefix(8), 8)
+        c = complete_over(p, p.prefix_mask(8), 8)
         toks = c.tokens()
         assert len(toks) == 1
         assert len(c.elements) == 9
@@ -88,45 +88,47 @@ class TestCompleteOver:
 
     def test_two_disjoint_chains_get_two_tokens(self):
         p = two_chains_poset()
-        c = complete_over(p, p.prefix(8), 8)
+        c = complete_over(p, p.prefix_mask(8), 8)
         assert [t.ref for t in c.tokens()] == ["lim(x1,x2,x3,x4)",
                                                "lim(y1,y2,y3,y4)"]
         assert ref_completion_verify(c) == []
 
     def test_interleaving_chains_deduplicate(self):
         p = weave_poset()
-        c = complete_over(p, p.prefix(8), 8)
+        c = complete_over(p, p.prefix_mask(8), 8)
         descs = sorted(sorted(p.ids_of(t.descriptor)) for t in c.tokens())
         assert descs == [["w1", "w2", "w3", "w4", "w5", "w6", "w8"],
                          ["w1", "w2", "w3", "w4", "w5", "w7"]]
         assert ref_completion_verify(c) == []
 
     def test_an_unknown_member_is_named(self, diamond):
-        # as mask_of and chain_closure name it: the least unknown id
+        # members become a mask at the edge, and mask_of names the least
+        # unknown id, as chain_closure does
         p = family("omega-chain")
+        p.prefix(4)  # ids name the enumerated prefix
         for poset, members, least in ((p, {"zz", "p1", "p2", "p3"}, "zz"),
                                       (p, {"zz", "yy"}, "yy"),
                                       (diamond, {"x", "a"}, "x")):
             with pytest.raises(PosetError,
                                match=f"^unknown element id {least!r}$"):
-                complete_over(poset, members, 4)
+                complete_over(poset, poset.mask_of(members), 4)
         with pytest.raises(PosetError, match="^unknown element id 'zz'$"):
             chain_closure(p, ["p1", "zz"], 4)
 
     def test_members_past_the_horizon_are_dropped(self):
         p = family("omega-chain")
-        c = complete_over(p, p.prefix(8), 4)
-        assert c.elements == complete_over(p, p.prefix(4), 4).elements
+        c = complete_over(p, p.prefix_mask(8), 4)
+        assert c.elements == complete_over(p, p.prefix_mask(4), 4).elements
         assert [t.ref for t in c.tokens()] == ["lim(p1,p2,p3,p4)"]
 
     def test_finite_poset_keeps_its_sups(self, diamond):
-        c = complete_over(diamond, diamond.prefix(4), 4)
+        c = complete_over(diamond, diamond.prefix_mask(4), 4)
         assert c.tokens() == []
         assert len(c.elements) == 4
 
     def test_carrier_order(self):
         p = two_chains_poset()
-        c = complete_over(p, p.prefix(8), 8)
+        c = complete_over(p, p.prefix_mask(8), 8)
         xt, yt = c.tokens()
         assert ref_carrier_leq(embed(c, "x2"), xt)
         assert not ref_carrier_leq(embed(c, "y1"), xt)
@@ -142,7 +144,7 @@ class TestCompleteOver:
         p = family(tag)
         for h in (0, 1, 2, 7, 12):
             pre = p.prefix(h)
-            bases = [e for e in complete_over(p, pre, h).elements
+            bases = [e for e in complete_over(p, p.prefix_mask(h), h).elements
                      if not e.is_limit]
             assert [(e.ref, e.descriptor) for e in bases] == [
                 (q, ref_down_mask(p, [q], h)) for q in pre]

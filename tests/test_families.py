@@ -74,7 +74,7 @@ def test_finite_ladder_rows_match_the_string_order(m, extra):
     want = finite_from_order("ref", ids, ladder_leq)
     assert got.prefix(len(ids)) == ids
     assert table(got, len(ids)) == table(want, len(ids))
-    assert got.family == got.name == f"rn({m},{extra})"
+    assert got.name == f"rn({m},{extra})"
 
 
 # Each infinite family's documented analytics over a prefix, by id: its
@@ -256,7 +256,7 @@ class TestFiniteLadders:
         p = family("rn(5,0)")
         assert p.size == 6
         assert p.prefix(6)[-1] == "p5"
-        assert p.family == "rn(5,0)"
+        assert p.name == "rn(5,0)"
 
 
 class TestDyadic:

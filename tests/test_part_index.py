@@ -36,7 +36,7 @@ def start(sides, depth):
     span = min(left.type_cap(depth), right.type_cap(depth))
     theta = _theta_over(left, right, None, span)
     delta, _ = left.poset.p_delta(span)
-    return init_iso(left, right, left.poset.ids_of(delta), theta)
+    return init_iso(left, right, delta, theta)
 
 
 def assert_index_follows(state):
@@ -222,7 +222,8 @@ def test_the_record_follows_a_raise(name):
         "under-a-whole-part", "same-start", "overlapping-gap"])
 def test_coverage_of_hand_made_parts(atoms, covered):
     sides = [build_levels(BuildConfig(chain_ab_poset()), 4) for _ in (0, 1)]
-    state = init_iso(*sides, {"a"}, _theta_over(*sides, None, 2))
+    state = init_iso(*sides, sides[0].poset.mask_of({"a"}),
+                     _theta_over(*sides, None, 2))
     state.pairs = [Pair(tuple(RingElement(tree, 3, sum(1 << i for i in part))
                               for tree in sides), (1, 1))
                    for part in atoms]

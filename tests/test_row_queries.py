@@ -203,7 +203,7 @@ def test_family_completions_match_the_enumeration(make):
         pre = p.prefix(h)
         for ms in (pre, *({x for x in pre if rng.random() < q}
                           for q in (0.3, 0.6, 0.9))):
-            assert_same_completion(complete_over(p, ms, h),
+            assert_same_completion(complete_over(p, p.mask_of(ms), h),
                                    ref_complete_over(p, ms, h))
 
 
@@ -216,7 +216,7 @@ def test_grown_completions_match_the_enumeration(seed):
                            ref_complete_over(order, (), order.size))
     for h in range(1, order.size + 1):
         for ms in subsets(rng, grown.prefix(h)):
-            assert_same_completion(complete_over(grown, ms, h),
+            assert_same_completion(complete_over(grown, grown.mask_of(ms), h),
                                    ref_complete_over(grown, ms, h))
 
 
@@ -227,7 +227,7 @@ def test_completions_match_the_reference(seed):
     order, grown = both_sides(rng, max_size=7)
     carriers = [complete_finite(order)]
     for h in range(1, order.size + 1):
-        carriers.append(complete_over(grown, grown.prefix(h), h))
+        carriers.append(complete_over(grown, grown.prefix_mask(h), h))
     for c in carriers:
         assert ref_completion_verify(c) == []
 
@@ -238,7 +238,7 @@ def test_completions_match_the_reference(seed):
 def test_family_completions_match_the_reference(make):
     p = make()
     for h in (4, 8, 10):
-        c = complete_over(p, p.prefix(h), h)
+        c = complete_over(p, p.prefix_mask(h), h)
         assert ref_completion_verify(c) == []
 
 
@@ -259,7 +259,7 @@ def test_completion_rows_ask_the_base_order_nothing(make, tokens,
         return wrapper
 
     monkeypatch.setattr(Poset, "leq", counted("poset", Poset.leq))
-    c = complete_over(p, p.prefix(12), 12)
+    c = complete_over(p, p.prefix_mask(12), 12)
     assert asked == {"poset": 0}
     monkeypatch.undo()
     assert len(c.tokens()) == tokens
@@ -268,7 +268,7 @@ def test_completion_rows_ask_the_base_order_nothing(make, tokens,
 
 def test_a_broken_completion_fails_verify():
     p = two_chains_poset()
-    c = complete_over(p, p.prefix(8), 8)
+    c = complete_over(p, p.prefix_mask(8), 8)
     tok = c.tokens()[0]
     # a second token with the same descriptor sits above and below the first
     twin = CompletionElement("limit", "lim(twin)", tok.descriptor)
@@ -284,7 +284,7 @@ def test_a_base_below_a_token_outside_its_chain_fails_verify():
         return ref_carrier_leq(x, y) or (x.ref == "y1" and y.is_limit)
 
     p = two_chains_poset()
-    c = complete_over(p, p.prefix(8), 8)
+    c = complete_over(p, p.prefix_mask(8), 8)
     problems = ref_completion_verify(c, loose)
     assert "y1 below token lim(x1,x2,x3,x4) but below no chain member" \
         in problems

@@ -468,14 +468,15 @@ class TestStructureChecks:
         assert any(n == "unbounded-entry:b" for n, _, _ in r2.checks)
 
     def test_cover_descent_passes_on_lower_set(self):
-        rep = verify_structure(chain_tree(5), q_lower={"a"})
+        tree = chain_tree(5)
+        rep = verify_structure(tree, q_lower=tree.poset.mask_of({"a"}))
         assert rep.passed
         assert any(n == "covered-types-descend" for n, _, _ in rep.checks)
 
     def test_cover_descent_fails_past_unattached_nodes(self, chain_ab):
         tree = build_levels(BuildConfig(chain_ab, bounded={"a"},
                                         noncompact={"b"}), 4)
-        rep = verify_structure(tree, q_lower={"a", "b"})
+        rep = verify_structure(tree, q_lower=chain_ab.mask_of({"a", "b"}))
         assert not rep.passed
         fails = {n: d for n, ok, d in rep.checks if not ok}
         assert "covered-types-descend" in fails
@@ -656,7 +657,10 @@ def assert_matches_oracles(config, depth, q_lower=None):
 
 
 def assert_same_report(tree, q_lower=None):
-    got = verify_structure(tree, q_lower=q_lower).to_json()
+    """The report against the oracle's; the oracle reads q_lower as ids,
+    verify_structure as their mask."""
+    qmask = None if q_lower is None else tree.poset.mask_of(q_lower)
+    got = verify_structure(tree, q_lower=qmask).to_json()
     assert got == structure_oracle(tree, q_lower).to_json()
     return got
 

@@ -578,7 +578,7 @@ def run_backforth(left: SkeletonTree, right: SkeletonTree,
     span = min(left.type_cap(depth), right.type_cap(depth))
     bijection = _theta_over(left, right, theta, span)
     if q is None:
-        q = left.poset.p_delta(span)[0]
+        q = left.poset.p_delta(span)
     if not q:
         raise IsoError("the compared region is empty; pass q explicitly when "
                        "no element has a confirmed finite foundation")

@@ -75,7 +75,7 @@ def cmd_analyze(args) -> int:
         return _fail(2, f"cannot load poset: {e}")
     horizon = poset.size if poset.finite else args.horizon
     ext = poset.extremal_elements(horizon)
-    delta, delta_exact = poset.p_delta(horizon)
+    delta = poset.p_delta(horizon)
     report = {
         "poset": poset.name,
         "horizon": horizon,
@@ -83,7 +83,7 @@ def cmd_analyze(args) -> int:
         "maximal": list(map(poset.id_at, bits(ext.maximal))),
         "extremal_exact": ext.exact,
         "p_delta": list(map(poset.id_at, bits(delta))),
-        "p_delta_exact": delta_exact,
+        "p_delta_exact": poset.finite,
         "acc": _verdict_json(poset.check_acc(horizon, DEFAULT_CHAIN_BOUND)),
         "omega_complete": _verdict_json(poset.check_omega_complete(horizon)),
     }

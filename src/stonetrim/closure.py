@@ -45,8 +45,8 @@ class SymbolicSpace:
         shown = horizon + 1 if self.ladder else poset.size
         poset.ensure(shown)
         self.all_mask = None if self.ladder else poset.prefix_mask(shown)
-        mins, confirmed = poset.confirmed_minimal(shown)
-        self._bot = mins if confirmed and mins.bit_count() == 1 else 0
+        mins = poset.confirmed_minimal(shown)
+        self._bot = mins if mins.bit_count() == 1 else 0
         self.bottom = (poset.id_at(self._bot.bit_length() - 1) if self._bot
                        else None)
         rungs = [i for i in range(1, shown + 1) if 1 << i != self._bot]

@@ -127,7 +127,9 @@ class Analytics(Record):
 
     All fields are optional; a plain generated poset leaves them unset and
     every predicate falls back to honest prefix-scoped answers.  Elements
-    come and go as masks over enumeration indices.
+    come and go as masks over enumeration indices.  ``foundation`` states a
+    fact about the whole poset, so its status for a set is the same at
+    every horizon: ``Poset.p_delta`` keeps each singleton's first answer.
     """
 
     __slots__ = _compare = (
@@ -190,6 +192,7 @@ class Poset:
         self._up: list[int] = [0]
         self._down: list[int] = [0]
         self._minimal: dict[int, int] = {}
+        self._asked = self._founded = 0     # P_Delta's answers, see p_delta
         self._fill_table()
         self.finite = gen is None
         if self.finite:
@@ -453,14 +456,15 @@ class Poset:
         return Extremal(self.minimal_in(inside), self.maximal_in(inside),
                         False, note="relative to the enumeration prefix only")
 
-    def confirmed_minimal(self, horizon: int) -> tuple[int, bool]:
-        """Minimal elements known to be minimal in the full poset."""
-        inside = self.prefix_mask(horizon)
+    def confirmed_minimal(self, horizon: int) -> int:
+        """Minimal elements known to be minimal in the full poset: a
+        family's declared ones, else none for a generated poset; a finite
+        poset's prefix minima, its minima once the horizon reaches its size."""
         if self.finite:
-            return self.minimal_in(inside), horizon >= len(self._ids)
+            return self.minimal_in(self.prefix_mask(horizon))
         if self.analytics.minimal is not None:
-            return self.analytics.minimal(self, horizon), True
-        return 0, False
+            return self.analytics.minimal(self, horizon)
+        return 0
 
     def finite_foundation(self, mask: int, horizon: int) -> FoundationResult:
         """Search for a finite set F below the set Q that mask holds, with
@@ -484,19 +488,26 @@ class Poset:
             INCONCLUSIVE, self.minimal_in(self.lower_of(mask, horizon)),
             note="prefix candidate only; minimality beyond the horizon unknown")
 
-    def p_delta(self, horizon: int) -> tuple[int, bool]:
-        """Indices whose singleton has a confirmed finite foundation.
+    def p_delta(self, horizon: int) -> int:
+        """Indices of ``prefix(horizon)`` whose singleton has a confirmed
+        finite foundation.
 
-        A finite order is well founded, so the minimal elements below q lie
-        below q and cover its whole down-set: every singleton of a finite
-        poset is founded, and P_Delta is the whole prefix.  A generated
-        poset asks ``finite_foundation`` of each singleton."""
+        Every singleton of a finite poset is founded: the order is well
+        founded, so the minimal elements below q cover its down-set.  A
+        generated poset asks ``finite_foundation`` of each index once, at
+        the first horizon that reaches it, and keeps the answers as two
+        masks, asked and founded; an index is marked asked once its answer
+        is in.  A confirmed foundation is a fact about the whole poset
+        (``Analytics``), and a poset without analytics is never found, so
+        no later horizon changes an answer."""
         inside = self.prefix_mask(horizon)
         if self.finite:
-            return inside, True
-        return sum(1 << i for i in bits(inside)
-                   if self.finite_foundation(1 << i, horizon).status
-                   == FOUND), False
+            return inside
+        for i in bits(inside & ~self._asked):
+            if self.finite_foundation(1 << i, horizon).status == FOUND:
+                self._founded |= 1 << i
+            self._asked |= 1 << i
+        return self._founded & inside
 
     # ------------------------------------------------------------------
     # chain conditions

@@ -19,7 +19,7 @@ from functools import cached_property
 from itertools import accumulate, chain, combinations, repeat
 from typing import Iterable, Optional
 
-from ._record import Record
+from ._record import Frozen, Record
 from .poset import FOUND, Poset, bits, from_runs, runs
 
 MAX_LEVEL_SIZE = 1 << 16
@@ -74,7 +74,7 @@ class BuildError(RuntimeError):
 BUCKETS = ("bounded", "unbounded", "noncompact")
 
 
-class BuildConfig(Record):
+class BuildConfig(Frozen):
     """Poset plus the isolation and compactness data steering the build.
 
     bounded / unbounded / noncompact are explicit, disjoint element sets.
@@ -84,24 +84,16 @@ class BuildConfig(Record):
     sets become index masks.
     """
 
-    _compare = ("poset", "isolated", "bounded", "unbounded", "noncompact",
-                "horizon")
-    __slots__ = _compare + ("_resolved",)
+    __slots__ = _compare = ("poset", "isolated", "bounded", "unbounded",
+                            "noncompact", "horizon")
 
     def __init__(self, poset: Poset, isolated: frozenset = frozenset(),
                  bounded: frozenset = frozenset(),
                  unbounded: frozenset = frozenset(),
                  noncompact: frozenset = frozenset(),
                  horizon: Optional[int] = None):
-        self.poset = poset
-        self.isolated = frozenset(isolated)
-        self.bounded = frozenset(bounded)
-        self.unbounded = frozenset(unbounded)
-        self.noncompact = frozenset(noncompact)
-        self.horizon = horizon
-        # indices resolved so far, then the isolated and bucket masks
-        self._resolved: tuple[int, int, dict[str, int]] = (
-            0, 0, dict.fromkeys(BUCKETS, 0))
+        self._fill(poset, frozenset(isolated), frozenset(bounded),
+                   frozenset(unbounded), frozenset(noncompact), horizon)
 
     def scope(self, depth: int) -> int:
         """Enumeration reach used for validation and bucket resolution."""
@@ -111,31 +103,23 @@ class BuildConfig(Record):
 
     def masks(self, n: int) -> tuple[int, dict[str, int]]:
         """The configuration over enumeration indices 1..n: the mask of the
-        isolated indices and one mask per bucket.  The first call that
-        reaches an index resolves it: a listed id takes the first bucket in
-        ``BUCKETS`` that lists it, and any other index is bounded when it
-        lies in ``p_delta(scope(n))``, else noncompact.  Ids not enumerated
-        yet are skipped; a call with a smaller n reads the memo below bit
-        n+1."""
-        done, iso, buckets = self._resolved
+        isolated indices and one mask per bucket.  A listed id takes the
+        first bucket in ``BUCKETS`` that lists it, and any other index is
+        bounded when it lies in ``p_delta(scope(n))``, else noncompact.
+        Ids not enumerated yet are skipped."""
         poset = self.poset
-        keep = poset.prefix_mask(n)
-        if n > done:
-            fresh = keep & ~poset.prefix_mask(done)
-            iso |= fresh & poset.mask_of(filter(poset.__contains__,
-                                                self.isolated))
-            buckets = dict(buckets)
-            for bucket in BUCKETS:
-                listed = fresh & poset.mask_of(
-                    filter(poset.__contains__, getattr(self, bucket)))
-                buckets[bucket] |= listed
-                fresh &= ~listed
-            if fresh:
-                delta = poset.p_delta(self.scope(n))[0]
-                buckets["bounded"] |= fresh & delta
-                buckets["noncompact"] |= fresh & ~delta
-            self._resolved = n, iso, buckets
-        return iso & keep, {b: m & keep for b, m in buckets.items()}
+        known, rest = poset.__contains__, poset.prefix_mask(n)
+        iso = rest & poset.mask_of(filter(known, self.isolated))
+        buckets = {}
+        for bucket in BUCKETS:
+            buckets[bucket] = rest & poset.mask_of(
+                filter(known, getattr(self, bucket)))
+            rest &= ~buckets[bucket]
+        if rest:
+            delta = poset.p_delta(self.scope(n))
+            buckets["bounded"] |= rest & delta
+            buckets["noncompact"] |= rest & ~delta
+        return iso, buckets
 
     def validate(self, depth: int = 0) -> list[str]:
         """Check the existence hypotheses on the enumeration prefix.
@@ -169,14 +153,14 @@ class BuildConfig(Record):
         if problems:
             return problems
 
-        minimal, _ = poset.confirmed_minimal(n)
+        minimal = poset.confirmed_minimal(n)
         iso, buckets = self.masks(n)
         bad = iso & buckets["noncompact"] & minimal
         if bad:
             problems.append(f"isolated-minimal-noncompact: "
                             f"{sorted(poset.ids_of(bad))} are "
                             f"isolated, minimal and noncompact at once")
-        delta = poset.p_delta(n)[0]
+        delta = poset.p_delta(n)
         bounded = buckets["bounded"]
         for label, group in (("bounded", bounded),
                              ("bounded+unbounded",
@@ -637,7 +621,7 @@ def verify_structure(tree: SkeletonTree,
                 f"missing {missing}" if missing else "")
 
     iso, buckets = tree.config.masks(tree.type_cap(depth))
-    minimal, _ = poset.confirmed_minimal(tree.type_cap(depth))
+    minimal = poset.confirmed_minimal(tree.type_cap(depth))
     for t in bits(iso & minimal):
         bad = next((f"level {n} holds {c} nodes of type ix {t}"
                     for n in range(t, depth + 1)

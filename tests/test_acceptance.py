@@ -95,7 +95,7 @@ def test_criterion_3_isolation_counts(suite):
         tree = rec["tree"]
         poset = tree.poset
         iso_ix = {poset.index(g) for g in rec["iso"]}
-        minimal, _ = poset.confirmed_minimal(tree.type_cap(DEPTH))
+        minimal = poset.confirmed_minimal(tree.type_cap(DEPTH))
         for g in rec["iso"]:
             g_ix = poset.index(g)
             if not minimal >> g_ix & 1:

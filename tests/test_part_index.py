@@ -35,7 +35,7 @@ def start(sides, depth):
                    for maker, kw in sides)
     span = min(left.type_cap(depth), right.type_cap(depth))
     theta = _theta_over(left, right, None, span)
-    delta, _ = left.poset.p_delta(span)
+    delta = left.poset.p_delta(span)
     return init_iso(left, right, delta, theta)
 
 

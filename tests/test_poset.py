@@ -13,8 +13,8 @@ from stonetrim import (DEFAULT_CHAIN_BOUND, FOUND, HOLDS, HOLDS_ON_PREFIX,
 from stonetrim.poset import bits, from_runs, runs
 
 from conftest import (all_chains, finite_from_order, lt, random_poset,
-                      ref_first_chain, ref_is_lower, ref_runs, ref_spans_of,
-                      ref_up_closure)
+                      ref_first_chain, ref_is_lower, ref_p_delta, ref_runs,
+                      ref_spans_of, ref_up_closure)
 
 
 def cover_pairs(p, horizon):
@@ -387,14 +387,11 @@ class TestExtremal:
         assert "prefix" in ex.note
 
     def test_confirmed_minimal(self, diamond):
-        mins, exact = diamond.confirmed_minimal(4)
-        assert mins == diamond.mask_of({"a"}) and exact
+        assert diamond.confirmed_minimal(4) == diamond.mask_of({"a"})
         # p1, at index 1
-        mins, exact = family("omega-chain").confirmed_minimal(6)
-        assert mins == 0b10 and exact
+        assert family("omega-chain").confirmed_minimal(6) == 0b10
         plain = Poset.generated("plain", lambda i: f"n{i}", lambda a, b: a == b)
-        mins, exact = plain.confirmed_minimal(4)
-        assert mins == 0 and not exact
+        assert plain.confirmed_minimal(4) == 0
 
 
 class TestFoundations:
@@ -433,14 +430,39 @@ class TestFoundations:
             diamond.finite_foundation(0, 4)
 
     def test_p_delta(self, diamond):
-        delta, exact = diamond.p_delta(4)
-        assert diamond.ids_of(delta) == {"a", "b", "c", "d"} and exact
+        assert diamond.ids_of(diamond.p_delta(4)) == {"a", "b", "c", "d"}
         p = family("omega-chain")
-        delta, exact = p.p_delta(6)
-        assert p.ids_of(delta) == {f"p{k}" for k in range(1, 7)}
-        assert not exact
-        delta, _ = family("rn-infinity").p_delta(6)
-        assert delta == 0
+        assert p.ids_of(p.p_delta(6)) == {f"p{k}" for k in range(1, 7)}
+        assert family("rn-infinity").p_delta(6) == 0
+
+
+def assert_p_delta_memo_matches(make, seed):
+    """One poset's ``p_delta`` at horizons 1..12 in a seeded shuffle, then
+    in reverse, each against ``ref_p_delta`` on a fresh poset at that
+    horizon: the answers the poset keeps never go stale."""
+    poset, order = make(), list(range(1, 13))
+    random.Random(seed).shuffle(order)
+    for h in order + order[::-1]:
+        assert poset.p_delta(h) == ref_p_delta(make(), h), h
+
+
+class TestPDeltaMemo:
+    @pytest.mark.parametrize("tag", [
+        "omega-chain", "omega-antichain", "rn-infinity", "rn-infinity-bot",
+        "rn(2,0)", "rn(3,2)", "dyadic", "ziegler-fan"])
+    def test_families(self, tag):
+        assert_p_delta_memo_matches(lambda: family(tag), tag)
+
+    @given(seed=st.integers(0, 10 ** 6))
+    @settings(max_examples=40, deadline=None)
+    def test_random_finite_posets(self, seed):
+        assert_p_delta_memo_matches(
+            lambda: random_poset(random.Random(seed), max_size=12), seed)
+
+    def test_plain_generated(self):
+        assert_p_delta_memo_matches(
+            lambda: Poset.generated("plain", lambda i: f"n{i}",
+                                    lambda a, b: a == b), 0)
 
 
 @settings(max_examples=40, deadline=None)

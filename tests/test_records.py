@@ -77,7 +77,7 @@ CASES = [
          1, {"isolated": frozenset(), "bounded": frozenset(),
              "unbounded": frozenset(), "noncompact": frozenset(),
              "horizon": None},
-         frozen=False, differs=("horizon", 5)),
+         frozen=True, differs=("horizon", 5)),
     Case(Level, {"number": 2, "types": array("I", [1, 1, 2]), "u_start": 3,
                  "block_end": array("I", [3])},
          3, {"block_end": array("I")}, frozen=False,

@@ -74,8 +74,8 @@ def test_set_queries_match_the_pairwise_reference(seed):
             # the order answers are index masks; only a finite poset has
             # confirmed minima and founded singletons
             ext = p.extremal_elements(h)
-            mins, _ = p.confirmed_minimal(h)
-            delta, _ = p.p_delta(h)
+            mins = p.confirmed_minimal(h)
+            delta = p.p_delta(h)
             assert [type(m) for m in (ext.minimal, ext.maximal, mins, delta)] \
                 == [int] * 4
             assert p.ids_of(ext.minimal) == ref_minimal_of(p, pre)

@@ -14,7 +14,8 @@ from conftest import (chain_ab_poset, children, descends_to, diamond_poset,
                       listed_in, random_poset, ref_bucket_of,
                       ref_down_closure, ref_theta_image, vee_poset)
 from stonetrim import (FOUND, BuildConfig, BuildError, ConfigError, Poset,
-                       build_levels, family, skeleton, verify_structure)
+                       build_levels, family, run_backforth, skeleton,
+                       verify_structure)
 from stonetrim.poset import bits, runs
 from stonetrim.skeleton import (BUCKETS, Level, SkeletonTree,
                                 StructureReport, _reference_blocks, spell)
@@ -550,7 +551,7 @@ def structure_oracle(tree, q_lower=None):
                 f"missing {sorted(want - have)}" if not want <= have else "")
     iso = {ix for ix, p in enumerate(poset.prefix(tree.type_cap(depth)), 1)
            if p in tree.config.isolated}
-    minimal, _ = poset.confirmed_minimal(tree.type_cap(depth))
+    minimal = poset.confirmed_minimal(tree.type_cap(depth))
     min_ix = set(bits(minimal))
     for t in sorted(iso):
         if t in min_ix:
@@ -1217,3 +1218,95 @@ class TestConfigMasks:
                     == verify_structure(fresh).to_json())
             cap = tree.type_cap(tree.depth)
             assert shared.masks(cap) == masks_oracle(shared, cap)
+
+
+class TestConfigValue:
+    def test_fields_reject_assignment(self):
+        poset = family("ziegler-fan")
+        config = BuildConfig(poset, horizon=6)
+        before = config.masks(6)
+        for name, value in (("poset", family("ziegler-fan")),
+                            ("isolated", {"m1"}), ("bounded", {"m1"}),
+                            ("unbounded", {"m1"}), ("noncompact", {"m1"}),
+                            ("horizon", 8)):
+            with pytest.raises(AttributeError):
+                setattr(config, name, value)
+        # m1, at index 2, is noncompact only in a config that lists it
+        assert config.masks(6) == before
+        assert before[1]["noncompact"] == 0b10
+        listed = BuildConfig(poset, noncompact={"m1"}, horizon=6)
+        assert listed.masks(6)[1]["noncompact"] == 0b110
+
+    @pytest.mark.parametrize("tag", ORACLE_FAMILIES + ["random"])
+    def test_equal_configs_answer_alike_in_any_order(self, tag):
+        rng = random.Random(tag)
+        poset = (random_poset(rng, max_size=12) if tag == "random"
+                 else family(tag))
+        ids = poset.prefix(12)
+        fields = {"isolated": set(rng.sample(ids, 2)),
+                  "unbounded": set(rng.sample(ids, 1)),
+                  "noncompact": set(rng.sample(ids, 1)), "horizon": 4}
+        one, two = (BuildConfig(poset, **fields) for _ in range(2))
+        for config in (one, two):
+            order = list(range(1, 13))
+            rng.shuffle(order)
+            for n in order:
+                config.masks(n)
+        for n in range(1, 13):
+            assert one.masks(n) == two.masks(n) == masks_oracle(one, n), n
+
+    def test_config_is_a_dict_key(self):
+        poset = family("ziegler-fan")
+        seen = {BuildConfig(poset, isolated=["m1"], noncompact={"m2"},
+                            horizon=6): "first"}
+        assert seen[BuildConfig(poset, isolated={"m1"}, noncompact=["m2"],
+                                horizon=6)] == "first"
+        assert BuildConfig(poset, horizon=6) not in seen
+
+
+def count_singleton_foundations(monkeypatch) -> Counter:
+    """Count the ``Poset.finite_foundation`` calls made while
+    ``Poset.p_delta`` runs, keyed by (poset, index of the singleton)."""
+    calls, inside = Counter(), [False]
+    p_delta, foundation = Poset.p_delta, Poset.finite_foundation
+
+    def watched(self, horizon):
+        inside[0] = True
+        try:
+            return p_delta(self, horizon)
+        finally:
+            inside[0] = False
+
+    def counted(self, mask, horizon):
+        if inside[0]:
+            calls[self, mask.bit_length() - 1] += 1
+        return foundation(self, mask, horizon)
+    monkeypatch.setattr(Poset, "p_delta", watched)
+    monkeypatch.setattr(Poset, "finite_foundation", counted)
+    return calls
+
+
+class TestOneFoundationPerIndex:
+    @pytest.mark.parametrize("tag", ORACLE_FAMILIES)
+    def test_validate_build_and_verify(self, monkeypatch, tag):
+        calls = count_singleton_foundations(monkeypatch)
+        config = BuildConfig(family(tag), horizon=4)
+        assert config.validate(6) == []
+        tree = build_levels(config, 6).extend_to(7)
+        verify_structure(tree)
+        # a finite poset's P_Delta is its whole prefix, with no query
+        assert bool(calls) != config.poset.finite
+        assert max(calls.values(), default=0) <= 1
+
+    def test_self_match_grows_past_the_scope(self, monkeypatch):
+        calls = count_singleton_foundations(monkeypatch)
+        left, right = (build_levels(BuildConfig(family("omega-chain")), 6)
+                       for _ in range(2))
+        run_backforth(left, right, seed=2)
+        assert left.depth > 6 and right.depth > 6
+        assert max(calls.values()) == 1
+        # growth asked each new index, and a level the size bound refused
+        # may have asked one more
+        for tree in (left, right):
+            asked = {ix for p, ix in calls if p is tree.poset}
+            assert set(range(1, tree.depth + 1)) <= asked

@@ -220,7 +220,7 @@ def init_iso(left: SkeletonTree, right: SkeletonTree, q: int,
     for side, region in enumerate(regions):
         tree = state.trees[side]
         poset = tree.poset
-        cap = tree.type_cap(tree.depth)
+        cap = tree.config.type_cap(tree.depth)
         if poset.lower_of(region, cap) & ~region:
             raise IsoError(f"{SIDES[side]} region is not a lower set on the "
                            f"prefix")
@@ -575,7 +575,7 @@ def run_backforth(left: SkeletonTree, right: SkeletonTree,
     max_depth = depth + 8 if max_depth is None else max_depth
     if max_depth < depth:
         raise IsoError("max_depth must be at least depth")
-    span = min(left.type_cap(depth), right.type_cap(depth))
+    span = min(left.config.type_cap(depth), right.config.type_cap(depth))
     bijection = _theta_over(left, right, theta, span)
     if q is None:
         q = left.poset.p_delta(span)

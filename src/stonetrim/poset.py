@@ -408,11 +408,7 @@ class Poset:
         return sum(1 << q for q in bits(mask) if not up[q] & mask & ~(1 << q))
 
     def leq(self, p: str, q: str) -> bool:
-        i, j = self._pos.get(p), self._pos.get(q)
-        if i is None or j is None:
-            missing = p if i is None else q
-            raise PosetError(f"unknown element id {missing!r}")
-        return bool(self._up[i] >> j & 1)
+        return bool(self._up[self.index(p)] >> self.index(q) & 1)
 
     def leq_ix(self, i: int, j: int) -> bool:
         """Order on 1-based enumeration indices."""

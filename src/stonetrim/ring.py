@@ -403,7 +403,7 @@ def verify_type_axioms(tree: SkeletonTree, level_bound: int,
     # realization: type with index m has an atom on every level from m on
     checked = bad = 0
     witness = ""
-    cap = tree.type_cap(level_bound)
+    cap = tree.config.type_cap(level_bound)
     for m in range(1, cap + 1):
         for n in range(m, level_bound + 1):
             checked += 1

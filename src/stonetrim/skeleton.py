@@ -1,11 +1,11 @@
 """Level-by-level skeleton of a trim partition.
 
 Level 1 is a single node typed by the first enumerated element.  Each later
-level refines the previous one: a node of type t gets one child for every
-enumerated type above t, except that the continuation type t itself appears
-twice unless t is isolated.  Unattached nodes (u_flag) seed types that no
-existing node can reach: one for the newly enumerated type when needed or
-when it is marked unbounded, and one per already-enumerated noncompact type.
+level refines the previous one (``level_rule``): a node of type t gets a child
+for every enumerated type above t, the continuation type t itself twice unless
+t is isolated.  Unattached nodes (u_flag) seed types that no existing node can
+reach: one for the newly enumerated type when needed or when it is marked
+unbounded, and one per already-enumerated noncompact type.
 """
 from __future__ import annotations
 
@@ -100,6 +100,12 @@ class BuildConfig(Frozen):
         if self.poset.finite:
             return self.poset.size
         return max(self.horizon or 0, depth)
+
+    def type_cap(self, n: int) -> int:
+        """Number of types available at level n: the enumeration indices
+        1..type_cap(n) are the types that may occur on levels 1..n (n, or
+        fewer once a finite poset runs out of elements)."""
+        return min(n, self.poset.size) if self.poset.finite else n
 
     def masks(self, n: int) -> tuple[int, dict[str, int]]:
         """The configuration over enumeration indices 1..n: the mask of the
@@ -355,6 +361,32 @@ def _rewrite(levels: Sequence[Level],
             yield "".join(map(table.__getitem__, text[lo:lo + step]))
 
 
+def level_rule(config: BuildConfig, n: int,
+               types: Iterable[int]) -> tuple[dict[str, str], str]:
+    """The rule that lays out level n+1 from a level n >= 1 holding types,
+    read off the config alone: each type's child block, keyed by its
+    character as ``Level.substitution`` stores it, and the unattached
+    tail, both spelled (``spell``).  A block holds types up to
+    ``type_cap(n + 1)``; the tail starts with n+1 when needed, then holds
+    the noncompact types up to ``type_cap(n)``."""
+    poset = config.poset
+    cap = config.type_cap(n + 1)
+    iso, buckets = config.masks(cap)
+    below_cap = poset.prefix_mask(cap)
+    blocks: dict[str, str] = {}
+    reach = 0
+    for t in types:
+        up = poset.up_mask(t)
+        reach |= up
+        blocks[chr(t)] = chr(t) * (1 if iso >> t & 1 else 2) + "".join(
+            map(chr, bits(up & below_cap & ~(1 << t))))
+    fresh = cap > n and (buckets["unbounded"] >> n + 1 & 1
+                         or not reach >> n + 1 & 1)
+    tail = chr(n + 1) * fresh + "".join(map(chr, bits(
+        buckets["noncompact"] & poset.prefix_mask(config.type_cap(n)))))
+    return blocks, tail
+
+
 class SkeletonTree:
     """The skeleton built to some depth; deterministically extendable."""
 
@@ -372,75 +404,46 @@ class SkeletonTree:
     def depth(self) -> int:
         return len(self.levels)
 
-    def type_cap(self, n: int) -> int:
-        """Number of types available at level n: the enumeration indices
-        1..type_cap(n) are the types that may occur on levels 1..n (n, or
-        fewer once a finite poset runs out of elements)."""
-        if self.poset.finite:
-            return min(n, self.poset.size)
-        return n
-
     def extend_to(self, depth: int) -> "SkeletonTree":
         while self.depth < depth:
             self._build_next()
         return self
 
     def _build_next(self) -> None:
-        """Append level n+1.  A node's child block depends only on its type,
-        so one block is made per distinct type: the level's substitution.
-        The new level's size and type counts follow from the previous
-        level's counts and the blocks, so the size bound is checked before
-        any pass over the previous level's nodes and before anything is
-        written to the tree.  Then ``types`` is filled from the pieces of
-        ``_rewrite``, level n+1 as a shallower level rewritten through the
-        substitutions of the levels below it, composed; and level n is
-        spelled once (``spell``) for ``block_end``, read in ``_CHUNK``-node
-        slices, each the running sum of its nodes' block sizes, read off
-        the slice translated through ``size_of``.  No buffer but the
-        spelling spans the whole level."""
+        """Append level n+1, spelling out ``level_rule``.  Its size and type
+        counts follow from level n's counts and the rule, so the size bound
+        is checked before any pass over level n's nodes and before anything
+        is written.  ``types`` is filled from the pieces of ``_rewrite``,
+        then the tail; level n is spelled once (``spell``) for
+        ``block_end``, read in ``_CHUNK``-node slices, each the running sum
+        of its block sizes, read off the slice translated through
+        ``size_of``.  No buffer but the spelling spans the whole level."""
         n = self.depth + 1
-        cap = self.type_cap(n)
-        iso, buckets = self.config.masks(cap)
         if n == 1:
             self.levels.append(Level(1, array("I", [1]), u_start=1))
             return
         prev = self.levels[-1]
-        below_cap = self.poset.prefix_mask(cap)
-        blocks: dict[int, array] = {}
-        reach = 0
-        for t in prev.counts:
-            up = self.poset.up_mask(t)
-            reach |= up
-            blocks[t] = block = array("I", [t] * (1 if iso >> t & 1 else 2))
-            block.extend(bits(up & below_cap & ~(1 << t)))
-        unattached = []
-        if cap >= n and (buckets["unbounded"] >> n & 1
-                         or not reach >> n & 1):
-            unattached.append(n)
-        unattached += bits(buckets["noncompact"]
-                           & self.poset.prefix_mask(self.type_cap(n - 1)))
-        size_of = {t: len(block) for t, block in blocks.items()}
+        kids, tail = level_rule(self.config, n - 1, prev.counts)
+        size_of = {ord(c): len(block) for c, block in kids.items()}
         u_start = sum(c * size_of[t] for t, c in prev.counts.items())
-        size = u_start + len(unattached)
+        size = u_start + len(tail)
         if size > MAX_LEVEL_SIZE:
             raise BuildError(f"level {n} would hold {size} nodes, over the "
                              f"bound {MAX_LEVEL_SIZE}", level=n,
                              would_hold=size, bound=MAX_LEVEL_SIZE)
         counts: dict[int, int] = {}
         for t, c in prev.counts.items():
-            for q in blocks[t]:
+            for q in map(ord, kids[chr(t)]):
                 counts[q] = counts.get(q, 0) + c
-        for q in unattached:
+        for q in map(ord, tail):
             counts[q] = counts.get(q, 0) + 1
-        kids = {chr(t): spell(block) for t, block in blocks.items()}
         spelled = spell(prev.types)
         rules = [lvl.substitution for lvl in self.levels[1:]] + [kids]
         types, block_end, end = array("I"), array("I"), 0
         # one column at a time: grown together, with each chunk's buffers
         # in between, they would leapfrog each other up the heap
-        for piece in _rewrite(self.levels, rules, spelled):
+        for piece in chain(_rewrite(self.levels, rules, spelled), (tail,)):
             types.frombytes(_encode(piece)[0])
-        types.extend(unattached)
         for lo in range(0, len(spelled), _CHUNK):
             sizes = array("I", _encode(spelled[lo:lo + _CHUNK].translate(
                 size_of), "surrogatepass")[0])
@@ -566,7 +569,7 @@ def _reference_blocks(tree: SkeletonTree,
         own, kids = spelled[n], spelled[n + 1]
         ends = tree.levels[n].block_end
         ref = {c: kids[ends[i - 1] if i else 0:ends[i]]
-               for c in map(chr, range(1, tree.type_cap(n) + 1))
+               for c in map(chr, range(1, tree.config.type_cap(n) + 1))
                if (i := own.find(c)) >= 0}
         refs.append(ref)
         lens = {ord(c): chr(len(block)) for c, block in ref.items()}
@@ -615,13 +618,13 @@ def verify_structure(tree: SkeletonTree,
     spelled = [""] + [spell(lvl.types) for lvl in tree.levels]
 
     for n in range(1, depth + 1):
-        missing = [t for t in range(1, tree.type_cap(n) + 1)
+        missing = [t for t in range(1, tree.config.type_cap(n) + 1)
                    if chr(t) not in spelled[n]]
         rep.add(f"types-present@{n}", not missing,
                 f"missing {missing}" if missing else "")
 
-    iso, buckets = tree.config.masks(tree.type_cap(depth))
-    minimal = poset.confirmed_minimal(tree.type_cap(depth))
+    iso, buckets = tree.config.masks(tree.config.type_cap(depth))
+    minimal = poset.confirmed_minimal(tree.config.type_cap(depth))
     for t in bits(iso & minimal):
         bad = next((f"level {n} holds {c} nodes of type ix {t}"
                     for n in range(t, depth + 1)
@@ -657,7 +660,7 @@ def verify_structure(tree: SkeletonTree,
                     "" if ok else f"no unattached entry node at level {t}")
 
     if q_lower is not None:
-        res = poset.finite_foundation(q_lower, tree.type_cap(depth))
+        res = poset.finite_foundation(q_lower, tree.config.type_cap(depth))
         if res.status != FOUND:
             rep.add("cover-foundation", False,
                     f"foundation search returned {res.status}")

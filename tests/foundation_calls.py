@@ -1,11 +1,14 @@
-"""Count the singleton foundation queries P_Delta makes in one benchmark batch.
+"""Count the singleton foundation queries P_Delta makes, and the build
+configs resolved to index masks, in one benchmark batch.
 
 Runs the seed-1 batch of each workload of ``perfbench/workloads.py`` in this
 process and counts the ``Poset.finite_foundation`` calls made while
-``Poset.p_delta`` runs.  Prints one ``workload count`` line each; given caps
-as ``workload=count`` arguments, exits 1 when a count is over its cap.
+``Poset.p_delta`` runs, and the ``BuildConfig.masks`` calls.  Prints one
+``workload foundations masks`` line each; given caps as
+``workload=foundations:masks`` arguments, exits 1 when a count is over its
+cap.
 
-    PYTHONPATH=src python tests/foundation_calls.py axiom-suite=55 ...
+    PYTHONPATH=src python tests/foundation_calls.py axiom-suite=55:135 ...
 """
 import os
 import sys
@@ -13,16 +16,18 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 "..", "perfbench"))
 
-from stonetrim import Poset  # noqa: E402
+from stonetrim import BuildConfig, Poset  # noqa: E402
 from workloads import make_ops, run_op  # noqa: E402
 
 WORKLOADS = ("axiom-suite", "self-iso", "deep-build", "cli-mix")
 
 
-def count_calls(workload: str) -> int:
-    """Foundation queries made inside ``p_delta`` over one seed-1 batch."""
-    calls, inside = [0], [False]
+def count_calls(workload: str) -> tuple[int, int]:
+    """Foundation queries made inside ``p_delta``, and ``masks`` calls,
+    over one seed-1 batch."""
+    calls, inside = [0, 0], [False]
     p_delta, finite_foundation = Poset.p_delta, Poset.finite_foundation
+    masks = BuildConfig.masks
 
     def counted_p_delta(self, horizon):
         outer, inside[0] = inside[0], True
@@ -35,24 +40,33 @@ def count_calls(workload: str) -> int:
         calls[0] += inside[0]
         return finite_foundation(self, mask, horizon)
 
+    def counted_masks(self, n):
+        calls[1] += 1
+        return masks(self, n)
+
     Poset.p_delta, Poset.finite_foundation = (counted_p_delta,
                                               counted_foundation)
+    BuildConfig.masks = counted_masks
     try:
         for op in make_ops(workload, 1):
             run_op(op)[2]()
     finally:
         Poset.p_delta, Poset.finite_foundation = p_delta, finite_foundation
-    return calls[0]
+        BuildConfig.masks = masks
+    return calls[0], calls[1]
 
 
 def main(argv: list[str]) -> int:
-    caps = dict(arg.split("=") for arg in argv)
+    caps = {w: tuple(map(int, cap.split(":")))
+            for w, cap in (arg.split("=") for arg in argv)}
     over = []
     for workload in WORKLOADS:
         got = count_calls(workload)
-        print(workload, got)
-        if workload in caps and got > int(caps[workload]):
-            over.append(f"{workload}: {got} over {caps[workload]}")
+        print(workload, *got)
+        cap = caps.get(workload)
+        if cap is not None and any(g > c for g, c in zip(got, cap)):
+            over.append(f"{workload}: foundations, masks {list(got)} over "
+                        f"{list(cap)}")
     for line in over:
         print(line, file=sys.stderr)
     return 1 if over else 0

@@ -72,7 +72,7 @@ def test_criterion_2_upper_set_law(suite):
         violations += rec["axioms"]["axioms"]["upward-closed"]["violations"]
         tree = rec["tree"]
         poset = tree.poset
-        h = tree.type_cap(DEPTH)
+        h = tree.config.type_cap(DEPTH)
         pre = poset.prefix(h)
         for n in (1, 2, 3):
             for i in range(len(tree.level(n))):
@@ -95,7 +95,7 @@ def test_criterion_3_isolation_counts(suite):
         tree = rec["tree"]
         poset = tree.poset
         iso_ix = {poset.index(g) for g in rec["iso"]}
-        minimal = poset.confirmed_minimal(tree.type_cap(DEPTH))
+        minimal = poset.confirmed_minimal(tree.config.type_cap(DEPTH))
         for g in rec["iso"]:
             g_ix = poset.index(g)
             if not minimal >> g_ix & 1:

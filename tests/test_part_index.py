@@ -33,7 +33,7 @@ def start(sides, depth):
     keywords), seeded as ``run_backforth`` seeds it."""
     left, right = (build_levels(BuildConfig(maker(), **kw), depth)
                    for maker, kw in sides)
-    span = min(left.type_cap(depth), right.type_cap(depth))
+    span = min(left.config.type_cap(depth), right.config.type_cap(depth))
     theta = _theta_over(left, right, None, span)
     delta = left.poset.p_delta(span)
     return init_iso(left, right, delta, theta)

@@ -233,6 +233,13 @@ class TestOrderQueries:
         with pytest.raises(PosetError, match="unknown"):
             vee.leq("a", "zz")
 
+    def test_leq_names_the_first_unknown_id(self, vee):
+        for p, q, named in (("yy", "zz", "yy"), ("yy", "a", "yy"),
+                            ("a", "zz", "zz")):
+            with pytest.raises(PosetError,
+                               match=f"^unknown element id '{named}'$"):
+                vee.leq(p, q)
+
     def test_leq_ix_matches_ids(self, diamond):
         assert diamond.leq_ix(1, 4)
         assert not diamond.leq_ix(2, 3)

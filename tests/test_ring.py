@@ -17,7 +17,7 @@ from conftest import (chain_ab_poset, diamond_poset, listed_in,
 from stonetrim import (BuildConfig, Poset, RingElement, RingError, TypeSet,
                        build_levels, family, is_trim_for,
                        split_by_scarce_atoms, supertrim_split, trim_split,
-                       verify_type_axioms)
+                       verify_structure, verify_type_axioms)
 from stonetrim import cli, ring, skeleton
 from stonetrim.poset import bits, runs
 from stonetrim.ring import _lower, _types_in
@@ -312,7 +312,7 @@ class TestAxioms:
         law = report["axioms"]["upward-closed"]
         assert len(seen) == 200
         assert (law["checked"], law["violations"]) == \
-            self.brute_upward_closed(poset, tree.type_cap(4), seen)
+            self.brute_upward_closed(poset, tree.config.type_cap(4), seen)
         assert law["violations"] == 0 and law["witness"] == ""
 
     def test_upward_closed_witness_is_lowest_index(self):
@@ -442,7 +442,7 @@ def verify_type_axioms_oracle(tree, level_bound, draws=10_000, seed=0,
     # realization: type with index m has an atom on every level from m on
     checked = bad = 0
     witness = ""
-    cap = tree.type_cap(level_bound)
+    cap = tree.config.type_cap(level_bound)
     for m in range(1, cap + 1):
         for n in range(m, level_bound + 1):
             checked += 1
@@ -494,7 +494,7 @@ def verify_type_axioms_oracle(tree, level_bound, draws=10_000, seed=0,
     witness = ""
     # one check per (q, r) with q a member and q <= r on the prefix; the
     # witness names the lowest-index q and r
-    horizon = tree.type_cap(level_bound)
+    horizon = tree.config.type_cap(level_bound)
     prefix_mask = (1 << horizon + 1) - 2
     if members is None:
         def members(ts, horizon):
@@ -714,6 +714,51 @@ class TestPersistRows:
         report = verify_type_axioms(tree, 9)
         assert report["passed"]
         assert report["axioms"]["types-persist"]["checked"] > 0
+
+
+def tampered_dyadic_tree():
+    """dyadic to depth 7 with the two 1/2 children of node 5.3 retyped 1,
+    at index 2: its child block 1/2, 1/2, 1, 3/4, 7/8 becomes 1, 1, 1,
+    3/4, 7/8, so 1/2 there has no continuation child, and the retyped
+    nodes keep the child blocks of a 1/2."""
+    tree = SkeletonTree(BuildConfig(family("dyadic")), 7)
+    poset, lvl = tree.poset, tree.level(6)
+    start, end = tree.children_span(5, 3)
+    assert list(map(poset.id_at, lvl.types[start:end])) == [
+        "1/2", "1/2", "1", "3/4", "7/8"]
+    half = poset.index("1/2")
+    for i in range(start, end):
+        if lvl.types[i] == half:
+            lvl.types[i] = 2
+    lvl._masks.clear()
+    return tree
+
+
+class TestLostContinuation:
+    """A one-node tamper that the structure check and the rows of
+    ``_persist_rows`` show, and the sampled laws miss (ROADMAP item 27)."""
+
+    def test_the_structure_check_fails_at_levels_5_and_6(self):
+        report = verify_structure(tampered_dyadic_tree())
+        assert [name for name, ok, _ in report.checks if not ok] == [
+            "continuation-children@5", "continuation-children@6"]
+
+    def test_a_row_of_levels_5_and_6_has_another_minimal_child_type(self):
+        tree = tampered_dyadic_tree()
+        fresh = SkeletonTree(BuildConfig(family("dyadic")), 7)
+        for n in range(1, 7):
+            for t, want in ((tree, n in (5, 6)), (fresh, False)):
+                minimal_in = t.poset.minimal_in
+                assert any(minimal_in(kids) != own for own, kids, _
+                           in ring._persist_rows(t, n)) is want, n
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "the sampled laws pass this tamper at every seed; ROADMAP item 27 "
+        "decides them on every row"))
+    @pytest.mark.parametrize("seed", range(5))
+    def test_the_sampled_laws_fail(self, seed):
+        report = verify_type_axioms(tampered_dyadic_tree(), 6, 10_000, seed)
+        assert report["passed"] is False
 
 
 def drop_last_lowered_parent(lower):

@@ -2,6 +2,7 @@
 import importlib.util
 import json
 import random
+import time
 import tracemalloc
 from array import array
 from collections import Counter
@@ -18,7 +19,9 @@ from stonetrim import (FOUND, BuildConfig, BuildError, ConfigError, Poset,
                        verify_structure)
 from stonetrim.poset import bits, runs
 from stonetrim.skeleton import (BUCKETS, Level, SkeletonTree,
-                                StructureReport, _reference_blocks, spell)
+                                StructureReport, _reference_blocks,
+                                level_rule, spell)
+from test_cli_digests import FILE_POSETS as CLI_POSETS, FILES
 
 
 def chain_tree(depth=4, **kw):
@@ -137,7 +140,8 @@ class TestChainBuild:
                                                              16, 32]
         assert list(tree.level(2).types) == [1, 2]
         assert list(tree.level(3).types) == [1, 2, 2, 2]
-        assert tree.config.masks(tree.type_cap(tree.depth))[0] == 1 << 1
+        cap = tree.config.type_cap(tree.depth)
+        assert tree.config.masks(cap)[0] == 1 << 1
 
     def test_node_views(self):
         tree = chain_tree(3)
@@ -209,7 +213,8 @@ class TestChainBuild:
                 tree.extend_to(4)
             assert tree.depth == 3
             # the tree's view of the config: indices 1..3, p4 is index 4
-            iso, buckets = tree.config.masks(tree.type_cap(tree.depth))
+            cap = tree.config.type_cap(tree.depth)
+            iso, buckets = tree.config.masks(cap)
             assert iso == 0
             assert not any(m >> 4 & 1 for m in buckets.values())
         assert buckets["bounded"] >> 3 & 1
@@ -493,29 +498,40 @@ class TestStructureChecks:
 # ----------------------------------------------------------------------
 # whole-level passes against the per-node loops they replaced
 
+def ref_level_rule(config, n, types):
+    """The rule that lays out level n+1 from a level n holding types, id by
+    id, as lists of indices: the child block of each type, the type once
+    if it is isolated, else twice, then every other id above it in
+    ``prefix(type_cap(n + 1))``; and the unattached tail, n+1 when it is
+    enumerated and unbounded or above no type of level n, then every
+    noncompact index up to ``type_cap(n)`` (``ref_bucket_of``)."""
+    poset = config.poset
+    cap = config.type_cap(n + 1)
+    ids = poset.prefix(cap)
+    buckets = {ix: ref_bucket_of(config, p, n + 1)
+               for ix, p in enumerate(ids, 1)}
+
+    def above(t, q):
+        return poset.leq(ids[t - 1], ids[q - 1])
+    blocks = {t: [t] * (1 if ids[t - 1] in config.isolated else 2)
+              + [q for q in range(1, cap + 1) if q != t and above(t, q)]
+              for t in types}
+    tail = []
+    if cap > n and (buckets[n + 1] == "unbounded"
+                    or not any(above(t, n + 1) for t in types)):
+        tail.append(n + 1)
+    tail += [q for q in range(1, config.type_cap(n) + 1)
+             if buckets[q] == "noncompact"]
+    return blocks, tail
+
+
 def next_level_oracle(tree):
     """Level depth+1 laid out node by node, as the builder stored it before
     parents and child starts were derived: (types, parents, u_start) of the
     new level and the starts and ends of its child blocks."""
-    n = tree.depth + 1
-    cap = tree.type_cap(n)
-    config, ids = tree.config, tree.poset.prefix(cap)
-    iso = {ix for ix, p in enumerate(ids, 1) if p in config.isolated}
-    buckets = {ix: ref_bucket_of(config, p, n)
-               for ix, p in enumerate(ids, 1)}
     prev = tree.levels[-1]
-    below_cap = (1 << cap + 1) - 2
-    blocks, reach = {}, 0
-    for t in set(prev.types):
-        up = tree.poset.up_mask(t)
-        reach |= up
-        blocks[t] = ([t] * (1 if t in iso else 2)
-                     + list(bits(up & below_cap & ~(1 << t))))
-    unattached = []
-    if cap >= n and (buckets[n] == "unbounded" or not reach >> n & 1):
-        unattached.append(n)
-    unattached += [q for q in range(1, tree.type_cap(n - 1) + 1)
-                   if buckets[q] == "noncompact"]
+    blocks, unattached = ref_level_rule(tree.config, tree.depth,
+                                        set(prev.types))
     types, parents, starts, ends = [], [], [], []
     for i, t in enumerate(prev.types):
         starts.append(len(types))
@@ -545,13 +561,14 @@ def structure_oracle(tree, q_lower=None):
     poset = tree.poset
     depth = tree.depth
     for n in range(1, depth + 1):
-        want = set(range(1, tree.type_cap(n) + 1))
+        want = set(range(1, tree.config.type_cap(n) + 1))
         have = set(tree.level(n).types)
         rep.add(f"types-present@{n}", want <= have,
                 f"missing {sorted(want - have)}" if not want <= have else "")
-    iso = {ix for ix, p in enumerate(poset.prefix(tree.type_cap(depth)), 1)
+    cap = tree.config.type_cap(depth)
+    iso = {ix for ix, p in enumerate(poset.prefix(cap), 1)
            if p in tree.config.isolated}
-    minimal = poset.confirmed_minimal(tree.type_cap(depth))
+    minimal = poset.confirmed_minimal(tree.config.type_cap(depth))
     min_ix = set(bits(minimal))
     for t in sorted(iso):
         if t in min_ix:
@@ -575,7 +592,7 @@ def structure_oracle(tree, q_lower=None):
                        f"continuation children, wanted {want}")
                 break
         rep.add(f"continuation-children@{n}", ok, bad)
-    for t in range(1, tree.type_cap(depth) + 1):
+    for t in range(1, tree.config.type_cap(depth) + 1):
         b = ref_bucket_of(tree.config, poset.id_at(t), depth)
         if b == "noncompact":
             ok, bad = True, ""
@@ -595,7 +612,7 @@ def structure_oracle(tree, q_lower=None):
                     "" if c >= 1 else f"no unattached entry node at level {t}")
     if q_lower is not None:
         res = poset.finite_foundation(poset.mask_of(q_lower),
-                                      tree.type_cap(depth))
+                                      tree.config.type_cap(depth))
         if res.status != FOUND:
             rep.add("cover-foundation", False,
                     f"foundation search returned {res.status}")
@@ -624,7 +641,7 @@ def laid_out_oracle(tree, n):
     for i, t in enumerate(own.types):
         s, e = tree.children_span(n, i)
         block = kids.types[s:e].tolist()
-        if t > tree.type_cap(n) or first.setdefault(t, block) != block:
+        if t > tree.config.type_cap(n) or first.setdefault(t, block) != block:
             return False
     return True
 
@@ -973,7 +990,7 @@ class TestWholeLevelPasses:
             j = rng.randrange(s, e)
             kids = tree.level(n + 1)
             kids.types[j] = rng.choice([t for t in range(
-                1, tree.type_cap(n + 1) + 1) if t != kids.types[j]])
+                1, tree.config.type_cap(n + 1) + 1) if t != kids.types[j]])
             kids._masks.clear()
             laid = [self.laid_out_by_type(tree, m) for m in range(1, depth)]
             assert laid == [laid_out_oracle(tree, m)
@@ -1108,6 +1125,88 @@ class TestChunkedBuild:
 
 
 # ----------------------------------------------------------------------
+# the build rule read off the config, against the levels and per id
+
+def as_indices(rule):
+    """level_rule's spelled blocks and tail as ref_level_rule's lists."""
+    blocks, tail = rule
+    return ({ord(c): list(map(ord, b)) for c, b in blocks.items()},
+            list(map(ord, tail)))
+
+
+def deepest_tree(config):
+    """The tree of config built to its deepest level under the bound."""
+    tree = SkeletonTree(config, 1)
+    with pytest.raises(BuildError, match="would hold"):
+        while True:
+            tree.extend_to(tree.depth + 1)
+    return tree
+
+
+def assert_rules_match(tree):
+    """At every level n below the tree's depth, the rule read off the
+    config and level n's types is the substitution and the tail that
+    level n+1 was built with, and the per-id rule."""
+    for lvl, kids in zip(tree.levels, tree.levels[1:]):
+        rule = level_rule(tree.config, lvl.number, lvl.counts)
+        assert rule == (kids.substitution, spell(kids.types[kids.u_start:]))
+        assert as_indices(rule) == ref_level_rule(tree.config, lvl.number,
+                                                  set(lvl.types))
+
+
+class TestLevelRule:
+    @pytest.mark.parametrize("tag", ORACLE_FAMILIES + ["rn(0,0)", "rn(1,2)",
+                                                       "rn(10,0)"])
+    def test_builtin_families_to_the_bound(self, tag):
+        tree = deepest_tree(BuildConfig(family(tag)))
+        assert tree.depth >= 8
+        assert_rules_match(tree)
+
+    @pytest.mark.parametrize("name", CLI_POSETS)
+    def test_poset_files_to_the_bound(self, name):
+        assert_rules_match(deepest_tree(BuildConfig(Poset.from_json(
+            FILES[f"{name}.json"]))))
+
+    @given(seed=st.integers(0, 10 ** 6))
+    @settings(max_examples=40, deadline=None)
+    def test_random_configs(self, seed):
+        rng = random.Random(seed)
+        poset = random_poset(rng)
+        ids = poset.prefix(poset.size)
+        listed = {b: set(rng.sample(ids, rng.randint(0, len(ids))))
+                  for b in BUCKETS}
+        config = BuildConfig(poset, isolated=set(rng.sample(
+            ids, rng.randint(0, len(ids)))), **listed)
+        # built without validation, as some of these configs break the
+        # existence hypotheses
+        assert_rules_match(SkeletonTree(config, 5))
+
+    @pytest.mark.parametrize("tag, top", [("omega-chain", 30),
+                                          ("dyadic", 14),
+                                          ("omega-antichain", 20)])
+    def test_past_the_level_bound_with_no_tree(self, monkeypatch, tag,
+                                               top):
+        """A level n holds every type 1..type_cap(n), so the rule of any
+        level follows from the config alone, far past the deepest level
+        a tree can hold, and no tree or level is made to read it."""
+        for lvl in deepest_tree(BuildConfig(family(tag))).levels:
+            assert sorted(lvl.counts) == list(range(1, lvl.number + 1))
+
+        def refused(*args, **kwargs):
+            raise AssertionError("level_rule made a tree or a level")
+        monkeypatch.setattr(SkeletonTree, "__init__", refused)
+        monkeypatch.setattr(Level, "__init__", refused)
+        config = BuildConfig(family(tag))
+        for n in range(1, top + 1):
+            types = range(1, config.type_cap(n) + 1)
+            start = time.perf_counter()
+            rule = level_rule(config, n, types)
+            took = time.perf_counter() - start
+            assert as_indices(rule) == ref_level_rule(config, n, types)
+            assert took < 0.005, (n, took)
+
+
+# ----------------------------------------------------------------------
 # the config's index masks against per-id resolution
 
 def masks_oracle(config, n):
@@ -1216,7 +1315,7 @@ class TestConfigMasks:
             assert tree.levels == fresh.levels
             assert (verify_structure(tree).to_json()
                     == verify_structure(fresh).to_json())
-            cap = tree.type_cap(tree.depth)
+            cap = tree.config.type_cap(tree.depth)
             assert shared.masks(cap) == masks_oracle(shared, cap)
 
 

@@ -26,7 +26,7 @@ from ._record import Frozen, Record
 from .poset import FOUND, Poset, bits, runs
 from .ring import RingElement, is_trim_for, supertrim_split, trim_split
 from .runindex import RunIndex
-from .skeleton import BuildError, SkeletonTree
+from .skeleton import BuildConfig, BuildError, SkeletonTree
 
 SIDES = ("left", "right")
 
@@ -199,28 +199,21 @@ class _ThetaMap:
         return None if other.finite and g > other.size else g
 
 
-def init_iso(left: SkeletonTree, right: SkeletonTree, q: int,
-             theta: _ThetaMap) -> PartialIso:
-    """Seed the pairing from the founded lower region q, a mask over the
-    left enumeration.
-
-    The covering level on each side is the last enumeration slot of the
-    foundation; its whole level splits into trim parts and the parts
-    generated inside q are paired through theta, the order bijection that
-    ``run_backforth`` prepares over the schedule's span (``_theta_over``).
-    """
-    state = PartialIso(left, right, theta)
+def _regions(posets: tuple[Poset, Poset], caps: tuple[int, int], q: int,
+             theta: _ThetaMap) -> list[tuple[int, int]]:
+    """The compared region of each side, q on the left and its image under
+    theta on the right, with the level that covers it: the last
+    enumeration slot of its foundation.  Each region must have a
+    counterpart, and be a lower set with a confirmed finite foundation on
+    its side's prefix up to its cap, else IsoError."""
     images = {g: theta.image(0, g) for g in bits(q)}
     missing = sum(1 << g for g, h in images.items() if h is None)
     if missing:
-        raise IsoError(f"region elements {sorted(left.poset.ids_of(missing))}"
+        raise IsoError(f"region elements {sorted(posets[0].ids_of(missing))}"
                        f" have no counterpart under the bijection")
     regions = (q, sum(1 << h for h in images.values()))
-    parts = []
-    for side, region in enumerate(regions):
-        tree = state.trees[side]
-        poset = tree.poset
-        cap = tree.config.type_cap(tree.depth)
+    covers = []
+    for side, (poset, cap, region) in enumerate(zip(posets, caps, regions)):
         if poset.lower_of(region, cap) & ~region:
             raise IsoError(f"{SIDES[side]} region is not a lower set on the "
                            f"prefix")
@@ -228,7 +221,27 @@ def init_iso(left: SkeletonTree, right: SkeletonTree, q: int,
         if res.status != FOUND:
             raise IsoError(f"{SIDES[side]} region has no confirmed finite "
                            f"foundation")
-        n0 = res.foundation.bit_length() - 1
+        covers.append((region, res.foundation.bit_length() - 1))
+    return covers
+
+
+def init_iso(left: SkeletonTree, right: SkeletonTree, q: int,
+             theta: _ThetaMap) -> PartialIso:
+    """Seed the pairing from the founded lower region q, a mask over the
+    left enumeration (``_regions``, over each side's prefix up to the
+    types of its built levels).
+
+    The covering level on each side is the last enumeration slot of the
+    foundation; its whole level splits into trim parts and the parts
+    generated inside q are paired through theta, the order bijection that
+    ``run_backforth`` prepares over the schedule's span (``_theta_over``).
+    """
+    state = PartialIso(left, right, theta)
+    covers = _regions((left.poset, right.poset),
+                      (left.config.type_cap(left.depth),
+                       right.config.type_cap(right.depth)), q, theta)
+    parts = []
+    for tree, (region, n0) in zip(state.trees, covers):
         _grow(tree, n0)
         whole = RingElement(tree, n0, tree.level(n0).full_mask)
         parts.append([(g, part) for g, part in trim_split(whole)
@@ -448,12 +461,12 @@ class IsoRun(Record):
         }
 
 
-def _theta_over(left: SkeletonTree, right: SkeletonTree,
+def _theta_over(left: BuildConfig, right: BuildConfig,
                 theta: Optional[Callable[[str], str]], span: int) -> _ThetaMap:
     """The bijection over the span as index tables both ways, the identity
     on ids when theta is None, in which case the sides must name the same
     elements.  It must map prefix onto prefix and keep the order both
-    ways."""
+    ways.  Only the sides' posets are read, so trees serve as well."""
     a = left.poset.prefix(span)
     b = set(right.poset.prefix(span))
     if theta is None and set(a) != b:
@@ -498,21 +511,38 @@ def _check_isolation(state: PartialIso) -> None:
                                        atoms.bit_count(), 1)
 
 
-def _check_past_span(left: SkeletonTree, right: SkeletonTree,
+def _check_past_span(left: BuildConfig, right: BuildConfig,
                      theta: Optional[Callable[[str], str]], span: int) -> None:
     """Raise when the posets differ past the checked span, where the
     bijection is the identity on indices.  A finite side with fewer
     elements than the other lacks a counterpart for the other side's next
     element, a mismatch; finite sides of one size are checked whole, as
-    the span was."""
-    trees = (left, right)
-    sizes = [tree.poset.size for tree in trees]
+    the span was.  Only the sides' posets are read."""
+    sides = (left, right)
+    sizes = [s.poset.size for s in sides]
     for side in (0, 1):
         mine, theirs = sizes[side], sizes[1 - side]
         if mine is not None and (theirs is None or mine < theirs):
-            raise _no_counterpart(side, trees[1 - side].poset, mine + 1, 1)
+            raise _no_counterpart(side, sides[1 - side].poset, mine + 1, 1)
     if sizes[0] is not None and sizes[0] > span:
         _theta_over(left, right, theta, sizes[0])
+
+
+def _setup(left: BuildConfig, right: BuildConfig, depth: int,
+           q: Optional[int],
+           theta: Optional[Callable[[str], str]]) -> tuple[int, _ThetaMap, int]:
+    """The span a run to depth checks, the types both sides may hold on
+    levels 1..depth; the bijection over it (``_theta_over``); and the
+    compared region q, a mask over the left enumeration, by default
+    P_Delta over the span, which must not be empty."""
+    span = min(left.type_cap(depth), right.type_cap(depth))
+    bijection = _theta_over(left, right, theta, span)
+    if q is None:
+        q = left.poset.p_delta(span)
+    if not q:
+        raise IsoError("the compared region is empty; pass q explicitly when "
+                       "no element has a confirmed finite foundation")
+    return span, bijection, q
 
 
 def _schedule(left: SkeletonTree, right: SkeletonTree, depth: int,
@@ -575,13 +605,7 @@ def run_backforth(left: SkeletonTree, right: SkeletonTree,
     max_depth = depth + 8 if max_depth is None else max_depth
     if max_depth < depth:
         raise IsoError("max_depth must be at least depth")
-    span = min(left.config.type_cap(depth), right.config.type_cap(depth))
-    bijection = _theta_over(left, right, theta, span)
-    if q is None:
-        q = left.poset.p_delta(span)
-    if not q:
-        raise IsoError("the compared region is empty; pass q explicitly when "
-                       "no element has a confirmed finite foundation")
+    span, bijection, q = _setup(left.config, right.config, depth, q, theta)
     run = IsoRun(status="iso")
     try:
         state = init_iso(left, right, q, bijection)
@@ -597,7 +621,7 @@ def run_backforth(left: SkeletonTree, right: SkeletonTree,
             extend_iso(state, side, RingElement.atom(state.trees[side], n, i),
                        max_depth, run.transcript)
         _check_isolation(state)
-        _check_past_span(left, right, theta, span)
+        _check_past_span(left.config, right.config, theta, span)
     except MismatchFound as m:
         run.status = "mismatch"
         run.witness = m.witness
@@ -618,6 +642,27 @@ def run_backforth(left: SkeletonTree, right: SkeletonTree,
                         if not covered else
                         "schedule finished with broken pairing invariants")
     return run
+
+
+def equal_rules_run(left: BuildConfig, right: BuildConfig, depth: int,
+                    q: Optional[int] = None) -> IsoRun:
+    """The verdict to depth on two configs whose build rules agree on
+    levels 1..depth (``skeleton.equal_rules``), given with no tree built
+    and no search: their builds are equal level by level and name the
+    same ids index for index, so the identity on atoms pairs every atom
+    with one of its own type, the isomorphism a completed schedule of
+    ``run_backforth`` certifies.  The run's setup and closing checks come
+    first, in its order and with its errors: the bijection and the
+    compared region (``_setup``), the regions on each side's prefix up to
+    type_cap(depth) (``_regions``) and the posets past the span
+    (``_check_past_span``)."""
+    span, bijection, q = _setup(left, right, depth, q, None)
+    _regions((left.poset, right.poset),
+             (left.type_cap(depth), right.type_cap(depth)), q, bijection)
+    _check_past_span(left, right, None, span)
+    return IsoRun(status="iso", depth_used=depth, coverage=True,
+                  note=f"equal-rules: the identity on atoms matches the "
+                       f"builds to depth {depth}")
 
 
 def lift_poset_automorphism(left: SkeletonTree, right: SkeletonTree,

@@ -19,7 +19,8 @@ from typing import Optional
 
 from .families import family, family_tags
 from .poset import DEFAULT_CHAIN_BOUND, Poset, PosetError, bits
-from .skeleton import (BuildConfig, BuildError, ConfigError, build_levels,
+from .skeleton import (BuildConfig, BuildError, ConfigError, SkeletonTree,
+                       build_levels, equal_rules, validated,
                        verify_structure)
 
 
@@ -134,6 +135,8 @@ def cmd_build_verify(args) -> int:
         tree = build_levels(config, args.depth)
     except ConfigError as e:
         return _fail(3, str(e))
+    except BuildError as e:
+        return _fail(5, str(e))
     if args.format == "dot":
         _out(tree.to_dot())
         return 0
@@ -155,12 +158,15 @@ def cmd_build_verify(args) -> int:
 
 
 def cmd_iso(args) -> int:
-    from .backforth import SIDES, IsoError, run_backforth
+    """Sides whose build rules agree to --depth (``equal_rules``) are
+    certified without a tree or a search (``equal_rules_run``); any other
+    pair is built and matched (``run_backforth``)."""
+    from .backforth import SIDES, IsoError, equal_rules_run, run_backforth
     if args.depth < 3:
         return _fail(3, "--depth must be at least 3")
     if args.max_depth is not None and args.max_depth < args.depth:
         return _fail(3, "--max-depth must be at least --depth")
-    trees = []
+    configs = []
     for name in SIDES:
         tag, path = getattr(args, f"{name}_family"), getattr(args, name)
         if not (tag or path):
@@ -169,22 +175,29 @@ def cmd_iso(args) -> int:
             poset = _load_poset(tag, path)
         except (OSError, ValueError) as e:
             return _fail(2, f"cannot load {name} poset: {e}")
-        config = _build_config(poset, args, prefix=f"{name}_")
         try:
-            trees.append(build_levels(config, args.depth))
+            configs.append(validated(
+                _build_config(poset, args, prefix=f"{name}_"), args.depth))
         except ConfigError as e:
             return _fail(3, f"{name}: {e}")
-        except BuildError as e:
-            return _fail(5, f"{name}: {e}")
+    same = equal_rules(*configs, args.depth) is None
+    trees = []
+    if not same:
+        for name, config in zip(SIDES, configs):
+            try:
+                trees.append(SkeletonTree(config, args.depth))
+            except BuildError as e:
+                return _fail(5, f"{name}: {e}")
     q = None
     try:
         for p in args.q or ():
-            q = (q or 0) | 1 << trees[0].poset.index(p)
+            q = (q or 0) | 1 << configs[0].poset.index(p)
     except PosetError as e:
         return _fail(2, f"bad --q: {e}")
     try:
-        run = run_backforth(*trees, q=q, depth=args.depth,
-                            max_depth=args.max_depth, seed=args.seed)
+        run = (equal_rules_run(*configs, args.depth, q) if same else
+               run_backforth(*trees, q=q, depth=args.depth,
+                             max_depth=args.max_depth, seed=args.seed))
     except IsoError as e:
         return _fail(3, str(e))
     _emit(run.serialize())

@@ -387,6 +387,63 @@ def level_rule(config: BuildConfig, n: int,
     return blocks, tail
 
 
+def equal_rules(left: BuildConfig, right: BuildConfig,
+                depth: int) -> Optional[tuple[int, str, int]]:
+    """None when the two configs build the same levels 1..depth, id for
+    id, with the same types isolated, else the first (level, what, index)
+    where their rules part, read off the configs alone: no tree is built,
+    so any depth answers, past ``MAX_LEVEL_SIZE`` too.
+
+    Level 0 is the posets: ``(0, "size", i)`` when they differ in
+    finiteness or size, i the first index only one of them has, and
+    ``(0, "id", i)`` at the first index up to ``type_cap(depth)`` whose
+    ids differ.  Level n = 1..depth-1 is ``level_rule`` over types
+    1..type_cap(n): ``(n, "block", t)`` at the least type t whose child
+    block differs, else ``(n, "tail", i)`` at the first place in the
+    unattached tails that differs.  Last, ``(depth, "isolated", t)`` at
+    the least type t of level depth isolated on one side only: a type
+    new there has its block, which would show it, in the rule of level
+    depth, which lays out level depth+1 and is not compared.
+
+    Equal rules give equal levels, by induction on n.  Level 1 is the
+    root, typed 1, on both sides.  An equal level n holds exactly the
+    types 1..type_cap(n) (the types-realized law: every type continues
+    to the next level, and n+1 enters it, below a type of level n or
+    fresh), so the rule ``_build_next`` lays out level n+1 by is the one
+    compared here, and level n+1, level n rewritten through equal blocks
+    and then an equal tail, is equal.  Equal levels give equal
+    substitutions back: a type's block is the children of its first
+    node, the tail the nodes past the blocks.  With the ids equal index
+    for index and the same types isolated, the identity on atoms maps
+    every level onto the other side's, type for type, and pairs an
+    isolated type only with itself isolated."""
+    posets = left.poset, right.poset
+    sizes = [p.size for p in posets]
+    if sizes[0] != sizes[1]:
+        return 0, "size", min(s for s in sizes if s is not None) + 1
+    cap = left.type_cap(depth)
+    ids = [p.prefix(cap) for p in posets]
+    if ids[0] != ids[1]:
+        return 0, "id", next(i for i, (a, b) in enumerate(zip(*ids), 1)
+                             if a != b)
+    for n in range(1, depth):
+        types = range(1, left.type_cap(n) + 1)
+        (blocks, tail), (theirs, their_tail) = (
+            level_rule(config, n, types) for config in (left, right))
+        t = next((t for t in types if blocks[chr(t)] != theirs[chr(t)]),
+                 None)
+        if t is not None:
+            return n, "block", t
+        if tail != their_tail:
+            return n, "tail", next(
+                (i for i, (a, b) in enumerate(zip(tail, their_tail))
+                 if a != b), min(len(tail), len(their_tail)))
+    apart = left.masks(cap)[0] ^ right.masks(cap)[0]
+    if apart:
+        return depth, "isolated", (apart & -apart).bit_length() - 1
+    return None
+
+
 class SkeletonTree:
     """The skeleton built to some depth; deterministically extendable."""
 
@@ -513,12 +570,18 @@ class SkeletonTree:
         return "\n".join(lines)
 
 
-def build_levels(config: BuildConfig, depth: int) -> SkeletonTree:
-    """Validate the configuration and build the skeleton."""
+def validated(config: BuildConfig, depth: int) -> BuildConfig:
+    """The configuration, once ``validate`` finds no problem with it at
+    depth; else a ConfigError naming every problem."""
     problems = config.validate(depth)
     if problems:
         raise ConfigError("; ".join(problems))
-    return SkeletonTree(config, depth)
+    return config
+
+
+def build_levels(config: BuildConfig, depth: int) -> SkeletonTree:
+    """Validate the configuration and build the skeleton."""
+    return SkeletonTree(validated(config, depth), depth)
 
 
 # ----------------------------------------------------------------------

@@ -588,3 +588,44 @@ class TestAutomorphismLift:
         with pytest.raises(IsoError, match="does not carry isolation"):
             lift_poset_automorphism(build(chain_ab_poset, isolated={"a"}),
                                     build(chain_ab_poset), {})
+
+
+class TestEqualRules:
+    """``iso`` certifies a pair whose rules agree (``equal_rules``) with no
+    search, so the search must never refute such a pair."""
+
+    # families and files of the CLI corpus, each against itself with one
+    # of its first four elements isolated, unbounded or noncompact on the
+    # left only; an element isolated where it is new, on the deepest
+    # level, leaves the rules of the levels above it equal, and the
+    # search refutes that pair
+    @pytest.mark.parametrize("tag", ["omega-chain", "omega-antichain",
+                                     "ziegler-fan", "rn(2,0)",
+                                     "rn(2,2)", "rn(4,2)", "crown", "wedge",
+                                     "forest", "f12"])
+    def test_the_search_never_refutes_equal_rules(self, tag):
+        from test_cli_digests import FILES
+
+        def poset():
+            doc = FILES.get(f"{tag}.json")
+            return family(tag) if doc is None else Poset.from_json(doc)
+        ids = poset().prefix(4)
+        variants = [{label: {p}} for label in ("isolated", "unbounded",
+                                               "noncompact") for p in ids]
+        agreed = 0
+        for kw in variants:
+            for depth in (3, 4, 5):
+                left = BuildConfig(poset(), **kw)
+                right = BuildConfig(poset())
+                if (left.validate(depth) or right.validate(depth)
+                        or skeleton.equal_rules(left, right, depth)):
+                    continue
+                agreed += 1
+                try:
+                    run = run_backforth(skeleton.SkeletonTree(left, depth),
+                                        skeleton.SkeletonTree(right, depth),
+                                        depth=depth)
+                except IsoError:
+                    continue
+                assert run.status != "mismatch", (kw, depth, run.witness)
+        assert agreed

@@ -10,6 +10,7 @@ import pytest
 
 import stonetrim
 from stonetrim import FOUND, cli
+from stonetrim.skeleton import equal_rules
 
 # the child imports the same stonetrim as this process, installed or not
 SRC = os.path.dirname(os.path.dirname(stonetrim.__file__))
@@ -36,6 +37,13 @@ UNWRITABLE = {
             "--format", "dot"],
     "text": ["closure", "--family", "rn-infinity", "--format", "text"],
 }
+
+
+@pytest.fixture
+def searched(monkeypatch):
+    """``iso`` with the rules of every pair reported apart, so every pair
+    is built and matched by ``run_backforth``."""
+    monkeypatch.setattr(cli, "equal_rules", lambda *args: (1, "block", 1))
 
 
 def assert_refused_output(proc, reason: str) -> None:
@@ -178,6 +186,18 @@ class TestBuildVerify:
         assert doc["structure"]["passed"] is True
         assert doc["axioms"]["passed"] is True
 
+    @pytest.mark.parametrize("family, depth, message", [
+        ("omega-chain", "9", "level 9 would hold 103049 nodes"),
+        ("omega-chain", "10", "level 9 would hold 103049 nodes"),
+        ("rn(2,0)", "16", "level 16 would hold 110592 nodes")])
+    def test_past_the_level_bound_exits_five(self, family, depth, message):
+        proc = run_cli("build-verify", "--family", family, "--depth", depth,
+                       timeout=60)
+        assert proc.returncode == 5
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            f"{message}, over the bound 65536"]
+
     def test_foundation_past_the_depth_passes_vacuously(self):
         # omega-antichain's a6 is founded at level 6, past depth 3, so no
         # level of the tree can show a covered type escaping
@@ -200,16 +220,45 @@ class TestBuildVerify:
 
 
 class TestIso:
-    def test_identical_sides(self):
-        proc = run_cli("iso", "--left-family", "rn(2,0)",
-                       "--right-family", "rn(2,0)", "--depth", "6")
-        assert proc.returncode == 0
-        doc = json.loads(proc.stdout)
+    def test_identical_sides(self, capsys, searched):
+        assert cli.main(["iso", "--left-family", "rn(2,0)",
+                         "--right-family", "rn(2,0)", "--depth", "6"]) == 0
+        doc = json.loads(capsys.readouterr().out)
         assert doc["status"] == "iso"
         assert doc["coverage"] is True
         assert doc["invariant_failures"] == []
         assert doc["witness"] is None
         assert doc["steps"] > 0
+
+    @pytest.mark.parametrize("family, depth", [("rn(2,0)", "6"),
+                                               ("omega-chain", "6"),
+                                               ("omega-chain", "12")])
+    def test_equal_rules_certify_without_a_search(self, family, depth):
+        # omega-chain's level 9 is over the level-size bound, which the
+        # search reaches by depth 6 and a build by depth 9
+        proc = run_cli("iso", "--left-family", family, "--right-family",
+                       family, "--depth", depth, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {
+            "status": "iso", "coverage": True, "invariant_failures": [],
+            "witness": None, "pairs": 0, "steps": 0,
+            "depth_used": int(depth),
+            "note": f"equal-rules: the identity on atoms matches the builds "
+                    f"to depth {depth}"}
+
+    def test_equal_rules_build_no_tree_and_read_no_seed(self, capsys,
+                                                        monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("an equal-rules pair built a tree")
+        monkeypatch.setattr(cli.SkeletonTree, "__init__", refused)
+        outs = []
+        for seed in ("0", "1", "7"):
+            assert cli.main(["iso", "--left-family", "omega-chain",
+                             "--right-family", "omega-chain", "--depth",
+                             "30", "--seed", seed]) == 0
+            outs.append(capsys.readouterr())
+        assert outs == [outs[0]] * 3 and outs[0].err == ""
+        assert json.loads(outs[0].out)["depth_used"] == 30
 
     def test_mismatch_exit_code(self):
         proc = run_cli("iso", "--left-family", "rn(2,0)",
@@ -257,6 +306,7 @@ class TestIso:
     PAST_SPAN = {
         "ab": (["a", "b"], [["a", "b"]]),
         "abc": (["a", "b", "c"], [["a", "b"], ["b", "c"]]),
+        "xy": (["x", "y"], [["x", "y"]]),
         "c3": (["p1", "p2", "p3"], [["p1", "p2"], ["p2", "p3"]]),
         "vee": (["a", "b", "c"], [["a", "b"], ["a", "c"]]),
         "veed": (["a", "b", "c", "d"], [["a", "b"], ["a", "c"], ["b", "d"]]),
@@ -315,9 +365,51 @@ class TestIso:
                 assert err.splitlines() == [
                     "the bijection breaks order at ('b', 'd')"]
 
-    def test_depth_exhaustion_exit_code(self):
-        proc = run_cli("iso", "--left-family", "omega-chain",
-                       "--right-family", "omega-chain",
+    # each refused by a check of the matcher's setup or close, or by the
+    # config; equal says whether the rules agree, so that the certificate
+    # refuses it where the search would have
+    @pytest.mark.parametrize("left, right, extra, code, equal", [
+        ("rn-infinity", "rn-infinity", [], 3, True),
+        ("rn-infinity", "rn-infinity", ["--q", "p2", "p3", "p4"], 3, True),
+        ("rn(2,0)", "rn(2,0)", ["--q", "p0"], 3, True),
+        ("veed", "veedc", [], 3, True),
+        ("ab", "abc", [], 4, False),
+        ("ab", "xy", [], 3, False),
+        ("rn(2,0)", "rn(2,0)", ["--q", "zz"], 2, True),
+        ("rn(2,0)", "rn(2,0)", ["--right-isolated", "zz"], 3, None),
+    ], ids=["empty-region", "unfounded-region", "region-not-lower",
+            "order-past-the-span", "size-past-the-span", "other-ids",
+            "unknown-q-member", "config-error"])
+    def test_refusals_match_the_search(self, tmp_path, capsys, monkeypatch,
+                                       left, right, extra, code, equal):
+        argv = ["iso", *self.past_span_sides(tmp_path, left, right),
+                "--depth", "3", *extra]
+        asked = []
+
+        def asking(*args):
+            asked.append(equal_rules(*args))
+            return asked[-1]
+        monkeypatch.setattr(cli, "equal_rules", asking)
+        assert cli.main(argv) == code
+        first = capsys.readouterr()
+        if equal is None:
+            assert asked == []
+        else:
+            assert len(asked) == 1 and (asked[0] is None) == equal
+        monkeypatch.setattr(cli, "equal_rules", lambda *args: (1, "block", 1))
+        assert cli.main(argv) == code
+        assert capsys.readouterr() == first
+        assert first.err or json.loads(first.out)["status"] == "mismatch"
+
+    def test_depth_exhaustion_exit_code(self, tmp_path):
+        # b is noncompact on the left and unbounded on the right, so the
+        # rules differ and the pair is matched
+        path = tmp_path / "vee.json"
+        path.write_text(json.dumps({"name": "vee",
+                                    "elements": ["a", "b", "c"],
+                                    "covers": [["a", "b"], ["a", "c"]]}))
+        proc = run_cli("iso", "--left", str(path), "--right", str(path),
+                       "--left-pinf", "b", "--right-pu", "b",
                        "--depth", "6", "--max-depth", "6")
         assert proc.returncode == 5
         doc = json.loads(proc.stdout)
@@ -441,8 +533,11 @@ class TestExitContract:
         assert "--horizon must be at least 1" in proc.stderr
 
     def test_iso_level_size_budget(self):
+        # p8 isolated on the right only, so the rules differ and both
+        # sides are built
         proc = run_cli("iso", "--left-family", "omega-chain",
-                       "--right-family", "omega-chain", "--depth", "9")
+                       "--right-family", "omega-chain", "--right-isolated",
+                       "p8", "--depth", "9")
         assert proc.returncode == 5
         assert proc.stdout == ""
         assert proc.stderr.splitlines() == [
@@ -480,7 +575,7 @@ class TestExitContract:
         out, err = capsys.readouterr()
         assert out.startswith("digraph skeleton {") and err == ""
 
-    def test_a_repeated_q_member_is_one_element(self, capsys):
+    def test_a_repeated_q_member_is_one_element(self, capsys, searched):
         argv = ["iso", "--left-family", "rn(2,0)", "--right-family",
                 "rn(2,0)", "--depth", "4", "--q", "p2"]
         runs = []
@@ -612,11 +707,10 @@ class TestExitContract:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
 
-    def test_iso_builds_the_covering_level(self):
-        proc = run_cli("iso", "--left-family", "rn(4,2)",
-                       "--right-family", "rn(4,2)", "--depth", "5")
-        assert proc.returncode == 0
-        doc = json.loads(proc.stdout)
+    def test_iso_builds_the_covering_level(self, capsys, searched):
+        assert cli.main(["iso", "--left-family", "rn(4,2)",
+                         "--right-family", "rn(4,2)", "--depth", "5"]) == 0
+        doc = json.loads(capsys.readouterr().out)
         assert doc["status"] == "iso" and doc["pairs"] == 8
 
 

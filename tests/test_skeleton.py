@@ -6,6 +6,7 @@ import time
 import tracemalloc
 from array import array
 from collections import Counter
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -20,7 +21,7 @@ from stonetrim import (FOUND, BuildConfig, BuildError, ConfigError, Poset,
 from stonetrim.poset import bits, runs
 from stonetrim.skeleton import (BUCKETS, Level, SkeletonTree,
                                 StructureReport, _reference_blocks,
-                                level_rule, spell)
+                                equal_rules, level_rule, spell)
 from test_cli_digests import FILE_POSETS as CLI_POSETS, FILES
 
 
@@ -1204,6 +1205,116 @@ class TestLevelRule:
             took = time.perf_counter() - start
             assert as_indices(rule) == ref_level_rule(config, n, types)
             assert took < 0.005, (n, took)
+
+
+# ----------------------------------------------------------------------
+# equal build rules, against the trees they build
+
+def same_build(left, right, depth):
+    """The oracle for ``equal_rules``: two trees built to depth at least,
+    whose posets agree in size and in their ids up to level depth's
+    types, whose levels 1..depth compare equal, and whose configs isolate
+    the same ids among level depth's types."""
+    posets = left.poset, right.poset
+    if posets[0].size != posets[1].size:
+        return False
+    ids = [p.prefix(left.config.type_cap(depth)) for p in posets]
+    isolated = [{p for p in ids[0] if p in tree.config.isolated}
+                for tree in (left, right)]
+    return (ids[0] == ids[1] and isolated[0] == isolated[1]
+            and left.levels[:depth] == right.levels[:depth])
+
+
+def assert_equal_rules_match(configs, top):
+    """Over every pair of configs, both ways round, and every depth
+    1..top their trees reach under the level-size bound, ``equal_rules``
+    answers None exactly when ``same_build`` holds, and the same answer
+    both ways round."""
+    trees = []
+    for config in configs:
+        tree = SkeletonTree(config, 1)
+        try:
+            tree.extend_to(top + 1)
+        except BuildError:
+            pass
+        trees.append(tree)
+    for (a, left), (b, right) in combinations(enumerate(trees), 2):
+        for depth in range(1, min(left.depth, right.depth) + 1):
+            got = equal_rules(left.config, right.config, depth)
+            assert got == equal_rules(right.config, left.config, depth)
+            assert (got is None) == same_build(left, right, depth), (
+                a, b, depth, got)
+
+
+def one_element_variants(poset, reach=4):
+    """The plain config of poset, then one config per bucket and per id
+    among its first reach ids listing that id alone."""
+    ids = poset.prefix(reach if poset.size is None else
+                       min(reach, poset.size))
+    return [BuildConfig(poset)] + [
+        BuildConfig(poset, **{label: {p}})
+        for label in ("isolated",) + BUCKETS for p in ids]
+
+
+class TestEqualRules:
+    @pytest.mark.parametrize("tag", ORACLE_FAMILIES + ["rn(0,0)", "rn(1,2)",
+                                                       "rn(10,0)"])
+    def test_builtin_families(self, tag):
+        assert_equal_rules_match(one_element_variants(family(tag)), 6)
+
+    def test_across_families(self):
+        assert_equal_rules_match([BuildConfig(family(tag)) for tag in
+                                  ORACLE_FAMILIES + ["rn(1,2)"]], 6)
+
+    def test_poset_files(self):
+        posets = [Poset.from_json(FILES[f"{name}.json"])
+                  for name in CLI_POSETS]
+        assert_equal_rules_match(
+            [BuildConfig(p) for p in posets]
+            + [c for p in posets for c in one_element_variants(p, 3)[1:5]],
+            5)
+
+    @given(seed=st.integers(0, 10 ** 6))
+    @settings(max_examples=40, deadline=None)
+    def test_random_configs(self, seed):
+        rng = random.Random(seed)
+        shapes = [rng.random() for _ in range(2)]
+        configs = []
+        for shape in shapes + shapes:
+            poset = random_poset(random.Random(shape))
+            ids = poset.prefix(poset.size)
+            pick = (lambda: set(rng.sample(ids, rng.randint(0, 1)))
+                    if rng.random() < 0.5 else set())
+            configs.append(BuildConfig(poset, isolated=pick(),
+                                       **{b: pick() for b in BUCKETS}))
+        assert_equal_rules_match(configs, 5)
+
+    @pytest.mark.parametrize("tag", ["omega-chain", "omega-antichain",
+                                     "dyadic", "rn(4,2)"])
+    def test_one_isolated_element_parts_at_its_first_level(self, tag):
+        poset = family(tag)
+        for t in range(1, 7):
+            if t > (poset.size or t):
+                break
+            right = BuildConfig(family(tag), isolated={poset.id_at(t)})
+            for depth in range(1, 9):
+                got = equal_rules(BuildConfig(poset), right, depth)
+                assert (got is None) == (depth < t), (t, depth, got)
+                if got is not None:
+                    assert got[0] == t and got[2] == t, (t, depth, got)
+
+    def test_past_the_level_bound_with_no_tree(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("equal_rules made a tree or a level")
+        monkeypatch.setattr(SkeletonTree, "__init__", refused)
+        monkeypatch.setattr(Level, "__init__", refused)
+        left = BuildConfig(family("omega-chain"))
+        assert equal_rules(left, BuildConfig(family("omega-chain")),
+                           30) is None
+        for far in (25, 30):
+            right = BuildConfig(family("omega-chain"),
+                                isolated={left.poset.id_at(far)})
+            assert equal_rules(left, right, 30)[::2] == (far, far)
 
 
 # ----------------------------------------------------------------------

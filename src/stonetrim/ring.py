@@ -79,16 +79,15 @@ class RingElement:
         return f"RingElement(level={self.level}, mask={bin(self.mask)})"
 
     def mask_at(self, level: int) -> int:
-        """The element's atom set expressed on a deeper level."""
+        """The element's atom set expressed on a deeper level, lifted by
+        one ``theta_image`` call; on its own level, its own mask."""
         if level < self.level:
             raise RingError("cannot express an element above its level")
         tree = self.tree
         if level > len(tree.levels):
             raise RingError(f"level {level} not built")
-        m = self.mask
-        for n in range(self.level, level):
-            m = tree.theta_image(n, m)
-        return m
+        return (self.mask if level == self.level
+                else tree.theta_image(self.level, self.mask, level))
 
     # ------------------------------------------------------------------
 
@@ -350,10 +349,10 @@ def verify_type_axioms(tree: SkeletonTree, level_bound: int,
         la, xa, ta = canon[n, ma]
         lb, xb, tb = canon[n, mb]
         k = max(la, lb)
-        for i in range(la, k):
-            xa = tree.theta_image(i, xa)
-        for i in range(lb, k):
-            xb = tree.theta_image(i, xb)
+        if la < k:
+            xa = tree.theta_image(la, xa, k)
+        if lb < k:
+            xb = tree.theta_image(lb, xb, k)
         return poset.minimal_in(ta | tb) == canon[k, xa | xb][2]
 
     canon = _Memo(canonical)

@@ -96,7 +96,8 @@ class BuildConfig(Frozen):
                    frozenset(unbounded), frozenset(noncompact), horizon)
 
     def scope(self, depth: int) -> int:
-        """Enumeration reach used for validation and bucket resolution."""
+        """Enumeration reach used for validation and the matcher's
+        isolated types."""
         if self.poset.finite:
             return self.poset.size
         return max(self.horizon or 0, depth)
@@ -111,8 +112,8 @@ class BuildConfig(Frozen):
         """The configuration over enumeration indices 1..n: the mask of the
         isolated indices and one mask per bucket.  A listed id takes the
         first bucket in ``BUCKETS`` that lists it, and any other index is
-        bounded when it lies in ``p_delta(scope(n))``, else noncompact.
-        Ids not enumerated yet are skipped."""
+        bounded when it lies in ``p_delta(n)``, else noncompact (no horizon
+        changes a ``p_delta`` answer).  Ids not enumerated yet are skipped."""
         poset = self.poset
         known, rest = poset.__contains__, poset.prefix_mask(n)
         iso = rest & poset.mask_of(filter(known, self.isolated))
@@ -122,7 +123,7 @@ class BuildConfig(Frozen):
                 filter(known, getattr(self, bucket)))
             rest &= ~buckets[bucket]
         if rest:
-            delta = poset.p_delta(self.scope(n))
+            delta = poset.p_delta(n)
             buckets["bounded"] |= rest & delta
             buckets["noncompact"] |= rest & ~delta
         return iso, buckets
@@ -361,21 +362,23 @@ def _rewrite(levels: Sequence[Level],
             yield "".join(map(table.__getitem__, text[lo:lo + step]))
 
 
-def level_rule(config: BuildConfig, n: int,
-               types: Iterable[int]) -> tuple[dict[str, str], str]:
-    """The rule that lays out level n+1 from a level n >= 1 holding types,
-    read off the config alone: each type's child block, keyed by its
-    character as ``Level.substitution`` stores it, and the unattached
-    tail, both spelled (``spell``).  A block holds types up to
-    ``type_cap(n + 1)``; the tail starts with n+1 when needed, then holds
-    the noncompact types up to ``type_cap(n)``."""
+def level_rule(config: BuildConfig, n: int) -> tuple[dict[str, str], str]:
+    """The rule that lays out level n+1 from level n >= 1, read off the
+    config alone: each type's child block, keyed by its character as
+    ``Level.substitution`` stores it, and the unattached tail, both
+    spelled (``spell``).  A block holds types up to ``type_cap(n + 1)``;
+    the tail starts with n+1 when needed, then holds the noncompact types
+    up to ``type_cap(n)``.  No level is read: level n holds exactly the
+    types 1..type_cap(n), by induction on n, as level 1 is the root, typed
+    1, each type of level n starts its own block on level n+1, and n+1,
+    when type_cap(n + 1) > n, enters below a type of level n or fresh."""
     poset = config.poset
     cap = config.type_cap(n + 1)
     iso, buckets = config.masks(cap)
     below_cap = poset.prefix_mask(cap)
     blocks: dict[str, str] = {}
     reach = 0
-    for t in types:
+    for t in range(1, config.type_cap(n) + 1):
         up = poset.up_mask(t)
         reach |= up
         blocks[chr(t)] = chr(t) * (1 if iso >> t & 1 else 2) + "".join(
@@ -397,25 +400,22 @@ def equal_rules(left: BuildConfig, right: BuildConfig,
     Level 0 is the posets: ``(0, "size", i)`` when they differ in
     finiteness or size, i the first index only one of them has, and
     ``(0, "id", i)`` at the first index up to ``type_cap(depth)`` whose
-    ids differ.  Level n = 1..depth-1 is ``level_rule`` over types
-    1..type_cap(n): ``(n, "block", t)`` at the least type t whose child
-    block differs, else ``(n, "tail", i)`` at the first place in the
-    unattached tails that differs.  Last, ``(depth, "isolated", t)`` at
-    the least type t of level depth isolated on one side only: a type
-    new there has its block, which would show it, in the rule of level
-    depth, which lays out level depth+1 and is not compared.
+    ids differ.  Level n = 1..depth-1 is ``level_rule(config, n)``:
+    ``(n, "block", t)`` at the least type t whose child block differs,
+    else ``(n, "tail", i)`` at the first place in the unattached tails
+    that differs.  Last, ``(depth, "isolated", t)`` at the least type t
+    of level depth isolated on one side only: a type new there has its
+    block, which would show it, in the rule of level depth, which lays
+    out level depth+1 and is not compared.
 
     Equal rules give equal levels, by induction on n.  Level 1 is the
-    root, typed 1, on both sides.  An equal level n holds exactly the
-    types 1..type_cap(n) (the types-realized law: every type continues
-    to the next level, and n+1 enters it, below a type of level n or
-    fresh), so the rule ``_build_next`` lays out level n+1 by is the one
-    compared here, and level n+1, level n rewritten through equal blocks
-    and then an equal tail, is equal.  Equal levels give equal
-    substitutions back: a type's block is the children of its first
-    node, the tail the nodes past the blocks.  With the ids equal index
-    for index and the same types isolated, the identity on atoms maps
-    every level onto the other side's, type for type, and pairs an
+    root, typed 1, on both sides.  ``_build_next`` lays out level n+1
+    by the rule compared here, so level n+1, level n rewritten through
+    equal blocks and then an equal tail, is equal.  Equal levels give
+    equal substitutions back: a type's block is the children of its
+    first node, the tail the nodes past the blocks.  With the ids equal
+    index for index and the same types isolated, the identity on atoms
+    maps every level onto the other side's, type for type, and pairs an
     isolated type only with itself isolated."""
     posets = left.poset, right.poset
     sizes = [p.size for p in posets]
@@ -427,11 +427,10 @@ def equal_rules(left: BuildConfig, right: BuildConfig,
         return 0, "id", next(i for i, (a, b) in enumerate(zip(*ids), 1)
                              if a != b)
     for n in range(1, depth):
-        types = range(1, left.type_cap(n) + 1)
         (blocks, tail), (theirs, their_tail) = (
-            level_rule(config, n, types) for config in (left, right))
-        t = next((t for t in types if blocks[chr(t)] != theirs[chr(t)]),
-                 None)
+            level_rule(config, n) for config in (left, right))
+        t = next((t for t in range(1, left.type_cap(n) + 1)
+                  if blocks[chr(t)] != theirs[chr(t)]), None)
         if t is not None:
             return n, "block", t
         if tail != their_tail:
@@ -480,7 +479,7 @@ class SkeletonTree:
             self.levels.append(Level(1, array("I", [1]), u_start=1))
             return
         prev = self.levels[-1]
-        kids, tail = level_rule(self.config, n - 1, prev.counts)
+        kids, tail = level_rule(self.config, n - 1)
         size_of = {ord(c): len(block) for c, block in kids.items()}
         u_start = sum(c * size_of[t] for t, c in prev.counts.items())
         size = u_start + len(tail)
@@ -527,17 +526,17 @@ class SkeletonTree:
         kids = self.levels[n]
         return kids.block_start(i), kids.block_end[i]
 
-    def theta_image(self, n: int, mask: int) -> int:
-        """Image of a level-n atom mask inside level n+1: the one-level
-        ``lift_runs`` of its runs, as a mask.
+    def theta_image(self, n: int, mask: int, k: Optional[int] = None) -> int:
+        """Image of a level-n atom mask inside level k >= n, n+1 when k is
+        not given: the ``lift_runs`` of its runs, as a mask, in one pass.
 
-        Unattached nodes of level n+1 never appear: the embedding of the
-        level-n ring misses everything they generate.
+        Unattached nodes of levels n+1..k never appear: the embedding of
+        the level-n ring misses everything they generate.
         """
         self.level(n)                   # raises for n out of range
         if not mask:
             return 0
-        return from_runs(self.lift_runs(n, runs(mask), n + 1))
+        return from_runs(self.lift_runs(n, runs(mask), k or n + 1))
 
     def lift_runs(self, n: int, spans: list[tuple[int, int]],
                   k: int) -> list[tuple[int, int]]:

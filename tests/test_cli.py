@@ -30,12 +30,16 @@ def run_cli(*argv, timeout=None, env=None, stdout=subprocess.PIPE,
 CLOSED_STDOUT = ("sh", "-c", 'exec "$@" >&-', "sh")
 
 # one command per way of writing stdout: JSON, dot larger than a pipe
-# buffer, and the two lines of the text table
+# buffer, and the two lines of the text table; then the two other
+# commands, analyze and iso (a pair certified by equal rules)
 UNWRITABLE = {
     "json": ["build-verify", "--family", "rn(2,0)", "--depth", "6"],
     "dot": ["build-verify", "--family", "dyadic", "--depth", "7",
             "--format", "dot"],
     "text": ["closure", "--family", "rn-infinity", "--format", "text"],
+    "analyze": ["analyze", "--family", "dyadic"],
+    "iso": ["iso", "--left-family", "rn(2,0)", "--right-family", "rn(2,0)",
+            "--depth", "5"],
 }
 
 

@@ -254,11 +254,17 @@ def _iso() -> list[list[str]]:
         ["iso", "--left", "vee.json", "--right", "empty.json",
          "--depth", "3"],
     ]
-    # every element isolated on both sides: seed 1 reaches the matcher's
-    # refinement of a trim part with two atoms of its isolated generator
+    # every element isolated on both sides: these certify by equal rules;
+    # with e1 noncompact on the right too the rules differ, and the search
+    # reaches the matcher's refinement of a trim part with two atoms of
+    # its isolated generator (split_by_scarce_atoms)
     out += [["iso", "--left", "v3.json", "--right", "v3.json",
              "--left-isolated", "e0", "e1", "e2", "--right-isolated", "e0",
              "e1", "e2", "--depth", "5", "--seed", s] for s in ("0", "1", "2")]
+    out += [["iso", "--left", "v3.json", "--right", "v3.json",
+             "--left-isolated", "e0", "e1", "e2", "--right-isolated", "e0",
+             "e1", "e2", "--right-pinf", "e1", "--depth", "5", "--seed", s]
+            for s in ("0", "1")]
     return out
 
 

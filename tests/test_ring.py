@@ -771,11 +771,15 @@ def drop_last_lowered_parent(lower):
 
 
 def drop_last_child_block(theta_image):
-    def mutated(self, n, mask):
-        out = theta_image(self, n, mask)
-        if mask:
-            kids, i = self.level(n + 1), mask.bit_length() - 1
-            out &= ~((1 << kids.block_end[i]) - (1 << kids.block_start(i)))
+    """The lift to level k, n + 1 when not given, made truly to level
+    k - 1 and then short of the last child block on level k."""
+    def mutated(self, n, mask, k=None):
+        k = k or n + 1
+        out = theta_image(self, n, mask, k - 1)
+        if out:
+            kids, i = self.level(k), out.bit_length() - 1
+            out = theta_image(self, k - 1, out, k) & ~(
+                (1 << kids.block_end[i]) - (1 << kids.block_start(i)))
         return out
     return mutated
 

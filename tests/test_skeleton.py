@@ -422,6 +422,7 @@ class TestMasks:
             lifted = tree.theta_image(m, lifted)
             assert lifted == want
         assert tree.lift_runs(n, spans, k) == list(runs(lifted))
+        assert tree.theta_image(n, mask, k) == lifted
 
     def test_block_masks_follow_the_child_spans(self):
         lvl = chain_tree(3).level(3)        # child blocks 0-2, 3-5, 6-7
@@ -747,6 +748,21 @@ class TestWholeLevelPasses:
         poset = family(tag)
         tree = assert_matches_oracles(BuildConfig(poset), 7)
         assert_same_report(tree, q_lower=[poset.id_at(1)])
+
+    @pytest.mark.parametrize("tag", ORACLE_FAMILIES)
+    def test_a_lift_to_any_level_is_the_one_level_lifts(self, tag):
+        """theta_image(n, mask, k) in one pass is k - n one-level lifts of
+        the reference, each from the start of a run's first child block
+        to the end of its last."""
+        tree = build_levels(BuildConfig(family(tag)), 6)
+        rng = random.Random(tag)
+        for n in range(1, 7):
+            for _ in range(8):
+                mask = lifted = rng.getrandbits(len(tree.level(n)))
+                for k in range(n, 7):
+                    assert tree.theta_image(n, mask, k) == lifted, (n, k)
+                    if k < 6:
+                        lifted = ref_theta_image(tree, k, lifted)
 
     @given(seed=st.integers(0, 10 ** 6), isolate=st.booleans(),
            bucket=st.sampled_from(["auto", "noncompact", "unbounded"]))
@@ -1145,11 +1161,15 @@ def deepest_tree(config):
 
 
 def assert_rules_match(tree):
-    """At every level n below the tree's depth, the rule read off the
-    config and level n's types is the substitution and the tail that
-    level n+1 was built with, and the per-id rule."""
+    """Every level n holds exactly the types 1..type_cap(n), and at every
+    level n below the tree's depth, the rule read off the config is the
+    substitution and the tail that level n+1 was built with, and the
+    per-id rule over level n's types."""
+    for lvl in tree.levels:
+        assert sorted(lvl.counts) == list(
+            range(1, tree.config.type_cap(lvl.number) + 1)), lvl.number
     for lvl, kids in zip(tree.levels, tree.levels[1:]):
-        rule = level_rule(tree.config, lvl.number, lvl.counts)
+        rule = level_rule(tree.config, lvl.number)
         assert rule == (kids.substitution, spell(kids.types[kids.u_start:]))
         assert as_indices(rule) == ref_level_rule(tree.config, lvl.number,
                                                   set(lvl.types))
@@ -1201,7 +1221,7 @@ class TestLevelRule:
         for n in range(1, top + 1):
             types = range(1, config.type_cap(n) + 1)
             start = time.perf_counter()
-            rule = level_rule(config, n, types)
+            rule = level_rule(config, n)
             took = time.perf_counter() - start
             assert as_indices(rule) == ref_level_rule(config, n, types)
             assert took < 0.005, (n, took)
@@ -1449,9 +1469,11 @@ class TestConfigValue:
 
     @pytest.mark.parametrize("tag", ORACLE_FAMILIES + ["random"])
     def test_equal_configs_answer_alike_in_any_order(self, tag):
+        def make(rng):
+            return (random_poset(rng, max_size=12) if tag == "random"
+                    else family(tag))
         rng = random.Random(tag)
-        poset = (random_poset(rng, max_size=12) if tag == "random"
-                 else family(tag))
+        poset = make(rng)
         ids = poset.prefix(12)
         fields = {"isolated": set(rng.sample(ids, 2)),
                   "unbounded": set(rng.sample(ids, 1)),
@@ -1464,6 +1486,13 @@ class TestConfigValue:
                 config.masks(n)
         for n in range(1, 13):
             assert one.masks(n) == two.masks(n) == masks_oracle(one, n), n
+        # the same fields under another horizon, on a fresh copy of the
+        # poset that no horizon has been read on: masks reads no horizon
+        for horizon in (None, 1, 12, 30):
+            other = BuildConfig(make(random.Random(tag)),
+                                **{**fields, "horizon": horizon})
+            for n in range(12, 0, -1):
+                assert other.masks(n) == one.masks(n), (horizon, n)
 
     def test_config_is_a_dict_key(self):
         poset = family("ziegler-fan")

@@ -24,6 +24,7 @@ from .poset import FOUND, Poset, bits, from_runs, runs
 
 MAX_LEVEL_SIZE = 1 << 16
 _CHUNK = 4096       # nodes per chunk of a level build and of the layout test
+_LITTLE = sys.byteorder == "little"
 
 # one 4-byte code unit a node, in array("I")'s byte order; the codec
 # functions are called directly, as str.encode and str() look the codec
@@ -354,12 +355,83 @@ def _rewrite(levels: Sequence[Level],
         if j == n:
             text = own if k == n else own[levels[n - 1].block_end[-1]:]
         else:
-            lvl = levels[j - 1]
-            text = spell(lvl.types if j == k
-                         else lvl.types[lvl.block_end[-1]:])
+            text = _walked(levels, j, k)
         step = max(1, _CHUNK // (widest or 1))
         for lo in range(0, len(text), step):
             yield "".join(map(table.__getitem__, text[lo:lo + step]))
+
+
+def _walked(levels: Sequence[Level], j: int, k: int) -> str:
+    """What the walk down from level k (``_rewrite``) reads of level j,
+    spelled: all of level k, the unattached tail of a level below it."""
+    lvl = levels[j - 1]
+    return spell(lvl.types if j == k else lvl.types[lvl.block_end[-1]:])
+
+
+def _composed_ends(out: array, levels: Sequence[Level],
+                   rules: Sequence[Optional[dict[str, str]]], own: str,
+                   size_of: dict[int, int]) -> tuple[int, str]:
+    """Append to out the ends of the child blocks on level n+1 of the
+    nodes of level n that descend from a shallower level k, one segment
+    of at most one ``_CHUNK`` of items a node of level k or of a tail
+    between; return the last end written and the rest of level n
+    spelled, whose ends ``_build_next`` writes as a running sum.  n =
+    len(rules), own is level n spelled, size_of maps each type's code
+    point to the length of its child block on level n+1, and rules are
+    ``_rewrite``'s.
+
+    Level n is walked as ``_rewrite`` walks level n+1: level k rewritten
+    through the rules of levels k..n-1 composed, then the tails of levels
+    k+1..n-1, then the tail of level n, which is the rest.  Each type of
+    a level j < n carries a table entry for the child blocks of its
+    level-n descendants (``_joined``): their ends, counted from the start
+    of the first, as the 32-bit lanes of one int, the repunit of as many
+    lanes, the last end and the lane count.  A level-j node whose
+    descendants' blocks start at base writes its segment as ``(lanes +
+    base * repunit).to_bytes(...)``, so the per-node work falls on level
+    k.  No lane carries into the next: an end is at most level n+1's
+    size, below 2^32, as ``MAX_LEVEL_SIZE`` is 2^16.  The lanes are laid
+    out low lane first, array("I")'s order on a little-endian host.
+
+    The tables are composed from level n upward while level k holds more
+    nodes than its widest entry has lanes: past that point, composing a
+    level costs more than the segments it saves.  Composing also stops at
+    level 1, at an unknown rule and where an entry would be wider than a
+    chunk; where it stops at once, k = n and the rest is all of level
+    n."""
+    n = k = len(rules)
+    table = {chr(t): (size, 1, size, 1) for t, size in size_of.items()}
+    widest, tables = 1, []
+    while (k > 1 and len(levels[k - 1]) > widest
+           and (rule := rules[k - 2]) is not None):
+        table = {c: _joined(table, block) for c, block in rule.items()}
+        widest = max(entry[3] for entry in table.values())
+        if widest > _CHUNK:
+            break
+        tables.append(table)
+        k -= 1
+    end = 0
+    for j, table in zip(range(k, n), reversed(tables)):
+        for c in _walked(levels, j, k):
+            lanes, ones, total, width = table[c]
+            out.frombytes((lanes + end * ones).to_bytes(4 * width, "little"))
+            end += total
+    return end, own if k == n else own[levels[n - 1].block_end[-1]:]
+
+
+def _joined(table: dict[str, tuple[int, int, int, int]],
+            block: str) -> tuple[int, int, int, int]:
+    """The table entry of a type whose child block is block, read off the
+    entries of its nodes (``_composed_ends``): their lanes side by side,
+    each node's raised by the last ends of the nodes before it."""
+    lanes = ones = total = shift = 0
+    for c in block:
+        node_lanes, node_ones, node_total, width = table[c]
+        lanes |= (node_lanes + total * node_ones) << shift
+        ones |= node_ones << shift
+        total += node_total
+        shift += 32 * width
+    return lanes, ones, total, shift // 32
 
 
 def level_rule(config: BuildConfig, n: int) -> tuple[dict[str, str], str]:
@@ -470,10 +542,16 @@ class SkeletonTree:
         counts follow from level n's counts and the rule, so the size bound
         is checked before any pass over level n's nodes and before anything
         is written.  ``types`` is filled from the pieces of ``_rewrite``,
-        then the tail; level n is spelled once (``spell``) for
-        ``block_end``, read in ``_CHUNK``-node slices, each the running sum
-        of its block sizes, read off the slice translated through
-        ``size_of``.  No buffer but the spelling spans the whole level."""
+        then the tail.  ``block_end`` is written, where level n is wider
+        than a chunk on a little-endian host, first by ``_composed_ends``
+        in whole segments of 32-bit lanes, one per node of a shallower
+        level, so the per-node work falls on that level; no lane carries,
+        as an end is below 2^32 (``MAX_LEVEL_SIZE`` is 2^16).  The rest of
+        level n, all of it on a narrower level, gets its ends in
+        ``_CHUNK``-node slices, each the running sum of its block sizes,
+        read off the slice translated through ``size_of``.  Level n is
+        spelled once (``spell``), and no buffer but the spelling spans
+        the whole level."""
         n = self.depth + 1
         if n == 1:
             self.levels.append(Level(1, array("I", [1]), u_start=1))
@@ -495,13 +573,17 @@ class SkeletonTree:
             counts[q] = counts.get(q, 0) + 1
         spelled = spell(prev.types)
         rules = [lvl.substitution for lvl in self.levels[1:]] + [kids]
-        types, block_end, end = array("I"), array("I"), 0
+        types, block_end = array("I"), array("I")
         # one column at a time: grown together, with each chunk's buffers
         # in between, they would leapfrog each other up the heap
         for piece in chain(_rewrite(self.levels, rules, spelled), (tail,)):
             types.frombytes(_encode(piece)[0])
-        for lo in range(0, len(spelled), _CHUNK):
-            sizes = array("I", _encode(spelled[lo:lo + _CHUNK].translate(
+        end, rest = 0, spelled
+        if _LITTLE and len(spelled) > _CHUNK:
+            end, rest = _composed_ends(block_end, self.levels, rules,
+                                       spelled, size_of)
+        for lo in range(0, len(rest), _CHUNK):
+            sizes = array("I", _encode(rest[lo:lo + _CHUNK].translate(
                 size_of), "surrogatepass")[0])
             sizes[0] += end
             block_end.extend(accumulate(sizes))
@@ -529,22 +611,28 @@ class SkeletonTree:
     def theta_image(self, n: int, mask: int, k: Optional[int] = None) -> int:
         """Image of a level-n atom mask inside level k >= n, n+1 when k is
         not given: the ``lift_runs`` of its runs, as a mask, in one pass.
+        A BuildError names n and k when k < n.
 
         Unattached nodes of levels n+1..k never appear: the embedding of
         the level-n ring misses everything they generate.
         """
         self.level(n)                   # raises for n out of range
-        if not mask:
-            return 0
-        return from_runs(self.lift_runs(n, runs(mask), k or n + 1))
+        k = n + 1 if k is None else k
+        if not mask and k >= n:
+            return 0                    # also past the built levels
+        return from_runs(self.lift_runs(n, runs(mask), k))
 
     def lift_runs(self, n: int, spans: list[tuple[int, int]],
                   k: int) -> list[tuple[int, int]]:
-        """Where runs of atoms of level n lie on level k >= n.  Each
-        nonempty run (a, b), atoms a..b-1, lifts to one run, since the child
-        blocks of consecutive nodes are adjacent and a block starts where the
-        one before it ends (``block_end`` of the level lifted to); so the
-        list keeps its length and its order."""
+        """Where runs of atoms of level n lie on level k >= n, the runs
+        themselves when k = n.  Each nonempty run (a, b), atoms a..b-1,
+        lifts to one run, since the child blocks of consecutive nodes are
+        adjacent and a block starts where the one before it ends
+        (``block_end`` of the level lifted to); so the list keeps its
+        length and its order."""
+        if k < n:
+            raise BuildError(f"cannot lift level {n} to level {k}, "
+                             f"a shallower one")
         if k > len(self.levels):
             raise BuildError(f"level {k} not built (depth {self.depth})")
         for lvl in self.levels[n:k]:
@@ -614,7 +702,11 @@ def _reference_blocks(tree: SkeletonTree,
 
     Two tests, each passed by the whole level: (a) per ``_CHUNK`` of
     nodes, the block lengths, ends less the ends before them, and the
-    wanted ones, each read as one int of 32-bit lanes, are equal; (b) the
+    wanted ones, each read as one int of 32-bit lanes, are equal; the
+    chunk's ends are read once, through a memoryview, and the ends before
+    them are the same lanes moved up one, the end before the chunk,
+    taken from the array, in the freed lane (``e - ((e << 32 | prev) &
+    mask)``, in array("I")'s lane order on a little-endian host); (b) the
     wanted blocks, joined, start level n+1: they are read as the pieces of
     ``_rewrite`` through the reference blocks of the levels above, which
     is the same string as long as each of those levels passed (a) and
@@ -638,14 +730,17 @@ def _reference_blocks(tree: SkeletonTree,
         if len(kids) >> 20 or own.translate(dict.fromkeys(lens)):
             refs[-1] = None
             continue
+        view = memoryview(ends)
         for lo in range(0, len(own), _CHUNK):
-            block_ends = ends[lo:lo + _CHUNK]
-            before = (ends[lo - 1:lo] or array("I", [0])) + block_ends[:-1]
+            chunk = view[lo:lo + _CHUNK]
+            have = int.from_bytes(chunk, order)
+            prev = ends[lo - 1] if lo else 0
+            before = ((have << 32 | prev) & (1 << 32 * len(chunk)) - 1
+                      if _LITTLE else
+                      have >> 32 | prev << 32 * (len(chunk) - 1))
             want = _encode(own[lo:lo + _CHUNK].translate(lens),
                            "surrogatepass")[0]
-            if (int.from_bytes(block_ends, order)
-                    - int.from_bytes(before, order)
-                    != int.from_bytes(want, order)):
+            if have - before != int.from_bytes(want, order):
                 refs[-1] = None
                 break
         else:

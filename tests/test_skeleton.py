@@ -1,4 +1,5 @@
 """Skeleton builds: level recurrences, buckets, and structure checks."""
+import contextlib
 import importlib.util
 import json
 import random
@@ -253,6 +254,13 @@ class TestChainBuild:
             assert list(grown.level(n).parent) == list(fresh.level(n).parent)
 
 
+# the nine deep builds of the benchmark, each family at the deepest level
+# under the level-size bound (perfbench/workloads.py, DEEP_BUILDS)
+DEEP_BUILDS = [("omega-chain", 8), ("dyadic", 9), ("rn-infinity", 13),
+               ("rn-infinity-bot", 10), ("ziegler-fan", 13),
+               ("omega-antichain", 16), ("rn(2,0)", 15), ("rn(4,2)", 13),
+               ("rn(10,0)", 13)]
+
 # the families of the deep builds, each read at levels 1 to 8
 SPELLED_FAMILIES = ["omega-chain", "dyadic", "rn-infinity", "rn-infinity-bot",
                     "ziegler-fan", "omega-antichain", "rn(2,0)", "rn(4,2)",
@@ -396,6 +404,26 @@ class TestMasks:
             for mask in (0, 1):
                 with pytest.raises(BuildError, match=f"level {n} not built"):
                     tree.theta_image(n, mask)
+
+    def test_a_lift_to_a_shallower_level_is_refused(self):
+        # k = 0 is a level too, not an omitted k
+        tree = build_levels(BuildConfig(family("omega-chain")), 4)
+        spans = [(0, 1), (2, 3)]
+        for k in (2, 0):
+            match = f"cannot lift level 3 to level {k}, a shallower one"
+            for mask in (0b101, 0):
+                with pytest.raises(BuildError, match=match):
+                    tree.theta_image(3, mask, k)
+            with pytest.raises(BuildError, match=match):
+                tree.lift_runs(3, spans, k)
+        # a lift to its own level is the identity
+        assert tree.theta_image(3, 0b101, 3) == 0b101
+        assert tree.lift_runs(3, spans, 3) == spans
+        # and one past the depth is not built
+        with pytest.raises(BuildError, match="level 5 not built"):
+            tree.theta_image(3, 0b101, 5)
+        with pytest.raises(BuildError, match="level 5 not built"):
+            tree.lift_runs(3, spans, 5)
 
     def test_lift_runs_spans_children(self):
         tree = chain_tree(4)
@@ -972,24 +1000,87 @@ class TestWholeLevelPasses:
         tree = build_levels(BuildConfig(family(tag)), depth)
         assert all(self.laid_out_by_type(tree, n) for n in range(1, depth))
         assert assert_same_report(tree)["passed"]
-        # one end moved in the fifth chunk of the widest level pair
-        assert len(tree.level(depth - 1)) > 5 * 4096
-        tree.level(depth).block_end[4 * 4096 + 7] -= 1
-        assert not self.laid_out_by_type(tree, depth - 1)
-        assert not assert_same_report(tree)["passed"]
+        own = spell(tree.level(depth - 1).types)
+        assert len(own) > 5 * 4096
+        # one end of the widest level pair moved at a time: inside the
+        # fifth chunk, at the last lane of the first chunk and the first
+        # of the second, whose end before it the layout test reads off
+        # the array, and at the level's last lane
+        ends = tree.level(depth).block_end
+        for lane in (4 * 4096 + 7, 4095, 4096, len(own) - 1):
+            ends[lane] -= 1
+            # a node alone of its type, as omega-antichain's last one,
+            # whose type enters there, has its own block as its type's:
+            # the level stays laid out by type, and only the count of its
+            # block fails
+            alone = own.count(own[lane]) == 1
+            assert self.laid_out_by_type(tree, depth - 1) == alone, lane
+            assert not assert_same_report(tree)["passed"], lane
+            ends[lane] += 1
+        assert assert_same_report(tree)["passed"]
 
-    @pytest.mark.parametrize("tag, depth", [("omega-antichain", 16),
-                                            ("rn(2,0)", 15)])
-    def test_widest_deep_builds_lay_out_like_the_node_loops(self, tag, depth):
-        tree = SkeletonTree(BuildConfig(family(tag)), 1)
+    @staticmethod
+    def assert_lays_out_like_the_node_loops(tree, depth):
+        """Grow tree to depth, each level's types, block ends, unattached
+        start and counts against the per-node layout."""
         while tree.depth < depth:
             types, _, u_start, _, ends = next_level_oracle(tree)
             tree.extend_to(tree.depth + 1)
             lvl = tree.levels[-1]
-            assert lvl.types.tolist() == types
-            assert lvl.block_end.tolist() == ends
-            assert lvl.u_start == u_start
-            assert lvl.counts == Counter(types)
+            assert lvl.types.tolist() == types, lvl.number
+            assert lvl.block_end.tolist() == ends, lvl.number
+            assert lvl.u_start == u_start, lvl.number
+            assert lvl.counts == Counter(types), lvl.number
+
+    @pytest.mark.parametrize("tag, depth", DEEP_BUILDS)
+    def test_widest_deep_builds_lay_out_like_the_node_loops(self, tag, depth):
+        tree = SkeletonTree(BuildConfig(family(tag)), 1)
+        self.assert_lays_out_like_the_node_loops(tree, depth)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_configs_lay_out_like_the_node_loops(self, seed):
+        """Random posets with random isolated and bucket sets, grown until
+        a level wider than a chunk has laid out the next one from
+        shallower levels, with unattached tails on many levels between;
+        two such configs a seed."""
+        rng = random.Random(seed)
+        laid_out = 0
+        while laid_out < 2:
+            poset = random_poset(rng)
+            ids = poset.prefix(poset.size)
+            picks = {label: {p for p in ids if rng.random() < 0.3}
+                     for label in ("isolated",) + BUCKETS}
+            for a, b in combinations(BUCKETS, 2):
+                picks[b] -= picks[a]
+            config = BuildConfig(poset, **picks)
+            if config.validate():
+                continue
+            tree = SkeletonTree(config, 1)
+            with contextlib.suppress(BuildError):
+                while len(tree.levels[-1]) <= 4096 and tree.depth < 40:
+                    self.assert_lays_out_like_the_node_loops(
+                        tree, tree.depth + 1)
+                self.assert_lays_out_like_the_node_loops(tree,
+                                                         tree.depth + 1)
+            tails = sum(lvl.u_start < len(lvl) for lvl in tree.levels)
+            laid_out += len(tree.levels[-2]) > 4096 and tails > 3
+
+    def test_a_level_laid_out_by_hand_stops_the_composing(self):
+        """Level 10 of rn(2,0) laid out by hand, each child block reversed
+        and no substitution kept: the ends of levels 11..15 are the node
+        loops', though level 14's would compose up to level 7 (level 5,
+        laid out by hand in ``test_a_level_laid_out_by_hand_ends_the_
+        build_chain``, lies above where composing stops of itself)."""
+        tree = SkeletonTree(BuildConfig(family("rn(2,0)")), 10)
+        built = tree.levels[-1]
+        types = array("I")
+        for p in range(len(tree.level(9))):
+            types.extend(reversed(built.types[built.block_start(p):
+                                              built.block_end[p]]))
+        types.extend(built.types[built.u_start:])
+        assert types != built.types
+        tree.levels[-1] = Level(10, types, built.u_start, built.block_end)
+        self.assert_lays_out_like_the_node_loops(tree, 15)
 
     def test_a_tampered_level_restarts_the_chain(self):
         """One child block retyped at a random level of a random family
@@ -1102,10 +1193,10 @@ class TestDeepBuilds:
             expected = json.load(fh)
         return workloads, expected
 
-    @pytest.mark.parametrize("tag, depth", [
-        ("omega-chain", 8), ("dyadic", 9), ("rn-infinity", 13),
-        ("rn-infinity-bot", 10), ("ziegler-fan", 13), ("omega-antichain", 16),
-        ("rn(2,0)", 15), ("rn(4,2)", 13), ("rn(10,0)", 13)])
+    def test_the_deep_builds_are_the_benchmarks(self, recorded):
+        assert DEEP_BUILDS == recorded[0].DEEP_BUILDS
+
+    @pytest.mark.parametrize("tag, depth", DEEP_BUILDS)
     def test_layout_and_report_match_the_recorded_digests(self, recorded,
                                                           tag, depth):
         workloads, expected = recorded

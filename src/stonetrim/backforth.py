@@ -267,8 +267,7 @@ def _grow(tree: SkeletonTree, level: int) -> None:
 
 
 def _match_split(state: PartialIso, dst_side: int, dst_part: RingElement,
-                 needs: list[tuple[int, RingElement]],
-                 max_depth: int) -> list[RingElement]:
+                 gens: list[int], max_depth: int) -> list[RingElement]:
     """Split dst_part into pieces matching the needed generators in order.
 
     Each needed generator claims one atom of exactly its type; remaining
@@ -281,7 +280,6 @@ def _match_split(state: PartialIso, dst_side: int, dst_part: RingElement,
     tree = state.trees[dst_side]
     iso = state.iso[dst_side]
     poset = tree.poset
-    gens = [h for h, _ in needs]
     want = Counter(gens)
     level, mask = dst_part.level, dst_part.mask
     while True:
@@ -394,18 +392,18 @@ def extend_iso(state: PartialIso, side: int, element: RingElement,
         for half in halves:
             src_pieces.extend(supertrim_split(half, iso_src))
         needs = []
-        for g, piece in src_pieces:
+        for g, _ in src_pieces:
             h = theta.image(side, g)
             if h is None:
                 raise _no_counterpart(dst_side, tree.poset, g, sum(
                     1 for gg, _ in src_pieces if gg == g))
-            needs.append((h, piece))
+            needs.append(h)
         dst_pieces = _match_split(state, dst_side, pair.parts[dst_side],
                                   needs, max_depth)
         refined.append((key, [
             Pair(_facing(side, src_piece, dst_piece), _facing(side, g, h))
-            for (h, _), (g, src_piece), dst_piece in zip(needs, src_pieces,
-                                                         dst_pieces)]))
+            for h, (g, src_piece), dst_piece in zip(needs, src_pieces,
+                                                    dst_pieces)]))
         if transcript is not None:
             transcript.append({"action": "split", "side": side,
                                "pieces": len(src_pieces)})

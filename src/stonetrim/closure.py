@@ -145,9 +145,6 @@ class ClosureElement(Frozen):
     def complement(self) -> "ClosureElement":
         return ClosureElement(self.space, not self.cofinite, self.mask)
 
-    def minus(self, other: "ClosureElement") -> "ClosureElement":
-        return self.space._element(self._signed() & ~other._signed())
-
     def subset_of(self, other: "ClosureElement") -> bool:
         return not self._signed() & ~other._signed()
 
@@ -210,15 +207,14 @@ def check_closure_axioms(space: SymbolicSpace) -> list[str]:
 # the peeling recursion
 
 class RNTrace(Record):
-    __slots__ = _compare = ("space", "a", "u", "v", "b", "a_inf",
-                            "a_inf_exact", "note")
+    __slots__ = _compare = ("space", "u", "v", "b", "a_inf", "a_inf_exact",
+                            "note")
 
-    def __init__(self, space: SymbolicSpace, a: ClosureElement,
-                 u: Optional[list] = None, v: Optional[list] = None,
-                 b: Optional[list] = None,
+    def __init__(self, space: SymbolicSpace, u: Optional[list] = None,
+                 v: Optional[list] = None, b: Optional[list] = None,
                  a_inf: Optional[ClosureElement] = None,
                  a_inf_exact: bool = False, note: str = ""):
-        self.space, self.a = space, a
+        self.space = space
         self.u, self.v, self.b = ([] if x is None else x for x in (u, v, b))
         self.a_inf, self.a_inf_exact, self.note = a_inf, a_inf_exact, note
 
@@ -260,7 +256,7 @@ def rieger_nishimura_run(space: SymbolicSpace, a: ClosureElement,
     if not space.is_open(a):
         raise ClosureError("the generator must be an open (up-closed) set")
     w, el = space._w, space._element
-    t = RNTrace(space, a, [a], [space.empty()], [a])
+    t = RNTrace(space, [a], [space.empty()], [a])
     # the last layer's U and V and all that no layer has taken yet, signed
     u, v, rest = a._signed(), 0, w & ~a._signed()
     for _ in range(max_n):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from itertools import chain, islice, product, repeat
+from itertools import islice, product, repeat
 from operator import add, mul, sub
 from typing import Iterator, Optional
 
@@ -29,7 +29,7 @@ def _lower(tree: SkeletonTree, level: int, mask: int) -> tuple[int, int]:
     parent's block starts and ends where its last parent's block ends, as
     the quick tests below (inlined in ``verify_type_axioms``) read off
     ``block_masks``; a mask that passes drops to the parents of its runs,
-    read off its level's block ends and joined by ``from_runs``."""
+    read off its level's posts (``bounds``) and joined by ``from_runs``."""
     if not mask:
         return 1, 0
     levels = tree.levels
@@ -39,9 +39,9 @@ def _lower(tree: SkeletonTree, level: int, mask: int) -> tuple[int, int]:
         if (mask & lvl.u_mask or mask & ~(mask << 1) & ~starts
                 or mask & ~(mask >> 1) & ~ends):
             break
-        block_end = lvl.block_end
+        bounds = lvl.bounds
         level, mask = level - 1, from_runs(
-            [(bisect_right(block_end, a), bisect_right(block_end, b - 1) + 1)
+            [(bisect_right(bounds, a) - 1, bisect_right(bounds, b - 1))
              for a, b in runs(mask)])
     return level, mask
 
@@ -219,7 +219,7 @@ def _persist_rows(tree: SkeletonTree, n: int) -> list[tuple[int, int, int]]:
     Levels n and n+1 are read as their spellings (``spell``; types are
     enumeration indices no larger than the depth, far below U+D800, so
     every one decodes).  Node i's child block is the span
-    ``block_start(i):block_end[i]`` of level n+1's spelling, both read off
+    ``bounds[i]:bounds[i + 1]`` of level n+1's spelling, two posts of
     level n+1, and nodes are grouped by their own type's character
     followed by that span, so each distinct block is typed once; each
     row's node mask is read off one spelling of level n by row, in one
@@ -233,9 +233,9 @@ def _persist_rows(tree: SkeletonTree, n: int) -> list[tuple[int, int, int]]:
     gets no child types in its rows, so a wrong lift fails types-persist."""
     own = spell(tree.levels[n - 1].types)
     kids = spell(tree.levels[n].types)
-    ends = tree.levels[n].block_end
+    bounds = tree.levels[n].bounds
     keys = list(map(add, own, map(kids.__getitem__, map(
-        slice, chain((0,), ends), ends))))
+        slice, bounds, bounds[1:]))))
     char_of: dict[str, str] = {}
     rows: dict[tuple[int, int], str] = {}
     for key in dict.fromkeys(keys):
@@ -244,7 +244,7 @@ def _persist_rows(tree: SkeletonTree, n: int) -> list[tuple[int, int, int]]:
     node_masks = char_masks("".join(map(char_of.__getitem__, keys)),
                             list(rows.values()))
     own_masks = tree.levels[n - 1].type_masks()
-    parents = "".join(map(mul, own, map(sub, ends, chain((0,), ends))))
+    parents = "".join(map(mul, own, map(sub, bounds[1:], bounds)))
     lifted = {1 << t: tree.theta_image(n, nodes) == blocks
               for (t, nodes), blocks in zip(own_masks.items(), char_masks(
                   parents, list(map(chr, own_masks))))}

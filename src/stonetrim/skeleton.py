@@ -30,7 +30,7 @@ _LITTLE = sys.byteorder == "little"
 # functions are called directly, as str.encode and str() look the codec
 # up by name on every call
 _encode, _decode = ((codecs.utf_32_le_encode, codecs.utf_32_le_decode)
-                    if sys.byteorder == "little" else
+                    if _LITTLE else
                     (codecs.utf_32_be_encode, codecs.utf_32_be_decode))
 
 
@@ -187,46 +187,44 @@ class BuildConfig(Frozen):
 
 class Level(Record):
     """One level of the skeleton, written once, when it is built, and
-    stored column-wise in typed arrays: each node's type and where each
-    child block of the level above ends here (``block_end``, empty on level
-    1).  Block starts and parents are derived.  ``counts`` holds the number
-    of nodes of each type (counted from ``types`` when not given), and
-    ``substitution`` the per-type rule the level was built by: each type
-    of the level above, as its character, with its child block here,
-    spelled (``spell``); None on level 1 and on a level laid out by
-    hand."""
+    stored column-wise in typed arrays: each node's type and the fence
+    posts of the child blocks of the level above (``bounds``, one more
+    than that level has nodes, from ``bounds[0] = 0``), so node p's block
+    spans ``bounds[p]:bounds[p + 1]`` here; level 1 has no level above and
+    its ``bounds`` is empty.  The unattached tail starts at the last post
+    (``u_start``; level 1 has none), and parents are derived.  ``counts``
+    holds the number of nodes of each type (counted from ``types`` when
+    not given), and ``substitution`` the per-type rule the level was built
+    by: each type of the level above, as its character, with its child
+    block here, spelled (``spell``); None on level 1 and on a level laid
+    out by hand."""
 
-    # the caches _masks and _blocks fill on first use, and the
-    # substitution follows from the config, so equality leaves them out
-    _compare = ("number", "types", "u_start", "block_end")
+    # the caches _masks and _blocks fill on first use, u_start is read
+    # off the columns, and the substitution follows from the config, so
+    # equality leaves them out
+    _compare = ("types", "bounds")
 
-    def __init__(self, number: int, types: array, u_start: int,
-                 block_end: Optional[array] = None,
+    def __init__(self, types: array, bounds: Optional[array] = None,
                  counts: Optional[dict[int, int]] = None,
                  substitution: Optional[dict[str, str]] = None):
-        self.number = number
         self.types = types            # 'I': 1-based poset enumeration index
-        self.u_start = u_start        # nodes from here on are unattached
-        self.block_end = array("I") if block_end is None else block_end
+        self.bounds = array("I") if bounds is None else bounds
         self.counts = dict(Counter(types)) if counts is None else counts
         self.substitution = substitution
+        # nodes from here on are unattached
+        self.u_start = self.bounds[-1] if self.bounds else len(types)
         self._masks: dict[int, int] = {}
         self._blocks: Optional[tuple[int, int]] = None
 
     def __len__(self) -> int:
         return len(self.types)
 
-    def block_start(self, p: int) -> int:
-        """Where the child block of node p of the level above begins here:
-        the child blocks of consecutive nodes are adjacent."""
-        return self.block_end[p - 1] if p else 0
-
     def parent_of(self, i: int) -> Optional[int]:
         """Parent of node i on the level above, the node whose child block
         holds i; None for an unattached node and for the root."""
-        if i >= self.u_start or not self.block_end:
+        if i >= self.u_start or not self.bounds:
             return None
-        return bisect_right(self.block_end, i)
+        return bisect_right(self.bounds, i) - 1
 
     @property
     def parent(self) -> "Parents":
@@ -250,17 +248,16 @@ class Level(Record):
     def block_masks(self) -> tuple[int, int]:
         """(starts, ends) over the level's atoms: bit i of starts is set
         iff a child block begins at atom i, bit i of ends iff one ends.
-        Blocks are adjacent, so both are read off one mask of the block
-        ends: a block starts at 0 and at every end but the last, and ends
-        just before every end."""
+        Blocks are adjacent, so both are read off one mask of the posts
+        (``bounds``): a block starts at every post but the last, and ends
+        just before every post."""
         if self._blocks is None:
-            block_end = self.block_end
-            size = block_end[-1] if block_end else 0
+            size = self.u_start
             flags = bytearray(b"0" * (size + 1))
-            for e in block_end:
+            for e in self.bounds:
                 flags[e] = 49                               # ord("1")
             edges = int(flags[::-1], 2)
-            self._blocks = ((edges | 1) & ~(1 << size), edges >> 1)
+            self._blocks = (edges & ~(1 << size), edges >> 1)
         return self._blocks
 
     @cached_property
@@ -274,9 +271,10 @@ class Level(Record):
 
 class Parents:
     """The parents of a level's nodes, None from ``u_start`` on and at the
-    root, derived from the level's block ends.  A slice of step 1 is a list
-    of that span only, so reading the parents chunk by chunk never holds a
-    list of the whole level; ``Level.parent_of`` answers for one node."""
+    root, derived from the level's posts (``bounds``).  A slice of step 1
+    is a list of that span only, so reading the parents chunk by chunk
+    never holds a list of the whole level; ``Level.parent_of`` answers for
+    one node."""
 
     __slots__ = ("_level",)
 
@@ -300,16 +298,16 @@ class Parents:
         more after every child block that ends inside the span, then
         None."""
         lvl = self._level
-        ends = lvl.block_end
-        top = min(hi, lvl.u_start) if ends else lo
+        bounds = lvl.bounds
+        top = min(hi, lvl.u_start) if bounds else lo
         attached: Iterable[int] = ()
         if lo < top:
-            p, q = bisect_right(ends, lo), bisect_right(ends, top - 1)
+            p, q = bisect_right(bounds, lo), bisect_right(bounds, top - 1)
             # flag k is set iff a child block ends just before node lo+1+k
             flags = bytearray(top - lo - 1)
-            for e in ends[p:q]:
+            for e in bounds[p:q]:
                 flags[e - lo - 1] = 1
-            attached = accumulate(flags, initial=p)
+            attached = accumulate(flags, initial=p - 1)
         return chain(attached, repeat(None, hi - max(lo, top)))
 
 
@@ -323,12 +321,12 @@ def _rewrite(levels: Sequence[Level],
     does, or is None where no rule is known.
 
     Level j+1 is level j rewritten through rules[j - 1], then its own
-    unattached tail, which starts past its last block end.  So level n+1
-    is level k rewritten through the rules of levels k..n composed, then
-    the tail of each level k+1..n rewritten through the rules composed
-    from its own level.  The tables are composed from level n upward, a
-    type's block on level j the composed blocks of its child block
-    joined.  Composing stops at level 1, at an unknown rule, where a
+    unattached tail, which starts at its last post (``u_start``).  So
+    level n+1 is level k rewritten through the rules of levels k..n
+    composed, then the tail of each level k+1..n rewritten through the
+    rules composed from its own level.  The tables are composed from
+    level n upward, a type's block on level j the composed blocks of its
+    child block joined.  Composing stops at level 1, at an unknown rule, where a
     composed block would be longer than a chunk (its length is summed
     from the blocks it joins before it is joined), and at a level that
     already goes out in one piece: a piece rewrites as many nodes as the
@@ -353,7 +351,7 @@ def _rewrite(levels: Sequence[Level],
     for j in range(k, n + 1):
         table, widest = tables[n - j]
         if j == n:
-            text = own if k == n else own[levels[n - 1].block_end[-1]:]
+            text = own if k == n else own[levels[n - 1].u_start:]
         else:
             text = _walked(levels, j, k)
         step = max(1, _CHUNK // (widest or 1))
@@ -365,16 +363,16 @@ def _walked(levels: Sequence[Level], j: int, k: int) -> str:
     """What the walk down from level k (``_rewrite``) reads of level j,
     spelled: all of level k, the unattached tail of a level below it."""
     lvl = levels[j - 1]
-    return spell(lvl.types if j == k else lvl.types[lvl.block_end[-1]:])
+    return spell(lvl.types if j == k else lvl.types[lvl.u_start:])
 
 
 def _composed_ends(out: array, levels: Sequence[Level],
                    rules: Sequence[Optional[dict[str, str]]], own: str,
-                   size_of: dict[int, int]) -> tuple[int, str]:
-    """Append to out the ends of the child blocks on level n+1 of the
-    nodes of level n that descend from a shallower level k, one segment
-    of at most one ``_CHUNK`` of items a node of level k or of a tail
-    between; return the last end written and the rest of level n
+                   size_of: dict[int, int]) -> str:
+    """Append to out, which holds the first post 0, the ends of the child
+    blocks on level n+1 of the nodes of level n that descend from a
+    shallower level k, one segment of at most one ``_CHUNK`` of items a
+    node of level k or of a tail between; return the rest of level n
     spelled, whose ends ``_build_next`` writes as a running sum.  n =
     len(rules), own is level n spelled, size_of maps each type's code
     point to the length of its child block on level n+1, and rules are
@@ -416,7 +414,7 @@ def _composed_ends(out: array, levels: Sequence[Level],
             lanes, ones, total, width = table[c]
             out.frombytes((lanes + end * ones).to_bytes(4 * width, "little"))
             end += total
-    return end, own if k == n else own[levels[n - 1].block_end[-1]:]
+    return own if k == n else own[levels[n - 1].u_start:]
 
 
 def _joined(table: dict[str, tuple[int, int, int, int]],
@@ -542,25 +540,24 @@ class SkeletonTree:
         counts follow from level n's counts and the rule, so the size bound
         is checked before any pass over level n's nodes and before anything
         is written.  ``types`` is filled from the pieces of ``_rewrite``,
-        then the tail.  ``block_end`` is written, where level n is wider
-        than a chunk on a little-endian host, first by ``_composed_ends``
-        in whole segments of 32-bit lanes, one per node of a shallower
-        level, so the per-node work falls on that level; no lane carries,
-        as an end is below 2^32 (``MAX_LEVEL_SIZE`` is 2^16).  The rest of
-        level n, all of it on a narrower level, gets its ends in
-        ``_CHUNK``-node slices, each the running sum of its block sizes,
-        read off the slice translated through ``size_of``.  Level n is
-        spelled once (``spell``), and no buffer but the spelling spans
-        the whole level."""
+        then the tail.  ``bounds`` is written from its first post 0, where
+        level n is wider than a chunk on a little-endian host, first by
+        ``_composed_ends`` in whole segments of 32-bit lanes, one per node
+        of a shallower level, so the per-node work falls on that level; no
+        lane carries, as an end is below 2^32 (``MAX_LEVEL_SIZE`` is
+        2^16).  The rest of level n, all of it on a narrower level, gets
+        its ends in ``_CHUNK``-node slices, each the running sum of its
+        block sizes, read off the slice translated through ``size_of``.
+        Level n is spelled once (``spell``), and no buffer but the
+        spelling spans the whole level."""
         n = self.depth + 1
         if n == 1:
-            self.levels.append(Level(1, array("I", [1]), u_start=1))
+            self.levels.append(Level(array("I", [1])))
             return
         prev = self.levels[-1]
         kids, tail = level_rule(self.config, n - 1)
         size_of = {ord(c): len(block) for c, block in kids.items()}
-        u_start = sum(c * size_of[t] for t, c in prev.counts.items())
-        size = u_start + len(tail)
+        size = sum(c * size_of[t] for t, c in prev.counts.items()) + len(tail)
         if size > MAX_LEVEL_SIZE:
             raise BuildError(f"level {n} would hold {size} nodes, over the "
                              f"bound {MAX_LEVEL_SIZE}", level=n,
@@ -573,22 +570,21 @@ class SkeletonTree:
             counts[q] = counts.get(q, 0) + 1
         spelled = spell(prev.types)
         rules = [lvl.substitution for lvl in self.levels[1:]] + [kids]
-        types, block_end = array("I"), array("I")
+        types, bounds = array("I"), array("I", [0])
         # one column at a time: grown together, with each chunk's buffers
         # in between, they would leapfrog each other up the heap
         for piece in chain(_rewrite(self.levels, rules, spelled), (tail,)):
             types.frombytes(_encode(piece)[0])
-        end, rest = 0, spelled
+        rest = spelled
         if _LITTLE and len(spelled) > _CHUNK:
-            end, rest = _composed_ends(block_end, self.levels, rules,
-                                       spelled, size_of)
+            rest = _composed_ends(bounds, self.levels, rules, spelled,
+                                  size_of)
         for lo in range(0, len(rest), _CHUNK):
             sizes = array("I", _encode(rest[lo:lo + _CHUNK].translate(
                 size_of), "surrogatepass")[0])
-            sizes[0] += end
-            block_end.extend(accumulate(sizes))
-            end = block_end[-1]
-        self.levels.append(Level(n, types, u_start, block_end, counts, kids))
+            sizes[0] += bounds[-1]
+            bounds.extend(accumulate(sizes))
+        self.levels.append(Level(types, bounds, counts, kids))
 
     # ------------------------------------------------------------------
 
@@ -605,8 +601,8 @@ class SkeletonTree:
                 f"level {n} has no node {i}, only 0..{len(lvl) - 1}")
         if n >= len(self.levels):
             raise BuildError(f"level {n + 1} not built")
-        kids = self.levels[n]
-        return kids.block_start(i), kids.block_end[i]
+        bounds = self.levels[n].bounds
+        return bounds[i], bounds[i + 1]
 
     def theta_image(self, n: int, mask: int, k: Optional[int] = None) -> int:
         """Image of a level-n atom mask inside level k >= n, n+1 when k is
@@ -627,8 +623,8 @@ class SkeletonTree:
         """Where runs of atoms of level n lie on level k >= n, the runs
         themselves when k = n.  Each nonempty run (a, b), atoms a..b-1,
         lifts to one run, since the child blocks of consecutive nodes are
-        adjacent and a block starts where the one before it ends
-        (``block_end`` of the level lifted to); so the list keeps its
+        adjacent, node p's block spanning the posts ``bounds[p]`` to
+        ``bounds[p + 1]`` of the level lifted to; so the list keeps its
         length and its order."""
         if k < n:
             raise BuildError(f"cannot lift level {n} to level {k}, "
@@ -636,8 +632,8 @@ class SkeletonTree:
         if k > len(self.levels):
             raise BuildError(f"level {k} not built (depth {self.depth})")
         for lvl in self.levels[n:k]:
-            ends = lvl.block_end
-            spans = [(ends[a - 1] if a else 0, ends[b - 1]) for a, b in spans]
+            posts = lvl.bounds
+            spans = [(posts[a], posts[b]) for a, b in spans]
         return spans
 
     # ------------------------------------------------------------------
@@ -697,16 +693,14 @@ def _reference_blocks(tree: SkeletonTree,
                       spelled: list[str]) -> list[Optional[dict[str, str]]]:
     """For each level n = 1..depth-1, at n - 1, each type's child block at
     its first node on level n, if level n holds types 1..type_cap(n) only
-    and each node's block on level n+1, ending at its ``block_end``, is
+    and each node's block on level n+1, between its posts (``bounds``), is
     its type's; else None.  spelled[n] is level n spelled.
 
     Two tests, each passed by the whole level: (a) per ``_CHUNK`` of
     nodes, the block lengths, ends less the ends before them, and the
     wanted ones, each read as one int of 32-bit lanes, are equal; the
-    chunk's ends are read once, through a memoryview, and the ends before
-    them are the same lanes moved up one, the end before the chunk,
-    taken from the array, in the freed lane (``e - ((e << 32 | prev) &
-    mask)``, in array("I")'s lane order on a little-endian host); (b) the
+    chunk's ends and the ends before them are two views of the posts, one
+    post apart, each read as one int in the host's byte order; (b) the
     wanted blocks, joined, start level n+1: they are read as the pieces of
     ``_rewrite`` through the reference blocks of the levels above, which
     is the same string as long as each of those levels passed (a) and
@@ -721,8 +715,8 @@ def _reference_blocks(tree: SkeletonTree,
     order = sys.byteorder
     for n in range(1, tree.depth):
         own, kids = spelled[n], spelled[n + 1]
-        ends = tree.levels[n].block_end
-        ref = {c: kids[ends[i - 1] if i else 0:ends[i]]
+        bounds = tree.levels[n].bounds
+        ref = {c: kids[bounds[i]:bounds[i + 1]]
                for c in map(chr, range(1, tree.config.type_cap(n) + 1))
                if (i := own.find(c)) >= 0}
         refs.append(ref)
@@ -730,14 +724,11 @@ def _reference_blocks(tree: SkeletonTree,
         if len(kids) >> 20 or own.translate(dict.fromkeys(lens)):
             refs[-1] = None
             continue
-        view = memoryview(ends)
+        view = memoryview(bounds)
         for lo in range(0, len(own), _CHUNK):
-            chunk = view[lo:lo + _CHUNK]
-            have = int.from_bytes(chunk, order)
-            prev = ends[lo - 1] if lo else 0
-            before = ((have << 32 | prev) & (1 << 32 * len(chunk)) - 1
-                      if _LITTLE else
-                      have >> 32 | prev << 32 * (len(chunk) - 1))
+            hi = min(lo + _CHUNK, len(own))
+            have = int.from_bytes(view[lo + 1:hi + 1], order)
+            before = int.from_bytes(view[lo:hi], order)
             want = _encode(own[lo:lo + _CHUNK].translate(lens),
                            "surrogatepass")[0]
             if have - before != int.from_bytes(want, order):
@@ -791,12 +782,12 @@ def verify_structure(tree: SkeletonTree,
     refs = _reference_blocks(tree, spelled)
     for n in range(1, depth):
         own, kids = spelled[n], spelled[n + 1]
-        ends = tree.levels[n].block_end
+        bounds = tree.levels[n].bounds
         ref = refs[n - 1]
         want = {c: 1 if iso >> ord(c) & 1 else 2 for c in ref or set(own)}
         bad = ""
         if ref is None or any(ref[c].count(c) != k for c, k in want.items()):
-            same = map(kids.count, own, chain((0,), ends), ends)
+            same = map(kids.count, own, bounds, bounds[1:])
             bad = next((f"node {n}.{i} of type {poset.id_at(ord(c))} has {k} "
                         f"continuation children, wanted {want[c]}"
                         for i, (c, k) in enumerate(zip(own, same))

@@ -168,10 +168,10 @@ def ref_theta_image(tree, n: int, mask: int) -> int:
     """``theta_image`` with its own lift: a run of level n maps to the run
     from the start of its first node's child block to the end of its last
     node's, since the blocks of consecutive nodes are adjacent."""
-    ends = tree.level(n + 1).block_end
+    bounds = tree.level(n + 1).bounds
     out = 0
     for a, b in ref_runs(mask):
-        out |= (1 << ends[b - 1]) - (1 << (ends[a - 1] if a else 0))
+        out |= (1 << bounds[b]) - (1 << bounds[a])
     return out
 
 
@@ -509,15 +509,15 @@ def ref_rieger_nishimura_run(space, a, max_n: int = 30):
     w = space.whole()
     u, v, b = [a], [space.empty()], [a]
     for n in range(1, max_n + 1):
-        u.append(w.minus(space.closure_of(b[n - 1])))
+        u.append(w.intersect(space.closure_of(b[n - 1]).complement()))
         v.append(u[n - 1].union(v[n - 1]))
-        b.append(u[n].minus(v[n - 1]))
+        b.append(u[n].intersect(v[n - 1].complement()))
         if b[n].is_empty and v[n] == w:
             break
-    t = RNTrace(space, a, u, v, b)
+    t = RNTrace(space, u, v, b)
     rest = w
     for x in b:
-        rest = rest.minus(x)
+        rest = rest.intersect(x.complement())
     if len(b) > 1 and b[-1].is_empty and v[-1] == w:
         t.a_inf, t.a_inf_exact = rest, True
         return t
@@ -543,17 +543,17 @@ def ref_check_identities(trace) -> list[str]:
     closed = [sp.closure_of(b[n]) for n in range(last)]
     problems = []
     for n in range(1, last + 1):
-        if u[n] != w.minus(closed[n - 1]):
+        if u[n] != w.intersect(closed[n - 1].complement()):
             problems.append(f"U_{n} is not the complement of the closed "
                             f"layer below")
         if v[n] != u[n - 1].union(v[n - 1]):
             problems.append(f"V_{n} does not accumulate U_{n - 1}")
-        if b[n] != u[n].minus(v[n - 1]):
+        if b[n] != u[n].intersect(v[n - 1].complement()):
             problems.append(f"B_{n} is not the new part of U_{n}")
     for n in range(0, last):
-        if b[n] != v[n + 1].minus(v[n]):
+        if b[n] != v[n + 1].intersect(v[n].complement()):
             problems.append(f"B_{n} != V_{n + 1} - V_{n}")
-        if closed[n] != w.minus(u[n + 1]):
+        if closed[n] != w.intersect(u[n + 1].complement()):
             problems.append(f"closure(B_{n}) != W - U_{n + 1}")
         if v[n] != u[n + 1].intersect(v[n + 1]):
             problems.append(f"V_{n} != U_{n + 1} & V_{n + 1}")
@@ -582,8 +582,9 @@ def ref_e_of_p(poset: Poset, horizon: int = 12) -> dict:
     rungs, w = space._rungs, space.whole()
     failures, before = [], 0
     for k, (i, j) in enumerate(zip(rungs, rungs[1:])):
-        got = (w.minus(space.up_of(i)).minus(space.down_of(i))
-               .minus(ClosureElement(space, False, before)))
+        got = (w.intersect(space.up_of(i).complement())
+               .intersect(space.down_of(i).complement())
+               .intersect(ClosureElement(space, False, before).complement()))
         if got != ClosureElement(space, False, 1 << j):
             failures.append({"k": k, "got": got.serialize()})
         before |= 1 << i
@@ -608,7 +609,7 @@ def ref_theta_break(left: Poset, right: Poset, image: dict, span: int):
 # every pair with masks.  The library finds the parts a step meets through
 # a part index; the tests drive both and compare.
 
-def ref_match_split(state, dst_side: int, dst_part, needs: list,
+def ref_match_split(state, dst_side: int, dst_part, gens: list,
                     max_depth: int) -> list:
     """``_match_split`` spreading the unclaimed atoms one atom at a time:
     each atom reads its type and goes to the next of the pieces that
@@ -616,7 +617,6 @@ def ref_match_split(state, dst_side: int, dst_part, needs: list,
     tree = state.trees[dst_side]
     iso = state.iso[dst_side]
     poset = tree.poset
-    gens = [h for h, _ in needs]
     want = Counter(gens)
     level = dst_part.level
     while True:
@@ -700,18 +700,18 @@ def ref_extend_iso(state, side: int, element, max_depth: int,
         for half in halves:
             src_pieces.extend(supertrim_split(half, iso_src))
         needs = []
-        for g, piece in src_pieces:
+        for g, _ in src_pieces:
             h = theta.image(side, g)
             if h is None:
                 raise MismatchFound(MismatchWitness(
                     SIDES[dst_side], tree.poset.id_at(g),
                     sum(1 for gg, _ in src_pieces if gg == g), 0,
                     "type has no counterpart in the other alphabet"))
-            needs.append((h, piece))
+            needs.append(h)
         dst_pieces = ref_match_split(state, dst_side, pair.parts[dst_side],
                                      needs, max_depth)
-        for (h, _), (g, src_piece), dst_piece in zip(needs, src_pieces,
-                                                     dst_pieces):
+        for h, (g, src_piece), dst_piece in zip(needs, src_pieces,
+                                                dst_pieces):
             new_pairs.append(Pair(_facing(side, src_piece, dst_piece),
                                   _facing(side, g, h)))
         if transcript is not None:
@@ -755,7 +755,7 @@ def ref_covered(state, schedule) -> bool:
             a, b = i, i + 1
             for k in range(n, top):
                 kids = tree.level(k + 1)
-                a, b = kids.block_start(a), kids.block_end[b - 1]
+                a, b = kids.bounds[a], kids.bounds[b]
             atom = (1 << b) - (1 << a)
             inside = 0
             for m in lifted:

@@ -2,7 +2,7 @@
 
 Builds the nine deep builds of ``perfbench/workloads.py`` (``DEEP_BUILDS``)
 and prints one ``family depth sha256`` line each, the digest taken over
-every level's ``types`` and ``block_end`` bytes in level order.  Run it
+every level's ``types`` and ``bounds`` bytes in level order.  Run it
 under two hash seeds and compare the outputs: the builder's per-type
 tables are dicts keyed by type characters, and no layout may depend on
 their order.
@@ -21,11 +21,11 @@ from workloads import DEEP_BUILDS  # noqa: E402
 
 
 def columns_digest(tag: str, depth: int) -> str:
-    """sha256 of every level's types, then block ends, as stored."""
+    """sha256 of every level's types, then posts, as stored."""
     h = hashlib.sha256()
     for lvl in build_levels(BuildConfig(family(tag)), depth).levels:
         h.update(lvl.types.tobytes())
-        h.update(lvl.block_end.tobytes())
+        h.update(lvl.bounds.tobytes())
     return h.hexdigest()
 
 

@@ -183,8 +183,7 @@ def test_a_split_types_only_its_part():
               for sides in pairs]
     right = states[0].trees[1]
     pieces, want = (split(state, 1, state.pairs[0].parts[1],
-                          [(g, state.pairs[0].parts[0])
-                           for g in [1] + [2] * 20], 10)
+                          [1] + [2] * 20, 10)
                     for split, state in zip((_match_split, ref_match_split),
                                             states))
     assert right.depth == 5
@@ -454,8 +453,7 @@ class TestBranchesNoRunReaches:
         a_pair = state.pairs[0]
         assert a_pair.gens == (1, 1)
         with pytest.raises(MismatchFound) as m:
-            _match_split(state, 1, a_pair.parts[1],
-                         [(2, a_pair.parts[0])], 10)
+            _match_split(state, 1, a_pair.parts[1], [2], 10)
         assert m.value.witness.serialize() == {
             "side": "right", "type": "b", "needed": 1, "available": 0,
             "reason": "needed type is not realized in the counterpart part"}

@@ -305,6 +305,20 @@ class TestIso:
         assert witness["reason"] == ("isolated type cannot multiply inside "
                                      "a part typed exactly by it")
 
+    # only the left side isolates the type, so by the uniqueness theorem
+    # the two spaces differ, yet both runs certify: p6 first appears past
+    # level 5, so the rules agree to depth 5, and the p5 pair is searched
+    # and certified after 13 steps
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 3: a certified iso run does not yet check that both "
+        "sides isolate the same types"))
+    @pytest.mark.parametrize("isolated", ["p6", "p5"])
+    def test_one_sided_isolation_exits_four(self, isolated):
+        proc = run_cli("iso", "--left-family", "omega-chain",
+                       "--right-family", "omega-chain",
+                       "--left-isolated", isolated, "--depth", "5")
+        assert proc.returncode == 4, proc.stdout
+
     # poset files that agree on the span a shallow schedule checks and
     # differ past it
     PAST_SPAN = {

@@ -220,7 +220,7 @@ class TestElements:
                 a, b = rn20.fin(sa), rn20.fin(sb)
                 assert a.union(b).ids == sa | sb
                 assert a.intersect(b).ids == sa & sb
-                assert a.minus(b).ids == sa - sb
+                assert a.intersect(b.complement()).ids == sa - sb
                 assert a.complement().ids == universe - sa
                 assert a.subset_of(b) == (sa <= sb)
 
@@ -231,7 +231,8 @@ class TestElements:
                  ladder.fin({"p0", "p5"}).complement(), ladder.fin(())]
         for a in cases:
             for b in cases:
-                u, i, m = a.union(b), a.intersect(b), a.minus(b)
+                u, i = a.union(b), a.intersect(b)
+                m = a.intersect(b.complement())
                 for p in probe:
                     pa, pb = holds(a, p), holds(b, p)
                     assert holds(u, p) == (pa or pb)
@@ -267,7 +268,7 @@ class TestPeeling:
     def test_counts_are_read_off_the_layers(self, rn20, ladder):
         # an empty trace ran no step, found no empty layer and did not
         # stabilize; a run cut at max_n stops there without stabilizing
-        empty = RNTrace(rn20, rn20.fin({"p0"}))
+        empty = RNTrace(rn20)
         assert (empty.n_ran, empty.N, empty.stabilized) == (0, None, False)
         for space, max_n, want in ((rn20, 30, (3, 2, True)),
                                    (rn20, 2, (2, None, False)),
@@ -506,7 +507,8 @@ def one_more(space):
 
     def closure_of(x):
         cx = real(x)
-        return cx.union(space.fin(sorted(space.whole().minus(cx).ids)[:1]))
+        rest = space.whole().intersect(cx.complement())
+        return cx.union(space.fin(sorted(rest.ids)[:1]))
     return closure_of
 
 

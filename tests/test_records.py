@@ -78,14 +78,12 @@ CASES = [
              "unbounded": frozenset(), "noncompact": frozenset(),
              "horizon": None},
          frozen=True, differs=("horizon", 5)),
-    Case(Level, {"number": 2, "types": array("I", [1, 1, 2]), "u_start": 3,
-                 "block_end": array("I", [3])},
-         3, {"block_end": array("I")}, frozen=False,
-         ignored={"counts": {1: 3}}, differs=("u_start", 2), shown=(
-             {"number": 1, "types": array("I", [1]), "u_start": 1,
-              "block_end": array("I")},
-             "Level(number=1, types=array('I', [1]), u_start=1, "
-             "block_end=array('I'))")),
+    Case(Level, {"types": array("I", [1, 1, 2]),
+                 "bounds": array("I", [0, 3])},
+         1, {"bounds": array("I")}, frozen=False,
+         ignored={"counts": {1: 3}}, differs=("bounds", array("I", [0, 2])),
+         shown=({"types": array("I", [1]), "bounds": array("I")},
+                "Level(types=array('I', [1]), bounds=array('I'))")),
     Case(StructureReport, {"checks": [("x", True, "")]},
          0, {"checks": []}, frozen=False, differs=("checks", []), shown=(
              {"checks": []}, "StructureReport(checks=[])")),
@@ -126,9 +124,9 @@ CASES = [
     Case(ClosureElement, {"space": SPACE, "cofinite": False, "mask": 0b10},
          3, {}, frozen=True, ignored={"space": OTHER_SPACE},
          differs=("cofinite", True)),
-    Case(RNTrace, {"space": SPACE, "a": P0, "u": [P0], "v": [P0],
-                   "b": [P0], "a_inf": P0, "a_inf_exact": True, "note": "n"},
-         2, {"u": [], "v": [], "b": [], "a_inf": None, "a_inf_exact": False,
+    Case(RNTrace, {"space": SPACE, "u": [P0], "v": [P0], "b": [P0],
+                   "a_inf": P0, "a_inf_exact": True, "note": "n"},
+         1, {"u": [], "v": [], "b": [], "a_inf": None, "a_inf_exact": False,
              "note": ""},
          frozen=False, differs=("b", [])),
     Case(Classification, {"case": 1, "name": "x", "witness": {"0": "p0"},
@@ -146,8 +144,10 @@ IDS = [case.cls.__name__ for case in CASES]
 # a frozenset of ids, and so have Extremal's minimal and maximal and
 # FoundationResult's foundation, which defaults to the empty mask 0 in place
 # of None; TypeSet has lost its mask parameter and RNTrace its n_ran, N and
-# stabilized, which are read off the fields that remain (declared in
-# CHANGES.md)
+# stabilized, which are read off the fields that remain, and its a, which
+# u[0] and b[0] hold; Level has lost its number, and its u_start and
+# block ends have become one column of posts, bounds, whose last post is
+# u_start (declared in CHANGES.md)
 SIGNATURES = {
     "Verdict": [("status", REQUIRED), ("witness", ()), ("note", "")],
     "Extremal": [("minimal", REQUIRED), ("maximal", REQUIRED),
@@ -161,9 +161,7 @@ SIGNATURES = {
     "BuildConfig": [("poset", REQUIRED), ("isolated", frozenset()),
                     ("bounded", frozenset()), ("unbounded", frozenset()),
                     ("noncompact", frozenset()), ("horizon", None)],
-    "Level": [("number", REQUIRED), ("types", REQUIRED),
-              ("u_start", REQUIRED), ("block_end", FACTORY),
-              ("counts", FACTORY)],
+    "Level": [("types", REQUIRED), ("bounds", FACTORY), ("counts", FACTORY)],
     "StructureReport": [("checks", FACTORY)],
     "TypeSet": [("poset", REQUIRED), ("min_antichain", REQUIRED)],
     "CompletionElement": [("kind", REQUIRED), ("ref", REQUIRED),
@@ -179,9 +177,9 @@ SIGNATURES = {
                ("invariant_failures", FACTORY), ("transcript", FACTORY)],
     "ClosureElement": [("space", REQUIRED), ("cofinite", REQUIRED),
                        ("mask", REQUIRED)],
-    "RNTrace": [("space", REQUIRED), ("a", REQUIRED), ("u", FACTORY),
-                ("v", FACTORY), ("b", FACTORY), ("a_inf", None),
-                ("a_inf_exact", False), ("note", "")],
+    "RNTrace": [("space", REQUIRED), ("u", FACTORY), ("v", FACTORY),
+                ("b", FACTORY), ("a_inf", None), ("a_inf_exact", False),
+                ("note", "")],
     "Classification": [("case", REQUIRED), ("name", REQUIRED),
                        ("witness", REQUIRED), ("note", "")],
 }
@@ -301,7 +299,7 @@ def test_post_init_behaviour():
 
 
 def test_level_cached_properties():
-    lvl = Level(2, array("I", [1, 1, 2]), 2)
+    lvl = Level(array("I", [1, 1, 2]), array("I", [0, 2]))
     assert (lvl.full_mask, lvl.u_mask) == (0b111, 0b100)
     assert lvl.counts == {1: 2, 2: 1}
 

@@ -532,7 +532,7 @@ def lower_oracle(tree, level, mask):
         parent_mask = 0
         for a, b in runs(mask):
             p, q = lvl.parent_of(a), lvl.parent_of(b - 1)
-            if lvl.block_start(p) != a or lvl.block_end[q] != b:
+            if lvl.bounds[p] != a or lvl.bounds[q + 1] != b:
                 return level, mask
             parent_mask |= (1 << q + 1) - (1 << p)
         level, mask = level - 1, parent_mask
@@ -779,7 +779,7 @@ def drop_last_child_block(theta_image):
         if out:
             kids, i = self.level(k), out.bit_length() - 1
             out = theta_image(self, k - 1, out, k) & ~(
-                (1 << kids.block_end[i]) - (1 << kids.block_start(i)))
+                (1 << kids.bounds[i + 1]) - (1 << kids.bounds[i]))
         return out
     return mutated
 

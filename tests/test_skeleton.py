@@ -194,12 +194,12 @@ class TestChainBuild:
                                                     monkeypatch):
         monkeypatch.setattr(skeleton, "MAX_LEVEL_SIZE", 10)
         tree = build_levels(BuildConfig(chain_ab), 3)
-        ends = [list(lvl.block_end) for lvl in tree.levels]
+        posts = [list(lvl.bounds) for lvl in tree.levels]
         for _ in range(2):
             with pytest.raises(BuildError, match="level 4 would hold"):
                 tree.extend_to(4)
             assert tree.depth == 3
-            assert [list(lvl.block_end) for lvl in tree.levels] == ends
+            assert [list(lvl.bounds) for lvl in tree.levels] == posts
             with pytest.raises(BuildError, match="level 4 not built"):
                 tree.children_span(tree.depth, 0)
             with pytest.raises(BuildError, match="level 4 not built"):
@@ -228,7 +228,7 @@ class TestChainBuild:
         build and a failed one, and equals the same level of a fresh
         build to the smaller depth."""
         tree = build_levels(BuildConfig(family(tag)), 4)
-        kept = [(lvl, lvl.types.tolist(), lvl.block_end.tolist(),
+        kept = [(lvl, lvl.types.tolist(), lvl.bounds.tolist(),
                  lvl.u_start, dict(lvl.counts)) for lvl in tree.levels]
         tree.extend_to(6)
         monkeypatch.setattr(skeleton, "MAX_LEVEL_SIZE", len(tree.level(6)))
@@ -236,11 +236,11 @@ class TestChainBuild:
             tree.extend_to(7)
         fresh = build_levels(BuildConfig(family(tag)), 4)
         assert len(kept) == len(fresh.levels) == 4
-        for (lvl, types, ends, u_start, counts), want in zip(kept,
-                                                             fresh.levels):
-            assert lvl is tree.level(lvl.number)
-            assert (lvl.types.tolist(), lvl.block_end.tolist(), lvl.u_start,
-                    lvl.counts) == (types, ends, u_start, counts)
+        for n, ((lvl, types, posts, u_start, counts), want) in enumerate(
+                zip(kept, fresh.levels), 1):
+            assert lvl is tree.level(n)
+            assert (lvl.types.tolist(), lvl.bounds.tolist(), lvl.u_start,
+                    lvl.counts) == (types, posts, u_start, counts)
             assert lvl == want
         assert tree.levels[:4] == fresh.levels
         assert tree.levels == build_levels(BuildConfig(family(tag)),
@@ -269,9 +269,9 @@ SPELLED_FAMILIES = ["omega-chain", "dyadic", "rn-infinity", "rn-infinity-bot",
 
 class TestStorage:
     def test_levels_hold_few_bytes_per_node(self):
-        # a node's type is one 4-byte array item, and so is the end of
-        # each child block on the level it lays out; parents and block
-        # starts are derived
+        # a node's type is one 4-byte array item, and so is each post of
+        # the child blocks on the level it lays out, one more than the
+        # level above has nodes; parents are derived
         tracemalloc.start()
         try:
             tree = build_levels(BuildConfig(family("omega-antichain")), 14)
@@ -455,7 +455,7 @@ class TestMasks:
     def test_block_masks_follow_the_child_spans(self):
         lvl = chain_tree(3).level(3)        # child blocks 0-2, 3-5, 6-7
         assert lvl.block_masks() == (0b01001001, 0b10100100)
-        other = Level(3, lvl.types, lvl.u_start, array("I", [2, 6, 8]))
+        other = Level(lvl.types, array("I", [0, 2, 6, 8]))
         assert other.block_masks() == (0b01000101, 0b10100010)
 
 
@@ -685,8 +685,8 @@ def assert_matches_oracles(config, depth, q_lower=None):
         tree.extend_to(tree.depth + 1)
         prev, lvl = tree.levels[-2], tree.levels[-1]
         assert (list(lvl.types), lvl.u_start) == (types, u_start)
-        assert list(lvl.block_end) == ends
-        assert [lvl.block_start(i) for i in range(len(prev))] == starts
+        assert list(lvl.bounds) == [0] + ends
+        assert list(lvl.bounds[:len(prev)]) == starts
         assert list(lvl.parent) == parents
         assert [lvl.parent_of(i) for i in range(len(lvl))] == parents
         for lo in range(0, len(lvl), 5):
@@ -727,7 +727,7 @@ def assert_sizes_predicted(config, depth):
     tree = SkeletonTree(config, 1)
     for n in range(2, depth + 1):
         size = len(full.level(n))
-        layout = [(lvl.types.tolist(), lvl.block_end.tolist(), lvl.counts)
+        layout = [(lvl.types.tolist(), lvl.bounds.tolist(), lvl.counts)
                   for lvl in tree.levels]
         with pytest.MonkeyPatch.context() as monkeypatch:
             monkeypatch.setattr(skeleton, "MAX_LEVEL_SIZE", size - 1)
@@ -736,7 +736,7 @@ def assert_sizes_predicted(config, depth):
             err = info.value
             assert (err.level, err.would_hold, err.bound) == (n, size,
                                                               size - 1)
-            assert [(lvl.types.tolist(), lvl.block_end.tolist(), lvl.counts)
+            assert [(lvl.types.tolist(), lvl.bounds.tolist(), lvl.counts)
                     for lvl in tree.levels] == layout
             monkeypatch.setattr(skeleton, "MAX_LEVEL_SIZE", size)
             tree.extend_to(n)
@@ -812,7 +812,7 @@ class TestWholeLevelPasses:
         """Retype child block_ix of node n.i; n + 1 is the last level, so no
         other check sees the change."""
         lvl = tree.level(n + 1)
-        lvl.types[lvl.block_start(i) + block_ix] = new_type
+        lvl.types[lvl.bounds[i] + block_ix] = new_type
         lvl._masks.clear()
 
     def test_one_and_three_continuation_children(self):
@@ -868,7 +868,7 @@ class TestWholeLevelPasses:
         tree = chain_tree(4)
         last = len(tree.level(3)) - 1
         kids = tree.level(4)
-        size = kids.block_end[last] - kids.block_start(last)
+        size = kids.bounds[last + 1] - kids.bounds[last]
         self.tamper(tree, 3, last, size - 1, 1)
         assert self.failures(tree) == [(
             "continuation-children@3",
@@ -878,8 +878,8 @@ class TestWholeLevelPasses:
     def test_more_continuation_children_than_a_byte_holds(self, chain_ab):
         # the root's block of level 2 laid out by hand: 300 a's and a b
         tree = build_levels(BuildConfig(chain_ab), 2)
-        tree.levels[1] = Level(2, array("I", [1] * 300 + [2]), 301,
-                               array("I", [301]))
+        tree.levels[1] = Level(array("I", [1] * 300 + [2]),
+                               array("I", [0, 301]))
         assert self.failures(tree) == [(
             "continuation-children@1",
             "node 1.0 of type a has 300 continuation children, wanted 2")]
@@ -942,7 +942,7 @@ class TestWholeLevelPasses:
     ])
     def test_one_block_end_moved(self, node, shift, failures):
         tree = chain_tree(4)
-        tree.level(4).block_end[node] += shift
+        tree.level(4).bounds[node + 1] += shift
         assert not self.laid_out_by_type(tree, 3)
         assert self.failures(tree) == failures
 
@@ -952,7 +952,7 @@ class TestWholeLevelPasses:
         # oracle reads children past the level, so the report is spelled
         # out here)
         tree = chain_tree(4)
-        tree.level(4).block_end[1] = (1 << 32) - 1
+        tree.level(4).bounds[2] = (1 << 32) - 1
         assert not self.laid_out_by_type(tree, 3)
         rep = verify_structure(tree).to_json()
         assert [c["detail"] for c in rep["checks"] if not c["passed"]] == [
@@ -962,7 +962,7 @@ class TestWholeLevelPasses:
         # every node's block is its type's, the empty one, so the level
         # is laid out by type with no block to size its pieces by
         tree = chain_tree(4)
-        tree.level(4).block_end[:] = array("I", [0] * len(tree.level(3)))
+        tree.level(4).bounds[1:] = array("I", [0] * len(tree.level(3)))
         assert self.laid_out_by_type(tree, 3) and laid_out_oracle(tree, 3)
         assert self.failures(tree) == [(
             "continuation-children@3",
@@ -1005,10 +1005,10 @@ class TestWholeLevelPasses:
         # one end of the widest level pair moved at a time: inside the
         # fifth chunk, at the last lane of the first chunk and the first
         # of the second, whose end before it the layout test reads off
-        # the array, and at the level's last lane
-        ends = tree.level(depth).block_end
+        # the posts before the chunk, and at the level's last lane
+        bounds = tree.level(depth).bounds
         for lane in (4 * 4096 + 7, 4095, 4096, len(own) - 1):
-            ends[lane] -= 1
+            bounds[lane + 1] -= 1
             # a node alone of its type, as omega-antichain's last one,
             # whose type enters there, has its own block as its type's:
             # the level stays laid out by type, and only the count of its
@@ -1016,7 +1016,7 @@ class TestWholeLevelPasses:
             alone = own.count(own[lane]) == 1
             assert self.laid_out_by_type(tree, depth - 1) == alone, lane
             assert not assert_same_report(tree)["passed"], lane
-            ends[lane] += 1
+            bounds[lane + 1] += 1
         assert assert_same_report(tree)["passed"]
 
     @staticmethod
@@ -1026,11 +1026,11 @@ class TestWholeLevelPasses:
         while tree.depth < depth:
             types, _, u_start, _, ends = next_level_oracle(tree)
             tree.extend_to(tree.depth + 1)
-            lvl = tree.levels[-1]
-            assert lvl.types.tolist() == types, lvl.number
-            assert lvl.block_end.tolist() == ends, lvl.number
-            assert lvl.u_start == u_start, lvl.number
-            assert lvl.counts == Counter(types), lvl.number
+            n, lvl = tree.depth, tree.levels[-1]
+            assert lvl.types.tolist() == types, n
+            assert lvl.bounds.tolist() == [0] + ends, n
+            assert lvl.u_start == u_start, n
+            assert lvl.counts == Counter(types), n
 
     @pytest.mark.parametrize("tag, depth", DEEP_BUILDS)
     def test_widest_deep_builds_lay_out_like_the_node_loops(self, tag, depth):
@@ -1075,11 +1075,11 @@ class TestWholeLevelPasses:
         built = tree.levels[-1]
         types = array("I")
         for p in range(len(tree.level(9))):
-            types.extend(reversed(built.types[built.block_start(p):
-                                              built.block_end[p]]))
+            types.extend(reversed(built.types[built.bounds[p]:
+                                              built.bounds[p + 1]]))
         types.extend(built.types[built.u_start:])
         assert types != built.types
-        tree.levels[-1] = Level(10, types, built.u_start, built.block_end)
+        tree.levels[-1] = Level(types, built.bounds)
         self.assert_lays_out_like_the_node_loops(tree, 15)
 
     def test_a_tampered_level_restarts_the_chain(self):
@@ -1129,8 +1129,7 @@ class TestWholeLevelPasses:
         # the deeper levels are rewritten from it, not through it
         tree = build_levels(BuildConfig(family(tag)), 6)
         lvl = tree.level(5)
-        tree.levels[4] = Level(5, lvl.types, lvl.u_start, lvl.block_end,
-                               lvl.counts)
+        tree.levels[4] = Level(lvl.types, lvl.bounds, lvl.counts)
         assert tree.level(5).substitution is None
         tree.extend_to(depth)
         assert tree.levels == build_levels(BuildConfig(family(tag)),
@@ -1141,13 +1140,13 @@ class TestWholeLevelPasses:
         ("omega-antichain", 16), ("rn(2,0)", 15)])
     def test_block_masks_match_the_blocks(self, tag, depth):
         """Every level's block masks against its child blocks one by one:
-        bit ``block_start(p)`` of starts and bit ``block_end[p] - 1`` of
-        ends for each node p of the level above, and no other bit."""
+        bit ``bounds[p]`` of starts and bit ``bounds[p + 1] - 1`` of ends
+        for each node p of the level above, and no other bit."""
         tree = build_levels(BuildConfig(family(tag)), depth)
         for lvl in tree.levels:
             starts = ends = 0
-            for p, end in enumerate(lvl.block_end):
-                starts |= 1 << lvl.block_start(p)
+            for start, end in zip(lvl.bounds, lvl.bounds[1:]):
+                starts |= 1 << start
                 ends |= 1 << end - 1
             assert lvl.block_masks() == (starts, ends)
 
@@ -1256,13 +1255,13 @@ def assert_rules_match(tree):
     level n below the tree's depth, the rule read off the config is the
     substitution and the tail that level n+1 was built with, and the
     per-id rule over level n's types."""
-    for lvl in tree.levels:
+    for n, lvl in enumerate(tree.levels, 1):
         assert sorted(lvl.counts) == list(
-            range(1, tree.config.type_cap(lvl.number) + 1)), lvl.number
-    for lvl, kids in zip(tree.levels, tree.levels[1:]):
-        rule = level_rule(tree.config, lvl.number)
+            range(1, tree.config.type_cap(n) + 1)), n
+    for n, (lvl, kids) in enumerate(zip(tree.levels, tree.levels[1:]), 1):
+        rule = level_rule(tree.config, n)
         assert rule == (kids.substitution, spell(kids.types[kids.u_start:]))
-        assert as_indices(rule) == ref_level_rule(tree.config, lvl.number,
+        assert as_indices(rule) == ref_level_rule(tree.config, n,
                                                   set(lvl.types))
 
 
@@ -1301,8 +1300,9 @@ class TestLevelRule:
         """A level n holds every type 1..type_cap(n), so the rule of any
         level follows from the config alone, far past the deepest level
         a tree can hold, and no tree or level is made to read it."""
-        for lvl in deepest_tree(BuildConfig(family(tag))).levels:
-            assert sorted(lvl.counts) == list(range(1, lvl.number + 1))
+        for n, lvl in enumerate(deepest_tree(BuildConfig(family(tag))).levels,
+                                1):
+            assert sorted(lvl.counts) == list(range(1, n + 1))
 
         def refused(*args, **kwargs):
             raise AssertionError("level_rule made a tree or a level")

@@ -3,8 +3,9 @@
 Every public function, class and method defined in ``src/stonetrim`` must
 have a reader: code in ``src/`` that names it (a method as an attribute,
 ``x.name``; a function or class as a bare name or an attribute), a code
-span or block of the README, or ``perfbench/tracing.py`` or
-``perfbench/workloads.py``, which wrap and call the library by name.  A
+span or block of the README, or the code of ``perfbench/tracing.py`` or
+``perfbench/workloads.py``, which wrap and call the library by name (read
+through ``ast``, so a word in a comment or docstring reads nothing).  A
 name with no reader is deleted, or it is listed in ``ALLOWED`` with the
 reason it stays.
 
@@ -62,13 +63,31 @@ def source_reads() -> tuple[set[str], set[str]]:
     return names, attrs
 
 
+def code_reads(path: Path) -> set[str]:
+    """The names, attribute names and identifier string constants
+    (``SPANNED`` names the methods it wraps as strings) of one Python
+    file: its code, not its comments or docstrings."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.isidentifier()):
+            out.add(node.value)
+    return out
+
+
 def outside_reads() -> set[str]:
-    """Identifiers in the README's code spans and blocks, and in the
-    benchmark files that wrap or call the library."""
+    """Identifiers in the README's code spans and blocks, and the code
+    reads of the benchmark files that wrap or call the library."""
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     code = re.findall(r"```.*?```|`[^`\n]+`", readme, re.S)
-    code += [(ROOT / path).read_text(encoding="utf-8") for path in READERS]
-    return set(re.findall(r"[A-Za-z_]\w*", "\n".join(code)))
+    out = set(re.findall(r"[A-Za-z_]\w*", "\n".join(code)))
+    for path in READERS:
+        out |= code_reads(ROOT / path)
+    return out
 
 
 def unread() -> list[str]:

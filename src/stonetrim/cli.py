@@ -109,17 +109,24 @@ def cmd_analyze(args) -> int:
     return 0
 
 
+# each id option of a build: its name, the BuildConfig field it fills and
+# its help
+_CONFIG_OPTIONS = (("isolated", "isolated", None),
+                   ("pb", "bounded", "explicitly bounded elements"),
+                   ("pu", "unbounded", "unbounded elements"),
+                   ("pinf", "noncompact", "noncompact elements"))
+
+
+def _config_args(sub, prefix: str = "") -> None:
+    for name, _, text in _CONFIG_OPTIONS:
+        sub.add_argument(f"--{prefix}{name}", nargs="+", default=None,
+                         metavar="ELT", help=text)
+
+
 def _build_config(poset: Poset, args, prefix: str = "") -> BuildConfig:
-    def pick(name):
-        return frozenset(getattr(args, prefix + name, None) or ())
-    return BuildConfig(
-        poset,
-        isolated=pick("isolated"),
-        bounded=pick("pb"),
-        unbounded=pick("pu"),
-        noncompact=pick("pinf"),
-        horizon=args.horizon,
-    )
+    return BuildConfig(poset, horizon=args.horizon, **{
+        field: frozenset(getattr(args, prefix + name) or ())
+        for name, field, _ in _CONFIG_OPTIONS})
 
 
 def cmd_build_verify(args) -> int:
@@ -263,13 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="build a skeleton and verify its laws")
     _poset_args(p)
     p.add_argument("--depth", type=int, default=6)
-    p.add_argument("--isolated", nargs="+", default=None, metavar="ELT")
-    p.add_argument("--pb", nargs="+", default=None, metavar="ELT",
-                   help="explicitly bounded elements")
-    p.add_argument("--pu", nargs="+", default=None, metavar="ELT",
-                   help="unbounded elements")
-    p.add_argument("--pinf", nargs="+", default=None, metavar="ELT",
-                   help="noncompact elements")
+    _config_args(p)
     p.add_argument("--q", nargs="+", default=None, metavar="ELT",
                    help="lower subset for the covering check")
     p.add_argument("--seed", type=int, default=0)
@@ -280,12 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     for side in ("left", "right"):
         p.add_argument(f"--{side}", metavar="FILE")
         p.add_argument(f"--{side}-family", metavar="TAG")
-        p.add_argument(f"--{side}-isolated", nargs="+", default=None,
-                       metavar="ELT")
-        p.add_argument(f"--{side}-pb", nargs="+", default=None, metavar="ELT")
-        p.add_argument(f"--{side}-pu", nargs="+", default=None, metavar="ELT")
-        p.add_argument(f"--{side}-pinf", nargs="+", default=None,
-                       metavar="ELT")
+        _config_args(p, f"{side}-")
     p.add_argument("--horizon", type=int, default=8)
     p.add_argument("--depth", type=int, default=6)
     p.add_argument("--max-depth", type=int, default=None)

@@ -1,7 +1,7 @@
 """Closure algebras generated by one open set, computed symbolically.
 
-Elements are finite or cofinite sets of enumeration indices.  The algebra
-runs on their signed form (F for a finite F, ~F for W - F), where union,
+Elements are finite or cofinite sets of enumeration indices, each held as
+its signed form (F for a finite F, ~F for W - F), where union,
 intersection and difference are |, & and & ~ and equal ints are equal
 sets.  The space keeps each index's down-set and up-set as signed rows;
 elements are made only at the trace and API edges, and ids only where sets
@@ -16,7 +16,7 @@ space enumerates horizon + 1 elements, each down-set one element further.
 """
 from __future__ import annotations
 
-from functools import reduce
+from functools import partial, reduce
 from operator import or_
 from typing import Optional
 
@@ -32,43 +32,38 @@ class ClosureError(ValueError):
 
 class SymbolicSpace:
     """Index poset plus exact finite/cofinite set arithmetic over it:
-    ``all_mask`` is a finite space's whole mask, ``_w`` the whole set
-    signed, ``_bot`` the bottom's bit and ``_rungs`` the other indices in
+    ``_w`` is the whole set signed (a finite space's mask, a ladder's -1),
+    ``_bot`` the bottom's bit and ``_rungs`` the other indices in
     enumeration order, a finite space's all and a ladder's first horizon."""
 
     def __init__(self, poset: Poset, horizon: int = 12):
-        self.finite, self.ladder = poset.finite, not poset.finite
-        if self.ladder and poset.name not in LADDER_FAMILIES:
+        self.finite = poset.finite
+        if not self.finite and poset.name not in LADDER_FAMILIES:
             raise ClosureError(
                 "symbolic spaces need a finite poset or a ladder family")
         self.poset, self.horizon = poset, horizon
-        shown = horizon + 1 if self.ladder else poset.size
+        shown = poset.size if self.finite else horizon + 1
         poset.ensure(shown)
-        self.all_mask = None if self.ladder else poset.prefix_mask(shown)
+        self._w = poset.prefix_mask(shown) if self.finite else -1
         mins = poset.confirmed_minimal(shown)
         self._bot = mins if mins.bit_count() == 1 else 0
         self.bottom = (poset.id_at(self._bot.bit_length() - 1) if self._bot
                        else None)
         rungs = [i for i in range(1, shown + 1) if 1 << i != self._bot]
-        self._rungs = rungs[:horizon] if self.ladder else rungs
-        self._w = -1 if self.ladder else self.all_mask
+        self._rungs = rungs if self.finite else rungs[:horizon]
         self._rows: dict[int, tuple[int, int]] = {}
-
-    def _element(self, signed: int) -> "ClosureElement":
-        # of signed and ~signed, the nonnegative one is the stored mask
-        return ClosureElement(self, signed < 0, max(signed, ~signed))
 
     def fin(self, ids) -> "ClosureElement":
         try:
-            return ClosureElement(self, False, self.poset.mask_of(ids))
+            return ClosureElement(self, self.poset.mask_of(ids))
         except PosetError as e:
             raise ClosureError(str(e)) from None
 
     def empty(self) -> "ClosureElement":
-        return ClosureElement(self, False, 0)
+        return ClosureElement(self, 0)
 
     def whole(self) -> "ClosureElement":
-        return self._element(self._w)
+        return ClosureElement(self, self._w)
 
     def _row(self, i: int) -> tuple[int, int]:
         """The signed down-set and up-set of index i, read once; a ladder
@@ -76,7 +71,7 @@ class SymbolicSpace:
         row = self._rows.get(i)
         if row is None:
             p, w = self.poset, self._w
-            reach = i + 1 if self.ladder else p.size
+            reach = p.size if self.finite else i + 1
             below = p.lower_of(1 << i, reach)
             row = self._rows[i] = (
                 (below, w) if 1 << i == self._bot else
@@ -86,23 +81,23 @@ class SymbolicSpace:
 
     def down_of(self, i: int) -> "ClosureElement":
         """The down-set of enumeration index i."""
-        return self._element(self._row(i)[0])
+        return ClosureElement(self, self._row(i)[0])
 
     def up_of(self, i: int) -> "ClosureElement":
         """The up-set of enumeration index i."""
-        return self._element(self._row(i)[1])
+        return ClosureElement(self, self._row(i)[1])
 
     def closure_of(self, x: "ClosureElement") -> "ClosureElement":
         """Down-closure; exact on both set shapes."""
         if x.space is not self:
             raise ClosureError("element from another space")
-        s = x._signed()
+        s = x.signed
         if s >= 0:
-            return self._element(reduce(
+            return ClosureElement(self, reduce(
                 or_, [self._row(i)[0] for i in bits(s)], 0))
         # a missing element stays out iff its up-set misses x
-        return self._element(~sum(1 << i for i in bits(~s)
-                                  if not self._row(i)[1] & s))
+        return ClosureElement(self, ~sum(1 << i for i in bits(~s)
+                                         if not self._row(i)[1] & s))
 
     def is_open(self, x: "ClosureElement") -> bool:
         comp = x.complement()
@@ -110,64 +105,60 @@ class SymbolicSpace:
 
 
 class ClosureElement(Frozen):
-    """Finite set of enumeration indices as a mask, or the complement of
-    one (on a finite space, stored as its finite complement); ``_signed``
-    is its signed form.  ``ids`` is a read-only view."""
+    """Finite or cofinite set of enumeration indices in signed form: F for
+    a finite F, ~F for W - F.  A finite space stores a cofinite set as its
+    finite complement, so equal sets are equal ints.  ``ids`` is a
+    read-only view of F."""
 
-    __slots__ = _show = ("space", "cofinite", "mask")
-    _compare = ("cofinite", "mask")
+    __slots__ = _show = ("space", "signed")
+    _compare = ("signed",)
 
-    def __init__(self, space: SymbolicSpace, cofinite: bool, mask: int):
-        if cofinite and space.finite:
-            cofinite, mask = False, space.all_mask & ~mask
-        self._fill(space, cofinite, mask)
+    def __init__(self, space: SymbolicSpace, signed: int):
+        self._fill(space, signed & space._w)
 
     def __bool__(self) -> bool:
-        return self.cofinite or bool(self.mask)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self
+        return bool(self.signed)
 
     @property
     def ids(self) -> frozenset:
-        return self.space.poset.ids_of(self.mask)
-
-    def _signed(self) -> int:
-        return ~self.mask if self.cofinite else self.mask
+        s = self.signed
+        return self.space.poset.ids_of(max(s, ~s))
 
     def union(self, other: "ClosureElement") -> "ClosureElement":
-        return self.space._element(self._signed() | other._signed())
+        return ClosureElement(self.space, self.signed | other.signed)
 
     def intersect(self, other: "ClosureElement") -> "ClosureElement":
-        return self.space._element(self._signed() & other._signed())
+        return ClosureElement(self.space, self.signed & other.signed)
 
     def complement(self) -> "ClosureElement":
-        return ClosureElement(self.space, not self.cofinite, self.mask)
+        return ClosureElement(self.space, ~self.signed)
 
     def subset_of(self, other: "ClosureElement") -> bool:
-        return not self._signed() & ~other._signed()
+        return not self.signed & ~other.signed
 
     def _single(self) -> int:
         """The mask of a one-element finite set, else 0."""
-        m = self.mask
-        return 0 if self.cofinite or m & m - 1 else m
+        s = self.signed
+        # a negative s keeps bits after its lowest is cleared
+        return 0 if s & s - 1 else s
 
     def sole_id(self) -> Optional[str]:
         m = self._single()
         return self.space.poset.id_at(m.bit_length() - 1) if m else None
 
     def render(self) -> str:
-        sp, m = self.space, self.mask & ~self.space._bot
+        sp, s = self.space, self.signed
+        mask = max(s, ~s)
+        m = mask & ~sp._bot
         ids = sp.poset.prefix(max(m.bit_length() - 1, 0))
         names = [ids[i - 1] for i in bits(m)]
-        if self.mask & sp._bot:
+        if mask & sp._bot:
             names.append(sp.bottom)
         body = "{" + ",".join(names) + "}"
-        return f"W-{body}" if self.cofinite else body
+        return f"W-{body}" if s < 0 else body
 
     def serialize(self) -> dict:
-        return {"shape": "cofinite" if self.cofinite else "finite",
+        return {"shape": "cofinite" if self.signed < 0 else "finite",
                 "ids": sorted(self.ids)}
 
 
@@ -187,7 +178,7 @@ def check_closure_axioms(space: SymbolicSpace) -> list[str]:
                 subsets.append(subsets[-1].complement())
     problems = []
     cl = space.closure_of
-    if not cl(space.empty()).is_empty:
+    if cl(space.empty()):
         problems.append("closure of the empty set is nonempty")
     for x in subsets:
         cx = cl(x)
@@ -227,13 +218,13 @@ class RNTrace(Record):
     def N(self) -> Optional[int]:
         """n - 1 for the first step n >= 1 with B_n empty, or None."""
         return next((n - 1 for n in range(1, len(self.b))
-                     if self.b[n].is_empty), None)
+                     if not self.b[n]), None)
 
     @property
     def stabilized(self) -> bool:
         """Did the run end on an empty B_n with V_n the whole space?"""
-        return (len(self.b) > 1 and self.b[-1].is_empty
-                and self.v[-1]._signed() == self.space._w)
+        return (len(self.b) > 1 and not self.b[-1]
+                and self.v[-1].signed == self.space._w)
 
     def serialize(self) -> dict:
         return {
@@ -255,12 +246,12 @@ def rieger_nishimura_run(space: SymbolicSpace, a: ClosureElement,
     accumulates, B is what the strip newly exposed."""
     if not space.is_open(a):
         raise ClosureError("the generator must be an open (up-closed) set")
-    w, el = space._w, space._element
+    w, el = space._w, partial(ClosureElement, space)
     t = RNTrace(space, [a], [space.empty()], [a])
     # the last layer's U and V and all that no layer has taken yet, signed
-    u, v, rest = a._signed(), 0, w & ~a._signed()
+    u, v, rest = a.signed, 0, w & ~a.signed
     for _ in range(max_n):
-        u_n = w & ~space.closure_of(t.b[-1])._signed()
+        u_n = w & ~space.closure_of(t.b[-1]).signed
         u, v, b = u_n, u | v, u_n & ~v
         t.u.append(el(u))
         t.v.append(el(v))
@@ -272,7 +263,7 @@ def rieger_nishimura_run(space: SymbolicSpace, a: ClosureElement,
         t.a_inf, t.a_inf_exact = el(rest), True
         return t
     tail = [x._single() for x in t.b[-3:]]
-    marching = (space.ladder and len(tail) == 3 and 0 not in tail
+    marching = (not space.finite and len(tail) == 3 and 0 not in tail
                 and not (tail[0] | tail[1] | tail[2]) & space._bot
                 and tail[1:] == [tail[0] << 1, tail[0] << 2])
     if marching:
@@ -288,10 +279,10 @@ def check_identities(trace: RNTrace) -> list[str]:
     """Recheck the defining and derived equations at every computed step,
     on the layers' signed forms."""
     sp, w = trace.space, trace.space._w
-    u, v, b = ([x._signed() for x in xs] for xs in (trace.u, trace.v, trace.b))
+    u, v, b = ([x.signed for x in xs] for xs in (trace.u, trace.v, trace.b))
     last = trace.n_ran
     # every closure below is of a layer B_0 .. B_{last - 1}: take each once
-    closed = [sp.closure_of(trace.b[n])._signed() for n in range(last)]
+    closed = [sp.closure_of(trace.b[n]).signed for n in range(last)]
     problems = []
     for n in range(1, last + 1):
         if u[n] != w & ~closed[n - 1]:
@@ -318,8 +309,8 @@ def check_identities(trace: RNTrace) -> list[str]:
                 if (not b[k] & ~closed[j]) != (k >= j + 2):
                     problems.append(f"ladder order fails at B_{k}, B_{j}")
     if trace.a_inf is not None:
-        a = trace.a_inf._signed()
-        if sp.closure_of(trace.a_inf)._signed() != a:
+        a = trace.a_inf.signed
+        if sp.closure_of(trace.a_inf).signed != a:
             problems.append("A_inf is not closed")
         problems.extend(f"A_inf meets B_{k}" for k in range(last + 1)
                         if a & b[k])
@@ -353,7 +344,7 @@ def classify_algebra(trace: RNTrace) -> Classification:
                 return Classification(1, f"P({n},0)", witness)
             return Classification(None, "inconclusive", witness,
                                   f"stopped before step {n + 2}")
-        if trace.b[n + 2].is_empty:
+        if not trace.b[n + 2]:
             return Classification(1, f"P({n},0)", witness)
         return Classification(2, f"P({n},2)", witness)
     if trace.a_inf is not None:
@@ -381,7 +372,8 @@ def e_of_p(space: SymbolicSpace) -> dict:
         down, up = space._row(i)
         got = space._w & ~up & ~down & ~before
         if got != 1 << j:
-            failures.append({"k": k, "got": space._element(got).serialize()})
+            failures.append(
+                {"k": k, "got": ClosureElement(space, got).serialize()})
         before |= 1 << i
     return {"family": poset.name, "horizon": space.horizon,
             "checked": max(len(rungs) - 1, 0), "holds": not failures,

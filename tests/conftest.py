@@ -467,7 +467,7 @@ def ref_complete_over(poset: Poset, members, horizon: int):
 def holds(x, p: str) -> bool:
     """Whether the closure-algebra element x holds the id p: p is among
     the ids of its mask, or x is cofinite and p is not."""
-    return (p in x.ids) != x.cofinite
+    return (p in x.ids) != (x.signed < 0)
 
 
 def ref_closure_of(space, x, window: list) -> tuple[frozenset, bool]:
@@ -480,9 +480,10 @@ def ref_closure_of(space, x, window: list) -> tuple[frozenset, bool]:
     poset, bottom = space.poset, space.bottom
     inside = [p for p in window if holds(x, p)]
     below = {q for q in window if any(poset.leq(q, p) for p in inside)}
-    if space.ladder and x.cofinite and bottom is not None:
+    ladder, cofinite = not space.finite, x.signed < 0
+    if ladder and cofinite and bottom is not None:
         below.add(bottom)
-    past = space.ladder and (x.cofinite or any(p != bottom for p in inside))
+    past = ladder and (cofinite or any(p != bottom for p in inside))
     return frozenset(below), past
 
 
@@ -512,21 +513,21 @@ def ref_rieger_nishimura_run(space, a, max_n: int = 30):
         u.append(w.intersect(space.closure_of(b[n - 1]).complement()))
         v.append(u[n - 1].union(v[n - 1]))
         b.append(u[n].intersect(v[n - 1].complement()))
-        if b[n].is_empty and v[n] == w:
+        if not b[n] and v[n] == w:
             break
     t = RNTrace(space, u, v, b)
     rest = w
     for x in b:
         rest = rest.intersect(x.complement())
-    if len(b) > 1 and b[-1].is_empty and v[-1] == w:
+    if len(b) > 1 and not b[-1] and v[-1] == w:
         t.a_inf, t.a_inf_exact = rest, True
         return t
     tail = [x._single() for x in b[-3:]]
-    marching = (space.ladder and len(tail) == 3 and 0 not in tail
+    marching = (not space.finite and len(tail) == 3 and 0 not in tail
                 and not (tail[0] | tail[1] | tail[2]) & space._bot
                 and tail[1:] == [tail[0] << 1, tail[0] << 2])
     if marching:
-        t.a_inf = ClosureElement(space, False, space._bot).intersect(rest)
+        t.a_inf = ClosureElement(space, space._bot).intersect(rest)
         t.note = (f"singleton layers march up the ladder; tail projected "
                   f"from step {t.n_ran}")
     else:
@@ -584,8 +585,8 @@ def ref_e_of_p(poset: Poset, horizon: int = 12) -> dict:
     for k, (i, j) in enumerate(zip(rungs, rungs[1:])):
         got = (w.intersect(space.up_of(i).complement())
                .intersect(space.down_of(i).complement())
-               .intersect(ClosureElement(space, False, before).complement()))
-        if got != ClosureElement(space, False, 1 << j):
+               .intersect(ClosureElement(space, before).complement()))
+        if got != ClosureElement(space, 1 << j):
             failures.append({"k": k, "got": got.serialize()})
         before |= 1 << i
     return {"family": poset.name, "horizon": horizon,

@@ -561,12 +561,33 @@ class TestExitContract:
         assert proc.stderr.splitlines() == [
             "left: level 9 would hold 103049 nodes, over the bound 65536"]
 
+    def test_iso_level_size_budget_in_process(self, capsys):
+        # p1 isolated on the left only: both sides are built, and the
+        # right one stops at level 9; main returns, so nothing raised
+        code = cli.main(["iso", "--left-family", "omega-chain",
+                         "--right-family", "omega-chain", "--left-isolated",
+                         "p1", "--depth", "9"])
+        out, err = capsys.readouterr()
+        assert code == 5
+        assert out == ""
+        assert err.splitlines() == [
+            "right: level 9 would hold 103049 nodes, over the bound 65536"]
+
     def test_analyze_unknown_subset_member(self):
         proc = run_cli("analyze", "--family", "rn(2,0)", "--subset", "zz")
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr.splitlines() == [
             "bad --subset: unknown element id 'zz'"]
+
+    # p20 is an element of omega-chain, past the enumerated prefix
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 24: an id past the enumerated prefix reads as an "
+        "unknown element id"))
+    def test_analyze_subset_member_past_the_prefix(self, capsys):
+        code = cli.main(["analyze", "--family", "omega-chain", "--subset",
+                         "p20"])
+        assert code != 2, capsys.readouterr().err
 
     def test_build_verify_unknown_q_member(self):
         proc = run_cli("build-verify", "--family", "rn(2,0)", "--depth", "3",

@@ -4,7 +4,7 @@
 horizons, on rn(m,0) and rn(m,2) up to m = 200 and on poset files with
 ``--subset``; ``build-verify`` with isolation, bucket and ``--q`` variants;
 ``closure`` in json, text and dot; and ``iso`` over family and file pairs
-at depths 3-5 and seeds 0-2.  Each argv runs through ``cli.main`` in
+at depths 3-5 and seeds 0-2, and over searched pairs at depths 5 and 6.  Each argv runs through ``cli.main`` in
 process.  ``tests/cli_digests.json`` holds, per argv joined by spaces, the
 exit code and the sha256 of stdout and of stderr; a command that raises
 holds its exception's type and message instead of an exit code, so no
@@ -265,6 +265,21 @@ def _iso() -> list[list[str]]:
              "--left-isolated", "e0", "e1", "e2", "--right-isolated", "e0",
              "e1", "e2", "--right-pinf", "e1", "--depth", "5", "--seed", s]
             for s in ("0", "1")]
+    # searched pairs whose sides' buckets differ, and a pair whose posets
+    # differ past the span a shallow schedule checks
+    out += [
+        ["iso", "--left-family", "omega-chain", "--right-family",
+         "omega-chain", "--right-pu", "p5", "--horizon", "5", "--depth", "5"],
+        ["iso", "--left-family", "ziegler-fan", "--right-family",
+         "ziegler-fan", "--right-pinf", "m1", "--depth", "5"],
+        ["iso", "--left", "diamond.json", "--right", "diamond.json",
+         "--right-pinf", "d", "--depth", "6", "--seed", "1"],
+        ["iso", "--left", "vee.json", "--right", "vee.json", "--left-pinf",
+         "b", "--right-pu", "b", "--depth", "6", "--seed", "1"],
+        ["iso", "--left", "vee.json", "--right", "vee.json", "--left-pinf",
+         "b", "--right-pu", "b", "--depth", "6", "--max-depth", "6"],
+        ["iso", "--left", "ab.json", "--right", "abc.json", "--depth", "3"],
+    ]
     return out
 
 

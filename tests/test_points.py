@@ -4,7 +4,8 @@ import pytest
 from conftest import (chain_ab_poset, children, diamond_poset,
                       two_chains_poset)
 from stonetrim import (BuildConfig, PathPrefix, PointError, ancestry,
-                       build_levels, family, label_prefix, realize_chain)
+                       build_levels, complete_over, family, label_prefix,
+                       realize_chain)
 from stonetrim.poset import PosetError
 
 
@@ -148,6 +149,20 @@ class TestLabels:
         assert lab.detail == "ascending to 1, which is confirmed maximal"
         lab = label_prefix(realize_chain(tree, ["1/2", "3/4", "7/8"]))
         assert (lab.kind, lab.value) == ("limit", "lim→1⁻")
+
+    # the label names lim→1⁻, and the completion of dyadic holds no limit
+    # token at these horizons
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 17: label_prefix names a limit that complete_over "
+        "does not hold"))
+    def test_a_limit_label_names_an_element_of_the_completion(
+            self, dyadic_tree):
+        lab = label_prefix(realize_chain(dyadic_tree, ["1/2", "3/4", "7/8"]))
+        poset = family("dyadic")
+        for horizon in (8, 12, 20):
+            done = complete_over(poset, poset.prefix_mask(horizon), horizon)
+            names = {e.display or e.ref for e in done.elements}
+            assert lab.value in names, horizon
 
     def test_limit_falls_back_to_the_token_name(self, two_chains_tree):
         path = realize_chain(two_chains_tree, ["x1", "x2", "x3"])

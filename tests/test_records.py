@@ -21,7 +21,7 @@ POSET = chain_ab_poset()
 TREE = build_levels(BuildConfig(POSET), 3)
 SPACE = SymbolicSpace(family("rn-infinity"), 12)
 OTHER_SPACE = SymbolicSpace(family("rn-infinity"), 12)
-P0 = ClosureElement(SPACE, False, 1 << SPACE.poset.index("p0"))
+P0 = ClosureElement(SPACE, 1 << SPACE.poset.index("p0"))
 
 REQUIRED, FACTORY = object(), object()
 
@@ -121,9 +121,9 @@ CASES = [
              "IsoRun(status='iso', pairs=3, depth_used=0, witness=None, "
              "note='', coverage=False, invariant_failures=[], "
              "transcript=[])")),
-    Case(ClosureElement, {"space": SPACE, "cofinite": False, "mask": 0b10},
-         3, {}, frozen=True, ignored={"space": OTHER_SPACE},
-         differs=("cofinite", True)),
+    Case(ClosureElement, {"space": SPACE, "signed": 0b10},
+         2, {}, frozen=True, ignored={"space": OTHER_SPACE},
+         differs=("signed", ~0b10)),
     Case(RNTrace, {"space": SPACE, "u": [P0], "v": [P0], "b": [P0],
                    "a_inf": P0, "a_inf_exact": True, "note": "n"},
          1, {"u": [], "v": [], "b": [], "a_inf": None, "a_inf_exact": False,
@@ -143,7 +143,8 @@ IDS = [case.cls.__name__ for case in CASES]
 # ClosureElement's third field has since become an index mask, in place of
 # a frozenset of ids, and so have Extremal's minimal and maximal and
 # FoundationResult's foundation, which defaults to the empty mask 0 in place
-# of None; TypeSet has lost its mask parameter and RNTrace its n_ran, N and
+# of None; ClosureElement's cofinite flag and mask have since become one
+# signed mask, signed; TypeSet has lost its mask parameter and RNTrace its n_ran, N and
 # stabilized, which are read off the fields that remain, and its a, which
 # u[0] and b[0] hold; Level has lost its number, and its u_start and
 # block ends have become one column of posts, bounds, whose last post is
@@ -175,8 +176,7 @@ SIGNATURES = {
     "IsoRun": [("status", REQUIRED), ("pairs", 0), ("depth_used", 0),
                ("witness", None), ("note", ""), ("coverage", False),
                ("invariant_failures", FACTORY), ("transcript", FACTORY)],
-    "ClosureElement": [("space", REQUIRED), ("cofinite", REQUIRED),
-                       ("mask", REQUIRED)],
+    "ClosureElement": [("space", REQUIRED), ("signed", REQUIRED)],
     "RNTrace": [("space", REQUIRED), ("u", FACTORY), ("v", FACTORY),
                 ("b", FACTORY), ("a_inf", None), ("a_inf_exact", False),
                 ("note", "")],
@@ -288,9 +288,9 @@ def test_post_init_behaviour():
     assert config == BuildConfig(POSET, isolated={"a"}, bounded={"a"})
     assert TypeSet(POSET, ("b",)).mask == 1 << POSET.index("b")
     finite = SymbolicSpace(family("rn(2,0)"), 12)
-    flipped = ClosureElement(finite, True, 1 << finite.poset.index("p0"))
-    assert not flipped.cofinite
-    assert flipped.mask == finite.all_mask & ~0b10
+    flipped = ClosureElement(finite, ~(1 << finite.poset.index("p0")))
+    assert flipped.signed >= 0
+    assert flipped.signed == finite._w & ~0b10
     assert flipped.ids == {"p1", "p2"}
     with pytest.raises(PointError):
         PathPrefix(TREE, ())

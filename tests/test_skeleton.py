@@ -97,6 +97,19 @@ class TestValidate:
         probs = cfg.validate(4)
         assert "bounded-not-lower: not a lower set on the prefix" in probs
 
+    def test_bounded_not_lower_on_vee(self, vee):
+        cfg = BuildConfig(vee, bounded={"b"}, noncompact={"a", "c"})
+        assert cfg.validate(9) == [
+            "bounded-not-lower: not a lower set on the prefix",
+            "bounded+unbounded-not-lower: not a lower set on the prefix"]
+
+    # the tree built without validate holds no witness of the clause
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 10: no structure check witnesses bounded-not-lower"))
+    def test_a_bounded_set_not_lower_fails_the_structure(self, vee):
+        cfg = BuildConfig(vee, bounded={"b"}, noncompact={"a", "c"})
+        assert not verify_structure(SkeletonTree(cfg, 9)).passed
+
     def test_bounded_outside_delta(self):
         cfg = BuildConfig(family("rn-infinity"), bounded={"p0"}, horizon=8)
         probs = cfg.validate(8)

@@ -195,10 +195,8 @@ def cmd_iso(args) -> int:
                 trees.append(SkeletonTree(config, args.depth))
             except BuildError as e:
                 return _fail(5, f"{name}: {e}")
-    q = None
     try:
-        for p in args.q or ():
-            q = (q or 0) | 1 << configs[0].poset.index(p)
+        q = configs[0].poset.mask_of(args.q) if args.q else None
     except PosetError as e:
         return _fail(2, f"bad --q: {e}")
     try:
@@ -302,10 +300,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list] = None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.horizon < 1:
-        return _fail(3, "--horizon must be at least 1")
-    return args.run(args)
+    """The exit code of one run, returned on every input: argparse's usage
+    errors (2) and ``--help`` (0) and a refused stdout (5) end in a
+    SystemExit, caught here."""
+    try:
+        args = build_parser().parse_args(argv)
+        if args.horizon < 1:
+            return _fail(3, "--horizon must be at least 1")
+        return args.run(args)
+    except SystemExit as e:
+        return e.code
 
 
 if __name__ == "__main__":

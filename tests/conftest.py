@@ -1,11 +1,14 @@
 """Shared fixtures and brute-force oracles for the test suite."""
+import contextlib
+import io
+import os
 import random
 from collections import Counter
 
 import pytest
 
 from stonetrim import (FOUND, ClosureElement, ClosureError, CompletedPoset,
-                       CompletionElement, Poset, RNTrace, SymbolicSpace,
+                       CompletionElement, Poset, RNTrace, SymbolicSpace, cli,
                        token_name)
 from stonetrim.backforth import (SIDES, DepthBudget, IsoError, MismatchFound,
                                  MismatchWitness, Pair, _facing,
@@ -132,6 +135,28 @@ def children(tree, n: int, i: int) -> list[tuple[int, str]]:
     start, end = tree.children_span(n, i)
     types = tree.level(n + 1).types
     return [(j, tree.poset.id_at(types[j])) for j in range(start, end)]
+
+
+def run_main(argv: list[str], closed_stdout: bool = False):
+    """Exit code of ``cli.main(argv)`` run in process, or the raised
+    exception's type and message, then its stdout and stderr.  With
+    closed_stdout the run sees ``sys.stdout`` set to None, as under a
+    closed fd 1.  argparse wraps usage and help to ``COLUMNS``, so the run
+    reads the width a stdout that is no terminal gets."""
+    out, err = (None if closed_stdout else io.StringIO()), io.StringIO()
+    columns = os.environ.get("COLUMNS")
+    os.environ["COLUMNS"] = "80"
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    except Exception as e:
+        code = f"{type(e).__name__}: {e}"
+    finally:
+        if columns is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = columns
+    return code, out.getvalue() if out else "", err.getvalue()
 
 
 # ----------------------------------------------------------------------

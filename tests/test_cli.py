@@ -9,8 +9,10 @@ import sys
 import pytest
 
 import stonetrim
+from conftest import run_main
 from stonetrim import FOUND, cli
 from stonetrim.skeleton import equal_rules
+from test_contract import ARGV
 
 # the child imports the same stonetrim as this process, installed or not
 SRC = os.path.dirname(os.path.dirname(stonetrim.__file__))
@@ -29,18 +31,27 @@ def run_cli(*argv, timeout=None, env=None, stdout=subprocess.PIPE,
 # runs its arguments with fd 1 closed
 CLOSED_STDOUT = ("sh", "-c", 'exec "$@" >&-', "sh")
 
-# one command per way of writing stdout: JSON, dot larger than a pipe
-# buffer, and the two lines of the text table; then the two other
-# commands, analyze and iso (a pair certified by equal rules)
-UNWRITABLE = {
-    "json": ["build-verify", "--family", "rn(2,0)", "--depth", "6"],
-    "dot": ["build-verify", "--family", "dyadic", "--depth", "7",
-            "--format", "dot"],
-    "text": ["closure", "--family", "rn-infinity", "--format", "text"],
-    "analyze": ["analyze", "--family", "dyadic"],
-    "iso": ["iso", "--left-family", "rn(2,0)", "--right-family", "rn(2,0)",
-            "--depth", "5"],
-}
+
+def unwritable() -> list[list[str]]:
+    """Contract argv on family tags that exit 0 with output, the first
+    drawn for each command and each format (json, text, dot) that no
+    earlier pick covers."""
+    kinds = {"analyze", "build-verify", "iso", "closure", "json", "text",
+             "dot"}
+    picked = []
+    for argv in ARGV:
+        fmt = (argv[argv.index("--format") + 1] if "--format" in argv
+               else "json")
+        if (kinds & {argv[0], fmt}
+                and not any(a.endswith(".json") for a in argv)
+                and run_main(argv)[0] == 0):
+            picked.append(argv)
+            kinds -= {argv[0], fmt}
+    assert not kinds, kinds
+    return picked
+
+
+UNWRITABLE = unwritable()
 
 
 @pytest.fixture
@@ -597,16 +608,16 @@ class TestExitContract:
         assert proc.stderr.splitlines() == [
             "bad --q: unknown element id 'zz'"]
 
-    # iso reads --q in argv order, build-verify names the least unknown id
-    @pytest.mark.parametrize("argv,named", [
-        (["iso", "--left-family", "rn(2,0)", "--right-family", "rn(2,0)"],
-         "zz"),
-        (["build-verify", "--family", "rn(2,0)"], "yy")])
-    def test_the_first_unknown_q_member_is_named(self, capsys, argv, named):
+    # both resolve --q through Poset.mask_of, which names the least
+    # unknown id
+    @pytest.mark.parametrize("argv", [
+        ["iso", "--left-family", "rn(2,0)", "--right-family", "rn(2,0)"],
+        ["build-verify", "--family", "rn(2,0)"]])
+    def test_the_least_unknown_q_member_is_named(self, capsys, argv):
         assert cli.main([*argv, "--depth", "3", "--q", "zz", "yy"]) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.splitlines() == [f"bad --q: unknown element id {named!r}"]
+        assert err.splitlines() == ["bad --q: unknown element id 'yy'"]
 
     def test_dot_output_reads_no_q(self, capsys):
         assert cli.main(["build-verify", "--family", "rn(2,0)", "--depth",
@@ -705,14 +716,14 @@ class TestExitContract:
         else:
             assert json.loads(proc.stdout)["minimal"] == []
 
-    @pytest.mark.parametrize("kind", sorted(UNWRITABLE))
-    def test_closed_pipe_exits_five(self, kind):
+    @pytest.mark.parametrize("argv", UNWRITABLE, ids=" ".join)
+    def test_closed_pipe_exits_five(self, argv):
         # the read end is closed before the child starts, so its first
         # write fails whatever the size of the output
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
-            proc = run_cli(*UNWRITABLE[kind], stdout=write_end)
+            proc = run_cli(*argv, stdout=write_end)
         finally:
             os.close(write_end)
         assert_refused_output(proc, f"[Errno {errno.EPIPE}] "
@@ -720,20 +731,20 @@ class TestExitContract:
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"),
                         reason="no /dev/full on this platform")
-    @pytest.mark.parametrize("kind", sorted(UNWRITABLE))
-    def test_full_device_exits_five(self, kind):
+    @pytest.mark.parametrize("argv", UNWRITABLE, ids=" ".join)
+    def test_full_device_exits_five(self, argv):
         with open("/dev/full", "w") as full:
-            proc = run_cli(*UNWRITABLE[kind], stdout=full)
+            proc = run_cli(*argv, stdout=full)
         assert_refused_output(proc, f"[Errno {errno.ENOSPC}] "
                                     f"{os.strerror(errno.ENOSPC)}")
 
     @pytest.mark.skipif(shutil.which("sh") is None,
                         reason="no POSIX shell to close fd 1")
-    @pytest.mark.parametrize("kind", sorted(UNWRITABLE))
-    def test_closed_stdout_exits_five(self, kind):
+    @pytest.mark.parametrize("argv", UNWRITABLE, ids=" ".join)
+    def test_closed_stdout_exits_five(self, argv):
         # with fd 1 closed the child starts with sys.stdout set to None,
         # and print would drop the output without an error
-        proc = run_cli(*UNWRITABLE[kind], launcher=CLOSED_STDOUT)
+        proc = run_cli(*argv, launcher=CLOSED_STDOUT)
         assert_refused_output(proc, "it is closed")
 
     def test_other_exits_keep_their_code_on_a_closed_pipe(self):
@@ -745,6 +756,11 @@ class TestExitContract:
             os.close(write_end)
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("argv", UNWRITABLE, ids=" ".join)
+    def test_a_closed_stdout_is_an_exit_code_in_process(self, argv):
+        assert run_main(argv, closed_stdout=True) == (
+            5, "", "cannot write to stdout: it is closed\n")
 
     def test_iso_builds_the_covering_level(self, capsys, searched):
         assert cli.main(["iso", "--left-family", "rn(4,2)",

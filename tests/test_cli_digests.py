@@ -4,8 +4,10 @@
 horizons, on rn(m,0) and rn(m,2) up to m = 200 and on poset files with
 ``--subset``; ``build-verify`` with isolation, bucket and ``--q`` variants;
 ``closure`` in json, text and dot; and ``iso`` over family and file pairs
-at depths 3-5 and seeds 0-2, and over searched pairs at depths 5 and 6.  Each argv runs through ``cli.main`` in
-process.  ``tests/cli_digests.json`` holds, per argv joined by spaces, the
+at depths 3-5 and seeds 0-2, and over searched pairs at depths 5 and 6;
+and argparse's refusals and ``--help`` for each command.  Each argv runs
+through ``cli.main`` in process, which returns the exit code on every
+input.  ``tests/cli_digests.json`` holds, per argv joined by spaces, the
 exit code and the sha256 of stdout and of stderr; a command that raises
 holds its exception's type and message instead of an exit code, so no
 source path or line number is pinned.
@@ -16,14 +18,15 @@ The pinned file is rewritten only by a change that declares moved outputs
 and lists every moved argv.  Run this module as a script to print the
 digests of the program on the path.
 """
-import contextlib
 import hashlib
-import io
 import json
 import os
 import tempfile
 
-from stonetrim import cli
+import pytest
+
+from conftest import run_main
+from test_contract import CONTRACT
 
 PINNED = os.path.join(os.path.dirname(__file__), "cli_digests.json")
 
@@ -184,6 +187,7 @@ def _build_verify() -> list[list[str]]:
         # past the level-size bound the build raises
         ["build-verify", "--family", "omega-chain", "--depth", "9"],
         ["build-verify", "--family", "omega-chain", "--depth", "10"],
+        ["build-verify", "empty.json"],
     ]
     return out
 
@@ -280,28 +284,41 @@ def _iso() -> list[list[str]]:
          "b", "--right-pu", "b", "--depth", "6", "--max-depth", "6"],
         ["iso", "--left", "ab.json", "--right", "abc.json", "--depth", "3"],
     ]
+    # equal rules at the default seed
+    out += [["iso", "--left-family", f, "--right-family", f, "--depth", "5"]
+            for f in ("omega-chain", "ziegler-fan")]
+    return out
+
+
+def _usage() -> list[list[str]]:
+    """argparse's answers: a malformed option value and an unknown option
+    exit 2 with usage on stderr, and --help exits 0."""
+    out = []
+    for argv, option in [
+            (["analyze", "--family", "rn(2,0)"], "--horizon"),
+            (["build-verify", "--family", "rn(2,0)"], "--depth"),
+            (["iso", "--left-family", "rn(2,0)", "--right-family", "rn(2,0)"],
+             "--depth"),
+            (["closure", "--family", "rn(2,0)"], "--max-n")]:
+        out += [[*argv, option, "x"], [*argv, "--bogus"], [argv[0], "--help"]]
+    out.append(["closure"])
     return out
 
 
 def corpus() -> list[list[str]]:
     """The pinned argv list, in a fixed order with no repeats."""
-    return _analyze() + _build_verify() + _closure() + _iso()
+    return _analyze() + _build_verify() + _closure() + _iso() + _usage()
 
 
 def run(argv: list[str], folder: str) -> dict:
     """Exit code, or the raised exception's type and message, and the
     sha256 of stdout and of stderr, of one in-process run whose file
     arguments are resolved inside folder."""
-    args = [os.path.join(folder, a) if a.endswith(".json") else a
-            for a in argv]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            got = {"exit": cli.main(args)}
-        except Exception as e:
-            got = {"raised": f"{type(e).__name__}: {e}"}
-    for name, stream in (("stdout", out), ("stderr", err)):
-        got[name] = hashlib.sha256(stream.getvalue().encode()).hexdigest()
+    code, out, err = run_main([os.path.join(folder, a)
+                               if a.endswith(".json") else a for a in argv])
+    got = {"exit" if isinstance(code, int) else "raised": code}
+    for name, text in (("stdout", out), ("stderr", err)):
+        got[name] = hashlib.sha256(text.encode()).hexdigest()
     return got
 
 
@@ -314,14 +331,38 @@ def cli_digests() -> dict[str, dict]:
         return {" ".join(argv): run(argv, folder) for argv in corpus()}
 
 
-def test_every_cli_output_is_pinned():
+@pytest.fixture(scope="module")
+def digests() -> dict[str, dict]:
+    return cli_digests()
+
+
+def test_every_cli_output_is_pinned(digests):
     with open(PINNED, encoding="utf-8") as fh:
         pinned = json.load(fh)
     keys = [" ".join(argv) for argv in corpus()]
     assert len(set(keys)) == len(keys)
     assert sorted(keys) == sorted(pinned)
-    got = cli_digests()
-    assert [k for k in keys if got[k] != pinned[k]] == []
+    assert [k for k in keys if digests[k] != pinned[k]] == []
+
+
+def test_every_run_returns_a_code_of_the_contract(digests):
+    assert {got.get("exit") for got in digests.values()} <= CONTRACT
+
+
+# a refused option is named under the usage of the parser that reads it:
+# the command's for a bad value or a missing one, the program's for an
+# unknown option
+@pytest.mark.parametrize("argv", _usage(), ids=" ".join)
+def test_argparse_answers_are_exit_codes(argv):
+    code, out, err = run_main(argv)
+    if "--help" in argv:
+        assert (code, err) == (0, "")
+        assert out.startswith(f"usage: stonetrim {argv[0]} [-h]")
+    else:
+        assert (code, out) == (2, "")
+        prog = "stonetrim" if "--bogus" in argv else f"stonetrim {argv[0]}"
+        assert err.startswith(f"usage: {prog} [-h]")
+        assert err.splitlines()[-1].startswith(f"{prog}: error: ")
 
 
 if __name__ == "__main__":

@@ -1,7 +1,5 @@
 """Symbolic closure algebras and the layer-peeling recursion."""
-import contextlib
 import hashlib
-import io
 import json
 import os
 import random
@@ -10,10 +8,10 @@ from itertools import combinations
 import pytest
 
 from conftest import (holds, ref_check_identities, ref_closure_of,
-                      ref_e_of_p, ref_rieger_nishimura_run)
+                      ref_e_of_p, ref_rieger_nishimura_run, run_main)
 from stonetrim import (ClosureElement, ClosureError, Poset, RNTrace,
                        SymbolicSpace, check_closure_axioms, check_identities,
-                       classify_algebra, cli, e_of_p, family,
+                       classify_algebra, e_of_p, family,
                        render_trace_dot, render_trace_text,
                        rieger_nishimura_run)
 
@@ -561,12 +559,10 @@ def closure_digest(tag: str, fmt: str) -> str:
     h = hashlib.sha256()
     for max_n in (10, 20, 30, 40):
         for horizon in (1, 3, 12):
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out):
-                code = cli.main(["closure", "--family", tag, "--format", fmt,
-                                 "--max-n", str(max_n),
-                                 "--horizon", str(horizon)])
-            h.update(f"{max_n} {horizon} {code}\n{out.getvalue()}".encode())
+            code, out, _ = run_main(["closure", "--family", tag, "--format",
+                                     fmt, "--max-n", str(max_n),
+                                     "--horizon", str(horizon)])
+            h.update(f"{max_n} {horizon} {code}\n{out}".encode())
     return h.hexdigest()
 
 

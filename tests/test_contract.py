@@ -4,21 +4,22 @@ The README promises that every command exits 0, 2, 3, 4 or 5 on any
 input.  The argv here are drawn from a fixed seed for all four commands:
 family tags and small poset files, well-formed and malformed; ids that
 are known, unknown and enumerated past ``--depth``; and option values in
-range, on the edges and out of range.  Each argv runs twice in-process,
+range, on the edges and out of range.  A few drawn argv are spoiled
+again, with an int option's value malformed or an unknown option added,
+and argparse refuses each with exit 2.  Each argv runs twice in-process,
 its poset files named bare and resolved in a temporary directory, and
 must exit inside the contract with no exception escaping ``cli.main``,
 print JSON that parses when its format is JSON, and print the same bytes
 on the rerun.
 """
-import contextlib
-import io
 import json
 import os
 import random
 
 import pytest
 
-from stonetrim import cli, family
+from conftest import run_main
+from stonetrim import family
 
 CONTRACT = {0, 2, 3, 4, 5}
 SEED = 8
@@ -28,6 +29,7 @@ TAGS = ["omega-chain", "omega-antichain", "rn-infinity", "rn-infinity-bot",
 BAD_TAGS = ["nope", "rn(2)", "rn(x,0)", ""]
 LADDERS = ["rn-infinity", "rn-infinity-bot", "rn(0,0)", "rn(3,0)",
            "rn(5,2)"]
+INT_OPTIONS = {"--horizon", "--depth", "--max-depth", "--max-n", "--seed"}
 
 # malformed poset files, each as the text written; missing.json is never
 # written
@@ -56,8 +58,9 @@ def random_file(rng: random.Random, k: int) -> tuple[str, dict]:
     return f"r{k}.json", {"name": f"r{k}", "elements": ids, "covers": covers}
 
 
-def generate() -> tuple[dict[str, str], list[list[str]]]:
-    """The poset files, as their texts, and the argv of every command."""
+def generate() -> tuple[dict[str, str], list[list[str]], list[list[str]]]:
+    """The poset files, as their texts, the argv of every command, and the
+    spoiled copies of a few of those argv."""
     rng = random.Random(SEED)
     files = dict(BAD_FILES)
     ids_of = {}
@@ -138,10 +141,20 @@ def generate() -> tuple[dict[str, str], list[list[str]]]:
                 "--horizon", value([5, 12], [1], [0, -1])]
         argv += maybe(0.5, "--format", rng.choice(["json", "text", "dot"]))
         out.append(argv)
-    return files, out
+
+    def spoil(argv: list[str]) -> list[str]:
+        """argv with an int option's value malformed, or with an unknown
+        option added."""
+        values = [i + 1 for i, a in enumerate(argv) if a in INT_OPTIONS]
+        if values and rng.random() < 0.5:
+            i = rng.choice(values)
+            return [*argv[:i], "x", *argv[i + 1:]]
+        return [*argv, "--bogus"]
+
+    return files, out, [spoil(argv) for argv in out if rng.random() < 0.05]
 
 
-FILES, ARGV = generate()
+FILES, ARGV, SPOILED = generate()
 
 # inputs that once broke the contract: past the level-size bound a
 # BuildError escaped build-verify with a traceback, where it now exits 5
@@ -159,18 +172,11 @@ def folder(tmp_path_factory):
     return str(path)
 
 
-def run(argv: list[str], folder: str) -> tuple[int, str, str]:
-    """Exit code, stdout and stderr of one in-process run; argparse's exit
-    is read off its SystemExit, and any other exception escapes."""
-    args = [os.path.join(folder, a) if a.endswith(".json") else a
-            for a in argv]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(args)
-        except SystemExit as e:
-            code = e.code
-    return code, out.getvalue(), err.getvalue()
+def run(argv: list[str], folder: str) -> tuple:
+    """Exit code, or the raised exception's type and message, stdout and
+    stderr of one in-process run."""
+    return run_main([os.path.join(folder, a) if a.endswith(".json") else a
+                     for a in argv])
 
 
 def assert_in_contract(argv: list[str], folder: str) -> None:
@@ -184,14 +190,21 @@ def assert_in_contract(argv: list[str], folder: str) -> None:
 
 
 def test_the_argv_are_drawn_alike_on_every_run():
-    assert generate() == (FILES, ARGV)
-    assert {a[0] for a in ARGV} == {"analyze", "build-verify", "iso",
-                                    "closure"}
+    assert generate() == (FILES, ARGV, SPOILED)
+    commands = {"analyze", "build-verify", "iso", "closure"}
+    assert {a[0] for a in ARGV} == {a[0] for a in SPOILED} == commands
 
 
 @pytest.mark.parametrize("argv", ARGV, ids=" ".join)
 def test_generated_argv_keeps_the_contract(argv, folder):
     assert_in_contract(argv, folder)
+
+
+@pytest.mark.parametrize("argv", SPOILED, ids=" ".join)
+def test_argparse_refuses_a_spoiled_argv(argv, folder):
+    code, out, err = run(argv, folder)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: stonetrim ") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", BREAKS, ids=" ".join)

@@ -1,13 +1,11 @@
 """The README's examples run as written."""
-import contextlib
-import io
 import os
 import re
 import shlex
 
 import pytest
 
-from stonetrim import cli
+from conftest import run_main
 
 README = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "README.md")
@@ -36,5 +34,5 @@ def test_python_block_runs(source):
 
 @pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
 def test_command_exits_zero(argv):
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(argv) == 0
+    code, _, err = run_main(argv)
+    assert code == 0, err

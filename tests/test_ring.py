@@ -1,7 +1,5 @@
 """Clopen-set ring: canonical form, set algebra, trim splits, axioms."""
-import contextlib
 import hashlib
-import io
 import json
 import os
 import random
@@ -13,12 +11,12 @@ from hypothesis import strategies as st
 
 from conftest import (chain_ab_poset, diamond_poset, listed_in,
                       random_poset, ref_persist_rows, ref_up_closure,
-                      ring_key, vee_poset)
+                      ring_key, run_main, vee_poset)
 from stonetrim import (BuildConfig, Poset, RingElement, RingError, TypeSet,
                        build_levels, family, is_trim_for,
                        split_by_scarce_atoms, supertrim_split, trim_split,
                        verify_structure, verify_type_axioms)
-from stonetrim import cli, ring, skeleton
+from stonetrim import ring, skeleton
 from stonetrim.poset import bits, runs
 from stonetrim.ring import _lower, _types_in
 from stonetrim.skeleton import SkeletonTree
@@ -1038,11 +1036,9 @@ def law_digests() -> dict[str, str]:
                 canonical_digest(report)
     for f in CLI_FAMILIES:
         for depth in ("4", "5"):
-            stdout = io.StringIO()
-            with contextlib.redirect_stdout(stdout):
-                code = cli.main(["build-verify", "--family", f,
-                                 "--depth", depth])
-            text = f"{code}\n{stdout.getvalue()}"
+            code, stdout, _ = run_main(["build-verify", "--family", f,
+                                        "--depth", depth])
+            text = f"{code}\n{stdout}"
             out[f"build-verify {f} {depth}"] = \
                 hashlib.sha256(text.encode("utf-8")).hexdigest()
     return out

@@ -11,7 +11,9 @@ each command imports the layer it runs when it runs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import io
 import json
 import os
 import sys
@@ -302,9 +304,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list] = None) -> int:
     """The exit code of one run, returned on every input: argparse's usage
     errors (2) and ``--help`` (0) and a refused stdout (5) end in a
-    SystemExit, caught here."""
+    SystemExit, caught here.  argparse prints ``--help`` into a buffer,
+    which goes out through ``_out``, so a stdout that refuses the help
+    exits 5 as it does for a report."""
+    shown = io.StringIO()
     try:
-        args = build_parser().parse_args(argv)
+        try:
+            with contextlib.redirect_stdout(shown):
+                args = build_parser().parse_args(argv)
+        finally:
+            if shown.getvalue():
+                _out(shown.getvalue().removesuffix("\n"))
         if args.horizon < 1:
             return _fail(3, "--horizon must be at least 1")
         return args.run(args)

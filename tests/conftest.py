@@ -1,8 +1,14 @@
 """Shared fixtures and brute-force oracles for the test suite."""
+import atexit
 import contextlib
 import io
+import json
 import os
+import pathlib
 import random
+import shutil
+import tempfile
+import warnings
 from collections import Counter
 
 import pytest
@@ -137,17 +143,106 @@ def children(tree, n: int, i: int) -> list[tuple[int, str]]:
     return [(j, tree.poset.id_at(types[j])) for j in range(start, end)]
 
 
+# ----------------------------------------------------------------------
+# The suite's poset files by name, written once into one folder: a doc is
+# written as JSON and a str as its text.
+
+def _formula(name: str, n: int, gaps: tuple[int, ...]) -> dict:
+    """A poset file on e1..en with a cover i < j whenever j - i is one of
+    gaps and i + j is not a multiple of 4."""
+    return {"name": name, "elements": [f"e{i}" for i in range(1, n + 1)],
+            "covers": [[f"e{i}", f"e{i + g}"] for i in range(1, n + 1)
+                       for g in gaps if i + g <= n and (2 * i + g) % 4]}
+
+
+def _poset(name: str, elements, covers) -> dict:
+    """A poset file; a string lists one-character ids, as elements or as
+    one cover pair."""
+    return {"name": name, "elements": list(elements),
+            "covers": [list(c) for c in covers]}
+
+
+POSET_FILES = {f"{doc['name']}.json": doc for doc in [
+    _poset("one", "a", []),
+    _poset("ab", "ab", ["ab"]),
+    _poset("xy", "xy", ["xy"]),
+    _poset("abc", "abc", ["ab", "bc"]),
+    _poset("vee", "abc", ["ab", "ac"]),
+    _poset("wedge", "abc", ["ba", "ca"]),
+    _poset("diamond", "abcd", ["ab", "ac", "bd", "cd"]),
+    _poset("crown", ["a1", "a2", "a3", "b1", "b2", "b3"],
+           [("a1", "b2"), ("a1", "b3"), ("a2", "b1"), ("a2", "b3"),
+            ("a3", "b1"), ("a3", "b2")]),
+    _poset("forest", "rstuvwx", ["rs", "rt", "su", "tu", "vw", "ux", "wx"]),
+    _poset("c3", ["p1", "p2", "p3"], [("p1", "p2"), ("p2", "p3")]),
+    _poset("veed", "abcd", ["ab", "ac", "bd"]),
+    _poset("veedc", "abcd", ["ab", "ac", "cd"]),
+    # isomorphic over the same names, but not by the identity
+    _poset("ac", "abc", ["ac"]),
+    _poset("bc", "abc", ["bc"]),
+    # dyadic's first four elements
+    _poset("dyadic-4", ["0", "1", "1/2", "3/4"],
+           [("0", "1/2"), ("1/2", "3/4"), ("3/4", "1")]),
+    _poset("v3", ["e0", "e1", "e2"], [("e0", "e1")]),
+    _formula("f8", 8, (1, 3)),
+    _formula("f12", 12, (2, 3)),
+    _formula("f30", 30, (1, 4, 7)),
+]}
+# the empty poset and malformed files
+POSET_FILES.update({
+    "empty.json": {"name": "e", "elements": [], "covers": []},
+    "cycle.json": {"name": "cyc", "elements": ["a", "b"],
+                   "covers": [["a", "b"], ["b", "a"]]},
+    "badcover.json": {"name": "x", "elements": ["a", "b"],
+                      "covers": [[["a"], "b"]]},
+    "badcover-dict.json": {"name": "x", "elements": ["a", "b"],
+                           "covers": [[{"k": 1}, "b"]]},
+    "covers-int.json": {"name": "x", "elements": ["a"], "covers": 5},
+    "covers-null.json": {"name": "x", "elements": ["a"], "covers": None},
+    "name-int.json": {"name": 5, "elements": ["a"], "covers": []},
+    "dup.json": {"name": "d", "elements": ["a", "a"], "covers": []},
+    "stranger.json": {"name": "s", "elements": ["a"],
+                      "covers": [["a", "z"]]},
+    "nokey.json": {"name": "k", "elements": ["a"]},
+    "list.json": [["a", "b"]],
+    "text.json": '{"name": ',
+})
+_FOLDER: list[str] = []
+
+
+def write_posets(docs: dict) -> str:
+    """Write the named poset files into the suite's one folder of them and
+    return the folder.  The first call makes the folder, which is removed
+    at exit, and writes ``POSET_FILES`` into it."""
+    if not _FOLDER:
+        _FOLDER.append(tempfile.mkdtemp(prefix="stonetrim-posets-"))
+        atexit.register(shutil.rmtree, _FOLDER[0], True)
+        docs = {**POSET_FILES, **docs}
+    for name, doc in docs.items():
+        text = doc if isinstance(doc, str) else json.dumps(doc)
+        pathlib.Path(_FOLDER[0], name).write_text(text, encoding="utf-8")
+    return _FOLDER[0]
+
+
 def run_main(argv: list[str], closed_stdout: bool = False):
     """Exit code of ``cli.main(argv)`` run in process, or the raised
-    exception's type and message, then its stdout and stderr.  With
-    closed_stdout the run sees ``sys.stdout`` set to None, as under a
-    closed fd 1.  argparse wraps usage and help to ``COLUMNS``, so the run
-    reads the width a stdout that is no terminal gets."""
+    exception's type and message, then its stdout and stderr.  Each bare
+    ``*.json`` word names a file of the poset folder (``write_posets``).
+    A warning is raised as an error: pytest would record it, where a
+    process prints it on stderr.  With closed_stdout the run sees ``sys.stdout`` set to None,
+    as under a closed fd 1.  argparse wraps usage and help to
+    ``COLUMNS``, so the run reads the width a stdout that is no terminal
+    gets."""
+    folder = write_posets({})
+    argv = [os.path.join(folder, a) if a.endswith(".json") else a
+            for a in argv]
     out, err = (None if closed_stdout else io.StringIO()), io.StringIO()
     columns = os.environ.get("COLUMNS")
     os.environ["COLUMNS"] = "80"
     try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
+              warnings.catch_warnings()):
+            warnings.simplefilter("error")
             code = cli.main(argv)
     except Exception as e:
         code = f"{type(e).__name__}: {e}"

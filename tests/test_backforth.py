@@ -4,8 +4,8 @@ from collections import Counter
 
 import pytest
 
-from conftest import (chain_ab_poset, diamond_poset, ref_match_split,
-                      ring_key, vee_poset)
+from conftest import (POSET_FILES, chain_ab_poset, diamond_poset,
+                      ref_match_split, ring_key, vee_poset)
 from stonetrim import (BuildConfig, IsoError, PartialIso, Poset,
                        RingElement, backforth, build_levels, family,
                        complete_over, init_iso, extend_iso,
@@ -602,10 +602,8 @@ class TestEqualRules:
                                      "rn(2,2)", "rn(4,2)", "crown", "wedge",
                                      "forest", "f12"])
     def test_the_search_never_refutes_equal_rules(self, tag):
-        from test_cli_digests import FILES
-
         def poset():
-            doc = FILES.get(f"{tag}.json")
+            doc = POSET_FILES.get(f"{tag}.json")
             return family(tag) if doc is None else Poset.from_json(doc)
         ids = poset().prefix(4)
         variants = [{label: {p}} for label in ("isolated", "unbounded",

@@ -1,4 +1,11 @@
-"""End-to-end CLI runs through a subprocess."""
+"""End-to-end CLI runs.
+
+Every test runs the CLI in process through ``conftest.run_main``, and
+names its poset files from the one table, ``conftest.POSET_FILES``.  A
+test launches a process only where it needs one: for a stdout that
+refuses the output, for an environment variable the interpreter reads at
+start-up, or for a hard time limit.
+"""
 import errno
 import json
 import os
@@ -9,7 +16,7 @@ import sys
 import pytest
 
 import stonetrim
-from conftest import run_main
+from conftest import POSET_FILES, run_main
 from stonetrim import FOUND, cli
 from stonetrim.skeleton import equal_rules
 from test_contract import ARGV
@@ -52,6 +59,8 @@ def unwritable() -> list[list[str]]:
 
 
 UNWRITABLE = unwritable()
+HELP = [[command, "--help"]
+        for command in ("analyze", "build-verify", "iso", "closure")]
 
 
 @pytest.fixture
@@ -59,6 +68,17 @@ def searched(monkeypatch):
     """``iso`` with the rules of every pair reported apart, so every pair
     is built and matched by ``run_backforth``."""
     monkeypatch.setattr(cli, "equal_rules", lambda *args: (1, "block", 1))
+
+
+def sides_of(left: str, right: str) -> list[str]:
+    """``iso`` sides: a name of the poset-file table as ``--left`` or
+    ``--right`` with its file, else a family tag."""
+    argv = []
+    for side, name in (("left", left), ("right", right)):
+        argv += ([f"--{side}", f"{name}.json"]
+                 if f"{name}.json" in POSET_FILES
+                 else [f"--{side}-family", name])
+    return argv
 
 
 def assert_refused_output(proc, reason: str) -> None:
@@ -70,9 +90,9 @@ def assert_refused_output(proc, reason: str) -> None:
 
 class TestAnalyze:
     def test_finite_family_report(self):
-        proc = run_cli("analyze", "--family", "rn(2,0)")
-        assert proc.returncode == 0
-        doc = json.loads(proc.stdout)
+        code, out, _ = run_main(["analyze", "--family", "rn(2,0)"])
+        assert code == 0
+        doc = json.loads(out)
         assert set(doc) == {"poset", "horizon", "minimal", "maximal",
                             "extremal_exact", "p_delta", "p_delta_exact",
                             "acc", "omega_complete", "completion"}
@@ -83,42 +103,39 @@ class TestAnalyze:
         assert doc["acc"]["status"] == "holds"
 
     def test_subset_foundations(self):
-        proc = run_cli("analyze", "--family", "dyadic", "--horizon", "9",
-                       "--subset", "1/2", "3/4")
-        assert proc.returncode == 0
-        doc = json.loads(proc.stdout)
+        code, out, _ = run_main(["analyze", "--family", "dyadic", "--horizon",
+                                 "9", "--subset", "1/2", "3/4"])
+        assert code == 0
+        doc = json.loads(out)
         assert doc["foundations"] == [{
             "subset": ["1/2", "3/4"], "status": FOUND, "foundation": ["0"],
             "note": "the bottom element founds every subset"}]
 
     def test_dyadic_top_outside_the_prefix(self):
         # the top "1" is enumerated second, so horizon 1 has not seen it
-        proc = run_cli("analyze", "--family", "dyadic", "--horizon", "1")
-        assert proc.returncode == 0, proc.stderr
-        doc = json.loads(proc.stdout)
+        code, out, err = run_main(["analyze", "--family", "dyadic",
+                                   "--horizon", "1"])
+        assert code == 0, err
+        doc = json.loads(out)
         assert doc["minimal"] == ["0"] and doc["maximal"] == []
-        proc = run_cli("analyze", "--family", "dyadic", "--horizon", "2")
-        assert json.loads(proc.stdout)["maximal"] == ["1"]
+        _, out, _ = run_main(["analyze", "--family", "dyadic", "--horizon",
+                              "2"])
+        assert json.loads(out)["maximal"] == ["1"]
 
-    def test_poset_file(self, tmp_path):
-        path = tmp_path / "diamond.json"
-        path.write_text(json.dumps({
-            "name": "diamond", "elements": ["a", "b", "c", "d"],
-            "covers": [["a", "b"], ["a", "c"], ["b", "d"], ["c", "d"]]}))
-        proc = run_cli("analyze", str(path))
-        assert proc.returncode == 0
-        doc = json.loads(proc.stdout)
+    def test_poset_file(self):
+        code, out, _ = run_main(["analyze", "diamond.json"])
+        assert code == 0
+        doc = json.loads(out)
         assert doc["poset"] == "diamond"
         assert doc["minimal"] == ["a"] and doc["maximal"] == ["d"]
 
-    def test_unreadable_input(self, tmp_path):
-        proc = run_cli("analyze", str(tmp_path / "missing.json"))
-        assert proc.returncode == 2
-        assert "cannot load poset" in proc.stderr
+    def test_unreadable_input(self):
+        code, _, err = run_main(["analyze", "missing.json"])
+        assert code == 2
+        assert "cannot load poset" in err
 
     def test_unknown_family(self):
-        proc = run_cli("analyze", "--family", "nope")
-        assert proc.returncode == 2
+        assert run_main(["analyze", "--family", "nope"])[0] == 2
 
     def test_long_chain_horizon_finishes(self):
         proc = run_cli("analyze", "--family", "omega-chain", "--horizon",
@@ -128,7 +145,6 @@ class TestAnalyze:
         assert doc["completion"] == {
             "elements": 23,
             "tokens": ["lim(" + ",".join(f"p{k}" for k in range(1, 23)) + ")"]}
-
 
     def test_chain_past_the_recursion_limit(self):
         proc = run_cli("analyze", "--family", "omega-chain", "--horizon",
@@ -148,41 +164,41 @@ class TestAnalyze:
 
 class TestBuildVerify:
     def test_report_shape(self):
-        proc = run_cli("build-verify", "--family", "rn(2,0)", "--depth", "5")
-        assert proc.returncode == 0
-        doc = json.loads(proc.stdout)
+        code, out, _ = run_main(["build-verify", "--family", "rn(2,0)",
+                                 "--depth", "5"])
+        assert code == 0
+        doc = json.loads(out)
         assert doc["level_sizes"] == [1, 3, 7, 15, 32]
         assert doc["structure"]["passed"] is True
         assert doc["axioms"]["passed"] is True
 
     def test_byte_identical_reruns(self):
-        a = run_cli("build-verify", "--family", "rn(2,2)", "--depth", "5")
-        b = run_cli("build-verify", "--family", "rn(2,2)", "--depth", "5")
-        assert a.returncode == b.returncode == 0
-        assert a.stdout == b.stdout
+        argv = ["build-verify", "--family", "rn(2,2)", "--depth", "5"]
+        a, b = run_main(argv), run_main(argv)
+        assert a[0] == b[0] == 0
+        assert a[1] == b[1]
 
     def test_dot_format(self):
-        proc = run_cli("build-verify", "--family", "rn(2,0)", "--depth", "3",
-                       "--format", "dot")
-        assert proc.returncode == 0
-        assert proc.stdout.startswith("digraph skeleton {")
+        code, out, _ = run_main(["build-verify", "--family", "rn(2,0)",
+                                 "--depth", "3", "--format", "dot"])
+        assert code == 0
+        assert out.startswith("digraph skeleton {")
 
     def test_config_rejection(self):
-        proc = run_cli("build-verify", "--family", "rn-infinity",
-                       "--pb", "p0", "--depth", "4")
-        assert proc.returncode == 3
-        assert "bounded-not-lower" in proc.stderr
-        assert "bounded-outside-delta" in proc.stderr
-
+        code, _, err = run_main(["build-verify", "--family", "rn-infinity",
+                                 "--pb", "p0", "--depth", "4"])
+        assert code == 3
+        assert "bounded-not-lower" in err
+        assert "bounded-outside-delta" in err
 
     @pytest.mark.parametrize("family,q", [("rn-infinity", "p0"),
                                           ("ziegler-fan", "q")])
     def test_failed_structure_exits_four(self, family, q):
         # neither q has a finite foundation, so the covering check fails
-        proc = run_cli("build-verify", "--family", family, "--depth", "4",
-                       "--q", q)
-        assert proc.returncode == 4, proc.stderr
-        doc = json.loads(proc.stdout)
+        code, out, err = run_main(["build-verify", "--family", family,
+                                   "--depth", "4", "--q", q])
+        assert code == 4, err
+        doc = json.loads(out)
         assert doc["structure"]["passed"] is False
         assert doc["axioms"]["passed"] is True
         assert [c["name"] for c in doc["structure"]["checks"]
@@ -194,9 +210,10 @@ class TestBuildVerify:
                                               ("dyadic", "9"),
                                               ("rn-infinity", "13")])
     def test_depth_next_to_the_level_bound(self, family, depth):
-        proc = run_cli("build-verify", "--family", family, "--depth", depth)
-        assert proc.returncode == 0, proc.stderr
-        doc = json.loads(proc.stdout)
+        code, out, err = run_main(["build-verify", "--family", family,
+                                   "--depth", depth])
+        assert code == 0, err
+        doc = json.loads(out)
         assert len(doc["level_sizes"]) == int(depth)
         assert doc["structure"]["passed"] is True
         assert doc["axioms"]["passed"] is True
@@ -216,29 +233,32 @@ class TestBuildVerify:
     def test_foundation_past_the_depth_passes_vacuously(self):
         # omega-antichain's a6 is founded at level 6, past depth 3, so no
         # level of the tree can show a covered type escaping
-        proc = run_cli("build-verify", "--family", "omega-antichain",
-                       "--depth", "3", "--q", "a6")
-        assert proc.returncode == 0, proc.stderr
-        checks = json.loads(proc.stdout)["structure"]["checks"]
+        code, out, err = run_main(["build-verify", "--family",
+                                   "omega-antichain", "--depth", "3", "--q",
+                                   "a6"])
+        assert code == 0, err
+        checks = json.loads(out)["structure"]["checks"]
         assert {"name": "covered-types-descend", "passed": True,
                 "detail": ""} in checks
 
-    def test_failed_laws_exit_four(self, monkeypatch, capsys):
+    def test_failed_laws_exit_four(self, monkeypatch):
         from stonetrim import ring
         monkeypatch.setattr(ring, "verify_type_axioms",
                             lambda *args, **kwargs: {"passed": False})
-        assert cli.main(["build-verify", "--family", "rn(2,0)",
-                         "--depth", "3"]) == 4
-        doc = json.loads(capsys.readouterr().out)
+        code, out, _ = run_main(["build-verify", "--family", "rn(2,0)",
+                                 "--depth", "3"])
+        assert code == 4
+        doc = json.loads(out)
         assert doc["structure"]["passed"] is True
         assert doc["axioms"] == {"passed": False}
 
 
 class TestIso:
-    def test_identical_sides(self, capsys, searched):
-        assert cli.main(["iso", "--left-family", "rn(2,0)",
-                         "--right-family", "rn(2,0)", "--depth", "6"]) == 0
-        doc = json.loads(capsys.readouterr().out)
+    def test_identical_sides(self, searched):
+        code, out, _ = run_main(["iso", "--left-family", "rn(2,0)",
+                                 "--right-family", "rn(2,0)", "--depth", "6"])
+        assert code == 0
+        doc = json.loads(out)
         assert doc["status"] == "iso"
         assert doc["coverage"] is True
         assert doc["invariant_failures"] == []
@@ -261,26 +281,24 @@ class TestIso:
             "note": f"equal-rules: the identity on atoms matches the builds "
                     f"to depth {depth}"}
 
-    def test_equal_rules_build_no_tree_and_read_no_seed(self, capsys,
-                                                        monkeypatch):
+    def test_equal_rules_build_no_tree_and_read_no_seed(self, monkeypatch):
         def refused(*args, **kwargs):
             raise AssertionError("an equal-rules pair built a tree")
         monkeypatch.setattr(cli.SkeletonTree, "__init__", refused)
-        outs = []
-        for seed in ("0", "1", "7"):
-            assert cli.main(["iso", "--left-family", "omega-chain",
-                             "--right-family", "omega-chain", "--depth",
-                             "30", "--seed", seed]) == 0
-            outs.append(capsys.readouterr())
-        assert outs == [outs[0]] * 3 and outs[0].err == ""
-        assert json.loads(outs[0].out)["depth_used"] == 30
+        runs = [run_main(["iso", "--left-family", "omega-chain",
+                          "--right-family", "omega-chain", "--depth", "30",
+                          "--seed", seed]) for seed in ("0", "1", "7")]
+        assert runs == [runs[0]] * 3
+        code, out, err = runs[0]
+        assert (code, err) == (0, "")
+        assert json.loads(out)["depth_used"] == 30
 
     def test_mismatch_exit_code(self):
-        proc = run_cli("iso", "--left-family", "rn(2,0)",
-                       "--right-family", "rn(2,0)",
-                       "--left-isolated", "p1", "--depth", "6")
-        assert proc.returncode == 4
-        doc = json.loads(proc.stdout)
+        code, out, _ = run_main(["iso", "--left-family", "rn(2,0)",
+                                 "--right-family", "rn(2,0)",
+                                 "--left-isolated", "p1", "--depth", "6"])
+        assert code == 4
+        doc = json.loads(out)
         assert doc["status"] == "mismatch"
         assert doc["witness"]["type"] == "p1"
 
@@ -295,19 +313,13 @@ class TestIso:
         ("rn(2,0)", "p0", 3, 2),
         ("rn(2,0)", "p0", 4, 0),
     ])
-    def test_an_isolation_difference_exits_four(self, tmp_path, family,
-                                                isolated, depth, seed):
-        if family is None:
-            path = tmp_path / "one.json"
-            path.write_text(json.dumps({"name": "one", "elements": ["a"],
-                                        "covers": []}))
-            sides = ["--left", str(path), "--right", str(path)]
-        else:
-            sides = ["--left-family", family, "--right-family", family]
-        proc = run_cli("iso", *sides, "--left-isolated", isolated,
-                       "--depth", str(depth), "--seed", str(seed))
-        assert proc.returncode == 4, proc.stderr
-        doc = json.loads(proc.stdout)
+    def test_an_isolation_difference_exits_four(self, family, isolated, depth,
+                                                seed):
+        sides = sides_of(family or "one", family or "one")
+        code, out, err = run_main(["iso", *sides, "--left-isolated", isolated,
+                                   "--depth", str(depth), "--seed", str(seed)])
+        assert code == 4, err
+        doc = json.loads(out)
         assert doc["status"] == "mismatch"
         witness = doc["witness"]
         assert (witness["side"], witness["type"], witness["available"]) \
@@ -325,36 +337,10 @@ class TestIso:
         "sides isolate the same types"))
     @pytest.mark.parametrize("isolated", ["p6", "p5"])
     def test_one_sided_isolation_exits_four(self, isolated):
-        proc = run_cli("iso", "--left-family", "omega-chain",
-                       "--right-family", "omega-chain",
-                       "--left-isolated", isolated, "--depth", "5")
-        assert proc.returncode == 4, proc.stdout
-
-    # poset files that agree on the span a shallow schedule checks and
-    # differ past it
-    PAST_SPAN = {
-        "ab": (["a", "b"], [["a", "b"]]),
-        "abc": (["a", "b", "c"], [["a", "b"], ["b", "c"]]),
-        "xy": (["x", "y"], [["x", "y"]]),
-        "c3": (["p1", "p2", "p3"], [["p1", "p2"], ["p2", "p3"]]),
-        "vee": (["a", "b", "c"], [["a", "b"], ["a", "c"]]),
-        "veed": (["a", "b", "c", "d"], [["a", "b"], ["a", "c"], ["b", "d"]]),
-        "veedc": (["a", "b", "c", "d"], [["a", "b"], ["a", "c"],
-                                         ["c", "d"]]),
-    }
-
-    def past_span_sides(self, tmp_path, left, right):
-        argv = []
-        for side, name in (("left", left), ("right", right)):
-            if name not in self.PAST_SPAN:
-                argv += [f"--{side}-family", name]
-                continue
-            path = tmp_path / f"{name}.json"
-            elements, covers = self.PAST_SPAN[name]
-            path.write_text(json.dumps({"name": name, "elements": elements,
-                                        "covers": covers}))
-            argv += [f"--{side}", str(path)]
-        return argv
+        code, out, _ = run_main(["iso", "--left-family", "omega-chain",
+                                 "--right-family", "omega-chain",
+                                 "--left-isolated", isolated, "--depth", "5"])
+        assert code == 4, out
 
     # a finite side shorter than the other never certifies: the shallow
     # depths certified before the posets were compared past the span, the
@@ -364,15 +350,15 @@ class TestIso:
         ("omega-chain", "c3", (3, 4, 5, 6), "right", "p4"),
         ("vee", "veed", (3, 4, 5, 6), "left", "d"),
     ])
-    def test_a_difference_past_the_span_exits_four(self, tmp_path, capsys,
-                                                   left, right, depths, side,
-                                                   missing):
-        sides = self.past_span_sides(tmp_path, left, right)
+    def test_a_difference_past_the_span_exits_four(self, left, right, depths,
+                                                   side, missing):
         for depth in depths:
             for seed in (0, 1, 2):
-                assert cli.main(["iso", *sides, "--depth", str(depth),
-                                 "--seed", str(seed)]) == 4, (depth, seed)
-                doc = json.loads(capsys.readouterr().out)
+                code, out, _ = run_main(["iso", *sides_of(left, right),
+                                         "--depth", str(depth), "--seed",
+                                         str(seed)])
+                assert code == 4, (depth, seed)
+                doc = json.loads(out)
                 assert doc["status"] == "mismatch"
                 assert doc["witness"] == {
                     "side": side, "type": missing, "needed": 1,
@@ -380,16 +366,15 @@ class TestIso:
                     "reason": "type has no counterpart in the other "
                               "alphabet"}
 
-    def test_an_order_difference_past_the_span_exits_three(self, tmp_path,
-                                                           capsys):
+    def test_an_order_difference_past_the_span_exits_three(self):
         # finite sides of one size are checked whole; at depth 4 the span
         # already holds d
-        sides = self.past_span_sides(tmp_path, "veed", "veedc")
         for depth in (3, 4):
             for seed in (0, 1, 2):
-                assert cli.main(["iso", *sides, "--depth", str(depth),
-                                 "--seed", str(seed)]) == 3
-                out, err = capsys.readouterr()
+                code, out, err = run_main(["iso", *sides_of("veed", "veedc"),
+                                           "--depth", str(depth), "--seed",
+                                           str(seed)])
+                assert code == 3
                 assert out == ""
                 assert err.splitlines() == [
                     "the bijection breaks order at ('b', 'd')"]
@@ -409,231 +394,178 @@ class TestIso:
     ], ids=["empty-region", "unfounded-region", "region-not-lower",
             "order-past-the-span", "size-past-the-span", "other-ids",
             "unknown-q-member", "config-error"])
-    def test_refusals_match_the_search(self, tmp_path, capsys, monkeypatch,
-                                       left, right, extra, code, equal):
-        argv = ["iso", *self.past_span_sides(tmp_path, left, right),
-                "--depth", "3", *extra]
+    def test_refusals_match_the_search(self, monkeypatch, left, right, extra,
+                                       code, equal):
+        argv = ["iso", *sides_of(left, right), "--depth", "3", *extra]
         asked = []
 
         def asking(*args):
             asked.append(equal_rules(*args))
             return asked[-1]
         monkeypatch.setattr(cli, "equal_rules", asking)
-        assert cli.main(argv) == code
-        first = capsys.readouterr()
+        first = run_main(argv)
+        assert first[0] == code
         if equal is None:
             assert asked == []
         else:
             assert len(asked) == 1 and (asked[0] is None) == equal
         monkeypatch.setattr(cli, "equal_rules", lambda *args: (1, "block", 1))
-        assert cli.main(argv) == code
-        assert capsys.readouterr() == first
-        assert first.err or json.loads(first.out)["status"] == "mismatch"
+        assert run_main(argv) == first
+        assert first[2] or json.loads(first[1])["status"] == "mismatch"
 
-    def test_depth_exhaustion_exit_code(self, tmp_path):
+    def test_depth_exhaustion_exit_code(self):
         # b is noncompact on the left and unbounded on the right, so the
         # rules differ and the pair is matched
-        path = tmp_path / "vee.json"
-        path.write_text(json.dumps({"name": "vee",
-                                    "elements": ["a", "b", "c"],
-                                    "covers": [["a", "b"], ["a", "c"]]}))
-        proc = run_cli("iso", "--left", str(path), "--right", str(path),
-                       "--left-pinf", "b", "--right-pu", "b",
-                       "--depth", "6", "--max-depth", "6")
-        assert proc.returncode == 5
-        doc = json.loads(proc.stdout)
+        code, out, _ = run_main(["iso", "--left", "vee.json", "--right",
+                                 "vee.json", "--left-pinf", "b", "--right-pu",
+                                 "b", "--depth", "6", "--max-depth", "6"])
+        assert code == 5
+        doc = json.loads(out)
         assert doc["status"] == "depth-exhausted"
         assert doc["note"] == "right side needs level 7"
 
     def test_setup_rejection(self):
-        proc = run_cli("iso", "--left-family", "rn-infinity",
-                       "--right-family", "rn-infinity", "--depth", "6")
-        assert proc.returncode == 3
-        assert "compared region is empty" in proc.stderr
+        code, _, err = run_main(["iso", "--left-family", "rn-infinity",
+                                 "--right-family", "rn-infinity", "--depth",
+                                 "6"])
+        assert code == 3
+        assert "compared region is empty" in err
 
     def test_region_without_a_confirmed_foundation(self):
         # the ladder's rungs have no finite foundation, so a region of
         # rungs is refused before any pairing
-        proc = run_cli("iso", "--left-family", "rn-infinity",
-                       "--right-family", "rn-infinity", "--depth", "5",
-                       "--q", "p2", "p3", "p4")
-        assert proc.returncode == 3
-        assert proc.stdout == ""
-        assert proc.stderr.splitlines() == [
-            "left region has no confirmed finite foundation"]
+        assert run_main(["iso", "--left-family", "rn-infinity",
+                         "--right-family", "rn-infinity", "--depth", "5",
+                         "--q", "p2", "p3", "p4"]) == (
+            3, "", "left region has no confirmed finite foundation\n")
 
-    def test_region_without_a_foundation_in_process(self, capsys):
-        # the same refusal, from init_iso in this process, on the ladder's
-        # first four elements
-        assert cli.main(["iso", "--left-family", "rn-infinity",
+    def test_region_without_a_foundation_in_process(self):
+        # the same refusal, from init_iso, on the ladder's first four
+        # elements
+        assert run_main(["iso", "--left-family", "rn-infinity",
                          "--right-family", "rn-infinity", "--depth", "4",
-                         "--q", "p0", "p1", "p2", "p3"]) == 3
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err.splitlines() == [
-            "left region has no confirmed finite foundation"]
+                         "--q", "p0", "p1", "p2", "p3"]) == (
+            3, "", "left region has no confirmed finite foundation\n")
 
     def test_missing_side(self):
-        proc = run_cli("iso", "--right-family", "rn(2,0)")
-        assert proc.returncode == 2
-        assert "no left poset given" in proc.stderr
+        code, _, err = run_main(["iso", "--right-family", "rn(2,0)"])
+        assert code == 2
+        assert "no left poset given" in err
 
     def test_unknown_q_member(self):
-        proc = run_cli("iso", "--left-family", "dyadic",
-                       "--right-family", "dyadic", "--depth", "4",
-                       "--q", "zz")
-        assert proc.returncode == 2
-        assert proc.stdout == ""
-        assert proc.stderr.splitlines() == [
-            "bad --q: unknown element id 'zz'"]
+        assert run_main(["iso", "--left-family", "dyadic", "--right-family",
+                         "dyadic", "--depth", "4", "--q", "zz"]) == (
+            2, "", "bad --q: unknown element id 'zz'\n")
 
-    def test_q_member_without_counterpart(self, tmp_path):
+    def test_q_member_without_counterpart(self):
         # the left build enumerates dyadic up to 7/8; the right side has
         # only the first four elements
-        right = tmp_path / "right.json"
-        right.write_text(json.dumps({
-            "name": "dyadic-4", "elements": ["0", "1", "1/2", "3/4"],
-            "covers": [["0", "1/2"], ["1/2", "3/4"], ["3/4", "1"]]}))
-        proc = run_cli("iso", "--left-family", "dyadic",
-                       "--right", str(right), "--depth", "4", "--q", "7/8")
-        assert proc.returncode == 3
-        assert proc.stdout == ""
-        assert proc.stderr.splitlines() == [
-            "region elements ['7/8'] have no counterpart under the "
-            "bijection"]
+        assert run_main(["iso", "--left-family", "dyadic", "--right",
+                         "dyadic-4.json", "--depth", "4", "--q", "7/8"]) == (
+            3, "", "region elements ['7/8'] have no counterpart under the "
+                   "bijection\n")
 
-    def test_identity_bijection_is_checked_for_order(self, tmp_path):
+    def test_identity_bijection_is_checked_for_order(self):
         # isomorphic posets over the same names, but not by the identity
-        paths = []
-        for top in ("a", "b"):
-            path = tmp_path / f"{top}c.json"
-            path.write_text(json.dumps({
-                "name": f"{top}c", "elements": ["a", "b", "c"],
-                "covers": [[top, "c"]]}))
-            paths.append(str(path))
-        proc = run_cli("iso", "--left", paths[0], "--right", paths[1],
-                       "--depth", "6")
-        assert proc.returncode == 3
-        assert proc.stdout == ""
-        assert proc.stderr.splitlines() == [
-            "the bijection breaks order at ('a', 'c')"]
+        assert run_main(["iso", "--left", "ac.json", "--right", "bc.json",
+                         "--depth", "6"]) == (
+            3, "", "the bijection breaks order at ('a', 'c')\n")
 
-    def test_different_ids_need_a_bijection(self, tmp_path):
-        paths = []
-        for name in ("ab", "xy"):
-            path = tmp_path / f"{name}.json"
-            path.write_text(json.dumps({"name": name, "elements": list(name),
-                                        "covers": [list(name)]}))
-            paths.append(str(path))
-        proc = run_cli("iso", "--left", paths[0], "--right", paths[1],
-                       "--depth", "3")
-        assert proc.returncode == 3
-        assert proc.stdout == ""
-        assert proc.stderr.splitlines() == [
-            "sides name different elements; supply a bijection"]
+    def test_different_ids_need_a_bijection(self):
+        assert run_main(["iso", "--left", "ab.json", "--right", "xy.json",
+                         "--depth", "3"]) == (
+            3, "", "sides name different elements; supply a bijection\n")
 
     def test_byte_identical_reruns(self):
-        argv = ("iso", "--left-family", "rn(2,2)",
-                "--right-family", "rn(2,2)", "--depth", "6", "--seed", "5")
-        assert run_cli(*argv).stdout == run_cli(*argv).stdout
+        argv = ["iso", "--left-family", "rn(2,2)",
+                "--right-family", "rn(2,2)", "--depth", "6", "--seed", "5"]
+        assert run_main(argv)[1] == run_main(argv)[1]
 
 
 class TestExitContract:
     def test_analyze_without_poset(self):
-        proc = run_cli("analyze")
-        assert proc.returncode == 2
-        assert "no poset given" in proc.stderr
+        code, _, err = run_main(["analyze"])
+        assert code == 2
+        assert "no poset given" in err
 
     @pytest.mark.parametrize("depth", ["1", "0"])
     def test_build_verify_depth_below_two(self, depth):
-        proc = run_cli("build-verify", "--family", "rn(2,0)",
-                       "--depth", depth)
-        assert proc.returncode == 3
-        assert "--depth must be at least 2" in proc.stderr
+        code, _, err = run_main(["build-verify", "--family", "rn(2,0)",
+                                 "--depth", depth])
+        assert code == 3
+        assert "--depth must be at least 2" in err
 
     def test_iso_depth_zero(self):
-        proc = run_cli("iso", "--left-family", "rn(2,0)",
-                       "--right-family", "rn(2,0)", "--depth", "0")
-        assert proc.returncode == 3
+        assert run_main(["iso", "--left-family", "rn(2,0)", "--right-family",
+                         "rn(2,0)", "--depth", "0"])[0] == 3
 
     def test_horizon_below_one(self):
-        proc = run_cli("analyze", "--family", "dyadic", "--horizon", "0")
-        assert proc.returncode == 3
-        assert "--horizon must be at least 1" in proc.stderr
+        code, _, err = run_main(["analyze", "--family", "dyadic",
+                                 "--horizon", "0"])
+        assert code == 3
+        assert "--horizon must be at least 1" in err
 
     def test_iso_level_size_budget(self):
         # p8 isolated on the right only, so the rules differ and both
         # sides are built
-        proc = run_cli("iso", "--left-family", "omega-chain",
-                       "--right-family", "omega-chain", "--right-isolated",
-                       "p8", "--depth", "9")
-        assert proc.returncode == 5
-        assert proc.stdout == ""
-        assert proc.stderr.splitlines() == [
-            "left: level 9 would hold 103049 nodes, over the bound 65536"]
+        assert run_main(["iso", "--left-family", "omega-chain",
+                         "--right-family", "omega-chain", "--right-isolated",
+                         "p8", "--depth", "9"]) == (
+            5, "", "left: level 9 would hold 103049 nodes, over the bound "
+                   "65536\n")
 
-    def test_iso_level_size_budget_in_process(self, capsys):
+    def test_iso_level_size_budget_in_process(self):
         # p1 isolated on the left only: both sides are built, and the
         # right one stops at level 9; main returns, so nothing raised
-        code = cli.main(["iso", "--left-family", "omega-chain",
+        assert run_main(["iso", "--left-family", "omega-chain",
                          "--right-family", "omega-chain", "--left-isolated",
-                         "p1", "--depth", "9"])
-        out, err = capsys.readouterr()
-        assert code == 5
-        assert out == ""
-        assert err.splitlines() == [
-            "right: level 9 would hold 103049 nodes, over the bound 65536"]
+                         "p1", "--depth", "9"]) == (
+            5, "", "right: level 9 would hold 103049 nodes, over the bound "
+                   "65536\n")
 
     def test_analyze_unknown_subset_member(self):
-        proc = run_cli("analyze", "--family", "rn(2,0)", "--subset", "zz")
-        assert proc.returncode == 2
-        assert proc.stdout == ""
-        assert proc.stderr.splitlines() == [
-            "bad --subset: unknown element id 'zz'"]
+        assert run_main(["analyze", "--family", "rn(2,0)", "--subset",
+                         "zz"]) == (
+            2, "", "bad --subset: unknown element id 'zz'\n")
 
     # p20 is an element of omega-chain, past the enumerated prefix
     @pytest.mark.xfail(strict=True, reason=(
         "ROADMAP item 24: an id past the enumerated prefix reads as an "
         "unknown element id"))
-    def test_analyze_subset_member_past_the_prefix(self, capsys):
-        code = cli.main(["analyze", "--family", "omega-chain", "--subset",
-                         "p20"])
-        assert code != 2, capsys.readouterr().err
+    def test_analyze_subset_member_past_the_prefix(self):
+        code, _, err = run_main(["analyze", "--family", "omega-chain",
+                                 "--subset", "p20"])
+        assert code != 2, err
 
     def test_build_verify_unknown_q_member(self):
-        proc = run_cli("build-verify", "--family", "rn(2,0)", "--depth", "3",
-                       "--q", "zz")
-        assert proc.returncode == 2
-        assert proc.stdout == ""
-        assert proc.stderr.splitlines() == [
-            "bad --q: unknown element id 'zz'"]
+        assert run_main(["build-verify", "--family", "rn(2,0)", "--depth",
+                         "3", "--q", "zz"]) == (
+            2, "", "bad --q: unknown element id 'zz'\n")
 
     # both resolve --q through Poset.mask_of, which names the least
     # unknown id
     @pytest.mark.parametrize("argv", [
         ["iso", "--left-family", "rn(2,0)", "--right-family", "rn(2,0)"],
         ["build-verify", "--family", "rn(2,0)"]])
-    def test_the_least_unknown_q_member_is_named(self, capsys, argv):
-        assert cli.main([*argv, "--depth", "3", "--q", "zz", "yy"]) == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err.splitlines() == ["bad --q: unknown element id 'yy'"]
+    def test_the_least_unknown_q_member_is_named(self, argv):
+        assert run_main([*argv, "--depth", "3", "--q", "zz", "yy"]) == (
+            2, "", "bad --q: unknown element id 'yy'\n")
 
-    def test_dot_output_reads_no_q(self, capsys):
-        assert cli.main(["build-verify", "--family", "rn(2,0)", "--depth",
-                         "3", "--format", "dot", "--q", "zz"]) == 0
-        out, err = capsys.readouterr()
+    def test_dot_output_reads_no_q(self):
+        code, out, err = run_main(["build-verify", "--family", "rn(2,0)",
+                                   "--depth", "3", "--format", "dot", "--q",
+                                   "zz"])
+        assert code == 0
         assert out.startswith("digraph skeleton {") and err == ""
 
-    def test_a_repeated_q_member_is_one_element(self, capsys, searched):
+    def test_a_repeated_q_member_is_one_element(self, searched):
         argv = ["iso", "--left-family", "rn(2,0)", "--right-family",
                 "rn(2,0)", "--depth", "4", "--q", "p2"]
-        runs = []
-        for extra in ([], ["p2"]):
-            assert cli.main([*argv, *extra]) == 5
-            runs.append(capsys.readouterr())
+        runs = [run_main([*argv, *extra]) for extra in ([], ["p2"])]
         assert runs[0] == runs[1]
-        assert runs[0].err == "" and '"pairs": 5' in runs[0].out
+        code, out, err = runs[0]
+        assert code == 5
+        assert err == "" and '"pairs": 5' in out
 
     @pytest.mark.parametrize("argv,code,named", [
         (("analyze", "--family", "rn(2,0)", "--subset", "zz", "yy", "xx"),
@@ -652,71 +584,58 @@ class TestExitContract:
 
     @pytest.mark.parametrize("max_depth", ["0", "-1", "4"])
     def test_iso_max_depth_below_depth(self, max_depth):
-        proc = run_cli("iso", "--left-family", "rn(2,0)",
-                       "--right-family", "rn(2,0)", "--depth", "5",
-                       "--max-depth", max_depth)
-        assert proc.returncode == 3
-        assert proc.stdout == ""
-        assert proc.stderr.splitlines() == [
-            "--max-depth must be at least --depth"]
+        assert run_main(["iso", "--left-family", "rn(2,0)", "--right-family",
+                         "rn(2,0)", "--depth", "5", "--max-depth",
+                         max_depth]) == (
+            3, "", "--max-depth must be at least --depth\n")
 
     def test_closure_negative_max_n(self):
-        proc = run_cli("closure", "--family", "rn(2,0)", "--max-n", "-1")
-        assert proc.returncode == 3
-        assert proc.stdout == ""
-        assert proc.stderr.splitlines() == ["--max-n must be at least 0"]
+        assert run_main(["closure", "--family", "rn(2,0)", "--max-n",
+                         "-1"]) == (3, "", "--max-n must be at least 0\n")
 
-    @pytest.mark.parametrize("doc", [
-        {"name": "x", "elements": ["a"], "covers": 5},
-        {"name": "x", "elements": ["a"], "covers": None},
-        {"name": 5, "elements": ["a"], "covers": []}])
+    @pytest.mark.parametrize("doc", ["covers-int.json", "covers-null.json",
+                                     "name-int.json"],
+                             ids=["doc0", "doc1", "doc2"])
     @pytest.mark.parametrize("command", ["analyze", "build-verify", "iso"])
-    def test_malformed_poset_file(self, tmp_path, command, doc):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(doc))
-        argv = ([command, "--left", str(path), "--right-family", "rn(2,0)"]
-                if command == "iso" else [command, str(path)])
-        proc = run_cli(*argv)
-        assert proc.returncode == 2
-        assert proc.stdout == ""
-        assert "Traceback" not in proc.stderr
-        assert "must be a" in proc.stderr
+    def test_malformed_poset_file(self, command, doc):
+        argv = ([command, "--left", doc, "--right-family", "rn(2,0)"]
+                if command == "iso" else [command, doc])
+        code, out, err = run_main(argv)
+        assert (code, out) == (2, "")
+        assert "Traceback" not in err
+        assert "must be a" in err
 
-    @pytest.mark.parametrize("entry", [[["a"], "b"], [{"k": 1}, "b"]])
+    @pytest.mark.parametrize("entry", ["badcover.json", "badcover-dict.json"],
+                             ids=["entry0", "entry1"])
     @pytest.mark.parametrize("command", ["analyze", "build-verify", "iso"])
-    def test_cover_endpoint_not_a_string(self, tmp_path, command, entry):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"name": "x", "elements": ["a", "b"],
-                                    "covers": [entry]}))
-        argv = ([command, "--left", str(path), "--right-family", "rn(2,0)"]
-                if command == "iso" else [command, str(path)])
-        proc = run_cli(*argv)
-        assert proc.returncode == 2
-        assert proc.stdout == ""
-        assert "Traceback" not in proc.stderr
-        assert "bad cover entry" in proc.stderr
+    def test_cover_endpoint_not_a_string(self, command, entry):
+        argv = ([command, "--left", entry, "--right-family", "rn(2,0)"]
+                if command == "iso" else [command, entry])
+        code, out, err = run_main(argv)
+        assert (code, out) == (2, "")
+        assert "Traceback" not in err
+        assert "bad cover entry" in err
 
     @pytest.mark.parametrize("argv, code, message", [
-        (["build-verify", "{empty}"], 3, "empty-poset: "),
-        (["iso", "--left", "{empty}", "--right-family", "rn(2,0)"], 3,
+        (["build-verify", "empty.json"], 3, "empty-poset: "),
+        (["iso", "--left", "empty.json", "--right-family", "rn(2,0)"], 3,
          "left: empty-poset: "),
-        (["iso", "--left-family", "rn(2,0)", "--right", "{empty}"], 3,
+        (["iso", "--left-family", "rn(2,0)", "--right", "empty.json"], 3,
          "right: empty-poset: "),
-        (["analyze", "{empty}"], 0, "")])
-    def test_empty_poset(self, tmp_path, argv, code, message):
-        path = tmp_path / "empty.json"
-        path.write_text(json.dumps({"name": "e", "elements": [],
-                                    "covers": []}))
-        proc = run_cli(*(a.format(empty=path) for a in argv))
-        assert proc.returncode == code
-        assert "Traceback" not in proc.stderr
-        assert proc.stderr.startswith(message)
+        (["analyze", "empty.json"], 0, "")])
+    def test_empty_poset(self, argv, code, message):
+        got, out, err = run_main(argv)
+        assert got == code
+        assert "Traceback" not in err
+        assert err.startswith(message)
         if code:
-            assert proc.stdout == ""
+            assert out == ""
         else:
-            assert json.loads(proc.stdout)["minimal"] == []
+            assert json.loads(out)["minimal"] == []
 
-    @pytest.mark.parametrize("argv", UNWRITABLE, ids=" ".join)
+    # a process for each refused stdout: a closed pipe, a full device and
+    # a closed fd 1
+    @pytest.mark.parametrize("argv", UNWRITABLE + HELP, ids=" ".join)
     def test_closed_pipe_exits_five(self, argv):
         # the read end is closed before the child starts, so its first
         # write fails whatever the size of the output
@@ -731,7 +650,7 @@ class TestExitContract:
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"),
                         reason="no /dev/full on this platform")
-    @pytest.mark.parametrize("argv", UNWRITABLE, ids=" ".join)
+    @pytest.mark.parametrize("argv", UNWRITABLE + HELP, ids=" ".join)
     def test_full_device_exits_five(self, argv):
         with open("/dev/full", "w") as full:
             proc = run_cli(*argv, stdout=full)
@@ -740,7 +659,7 @@ class TestExitContract:
 
     @pytest.mark.skipif(shutil.which("sh") is None,
                         reason="no POSIX shell to close fd 1")
-    @pytest.mark.parametrize("argv", UNWRITABLE, ids=" ".join)
+    @pytest.mark.parametrize("argv", UNWRITABLE + HELP, ids=" ".join)
     def test_closed_stdout_exits_five(self, argv):
         # with fd 1 closed the child starts with sys.stdout set to None,
         # and print would drop the output without an error
@@ -757,23 +676,24 @@ class TestExitContract:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
 
-    @pytest.mark.parametrize("argv", UNWRITABLE, ids=" ".join)
+    @pytest.mark.parametrize("argv", UNWRITABLE + HELP, ids=" ".join)
     def test_a_closed_stdout_is_an_exit_code_in_process(self, argv):
         assert run_main(argv, closed_stdout=True) == (
             5, "", "cannot write to stdout: it is closed\n")
 
-    def test_iso_builds_the_covering_level(self, capsys, searched):
-        assert cli.main(["iso", "--left-family", "rn(4,2)",
-                         "--right-family", "rn(4,2)", "--depth", "5"]) == 0
-        doc = json.loads(capsys.readouterr().out)
+    def test_iso_builds_the_covering_level(self, searched):
+        code, out, _ = run_main(["iso", "--left-family", "rn(4,2)",
+                                 "--right-family", "rn(4,2)", "--depth", "5"])
+        assert code == 0
+        doc = json.loads(out)
         assert doc["status"] == "iso" and doc["pairs"] == 8
 
 
 class TestClosure:
     def test_json_report(self):
-        proc = run_cli("closure", "--family", "rn(2,0)")
-        assert proc.returncode == 0
-        doc = json.loads(proc.stdout)
+        code, out, _ = run_main(["closure", "--family", "rn(2,0)"])
+        assert code == 0
+        doc = json.loads(out)
         assert set(doc) == {"family", "trace", "classification",
                             "identity_violations", "generator_check"}
         assert doc["classification"]["case"] == 1
@@ -782,35 +702,49 @@ class TestClosure:
         assert doc["generator_check"]["holds"] is True
 
     def test_ladder_classification(self):
-        proc = run_cli("closure", "--family", "rn-infinity")
-        doc = json.loads(proc.stdout)
+        doc = json.loads(run_main(["closure", "--family", "rn-infinity"])[1])
         assert doc["classification"]["case"] == 3
         assert doc["trace"]["stabilized"] is False
 
     def test_text_format(self):
-        proc = run_cli("closure", "--family", "rn(2,0)", "--format", "text")
-        assert proc.returncode == 0
-        assert "N = 2; classification P(2,0) (case 1)" in proc.stdout
-        assert "generator check: holds (2 steps)" in proc.stdout
+        code, out, _ = run_main(["closure", "--family", "rn(2,0)", "--format",
+                                 "text"])
+        assert code == 0
+        assert "N = 2; classification P(2,0) (case 1)" in out
+        assert "generator check: holds (2 steps)" in out
 
     def test_dot_format(self):
-        proc = run_cli("closure", "--family", "rn-infinity",
-                       "--format", "dot")
-        assert proc.returncode == 0
-        assert proc.stdout.startswith("digraph ladder {")
+        code, out, _ = run_main(["closure", "--family", "rn-infinity",
+                                 "--format", "dot"])
+        assert code == 0
+        assert out.startswith("digraph ladder {")
 
     def test_non_symbolic_family(self):
-        proc = run_cli("closure", "--family", "omega-chain")
-        assert proc.returncode == 3
-        assert "symbolic spaces need" in proc.stderr
+        code, _, err = run_main(["closure", "--family", "omega-chain"])
+        assert code == 3
+        assert "symbolic spaces need" in err
 
     def test_unknown_family(self):
-        proc = run_cli("closure", "--family", "nope")
-        assert proc.returncode == 2
+        assert run_main(["closure", "--family", "nope"])[0] == 2
+
+    # the text line names A_inf as a set, W-{...} when it is cofinite
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 5b: RNTrace.serialize prints a settled, empty A_inf "
+        "as null"))
+    @pytest.mark.parametrize("family", ["rn-infinity", "rn(2,0)"])
+    def test_json_names_the_a_inf_of_the_text(self, family):
+        argv = ["closure", "--family", family]
+        text = run_main([*argv, "--format", "text"])[1]
+        named = next(line.split()[2] for line in text.splitlines()
+                     if line.startswith("A_inf = "))
+        ids = named.removeprefix("W-").strip("{}")
+        assert json.loads(run_main(argv)[1])["trace"]["A_inf"] == {
+            "shape": "cofinite" if named.startswith("W-") else "finite",
+            "ids": sorted(ids.split(",") if ids else [])}
 
 
 class TestParserReuse:
-    def test_a_reused_parser_carries_no_state(self, capsys):
+    def test_a_reused_parser_carries_no_state(self):
         assert cli.build_parser() is cli.build_parser()
         runs = [(["--subset", "p1", "p2", "--subset", "p0"],
                  [["p1", "p2"], ["p0"]]),
@@ -819,7 +753,8 @@ class TestParserReuse:
         for extra, subsets in runs:
             argv = ["analyze", "--family", "rn(2,0)", *extra]
             assert cli.build_parser().parse_args(argv).subset == subsets
-            assert cli.main(argv) == 0
-            doc = json.loads(capsys.readouterr().out)
+            code, out, _ = run_main(argv)
+            assert code == 0
+            doc = json.loads(out)
             got = [f["subset"] for f in doc.get("foundations", [])]
             assert got == [sorted(m) for m in subsets or []]

@@ -12,16 +12,15 @@ exit code and the sha256 of stdout and of stderr; a command that raises
 holds its exception's type and message instead of an exit code, so no
 source path or line number is pinned.
 
-Poset files are written from ``FILES`` into a temporary directory, and an
-argv names them by their bare file name, so no path reaches an output.
-The pinned file is rewritten only by a change that declares moved outputs
-and lists every moved argv.  Run this module as a script to print the
-digests of the program on the path.
+An argv names its poset files by their bare names in the suite's table,
+``conftest.POSET_FILES``, so no path reaches an output.  The pinned file
+is rewritten only by a change that declares moved outputs and lists
+every moved argv.  Run this module as a script to print the digests of
+the program on the path.
 """
 import hashlib
 import json
 import os
-import tempfile
 
 import pytest
 
@@ -30,50 +29,7 @@ from test_contract import CONTRACT
 
 PINNED = os.path.join(os.path.dirname(__file__), "cli_digests.json")
 
-FILES = {
-    "one.json": {"name": "one", "elements": ["a"], "covers": []},
-    "ab.json": {"name": "ab", "elements": ["a", "b"], "covers": [["a", "b"]]},
-    "xy.json": {"name": "xy", "elements": ["x", "y"], "covers": [["x", "y"]]},
-    "abc.json": {"name": "abc", "elements": ["a", "b", "c"],
-                 "covers": [["a", "b"], ["b", "c"]]},
-    "vee.json": {"name": "vee", "elements": ["a", "b", "c"],
-                 "covers": [["a", "b"], ["a", "c"]]},
-    "wedge.json": {"name": "wedge", "elements": ["a", "b", "c"],
-                   "covers": [["b", "a"], ["c", "a"]]},
-    "diamond.json": {"name": "diamond", "elements": ["a", "b", "c", "d"],
-                     "covers": [["a", "b"], ["a", "c"], ["b", "d"],
-                                ["c", "d"]]},
-    "crown.json": {"name": "crown",
-                   "elements": ["a1", "a2", "a3", "b1", "b2", "b3"],
-                   "covers": [["a1", "b2"], ["a1", "b3"], ["a2", "b1"],
-                              ["a2", "b3"], ["a3", "b1"], ["a3", "b2"]]},
-    "forest.json": {"name": "forest",
-                    "elements": ["r", "s", "t", "u", "v", "w", "x"],
-                    "covers": [["r", "s"], ["r", "t"], ["s", "u"],
-                               ["t", "u"], ["v", "w"], ["u", "x"],
-                               ["w", "x"]]},
-    "empty.json": {"name": "e", "elements": [], "covers": []},
-    "cycle.json": {"name": "cyc", "elements": ["a", "b"],
-                   "covers": [["a", "b"], ["b", "a"]]},
-    "badcover.json": {"name": "x", "elements": ["a", "b"],
-                      "covers": [[["a"], "b"]]},
-    "dup.json": {"name": "d", "elements": ["a", "a"], "covers": []},
-    "v3.json": {"name": "v3", "elements": ["e0", "e1", "e2"],
-                "covers": [["e0", "e1"]]},
-}
-
-
-def _formula(name: str, n: int, gaps: tuple[int, ...]) -> dict:
-    """A poset file on e1..en with a cover i < j whenever j - i is one of
-    gaps and i + j is not a multiple of 4."""
-    return {"name": name, "elements": [f"e{i}" for i in range(1, n + 1)],
-            "covers": [[f"e{i}", f"e{i + g}"] for i in range(1, n + 1)
-                       for g in gaps if i + g <= n and (2 * i + g) % 4]}
-
-
-FILES.update({"f8.json": _formula("f8", 8, (1, 3)),
-              "f12.json": _formula("f12", 12, (2, 3)),
-              "f30.json": _formula("f30", 30, (1, 4, 7))})
+# the table's files the sweep reads
 FILE_POSETS = ["one", "ab", "abc", "vee", "wedge", "diamond", "crown",
                "forest", "f8", "f12", "f30"]
 BAD_FILES = ["empty", "cycle", "badcover", "dup"]
@@ -310,12 +266,10 @@ def corpus() -> list[list[str]]:
     return _analyze() + _build_verify() + _closure() + _iso() + _usage()
 
 
-def run(argv: list[str], folder: str) -> dict:
+def run(argv: list[str]) -> dict:
     """Exit code, or the raised exception's type and message, and the
-    sha256 of stdout and of stderr, of one in-process run whose file
-    arguments are resolved inside folder."""
-    code, out, err = run_main([os.path.join(folder, a)
-                               if a.endswith(".json") else a for a in argv])
+    sha256 of stdout and of stderr, of one in-process run."""
+    code, out, err = run_main(argv)
     got = {"exit" if isinstance(code, int) else "raised": code}
     for name, text in (("stdout", out), ("stderr", err)):
         got[name] = hashlib.sha256(text.encode()).hexdigest()
@@ -323,12 +277,7 @@ def run(argv: list[str], folder: str) -> dict:
 
 
 def cli_digests() -> dict[str, dict]:
-    with tempfile.TemporaryDirectory() as folder:
-        for name, doc in FILES.items():
-            with open(os.path.join(folder, name), "w",
-                      encoding="utf-8") as fh:
-                json.dump(doc, fh)
-        return {" ".join(argv): run(argv, folder) for argv in corpus()}
+    return {" ".join(argv): run(argv) for argv in corpus()}
 
 
 @pytest.fixture(scope="module")

@@ -7,18 +7,17 @@ are known, unknown and enumerated past ``--depth``; and option values in
 range, on the edges and out of range.  A few drawn argv are spoiled
 again, with an int option's value malformed or an unknown option added,
 and argparse refuses each with exit 2.  Each argv runs twice in-process,
-its poset files named bare and resolved in a temporary directory, and
-must exit inside the contract with no exception escaping ``cli.main``,
-print JSON that parses when its format is JSON, and print the same bytes
-on the rerun.
+its poset files named bare from the suite's poset folder, and must exit
+inside the contract with no exception escaping ``cli.main``, print JSON
+that parses when its format is JSON, and print the same bytes on the
+rerun.
 """
 import json
-import os
 import random
 
 import pytest
 
-from conftest import run_main
+from conftest import run_main, write_posets
 from stonetrim import family
 
 CONTRACT = {0, 2, 3, 4, 5}
@@ -31,22 +30,6 @@ LADDERS = ["rn-infinity", "rn-infinity-bot", "rn(0,0)", "rn(3,0)",
            "rn(5,2)"]
 INT_OPTIONS = {"--horizon", "--depth", "--max-depth", "--max-n", "--seed"}
 
-# malformed poset files, each as the text written; missing.json is never
-# written
-BAD_FILES = {
-    "empty.json": '{"name": "e", "elements": [], "covers": []}',
-    "cycle.json": '{"name": "c", "elements": ["a", "b"], '
-                  '"covers": [["a", "b"], ["b", "a"]]}',
-    "badcover.json": '{"name": "x", "elements": ["a", "b"], '
-                     '"covers": [[["a"], "b"]]}',
-    "dup.json": '{"name": "d", "elements": ["a", "a"], "covers": []}',
-    "stranger.json": '{"name": "s", "elements": ["a"], '
-                     '"covers": [["a", "z"]]}',
-    "nokey.json": '{"name": "k", "elements": ["a"]}',
-    "list.json": '[["a", "b"]]',
-    "text.json": '{"name": ',
-}
-
 
 def random_file(rng: random.Random, k: int) -> tuple[str, dict]:
     """A well-formed poset file: strict pairs sampled over a fixed
@@ -58,21 +41,23 @@ def random_file(rng: random.Random, k: int) -> tuple[str, dict]:
     return f"r{k}.json", {"name": f"r{k}", "elements": ids, "covers": covers}
 
 
-def generate() -> tuple[dict[str, str], list[list[str]], list[list[str]]]:
-    """The poset files, as their texts, the argv of every command, and the
-    spoiled copies of a few of those argv."""
+def generate() -> tuple[dict[str, dict], list[list[str]], list[list[str]]]:
+    """The random poset files, the argv of every command, and the spoiled
+    copies of a few of those argv."""
     rng = random.Random(SEED)
-    files = dict(BAD_FILES)
-    ids_of = {}
+    files, ids_of = {}, {}
     for k in range(6):
         name, doc = random_file(rng, k)
-        files[name] = json.dumps(doc)
+        files[name] = doc
         ids_of[name] = doc["elements"]
     for tag in TAGS:
         poset = family(tag)
         ids_of[tag] = poset.prefix(poset.size if poset.finite else 12)
     good = list(ids_of)
-    bad = list(BAD_FILES) + ["missing.json"] + BAD_TAGS
+    # malformed poset files of the suite's table, and one that is not there
+    bad = ["empty.json", "cycle.json", "badcover.json", "dup.json",
+           "stranger.json", "nokey.json", "list.json", "text.json",
+           "missing.json", *BAD_TAGS]
 
     def poset_name() -> str:
         return rng.choice(good if rng.random() < 0.8 else bad)
@@ -155,6 +140,7 @@ def generate() -> tuple[dict[str, str], list[list[str]], list[list[str]]]:
 
 
 FILES, ARGV, SPOILED = generate()
+write_posets(FILES)
 
 # inputs that once broke the contract: past the level-size bound a
 # BuildError escaped build-verify with a traceback, where it now exits 5
@@ -164,29 +150,14 @@ BREAKS = [
 ]
 
 
-@pytest.fixture(scope="module")
-def folder(tmp_path_factory):
-    path = tmp_path_factory.mktemp("contract")
-    for name, text in FILES.items():
-        (path / name).write_text(text, encoding="utf-8")
-    return str(path)
-
-
-def run(argv: list[str], folder: str) -> tuple:
-    """Exit code, or the raised exception's type and message, stdout and
-    stderr of one in-process run."""
-    return run_main([os.path.join(folder, a) if a.endswith(".json") else a
-                     for a in argv])
-
-
-def assert_in_contract(argv: list[str], folder: str) -> None:
-    code, out, err = run(argv, folder)
+def assert_in_contract(argv: list[str]) -> None:
+    code, out, err = run_main(argv)
     assert code in CONTRACT, (code, err)
     assert "Traceback" not in err
     if "--format" not in argv or argv[argv.index("--format") + 1] == "json":
         if out:
             json.loads(out)
-    assert run(argv, folder) == (code, out, err)
+    assert run_main(argv) == (code, out, err)
 
 
 def test_the_argv_are_drawn_alike_on_every_run():
@@ -196,17 +167,17 @@ def test_the_argv_are_drawn_alike_on_every_run():
 
 
 @pytest.mark.parametrize("argv", ARGV, ids=" ".join)
-def test_generated_argv_keeps_the_contract(argv, folder):
-    assert_in_contract(argv, folder)
+def test_generated_argv_keeps_the_contract(argv):
+    assert_in_contract(argv)
 
 
 @pytest.mark.parametrize("argv", SPOILED, ids=" ".join)
-def test_argparse_refuses_a_spoiled_argv(argv, folder):
-    code, out, err = run(argv, folder)
+def test_argparse_refuses_a_spoiled_argv(argv):
+    code, out, err = run_main(argv)
     assert (code, out) == (2, "")
     assert err.startswith("usage: stonetrim ") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", BREAKS, ids=" ".join)
-def test_known_breaks(argv, folder):
-    assert_in_contract(argv, folder)
+def test_known_breaks(argv):
+    assert_in_contract(argv)

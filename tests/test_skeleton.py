@@ -13,8 +13,8 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import (chain_ab_poset, children, descends_to, diamond_poset,
-                      listed_in, random_poset, ref_bucket_of,
+from conftest import (POSET_FILES, chain_ab_poset, children, descends_to,
+                      diamond_poset, listed_in, random_poset, ref_bucket_of,
                       ref_down_closure, ref_theta_image, vee_poset)
 from stonetrim import (FOUND, BuildConfig, BuildError, ConfigError, Poset,
                        build_levels, family, run_backforth, skeleton,
@@ -23,7 +23,7 @@ from stonetrim.poset import bits, runs
 from stonetrim.skeleton import (BUCKETS, Level, SkeletonTree,
                                 StructureReport, _reference_blocks,
                                 equal_rules, level_rule, spell)
-from test_cli_digests import FILE_POSETS as CLI_POSETS, FILES
+from test_cli_digests import FILE_POSETS as CLI_POSETS
 
 
 def chain_tree(depth=4, **kw):
@@ -1289,7 +1289,7 @@ class TestLevelRule:
     @pytest.mark.parametrize("name", CLI_POSETS)
     def test_poset_files_to_the_bound(self, name):
         assert_rules_match(deepest_tree(BuildConfig(Poset.from_json(
-            FILES[f"{name}.json"]))))
+            POSET_FILES[f"{name}.json"]))))
 
     @given(seed=st.integers(0, 10 ** 6))
     @settings(max_examples=40, deadline=None)
@@ -1391,7 +1391,7 @@ class TestEqualRules:
                                   ORACLE_FAMILIES + ["rn(1,2)"]], 6)
 
     def test_poset_files(self):
-        posets = [Poset.from_json(FILES[f"{name}.json"])
+        posets = [Poset.from_json(POSET_FILES[f"{name}.json"])
                   for name in CLI_POSETS]
         assert_equal_rules_match(
             [BuildConfig(p) for p in posets]

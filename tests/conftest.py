@@ -143,6 +143,14 @@ def children(tree, n: int, i: int) -> list[tuple[int, str]]:
     return [(j, tree.poset.id_at(types[j])) for j in range(start, end)]
 
 
+# the nine deep builds of the benchmark, each family at the deepest level
+# under the level-size bound (perfbench/workloads.py, DEEP_BUILDS)
+DEEP_BUILDS = [("omega-chain", 8), ("dyadic", 9), ("rn-infinity", 13),
+               ("rn-infinity-bot", 10), ("ziegler-fan", 13),
+               ("omega-antichain", 16), ("rn(2,0)", 15), ("rn(4,2)", 13),
+               ("rn(10,0)", 13)]
+
+
 # ----------------------------------------------------------------------
 # The suite's poset files by name, written once into one folder: a doc is
 # written as JSON and a str as its text.

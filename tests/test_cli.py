@@ -25,14 +25,18 @@ from test_contract import ARGV
 SRC = os.path.dirname(os.path.dirname(stonetrim.__file__))
 
 
+def child(argv, env=None, launcher=()) -> tuple[list[str], dict]:
+    """The command line and environment of a CLI run in a child process."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return ([*launcher, sys.executable, "-m", "stonetrim.cli", *argv],
+            {**os.environ, "PYTHONPATH": path, **(env or {})})
+
+
 def run_cli(*argv, timeout=None, env=None, stdout=subprocess.PIPE,
             launcher=()):
-    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([*launcher, sys.executable, "-m", "stonetrim.cli",
-                           *argv],
-                          stdout=stdout, stderr=subprocess.PIPE, text=True,
-                          timeout=timeout,
-                          env={**os.environ, "PYTHONPATH": path, **(env or {})})
+    command, env = child(argv, env, launcher)
+    return subprocess.run(command, stdout=stdout, stderr=subprocess.PIPE,
+                          text=True, timeout=timeout, env=env)
 
 
 # runs its arguments with fd 1 closed
@@ -333,7 +337,7 @@ class TestIso:
     # level 5, so the rules agree to depth 5, and the p5 pair is searched
     # and certified after 13 steps
     @pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP item 3: a certified iso run does not yet check that both "
+        "ROADMAP item 29: a certified iso run does not yet check that both "
         "sides isolate the same types"))
     @pytest.mark.parametrize("isolated", ["p6", "p5"])
     def test_one_sided_isolation_exits_four(self, isolated):
@@ -647,6 +651,24 @@ class TestExitContract:
             os.close(write_end)
         assert_refused_output(proc, f"[Errno {errno.EPIPE}] "
                                     f"{os.strerror(errno.EPIPE)}")
+
+    def test_a_pipe_closed_mid_output_exits_five(self):
+        # 134 KB of dot is more than a pipe buffer holds; the reader takes
+        # the first line a byte at a time and closes, so a later write
+        # fails
+        command, env = child(["build-verify", "--family", "dyadic",
+                              "--depth", "7", "--format", "dot"])
+        with subprocess.Popen(command, stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, bufsize=0,
+                              env=env) as proc:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            proc.wait(timeout=60)
+        assert first == b"digraph skeleton {\n"
+        assert_refused_output(
+            subprocess.CompletedProcess(command, proc.returncode, "", err),
+            f"[Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}")
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"),
                         reason="no /dev/full on this platform")

@@ -2,10 +2,13 @@
 
 ``corpus()`` lists the sweep: ``analyze`` on every family at several
 horizons, on rn(m,0) and rn(m,2) up to m = 200 and on poset files with
-``--subset``; ``build-verify`` with isolation, bucket and ``--q`` variants;
-``closure`` in json, text and dot; and ``iso`` over family and file pairs
-at depths 3-5 and seeds 0-2, and over searched pairs at depths 5 and 6;
-and argparse's refusals and ``--help`` for each command.  Each argv runs
+``--subset``; ``build-verify`` with isolation, bucket and ``--q`` variants,
+the type-function laws of the acceptance suite's builds at depth 7 and two
+seeds, and the benchmark's nine deep builds with their laws and as dot;
+``closure`` in json, text and dot, on every ladder family over a grid of
+``--max-n`` and ``--horizon``; and ``iso`` over family and file pairs at
+depths 3-5 and seeds 0-2, and over searched pairs at depths 5 and 6; and
+argparse's refusals and ``--help`` for each command.  Each argv runs
 through ``cli.main`` in process, which returns the exit code on every
 input.  ``tests/cli_digests.json`` holds, per argv joined by spaces, the
 exit code and the sha256 of stdout and of stderr; a command that raises
@@ -16,7 +19,10 @@ An argv names its poset files by their bare names in the suite's table,
 ``conftest.POSET_FILES``, so no path reaches an output.  The pinned file
 is rewritten only by a change that declares moved outputs and lists
 every moved argv.  Run this module as a script to print the digests of
-the program on the path.
+the program on the path; under any ``PYTHONHASHSEED`` it prints the
+pinned file:
+
+    PYTHONPATH=src python tests/test_cli_digests.py > tests/cli_digests.json
 """
 import hashlib
 import json
@@ -24,7 +30,9 @@ import os
 
 import pytest
 
-from conftest import run_main
+from conftest import DEEP_BUILDS, run_main
+from test_acceptance import CONFIGS
+from test_closure import CLI_TAGS
 from test_contract import CONTRACT
 
 PINNED = os.path.join(os.path.dirname(__file__), "cli_digests.json")
@@ -45,6 +53,9 @@ SOME = {"omega-chain": ["p2", "p1"], "omega-antichain": ["a2", "a5"],
         "rn(0,0)": ["p0", "p0"], "rn(1,2)": ["p1", "p3"],
         "rn(2,0)": ["p1", "p0"], "rn(2,2)": ["p4", "p2"],
         "rn(4,2)": ["p2", "p6"], "rn(10,0)": ["p3", "p10"]}
+
+# the file of each finite build of the acceptance suite
+LAW_FILES = {"chain": "ab.json", "vee": "vee.json", "diamond": "diamond.json"}
 
 
 def _analyze() -> list[list[str]]:
@@ -139,12 +150,23 @@ def _build_verify() -> list[list[str]]:
          "--pinf", "q"],
         ["build-verify", "--family", "dyadic", "--depth", "7", "--format",
          "dot"],
-        ["build-verify", "--family", "omega-chain", "--depth", "8"],
         # past the level-size bound the build raises
         ["build-verify", "--family", "omega-chain", "--depth", "9"],
         ["build-verify", "--family", "omega-chain", "--depth", "10"],
         ["build-verify", "empty.json"],
     ]
+    # the acceptance suite's law runs (criterion 1), each build with and
+    # without its isolated element, and the dyadic demo
+    for name, _, _, single in CONFIGS + [("dyadic", None, None, None)]:
+        poset = [LAW_FILES[name]] if name in LAW_FILES else ["--family", name]
+        isos = [[], ["--isolated", single]] if single else [[]]
+        out += [["build-verify", *poset, "--depth", "7", "--seed", s, *iso]
+                for iso in isos for s in ("0", "1")]
+    # the benchmark's deep builds, each at the deepest level under the
+    # level-size bound: the laws, and every level's types and posts as dot
+    out += [["build-verify", "--family", tag, "--depth", str(depth), *fmt]
+            for tag, depth in DEEP_BUILDS
+            for fmt in ([], ["--format", "dot"])]
     return out
 
 
@@ -162,6 +184,10 @@ def _closure() -> list[list[str]]:
         ["closure", "--family", "nope"],
         ["closure", "--family", "rn(2,0)", "--max-n", "-1"],
     ]
+    out += [["closure", "--family", tag, "--format", fmt, "--max-n", n,
+             "--horizon", h]
+            for tag in CLI_TAGS for fmt in ("json", "text", "dot")
+            for n in ("10", "20", "30", "40") for h in ("1", "3", "12")]
     return out
 
 

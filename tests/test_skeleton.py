@@ -13,9 +13,10 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import (POSET_FILES, chain_ab_poset, children, descends_to,
-                      diamond_poset, listed_in, random_poset, ref_bucket_of,
-                      ref_down_closure, ref_theta_image, vee_poset)
+from conftest import (DEEP_BUILDS, POSET_FILES, chain_ab_poset, children,
+                      descends_to, diamond_poset, listed_in, random_poset,
+                      ref_bucket_of, ref_down_closure, ref_theta_image,
+                      vee_poset)
 from stonetrim import (FOUND, BuildConfig, BuildError, ConfigError, Poset,
                        build_levels, family, run_backforth, skeleton,
                        verify_structure)
@@ -267,17 +268,8 @@ class TestChainBuild:
             assert list(grown.level(n).parent) == list(fresh.level(n).parent)
 
 
-# the nine deep builds of the benchmark, each family at the deepest level
-# under the level-size bound (perfbench/workloads.py, DEEP_BUILDS)
-DEEP_BUILDS = [("omega-chain", 8), ("dyadic", 9), ("rn-infinity", 13),
-               ("rn-infinity-bot", 10), ("ziegler-fan", 13),
-               ("omega-antichain", 16), ("rn(2,0)", 15), ("rn(4,2)", 13),
-               ("rn(10,0)", 13)]
-
 # the families of the deep builds, each read at levels 1 to 8
-SPELLED_FAMILIES = ["omega-chain", "dyadic", "rn-infinity", "rn-infinity-bot",
-                    "ziegler-fan", "omega-antichain", "rn(2,0)", "rn(4,2)",
-                    "rn(10,0)"]
+SPELLED_FAMILIES = [tag for tag, _ in DEEP_BUILDS]
 
 
 class TestStorage:

@@ -155,19 +155,27 @@ def _build_verify() -> list[list[str]]:
         ["build-verify", "--family", "omega-chain", "--depth", "10"],
         ["build-verify", "empty.json"],
     ]
-    # the acceptance suite's law runs (criterion 1), each build with and
-    # without its isolated element, and the dyadic demo
+    return out + _laws() + _deep()
+
+
+def _laws() -> list[list[str]]:
+    """The acceptance suite's law runs (criterion 1), each build with and
+    without its isolated element, and the dyadic demo."""
+    out = []
     for name, _, _, single in CONFIGS + [("dyadic", None, None, None)]:
         poset = [LAW_FILES[name]] if name in LAW_FILES else ["--family", name]
         isos = [[], ["--isolated", single]] if single else [[]]
         out += [["build-verify", *poset, "--depth", "7", "--seed", s, *iso]
                 for iso in isos for s in ("0", "1")]
-    # the benchmark's deep builds, each at the deepest level under the
-    # level-size bound: the laws, and every level's types and posts as dot
-    out += [["build-verify", "--family", tag, "--depth", str(depth), *fmt]
+    return out
+
+
+def _deep() -> list[list[str]]:
+    """The benchmark's deep builds, each at the deepest level under the
+    level-size bound: the laws, and every level's types and posts as dot."""
+    return [["build-verify", "--family", tag, "--depth", str(depth), *fmt]
             for tag, depth in DEEP_BUILDS
             for fmt in ([], ["--format", "dot"])]
-    return out
 
 
 def _closure() -> list[list[str]]:
@@ -184,11 +192,16 @@ def _closure() -> list[list[str]]:
         ["closure", "--family", "nope"],
         ["closure", "--family", "rn(2,0)", "--max-n", "-1"],
     ]
-    out += [["closure", "--family", tag, "--format", fmt, "--max-n", n,
+    return out + _ladders()
+
+
+def _ladders() -> list[list[str]]:
+    """Every ladder family's closure over a grid of --max-n and --horizon,
+    in each format."""
+    return [["closure", "--family", tag, "--format", fmt, "--max-n", n,
              "--horizon", h]
             for tag in CLI_TAGS for fmt in ("json", "text", "dot")
             for n in ("10", "20", "30", "40") for h in ("1", "3", "12")]
-    return out
 
 
 def _iso() -> list[list[str]]:
@@ -322,6 +335,22 @@ def test_every_cli_output_is_pinned(digests):
 
 def test_every_run_returns_a_code_of_the_contract(digests):
     assert {got.get("exit") for got in digests.values()} <= CONTRACT
+
+
+# the runs of the pins the corpus folded in, each with its count: two
+# seeds of 17 law builds, 12 closure runs of each of 72 ladder-format
+# pairs, and the nine deep builds with and without dot; each must exit
+# 0, which a build-verify run whose laws fail does not (it exits 4)
+FOLDED = {"laws": (_laws, 34), "ladders": (_ladders, 864),
+          "deep": (_deep, 18)}
+
+
+@pytest.mark.parametrize("group", FOLDED)
+def test_every_folded_run_is_pinned_and_succeeds(digests, group):
+    make, count = FOLDED[group]
+    keys = [" ".join(argv) for argv in make()]
+    assert len(set(keys)) == len(keys) == count
+    assert [k for k in keys if digests[k].get("exit") != 0] == []
 
 
 # a refused option is named under the usage of the parser that reads it:

@@ -15,7 +15,7 @@ from operator import add, mul, sub
 from typing import Iterator, Optional
 
 from .poset import bits, from_runs, runs
-from .skeleton import SkeletonTree, char_masks, spell
+from .skeleton import SkeletonTree, char_masks, node_rules, spell
 
 
 class RingError(ValueError):
@@ -212,39 +212,37 @@ def is_trim_for(x: RingElement, gen: int) -> bool:
 # ----------------------------------------------------------------------
 # axiom verification
 
-def _persist_rows(tree: SkeletonTree, n: int) -> list[tuple[int, int, int]]:
-    """(own type bit, types realized in the child block, node mask) for
-    each distinct pair of the two on level n.
-
-    Levels n and n+1 are read as their spellings (``spell``; types are
-    enumeration indices no larger than the depth, far below U+D800, so
-    every one decodes).  Node i's child block is the span
-    ``bounds[i]:bounds[i + 1]`` of level n+1's spelling, two posts of
-    level n+1, and nodes are grouped by their own type's character
-    followed by that span, so each distinct block is typed once; each
-    row's node mask is read off one spelling of level n by row, in one
-    pass.  Child blocks of consecutive nodes tile level n+1, so the lift
-    of a mask is the union of its nodes' blocks, and ORing the rows a mask
-    meets gives both the types of the mask and those of its lift.
-
-    Each own type's node mask (``Level.type_masks``) is lifted once with
-    ``theta_image`` and checked against the union of that type's blocks,
-    read off level n+1 spelled by parent type.  A type whose lift differs
-    gets no child types in its rows, so a wrong lift fails types-persist."""
-    own = spell(tree.levels[n - 1].types)
-    kids = spell(tree.levels[n].types)
-    bounds = tree.levels[n].bounds
-    keys = list(map(add, own, map(kids.__getitem__, map(
-        slice, bounds, bounds[1:]))))
-    char_of: dict[str, str] = {}
-    rows: dict[tuple[int, int], str] = {}
-    for key in dict.fromkeys(keys):
-        row = 1 << ord(key[0]), sum(1 << ord(c) for c in set(key[1:]))
-        char_of[key] = rows.setdefault(row, chr(len(rows)))
-    node_masks = char_masks("".join(map(char_of.__getitem__, keys)),
-                            list(rows.values()))
+def _persist_rows(tree: SkeletonTree, n: int,
+                  rule: Optional[dict[str, str]]) -> list[tuple[int, int, int]]:
+    """(own type bit, types in the child block, node mask) for each
+    distinct pair of the two on level n; blocks of consecutive nodes tile
+    level n+1, so ORing the rows a mask meets types the mask and its lift.
+    rule is level n's ``node_rules`` entry: where known, each own type is
+    one row, with its ``Level.type_masks`` mask; where None, nodes are
+    grouped by their own type followed by their block, spelled off level
+    n+1 between their posts, and the rows' masks read off one spelling of
+    level n by row.  Each own type's mask is lifted once by
+    ``theta_image`` and checked against its nodes' blocks, read off level
+    n+1 spelled by parent type; a wrong lift gets no child types, so it
+    fails types-persist."""
     own_masks = tree.levels[n - 1].type_masks()
-    parents = "".join(map(mul, own, map(sub, bounds[1:], bounds)))
+    own = spell(tree.levels[n - 1].types)
+    bounds = tree.levels[n].bounds
+    if rule is None:
+        kids = spell(tree.levels[n].types)
+        keys = list(map(add, own, map(kids.__getitem__, map(
+            slice, bounds, bounds[1:]))))
+        parents = "".join(map(mul, own, map(sub, bounds[1:], bounds)))
+    else:
+        keys = [c + rule[c] for c in map(chr, own_masks)]
+        parents = own.translate({ord(c): c * len(block)
+                                 for c, block in rule.items()})
+    rows: dict[tuple[int, int], str] = {}
+    char_of = {key: rows.setdefault((1 << ord(key[0]), sum(
+        1 << ord(c) for c in set(key[1:]))), chr(len(rows)))
+        for key in dict.fromkeys(keys)}
+    node_masks = (own_masks.values() if rule is not None else char_masks(
+        "".join(map(char_of.__getitem__, keys)), list(rows.values())))
     lifted = {1 << t: tree.theta_image(n, nodes) == blocks
               for (t, nodes), blocks in zip(own_masks.items(), char_masks(
                   parents, list(map(chr, own_masks))))}
@@ -300,9 +298,9 @@ def verify_type_axioms(tree: SkeletonTree, level_bound: int,
       read from the table too, is compared with the OR of theirs;
     - emptiness calls ``_types_in`` on every nonempty draw;
     - persistence ORs the rows a draw meets in a per-level table built
-      once per call from the next level's spelling, each own type's node
-      mask lifted once through ``theta_image`` (``_persist_rows``), and
-      finds the generators and lost types of each distinct OR once;
+      once per call (``_persist_rows``), one row per own type where
+      ``node_rules`` reads the level's rule off its nodes, and finds the
+      generators and lost types of each distinct OR once;
     - upward closure reads each draw's type set from the table and makes
       the law's counts once per distinct type set in a call, on the mask
       ``Poset.upper_of`` gives cut to the prefix.
@@ -432,7 +430,8 @@ def verify_type_axioms(tree: SkeletonTree, level_bound: int,
     # minimal realized type, the witness the lowest lost one
     checked = bad = 0
     witness = ""
-    rows_of = [_persist_rows(tree, n) for n in range(1, level_bound + 1)]
+    rows_of = [_persist_rows(tree, n, rule)
+               for n, rule in zip(upto, node_rules(tree))]
 
     def lost(key: tuple[int, int]) -> tuple[int, int]:
         """(minimal own types, those lost) of (own types, child types)."""

@@ -689,32 +689,33 @@ class StructureReport(Record):
                            for n, ok, d in self.checks]}
 
 
-def _reference_blocks(tree: SkeletonTree,
-                      spelled: list[str]) -> list[Optional[dict[str, str]]]:
-    """For each level n = 1..depth-1, at n - 1, each type's child block at
-    its first node on level n, if level n holds types 1..type_cap(n) only
-    and each node's block on level n+1, between its posts (``bounds``), is
-    its type's; else None.  spelled[n] is level n spelled.
+def node_rules(tree: SkeletonTree) -> list[Optional[dict[str, str]]]:
+    """For each level n = 1..depth-1, at n - 1, the rule that laid out
+    level n+1, read off the nodes: each type's child block at its first
+    node on level n, spelled and keyed by its character as ``level_rule``
+    keys it, if level n holds types 1..type_cap(n) only and each node's
+    block on level n+1, between its posts (``bounds``), is its type's;
+    else None.  No ``Level.substitution`` is read.
 
     Two tests, each passed by the whole level: (a) per ``_CHUNK`` of
-    nodes, the block lengths, ends less the ends before them, and the
-    wanted ones, each read as one int of 32-bit lanes, are equal; the
-    chunk's ends and the ends before them are two views of the posts, one
-    post apart, each read as one int in the host's byte order; (b) the
-    wanted blocks, joined, start level n+1: they are read as the pieces of
-    ``_rewrite`` through the reference blocks of the levels above, which
-    is the same string as long as each of those levels passed (a) and
-    (b), so the chain of rules restarts past a level that failed.  (a) is
-    exact: ends are below 2^32, and by (b) the wanted blocks lie in level
-    n+1, shorter than 2^20, so where the lanes agree below lane k, lane
-    k's block starts below 2^20 and its have less want lies strictly
+    nodes, the block lengths (have: ends less the ends before them) and
+    the wanted ones (want), each read as one int of 32-bit lanes, are
+    equal; the chunk's posts are read as one int in the host's byte
+    order, whose lanes one lane apart are its ends and the ends before
+    them; (b) the wanted blocks, joined, start level n+1: they are read
+    as the pieces of ``_rewrite`` through the rules of the levels above,
+    which is the same string as long as each of those levels passed (a)
+    and (b), so the chain of rules restarts past a level that failed.
+    (a) is exact: ends are below 2^32, and by (b) the wanted blocks lie in
+    level n+1, shorter than 2^20, so where the lanes agree below lane k,
+    lane k's block starts below 2^20 and its have less want lies strictly
     between -2^21 and 2^32, where no nonzero multiple of 2^32 lies: a
-    borrow cannot fake equality.  The reference blocks are read off the
-    tree itself, never off the substitutions the builder kept."""
+    borrow cannot fake equality."""
     refs: list[Optional[dict[str, str]]] = []
     order = sys.byteorder
+    kids = spell(tree.levels[0].types)
     for n in range(1, tree.depth):
-        own, kids = spelled[n], spelled[n + 1]
+        own, kids = kids, spell(tree.levels[n].types)
         bounds = tree.levels[n].bounds
         ref = {c: kids[bounds[i]:bounds[i + 1]]
                for c in map(chr, range(1, tree.config.type_cap(n) + 1))
@@ -727,11 +728,11 @@ def _reference_blocks(tree: SkeletonTree,
         view = memoryview(bounds)
         for lo in range(0, len(own), _CHUNK):
             hi = min(lo + _CHUNK, len(own))
-            have = int.from_bytes(view[lo + 1:hi + 1], order)
-            before = int.from_bytes(view[lo:hi], order)
-            want = _encode(own[lo:lo + _CHUNK].translate(lens),
-                           "surrogatepass")[0]
-            if have - before != int.from_bytes(want, order):
+            posts = int.from_bytes(view[lo:hi + 1], order)
+            later, first = posts >> 32, posts & (1 << 32 * (hi - lo)) - 1
+            want = _encode(own[lo:hi].translate(lens), "surrogatepass")[0]
+            if ((later - first if _LITTLE else first - later)
+                    != int.from_bytes(want, order)):
                 refs[-1] = None
                 break
         else:
@@ -754,15 +755,17 @@ def verify_structure(tree: SkeletonTree,
     of bounded types as an index mask q_lower, every node typed in it
     descends from the covering level of its foundation.
 
-    Each level is read once as its spelling (``spell``), and every check is
-    a count or a search over those strings with C-level ``str`` methods: no
+    Each level is read as its spelling (``spell``), and every check is a
+    count or a search over those strings with C-level ``str`` methods: no
     pass over a level costs more than its width, and none rebuilds a level.
     Continuation children are counted once per type where the next level
-    is laid out by type (``_reference_blocks``), else once per node.
+    is laid out by type, else once per node; ``node_rules`` reads that
+    before the spellings are held, two levels at a time.
     """
     rep = StructureReport()
     poset = tree.poset
     depth = tree.depth
+    refs = node_rules(tree)
     spelled = [""] + [spell(lvl.types) for lvl in tree.levels]
 
     for n in range(1, depth + 1):
@@ -779,7 +782,6 @@ def verify_structure(tree: SkeletonTree,
                     if (c := spelled[n].count(chr(t))) != 1), "")
         rep.add(f"isolated-single-line:{poset.id_at(t)}", not bad, bad)
 
-    refs = _reference_blocks(tree, spelled)
     for n in range(1, depth):
         own, kids = spelled[n], spelled[n + 1]
         bounds = tree.levels[n].bounds

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (chain_ab_poset, diamond_poset, listed_in,
-                      random_poset, ref_persist_rows, ref_up_closure,
-                      ring_key, vee_poset)
+from conftest import (DEEP_BUILDS, POSET_FILES, chain_ab_poset,
+                      diamond_poset, listed_in, random_poset,
+                      ref_persist_rows, ref_up_closure, ring_key, vee_poset)
 from stonetrim import (BuildConfig, Poset, RingElement, RingError, TypeSet,
                        build_levels, family, is_trim_for,
                        split_by_scarce_atoms, supertrim_split, trim_split,
@@ -16,8 +16,9 @@ from stonetrim import (BuildConfig, Poset, RingElement, RingError, TypeSet,
 from stonetrim import ring, skeleton
 from stonetrim.poset import bits, runs
 from stonetrim.ring import _lower, _types_in
-from stonetrim.skeleton import SkeletonTree
+from stonetrim.skeleton import SkeletonTree, node_rules
 from test_acceptance import CONFIGS as CRITERION_1
+from test_cli_digests import FILE_POSETS
 
 
 @pytest.fixture(scope="module")
@@ -660,11 +661,14 @@ def test_unions_that_stay_on_their_level_realize_the_or(seed, isolate):
 
 
 def assert_persist_rows_match(tree):
-    """_persist_rows on every level with a level below it gives the rows
-    of the node-by-node lift."""
-    for n in range(1, tree.depth):
-        assert (sorted(ring._persist_rows(tree, n))
+    """_persist_rows on every level with a level below it, given that
+    level's ``node_rules`` entry, gives the rows of the node-by-node lift;
+    return the entries, None where a level takes the regrouping path."""
+    rules = node_rules(tree)
+    for n, rule in enumerate(rules, 1):
+        assert (sorted(ring._persist_rows(tree, n, rule))
                 == sorted(ref_persist_rows(tree, n)))
+    return rules
 
 
 class TestPersistRows:
@@ -692,13 +696,27 @@ class TestPersistRows:
             BuildConfig(poset, isolated=isolated,
                         **listed_in(bucket, poset.prefix(poset.size))), 5))
 
+    @pytest.mark.parametrize("tag, depth", DEEP_BUILDS)
+    def test_deep_builds_take_the_per_type_rows(self, tag, depth):
+        tree = build_levels(BuildConfig(family(tag)), depth)
+        assert None not in assert_persist_rows_match(tree)
+
+    @pytest.mark.parametrize("name", FILE_POSETS)
+    def test_poset_files_take_the_per_type_rows(self, name):
+        tree = build_levels(BuildConfig(Poset.from_json(
+            POSET_FILES[f"{name}.json"])), 6)
+        assert None not in assert_persist_rows_match(tree)
+
     def test_tampered_levels(self):
+        # level 3 retyped all b: level 2 reads as laid out by a rule that
+        # gives a the block b, b, b, and level 3 is refused
         tree = tampered_chain_tree()
-        assert_persist_rows_match(tree)
+        assert assert_persist_rows_match(tree)[1:] == [
+            {"\x01": "\x02\x02\x02", "\x02": "\x02\x02"}, None]
         lvl = tree.level(4)
         lvl.types[-1] = 1
         lvl._masks.clear()
-        assert_persist_rows_match(tree)
+        assert assert_persist_rows_match(tree)[2] is None
 
     def test_laws_past_the_level_bound(self, monkeypatch):
         """omega-chain's level 9 holds 103 049 nodes and level 10 518 859:
@@ -731,7 +749,9 @@ def tampered_dyadic_tree():
 
 class TestLostContinuation:
     """A one-node tamper that the structure check and the rows of
-    ``_persist_rows`` show, and the sampled laws miss (ROADMAP item 27)."""
+    ``_persist_rows`` show, and the sampled laws miss (ROADMAP item 27).
+    ``node_rules`` refuses levels 5 and 6, so their rows are the regrouped
+    ones, one per (own type, block), which can name the tampered node."""
 
     def test_the_structure_check_fails_at_levels_5_and_6(self):
         report = verify_structure(tampered_dyadic_tree())
@@ -744,8 +764,10 @@ class TestLostContinuation:
         for n in range(1, 7):
             for t, want in ((tree, n in (5, 6)), (fresh, False)):
                 minimal_in = t.poset.minimal_in
+                rule = node_rules(t)[n - 1]
+                assert (rule is None) is want, n
                 assert any(minimal_in(kids) != own for own, kids, _
-                           in ring._persist_rows(t, n)) is want, n
+                           in ring._persist_rows(t, n, rule)) is want, n
 
     @pytest.mark.xfail(strict=True, reason=(
         "the sampled laws pass this tamper at every seed; ROADMAP item 27 "
@@ -869,7 +891,7 @@ def test_each_level_mask_is_lowered_once_per_call():
 def assert_raises_before_any_law(tree, match, level_bound, **kw):
     calls = []
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("_lower", "_types_in", "_persist_rows"):
+        for name in ("_lower", "_types_in", "_persist_rows", "node_rules"):
             def logged(*args, name=name, f=getattr(ring, name)):
                 calls.append(name)
                 return f(*args)

@@ -19,11 +19,11 @@ from conftest import (DEEP_BUILDS, POSET_FILES, chain_ab_poset, children,
                       vee_poset)
 from stonetrim import (FOUND, BuildConfig, BuildError, ConfigError, Poset,
                        build_levels, family, run_backforth, skeleton,
-                       verify_structure)
+                       verify_structure, verify_type_axioms)
 from stonetrim.poset import bits, runs
 from stonetrim.skeleton import (BUCKETS, Level, SkeletonTree,
-                                StructureReport, _reference_blocks,
-                                equal_rules, level_rule, spell)
+                                StructureReport, equal_rules, level_rule,
+                                node_rules, spell)
 from test_cli_digests import FILE_POSETS as CLI_POSETS
 
 
@@ -905,8 +905,7 @@ class TestWholeLevelPasses:
     def laid_out_by_type(tree, n):
         """Whether the per-type test takes level n + 1 as laid out by type,
         read through the chain of the levels above it."""
-        spelled = [""] + [spell(lvl.types) for lvl in tree.levels]
-        return _reference_blocks(tree, spelled)[n - 1] is not None
+        return node_rules(tree)[n - 1] is not None
 
     def test_children_permuted_inside_one_block(self):
         # node 3.3 has type a and children [a, a, b]; as [b, a, a] its count
@@ -1115,14 +1114,17 @@ class TestWholeLevelPasses:
 
     @pytest.mark.parametrize("tag", ORACLE_FAMILIES)
     def test_the_check_reads_no_substitution(self, tag):
-        # the reference blocks come from the tree's nodes, so a tree
-        # whose levels lost the builder's substitutions checks the same
+        # the node rules come from the tree's nodes, so a tree whose
+        # levels lost the substitutions they were built by checks the
+        # same, and its laws report the same
         tree = build_levels(BuildConfig(family(tag)), 8)
         want = verify_structure(tree).to_json()
+        laws = verify_type_axioms(tree, 7, draws=2000)
         laid = [self.laid_out_by_type(tree, n) for n in range(1, 8)]
         for lvl in tree.levels:
             del lvl.substitution
         assert verify_structure(tree).to_json() == want
+        assert verify_type_axioms(tree, 7, draws=2000) == laws
         assert [self.laid_out_by_type(tree, n) for n in range(1, 8)] == laid
         assert all(laid)
 
@@ -1258,14 +1260,17 @@ def deepest_tree(config):
 def assert_rules_match(tree):
     """Every level n holds exactly the types 1..type_cap(n), and at every
     level n below the tree's depth, the rule read off the config is the
-    substitution and the tail that level n+1 was built with, and the
-    per-id rule over level n's types."""
+    substitution and the tail that level n+1 was built with, its blocks
+    the rule ``node_rules`` reads off the nodes, and the per-id rule over
+    level n's types."""
     for n, lvl in enumerate(tree.levels, 1):
         assert sorted(lvl.counts) == list(
             range(1, tree.config.type_cap(n) + 1)), n
+    from_nodes = node_rules(tree)
     for n, (lvl, kids) in enumerate(zip(tree.levels, tree.levels[1:]), 1):
         rule = level_rule(tree.config, n)
         assert rule == (kids.substitution, spell(kids.types[kids.u_start:]))
+        assert from_nodes[n - 1] == rule[0], n
         assert as_indices(rule) == ref_level_rule(tree.config, n,
                                                   set(lvl.types))
 
